@@ -8,7 +8,7 @@ BENCHTIME ?= 100ms
 # Seeds per protocol for `make chaos`.
 CHAOS_SEEDS ?= 50
 
-.PHONY: all build test race vet check clean golden bench bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover
+.PHONY: all build test race vet check clean golden bench bench-check bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover
 
 all: build
 
@@ -40,6 +40,13 @@ bench:
 	set -o pipefail; $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 1 ./... \
 		| $(GO) run ./cmd/benchjson -o BENCH_PR10.json \
 			-require 'loadgen.openloop.goodput>=0.9'
+
+# bench-check vets and tests the repo benchmark. bench/ is a nested
+# module (BENCHMARK.json runs it through bench/run.sh), so `go vet ./...`
+# and `go test ./...` at the root never compile it: without this target
+# an internal/ refactor can break the benchmark silently.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-smoke is the CI regression gate: a brief window sweep + fleet
 # scaling sweep + cert verification pass that fails if the pipeline has

@@ -14,18 +14,12 @@ import (
 	"time"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
-	"quorumselect/internal/wire"
 )
-
-type crashedNode struct{}
-
-func (crashedNode) Init(runtime.Env)                    {}
-func (crashedNode) Receive(ids.ProcessID, wire.Message) {}
 
 func main() {
 	n := flag.Int("n", 7, "number of processes (must exceed 3f)")
@@ -67,22 +61,18 @@ func main() {
 		log.Fatalf("unknown scenario %q", *scenario)
 	}
 
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
 	fNodes := make(map[ids.ProcessID]*follower.Node, cfg.N)
-	for _, p := range cfg.All() {
-		if crashSet.Contains(p) {
-			nodes[p] = crashedNode{}
-			continue
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		if crashSet.Contains(at.Proc) {
+			return cluster.Member{}
 		}
-		node := follower.NewNode(opts)
-		fNodes[p] = node
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{
+		fNodes[at.Proc] = follower.NewNode(opts)
+		return cluster.Member{Node: fNodes[at.Proc]}
+	}, sim.Options{
 		Seed:    *seed,
 		Logger:  logger,
 		Latency: sim.ConstantLatency(5 * time.Millisecond),
-	})
+	}).Net
 
 	fmt.Printf("fsim: %s scenario=%s seed=%d\n\n", cfg, *scenario, *seed)
 

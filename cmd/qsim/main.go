@@ -22,13 +22,12 @@ import (
 	"time"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/trace"
-	"quorumselect/internal/wire"
 )
 
 func main() {
@@ -85,23 +84,19 @@ func main() {
 		log.Fatalf("unknown scenario %q", *scenario)
 	}
 
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
 	coreNodes := make(map[ids.ProcessID]*core.Node, cfg.N)
-	for _, p := range cfg.All() {
-		if crashSet.Contains(p) {
-			nodes[p] = crashedNode{}
-			continue
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		if crashSet.Contains(at.Proc) {
+			return cluster.Member{}
 		}
-		node := core.NewNode(opts)
-		coreNodes[p] = node
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{
+		coreNodes[at.Proc] = core.NewNode(opts)
+		return cluster.Member{Node: coreNodes[at.Proc]}
+	}, sim.Options{
 		Seed:    *seed,
 		Filter:  filter,
 		Logger:  logger,
 		Latency: sim.ConstantLatency(5 * time.Millisecond),
-	})
+	}).Net
 	netRef = net
 
 	fmt.Printf("qsim: %s scenario=%s faulty=%s seed=%d\n\n", cfg, *scenario, faulty, *seed)
@@ -151,9 +146,3 @@ func main() {
 		net.Metrics().WriteTo(os.Stdout)
 	}
 }
-
-// crashedNode ignores everything.
-type crashedNode struct{}
-
-func (crashedNode) Init(runtime.Env)                    {}
-func (crashedNode) Receive(ids.ProcessID, wire.Message) {}

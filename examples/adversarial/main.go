@@ -12,10 +12,10 @@ import (
 	"fmt"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/experiments"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 )
 
@@ -31,14 +31,11 @@ func main() {
 		cfg := ids.MustConfig(n, f)
 		opts := core.DefaultNodeOptions()
 		opts.HeartbeatPeriod = 0
-		nodes := make(map[ids.ProcessID]runtime.Node, n)
 		coreNodes := make(map[ids.ProcessID]*core.Node, n)
-		for _, p := range cfg.All() {
-			node := core.NewNode(opts)
-			coreNodes[p] = node
-			nodes[p] = node
-		}
-		net := sim.NewNetwork(cfg, nodes, sim.Options{})
+		net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+			coreNodes[at.Proc] = core.NewNode(opts)
+			return cluster.Member{Node: coreNodes[at.Proc]}
+		}, sim.Options{}).Net
 		res := adversary.RunQuorumChurn(net, coreNodes, adversary.ChurnOptions{F: f})
 		fmt.Printf("f=%d n=%2d: suspicions=%2d quorums-issued=%2d (+1 initial = %2d proposed)"+
 			"  bounds: f(f+1)=%2d  C(f+2,2)=%2d  agreement=%v\n",

@@ -12,24 +12,12 @@ import (
 	"time"
 
 	"quorumselect/internal/bchain"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 )
-
-type crashable struct {
-	inner   runtime.Node
-	crashed bool
-}
-
-func (c *crashable) Init(env runtime.Env) { c.inner.Init(env) }
-func (c *crashable) Receive(from ids.ProcessID, m wire.Message) {
-	if !c.crashed {
-		c.inner.Receive(from, m)
-	}
-}
 
 func main() {
 	cfg := ids.MustConfig(4, 1)
@@ -38,15 +26,12 @@ func main() {
 	nodeOpts := core.DefaultNodeOptions()
 	nodeOpts.HeartbeatPeriod = 20 * time.Millisecond
 	replicas := make(map[ids.ProcessID]*bchain.SelectedReplica, cfg.N)
-	wrappers := make(map[ids.ProcessID]*crashable, cfg.N)
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
-	for _, p := range cfg.All() {
+	c := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
 		node, r := bchain.NewSelectionNode(bchain.Options{}, nodeOpts)
-		replicas[p] = r
-		wrappers[p] = &crashable{inner: node}
-		nodes[p] = wrappers[p]
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+		replicas[at.Proc] = r
+		return cluster.Member{Node: node}
+	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+	net := c.Net
 
 	fmt.Println("phase 1: requests travel down the chain and acks travel back")
 	for i := 1; i <= 3; i++ {
@@ -60,7 +45,7 @@ func main() {
 		m.Counter("bchain.forward.sent"), m.Counter("bchain.ack.sent"))
 
 	fmt.Println("\nphase 2: the middle chain member p2 crashes")
-	wrappers[2].crashed = true
+	c.Crash(2, false)
 	replicas[1].Submit(&wire.Request{Client: 1, Seq: 4, Op: []byte("set k4 v4")})
 	ok := net.RunUntil(func() bool {
 		for _, p := range []ids.ProcessID{1, 3, 4} {

@@ -17,23 +17,10 @@ import (
 	"time"
 
 	qs "quorumselect"
-	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 )
-
-type crashable struct {
-	inner   runtime.Node
-	crashed bool
-}
-
-func (c *crashable) Init(env runtime.Env) { c.inner.Init(env) }
-func (c *crashable) Receive(from ids.ProcessID, m wire.Message) {
-	if !c.crashed {
-		c.inner.Receive(from, m)
-	}
-}
 
 func main() {
 	cfg := qs.MustConfig(4, 1)
@@ -42,15 +29,12 @@ func main() {
 	nodeOpts := qs.DefaultNodeOptions()
 	nodeOpts.HeartbeatPeriod = 20 * time.Millisecond
 	replicas := make(map[qs.ProcessID]*qs.ConsensusReplica, cfg.N)
-	wrappers := make(map[qs.ProcessID]*crashable, cfg.N)
-	nodes := make(map[qs.ProcessID]runtime.Node, cfg.N)
-	for _, p := range cfg.All() {
+	c := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
 		node, r := qs.NewConsensusNode(qs.ConsensusOptions{}, nodeOpts)
-		replicas[p] = r
-		wrappers[p] = &crashable{inner: node}
-		nodes[p] = wrappers[p]
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+		replicas[at.Proc] = r
+		return cluster.Member{Node: node}
+	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+	net := c.Net
 
 	fmt.Println("phase 1: three heights, fault-free — proposers rotate")
 	for i := 1; i <= 3; i++ {
@@ -66,7 +50,7 @@ func main() {
 	fmt.Println("\nphase 2: crash the proposer of the next height")
 	next := replicas[1].Proposer(replicas[1].Height(), 0)
 	fmt.Printf("  next proposer is %s — crashing it\n", next)
-	wrappers[next].crashed = true
+	c.Crash(next, false)
 	replicas[1].Submit(&wire.Request{Client: 1, Seq: 4, Op: []byte("set h4 survived")})
 	survivors := []qs.ProcessID{}
 	for _, p := range cfg.All() {

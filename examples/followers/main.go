@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 )
 
@@ -22,14 +22,11 @@ func newNet(n, f int) (*sim.Network, map[ids.ProcessID]*follower.Node) {
 	cfg := ids.MustConfig(n, f)
 	opts := follower.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	fNodes := make(map[ids.ProcessID]*follower.Node, n)
-	for _, p := range cfg.All() {
-		node := follower.NewNode(opts)
-		fNodes[p] = node
-		nodes[p] = node
-	}
-	return sim.NewNetwork(cfg, nodes, sim.Options{}), fNodes
+	return cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		fNodes[at.Proc] = follower.NewNode(opts)
+		return cluster.Member{Node: fNodes[at.Proc]}
+	}, sim.Options{}).Net, fNodes
 }
 
 func main() {

@@ -11,28 +11,10 @@ import (
 	"time"
 
 	qs "quorumselect"
-	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 )
-
-// crashable wraps a node so the harness can "kill" it mid-run: a
-// crashed process neither sends (its inner node no longer runs) nor
-// processes incoming messages.
-type crashable struct {
-	inner   runtime.Node
-	crashed bool
-}
-
-func (c *crashable) Init(env runtime.Env) { c.inner.Init(env) }
-
-func (c *crashable) Receive(from ids.ProcessID, m wire.Message) {
-	if c.crashed {
-		return
-	}
-	c.inner.Receive(from, m)
-}
 
 func main() {
 	cfg := qs.MustConfig(4, 1)
@@ -43,17 +25,14 @@ func main() {
 
 	machines := make(map[qs.ProcessID]*qs.KVMachine, cfg.N)
 	replicas := make(map[qs.ProcessID]*qs.XPaxosReplica, cfg.N)
-	wrappers := make(map[qs.ProcessID]*crashable, cfg.N)
-	nodes := make(map[qs.ProcessID]runtime.Node, cfg.N)
-	for _, p := range cfg.All() {
+	c := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
 		kv := qs.NewKVMachine()
 		node, replica := qs.NewXPaxosNode(qs.XPaxosOptions{SM: kv}, nodeOpts)
-		machines[p] = kv
-		replicas[p] = replica
-		wrappers[p] = &crashable{inner: node}
-		nodes[p] = wrappers[p]
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+		machines[at.Proc] = kv
+		replicas[at.Proc] = replica
+		return cluster.Member{Node: node}
+	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+	net := c.Net
 
 	fmt.Println("phase 1: healthy operation — 5 requests through leader p1")
 	for i := 1; i <= 5; i++ {
@@ -70,7 +49,7 @@ func main() {
 		m.Counter("msg.sent.PREPARE"), m.Counter("msg.sent.COMMIT"))
 
 	fmt.Println("phase 2: active-quorum member p3 crashes; a request is in flight")
-	wrappers[3].crashed = true
+	c.Crash(3, false)
 	replicas[1].Submit(&wire.Request{Client: 7, Seq: 6, Op: []byte("set key6 value6")})
 	ok := net.RunUntil(func() bool {
 		for _, p := range []qs.ProcessID{1, 2, 4} {

@@ -14,8 +14,12 @@ import (
 	"strings"
 	"time"
 
+	"quorumselect/internal/cluster"
+	"quorumselect/internal/core"
+	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/trace"
@@ -208,7 +212,11 @@ func ReplayDump(cfg Config, seed int64) (string, []byte, *Violation) {
 type RunState struct {
 	Config   Config
 	Scenario *Scenario
-	cluster  *cluster
+	cfg      ids.Config
+	cluster  *cluster.Cluster
+	rec      *trace.Recorder
+	bus      *obs.Bus
+	spans    *tracer.Tracer
 	// probes is how many liveness probes went out (0 until PhaseSettled).
 	probes int
 	// preCrash freezes each restarted durable member's execution history
@@ -219,42 +227,36 @@ type RunState struct {
 	preCrash map[ids.ProcessID][]xpaxos.Execution
 }
 
-// history returns p's replicated history as the checkers should see it,
-// with the test-only tamper hook applied.
+// host returns p's live kernel: every chaos composition is a core.Node,
+// and after a restart the cluster holds the rebuilt one.
+func (r *RunState) host(p ids.ProcessID) *host.Host {
+	return r.cluster.Member(p, 0).Node.(*core.Node).Host
+}
+
+// history returns p's replicated history as the checkers should see it
+// (the member builder applies the test-only tamper hook).
 func (r *RunState) history(p ids.ProcessID) []xpaxos.Execution {
-	m := r.cluster.members[p]
-	if m.history == nil {
-		return nil
+	if h := r.cluster.Member(p, 0).History; h != nil {
+		return h()
 	}
-	h := m.history()
-	if r.Config.TamperHistory != nil {
-		h = r.Config.TamperHistory(p, h)
-	}
-	return h
+	return nil
 }
 
 // submit hands a request to the first correct running member — the
 // stand-in for a client that retries against a live replica.
 func (r *RunState) submit(req *wire.Request) {
-	for _, p := range r.cluster.cfg.All() {
-		m := r.cluster.members[p]
-		if r.Scenario.Faulty.Contains(p) || !m.running() || m.submit == nil {
-			continue
-		}
-		m.submit(req)
-		return
-	}
+	r.cluster.Submit(0, req, r.Scenario.Faulty)
 }
 
 // runSeed generates, executes, and checks one scenario.
 func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byte) {
 	idsCfg := ids.MustConfig(cfg.N, cfg.F)
 	sc := GenerateScenario(idsCfg, seed, cfg.Faults, cfg.Protocol.restartable(), cfg.FaultEnd)
-	cl := newCluster(idsCfg, cfg, seed, sc.Filter)
-	defer cl.net.Close()
-
-	rs := &RunState{Config: cfg, Scenario: sc, cluster: cl,
+	rs := &RunState{Config: cfg, Scenario: sc, cfg: idsCfg,
 		preCrash: make(map[ids.ProcessID][]xpaxos.Execution)}
+	rs.boot(seed)
+	cl := rs.cluster
+	defer cl.Net.Close()
 	checkers := cfg.Checkers
 	if checkers == nil {
 		checkers = defaultCheckers(cfg.Protocol)
@@ -266,14 +268,14 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 	for _, plan := range sc.Crashes {
 		plan := plan
 		p := plan.Proc
-		cl.net.At(plan.At, func() {
-			if m := cl.members[p]; plan.RestartAt > 0 && m.history != nil && m.backend != nil {
-				rs.preCrash[p] = m.history()
+		cl.Net.At(plan.At, func() {
+			if plan.RestartAt > 0 && cfg.Protocol.durable() {
+				rs.preCrash[p] = rs.history(p)
 			}
-			cl.crash(p, plan.Hard)
+			cl.Crash(p, plan.Hard)
 		})
 		if plan.RestartAt > 0 {
-			cl.net.At(plan.RestartAt, func() { cl.restart(p) })
+			cl.Net.At(plan.RestartAt, func() { cl.Restart(p) })
 		}
 	}
 
@@ -287,7 +289,7 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 				Seq:    uint64(1 + (i-1)/3),
 				Op:     []byte(fmt.Sprintf("set k%d v%d", i, i)),
 			}
-			cl.net.At(time.Duration(i)*gap, func() { rs.submit(req) })
+			cl.Net.At(time.Duration(i)*gap, func() { rs.submit(req) })
 		}
 	}
 
@@ -297,7 +299,7 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 	var violation *Violation
 	settled := false
 	for t := cfg.Slice; violation == nil && t <= cfg.Horizon; t += cfg.Slice {
-		cl.net.Run(t)
+		cl.Net.Run(t)
 		phase := PhaseOnline
 		if !settled && t >= cfg.Settle {
 			settled = true
@@ -321,10 +323,10 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 
 	// Observability loss accounting: how much of each bounded stream the
 	// run evicted (non-zero drops mean the dumps below are tails).
-	reg := cl.net.Metrics()
-	reg.SetGauge("obs.bus.dropped", float64(cl.bus.Dropped()))
-	reg.SetGauge("trace.ring.dropped", float64(cl.rec.Dropped()))
-	reg.SetGauge("tracer.ring.dropped", float64(cl.spans.Dropped()))
+	reg := cl.Net.Metrics()
+	reg.SetGauge("obs.bus.dropped", float64(rs.bus.Dropped()))
+	reg.SetGauge("trace.ring.dropped", float64(rs.rec.Dropped()))
+	reg.SetGauge("tracer.ring.dropped", float64(rs.spans.Dropped()))
 
 	var dump string
 	var flight []byte
@@ -335,7 +337,7 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 			reason = fmt.Sprintf("chaos violation seed=%d checker=%s at=%s",
 				seed, violation.Checker, violation.At)
 		}
-		flight = tracer.Capture(reason, cl.spans, cl.bus).JSON()
+		flight = tracer.Capture(reason, rs.spans, rs.bus).JSON()
 	}
 	if violation != nil {
 		violation.Dump = dump
@@ -352,7 +354,7 @@ func runCheckers(checkers []Checker, rs *RunState, phase Phase, seed int64) *Vio
 			return &Violation{
 				Seed:    seed,
 				Checker: ch.Name(),
-				At:      rs.cluster.net.Now(),
+				At:      rs.cluster.Net.Now(),
 				Detail:  err.Error(),
 			}
 		}
@@ -376,7 +378,7 @@ func (r *RunState) dump(v *Violation) string {
 	} else {
 		b.WriteString("no violation\n")
 	}
-	evs := r.cluster.bus.Events()
+	evs := r.bus.Events()
 	if len(evs) > dumpEvents {
 		evs = evs[len(evs)-dumpEvents:]
 	}
@@ -384,7 +386,7 @@ func (r *RunState) dump(v *Violation) string {
 	for _, e := range evs {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
-	tes := r.cluster.rec.Events(trace.Filter{})
+	tes := r.rec.Events(trace.Filter{})
 	if len(tes) > dumpTrace {
 		tes = tes[len(tes)-dumpTrace:]
 	}
@@ -392,7 +394,7 @@ func (r *RunState) dump(v *Violation) string {
 	for _, e := range tes {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
-	spans := r.cluster.spans.Spans()
+	spans := r.spans.Spans()
 	if len(spans) > dumpSpans {
 		spans = spans[len(spans)-dumpSpans:]
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"quorumselect/internal/ids"
-	"quorumselect/internal/xpaxos"
 )
 
 // Phase tells a checker where in the run it is being evaluated.
@@ -61,15 +60,15 @@ type noSuspicionChecker struct{}
 func (noSuspicionChecker) Name() string { return "no-suspicion" }
 
 func (noSuspicionChecker) Check(r *RunState, _ Phase) error {
-	for _, p := range r.cluster.cfg.All() {
-		m := r.cluster.members[p]
-		if !m.running() || m.host.Store == nil {
+	for _, p := range r.cfg.All() {
+		h := r.host(p)
+		if !r.cluster.Running(p) || h.Store == nil {
 			continue
 		}
-		q := m.host.CurrentQuorum()
-		if !m.host.Store.SuspectGraph().IsIndependentSet(q.Members) {
+		q := h.CurrentQuorum()
+		if !h.Store.SuspectGraph().IsIndependentSet(q.Members) {
 			return fmt.Errorf("%s: quorum %s is not an independent set of the suspect graph %s",
-				p, q, m.host.Store.SuspectGraph())
+				p, q, h.Store.SuspectGraph())
 		}
 	}
 	return nil
@@ -84,16 +83,15 @@ type accuracyChecker struct{}
 func (accuracyChecker) Name() string { return "detector-accuracy" }
 
 func (accuracyChecker) Check(r *RunState, _ Phase) error {
-	for _, p := range r.cluster.cfg.All() {
-		m := r.cluster.members[p]
-		if !m.running() {
+	for _, p := range r.cfg.All() {
+		if !r.cluster.Running(p) {
 			continue
 		}
-		for _, q := range r.cluster.cfg.All() {
+		for _, q := range r.cfg.All() {
 			if r.Scenario.Faulty.Contains(q) {
 				continue
 			}
-			if m.host.Detector.IsDetected(q) {
+			if r.host(p).Detector.IsDetected(q) {
 				return fmt.Errorf("%s permanently DETECTED correct process %s", p, q)
 			}
 		}
@@ -113,16 +111,15 @@ func (completenessChecker) Check(r *RunState, phase Phase) error {
 	if phase != PhaseFinal {
 		return nil
 	}
-	for _, crashed := range r.cluster.cfg.All() {
+	for _, crashed := range r.cfg.All() {
 		if !r.Scenario.CrashedForever(crashed) {
 			continue
 		}
-		for _, p := range r.cluster.cfg.All() {
-			m := r.cluster.members[p]
-			if !m.running() {
+		for _, p := range r.cfg.All() {
+			if !r.cluster.Running(p) {
 				continue
 			}
-			if !m.host.Detector.Suspected().Contains(crashed) {
+			if !r.host(p).Detector.Suspected().Contains(crashed) {
 				return fmt.Errorf("%s does not suspect crashed process %s at end of run", p, crashed)
 			}
 		}
@@ -146,12 +143,12 @@ func (agreementChecker) Check(r *RunState, phase Phase) error {
 	}
 	var ref *ids.Quorum
 	var refProc ids.ProcessID
-	for _, p := range r.cluster.cfg.All() {
-		m := r.cluster.members[p]
-		if !m.running() || m.host.Store == nil || r.Scenario.Restarted(p) {
+	for _, p := range r.cfg.All() {
+		h := r.host(p)
+		if !r.cluster.Running(p) || h.Store == nil || r.Scenario.Restarted(p) {
 			continue
 		}
-		q := m.host.CurrentQuorum()
+		q := h.CurrentQuorum()
 		if ref == nil {
 			ref, refProc = &q, p
 			continue
@@ -177,27 +174,26 @@ func (*terminationChecker) Name() string { return "qs-termination" }
 func (t *terminationChecker) Check(r *RunState, phase Phase) error {
 	switch phase {
 	case PhaseSettled:
-		t.snap = make(map[ids.ProcessID]int, r.cluster.cfg.N)
-		for _, p := range r.cluster.cfg.All() {
-			m := r.cluster.members[p]
-			if m.running() && m.host.Store != nil {
-				t.snap[p] = len(m.host.Quorums())
+		t.snap = make(map[ids.ProcessID]int, r.cfg.N)
+		for _, p := range r.cfg.All() {
+			if h := r.host(p); r.cluster.Running(p) && h.Store != nil {
+				t.snap[p] = len(h.Quorums())
 			}
 		}
 	case PhaseFinal:
 		if t.snap == nil {
 			return nil
 		}
-		for _, p := range r.cluster.cfg.All() {
-			m := r.cluster.members[p]
-			if !m.running() || m.host.Store == nil || r.Scenario.Restarted(p) {
+		for _, p := range r.cfg.All() {
+			h := r.host(p)
+			if !r.cluster.Running(p) || h.Store == nil || r.Scenario.Restarted(p) {
 				continue
 			}
 			was, ok := t.snap[p]
 			if !ok {
 				continue
 			}
-			if now := len(m.host.Quorums()); now > was {
+			if now := len(h.Quorums()); now > was {
 				return fmt.Errorf("%s issued %d quorums after suspicions settled", p, now-was)
 			}
 		}
@@ -206,70 +202,13 @@ func (t *terminationChecker) Check(r *RunState, phase Phase) error {
 }
 
 // historyChecker verifies cross-replica replicated-history agreement at
-// every instant: each replica executes in strictly increasing slot
-// order, and any slot executed by two replicas carries the same request
-// and result. Alignment is by slot, not list index — a replica that
-// caught up through a checkpoint transfer legitimately skips the slots
-// the checkpoint subsumes. Crashed replicas keep their frozen history
-// and stay in the comparison.
+// every instant (cluster.HistoriesAgree: slot-aligned, batch-aware,
+// comparing operation and result).
 type historyChecker struct{}
 
 func (historyChecker) Name() string { return "history-agreement" }
 
-func (historyChecker) Check(r *RunState, _ Phase) error {
-	procs := r.cluster.cfg.All()
-	hists := make([][]xpaxos.Execution, len(procs))
-	for i, p := range procs {
-		h := r.history(p)
-		// Slots are non-decreasing: a batched slot executes one entry
-		// per request, all under the same slot number.
-		for k := 1; k < len(h); k++ {
-			if h[k].Slot < h[k-1].Slot {
-				return fmt.Errorf("%s executed slot %d after slot %d (out of order)",
-					p, h[k].Slot, h[k-1].Slot)
-			}
-		}
-		hists[i] = h
-	}
-	for i := 0; i < len(procs); i++ {
-		for j := i + 1; j < len(procs); j++ {
-			a, b := hists[i], hists[j]
-			for x, y := 0, 0; x < len(a) && y < len(b); {
-				if a[x].Slot < b[y].Slot {
-					x++
-					continue
-				}
-				if a[x].Slot > b[y].Slot {
-					y++
-					continue
-				}
-				s := a[x].Slot
-				x2, y2 := x, y
-				for x2 < len(a) && a[x2].Slot == s {
-					x2++
-				}
-				for y2 < len(b) && b[y2].Slot == s {
-					y2++
-				}
-				if x2-x != y2-y {
-					return fmt.Errorf("histories diverge at slot %d: %s executed %d requests, %s executed %d",
-						s, procs[i], x2-x, procs[j], y2-y)
-				}
-				for k := 0; k < x2-x; k++ {
-					ea, eb := a[x+k], b[y+k]
-					if ea.Client != eb.Client || ea.Seq != eb.Seq ||
-						!bytes.Equal(ea.Op, eb.Op) || !bytes.Equal(ea.Result, eb.Result) {
-						return fmt.Errorf(
-							"histories diverge at slot %d: %s executed client=%d seq=%d, %s executed client=%d seq=%d",
-							s, procs[i], ea.Client, ea.Seq, procs[j], eb.Client, eb.Seq)
-					}
-				}
-				x, y = x2, y2
-			}
-		}
-	}
-	return nil
-}
+func (historyChecker) Check(r *RunState, _ Phase) error { return r.cluster.HistoriesAgree(0) }
 
 // recoveryChecker verifies crash-restart durability: every restarted
 // durable member must be running again by the end of the run, and its
@@ -286,13 +225,12 @@ func (recoveryChecker) Check(r *RunState, phase Phase) error {
 	if phase != PhaseFinal {
 		return nil
 	}
-	for _, p := range r.cluster.cfg.All() {
+	for _, p := range r.cfg.All() {
 		pre, ok := r.preCrash[p]
 		if !ok || !r.Scenario.Restarted(p) {
 			continue
 		}
-		m := r.cluster.members[p]
-		if !m.running() {
+		if !r.cluster.Running(p) {
 			return fmt.Errorf("%s never came back up after its restart", p)
 		}
 		cur := r.history(p)
@@ -326,19 +264,7 @@ func (livenessChecker) Check(r *RunState, phase Phase) error {
 	if phase != PhaseFinal || r.probes == 0 {
 		return nil
 	}
-	best, bestProc := -1, ids.ProcessID(0)
-	for _, p := range r.cluster.cfg.All() {
-		seen := make(map[uint64]bool)
-		for _, e := range r.history(p) {
-			if e.Client == probeClient {
-				seen[e.Seq] = true
-			}
-		}
-		if len(seen) > best {
-			best, bestProc = len(seen), p
-		}
-	}
-	if best < r.probes {
+	if best, bestProc := r.cluster.Executed(0, probeClient); best < r.probes {
 		return fmt.Errorf("only %d of %d post-fault probes executed (best replica %s)",
 			best, r.probes, bestProc)
 	}

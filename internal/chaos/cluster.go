@@ -5,21 +5,17 @@ import (
 	"strings"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/fd"
-	"quorumselect/internal/host"
-	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/pbftlite"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
-	"quorumselect/internal/storage"
 	"quorumselect/internal/tendermint"
 	"quorumselect/internal/trace"
-	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
 )
 
@@ -102,154 +98,66 @@ func (p Protocol) checksLiveness() bool {
 // churning by design and never converge.
 func (p Protocol) settles() bool { return p != ProtocolPBFT }
 
-// member is one process of a chaos cluster: the simulator-facing node
-// plus the protocol-generic inspection hooks the checkers use.
-type member struct {
-	node    runtime.Node
-	host    *host.Host
-	submit  func(*wire.Request)
-	history func() []xpaxos.Execution
-	// backend is the member's durable storage (nil for non-durable
-	// protocols). It survives member replacement on restart: it is the
-	// only state a resurrected process inherits.
-	backend *storage.MemBackend
-}
-
-// running reports whether the member's host is live (not crashed).
-func (m *member) running() bool { return m.host.State() == host.StateRunning }
-
-// cluster is one simulated system under chaos: n composed processes,
-// the network, and the run's recorders.
-type cluster struct {
-	cfg       ids.Config
-	protocol  Protocol
-	batchSize int
-	window    int
-	skipSync  bool
-	fdOpts    fd.Options
-	net       *sim.Network
-	members   map[ids.ProcessID]*member
-	rec       *trace.Recorder
-	bus       *obs.Bus
-	spans     *tracer.Tracer
-}
-
-// newCluster builds the protocol's composition for every process and
-// wires it into a seeded simulated network. All runs authenticate with
-// a real (HMAC) ring: chaos mutates frames, and only unforgeable
-// signatures make "a corrupted signed message is dropped, not
-// attributed" hold the way the paper assumes.
-func newCluster(cfg ids.Config, run Config, seed int64, filter sim.Filter) *cluster {
-	c := &cluster{
-		cfg:       cfg,
-		protocol:  run.Protocol,
-		batchSize: run.BatchSize,
-		window:    run.Window,
-		skipSync:  run.TamperSkipSync,
-		fdOpts:    core.DefaultNodeOptions().FD,
-		members:   make(map[ids.ProcessID]*member, cfg.N),
-		bus:       obs.NewBus(0),
-		spans:     tracer.New(0),
-	}
-	latency := sim.UniformLatency(2*time.Millisecond, 12*time.Millisecond)
-	if run.Topology != nil {
-		latency = run.Topology.LatencyModel()
-		// A WAN link slower than the LAN-tuned failure detector would
-		// turn every heartbeat into a false suspicion — the same scaling
-		// the load generator's sim mode applies.
-		if oneWay := run.Topology.MaxOneWay(); 4*oneWay > c.fdOpts.BaseTimeout {
-			c.fdOpts.BaseTimeout = 4 * oneWay
-			if 10*c.fdOpts.BaseTimeout > c.fdOpts.MaxTimeout {
-				c.fdOpts.MaxTimeout = 10 * c.fdOpts.BaseTimeout
-			}
-		}
-		if lf := run.Topology.LinkFilter(); lf != nil {
-			filter = sim.ChainFilters(lf, filter)
-		}
-	}
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
-	for _, p := range cfg.All() {
-		m := c.newMember(nil)
-		c.members[p] = m
-		nodes[p] = m.node
-	}
-	// The recorder's clock closes over the network pointer, which is
-	// assigned right after — by the time anything logs, it is set.
-	c.rec = trace.NewRecorder(func() time.Duration { return c.net.Now() }, logging.LevelDebug)
-	c.net = sim.NewNetwork(cfg, nodes, sim.Options{
+// boot builds the protocol's composition for every process on a seeded
+// cluster. All runs authenticate with a real (HMAC) ring: chaos mutates
+// frames, and only unforgeable signatures make "a corrupted signed
+// message is dropped, not attributed" hold the way the paper assumes.
+func (r *RunState) boot(seed int64) {
+	run := r.Config
+	r.bus, r.spans = obs.NewBus(0), tracer.New(0)
+	// The recorder's clock closes over the cluster pointer, which is
+	// assigned below — by the time anything logs, it is set.
+	r.rec = trace.NewRecorder(func() time.Duration { return r.cluster.Net.Now() }, logging.LevelDebug)
+	opts := sim.Options{
 		Metrics:      run.Metrics,
 		Seed:         seed,
-		Latency:      latency,
-		Filter:       filter,
-		Auth:         crypto.NewHMACRing(cfg, []byte("chaos-master")),
-		Logger:       c.rec,
-		Events:       c.bus,
-		Tracer:       c.spans,
+		Filter:       r.Scenario.Filter,
+		Auth:         crypto.NewHMACRing(r.cfg, []byte("chaos-master")),
+		Logger:       r.rec,
+		Events:       r.bus,
+		Tracer:       r.spans,
 		AllowReorder: run.Reorder,
 		AsyncVerify:  run.AsyncVerify,
-	})
-	return c
+	}
+	fdOpts := cluster.Links(run.Topology, &opts)
+	r.cluster = cluster.New(r.cfg, 1, func(at cluster.Site) cluster.Member {
+		return member(run, at, fdOpts)
+	}, opts)
 }
 
-// newMember composes one process of the cluster's protocol. For
-// durable protocols a nil backend allocates a fresh one (initial
-// construction); a non-nil backend is inherited from a crashed
-// predecessor (restart-with-recovery).
-func (c *cluster) newMember(backend *storage.MemBackend) *member {
-	if c.protocol.durable() && backend == nil {
-		backend = storage.NewMemBackend()
-		if c.skipSync {
-			backend.SetSkipSync(true)
-		}
-	}
+// member composes one process of the run's protocol, durable protocols
+// over the site's backend.
+func member(run Config, at cluster.Site, fdOpts fd.Options) cluster.Member {
 	nodeOpts := core.DefaultNodeOptions()
-	nodeOpts.FD = c.fdOpts
-	if backend != nil {
-		nodeOpts.Storage = backend
+	nodeOpts.FD = fdOpts
+	if run.Protocol.durable() {
+		at.Backend.SetSkipSync(run.TamperSkipSync)
+		nodeOpts.Storage = at.Backend
 	}
-	switch c.protocol {
+	var m cluster.Member
+	switch run.Protocol {
 	case ProtocolQS:
-		n := core.NewNode(nodeOpts)
-		return &member{node: n, host: n.Host}
+		m.Node = core.NewNode(nodeOpts)
 	case ProtocolXPaxos:
-		n, r := xpaxos.NewQSNode(xpaxos.Options{
+		n, rep := xpaxos.NewQSNode(xpaxos.Options{
 			CheckpointInterval: 8,
-			BatchSize:          c.batchSize,
-			Window:             c.window,
+			BatchSize:          run.BatchSize,
+			Window:             run.Window,
 		}, nodeOpts)
-		return &member{node: n, host: n.Host, submit: r.Submit, history: r.Executions, backend: backend}
+		m.Node, m.Submit, m.History = n, rep.Submit, rep.Executions
 	case ProtocolPBFT:
-		n, r := pbftlite.NewQSNode(pbftlite.Options{}, nodeOpts)
-		return &member{node: n, host: n.Host, submit: r.Submit, history: r.Executions, backend: backend}
+		n, rep := pbftlite.NewQSNode(pbftlite.Options{}, nodeOpts)
+		m.Node, m.Submit, m.History = n, rep.Submit, rep.Executions
 	case ProtocolTendermint:
-		n, r := tendermint.NewQSNode(tendermint.Options{
-			BatchSize: c.batchSize,
+		n, rep := tendermint.NewQSNode(tendermint.Options{
+			BatchSize: run.BatchSize,
 		}, nodeOpts)
-		return &member{node: n, host: n.Host, submit: r.Submit, history: r.Executions, backend: backend}
+		m.Node, m.Submit, m.History = n, rep.Submit, rep.Executions
 	default:
-		panic(fmt.Sprintf("chaos: unknown protocol %q", c.protocol))
+		panic(fmt.Sprintf("chaos: unknown protocol %q", run.Protocol))
 	}
-}
-
-// crash takes p down. A hard crash models power loss: the backend
-// drops every write that was not durably synced (and invalidates the
-// live file handles) before the host lifecycle tears the process down.
-// A plain crash is a process kill whose final flush still reaches disk.
-func (c *cluster) crash(p ids.ProcessID, hard bool) {
-	m := c.members[p]
-	if hard && m.backend != nil {
-		m.backend.Crash()
+	if tamper, raw := run.TamperHistory, m.History; tamper != nil && raw != nil {
+		m.History = func() []xpaxos.Execution { return tamper(at.Proc, raw()) }
 	}
-	c.net.StopProcess(p)
-}
-
-// restart resurrects p as a freshly constructed member over the old
-// member's storage backend — the only state that legitimately survives
-// a crash. Non-durable protocols come back with total amnesia, which
-// only the stateless core-only composition tolerates.
-func (c *cluster) restart(p ids.ProcessID) {
-	old := c.members[p]
-	m := c.newMember(old.backend)
-	c.members[p] = m
-	c.net.ReplaceProcess(p, m.node)
+	return m
 }

@@ -5,13 +5,12 @@ import (
 	"strings"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
-	"quorumselect/internal/fleet"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -108,7 +107,7 @@ func (c ShardedConfig) shardedDefaults() ShardedConfig {
 type shardedRun struct {
 	cfg      ShardedConfig
 	idsCfg   ids.Config
-	net      *sim.Network
+	cluster  *cluster.Cluster
 	bus      *obs.Bus
 	replicas map[int]map[ids.ProcessID]*xpaxos.Replica
 	leaders  []ids.ProcessID
@@ -142,23 +141,6 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	}
 	r.victim = r.leaders[0]
 
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
-	for _, p := range idsCfg.All() {
-		p := p
-		nodes[p] = fleet.New(fleet.Options{
-			Shards: cfg.Shards,
-			NewShard: func(s int) runtime.Node {
-				n, rep := xpaxos.NewQSNode(xpaxos.Options{
-					InitialView:        views[s],
-					Window:             cfg.Window,
-					CheckpointInterval: 8,
-				}, core.DefaultNodeOptions())
-				r.replicas[s][p] = rep
-				return n
-			},
-		})
-	}
-
 	// The fault: drop every shard-0 envelope to or from the victim
 	// while the window is open. A pure function of (from, to, frame,
 	// now), so the schedule is identical on every replay of the seed.
@@ -176,15 +158,24 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 		return sim.Verdict{}
 	})
 
-	r.net = sim.NewNetwork(idsCfg, nodes, sim.Options{
+	r.cluster = cluster.New(idsCfg, cfg.Shards, func(at cluster.Site) cluster.Member {
+		n, rep := xpaxos.NewQSNode(xpaxos.Options{
+			InitialView:        views[at.Shard],
+			Window:             cfg.Window,
+			CheckpointInterval: 8,
+		}, core.DefaultNodeOptions())
+		r.replicas[at.Shard][at.Proc] = rep
+		return cluster.Member{Node: n, History: rep.Executions}
+	}, sim.Options{
 		Metrics: cfg.Metrics,
 		Seed:    seed,
-		Latency: sim.UniformLatency(2*time.Millisecond, 12*time.Millisecond),
+		Latency: cluster.LAN,
 		Filter:  filter,
 		Auth:    crypto.NewHMACRing(idsCfg, []byte("chaos-master")),
 		Events:  r.bus,
 	})
-	defer r.net.Close()
+	net := r.cluster.Net
+	defer net.Close()
 
 	// Workload on every live shard (1..S-1), spread across the open
 	// partition and submitted at each shard's leader. Shard 0 gets no
@@ -200,7 +191,7 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 				Seq:    uint64(i),
 				Op:     []byte(fmt.Sprintf("set s%dk%d v%d", s, i, i)),
 			}
-			r.net.At(cfg.PartitionFrom+time.Duration(i)*gap, func() {
+			net.At(cfg.PartitionFrom+time.Duration(i)*gap, func() {
 				r.replicas[s][r.leaders[s]].Submit(req)
 			})
 		}
@@ -209,9 +200,9 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	// Phase 1 — partition still open: every live shard must have
 	// committed its full workload while shard 0's leader was cut off.
 	var v *Violation
-	r.net.Run(cfg.PartitionUntil)
+	net.Run(cfg.PartitionUntil)
 	for s := 1; v == nil && s < cfg.Shards; s++ {
-		if got := r.executed(s, uint64(100+s)); got < cfg.Requests {
+		if got, _ := r.cluster.Executed(s, uint64(100+s)); got < cfg.Requests {
 			v = r.violation(seed, "sharded-liveness", fmt.Sprintf(
 				"shard %d committed %d/%d requests while shard 0's leader %s was partitioned",
 				s, got, cfg.Requests, r.victim))
@@ -223,7 +214,7 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	// non-leader so they exercise forwarding under whatever quorum each
 	// shard settled on.
 	if v == nil {
-		r.net.Run(cfg.Settle)
+		net.Run(cfg.Settle)
 		for s := 0; s < cfg.Shards; s++ {
 			for i := 1; i <= probeCount; i++ {
 				r.replicas[s][ids.ProcessID(r.idsCfg.N)].Submit(&wire.Request{
@@ -233,9 +224,9 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 				})
 			}
 		}
-		r.net.Run(cfg.Horizon)
+		net.Run(cfg.Horizon)
 		for s := 0; v == nil && s < cfg.Shards; s++ {
-			if got := r.executed(s, probeClient); got < probeCount {
+			if got, _ := r.cluster.Executed(s, probeClient); got < probeCount {
 				v = r.violation(seed, "sharded-heal", fmt.Sprintf(
 					"shard %d executed %d/%d post-heal probes", s, got, probeCount))
 			}
@@ -243,13 +234,11 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	}
 
 	// Phase 3 — per-shard history agreement: within each shard, any
-	// slot executed by two replicas carries the same request. Shards
-	// are compared independently; cross-shard histories share nothing.
-	if v == nil {
-		for s := 0; v == nil && s < cfg.Shards; s++ {
-			if err := r.historiesAgree(s); err != nil {
-				v = r.violation(seed, "sharded-history", err.Error())
-			}
+	// slot executed by two replicas carries the same batch. Shards are
+	// compared independently; cross-shard histories share nothing.
+	for s := 0; v == nil && s < cfg.Shards; s++ {
+		if err := r.cluster.HistoriesAgree(s); err != nil {
+			v = r.violation(seed, "sharded-history", fmt.Sprintf("shard %d %v", s, err))
 		}
 	}
 
@@ -263,57 +252,8 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	return v, dump
 }
 
-// executed returns the best replica's count of distinct sequence
-// numbers this shard executed for the client — system progress, the
-// way the generic liveness checker counts it.
-func (r *shardedRun) executed(shard int, client uint64) int {
-	best := 0
-	for _, p := range r.idsCfg.All() {
-		seen := make(map[uint64]bool)
-		for _, e := range r.replicas[shard][p].Executions() {
-			if e.Client == client {
-				seen[e.Seq] = true
-			}
-		}
-		if len(seen) > best {
-			best = len(seen)
-		}
-	}
-	return best
-}
-
-// historiesAgree verifies slot-aligned agreement across the shard's
-// replicas, the historyChecker invariant scoped to one group.
-func (r *shardedRun) historiesAgree(shard int) error {
-	procs := r.idsCfg.All()
-	for i := 0; i < len(procs); i++ {
-		for j := i + 1; j < len(procs); j++ {
-			a := r.replicas[shard][procs[i]].Executions()
-			b := r.replicas[shard][procs[j]].Executions()
-			for x, y := 0, 0; x < len(a) && y < len(b); {
-				switch {
-				case a[x].Slot < b[y].Slot:
-					x++
-				case a[x].Slot > b[y].Slot:
-					y++
-				default:
-					if a[x].Client != b[y].Client || a[x].Seq != b[y].Seq {
-						return fmt.Errorf(
-							"shard %d histories diverge at slot %d: %s executed client=%d seq=%d, %s executed client=%d seq=%d",
-							shard, a[x].Slot, procs[i], a[x].Client, a[x].Seq,
-							procs[j], b[y].Client, b[y].Seq)
-					}
-					x++
-					y++
-				}
-			}
-		}
-	}
-	return nil
-}
-
 func (r *shardedRun) violation(seed int64, checker, detail string) *Violation {
-	return &Violation{Seed: seed, Checker: checker, At: r.net.Now(), Detail: detail}
+	return &Violation{Seed: seed, Checker: checker, At: r.cluster.Net.Now(), Detail: detail}
 }
 
 // dump renders the replayable evidence: schedule, per-shard end state,

@@ -5,13 +5,13 @@ import (
 	"strings"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/quorum"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -109,7 +109,6 @@ func ReplayUnsafeSpec(cfg UnsafeSpecConfig, seed int64) (string, *Violation) {
 type unsafeSpecRun struct {
 	cfg      UnsafeSpecConfig
 	idsCfg   ids.Config
-	net      *sim.Network
 	bus      *obs.Bus
 	nodes    map[ids.ProcessID]*core.Node
 	replicas map[ids.ProcessID]*xpaxos.Replica
@@ -182,21 +181,6 @@ func runUnsafeSpecSeed(cfg UnsafeSpecConfig, seed int64, alwaysDump bool) (*Viol
 	r.nodes = make(map[ids.ProcessID]*core.Node, n)
 	r.replicas = make(map[ids.ProcessID]*xpaxos.Replica, n)
 
-	simNodes := make(map[ids.ProcessID]runtime.Node, n)
-	for _, p := range r.idsCfg.All() {
-		view := uint64(viewB)
-		if r.sideA.Contains(p) {
-			view = uint64(viewA)
-		}
-		nodeOpts := core.DefaultNodeOptions()
-		nodeOpts.HeartbeatPeriod = 0
-		nodeOpts.Quorum = sys
-		node, rep := xpaxos.NewQSNode(xpaxos.Options{InitialView: view}, nodeOpts)
-		r.nodes[p] = node
-		r.replicas[p] = rep
-		simNodes[p] = node
-	}
-
 	// The fault: drop every cross-side frame until HealAt. Pure
 	// function of (from, to, now) — identical on every replay.
 	sideA := r.sideA
@@ -207,38 +191,51 @@ func runUnsafeSpecSeed(cfg UnsafeSpecConfig, seed int64, alwaysDump bool) (*Viol
 		return sim.Verdict{}
 	})
 
-	r.net = sim.NewNetwork(r.idsCfg, simNodes, sim.Options{
+	cl := cluster.New(r.idsCfg, 1, func(at cluster.Site) cluster.Member {
+		view := uint64(viewB)
+		if r.sideA.Contains(at.Proc) {
+			view = uint64(viewA)
+		}
+		nodeOpts := core.DefaultNodeOptions()
+		nodeOpts.HeartbeatPeriod = 0
+		nodeOpts.Quorum = sys
+		node, rep := xpaxos.NewQSNode(xpaxos.Options{InitialView: view}, nodeOpts)
+		r.nodes[at.Proc] = node
+		r.replicas[at.Proc] = rep
+		return cluster.Member{Node: node, History: rep.Executions}
+	}, sim.Options{
 		Metrics: cfg.Metrics,
 		Seed:    seed,
-		Latency: sim.UniformLatency(2*time.Millisecond, 12*time.Millisecond),
+		Latency: cluster.LAN,
 		Filter:  filter,
 		Auth:    crypto.NewHMACRing(r.idsCfg, []byte("chaos-master")),
 		Events:  r.bus,
 	})
-	defer r.net.Close()
+	net := cl.Net
+	defer net.Close()
 
 	leaderA, leaderB := pair[0][0], pair[1][0]
 	// While partitioned, each side's quorum certifies its own slot 1.
-	r.net.At(5*time.Millisecond, func() {
+	net.At(5*time.Millisecond, func() {
 		r.replicas[leaderA].Submit(&wire.Request{Client: 100, Seq: 1, Op: []byte("set side A1")})
 	})
-	r.net.At(5*time.Millisecond, func() {
+	net.At(5*time.Millisecond, func() {
 		r.replicas[leaderB].Submit(&wire.Request{Client: 300, Seq: 1, Op: []byte("set side B1")})
 	})
 	// After the heal, side A commits slot 2; its commit certificate —
 	// signed only by side A's quorum — reaches side B, whose replicas
 	// accept it through System.IsQuorum: the wire-level proof that the
 	// cert path trusts whatever the spec calls a quorum.
-	r.net.At(cfg.SettleAt, func() {
+	net.At(cfg.SettleAt, func() {
 		r.replicas[leaderA].Submit(&wire.Request{Client: 100, Seq: 2, Op: []byte("set side A2")})
 	})
-	r.net.Run(cfg.Horizon)
+	net.Run(cfg.Horizon)
 
 	// Expected evidence, in order of strength: both disjoint quorums
 	// certified slot 1 (divergent histories), and side B adopted side
 	// A's slot-2 certificate across the healed link.
-	if err := r.historiesAgree(); err != nil {
-		v = &Violation{Seed: seed, Checker: "unsafe-spec-history", At: r.net.Now(), Detail: err.Error()}
+	if err := cl.HistoriesAgree(0); err != nil {
+		v = &Violation{Seed: seed, Checker: "unsafe-spec-history", At: net.Now(), Detail: err.Error()}
 	}
 	dump := ""
 	if v != nil || alwaysDump {
@@ -272,36 +269,6 @@ func quorumViewIndex(mq [][]ids.ProcessID, q []ids.ProcessID) int {
 		}
 	}
 	return 0
-}
-
-// historiesAgree is the sharded-history invariant on the single group:
-// any slot executed by two replicas must carry the same request.
-func (r *unsafeSpecRun) historiesAgree() error {
-	procs := r.idsCfg.All()
-	for i := 0; i < len(procs); i++ {
-		for j := i + 1; j < len(procs); j++ {
-			a := r.replicas[procs[i]].Executions()
-			b := r.replicas[procs[j]].Executions()
-			for x, y := 0, 0; x < len(a) && y < len(b); {
-				switch {
-				case a[x].Slot < b[y].Slot:
-					x++
-				case a[x].Slot > b[y].Slot:
-					y++
-				default:
-					if a[x].Client != b[y].Client || a[x].Seq != b[y].Seq {
-						return fmt.Errorf(
-							"histories diverge at slot %d: %s executed client=%d seq=%d, %s executed client=%d seq=%d",
-							a[x].Slot, procs[i], a[x].Client, a[x].Seq,
-							procs[j], b[y].Client, b[y].Seq)
-					}
-					x++
-					y++
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // gateDump renders the checker-only evidence.

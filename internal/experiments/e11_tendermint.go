@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/tendermint"
 	"quorumselect/internal/wire"
@@ -49,20 +49,17 @@ func E11Tendermint(requests int) Table {
 
 func runE11(crashed ids.ProcessID, requests int) (decided uint64, msgsPerDecision float64, excluded, agreement bool) {
 	cfg := ids.MustConfig(4, 1)
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
 	replicas := make(map[ids.ProcessID]*tendermint.Replica, cfg.N)
-	for _, p := range cfg.All() {
-		if p == crashed {
-			nodes[p] = silentNode{}
-			continue
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		if at.Proc == crashed {
+			return cluster.Member{}
 		}
 		nodeOpts := core.DefaultNodeOptions()
 		nodeOpts.HeartbeatPeriod = 20 * time.Millisecond
 		node, r := tendermint.NewQSNode(tendermint.Options{}, nodeOpts)
-		replicas[p] = r
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+		replicas[at.Proc] = r
+		return cluster.Member{Node: node}
+	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)}).Net
 	var entry *tendermint.Replica
 	for _, p := range cfg.All() {
 		if r, ok := replicas[p]; ok {

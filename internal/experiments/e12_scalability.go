@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 )
 
@@ -49,18 +49,14 @@ func runE12(n, f int) (converge time.Duration, updates int64, changes int) {
 	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 25 * time.Millisecond
 	crashed := ids.ProcessID(2) // a default-quorum member
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	coreNodes := make(map[ids.ProcessID]*core.Node, n)
-	for _, p := range cfg.All() {
-		if p == crashed {
-			nodes[p] = silentNode{}
-			continue
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		if at.Proc == crashed {
+			return cluster.Member{}
 		}
-		node := core.NewNode(opts)
-		coreNodes[p] = node
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+		coreNodes[at.Proc] = core.NewNode(opts)
+		return cluster.Member{Node: coreNodes[at.Proc]}
+	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)}).Net
 	agreedWithout := func() bool {
 		var first ids.Quorum
 		initialized := false

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 )
 
@@ -15,28 +15,22 @@ func newCoreNet(n, f int, seed int64) (*sim.Network, map[ids.ProcessID]*core.Nod
 	cfg := ids.MustConfig(n, f)
 	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0 // the churn adversary injects suspicions directly
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	coreNodes := make(map[ids.ProcessID]*core.Node, n)
-	for _, p := range cfg.All() {
-		node := core.NewNode(opts)
-		coreNodes[p] = node
-		nodes[p] = node
-	}
-	return sim.NewNetwork(cfg, nodes, sim.Options{Seed: seed}), coreNodes
+	return cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		coreNodes[at.Proc] = core.NewNode(opts)
+		return cluster.Member{Node: coreNodes[at.Proc]}
+	}, sim.Options{Seed: seed}).Net, coreNodes
 }
 
 func newFollowerNet(n, f int, seed int64) (*sim.Network, map[ids.ProcessID]*follower.Node) {
 	cfg := ids.MustConfig(n, f)
 	opts := follower.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	fNodes := make(map[ids.ProcessID]*follower.Node, n)
-	for _, p := range cfg.All() {
-		node := follower.NewNode(opts)
-		fNodes[p] = node
-		nodes[p] = node
-	}
-	return sim.NewNetwork(cfg, nodes, sim.Options{Seed: seed}), fNodes
+	return cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		fNodes[at.Proc] = follower.NewNode(opts)
+		return cluster.Member{Node: fNodes[at.Proc]}
+	}, sim.Options{Seed: seed}).Net, fNodes
 }
 
 // churnPickers are the adversary heuristics E1/E2 maximize over.

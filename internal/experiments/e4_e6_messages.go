@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/fd"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/pbftlite"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -18,31 +18,21 @@ import (
 // inter-replica protocol messages for the given number of requests.
 func countPBFT(n, f, requests int, active bool) int64 {
 	cfg := ids.MustConfig(n, f)
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
-	var entry *pbftlite.Replica
 	replicas := make([]*pbftlite.Replica, 0, n)
-	for _, p := range cfg.All() {
+	net := cluster.New(cfg, 1, func(cluster.Site) cluster.Member {
 		if active {
 			opts := core.DefaultNodeOptions()
 			opts.HeartbeatPeriod = 0
 			node, r := pbftlite.NewQSNode(pbftlite.Options{}, opts)
-			if entry == nil {
-				entry = r
-			}
 			replicas = append(replicas, r)
-			nodes[p] = node
-		} else {
-			sn := pbftlite.NewStandaloneNode(pbftlite.Options{}, fd.DefaultOptions(), 0)
-			if entry == nil {
-				entry = sn.Replica
-			}
-			replicas = append(replicas, sn.Replica)
-			nodes[p] = sn
+			return cluster.Member{Node: node}
 		}
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{})
+		sn := pbftlite.NewStandaloneNode(pbftlite.Options{}, fd.DefaultOptions(), 0)
+		replicas = append(replicas, sn.Replica)
+		return cluster.Member{Node: sn}
+	}, sim.Options{}).Net
 	for i := 1; i <= requests; i++ {
-		entry.Submit(&wire.Request{Client: 1, Seq: uint64(i), Op: []byte("op")})
+		replicas[0].Submit(&wire.Request{Client: 1, Seq: uint64(i), Op: []byte("op")})
 	}
 	net.RunUntil(func() bool {
 		for _, r := range replicas {
@@ -65,22 +55,16 @@ func countPBFT(n, f, requests int, active bool) int64 {
 // n = 2f+1 regime.
 func countXPaxos(n, f, requests int) int64 {
 	cfg := ids.MustConfig(n, f)
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
-	var entry *xpaxos.Replica
 	replicas := make([]*xpaxos.Replica, 0, n)
-	for _, p := range cfg.All() {
+	net := cluster.New(cfg, 1, func(cluster.Site) cluster.Member {
 		opts := core.DefaultNodeOptions()
 		opts.HeartbeatPeriod = 0
 		node, r := xpaxos.NewQSNode(xpaxos.Options{}, opts)
-		if entry == nil {
-			entry = r
-		}
 		replicas = append(replicas, r)
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{})
+		return cluster.Member{Node: node}
+	}, sim.Options{}).Net
 	for i := 1; i <= requests; i++ {
-		entry.Submit(&wire.Request{Client: 1, Seq: uint64(i), Op: []byte("op")})
+		replicas[0].Submit(&wire.Request{Client: 1, Seq: uint64(i), Op: []byte("op")})
 	}
 	net.RunUntil(func() bool {
 		for _, r := range replicas {
@@ -163,11 +147,6 @@ func E5ViewChanges(maxF int) Table {
 	return t
 }
 
-type silentNode struct{}
-
-func (silentNode) Init(runtime.Env)                    {}
-func (silentNode) Receive(ids.ProcessID, wire.Message) {}
-
 // runE5 crashes processes p1..pf and returns the maximum number of view
 // changes any correct replica performed before the active quorum is
 // fault-free and stable.
@@ -177,28 +156,24 @@ func runE5(n, f int, useQS bool) int {
 	for i := 1; i <= f; i++ {
 		crashed.Add(ids.ProcessID(i))
 	}
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	replicas := make(map[ids.ProcessID]*xpaxos.Replica, n)
-	for _, p := range cfg.All() {
-		if crashed.Contains(p) {
-			nodes[p] = silentNode{}
-			continue
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		if crashed.Contains(at.Proc) {
+			return cluster.Member{}
 		}
 		if useQS {
 			opts := core.DefaultNodeOptions()
 			opts.HeartbeatPeriod = 15 * time.Millisecond
 			node, r := xpaxos.NewQSNode(xpaxos.Options{}, opts)
-			replicas[p] = r
-			nodes[p] = node
-		} else {
-			sOpts := xpaxos.DefaultStandaloneOptions()
-			sOpts.HeartbeatPeriod = 15 * time.Millisecond
-			sn := xpaxos.NewStandaloneNode(sOpts)
-			replicas[p] = sn.Replica
-			nodes[p] = sn
+			replicas[at.Proc] = r
+			return cluster.Member{Node: node}
 		}
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
+		sOpts := xpaxos.DefaultStandaloneOptions()
+		sOpts.HeartbeatPeriod = 15 * time.Millisecond
+		sn := xpaxos.NewStandaloneNode(sOpts)
+		replicas[at.Proc] = sn.Replica
+		return cluster.Member{Node: sn}
+	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)}).Net
 	net.RunUntil(func() bool {
 		for _, r := range replicas {
 			q := r.ActiveQuorum()
@@ -262,16 +237,14 @@ func runE6(n, f int, lat time.Duration, delayPrepare bool) (rounds float64, fals
 			return sim.Verdict{}
 		})
 	}
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	replicas := make(map[ids.ProcessID]*xpaxos.Replica, n)
-	for _, p := range cfg.All() {
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
 		opts := core.DefaultNodeOptions()
 		opts.HeartbeatPeriod = 0
 		node, r := xpaxos.NewQSNode(xpaxos.Options{}, opts)
-		replicas[p] = r
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(lat), Filter: filter})
+		replicas[at.Proc] = r
+		return cluster.Member{Node: node}
+	}, sim.Options{Latency: sim.ConstantLatency(lat), Filter: filter}).Net
 	start := net.Now()
 	replicas[1].Submit(&wire.Request{Client: 1, Seq: 1, Op: []byte("op")})
 	net.RunUntil(func() bool { return replicas[1].LastExecuted() >= 1 }, time.Minute)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/fd"
 	"quorumselect/internal/graph"
@@ -130,21 +131,17 @@ func detectionP50(net *sim.Network) string {
 
 func runE7(filter sim.Filter, crash, detect bool, dur time.Duration) (raised, canceled int, detected bool, detectP50 string) {
 	cfg := ids.MustConfig(4, 1)
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
 	observers := make(map[ids.ProcessID]*e7Node, cfg.N)
-	for _, p := range cfg.All() {
-		if p == 4 && crash {
-			nodes[p] = silentNode{}
-			continue
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		if at.Proc == 4 && crash {
+			return cluster.Member{}
 		}
-		node := &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: true}
-		observers[p] = node
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{
+		observers[at.Proc] = &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: true}
+		return cluster.Member{Node: observers[at.Proc]}
+	}, sim.Options{
 		Latency: sim.ConstantLatency(2 * time.Millisecond),
 		Filter:  filter,
-	})
+	}).Net
 	if detect {
 		// The application found a proof of misbehavior shortly into
 		// the run.
@@ -186,11 +183,7 @@ func E8SuspectGraph() Table {
 func buildFig4Store(cfg ids.Config) *suspicion.Store {
 	// A bare store is enough for a static replay; the network exists
 	// only to provide an Env.
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
-	for _, p := range cfg.All() {
-		nodes[p] = silentNode{}
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{})
+	net := cluster.New(cfg, 1, func(cluster.Site) cluster.Member { return cluster.Member{} }, sim.Options{}).Net
 	store := suspicion.New(cfg, suspicion.Options{Forward: false})
 	store.Bind(net.Env(1), nil)
 	store.HandleUpdate(&wire.Update{Owner: 1, Row: []uint64{0, 3, 0, 0, 3}, Sig: []byte{0}})
@@ -287,14 +280,11 @@ func runE10Forwarding(forward bool) bool {
 	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
 	opts.Store = suspicion.Options{Forward: forward}
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
 	coreNodes := make(map[ids.ProcessID]*core.Node, cfg.N)
-	for _, p := range cfg.All() {
-		node := core.NewNode(opts)
-		coreNodes[p] = node
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Filter: cut})
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		coreNodes[at.Proc] = core.NewNode(opts)
+		return cluster.Member{Node: coreNodes[at.Proc]}
+	}, sim.Options{Filter: cut}).Net
 	coreNodes[1].Selector.OnSuspected(ids.NewProcSet(2))
 	net.Run(2 * time.Second)
 	return coreNodes[3].Store.Value(1, 2) == 1
@@ -304,17 +294,14 @@ func runE10Adaptive(adaptive bool) (int, string) {
 	faulty := ids.NewProcSet(4)
 	slow := adversary.NewJitterDelay(faulty, 120*time.Millisecond, 2)
 	cfg := ids.MustConfig(4, 1)
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
 	observers := make(map[ids.ProcessID]*e7Node, cfg.N)
-	for _, p := range cfg.All() {
-		node := &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: adaptive}
-		observers[p] = node
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{
+	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		observers[at.Proc] = &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: adaptive}
+		return cluster.Member{Node: observers[at.Proc]}
+	}, sim.Options{
 		Latency: sim.ConstantLatency(2 * time.Millisecond),
 		Filter:  slow,
-	})
+	}).Net
 	net.Run(6 * time.Second)
 	return observers[1].d.SuspicionsRaised(4), detectionP50(net)
 }

@@ -79,6 +79,21 @@ func DefaultOptions() Options {
 	return Options{BaseTimeout: DefaultBaseTimeout, MaxTimeout: DefaultMaxTimeout, Adaptive: true}
 }
 
+// ScaledTo returns o sized for links whose worst one-way delay is
+// oneWay. A base timeout under 4×oneWay (a heartbeat round trip with
+// slack) would turn every heartbeat on a WAN link into a false
+// suspicion, so it is raised to that, and the adaptive cap to at least
+// 10× the new base. Options that already fit are returned unchanged.
+func (o Options) ScaledTo(oneWay time.Duration) Options {
+	if 4*oneWay > o.BaseTimeout {
+		o.BaseTimeout = 4 * oneWay
+		if 10*o.BaseTimeout > o.MaxTimeout {
+			o.MaxTimeout = 10 * o.BaseTimeout
+		}
+	}
+	return o
+}
+
 type expectation struct {
 	scope    string
 	from     ids.ProcessID

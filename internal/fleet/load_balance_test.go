@@ -1,9 +1,10 @@
-package fleet
+package fleet_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"quorumselect/internal/fleet"
 	"quorumselect/internal/load"
 )
 
@@ -34,7 +35,7 @@ func TestRouterBalanceOpenLoopSkew(t *testing.T) {
 			// generator to the first rng it sees.
 			keys := tc.keys()
 			rng := rand.New(rand.NewSource(31))
-			r := NewRouter(shards)
+			r := fleet.NewRouter(shards)
 			counts := make([]int, shards)
 			distinct := make(map[string]int)
 			for i := 0; i < draws; i++ {

@@ -6,6 +6,7 @@
 package host
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -73,10 +74,31 @@ func (l appLog) Snapshot(app []byte) error {
 	if l.h.storage == nil {
 		return storage.ErrClosed
 	}
-	var b wire.Buffer
-	b.PutBytes(l.h.encodeSuspicionState())
-	b.PutBytes(app)
-	return l.h.storageErr("snapshot", l.h.storage.WriteSnapshot(b.Bytes()))
+	snap := appendSection(nil, l.h.encodeSuspicionState())
+	snap = appendSection(snap, app)
+	return l.h.storageErr("snapshot", l.h.storage.WriteSnapshot(snap))
+}
+
+// appendSection and splitSection frame the snapshot's two sections
+// (suspicion state, application state) with a big-endian uint32 length.
+// The framing is the host's own: the snapshot is a checksummed file it
+// wrote itself, so a section is bounded only by the bytes present — not
+// by wire.Reader's slice limit, which guards against untrusted network
+// frames and would refuse an application section over 1 MiB.
+func appendSection(dst, section []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(section)))
+	return append(dst, section...)
+}
+
+func splitSection(b []byte) (section, rest []byte, ok bool) {
+	if len(b) < 4 {
+		return nil, nil, false
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	if n > len(b)-4 {
+		return nil, nil, false
+	}
+	return b[4 : 4+n], b[4+n:], true
 }
 
 func (h *Host) appendTagged(tag byte, payload []byte) error {
@@ -141,10 +163,9 @@ func (h *Host) openStorage(env runtime.Env) {
 	var appSnap []byte
 	restored := false
 	if snapshot != nil {
-		r := wire.NewReader(snapshot)
-		susSnap, err1 := r.Bytes()
-		app, err2 := r.Bytes()
-		if err1 != nil || err2 != nil {
+		susSnap, rest, ok1 := splitSection(snapshot)
+		app, _, ok2 := splitSection(rest)
+		if !ok1 || !ok2 {
 			panic(fmt.Sprintf("host: corrupt snapshot framing (walIndex %d)", st.SnapshotIndex()))
 		}
 		appSnap = app

@@ -1,6 +1,7 @@
 package host_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -14,13 +15,17 @@ import (
 	"quorumselect/internal/wire"
 )
 
-// walApp is a minimal DurableApp that just keeps the log it is handed.
-type walApp struct{ wal host.AppLog }
+// walApp is a minimal DurableApp that just keeps the log and snapshot
+// it is handed.
+type walApp struct {
+	wal      host.AppLog
+	snapshot []byte
+}
 
 func (a *walApp) Attach(runtime.Env, *fd.Detector)    {}
 func (a *walApp) Deliver(ids.ProcessID, wire.Message) {}
-func (a *walApp) Recover(log host.AppLog, _ []byte, _ [][]byte) error {
-	a.wal = log
+func (a *walApp) Recover(log host.AppLog, snapshot []byte, _ [][]byte) error {
+	a.wal, a.snapshot = log, snapshot
 	return nil
 }
 
@@ -123,5 +128,30 @@ func TestInjectedCrashErrorsTolerated(t *testing.T) {
 	}
 	if err := app.wal.Sync(); !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("Sync after Stop = %v, want ErrClosed", err)
+	}
+}
+
+// TestLargeSnapshotRecovers: an application section over 1 MiB (what an
+// XPaxos replica writes after ~17k executed operations) must come back
+// intact on restart. The host used to split the snapshot with
+// wire.Reader.Bytes, whose 1 MiB slice limit is meant for network
+// frames, and panicked with "corrupt snapshot framing" instead.
+func TestLargeSnapshotRecovers(t *testing.T) {
+	backend := storage.NewMemBackend()
+	net, app := newDurableHostEnv(t, backend)
+	big := bytes.Repeat([]byte("0123456789abcdef"), (1<<20)/16+1)
+	if len(big) <= 1<<20 {
+		t.Fatalf("test section is %d bytes, want > 1 MiB", len(big))
+	}
+	if err := app.wal.Snapshot(big); err != nil {
+		t.Fatal(err)
+	}
+	backend.Crash()
+	net.Close()
+
+	net, app = newDurableHostEnv(t, backend)
+	defer net.Close()
+	if !bytes.Equal(app.snapshot, big) {
+		t.Fatalf("recovered %d snapshot bytes, want the %d written", len(app.snapshot), len(big))
 	}
 }

@@ -6,14 +6,12 @@ import (
 	"math/rand"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
-	"quorumselect/internal/fd"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
-	"quorumselect/internal/storage"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
 )
@@ -123,15 +121,11 @@ type simReq struct {
 // event loop: one event chain for arrivals, per-request retry timers,
 // completion via the replicas' OnExecute hooks.
 type simEngine struct {
-	opts   SimOptions
-	fdOpts fd.Options
-	net    *sim.Network
-	rec    *Recorder
-	rng    *rand.Rand // arrival/key stream, separate from the network's
-
-	replicas map[ids.ProcessID]*xpaxos.Replica
-	backends map[ids.ProcessID]*storage.MemBackend
-	running  map[ids.ProcessID]bool
+	opts    SimOptions
+	cluster *cluster.Cluster
+	net     *sim.Network
+	rec     *Recorder
+	rng     *rand.Rand // arrival/key stream, separate from the network's
 
 	pending  map[uint64]*simReq // sent, not yet executed
 	queue    []*simReq          // offered, waiting for an in-flight slot
@@ -152,52 +146,45 @@ func RunSim(opts SimOptions) (*Summary, error) {
 	}
 
 	e := &simEngine{
-		opts:     opts,
-		fdOpts:   core.DefaultNodeOptions().FD,
-		rec:      NewRecorder(opts.BucketWidth),
-		rng:      rand.New(rand.NewSource(opts.Seed ^ 0x10ad)),
-		replicas: make(map[ids.ProcessID]*xpaxos.Replica, opts.N),
-		backends: make(map[ids.ProcessID]*storage.MemBackend, opts.N),
-		running:  make(map[ids.ProcessID]bool, opts.N),
-		pending:  make(map[uint64]*simReq),
+		opts:    opts,
+		rec:     NewRecorder(opts.BucketWidth),
+		rng:     rand.New(rand.NewSource(opts.Seed ^ 0x10ad)),
+		pending: make(map[uint64]*simReq),
 	}
 
-	latency := sim.UniformLatency(2*time.Millisecond, 12*time.Millisecond)
-	var filter sim.Filter = opts.Filter
 	topoName := ""
 	if opts.Topology != nil {
-		latency = opts.Topology.LatencyModel()
 		topoName = opts.Topology.Name()
-		// A WAN link slower than the LAN-tuned failure detector turns
-		// every heartbeat round-trip into a false suspicion; scale the
-		// timeouts to the worst one-way delay.
-		if oneWay := opts.Topology.MaxOneWay(); 4*oneWay > e.fdOpts.BaseTimeout {
-			e.fdOpts.BaseTimeout = 4 * oneWay
-			if 10*e.fdOpts.BaseTimeout > e.fdOpts.MaxTimeout {
-				e.fdOpts.MaxTimeout = 10 * e.fdOpts.BaseTimeout
-			}
-		}
-		if lf := opts.Topology.LinkFilter(); lf != nil {
-			filter = sim.ChainFilters(lf, filter)
-		}
 	}
-
-	nodes := make(map[ids.ProcessID]runtime.Node, opts.N)
-	for _, p := range cfg.All() {
-		nodes[p] = e.newMember(p, nil)
-	}
-	e.net = sim.NewNetwork(cfg, nodes, sim.Options{
-		Seed:    opts.Seed,
-		Latency: latency,
-		Filter:  filter,
-		Metrics: opts.Metrics,
-	})
+	simOpts := sim.Options{Seed: opts.Seed, Filter: opts.Filter, Metrics: opts.Metrics}
+	fdOpts := cluster.Links(opts.Topology, &simOpts)
+	// Every member is a durable XPaxos process over its site's backend,
+	// so a restarted one recovers what it had synced.
+	e.cluster = cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		nodeOpts := core.DefaultNodeOptions()
+		nodeOpts.FD = fdOpts
+		nodeOpts.Storage = at.Backend
+		node, rep := xpaxos.NewQSNode(xpaxos.Options{
+			CheckpointInterval: 0, // many one-shot clients; keep the log simple
+			BatchSize:          opts.BatchSize,
+			Window:             opts.Window,
+			OnExecute:          e.complete,
+		}, nodeOpts)
+		return cluster.Member{Node: node, Submit: rep.Submit, IsLeader: rep.IsLeader}
+	}, simOpts)
+	e.net = e.cluster.Net
 
 	for _, c := range opts.Crashes {
 		c := c
-		e.net.At(c.At, func() { e.crash(c) })
+		e.net.At(c.At, func() {
+			e.phase("fault")
+			e.cluster.Crash(c.Proc, c.Hard)
+		})
 		if c.RestartAt > c.At {
-			e.net.At(c.RestartAt, func() { e.restart(c.Proc) })
+			e.net.At(c.RestartAt, func() {
+				e.phase("recover")
+				e.cluster.Restart(c.Proc)
+			})
 		}
 	}
 
@@ -250,28 +237,6 @@ func maxFaulty(n int) int {
 	return f
 }
 
-// newMember composes one durable XPaxos process. A nil backend
-// allocates a fresh one; a non-nil backend is inherited from a crashed
-// predecessor (restart-with-recovery).
-func (e *simEngine) newMember(p ids.ProcessID, backend *storage.MemBackend) runtime.Node {
-	if backend == nil {
-		backend = storage.NewMemBackend()
-	}
-	nodeOpts := core.DefaultNodeOptions()
-	nodeOpts.FD = e.fdOpts
-	nodeOpts.Storage = backend
-	node, rep := xpaxos.NewQSNode(xpaxos.Options{
-		CheckpointInterval: 0, // many one-shot clients; keep the log simple
-		BatchSize:          e.opts.BatchSize,
-		Window:             e.opts.Window,
-		OnExecute:          e.complete,
-	}, nodeOpts)
-	e.replicas[p] = rep
-	e.backends[p] = backend
-	e.running[p] = true
-	return node
-}
-
 func (e *simEngine) scheduleArrival(at time.Duration) {
 	if at >= e.opts.Duration {
 		return
@@ -301,8 +266,7 @@ func (e *simEngine) arrive(intended time.Duration) {
 	}
 }
 
-// send issues req to the lowest-id running replica (which forwards to
-// the leader if it is not the leader itself) and arms its retry timer.
+// send submits req and arms its retry timer.
 func (e *simEngine) send(req *simReq) {
 	e.inflight++
 	e.pending[req.id] = req
@@ -311,30 +275,13 @@ func (e *simEngine) send(req *simReq) {
 	e.armRetry(req)
 }
 
+// submit hands req to the cluster like a client with a leader hint;
+// with the whole cluster down the retry timer tries again. Each request
+// is its own wire-level client, so concurrent and retried requests can
+// never trip the replica's per-client duplicate table against each
+// other.
 func (e *simEngine) submit(req *simReq) {
-	// Like a real client with a leader hint: submit straight to the
-	// current leader when one is running (no forwarding hop), else to
-	// the lowest-id running replica, which forwards.
-	var entry ids.ProcessID
-	for _, p := range e.net.Config().All() {
-		if !e.running[p] {
-			continue
-		}
-		if entry == 0 {
-			entry = p
-		}
-		if e.replicas[p].IsLeader() {
-			entry = p
-			break
-		}
-	}
-	if entry == 0 {
-		return // whole cluster down; the retry timer will try again
-	}
-	// Each request is its own wire-level client, so concurrent and
-	// retried requests can never trip the replica's per-client
-	// duplicate table against each other.
-	e.replicas[entry].Submit(&wire.Request{Client: req.id, Seq: 1, Op: req.op})
+	e.cluster.Submit(0, &wire.Request{Client: req.id, Seq: 1, Op: req.op}, ids.ProcSet{})
 }
 
 func (e *simEngine) armRetry(req *simReq) {
@@ -367,27 +314,6 @@ func (e *simEngine) complete(exec xpaxos.Execution) {
 		e.queue = e.queue[1:]
 		e.send(next)
 	}
-}
-
-// crash takes the process down; hard crashes first lose unsynced
-// writes, exactly like chaos's crash faults.
-func (e *simEngine) crash(c Crash) {
-	e.phase("fault")
-	if c.Hard {
-		if b := e.backends[c.Proc]; b != nil {
-			b.Crash()
-		}
-	}
-	e.running[c.Proc] = false
-	e.net.StopProcess(c.Proc)
-}
-
-// restart resurrects the process as a fresh member over its old
-// storage backend.
-func (e *simEngine) restart(p ids.ProcessID) {
-	e.phase("recover")
-	node := e.newMember(p, e.backends[p])
-	e.net.ReplaceProcess(p, node)
 }
 
 // phase publishes a LOAD_PHASE protocol event on the run's bus, so a

@@ -3,6 +3,7 @@ package quorumselect
 import (
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/fd"
@@ -266,6 +267,20 @@ type ClusterOptions struct {
 	LatencyMin, LatencyMax time.Duration
 }
 
+// simOptions maps the options onto the simulator's: the seed, and the
+// latency band as a constant model when it is a single point.
+func (o ClusterOptions) simOptions() sim.Options {
+	so := sim.Options{Seed: o.Seed}
+	switch {
+	case o.LatencyMin == 0 && o.LatencyMax == 0:
+	case o.LatencyMax <= o.LatencyMin:
+		so.Latency = sim.ConstantLatency(o.LatencyMin)
+	default:
+		so.Latency = sim.UniformLatency(o.LatencyMin, o.LatencyMax)
+	}
+	return so
+}
+
 // Cluster is a simulated Quorum Selection deployment: one composed Node
 // per process on a deterministic discrete-event network.
 type Cluster struct {
@@ -279,24 +294,12 @@ func NewSimulatedCluster(cfg Config, opts ClusterOptions) *Cluster {
 	if opts.Node != nil {
 		nodeOpts = *opts.Node
 	}
-	var latency sim.LatencyModel
-	switch {
-	case opts.LatencyMin == 0 && opts.LatencyMax == 0:
-		latency = nil
-	case opts.LatencyMax <= opts.LatencyMin:
-		latency = sim.ConstantLatency(opts.LatencyMin)
-	default:
-		latency = sim.UniformLatency(opts.LatencyMin, opts.LatencyMax)
-	}
-	nodes := make(map[ProcessID]runtime.Node, cfg.N)
-	cNodes := make(map[ProcessID]*Node, cfg.N)
-	for _, p := range cfg.All() {
-		n := NewNode(nodeOpts)
-		cNodes[p] = n
-		nodes[p] = n
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Seed: opts.Seed, Latency: latency})
-	return &Cluster{net: net, nodes: cNodes}
+	c := &Cluster{nodes: make(map[ProcessID]*Node, cfg.N)}
+	c.net = cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		c.nodes[at.Proc] = NewNode(nodeOpts)
+		return cluster.Member{Node: c.nodes[at.Proc]}
+	}, opts.simOptions()).Net
+	return c
 }
 
 // Node returns the composed process p.
@@ -350,22 +353,11 @@ type Simulation struct {
 }
 
 // NewSimulatedClusterOf builds a simulated network driving the given
-// nodes; every process in cfg must have one.
+// nodes; a process in cfg without one stays silent.
 func NewSimulatedClusterOf(cfg Config, nodes map[ProcessID]RuntimeNode, opts ClusterOptions) *Simulation {
-	var latency sim.LatencyModel
-	switch {
-	case opts.LatencyMin == 0 && opts.LatencyMax == 0:
-		latency = nil
-	case opts.LatencyMax <= opts.LatencyMin:
-		latency = sim.ConstantLatency(opts.LatencyMin)
-	default:
-		latency = sim.UniformLatency(opts.LatencyMin, opts.LatencyMax)
-	}
-	simNodes := make(map[ProcessID]runtime.Node, len(nodes))
-	for p, n := range nodes {
-		simNodes[p] = n
-	}
-	return &Simulation{net: sim.NewNetwork(cfg, simNodes, sim.Options{Seed: opts.Seed, Latency: latency})}
+	return &Simulation{net: cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		return cluster.Member{Node: nodes[at.Proc]}
+	}, opts.simOptions()).Net}
 }
 
 // Run advances virtual time to the given instant.
@@ -404,15 +396,12 @@ func NewSimulatedFollowerCluster(cfg Config, opts ClusterOptions) *FollowerClust
 		nodeOpts.Store = opts.Node.Store
 		nodeOpts.HeartbeatPeriod = opts.Node.HeartbeatPeriod
 	}
-	nodes := make(map[ProcessID]runtime.Node, cfg.N)
-	fNodes := make(map[ProcessID]*FollowerNode, cfg.N)
-	for _, p := range cfg.All() {
-		n := NewFollowerNode(nodeOpts)
-		fNodes[p] = n
-		nodes[p] = n
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Seed: opts.Seed})
-	return &FollowerCluster{net: net, nodes: fNodes}
+	c := &FollowerCluster{nodes: make(map[ProcessID]*FollowerNode, cfg.N)}
+	c.net = cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
+		c.nodes[at.Proc] = NewFollowerNode(nodeOpts)
+		return cluster.Member{Node: c.nodes[at.Proc]}
+	}, sim.Options{Seed: opts.Seed}).Net
+	return c
 }
 
 // Node returns the composed process p.
