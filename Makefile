@@ -8,7 +8,7 @@ BENCHTIME ?= 100ms
 # Seeds per protocol for `make chaos`.
 CHAOS_SEEDS ?= 50
 
-.PHONY: all build test race vet check clean golden bench bench-check bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover
+.PHONY: all build test race vet check clean golden bench bench-check profile-churn bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover
 
 all: build
 
@@ -44,9 +44,33 @@ bench:
 # bench-check vets and tests the repo benchmark. bench/ is a nested
 # module (BENCHMARK.json runs it through bench/run.sh), so `go vet ./...`
 # and `go test ./...` at the root never compile it: without this target
-# an internal/ refactor can break the benchmark silently.
+# an internal/ refactor can break the benchmark silently. It then runs
+# the driver's own command — bench/run.sh, whose build is pinned to
+# GOPROXY=off GOTOOLCHAIN=local GOWORK=off, which `go test` is not — for
+# one traced second per workload, and requires exit status 0 and a result
+# line (the last line of stdout) that says "correct":true.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	set -e; for w in lan-open shard-sat geo-fault select-scale; do \
+		echo "bench/run.sh --workload $$w"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1) \
+			|| { echo "bench/run.sh --workload $$w exited non-zero" >&2; exit 1; }; \
+		tail -n 1 <<<"$$out" | grep -q '"correct":true' \
+			|| { echo "bench/run.sh --workload $$w did not end in \"correct\":true" >&2; exit 1; }; \
+	done
+
+# profile-churn profiles the message path where select-scale spends its
+# time: BenchmarkQuorumChurn/n=64 (the same Theorem 4 game, see
+# internal/adversary/bench_test.go) under the CPU and heap profilers.
+# Read the result with `$(GO) tool pprof -top $(PROFILE_DIR)/cpu.prof`.
+# bench/ has no profiling hook on purpose: the driver's command measures,
+# this target explains.
+PROFILE_DIR = .bench_build/profile
+profile-churn:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkQuorumChurn/n=64' -benchtime 5x \
+		-cpuprofile $(PROFILE_DIR)/cpu.prof -memprofile $(PROFILE_DIR)/mem.prof \
+		-o $(PROFILE_DIR)/adversary.test ./internal/adversary/
 
 # bench-smoke is the CI regression gate: a brief window sweep + fleet
 # scaling sweep + cert verification pass that fails if the pipeline has

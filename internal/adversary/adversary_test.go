@@ -13,8 +13,12 @@ import (
 	"quorumselect/internal/wire"
 )
 
-func newCoreNet(t *testing.T, n, f int) (*sim.Network, map[ids.ProcessID]*core.Node) {
+func newCoreNet(t testing.TB, n, f int) (*sim.Network, map[ids.ProcessID]*core.Node) {
 	t.Helper()
+	return newCoreNetOn(n, f, sim.Options{})
+}
+
+func newCoreNetOn(n, f int, simOpts sim.Options) (*sim.Network, map[ids.ProcessID]*core.Node) {
 	cfg := ids.MustConfig(n, f)
 	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
@@ -25,7 +29,7 @@ func newCoreNet(t *testing.T, n, f int) (*sim.Network, map[ids.ProcessID]*core.N
 		coreNodes[p] = node
 		nodes[p] = node
 	}
-	return sim.NewNetwork(cfg, nodes, sim.Options{}), coreNodes
+	return sim.NewNetwork(cfg, nodes, simOpts), coreNodes
 }
 
 func newFollowerNet(t *testing.T, n, f int) (*sim.Network, map[ids.ProcessID]*follower.Node) {

@@ -41,6 +41,7 @@ import (
 
 	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
+	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/quorum"
 	"quorumselect/internal/runtime"
@@ -80,6 +81,11 @@ type Selector struct {
 	// current suspicions, which fires the store's onChange hook, which
 	// is wired back to UpdateQuorum.
 	updating bool
+
+	// UpdateQuorum runs once per merged UPDATE; its series are resolved
+	// at construction.
+	recomputed, issued, cacheHits, cacheMisses *metrics.CounterHandle
+	updateSeconds                              *metrics.HistHandle
 }
 
 // NewSelector creates a selector over the given store running the
@@ -114,6 +120,12 @@ func NewSelectorSystem(env runtime.Env, store *suspicion.Store, sys quorum.Syste
 		sys:           sys,
 		qLast:         ids.NewQuorum(dq),
 		issuedInEpoch: make(map[uint64]int),
+
+		recomputed:    env.Metrics().CounterHandle("core.quorum.recomputed"),
+		issued:        env.Metrics().CounterHandle("core.quorum.issued"),
+		cacheHits:     env.Metrics().CounterHandle("selector.iset.cache_hits"),
+		cacheMisses:   env.Metrics().CounterHandle("selector.iset.cache_misses"),
+		updateSeconds: env.Metrics().HistHandle("core.quorum.update.seconds"),
 	}
 	return s
 }
@@ -156,9 +168,9 @@ func (s *Selector) UpdateQuorum() {
 	// clock: the simulator's virtual clock does not advance during a
 	// synchronous call.
 	wallStart := time.Now()
-	s.env.Metrics().Inc("core.quorum.recomputed", 1)
+	s.recomputed.Inc()
 	defer func() {
-		s.env.Metrics().Observe("core.quorum.update.seconds", time.Since(wallStart).Seconds())
+		s.updateSeconds.Observe(time.Since(wallStart).Seconds())
 	}()
 
 	// Epochs beyond startMax contain only the local process's own
@@ -195,7 +207,7 @@ func (s *Selector) UpdateQuorum() {
 			s.qLast = issued
 			s.issuedTotal++
 			s.issuedInEpoch[s.store.Epoch()]++
-			s.env.Metrics().Inc("core.quorum.issued", 1)
+			s.issued.Inc()
 			runtime.Emit(s.env, obs.Event{Type: obs.TypeQuorumChange,
 				Epoch: s.store.Epoch(), Detail: issued.String()})
 			s.log.Logf(logging.LevelDebug, "core: QUORUM %s (epoch %d)", issued, s.store.Epoch())
@@ -214,10 +226,10 @@ func (s *Selector) UpdateQuorum() {
 func (s *Selector) firstQuorum() ([]ids.ProcessID, bool) {
 	g, ver := s.store.GraphSnapshot()
 	if s.isetValid && s.isetVersion == ver {
-		s.env.Metrics().Inc("selector.iset.cache_hits", 1)
+		s.cacheHits.Inc()
 		return s.isetSet, s.isetOK
 	}
-	s.env.Metrics().Inc("selector.iset.cache_misses", 1)
+	s.cacheMisses.Inc()
 	set, ok := quorum.Select(s.sys, g)
 	s.isetVersion, s.isetSet, s.isetOK, s.isetValid = ver, set, ok, true
 	return set, ok

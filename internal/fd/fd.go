@@ -36,6 +36,7 @@ import (
 
 	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
+	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
@@ -136,6 +137,16 @@ type Detector struct {
 	closed bool
 
 	log logging.Logger
+	m   detectorMetrics
+}
+
+// detectorMetrics are the series touched once per received message or
+// per expectation, resolved at Bind. The rarer ones (suspicions,
+// detections) stay name-keyed at their call sites.
+type detectorMetrics struct {
+	issued, matched, expired, canceled, badsig *metrics.CounterHandle
+
+	pending *metrics.GaugeHandle // fd.expectations.pending{node}
 }
 
 // pendingVerify is one arrival waiting in the verification FIFO.
@@ -184,6 +195,15 @@ func (d *Detector) Bind(env runtime.Env, deliver Deliver, onSuspect OnSuspect) {
 	d.deliver = deliver
 	d.onSuspect = onSuspect
 	d.log = env.Logger()
+	reg := env.Metrics()
+	d.m = detectorMetrics{
+		issued:   reg.CounterHandle("fd.expectation.issued"),
+		matched:  reg.CounterHandle("fd.expectation.matched"),
+		expired:  reg.CounterHandle("fd.expectation.expired"),
+		canceled: reg.CounterHandle("fd.expectation.canceled"),
+		badsig:   reg.CounterHandle("fd.dropped.badsig"),
+		pending:  runtime.NodeGauge(env, "fd.expectations.pending"),
+	}
 }
 
 // Receive is the network entry point (⟨RECEIVE, m, i⟩). It
@@ -216,6 +236,12 @@ func (d *Detector) Receive(from ids.ProcessID, m wire.Message) {
 		d.verifyq = append(d.verifyq, &pendingVerify{from: from, m: m, done: true})
 		return
 	}
+	if len(d.verifyq) == 0 && !runtime.VerifiesAsync(d.env) {
+		// Nothing ahead of it and the verdict is available now: this is
+		// the queue's one-entry in, one-entry out case, minus the entry.
+		d.verified(from, signed, runtime.Verify(d.env, signed))
+		return
+	}
 	pv := &pendingVerify{from: from, m: m}
 	d.verifyq = append(d.verifyq, pv)
 	runtime.VerifyAsync(d.env, signed, func(err error) {
@@ -245,17 +271,24 @@ func (d *Detector) drainVerified() {
 			d.verifyq = nil
 		}
 		runtime.TraceEnd(d.env, pv.span)
-		from := pv.from
 		if signed, ok := pv.m.(wire.Signed); ok {
-			if pv.err != nil {
-				d.env.Metrics().Inc("fd.dropped.badsig", 1)
-				d.log.Logf(logging.LevelDebug, "fd: dropping %s from %s: %v", pv.m.Kind(), from, pv.err)
-				continue
-			}
-			from = signed.Signer()
+			d.verified(pv.from, signed, pv.err)
+		} else {
+			d.dispatch(pv.from, pv.m)
 		}
-		d.dispatch(from, pv.m)
 	}
+}
+
+// verified acts on the verdict for a signed message that arrived over
+// the link from `from`: drop and count a bad signature, dispatch a good
+// one as coming from its signer.
+func (d *Detector) verified(from ids.ProcessID, m wire.Signed, err error) {
+	if err != nil {
+		d.m.badsig.Inc()
+		d.log.Logf(logging.LevelDebug, "fd: dropping %s from %s: %v", m.Kind(), from, err)
+		return
+	}
+	d.dispatch(m.Signer(), m)
 }
 
 // dispatch is the authenticated tail of Receive: expectation matching,
@@ -281,7 +314,7 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 			if e.overdue {
 				matchedOverdue = true
 			}
-			d.env.Metrics().Inc("fd.expectation.matched", 1)
+			d.m.matched.Inc()
 			continue
 		}
 		kept = append(kept, e)
@@ -324,7 +357,7 @@ func (d *Detector) Expect(scope string, from ids.ProcessID, desc string, pred Pr
 	e := &expectation{scope: scope, from: from, desc: desc, pred: pred, issuedAt: d.env.Now()}
 	e.timer = d.env.After(d.timeoutFor(from), func() { d.expire(e) })
 	d.expects = append(d.expects, e)
-	d.env.Metrics().Inc("fd.expectation.issued", 1)
+	d.m.issued.Inc()
 	runtime.Emit(d.env, obs.Event{Type: obs.TypeExpect, Subject: from, Detail: scope + ":" + desc})
 	d.updatePendingGauge()
 }
@@ -345,7 +378,7 @@ func (d *Detector) expire(e *expectation) {
 	}
 	alreadySuspected := d.suspectedNow(e.from)
 	e.overdue = true
-	d.env.Metrics().Inc("fd.expectation.expired", 1)
+	d.m.expired.Inc()
 	if !alreadySuspected {
 		d.raised[e.from]++
 		d.env.Metrics().Inc("fd.suspicion.raised", 1)
@@ -404,7 +437,7 @@ func (d *Detector) cancelWhere(drop func(*expectation) bool) {
 			if e.timer != nil {
 				e.timer.Stop()
 			}
-			d.env.Metrics().Inc("fd.expectation.canceled", 1)
+			d.m.canceled.Inc()
 			dropped++
 			continue
 		}
@@ -501,7 +534,7 @@ func (d *Detector) suspectedNow(i ids.ProcessID) bool {
 
 // updatePendingGauge tracks the outstanding-expectation count per node.
 func (d *Detector) updatePendingGauge() {
-	runtime.SetNodeGauge(d.env, "fd.expectations.pending", float64(len(d.expects)))
+	d.m.pending.Set(float64(len(d.expects)))
 }
 
 func (d *Detector) timeoutFor(i ids.ProcessID) time.Duration {

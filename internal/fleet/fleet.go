@@ -107,12 +107,14 @@ func (f *Fleet) bind(env runtime.Env) {
 	f.env = env
 	f.shards = make([]*shardEnv, f.opts.Shards)
 	for s := range f.shards {
+		label := metrics.L{Key: "shard", Value: fmt.Sprintf("%d", s)}
 		f.shards[s] = &shardEnv{
-			shard: s,
-			outer: env,
-			auth:  crypto.NewDomainAuth(env.Auth(), ShardDomain(s)),
-			log:   logging.Tagged(env.Logger(), fmt.Sprintf("s%d", s)),
-			label: metrics.L{Key: "shard", Value: fmt.Sprintf("%d", s)},
+			shard:    s,
+			outer:    env,
+			auth:     crypto.NewDomainAuth(env.Auth(), ShardDomain(s)),
+			log:      logging.Tagged(env.Logger(), fmt.Sprintf("s%d", s)),
+			sent:     env.Metrics().CounterHandle("fleet.shard.sent", label),
+			received: env.Metrics().CounterHandle("fleet.shard.received", label),
 		}
 	}
 }
@@ -142,8 +144,7 @@ func (f *Fleet) Receive(from ids.ProcessID, m wire.Message) {
 		f.env.Metrics().Inc("fleet.decode.errors", 1)
 		return
 	}
-	se := f.shards[env.Shard]
-	f.env.Metrics().IncLabeled("fleet.shard.received", 1, se.label)
+	f.shards[env.Shard].received.Inc()
 	f.nodes[env.Shard].Receive(from, inner)
 }
 
@@ -165,7 +166,8 @@ type shardEnv struct {
 	outer runtime.Env
 	auth  *crypto.DomainAuth
 	log   logging.Logger
-	label metrics.L
+
+	sent, received *metrics.CounterHandle // fleet.shard.{sent,received}{shard}
 }
 
 var (
@@ -194,16 +196,24 @@ func (e *shardEnv) After(d time.Duration, fn func()) runtime.Timer {
 // return.
 func (e *shardEnv) Send(to ids.ProcessID, m wire.Message) {
 	frame := wire.EncodePooled(m)
-	e.outer.Metrics().IncLabeled("fleet.shard.sent", 1, e.label)
+	e.sent.Inc()
 	e.outer.Send(to, &wire.ShardEnvelope{Shard: uint32(e.shard), Frame: frame})
 	wire.Recycle(frame)
+}
+
+// VerifiesAsync implements runtime.AsyncVerifier: the outer
+// environment's raw path, when it has one and it is enabled.
+func (e *shardEnv) VerifiesAsync() bool {
+	raw, ok := e.outer.(runtime.RawAsyncVerifier)
+	return ok && raw.VerifiesAsync()
 }
 
 // VerifyAsync implements runtime.AsyncVerifier by handing the
 // domain-wrapped bytes to the outer environment's raw verifier (the
 // TCP host's worker pool, the simulator's virtual-time completion).
 // False — verify synchronously, against e.auth — when the outer Env
-// has no raw path.
+// has no raw path (runtime.VerifyAsync asks VerifiesAsync before the
+// bytes are built and wrapped here).
 func (e *shardEnv) VerifyAsync(m wire.Signed, done func(error)) bool {
 	raw, ok := e.outer.(runtime.RawAsyncVerifier)
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
@@ -62,6 +63,10 @@ type Ingress struct {
 	// flushing guards against reentrant Flush: a flush callback that
 	// frees window capacity may call Flush again synchronously.
 	flushing bool
+
+	// Per-request series, resolved at construction.
+	pending   *metrics.GaugeHandle // host.ingress.pending{node}
+	batchSize *metrics.HistHandle  // host.ingress.batch_size
 }
 
 // NewIngress creates a mempool delivering batches to flush. The flush
@@ -78,7 +83,10 @@ func NewIngress(env runtime.Env, opts IngressOptions, flush func([]*wire.Request
 	if flush == nil {
 		panic("host: ingress flush callback is required")
 	}
-	return &Ingress{env: env, opts: opts, flush: flush}
+	return &Ingress{env: env, opts: opts, flush: flush,
+		pending:   runtime.NodeGauge(env, "host.ingress.pending"),
+		batchSize: env.Metrics().HistHandle("host.ingress.batch_size"),
+	}
 }
 
 // BatchSize returns the configured flush threshold.
@@ -102,7 +110,7 @@ func (in *Ingress) Pending() int { return len(in.buf) }
 // keeps up and climbs when the gate closes, so an overloaded or
 // fault-stalled leader is visible without tracing.
 func (in *Ingress) noteDepth() {
-	runtime.SetNodeGauge(in.env, "host.ingress.pending", float64(len(in.buf)))
+	in.pending.Set(float64(len(in.buf)))
 }
 
 // Submit buffers one request. When the buffer reaches BatchSize the
@@ -190,7 +198,7 @@ func (in *Ingress) Flush() {
 			runtime.TraceEnd(in.env, span)
 			tc = span.Context()
 		}
-		in.env.Metrics().Observe("host.ingress.batch_size", float64(n))
+		in.batchSize.Observe(float64(n))
 		in.flush(batch, tc)
 		if in.stopped {
 			in.flushing = false

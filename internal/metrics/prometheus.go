@@ -43,26 +43,34 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		return f
 	}
-	for name, v := range r.count {
-		f := get(name, "counter")
-		f.Series = append(f.Series, Series{Value: float64(v)})
+	// Only series written since creation (or the last Reset) are
+	// exposed: a handle resolved at Init and never used leaves no trace.
+	for name, c := range r.count {
+		if c.live.Load() {
+			f := get(name, "counter")
+			f.Series = append(f.Series, Series{Value: float64(c.v.Load())})
+		}
 	}
 	for name, series := range r.labeled {
-		f := get(name, "counter")
-		for labels, v := range series {
-			f.Series = append(f.Series, Series{Labels: labels, Value: float64(v)})
+		for labels, c := range series {
+			if c.live.Load() {
+				f := get(name, "counter")
+				f.Series = append(f.Series, Series{Labels: labels, Value: float64(c.v.Load())})
+			}
 		}
 	}
 	for name, series := range r.gauges {
-		f := get(name, "gauge")
-		for labels, v := range series {
-			f.Series = append(f.Series, Series{Labels: labels, Value: v})
+		for labels, g := range series {
+			if g.live.Load() {
+				f := get(name, "gauge")
+				f.Series = append(f.Series, Series{Labels: labels, Value: g.value()})
+			}
 		}
 	}
 	for name, h := range r.hists {
-		f := get(name, "summary")
-		snap := h.snapshot()
-		f.Hist = &snap
+		if snap, ok := h.snapshot(); ok {
+			get(name, "summary").Hist = &snap
+		}
 	}
 
 	out := Snapshot{Families: make([]Family, 0, len(fams))}

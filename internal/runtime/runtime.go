@@ -136,6 +136,11 @@ func Verify(env Env, m wire.Signed) error {
 // queue closure on the TCP host), never concurrently with protocol
 // code.
 type AsyncVerifier interface {
+	// VerifiesAsync reports whether the off-loop path is enabled, i.e.
+	// whether VerifyAsync would take the message. It costs nothing;
+	// VerifyAsync below asks it first, so an implementation's
+	// VerifyAsync may build SigBytes without testing again.
+	VerifiesAsync() bool
 	// VerifyAsync starts verification of m and reports whether it was
 	// accepted: false means asynchronous verification is disabled (or
 	// shut down) and done was NOT called — the caller verifies
@@ -143,12 +148,19 @@ type AsyncVerifier interface {
 	VerifyAsync(m wire.Signed, done func(error)) bool
 }
 
+// VerifiesAsync reports whether VerifyAsync(env, …) would go off the
+// loop: when false, Verify(env, m) gives the verdict here and now.
+func VerifiesAsync(env Env) bool {
+	av, ok := env.(AsyncVerifier)
+	return ok && av.VerifiesAsync()
+}
+
 // VerifyAsync verifies m through env's AsyncVerifier when it has one,
 // falling back to an inline synchronous Verify otherwise. It reports
 // whether verification went asynchronous: if false, done already ran
 // before VerifyAsync returned.
 func VerifyAsync(env Env, m wire.Signed, done func(error)) bool {
-	if av, ok := env.(AsyncVerifier); ok && av.VerifyAsync(m, done) {
+	if av, ok := env.(AsyncVerifier); ok && av.VerifiesAsync() && av.VerifyAsync(m, done) {
 		return true
 	}
 	done(Verify(env, m))
@@ -163,6 +175,9 @@ func VerifyAsync(env Env, m wire.Signed, done func(error)) bool {
 // they cannot hand the wrapped bytes to VerifyAsync, whose input is
 // the message itself.
 type RawAsyncVerifier interface {
+	// VerifiesAsync is AsyncVerifier's probe: false means VerifyRawAsync
+	// would refuse, so the caller need not build the bytes.
+	VerifiesAsync() bool
 	// VerifyRawAsync starts verification and reports whether it was
 	// accepted; false means done was NOT called and the caller must
 	// verify synchronously.
@@ -248,9 +263,10 @@ func TraceInstant(env Env, name string, parent wire.TraceContext) {
 	env.Tracer().Instant(env.ID(), name, parent, env.Now())
 }
 
-// SetNodeGauge sets the named gauge labeled with env's process
+// NodeGauge resolves the named gauge labeled with env's process
 // identity, so per-process gauges from different processes sharing one
-// registry (the simulator) stay distinguishable.
-func SetNodeGauge(env Env, name string, v float64) {
-	env.Metrics().SetGauge(name, v, metrics.L{Key: "node", Value: env.ID().String()})
+// registry (the simulator) stay distinguishable. Modules resolve it once
+// at Init/Bind and Set the handle on the message path.
+func NodeGauge(env Env, name string) *metrics.GaugeHandle {
+	return env.Metrics().GaugeHandle(name, metrics.L{Key: "node", Value: env.ID().String()})
 }

@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -166,6 +165,7 @@ type Network struct {
 	lastArr map[linkKey]time.Duration
 	rng     *rand.Rand
 	metrics *metrics.Registry
+	m       netMetrics
 	events  *obs.Bus
 	log     logging.Logger
 	steps   uint64
@@ -178,6 +178,30 @@ type Network struct {
 
 type linkKey struct {
 	from, to ids.ProcessID
+}
+
+// netMetrics holds the message-accounting series, resolved once per
+// network: every transmission and delivery touches several of them.
+type netMetrics struct {
+	sentKind [wire.NumTypes]*metrics.CounterHandle // msg.sent.<TYPE>
+
+	sent, sentRemote, delivered, dropped, duplicated, mutated, undecodable *metrics.CounterHandle
+}
+
+func newNetMetrics(reg *metrics.Registry) netMetrics {
+	m := netMetrics{
+		sent:        reg.CounterHandle("msg.sent.total"),
+		sentRemote:  reg.CounterHandle("msg.sent.remote"),
+		delivered:   reg.CounterHandle("msg.delivered.total"),
+		dropped:     reg.CounterHandle("msg.dropped.total"),
+		duplicated:  reg.CounterHandle("msg.duplicated.total"),
+		mutated:     reg.CounterHandle("msg.mutated.total"),
+		undecodable: reg.CounterHandle("msg.mutated.undecodable"),
+	}
+	for t := 1; t < wire.NumTypes; t++ {
+		m.sentKind[t] = reg.CounterHandle("msg.sent." + wire.Type(t).String())
+	}
+	return m
 }
 
 // NewNetwork builds a simulated network for cfg with the given nodes.
@@ -206,6 +230,7 @@ func NewNetwork(cfg ids.Config, nodes map[ids.ProcessID]runtime.Node, opts Optio
 		lastArr: make(map[linkKey]time.Duration),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		metrics: opts.Metrics,
+		m:       newNetMetrics(opts.Metrics),
 		events:  opts.Events,
 		log:     opts.Logger,
 	}
@@ -258,13 +283,13 @@ func (n *Network) SetFilter(f Filter) { n.opts.Filter = f }
 func (n *Network) Steps() uint64 { return n.steps }
 
 // Pending returns the number of queued events.
-func (n *Network) Pending() int { return n.queue.Len() }
+func (n *Network) Pending() int { return len(n.queue) }
 
 // Step processes the next event; it reports false if the queue is
 // empty.
 func (n *Network) Step() bool {
-	for n.queue.Len() > 0 {
-		ev := heap.Pop(&n.queue).(*event)
+	for len(n.queue) > 0 {
+		ev := n.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -296,7 +321,7 @@ func (n *Network) deliver(from, to ids.ProcessID, data []byte) {
 		panic(fmt.Sprintf("sim: message failed decode in flight: %v", err))
 	}
 	wire.Recycle(data)
-	n.metrics.Inc("msg.delivered.total", 1)
+	n.m.delivered.Inc()
 	n.nodes[to].Receive(from, decoded)
 }
 
@@ -304,7 +329,7 @@ func (n *Network) deliver(from, to ids.ProcessID, data []byte) {
 // passes until. It returns the number of events processed.
 func (n *Network) Run(until time.Duration) int {
 	processed := 0
-	for n.queue.Len() > 0 {
+	for len(n.queue) > 0 {
 		next := n.queue.peek()
 		if next.at > until {
 			break
@@ -328,7 +353,7 @@ func (n *Network) RunUntil(pred func() bool, maxTime time.Duration) bool {
 	if pred() {
 		return true
 	}
-	for n.queue.Len() > 0 && n.now <= maxTime {
+	for len(n.queue) > 0 && n.now <= maxTime {
 		if next := n.queue.peek(); next.at > maxTime {
 			break
 		}
@@ -425,7 +450,7 @@ func (n *Network) Close() {
 func (n *Network) schedule(at time.Duration, fn func()) *event {
 	ev := &event{at: at, seq: n.seq, fire: fn}
 	n.seq++
-	heap.Push(&n.queue, ev)
+	n.queue.push(ev)
 	return ev
 }
 
@@ -442,23 +467,23 @@ func (n *Network) scheduleDelivery(at time.Duration, from, to ids.ProcessID, dat
 	}
 	*ev = event{at: at, seq: n.seq, from: from, to: to, data: data, poolable: true}
 	n.seq++
-	heap.Push(&n.queue, ev)
+	n.queue.push(ev)
 }
 
 // send models one message transmission with adversary filtering, link
 // latency and per-link FIFO.
 func (n *Network) send(from, to ids.ProcessID, m wire.Message) {
-	n.metrics.Inc("msg.sent."+m.Kind().String(), 1)
-	n.metrics.Inc("msg.sent.total", 1)
+	n.m.sentKind[m.Kind()].Inc()
+	n.m.sent.Inc()
 	if from != to {
-		n.metrics.Inc("msg.sent.remote", 1)
+		n.m.sentRemote.Inc()
 	}
 	var verdict Verdict
 	if n.opts.Filter != nil {
 		verdict = n.opts.Filter.Filter(from, to, m, n.now)
 	}
 	if verdict.Drop {
-		n.metrics.Inc("msg.dropped.total", 1)
+		n.m.dropped.Inc()
 		return
 	}
 	// Round-trip through the codec: what arrives is what was encoded,
@@ -470,12 +495,12 @@ func (n *Network) send(from, to ids.ProcessID, m wire.Message) {
 		// only the returned frame is ever recycled, so the pool can
 		// never see the same backing array twice.
 		mutated := verdict.Mutate(data)
-		n.metrics.Inc("msg.mutated.total", 1)
+		n.m.mutated.Inc()
 		// A mutated frame that no longer decodes would be discarded by
 		// any real receiver's framing layer; model that here so deliver
 		// keeps its no-garbage-in-flight invariant.
 		if _, err := wire.Decode(mutated); err != nil {
-			n.metrics.Inc("msg.mutated.undecodable", 1)
+			n.m.undecodable.Inc()
 			wire.Recycle(mutated)
 			return
 		}
@@ -483,7 +508,7 @@ func (n *Network) send(from, to ids.ProcessID, m wire.Message) {
 	}
 	n.scheduleDelivery(n.arrival(from, to, verdict.Delay), from, to, data)
 	if verdict.Duplicate {
-		n.metrics.Inc("msg.duplicated.total", 1)
+		n.m.duplicated.Inc()
 		dup := append([]byte(nil), data...)
 		n.scheduleDelivery(n.arrival(from, to, verdict.Delay), from, to, dup)
 	}
@@ -547,6 +572,9 @@ func (e *procEnv) After(d time.Duration, fn func()) runtime.Timer {
 
 var _ runtime.AsyncVerifier = (*procEnv)(nil)
 
+// VerifiesAsync implements runtime.AsyncVerifier: Options.AsyncVerify.
+func (e *procEnv) VerifiesAsync() bool { return e.net.opts.AsyncVerify }
+
 // VerifyAsync implements runtime.AsyncVerifier when Options.AsyncVerify
 // is set: the check runs eagerly (it is deterministic and free in
 // virtual time) but its completion is delivered as a zero-delay event,
@@ -578,7 +606,6 @@ func (e *procEnv) VerifyRawAsync(signer ids.ProcessID, data, sig []byte, done fu
 type event struct {
 	at       time.Duration
 	seq      uint64
-	index    int
 	canceled bool
 	fired    bool
 	poolable bool
@@ -587,7 +614,8 @@ type event struct {
 	data     []byte
 }
 
-// Stop implements runtime.Timer.
+// Stop implements runtime.Timer. Cancellation is lazy: the event stays
+// queued and Step skips it when it surfaces.
 func (ev *event) Stop() bool {
 	if ev.canceled || ev.fired {
 		return false
@@ -596,32 +624,58 @@ func (ev *event) Stop() bool {
 	return true
 }
 
-// eventQueue is a min-heap on (at, seq).
+// eventQueue is a binary min-heap on (at, seq), sifted in place on
+// []*event: every simulated message is one push and one pop, and the
+// typed form spares each of them container/heap's interface boxing and
+// indirect Less/Swap calls. seq is unique, so the pop order is the
+// total order (at, seq) whatever the heap's internal layout.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
+
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	last := len(h) - 1
+	top := h[0]
+	h[0] = h[last]
+	h[last] = nil
+	h = h[:last]
+	*q = h
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if right := child + 1; right < last && h.less(right, child) {
+			child = right
+		}
+		if !h.less(child, i) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	return top
 }
+
 func (q eventQueue) peek() *event { return q[0] }

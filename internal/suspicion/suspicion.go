@@ -30,6 +30,7 @@ import (
 	"quorumselect/internal/graph"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
+	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
@@ -74,6 +75,15 @@ type Store struct {
 	onChange  func()
 	persister Persister
 	log       logging.Logger
+	m         storeMetrics
+}
+
+// storeMetrics are the series the UPDATE path touches, resolved at Bind.
+type storeMetrics struct {
+	broadcast, merged, forwarded, malformed, epochAdvanced, cowClones *metrics.CounterHandle
+
+	changedCells *metrics.HistHandle  // suspicion.merge.changed.cells
+	size, epoch  *metrics.GaugeHandle // per node
 }
 
 // Persister receives every monotone matrix write and epoch advance so
@@ -118,7 +128,19 @@ func (s *Store) Bind(env runtime.Env, onChange func()) {
 	s.env = env
 	s.onChange = onChange
 	s.log = env.Logger()
-	runtime.SetNodeGauge(env, "graph.n", float64(s.cfg.N))
+	reg := env.Metrics()
+	s.m = storeMetrics{
+		broadcast:     reg.CounterHandle("suspicion.update.broadcast"),
+		merged:        reg.CounterHandle("suspicion.update.merged"),
+		forwarded:     reg.CounterHandle("suspicion.update.forwarded"),
+		malformed:     reg.CounterHandle("suspicion.update.malformed"),
+		epochAdvanced: reg.CounterHandle("suspicion.epoch.advanced"),
+		cowClones:     reg.CounterHandle("suspicion.graph.cow_clones"),
+		changedCells:  reg.HistHandle("suspicion.merge.changed.cells"),
+		size:          runtime.NodeGauge(env, "suspicion.store.size"),
+		epoch:         runtime.NodeGauge(env, "suspicion.epoch"),
+	}
+	runtime.NodeGauge(env, "graph.n").Set(float64(s.cfg.N))
 }
 
 // SetPersister installs the durable-log hook. Call it after restoring
@@ -195,7 +217,7 @@ func (s *Store) mutableCache() *graph.Graph {
 		s.cache = s.cache.Clone()
 		s.cacheShared = false
 		if s.env != nil {
-			s.env.Metrics().Inc("suspicion.graph.cow_clones", 1)
+			s.m.cowClones.Inc()
 		}
 	}
 	return s.cache
@@ -283,7 +305,7 @@ func (s *Store) UpdateSuspicions(suspected ids.ProcSet) {
 		Row:   row,
 	}
 	runtime.Sign(s.env, up)
-	s.env.Metrics().Inc("suspicion.update.broadcast", 1)
+	s.m.broadcast.Inc()
 	runtime.Broadcast(s.env, up, true)
 	if changed && s.onChange != nil {
 		s.onChange()
@@ -309,8 +331,8 @@ func (s *Store) IncrementEpoch() {
 	if s.persister != nil {
 		s.persister.PersistEpoch(next)
 	}
-	s.env.Metrics().Inc("suspicion.epoch.advanced", 1)
-	runtime.SetNodeGauge(s.env, "suspicion.epoch", float64(next))
+	s.m.epochAdvanced.Inc()
+	s.m.epoch.Set(float64(next))
 	runtime.Emit(s.env, obs.Event{Type: obs.TypeEpochAdvance, Epoch: next})
 	s.log.Logf(logging.LevelDebug, "suspicion: advancing to epoch %d", next)
 }
@@ -329,7 +351,7 @@ func (s *Store) ObserveEpoch(e uint64) {
 		if s.persister != nil {
 			s.persister.PersistEpoch(e)
 		}
-		runtime.SetNodeGauge(s.env, "suspicion.epoch", float64(e))
+		s.m.epoch.Set(float64(e))
 	}
 }
 
@@ -339,7 +361,7 @@ func (s *Store) ObserveEpoch(e uint64) {
 // processes and the onChange hook fired.
 func (s *Store) HandleUpdate(m *wire.Update) bool {
 	if !m.Owner.Valid(s.cfg.N) || len(m.Row) != s.cfg.N {
-		s.env.Metrics().Inc("suspicion.update.malformed", 1)
+		s.m.malformed.Inc()
 		s.log.Logf(logging.LevelDebug, "suspicion: malformed update from %s (len=%d)", m.Owner, len(m.Row))
 		return false
 	}
@@ -358,11 +380,11 @@ func (s *Store) HandleUpdate(m *wire.Update) bool {
 	changedCells := len(cells)
 	// Persist before forwarding or re-evaluating the quorum.
 	s.persistCells(cells)
-	s.env.Metrics().Inc("suspicion.update.merged", 1)
-	s.env.Metrics().Observe("suspicion.merge.changed.cells", float64(changedCells))
+	s.m.merged.Inc()
+	s.m.changedCells.Observe(float64(changedCells))
 	s.updateSizeGauge()
 	if s.opts.Forward {
-		s.env.Metrics().Inc("suspicion.update.forwarded", 1)
+		s.m.forwarded.Inc()
 		runtime.Broadcast(s.env, m, false)
 	}
 	if s.onChange != nil {
@@ -377,7 +399,7 @@ func (s *Store) updateSizeGauge() {
 	s.mu.RLock()
 	nonzero := s.nonzero
 	s.mu.RUnlock()
-	runtime.SetNodeGauge(s.env, "suspicion.store.size", float64(nonzero))
+	s.m.size.Set(float64(nonzero))
 }
 
 // SuspectGraph returns the suspect graph G of §VI-B for the current

@@ -102,7 +102,53 @@ type Host struct {
 	// via Config.VerifyWorkers < 0).
 	pool *crypto.Pool
 
+	m   hostMetrics
 	env *hostEnv
+}
+
+// Frame directions of the per-type transport counters.
+const (
+	dirSent = iota
+	dirRecv
+)
+
+// hostMetrics are the per-frame series, resolved at NewHost. The
+// {type,dir}-labeled counters are tables indexed by wire.Type and
+// direction, so accounting a frame formats no label.
+type hostMetrics struct {
+	messages, bytes [wire.NumTypes][2]*metrics.CounterHandle
+
+	sent, received, writevFlushes, verifyAsync, verifyBatched *metrics.CounterHandle
+
+	writevFrames *metrics.HistHandle  // transport.writev.frames
+	sendqDepth   *metrics.GaugeHandle // transport.sendq.depth{node}
+}
+
+func newHostMetrics(reg *metrics.Registry, self ids.ProcessID) hostMetrics {
+	m := hostMetrics{
+		sent:          reg.CounterHandle("transport.sent"),
+		received:      reg.CounterHandle("transport.received"),
+		writevFlushes: reg.CounterHandle("transport.writev.flushes"),
+		verifyAsync:   reg.CounterHandle("transport.verify.async"),
+		verifyBatched: reg.CounterHandle("transport.verify.batched"),
+		writevFrames:  reg.HistHandle("transport.writev.frames"),
+		sendqDepth:    reg.GaugeHandle("transport.sendq.depth", metrics.L{Key: "node", Value: self.String()}),
+	}
+	for t := 1; t < wire.NumTypes; t++ {
+		kind := metrics.L{Key: "type", Value: wire.Type(t).String()}
+		for dir, name := range [2]string{dirSent: "sent", dirRecv: "recv"} {
+			labels := []metrics.L{kind, {Key: "dir", Value: name}}
+			m.messages[t][dir] = reg.CounterHandle("transport.messages.total", labels...)
+			m.bytes[t][dir] = reg.CounterHandle("transport.bytes.total", labels...)
+		}
+	}
+	return m
+}
+
+// count accounts one frame of the given kind and size.
+func (m *hostMetrics) count(kind wire.Type, dir, size int) {
+	m.messages[kind][dir].Inc()
+	m.bytes[kind][dir].Add(int64(size))
 }
 
 // NewHost creates and starts a Host: it listens, starts the event loop,
@@ -143,6 +189,7 @@ func NewHost(cfg Config, node runtime.Node) (*Host, error) {
 		start:    time.Now(),
 		addrs:    make(map[ids.ProcessID]string, len(cfg.Peers)),
 		writers:  make(map[ids.ProcessID]*peerWriter),
+		m:        newHostMetrics(cfg.Metrics, cfg.Self),
 	}
 	for p, a := range cfg.Peers {
 		h.addrs[p] = a
@@ -320,10 +367,8 @@ func (h *Host) readLoop(conn net.Conn) {
 			h.env.log.Logf(logging.LevelDebug, "transport: undecodable frame from %s: %v", from, err)
 			continue
 		}
-		h.cfg.Metrics.Inc("transport.received", 1)
-		kind := metrics.L{Key: "type", Value: msg.Kind().String()}
-		h.cfg.Metrics.IncLabeled("transport.messages.total", 1, kind, metrics.L{Key: "dir", Value: "recv"})
-		h.cfg.Metrics.IncLabeled("transport.bytes.total", int64(n), kind, metrics.L{Key: "dir", Value: "recv"})
+		h.m.received.Inc()
+		h.m.count(msg.Kind(), dirRecv, int(n))
 		select {
 		case h.events <- func() { h.node.Receive(from, msg) }:
 		case <-h.done:
@@ -362,13 +407,11 @@ func (h *Host) send(to ids.ProcessID, m wire.Message) {
 		h.writers[to] = w
 	}
 	h.mu.Unlock()
-	h.cfg.Metrics.Inc("transport.sent", 1)
+	h.m.sent.Inc()
 	// The frame is drawn from the wire pool; the peer writer recycles
 	// it after the bytes hit the socket.
 	frame := wire.EncodePooled(m)
-	kind := metrics.L{Key: "type", Value: m.Kind().String()}
-	h.cfg.Metrics.IncLabeled("transport.messages.total", 1, kind, metrics.L{Key: "dir", Value: "sent"})
-	h.cfg.Metrics.IncLabeled("transport.bytes.total", int64(len(frame)), kind, metrics.L{Key: "dir", Value: "sent"})
+	h.m.count(m.Kind(), dirSent, len(frame))
 	w.enqueue(frame)
 }
 
@@ -406,8 +449,7 @@ func (w *peerWriter) enqueue(frame []byte) {
 		return
 	}
 	w.queue = append(w.queue, frame)
-	w.h.cfg.Metrics.AddGauge("transport.sendq.depth", 1,
-		metrics.L{Key: "node", Value: w.h.cfg.Self.String()})
+	w.h.m.sendqDepth.Add(1)
 	w.mu.Unlock()
 	select {
 	case w.wake <- struct{}{}:
@@ -488,8 +530,8 @@ func (w *peerWriter) run() {
 				for _, frame := range frames {
 					wire.Recycle(frame)
 				}
-				w.h.cfg.Metrics.Inc("transport.writev.flushes", 1)
-				w.h.cfg.Metrics.Observe("transport.writev.frames", float64(len(frames)))
+				w.h.m.writevFlushes.Inc()
+				w.h.m.writevFrames.Observe(float64(len(frames)))
 				break
 			}
 		}
@@ -505,8 +547,7 @@ func (w *peerWriter) popAll() ([][]byte, bool) {
 	}
 	frames := w.queue
 	w.queue = nil
-	w.h.cfg.Metrics.AddGauge("transport.sendq.depth", -float64(len(frames)),
-		metrics.L{Key: "node", Value: w.h.cfg.Self.String()})
+	w.h.m.sendqDepth.Add(-float64(len(frames)))
 	return frames, true
 }
 
@@ -587,6 +628,10 @@ func (e *hostEnv) VerifyAsync(m wire.Signed, done func(error)) bool {
 	return e.VerifyRawAsync(m.Signer(), m.SigBytes(), m.Signature(), done)
 }
 
+// VerifiesAsync implements runtime.AsyncVerifier: whether the host has
+// a verification pool.
+func (e *hostEnv) VerifiesAsync() bool { return e.h.pool != nil }
+
 // VerifyRawAsync implements runtime.RawAsyncVerifier: the same pool
 // path as VerifyAsync for callers that rewrite the verified bytes
 // (the fleet's per-shard signing domains).
@@ -594,7 +639,7 @@ func (e *hostEnv) VerifyRawAsync(signer ids.ProcessID, data, sig []byte, done fu
 	if e.h.pool == nil {
 		return false
 	}
-	e.h.cfg.Metrics.Inc("transport.verify.async", 1)
+	e.h.m.verifyAsync.Inc()
 	e.h.pool.VerifyAsync(signer, data, sig, func(err error) {
 		select {
 		case e.h.events <- func() { done(err) }:
@@ -611,7 +656,7 @@ func (e *hostEnv) VerifyBatch(items []crypto.BatchItem) []error {
 	if e.h.pool == nil {
 		return nil
 	}
-	e.h.cfg.Metrics.Inc("transport.verify.batched", int64(len(items)))
+	e.h.m.verifyBatched.Add(int64(len(items)))
 	return e.h.pool.VerifyBatch(items)
 }
 

@@ -57,8 +57,9 @@ func (m *PrePrepare) Signer() ids.ProcessID { return m.Leader }
 // SigBytes implements Signed.
 func (m *PrePrepare) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -127,8 +128,9 @@ func (m *PBFTPrepare) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *PBFTPrepare) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b, TypePBFTPrepare)
-	return b.Bytes()
+	m.encodeSigned(b.sizer(), TypePBFTPrepare)
+	m.encodeSigned(b.sized(), TypePBFTPrepare)
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -158,8 +160,9 @@ func (m *PBFTCommit) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *PBFTCommit) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b, TypePBFTCommit)
-	return b.Bytes()
+	m.encodeSigned(b.sizer(), TypePBFTCommit)
+	m.encodeSigned(b.sized(), TypePBFTCommit)
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -222,8 +225,9 @@ func (m *ChainForward) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *ChainForward) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -274,8 +278,9 @@ func (m *ChainAck) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *ChainAck) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.

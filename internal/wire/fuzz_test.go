@@ -15,6 +15,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00})
+	f.Add(hostileUpdate())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(data)
 		if err != nil {

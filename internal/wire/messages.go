@@ -31,6 +31,18 @@ var (
 	_ TraceCarrier = (*NewView)(nil)
 )
 
+// Smallest encodings of the elements decoded into slices (every
+// variable-length field empty, untraced): what Reader.sliceLen multiplies an
+// element count by before anything is allocated.
+const (
+	minEdgeSize      = 4 + 4
+	minRequestSize   = 8 + 8 + 4
+	minPrepareSize   = 1 + 4 + 8 + 8 + minRequestSize + 4 + 4 + 2
+	minCommitSize    = 1 + 4 + 8 + 8 + 1 + 4 + 2
+	minLogSlotSize   = 8 + minPrepareSize
+	minPhaseBodySize = 1 + 4 + 8 + 8 + 4 + 4
+)
+
 // Heartbeat is the periodic liveness message every process sends (§II:
 // "every process is expected to send infinitely many messages").
 // Heartbeats are link-authenticated only; they carry no signature.
@@ -102,8 +114,9 @@ func (m *Update) Signer() ids.ProcessID { return m.Owner }
 // SigBytes implements Signed.
 func (m *Update) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -175,12 +188,9 @@ func (m *Followers) decodeBody(r *Reader) error {
 	if m.Followers, err = r.Procs(); err != nil {
 		return err
 	}
-	n, err := r.Uint32()
+	n, err := r.sliceLen(minEdgeSize)
 	if err != nil {
 		return err
-	}
-	if n > maxSliceLen {
-		return fmt.Errorf("wire: line subgraph length %d exceeds limit", n)
 	}
 	m.Line = make([]Edge, n)
 	for i := range m.Line {
@@ -201,8 +211,9 @@ func (m *Followers) Signer() ids.ProcessID { return m.Leader }
 // SigBytes implements Signed.
 func (m *Followers) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -270,12 +281,9 @@ func (m *Batch) encodeBody(b *Buffer) {
 }
 
 func (m *Batch) decodeBody(r *Reader) error {
-	n, err := r.Uint32()
+	n, err := r.sliceLen(minRequestSize)
 	if err != nil {
 		return err
-	}
-	if n > maxSliceLen {
-		return fmt.Errorf("wire: batch length %d exceeds limit", n)
 	}
 	if n > 0 {
 		m.Reqs = make([]Request, n)
@@ -352,12 +360,9 @@ func (m *Prepare) decodeBody(r *Reader) error {
 	if err = m.Req.decodeBody(r); err != nil {
 		return err
 	}
-	n, err := r.Uint32()
+	n, err := r.sliceLen(minRequestSize)
 	if err != nil {
 		return err
-	}
-	if n > maxSliceLen {
-		return fmt.Errorf("wire: prepare batch length %d exceeds limit", n)
 	}
 	if n > 0 {
 		m.Rest = make([]Request, n)
@@ -397,8 +402,9 @@ func (m *Prepare) Signer() ids.ProcessID { return m.Leader }
 // SigBytes implements Signed.
 func (m *Prepare) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -485,8 +491,9 @@ func (m *Commit) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *Commit) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -552,8 +559,9 @@ func (m *Reply) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *Reply) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -588,12 +596,9 @@ func (m *CommitCert) decodeBody(r *Reader) error {
 	if m.Slot, err = r.Uint64(); err != nil {
 		return err
 	}
-	n, err := r.Uint32()
+	n, err := r.sliceLen(minCommitSize)
 	if err != nil {
 		return err
-	}
-	if n > maxSliceLen {
-		return fmt.Errorf("wire: commit count %d exceeds limit", n)
 	}
 	m.Commits = make([]Commit, n)
 	for i := range m.Commits {
@@ -673,12 +678,9 @@ func (m *ViewChange) decodeBody(r *Reader) error {
 	if m.Snapshot, err = r.Bytes(); err != nil {
 		return err
 	}
-	n, err := r.Uint32()
+	n, err := r.sliceLen(minLogSlotSize)
 	if err != nil {
 		return err
-	}
-	if n > maxSliceLen {
-		return fmt.Errorf("wire: view-change log length %d exceeds limit", n)
 	}
 	m.Log = make([]LogSlot, n)
 	for i := range m.Log {
@@ -708,8 +710,9 @@ func (m *ViewChange) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *ViewChange) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -772,12 +775,9 @@ func (m *NewView) decodeBody(r *Reader) error {
 	if m.Snapshot, err = r.Bytes(); err != nil {
 		return err
 	}
-	n, err := r.Uint32()
+	n, err := r.sliceLen(minLogSlotSize)
 	if err != nil {
 		return err
-	}
-	if n > maxSliceLen {
-		return fmt.Errorf("wire: new-view log length %d exceeds limit", n)
 	}
 	m.Log = make([]LogSlot, n)
 	for i := range m.Log {
@@ -807,8 +807,9 @@ func (m *NewView) Signer() ids.ProcessID { return m.Leader }
 // SigBytes implements Signed.
 func (m *NewView) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.

@@ -22,6 +22,7 @@ func FuzzWireMutation(f *testing.F) {
 		f.Add(Encode(m), int64(i))
 	}
 	f.Add([]byte{}, int64(0))
+	f.Add(hostileUpdate(), int64(0))
 	cfg := ids.MustConfig(16, 5)
 	ring := crypto.NewHMACRing(cfg, []byte("fuzz-mutation-master"))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"fmt"
-
 	"quorumselect/internal/ids"
 )
 
@@ -66,8 +64,9 @@ func (m *TMProposal) Signer() ids.ProcessID { return m.Proposer }
 // SigBytes implements Signed.
 func (m *TMProposal) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b)
-	return b.Bytes()
+	m.encodeSigned(b.sizer())
+	m.encodeSigned(b.sized())
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -98,8 +97,9 @@ func (m *TMPrevote) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *TMPrevote) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b, TypeTMPrevote)
-	return b.Bytes()
+	m.encodeSigned(b.sizer(), TypeTMPrevote)
+	m.encodeSigned(b.sized(), TypeTMPrevote)
+	return b.buf
 }
 
 // Signature implements Signed.
@@ -145,12 +145,9 @@ func (m *TMDecided) decodeBody(r *Reader) error {
 	if err = m.Proposal.decodeBody(r); err != nil {
 		return err
 	}
-	n, err := r.Uint32()
+	n, err := r.sliceLen(minPhaseBodySize)
 	if err != nil {
 		return err
-	}
-	if n > maxSliceLen {
-		return fmt.Errorf("wire: precommit count %d exceeds limit", n)
 	}
 	m.Precommits = make([]TMPrecommit, n)
 	for i := range m.Precommits {
@@ -182,8 +179,9 @@ func (m *TMPrecommit) Signer() ids.ProcessID { return m.Replica }
 // SigBytes implements Signed.
 func (m *TMPrecommit) SigBytes() []byte {
 	var b Buffer
-	m.encodeSigned(&b, TypeTMPrecommit)
-	return b.Bytes()
+	m.encodeSigned(b.sizer(), TypeTMPrecommit)
+	m.encodeSigned(b.sized(), TypeTMPrecommit)
+	return b.buf
 }
 
 // Signature implements Signed.

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"quorumselect/internal/ids"
@@ -58,6 +59,10 @@ const (
 	TypeCommitCert
 	TypeBatch
 	TypeShardEnvelope
+
+	// NumTypes is one past the highest Type value: the size of a table
+	// indexed by Type (slot 0 is unused).
+	NumTypes = int(iota) + 1
 )
 
 // String returns the protocol name of the message type.
@@ -173,8 +178,9 @@ type TraceCarrier interface {
 // ErrUnknownType is returned when a decode meets an unknown type tag.
 var ErrUnknownType = errors.New("wire: unknown message type")
 
-// maxSliceLen bounds decoded slice lengths to keep a malicious peer
-// from forcing huge allocations.
+// maxSliceLen bounds decoded slice lengths; together with the
+// bytes-remaining check in Reader.sliceLen it keeps a malicious peer from
+// forcing an allocation larger than the frame it actually sent.
 const maxSliceLen = 1 << 20
 
 // Encode renders m as canonical bytes: a one-byte type tag followed by
@@ -293,24 +299,72 @@ func newMessage(t Type) Message {
 	}
 }
 
-// Buffer is an append-only canonical encoder.
+// Buffer is an append-only canonical encoder. In sizing mode (see
+// sizer) every Put counts the bytes it would append instead of
+// appending them, which is how SigBytes learns its exact size before it
+// allocates.
 type Buffer struct {
-	buf []byte
+	buf    []byte
+	sizing bool
+	n      int // bytes counted in sizing mode
+}
+
+// sizer puts b in sizing mode and returns it.
+func (b *Buffer) sizer() *Buffer {
+	*b = Buffer{sizing: true}
+	return b
+}
+
+// sized ends the sizing pass: b becomes an empty encoder whose capacity
+// is exactly the number of bytes the pass counted.
+func (b *Buffer) sized() *Buffer {
+	*b = Buffer{buf: make([]byte, 0, b.n)}
+	return b
 }
 
 // Bytes returns the accumulated encoding.
 func (b *Buffer) Bytes() []byte { return b.buf }
 
+// extend grows the encoding by n bytes and returns them for the caller
+// to fill; in sizing mode it counts them and returns nil.
+func (b *Buffer) extend(n int) []byte {
+	if b.sizing {
+		b.n += n
+		return nil
+	}
+	l := len(b.buf)
+	if cap(b.buf)-l < n {
+		b.buf = append(b.buf, make([]byte, n)...)
+	} else {
+		b.buf = b.buf[:l+n]
+	}
+	return b.buf[l:]
+}
+
 // PutUint8 appends a single byte.
-func (b *Buffer) PutUint8(v uint8) { b.buf = append(b.buf, v) }
+func (b *Buffer) PutUint8(v uint8) {
+	if b.sizing {
+		b.n++
+		return
+	}
+	b.buf = append(b.buf, v)
+}
 
 // PutUint32 appends a big-endian uint32.
 func (b *Buffer) PutUint32(v uint32) {
+	if b.sizing {
+		b.n += 4
+		return
+	}
 	b.buf = binary.BigEndian.AppendUint32(b.buf, v)
 }
 
 // PutUint64 appends a big-endian uint64.
 func (b *Buffer) PutUint64(v uint64) {
+	if b.sizing {
+		b.n += 8
+		return
+	}
 	b.buf = binary.BigEndian.AppendUint64(b.buf, v)
 }
 
@@ -329,22 +383,26 @@ func (b *Buffer) PutProc(p ids.ProcessID) { b.PutUint32(uint32(p)) }
 // PutBytes appends a length-prefixed byte slice.
 func (b *Buffer) PutBytes(v []byte) {
 	b.PutUint32(uint32(len(v)))
-	b.buf = append(b.buf, v...)
+	copy(b.extend(len(v)), v)
 }
 
 // PutProcs appends a length-prefixed slice of process identifiers.
 func (b *Buffer) PutProcs(ps []ids.ProcessID) {
 	b.PutUint32(uint32(len(ps)))
-	for _, p := range ps {
-		b.PutProc(p)
+	if dst := b.extend(4 * len(ps)); dst != nil {
+		for i, p := range ps {
+			binary.BigEndian.PutUint32(dst[4*i:], uint32(p))
+		}
 	}
 }
 
 // PutUint64s appends a length-prefixed slice of uint64.
 func (b *Buffer) PutUint64s(vs []uint64) {
 	b.PutUint32(uint32(len(vs)))
-	for _, v := range vs {
-		b.PutUint64(v)
+	if dst := b.extend(8 * len(vs)); dst != nil {
+		for i, v := range vs {
+			binary.BigEndian.PutUint64(dst[8*i:], v)
+		}
 	}
 }
 
@@ -352,6 +410,10 @@ func (b *Buffer) PutUint64s(vs []uint64) {
 // encoding/binary). The encoding is minimal by construction, matching
 // the Reader's canonicity requirement.
 func (b *Buffer) PutUvarint(v uint64) {
+	if b.sizing {
+		b.n += (bits.Len64(v|1) + 6) / 7
+		return
+	}
 	b.buf = binary.AppendUvarint(b.buf, v)
 }
 
@@ -446,39 +508,49 @@ func (r *Reader) Proc() (ids.ProcessID, error) {
 	return ids.ProcessID(v), err
 }
 
-// Bytes reads a length-prefixed byte slice (copied out of the buffer).
-func (r *Reader) Bytes() ([]byte, error) {
+// sliceLen reads a uint32 element count for a slice whose elements each
+// occupy at least elemSize encoded bytes. It rejects counts above
+// maxSliceLen and — before the caller allocates anything — counts the
+// remaining bytes could not hold, so a short hostile frame claiming a
+// huge slice costs an error, not memory.
+func (r *Reader) sliceLen(elemSize int) (int, error) {
 	n, err := r.Uint32()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if n > maxSliceLen {
-		return nil, fmt.Errorf("wire: slice length %d exceeds limit", n)
+		return 0, fmt.Errorf("wire: slice length %d exceeds limit", n)
 	}
-	raw, err := r.take(int(n))
+	if int(n)*elemSize > r.Remaining() {
+		return 0, ErrTruncated
+	}
+	return int(n), nil
+}
+
+// Bytes reads a length-prefixed byte slice (copied out of the buffer).
+func (r *Reader) Bytes() ([]byte, error) {
+	n, err := r.sliceLen(1)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, raw)
+	copy(out, r.buf[r.off:])
+	r.off += n
 	return out, nil
 }
 
 // Procs reads a length-prefixed slice of process identifiers.
 func (r *Reader) Procs() ([]ids.ProcessID, error) {
-	n, err := r.Uint32()
+	n, err := r.sliceLen(4)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxSliceLen {
-		return nil, fmt.Errorf("wire: slice length %d exceeds limit", n)
-	}
 	out := make([]ids.ProcessID, n)
+	raw := r.buf[r.off : r.off+4*n]
 	for i := range out {
-		if out[i], err = r.Proc(); err != nil {
-			return nil, err
-		}
+		out[i] = ids.ProcessID(binary.BigEndian.Uint32(raw[4*i:]))
 	}
+	r.off += 4 * n
 	return out, nil
 }
 
@@ -514,18 +586,15 @@ func (r *Reader) TraceContext() (TraceContext, error) {
 
 // Uint64s reads a length-prefixed slice of uint64.
 func (r *Reader) Uint64s() ([]uint64, error) {
-	n, err := r.Uint32()
+	n, err := r.sliceLen(8)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxSliceLen {
-		return nil, fmt.Errorf("wire: slice length %d exceeds limit", n)
-	}
 	out := make([]uint64, n)
+	raw := r.buf[r.off : r.off+8*n]
 	for i := range out {
-		if out[i], err = r.Uint64(); err != nil {
-			return nil, err
-		}
+		out[i] = binary.BigEndian.Uint64(raw[8*i:])
 	}
+	r.off += 8 * n
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,83 @@ func TestDecodeRejectsHugeSlices(t *testing.T) {
 	b.PutUint32(1 << 30) // row length
 	if _, err := Decode(b.Bytes()); err == nil {
 		t.Error("oversized slice length decoded without error")
+	}
+}
+
+// hostileUpdate is a 10-byte UPDATE frame whose row claims the largest
+// length the codec accepts (2²⁰ cells = 8 MiB) and then ends.
+func hostileUpdate() []byte {
+	var b Buffer
+	b.PutUint8(uint8(TypeUpdate))
+	b.PutUint8(uint8(TypeUpdate))
+	b.PutProc(1)
+	b.PutUint32(maxSliceLen)
+	return b.Bytes()
+}
+
+// TestDecodeHugeClaimAllocatesNothing: a slice length is checked
+// against the bytes actually present before anything is allocated, so a
+// short frame claiming a huge slice costs an error, not memory.
+func TestDecodeHugeClaimAllocatesNothing(t *testing.T) {
+	frames := map[string][]byte{"update row": hostileUpdate()}
+	// The same claim in front of every other element type.
+	put := func(name string, head func(b *Buffer)) {
+		var b Buffer
+		head(&b)
+		b.PutUint32(maxSliceLen)
+		frames[name] = b.Bytes()
+	}
+	put("followers", func(b *Buffer) {
+		b.PutUint8(uint8(TypeFollowers))
+		b.PutUint8(uint8(TypeFollowers))
+		b.PutProc(1)
+		b.PutUint64(1)
+	})
+	put("batch", func(b *Buffer) { b.PutUint8(uint8(TypeBatch)) })
+	put("commit cert", func(b *Buffer) {
+		b.PutUint8(uint8(TypeCommitCert))
+		b.PutUint64(1)
+	})
+	for name, frame := range frames {
+		if _, err := Decode(frame); err == nil {
+			t.Fatalf("%s: hostile frame decoded", name)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		const runs = 100
+		for i := 0; i < runs; i++ {
+			Decode(frame)
+		}
+		runtime.ReadMemStats(&m1)
+		if perDecode := (m1.TotalAlloc - m0.TotalAlloc) / runs; perDecode >= 1024 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d bytes, want < 1 KiB", name, len(frame), perDecode)
+		}
+	}
+}
+
+// TestMinElementSizes pins the lower bounds Reader.sliceLen relies on to the
+// codec: each is exactly the encoding of the element's zero value. A
+// bound above the real minimum would reject valid frames.
+func TestMinElementSizes(t *testing.T) {
+	size := func(enc func(b *Buffer)) int {
+		var b Buffer
+		enc(&b)
+		return len(b.Bytes())
+	}
+	checks := []struct {
+		name      string
+		got, want int
+	}{
+		{"request", size((&Request{}).encodeBody), minRequestSize},
+		{"prepare", size((&Prepare{}).encodeBody), minPrepareSize},
+		{"commit", size((&Commit{}).encodeBody), minCommitSize},
+		{"phase body", size((&TMPrecommit{}).encodeBody), minPhaseBodySize},
+		{"log slot", 8 + size((&Prepare{}).encodeBody), minLogSlotSize},
+	}
+	for _, c := range checks {
+		if c.got != c.want {
+			t.Errorf("%s: zero value encodes to %d bytes, bound says %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -276,7 +276,7 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 	// OnExecute callback and checkpointing are suppressed (recovering)
 	// so replay is invisible to clients.
 	r.execute()
-	runtime.SetNodeGauge(r.env, "xpaxos.view", float64(r.view))
+	r.m.view.Set(float64(r.view))
 	r.env.Metrics().Inc("xpaxos.recoveries", 1)
 	runtime.Emit(r.env, obs.Event{Type: obs.TypeLifecycle, View: r.view, Slot: r.lastExec,
 		Detail: fmt.Sprintf("xpaxos recovered: view=%d lastExec=%d records=%d", r.view, r.lastExec, replayed)})

@@ -11,6 +11,7 @@ import (
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
+	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/quorum"
@@ -169,6 +170,18 @@ type Replica struct {
 	// vcStart records when the in-progress view change began, feeding
 	// the view-change-duration histogram.
 	vcStart time.Duration
+
+	m replicaMetrics
+}
+
+// replicaMetrics are the normal-case (per message, per slot, per
+// request) series, resolved at Attach; view changes, checkpoints,
+// detections and errors stay name-keyed at their call sites.
+type replicaMetrics struct {
+	prepareSent, commitSent, verifyMemoized, committed, certApplied, executed *metrics.CounterHandle
+
+	commitLatency                       *metrics.HistHandle  // xpaxos.commit.latency.seconds
+	view, windowInflight, checkpointLag *metrics.GaugeHandle // per node
 }
 
 // NewReplica creates an XPaxos replica.
@@ -219,7 +232,20 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.ingress.SetGate(func() bool {
 		return !r.IsLeader() || r.changing || r.windowOpen()
 	})
-	runtime.SetNodeGauge(r.env, "xpaxos.view", float64(r.view))
+	reg := env.Metrics()
+	r.m = replicaMetrics{
+		prepareSent:    reg.CounterHandle("xpaxos.prepare.sent"),
+		commitSent:     reg.CounterHandle("xpaxos.commit.sent"),
+		verifyMemoized: reg.CounterHandle("xpaxos.verify.memoized"),
+		committed:      reg.CounterHandle("xpaxos.committed"),
+		certApplied:    reg.CounterHandle("xpaxos.cert.applied"),
+		executed:       reg.CounterHandle("xpaxos.executed"),
+		commitLatency:  reg.HistHandle("xpaxos.commit.latency.seconds"),
+		view:           runtime.NodeGauge(env, "xpaxos.view"),
+		windowInflight: runtime.NodeGauge(env, "xpaxos.window.inflight"),
+		checkpointLag:  runtime.NodeGauge(env, "xpaxos.checkpoint.lag"),
+	}
+	r.m.view.Set(float64(r.view))
 }
 
 // Stop implements host.Stoppable: cancel the ingress flush timer so a
@@ -419,7 +445,7 @@ func (r *Replica) propose(reqs []*wire.Request, tc wire.TraceContext) {
 	}
 	runtime.Sign(r.env, prep)
 	prep.TC = stage.Context() // outside signature coverage
-	r.env.Metrics().Inc("xpaxos.prepare.sent", 1)
+	r.m.prepareSent.Inc()
 	for _, p := range r.active.Members {
 		if p != r.env.ID() {
 			r.env.Send(p, prep)
@@ -430,7 +456,7 @@ func (r *Replica) propose(reqs []*wire.Request, tc wire.TraceContext) {
 	// issued when receiving or *sending* a PREPARE).
 	r.acceptPrepare(prep, stage)
 	if r.opts.Window > 0 {
-		runtime.SetNodeGauge(r.env, "xpaxos.window.inflight", float64(r.inflight()))
+		r.m.windowInflight.Set(float64(r.inflight()))
 	}
 }
 
@@ -587,7 +613,7 @@ func (r *Replica) sendCommit(e *entry, p *wire.Prepare) {
 		c.TC = st.prep // receivers parent their arrival instant on our span
 	}
 	e.commits[r.env.ID()] = c
-	r.env.Metrics().Inc("xpaxos.commit.sent", 1)
+	r.m.commitSent.Inc()
 	for _, k := range r.active.Members {
 		if k != r.env.ID() {
 			r.env.Send(k, c)
@@ -674,7 +700,7 @@ func (r *Replica) verifyEmbedded(c *wire.Commit) error {
 	if e, ok := r.entries[c.Slot]; ok && e.prep != nil &&
 		bytes.Equal(e.prep.SigBytes(), c.Prep.SigBytes()) &&
 		bytes.Equal(e.prep.Signature(), c.Prep.Signature()) {
-		r.env.Metrics().Inc("xpaxos.verify.memoized", 1)
+		r.m.verifyMemoized.Inc()
 		return nil
 	}
 	return runtime.Verify(r.env, &c.Prep)
@@ -707,9 +733,9 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 	r.persistRecord(recPrepareBytes(recCommitted, e.prep))
 	r.persistSync()
 	runtime.TraceEnd(r.env, ws)
-	r.env.Metrics().Inc("xpaxos.committed", int64(len(reqs)))
+	r.m.committed.Add(int64(len(reqs)))
 	if start, ok := r.slotStart[slot]; ok {
-		r.env.Metrics().Observe("xpaxos.commit.latency.seconds",
+		r.m.commitLatency.Observe(
 			(r.env.Now() - start).Seconds())
 		delete(r.slotStart, slot)
 	}
@@ -733,7 +759,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 	// flush-triggered propose chain is fine — the outer drain loop
 	// continues instead.
 	if r.opts.Window > 0 {
-		runtime.SetNodeGauge(r.env, "xpaxos.window.inflight", float64(r.inflight()))
+		r.m.windowInflight.Set(float64(r.inflight()))
 		if r.IsLeader() && !r.changing {
 			r.ingress.Flush()
 		}
@@ -804,7 +830,7 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	}
 	r.persistRecord(recPrepareBytes(recCommitted, prep))
 	r.persistSync()
-	r.env.Metrics().Inc("xpaxos.cert.applied", 1)
+	r.m.certApplied.Inc()
 	r.execute()
 }
 
@@ -839,14 +865,14 @@ func (r *Replica) execute() {
 				Result: result,
 			}
 			r.executions = append(r.executions, exec)
-			r.env.Metrics().Inc("xpaxos.executed", 1)
+			r.m.executed.Inc()
 			if r.opts.OnExecute != nil && !r.recovering {
 				r.opts.OnExecute(exec)
 			}
 		}
 		runtime.TraceEnd(r.env, es)
 		delete(r.traces, r.lastExec)
-		runtime.SetNodeGauge(r.env, "xpaxos.checkpoint.lag", float64(r.lastExec-r.ckpt.Slot))
+		r.m.checkpointLag.Set(float64(r.lastExec - r.ckpt.Slot))
 		if r.opts.CheckpointInterval > 0 && !r.recovering && r.lastExec%r.opts.CheckpointInterval == 0 {
 			r.takeCheckpoint()
 		}
@@ -877,7 +903,7 @@ func (r *Replica) takeCheckpoint() {
 	data := b.Bytes()
 	r.ckpt = checkpoint{Slot: r.lastExec, Snapshot: data, Digest: crypto.Digest(data)}
 	r.env.Metrics().Inc("xpaxos.checkpoint.taken", 1)
-	runtime.SetNodeGauge(r.env, "xpaxos.checkpoint.lag", 0)
+	r.m.checkpointLag.Set(0)
 	runtime.Emit(r.env, obs.Event{Type: obs.TypeCheckpoint, View: r.view, Slot: r.lastExec})
 	r.gcBelow(r.lastExec)
 	// The checkpoint moved: compact the WAL behind a fresh durable
@@ -920,7 +946,7 @@ func (r *Replica) restoreCheckpoint(slot uint64, data []byte) error {
 	r.lastExec = slot
 	r.ckpt = checkpoint{Slot: slot, Snapshot: data, Digest: crypto.Digest(data)}
 	r.env.Metrics().Inc("xpaxos.checkpoint.restored", 1)
-	runtime.SetNodeGauge(r.env, "xpaxos.checkpoint.lag", 0)
+	r.m.checkpointLag.Set(0)
 	r.gcBelow(slot)
 	// The NEW-VIEW jump is not represented by WAL records, so it must
 	// become durable as a snapshot immediately: recovering to the

@@ -80,7 +80,7 @@ func (r *Replica) startViewChange(v uint64) {
 	r.changing = true
 	r.viewChanges++
 	r.env.Metrics().Inc("xpaxos.viewchange", 1)
-	runtime.SetNodeGauge(r.env, "xpaxos.view", float64(v))
+	r.m.view.Set(float64(v))
 	runtime.Emit(r.env, obs.Event{Type: obs.TypeViewChangeStart, View: v,
 		Detail: r.active.String()})
 	r.log.Logf(logging.LevelDebug, "xpaxos: view change to %d, quorum %s", v, r.active)
@@ -357,7 +357,7 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 			}
 			runtime.Sign(r.env, prep)
 			prep.TC = stage.Context()
-			r.env.Metrics().Inc("xpaxos.prepare.sent", 1)
+			r.m.prepareSent.Inc()
 			for _, p := range r.active.Members {
 				if p != r.env.ID() {
 					r.env.Send(p, prep)
