@@ -1,195 +1,28 @@
 package quorumselect_test
 
-// Benchmark harness: one benchmark per paper experiment (E1–E10, see
-// DESIGN.md §3 and EXPERIMENTS.md), plus micro-benchmarks of the
-// building blocks. Regenerate everything with:
+// Timers for the building blocks — graph search, codec, authenticators,
+// suspicion merge and graph cache, the simulator's loop — each over one
+// package's API:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
-// The experiment benchmarks report the headline measured quantity as a
-// custom metric next to wall-clock time, so `-bench` output doubles as
-// the numbers table.
+// A whole-system number does not come from here: `bash bench/run.sh` is
+// the repo benchmark (BENCHMARK.json), and cmd/benchpaper prints the
+// paper's tables E1–E13.
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"quorumselect/internal/adversary"
-	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
-	"quorumselect/internal/experiments"
-	"quorumselect/internal/follower"
 	"quorumselect/internal/graph"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/suspicion"
 	"quorumselect/internal/wire"
-	"quorumselect/internal/xpaxos"
 )
-
-// --- Experiment benchmarks (one per table/figure) ---
-
-func BenchmarkE1QuorumChangesPerEpoch(b *testing.B) {
-	for f := 1; f <= 3; f++ {
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			var last int
-			for i := 0; i < b.N; i++ {
-				net, nodes := benchCoreNet(3*f+1, f)
-				res := adversary.RunQuorumChurn(net, nodes, adversary.ChurnOptions{F: f})
-				last = res.MaxPerEpoch
-			}
-			b.ReportMetric(float64(last), "quorums/epoch")
-			b.ReportMetric(float64(ids.TheoremFourBound(f)), "bound-C(f+2,2)")
-		})
-	}
-}
-
-func BenchmarkE2LowerBoundAdversary(b *testing.B) {
-	for f := 1; f <= 3; f++ {
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			var proposed int
-			for i := 0; i < b.N; i++ {
-				net, nodes := benchCoreNet(3*f+1, f)
-				res := adversary.RunQuorumChurn(net, nodes, adversary.ChurnOptions{F: f})
-				proposed = res.QuorumsIssued + 1
-			}
-			b.ReportMetric(float64(proposed), "proposed")
-			b.ReportMetric(float64(ids.TheoremFourBound(f)), "bound-C(f+2,2)")
-		})
-	}
-}
-
-func BenchmarkE3FollowerSelectionBound(b *testing.B) {
-	for f := 1; f <= 3; f++ {
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			var issued int
-			for i := 0; i < b.N; i++ {
-				net, nodes := benchFollowerNet(3*f+1, f)
-				res := adversary.RunFollowerChurn(net, nodes, adversary.FollowerChurnOptions{F: f})
-				issued = res.QuorumsIssued
-			}
-			b.ReportMetric(float64(issued), "quorums")
-			b.ReportMetric(float64(ids.CorollaryTenBound(f)), "bound-6f+2")
-		})
-	}
-}
-
-func BenchmarkE4MessageReduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E4MessageReduction(1, 5)
-		if len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE5ViewChangeCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E5ViewChanges(1)
-		if len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkE6XPaxosNormalCase(b *testing.B) {
-	// Throughput of the XPaxos normal case on the simulator: one
-	// committed request per iteration on a warm 4-process system.
-	cfg := ids.MustConfig(4, 1)
-	nodeOpts := core.DefaultNodeOptions()
-	nodeOpts.HeartbeatPeriod = 0
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
-	replicas := make(map[ids.ProcessID]*xpaxos.Replica, cfg.N)
-	for _, p := range cfg.All() {
-		node, r := xpaxos.NewQSNode(xpaxos.Options{SM: xpaxos.EchoMachine{}}, nodeOpts)
-		replicas[p] = r
-		nodes[p] = node
-	}
-	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(time.Millisecond)})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		replicas[1].Submit(&wire.Request{Client: 1, Seq: uint64(i + 1), Op: []byte("op")})
-		target := uint64(i + 1)
-		if !net.RunUntil(func() bool { return replicas[1].LastExecuted() >= target }, time.Hour) {
-			b.Fatal("request did not commit")
-		}
-	}
-	b.ReportMetric(float64(net.Metrics().Counter("msg.sent.total"))/float64(b.N), "msgs/req")
-}
-
-func BenchmarkE7DetectionMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E7DetectionMatrix()
-		if len(tbl.Rows) != 5 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkE8SuspectGraph(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E8SuspectGraph()
-		if len(tbl.Rows) != 2 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkE9LineSubgraphs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E9LineSubgraphs()
-		if len(tbl.Rows) != 4 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkE10Ablations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E10Ablations()
-		if len(tbl.Rows) != 6 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkE11Tendermint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E11Tendermint(4)
-		if len(tbl.Rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkE12Scalability(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var updates float64
-			for i := 0; i < b.N; i++ {
-				tbl := experiments.E12Scalability([]int{n})
-				if len(tbl.Rows) != 1 {
-					b.Fatal("unexpected row count")
-				}
-				fmt.Sscanf(tbl.Rows[0][4], "%f", &updates)
-			}
-			b.ReportMetric(updates, "UPDATE-msgs")
-		})
-	}
-}
-
-func BenchmarkE13FollowerScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E13FollowerScalability(3)
-		if len(tbl.Rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-// --- Micro-benchmarks of the building blocks ---
 
 func BenchmarkFirstIndependentSet(b *testing.B) {
 	// Beyond n=30 the graphs are kept sparse (edges = n/4) so q = n−n/4
@@ -461,31 +294,3 @@ type benchSilent struct{}
 
 func (benchSilent) Init(runtime.Env)                    {}
 func (benchSilent) Receive(ids.ProcessID, wire.Message) {}
-
-func benchCoreNet(n, f int) (*sim.Network, map[ids.ProcessID]*core.Node) {
-	cfg := ids.MustConfig(n, f)
-	opts := core.DefaultNodeOptions()
-	opts.HeartbeatPeriod = 0
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
-	coreNodes := make(map[ids.ProcessID]*core.Node, n)
-	for _, p := range cfg.All() {
-		node := core.NewNode(opts)
-		coreNodes[p] = node
-		nodes[p] = node
-	}
-	return sim.NewNetwork(cfg, nodes, sim.Options{}), coreNodes
-}
-
-func benchFollowerNet(n, f int) (*sim.Network, map[ids.ProcessID]*follower.Node) {
-	cfg := ids.MustConfig(n, f)
-	opts := follower.DefaultNodeOptions()
-	opts.HeartbeatPeriod = 0
-	nodes := make(map[ids.ProcessID]runtime.Node, n)
-	fNodes := make(map[ids.ProcessID]*follower.Node, n)
-	for _, p := range cfg.All() {
-		node := follower.NewNode(opts)
-		fNodes[p] = node
-		nodes[p] = node
-	}
-	return sim.NewNetwork(cfg, nodes, sim.Options{}), fNodes
-}

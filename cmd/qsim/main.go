@@ -27,7 +27,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/logging"
 	"quorumselect/internal/sim"
-	"quorumselect/internal/trace"
 )
 
 func main() {
@@ -56,10 +55,10 @@ func main() {
 	if *verbose {
 		logger = logging.NewWriterLogger(os.Stdout, logging.LevelDebug)
 	}
-	var rec *trace.Recorder
+	var rec *logging.Recorder
 	var netRef *sim.Network
 	if *traceFilter != "" {
-		rec = trace.NewRecorder(func() time.Duration {
+		rec = logging.NewRecorder(func() time.Duration {
 			if netRef == nil {
 				return 0
 			}
@@ -139,7 +138,7 @@ func main() {
 	fmt.Printf("messages     : %d sent, %d dropped\n",
 		net.Metrics().Counter("msg.sent.total"), net.Metrics().Counter("msg.dropped.total"))
 	if rec != nil {
-		fmt.Printf("\ntrace (%q):\n%s", *traceFilter, rec.Timeline(trace.Filter{Contains: *traceFilter}))
+		fmt.Printf("\ntrace (%q):\n%s", *traceFilter, rec.Timeline(logging.Filter{Contains: *traceFilter}))
 	}
 	if *metricsDump {
 		fmt.Println()

@@ -18,11 +18,11 @@ import (
 	"quorumselect/internal/core"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/sim"
-	"quorumselect/internal/trace"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
 )
@@ -214,7 +214,7 @@ type RunState struct {
 	Scenario *Scenario
 	cfg      ids.Config
 	cluster  *cluster.Cluster
-	rec      *trace.Recorder
+	rec      *logging.Recorder
 	bus      *obs.Bus
 	spans    *tracer.Tracer
 	// probes is how many liveness probes went out (0 until PhaseSettled).
@@ -386,7 +386,7 @@ func (r *RunState) dump(v *Violation) string {
 	for _, e := range evs {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
-	tes := r.rec.Events(trace.Filter{})
+	tes := r.rec.Events(logging.Filter{})
 	if len(tes) > dumpTrace {
 		tes = tes[len(tes)-dumpTrace:]
 	}

@@ -15,7 +15,6 @@ import (
 	"quorumselect/internal/pbftlite"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/tendermint"
-	"quorumselect/internal/trace"
 	"quorumselect/internal/xpaxos"
 )
 
@@ -107,7 +106,7 @@ func (r *RunState) boot(seed int64) {
 	r.bus, r.spans = obs.NewBus(0), tracer.New(0)
 	// The recorder's clock closes over the cluster pointer, which is
 	// assigned below — by the time anything logs, it is set.
-	r.rec = trace.NewRecorder(func() time.Duration { return r.cluster.Net.Now() }, logging.LevelDebug)
+	r.rec = logging.NewRecorder(func() time.Duration { return r.cluster.Net.Now() }, logging.LevelDebug)
 	opts := sim.Options{
 		Metrics:      run.Metrics,
 		Seed:         seed,

@@ -200,8 +200,9 @@ func TestPoolRaceStorm(t *testing.T) {
 // signature checks serially versus one batched pass whose dedup
 // collapses the q identical embedded-prepare copies into a single
 // check (q+1 total). The ns/verify metric is per certificate item, so
-// the batched/serial ratio is the per-signature amortization benchjson
-// derives.
+// serial/batched is the per-signature amortization. It is one of the
+// three `make bench-smoke` gates: batched above serial means batch
+// verification has stopped paying for itself.
 func BenchmarkQuorumCertVerify(b *testing.B) {
 	cfg := ids.MustConfig(7, 2)
 	ring, err := NewEd25519Ring(cfg, nil)
@@ -209,6 +210,7 @@ func BenchmarkQuorumCertVerify(b *testing.B) {
 		b.Fatal(err)
 	}
 	items := certItems(b, cfg, ring)
+	var serial, batched float64 // ns/verify of each side's last, longest run
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, err := range VerifySerial(ring, items) {
@@ -217,7 +219,8 @@ func BenchmarkQuorumCertVerify(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(items)), "ns/verify")
+		serial = float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(items))
+		b.ReportMetric(serial, "ns/verify")
 	})
 	b.Run("batched", func(b *testing.B) {
 		pool := NewPool(ring, 0)
@@ -230,6 +233,15 @@ func BenchmarkQuorumCertVerify(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(items)), "ns/verify")
+		batched = float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(items))
+		b.ReportMetric(batched, "ns/verify")
 	})
+	// A side that -bench filtered out never ran; nothing to compare.
+	if serial == 0 || batched == 0 {
+		return
+	}
+	b.Logf("cert verify, serial over batched: %.0f / %.0f ns/verify = %.2fx (gate: >= 1.0x)", serial, batched, serial/batched)
+	if batched > serial {
+		b.Fatalf("batched certificate verification costs %.0f ns/verify, serial %.0f", batched, serial)
+	}
 }

@@ -46,9 +46,8 @@ type Fleet struct {
 }
 
 var (
-	_ runtime.Node         = (*Fleet)(nil)
-	_ runtime.Stopper      = (*Fleet)(nil)
-	_ runtime.FreshStarter = (*Fleet)(nil)
+	_ runtime.Node    = (*Fleet)(nil)
+	_ runtime.Stopper = (*Fleet)(nil)
 )
 
 // New builds an unstarted fleet; the simulator or transport calls
@@ -82,28 +81,6 @@ func (f *Fleet) Shard(s int) runtime.Node { return f.nodes[s] }
 // kernel reopens its own storage sub-tree independently, so one
 // shard's corrupt state never blocks its siblings' recovery.
 func (f *Fleet) Init(env runtime.Env) {
-	f.bind(env)
-	for s, n := range f.nodes {
-		n.Init(f.shards[s])
-	}
-	env.Metrics().SetGauge("fleet.shards", float64(f.opts.Shards))
-}
-
-// InitFresh implements runtime.FreshStarter: shards that can wipe do,
-// the rest Init normally.
-func (f *Fleet) InitFresh(env runtime.Env) {
-	f.bind(env)
-	for s, n := range f.nodes {
-		if fs, ok := n.(runtime.FreshStarter); ok {
-			fs.InitFresh(f.shards[s])
-		} else {
-			n.Init(f.shards[s])
-		}
-	}
-	env.Metrics().SetGauge("fleet.shards", float64(f.opts.Shards))
-}
-
-func (f *Fleet) bind(env runtime.Env) {
 	f.env = env
 	f.shards = make([]*shardEnv, f.opts.Shards)
 	for s := range f.shards {
@@ -117,6 +94,10 @@ func (f *Fleet) bind(env runtime.Env) {
 			received: env.Metrics().CounterHandle("fleet.shard.received", label),
 		}
 	}
+	for s, n := range f.nodes {
+		n.Init(f.shards[s])
+	}
+	env.Metrics().SetGauge("fleet.shards", float64(f.opts.Shards))
 }
 
 // Receive implements runtime.Node: demultiplex one envelope to its

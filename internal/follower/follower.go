@@ -195,7 +195,7 @@ func (s *Selector) UpdateQuorum() {
 			return
 		}
 		// I am the new leader: select and broadcast followers.
-		fw, ok := s.selectFollowersFor(l, g)
+		fw, ok := selectFollowers(s.sys, l, g)
 		if !ok {
 			// Too few possible followers to complete a quorum around
 			// the leader (transient, outside the regime the paper
@@ -233,46 +233,30 @@ func (s *Selector) hasQuorum(g *graph.Graph, ver uint64) bool {
 	return s.isetOK
 }
 
-// selectFollowersFor picks the leader's follower set. Threshold systems
-// take the legacy fixed-count path (byte-compatible with Definition 2);
-// generalized systems greedily grow {leader} ∪ Fw through the same
-// clean-then-tainted candidate order until it is a quorum, then prune
-// members that turned out redundant so the broadcast choice is minimal.
-func (s *Selector) selectFollowersFor(l *graph.LineSubgraph, g *graph.Graph) ([]ids.ProcessID, bool) {
-	if sized, ok := s.sys.(quorum.Sized); ok {
-		return SelectFollowers(l, g, sized.QuorumSize()-1)
-	}
-	leader := l.Leader()
-	var clean, tainted []ids.ProcessID
-	for _, p := range l.PossibleFollowers() {
-		if p == leader {
-			continue
-		}
-		if leader != ids.None && g.HasEdge(leader, p) {
-			tainted = append(tainted, p)
-		} else {
-			clean = append(clean, p)
-		}
-	}
-	candidates := append(clean, tainted...)
-	members := []ids.ProcessID{leader}
-	taken := 0
-	for _, p := range candidates {
-		if s.sys.IsQuorum(members) {
+// selectFollowers picks the leader's follower set under sys: grow
+// {leader} ∪ Fw through the candidate order until it is a quorum, then
+// prune members that turned out redundant so the broadcast choice is
+// minimal. For a threshold system that is Definition 2's first q−1
+// candidates (SelectFollowers): the set first reaches q members there,
+// and every member of a q-set is load-bearing.
+func selectFollowers(sys quorum.System, l *graph.LineSubgraph, g *graph.Graph) ([]ids.ProcessID, bool) {
+	cand := candidates(l, g)
+	members := []ids.ProcessID{l.Leader()}
+	for _, p := range cand {
+		if sys.IsQuorum(members) {
 			break
 		}
 		members = append(members, p)
-		taken++
 	}
-	if !s.sys.IsQuorum(members) {
-		return candidates, false
+	if !sys.IsQuorum(members) {
+		return cand, false
 	}
 	// Prune in reverse insertion order: later candidates were added
 	// under weaker need, so dropping them first yields the same set a
 	// minimal forward search would.
 	for i := len(members) - 1; i >= 1; i-- {
 		without := append(append([]ids.ProcessID{}, members[:i]...), members[i+1:]...)
-		if s.sys.IsQuorum(without) {
+		if sys.IsQuorum(without) {
 			members = without
 		}
 	}
@@ -309,7 +293,7 @@ func (s *Selector) HandleFollowers(m *wire.Followers) {
 	if m.Leader != s.leader || m.Epoch != s.store.Epoch() {
 		return // line 28 guard: stale or foreign leader
 	}
-	if !s.wellFormed(m) {
+	if !wellFormed(s.sys, s.store.SuspectGraph(), m) {
 		s.env.Metrics().Inc("follower.detected.malformed", 1)
 		s.log.Logf(logging.LevelInfo, "follower: malformed FOLLOWERS from %s", m.Leader)
 		s.detector.Detected(m.Leader)
@@ -333,43 +317,40 @@ func (s *Selector) HandleFollowers(m *wire.Followers) {
 	s.issueQuorum(quorum)
 }
 
-// wellFormed checks Definition 3 against the local suspect graph. The
-// size clause generalizes per quorum system: threshold demands exactly
-// q−1 followers; other systems demand {l} ∪ Fw to be a quorum with
-// every follower load-bearing (so a Byzantine leader cannot pad its
-// quorum with cronies beyond the minimal choice).
-func (s *Selector) wellFormed(m *wire.Followers) bool {
-	// a) l ∉ Fw, no duplicates, and the size/quorum clause below.
-	if sized, ok := s.sys.(quorum.Sized); ok {
-		if len(m.Followers) != sized.QuorumSize()-1 {
-			return false
-		}
+// wellFormed checks Definition 3 against the local suspect graph g.
+// The size clause is stated on the quorum system: {l} ∪ Fw must be a
+// quorum with every follower load-bearing, so a Byzantine leader cannot
+// pad its quorum with cronies beyond the minimal choice. For a
+// threshold system that is exactly q−1 followers.
+func wellFormed(sys quorum.System, g *graph.Graph, m *wire.Followers) bool {
+	n := sys.N()
+	// a) l ∈ Π, l ∉ Fw, no duplicates, and the quorum clause below.
+	if !m.Leader.Valid(n) {
+		return false
 	}
 	seen := ids.NewProcSet()
 	for _, fw := range m.Followers {
-		if fw == m.Leader || !fw.Valid(s.env.Config().N) || seen.Contains(fw) {
+		if fw == m.Leader || !fw.Valid(n) || seen.Contains(fw) {
 			return false
 		}
 		seen.Add(fw)
 	}
 	members := append([]ids.ProcessID{m.Leader}, m.Followers...)
-	if !s.sys.IsQuorum(members) {
+	if !sys.IsQuorum(members) {
 		return false
 	}
-	if _, ok := s.sys.(quorum.Sized); !ok {
-		for i := 1; i < len(members); i++ {
-			without := append(append([]ids.ProcessID{}, members[:i]...), members[i+1:]...)
-			if s.sys.IsQuorum(without) {
-				return false // follower i is padding, not load-bearing
-			}
+	for i := 1; i < len(members); i++ {
+		without := append(append([]ids.ProcessID{}, members[:i]...), members[i+1:]...)
+		if sys.IsQuorum(without) {
+			return false // follower i is padding, not load-bearing
 		}
 	}
 	// b) L' is a line subgraph and L' ⊆ G_i.
-	l, err := graph.LineSubgraphFromEdges(s.env.Config().N, fromWireEdges(m.Line))
+	l, err := graph.LineSubgraphFromEdges(n, fromWireEdges(m.Line))
 	if err != nil {
 		return false
 	}
-	if !l.SubgraphOf(s.store.SuspectGraph()) {
+	if !l.SubgraphOf(g) {
 		return false
 	}
 	// c) l_{L'} = j.
@@ -402,10 +383,19 @@ func (s *Selector) issueQuorum(q ids.Quorum) {
 
 // SelectFollowers returns the leader's deterministic choice of count
 // possible followers from l (Definition 2), or ok=false if fewer exist.
-// Among possible followers (the leader excluded), processes without a
-// suspicion edge to the leader in g are preferred, then lower
-// identifiers — minimizing immediate no-leader-suspicion violations.
 func SelectFollowers(l *graph.LineSubgraph, g *graph.Graph, count int) ([]ids.ProcessID, bool) {
+	cand := candidates(l, g)
+	if len(cand) < count {
+		return cand, false
+	}
+	return cand[:count], true
+}
+
+// candidates lists l's possible followers, the leader excluded, in the
+// order a leader picks them: processes without a suspicion edge to the
+// leader in g first, then lower identifiers — minimizing immediate
+// no-leader-suspicion violations.
+func candidates(l *graph.LineSubgraph, g *graph.Graph) []ids.ProcessID {
 	leader := l.Leader()
 	var clean, tainted []ids.ProcessID
 	for _, p := range l.PossibleFollowers() {
@@ -418,13 +408,7 @@ func SelectFollowers(l *graph.LineSubgraph, g *graph.Graph, count int) ([]ids.Pr
 			clean = append(clean, p)
 		}
 	}
-	candidates := append(clean, tainted...)
-	if len(candidates) < count {
-		return candidates, false
-	}
-	out := make([]ids.ProcessID, count)
-	copy(out, candidates[:count])
-	return out, true
+	return append(clean, tainted...)
 }
 
 func toWireEdges(es []graph.Edge) []wire.Edge {

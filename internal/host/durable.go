@@ -218,19 +218,6 @@ func (h *Host) closeStorage() {
 	h.storage = nil
 }
 
-// InitFresh implements runtime.FreshStarter: wipe the durable state,
-// then Init. This is the pre-durability restart semantics (a node that
-// comes back with amnesia), kept as an explicit option for experiments
-// and regression tests.
-func (h *Host) InitFresh(env runtime.Env) {
-	if h.opts.Storage != nil {
-		if err := storage.Wipe(h.opts.Storage); err != nil {
-			panic(fmt.Sprintf("host: wipe storage: %v", err))
-		}
-	}
-	h.Init(env)
-}
-
 // storePersister routes suspicion-store writes into tagged WAL
 // records. Cell and epoch records are appended without a forced sync:
 // losing a suffix of monotone CRDT writes is safe (the matrix re-merges

@@ -178,9 +178,8 @@ type Host struct {
 }
 
 var (
-	_ runtime.Node         = (*Host)(nil)
-	_ runtime.Stopper      = (*Host)(nil)
-	_ runtime.FreshStarter = (*Host)(nil)
+	_ runtime.Node    = (*Host)(nil)
+	_ runtime.Stopper = (*Host)(nil)
 )
 
 // New creates an unstarted host; the simulator or transport calls Init.

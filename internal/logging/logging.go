@@ -93,35 +93,3 @@ type taggedLogger struct {
 func (l taggedLogger) Logf(level Level, format string, args ...any) {
 	l.base.Logf(level, "["+l.tag+"] "+format, args...)
 }
-
-// Capture is a Logger that stores lines in memory, used by tests that
-// assert on protocol logging.
-type Capture struct {
-	mu    sync.Mutex
-	max   Level
-	Lines []string
-}
-
-var _ Logger = (*Capture)(nil)
-
-// NewCapture returns a capturing logger accepting lines up to max.
-func NewCapture(max Level) *Capture { return &Capture{max: max} }
-
-// Logf implements Logger.
-func (c *Capture) Logf(level Level, format string, args ...any) {
-	if level > c.max {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Lines = append(c.Lines, fmt.Sprintf(format, args...))
-}
-
-// Snapshot returns a copy of the captured lines.
-func (c *Capture) Snapshot() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.Lines))
-	copy(out, c.Lines)
-	return out
-}

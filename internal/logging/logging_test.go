@@ -24,26 +24,26 @@ func TestWriterLoggerLevels(t *testing.T) {
 }
 
 func TestTagged(t *testing.T) {
-	c := NewCapture(LevelDebug)
-	l := Tagged(c, "p3")
+	rec := NewRecorder(nil, LevelDebug)
+	l := Tagged(rec, "p3")
 	l.Logf(LevelInfo, "msg %s", "x")
-	lines := c.Snapshot()
-	if len(lines) != 1 || !strings.Contains(lines[0], "[p3] msg x") {
-		t.Errorf("lines = %v", lines)
+	events := rec.Events(Filter{})
+	if len(events) != 1 || !strings.Contains(events[0].Message, "[p3] msg x") {
+		t.Errorf("events = %v", events)
 	}
 }
 
 func TestCaptureFiltersAndCopies(t *testing.T) {
-	c := NewCapture(LevelInfo)
-	c.Logf(LevelTrace, "nope")
-	c.Logf(LevelError, "yes")
-	snap := c.Snapshot()
-	if len(snap) != 1 || snap[0] != "yes" {
-		t.Fatalf("snapshot = %v", snap)
+	rec := NewRecorder(nil, LevelInfo)
+	rec.Logf(LevelTrace, "nope")
+	rec.Logf(LevelError, "yes")
+	snap := rec.Events(Filter{})
+	if len(snap) != 1 || snap[0].Message != "yes" {
+		t.Fatalf("events = %v", snap)
 	}
-	snap[0] = "mutated"
-	if c.Snapshot()[0] != "yes" {
-		t.Error("Snapshot shares storage")
+	snap[0].Message = "mutated"
+	if rec.Events(Filter{})[0].Message != "yes" {
+		t.Error("Events shares storage")
 	}
 }
 

@@ -1,24 +1,10 @@
-// Package trace captures structured, virtually-timestamped protocol
-// events from simulation runs. It plugs in as a logging.Logger, so
-// every module's existing log lines become queryable events without
-// touching protocol code; the simulator's deterministic clock makes
-// traces reproducible byte-for-byte across runs with the same seed.
-//
-// Typical use:
-//
-//	rec := trace.NewRecorder(clock, logging.LevelDebug)
-//	net := sim.NewNetwork(cfg, nodes, sim.Options{Logger: rec})
-//	...
-//	fmt.Print(rec.Timeline(trace.Filter{Contains: "QUORUM"}))
-package trace
+package logging
 
 import (
 	"fmt"
 	"strings"
 	"sync"
 	"time"
-
-	"quorumselect/internal/logging"
 )
 
 // Clock supplies the timestamp for each event — in simulations, the
@@ -28,7 +14,7 @@ type Clock func() time.Duration
 // Event is one captured log line.
 type Event struct {
 	At      time.Duration
-	Level   logging.Level
+	Level   Level
 	Message string
 }
 
@@ -43,39 +29,49 @@ func (e Event) String() string {
 // hit with Debug-level capture).
 const DefaultCapacity = 65536
 
-// Recorder captures events up to a maximum level into a bounded ring;
-// once full, the oldest events are evicted and counted in Dropped. It
-// is safe for concurrent use (the TCP transport logs from multiple
+// Recorder is the capturing Logger: every module's log lines become
+// timestamped, queryable events without touching protocol code, and
+// under the simulator's deterministic clock a capture is reproducible
+// byte-for-byte across runs with the same seed.
+//
+//	rec := logging.NewRecorder(clock, logging.LevelDebug)
+//	net := sim.NewNetwork(cfg, nodes, sim.Options{Logger: rec})
+//	...
+//	fmt.Print(rec.Timeline(logging.Filter{Contains: "QUORUM"}))
+//
+// It captures events up to a maximum level into a bounded ring; once
+// full, the oldest events are evicted and counted in Dropped. It is
+// safe for concurrent use (the TCP transport logs from multiple
 // goroutines).
 type Recorder struct {
 	clock Clock
-	max   logging.Level
+	max   Level
 
 	mu    sync.Mutex
 	buf   []Event
 	total uint64 // events ever captured
 }
 
-var _ logging.Logger = (*Recorder)(nil)
+var _ Logger = (*Recorder)(nil)
 
 // NewRecorder returns a recorder timestamping with clock (nil clock
 // records zero timestamps) and capturing lines at or below max, bounded
 // at DefaultCapacity events.
-func NewRecorder(clock Clock, max logging.Level) *Recorder {
+func NewRecorder(clock Clock, max Level) *Recorder {
 	return NewBounded(clock, max, DefaultCapacity)
 }
 
 // NewBounded returns a recorder retaining up to capacity events
 // (capacity <= 0 selects DefaultCapacity).
-func NewBounded(clock Clock, max logging.Level, capacity int) *Recorder {
+func NewBounded(clock Clock, max Level, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{clock: clock, max: max, buf: make([]Event, capacity)}
 }
 
-// Logf implements logging.Logger.
-func (r *Recorder) Logf(level logging.Level, format string, args ...any) {
+// Logf implements Logger.
+func (r *Recorder) Logf(level Level, format string, args ...any) {
 	if level > r.max {
 		return
 	}
@@ -119,7 +115,7 @@ type Filter struct {
 	Contains string
 	// MaxLevel keeps only events at or below this level (zero keeps
 	// all).
-	MaxLevel logging.Level
+	MaxLevel Level
 	// From/To bound the timestamps; a zero To means no upper bound.
 	From, To time.Duration
 }

@@ -1,4 +1,4 @@
-package trace_test
+package logging_test
 
 import (
 	"fmt"
@@ -12,12 +12,11 @@ import (
 	"quorumselect/internal/logging"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
-	"quorumselect/internal/trace"
 )
 
 func TestRecorderBasics(t *testing.T) {
 	now := time.Duration(0)
-	rec := trace.NewRecorder(func() time.Duration { return now }, logging.LevelDebug)
+	rec := logging.NewRecorder(func() time.Duration { return now }, logging.LevelDebug)
 	rec.Logf(logging.LevelInfo, "first %d", 1)
 	now = 50 * time.Millisecond
 	rec.Logf(logging.LevelDebug, "second")
@@ -26,7 +25,7 @@ func TestRecorderBasics(t *testing.T) {
 	if rec.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", rec.Len())
 	}
-	events := rec.Events(trace.Filter{})
+	events := rec.Events(logging.Filter{})
 	if events[0].Message != "first 1" || events[0].At != 0 {
 		t.Errorf("event 0 = %+v", events[0])
 	}
@@ -37,33 +36,33 @@ func TestRecorderBasics(t *testing.T) {
 
 func TestRecorderFilters(t *testing.T) {
 	now := time.Duration(0)
-	rec := trace.NewRecorder(func() time.Duration { return now }, logging.LevelDebug)
+	rec := logging.NewRecorder(func() time.Duration { return now }, logging.LevelDebug)
 	rec.Logf(logging.LevelError, "boom")
 	now = 10 * time.Millisecond
 	rec.Logf(logging.LevelInfo, "quorum issued")
 	now = 20 * time.Millisecond
 	rec.Logf(logging.LevelDebug, "quorum recomputed")
 
-	if got := rec.Count(trace.Filter{Contains: "quorum"}); got != 2 {
+	if got := rec.Count(logging.Filter{Contains: "quorum"}); got != 2 {
 		t.Errorf("Contains filter = %d, want 2", got)
 	}
-	if got := rec.Count(trace.Filter{MaxLevel: logging.LevelInfo}); got != 2 {
+	if got := rec.Count(logging.Filter{MaxLevel: logging.LevelInfo}); got != 2 {
 		t.Errorf("MaxLevel filter = %d, want 2", got)
 	}
-	if got := rec.Count(trace.Filter{From: 15 * time.Millisecond}); got != 1 {
+	if got := rec.Count(logging.Filter{From: 15 * time.Millisecond}); got != 1 {
 		t.Errorf("From filter = %d, want 1", got)
 	}
-	if got := rec.Count(trace.Filter{To: 15 * time.Millisecond}); got != 2 {
+	if got := rec.Count(logging.Filter{To: 15 * time.Millisecond}); got != 2 {
 		t.Errorf("To filter = %d, want 2", got)
 	}
-	tl := rec.Timeline(trace.Filter{Contains: "boom"})
+	tl := rec.Timeline(logging.Filter{Contains: "boom"})
 	if !strings.Contains(tl, "ERROR") || !strings.Contains(tl, "boom") {
 		t.Errorf("Timeline = %q", tl)
 	}
 }
 
 func TestRecorderRingEviction(t *testing.T) {
-	rec := trace.NewBounded(nil, logging.LevelDebug, 4)
+	rec := logging.NewBounded(nil, logging.LevelDebug, 4)
 	for i := 1; i <= 10; i++ {
 		rec.Logf(logging.LevelInfo, "line %d", i)
 	}
@@ -73,14 +72,14 @@ func TestRecorderRingEviction(t *testing.T) {
 	if rec.Dropped() != 6 {
 		t.Fatalf("Dropped = %d, want 6", rec.Dropped())
 	}
-	events := rec.Events(trace.Filter{})
+	events := rec.Events(logging.Filter{})
 	if len(events) != 4 || events[0].Message != "line 7" || events[3].Message != "line 10" {
 		t.Fatalf("retained events = %v", events)
 	}
 }
 
 func TestRecorderBoundedDefaultCapacity(t *testing.T) {
-	rec := trace.NewBounded(nil, logging.LevelDebug, 0)
+	rec := logging.NewBounded(nil, logging.LevelDebug, 0)
 	rec.Logf(logging.LevelInfo, "one")
 	if rec.Len() != 1 || rec.Dropped() != 0 {
 		t.Fatalf("len=%d dropped=%d", rec.Len(), rec.Dropped())
@@ -90,7 +89,7 @@ func TestRecorderBoundedDefaultCapacity(t *testing.T) {
 // TestRecorderConcurrency hammers Logf/Events/Len/Dropped from multiple
 // goroutines; meaningful under -race.
 func TestRecorderConcurrency(t *testing.T) {
-	rec := trace.NewBounded(nil, logging.LevelDebug, 128)
+	rec := logging.NewBounded(nil, logging.LevelDebug, 128)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -99,7 +98,7 @@ func TestRecorderConcurrency(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				rec.Logf(logging.LevelInfo, "g%d line %d", g, i)
 				if i%100 == 0 {
-					_ = rec.Events(trace.Filter{Contains: fmt.Sprintf("g%d", g)})
+					_ = rec.Events(logging.Filter{Contains: fmt.Sprintf("g%d", g)})
 					_ = rec.Len()
 					_ = rec.Dropped()
 				}
@@ -128,11 +127,11 @@ func TestRecorderCapturesSimulationDeterministically(t *testing.T) {
 			nodes[p] = node
 		}
 		var net *sim.Network
-		rec := trace.NewRecorder(func() time.Duration { return net.Now() }, logging.LevelDebug)
+		rec := logging.NewRecorder(func() time.Duration { return net.Now() }, logging.LevelDebug)
 		net = sim.NewNetwork(cfg, nodes, sim.Options{Seed: 3, Logger: rec})
 		coreNodes[1].Selector.OnSuspected(ids.NewProcSet(2))
 		net.Run(time.Second)
-		return rec.Timeline(trace.Filter{Contains: "QUORUM"})
+		return rec.Timeline(logging.Filter{Contains: "QUORUM"})
 	}
 	a, b := run(), run()
 	if a == "" {

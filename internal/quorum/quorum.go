@@ -67,8 +67,8 @@ type GraphSelector interface {
 
 // Sized is an optional System extension for uniform-size systems: every
 // minimal quorum has exactly QuorumSize members. The threshold system
-// implements it; the follower selector and XPaxos keep their
-// byte-compatible q-count fast paths through it.
+// implements it; the selectors read it to keep the paper's "quorum of
+// size q" wording in their log lines.
 type Sized interface {
 	QuorumSize() int
 }

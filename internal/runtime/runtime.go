@@ -82,15 +82,6 @@ type Stopper interface {
 	Stop()
 }
 
-// FreshStarter is the optional restart-fresh extension of Node: a node
-// backed by durable storage implements it so a restart can explicitly
-// discard that state (wipe, then Init) instead of recovering it. Plain
-// Init on such a node recovers; InitFresh is amnesia on purpose.
-type FreshStarter interface {
-	Node
-	InitFresh(env Env)
-}
-
 // StopNode tears n down if it implements Stopper; it reports whether it
 // did.
 func StopNode(n Node) bool {

@@ -33,30 +33,28 @@ func (a *durApp) Recover(log host.AppLog, _ []byte, records [][]byte) error {
 
 // newDurableFDCluster builds n FD-only hosts, each with its own
 // in-memory backend and recording app.
-func newDurableFDCluster(t *testing.T, n int) (*Network, []*durApp, []*storage.MemBackend) {
+func newDurableFDCluster(t *testing.T, n int) (*Network, []*durApp) {
 	t.Helper()
 	cfg := ids.MustConfig(n, 1)
 	apps := make([]*durApp, n+1)
-	backends := make([]*storage.MemBackend, n+1)
 	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	for _, p := range cfg.All() {
 		apps[p] = &durApp{}
-		backends[p] = storage.NewMemBackend()
 		nodes[p] = host.New(host.Options{
 			Mode:            host.ModeFDOnly,
 			HeartbeatPeriod: 25 * time.Millisecond,
 			App:             apps[p],
-			Storage:         backends[p],
+			Storage:         storage.NewMemBackend(),
 		})
 	}
-	return NewNetwork(cfg, nodes, Options{Seed: 7}), apps, backends
+	return NewNetwork(cfg, nodes, Options{Seed: 7}), apps
 }
 
 // TestRestartProcessRecoversDurableState: RestartProcess re-Inits a
 // durable node, and the kernel replays the WAL records the application
 // persisted before the stop.
 func TestRestartProcessRecoversDurableState(t *testing.T) {
-	net, apps, _ := newDurableFDCluster(t, 4)
+	net, apps := newDurableFDCluster(t, 4)
 	defer net.Close()
 
 	if apps[1].wal == nil {
@@ -80,52 +78,6 @@ func TestRestartProcessRecoversDurableState(t *testing.T) {
 	got := apps[1].recovered
 	if len(got) != 2 || !bytes.Equal(got[0], []byte("alpha")) || !bytes.Equal(got[1], []byte("beta")) {
 		t.Fatalf("recovered %q, want [alpha beta]", got)
-	}
-}
-
-// TestRestartProcessFreshWipesDurableState: the explicit amnesia
-// restart wipes the backend before Init, so nothing is recovered — the
-// pre-durability restart semantics, kept as a regression guarantee.
-func TestRestartProcessFreshWipesDurableState(t *testing.T) {
-	net, apps, backends := newDurableFDCluster(t, 4)
-	defer net.Close()
-
-	if err := apps[2].wal.Append([]byte("doomed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := apps[2].wal.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	net.StopProcess(2)
-	net.RestartProcessFresh(2)
-	if len(apps[2].recovered) != 0 {
-		t.Fatalf("fresh restart recovered %q, want nothing", apps[2].recovered)
-	}
-	// The backend holds only the new incarnation's segment — nothing
-	// the next recovery could resurrect the record from.
-	net.StopProcess(2)
-	net.RestartProcess(2)
-	if len(apps[2].recovered) != 0 {
-		t.Fatalf("wipe left %q behind", apps[2].recovered)
-	}
-	_ = backends
-}
-
-// TestRestartProcessFreshMemoryNode: a node without durable state (no
-// FreshStarter or no storage) falls back to a plain re-Init.
-func TestRestartProcessFreshMemoryNode(t *testing.T) {
-	cfg := ids.MustConfig(4, 1)
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
-	echoes := make(map[ids.ProcessID]*echoNode, cfg.N)
-	for _, p := range cfg.All() {
-		e := &echoNode{}
-		echoes[p] = e
-		nodes[p] = e
-	}
-	net := NewNetwork(cfg, nodes, Options{Seed: 1})
-	net.RestartProcessFresh(3) // must not panic, just re-Init
-	if echoes[3].env == nil {
-		t.Fatal("fresh restart did not re-Init the memory node")
 	}
 }
 

@@ -396,22 +396,6 @@ func (n *Network) RestartProcess(p ids.ProcessID) {
 	node.Init(n.envs[p])
 }
 
-// RestartProcessFresh restarts a node with amnesia: if the node
-// implements runtime.FreshStarter its durable state is wiped before
-// Init (the pre-durability restart semantics, kept for experiments and
-// regression tests); otherwise it behaves like RestartProcess.
-func (n *Network) RestartProcessFresh(p ids.ProcessID) {
-	node, ok := n.nodes[p]
-	if !ok {
-		panic(fmt.Sprintf("sim: fresh restart of unknown process %s", p))
-	}
-	if fs, ok := node.(runtime.FreshStarter); ok {
-		fs.InitFresh(n.envs[p])
-		return
-	}
-	node.Init(n.envs[p])
-}
-
 // ReplaceProcess swaps in a freshly constructed node for p and Inits it
 // against p's environment. Unlike RestartProcess — which re-runs Init
 // on the same object, whose Go heap trivially survives — replacement

@@ -143,6 +143,24 @@ func TestTopologyLinkFilter(t *testing.T) {
 	}
 }
 
+// TestShippedTopologiesLoad keeps the spec files the CLIs document
+// (cmd/loadgen -topology, cmd/chaos -topology) inside the grammar.
+func TestShippedTopologiesLoad(t *testing.T) {
+	for name, n := range map[string]int{"lan": 4, "geo3": 4, "geo5": 5} {
+		topo, err := LoadTopology("../../examples/topologies/" + name + ".topo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := topo.Bind(n)
+		if err != nil {
+			t.Fatalf("%s: Bind(%d): %v", name, n, err)
+		}
+		if b.MaxOneWay() <= 0 {
+			t.Errorf("%s: MaxOneWay = %v", name, b.MaxOneWay())
+		}
+	}
+}
+
 func TestTopologyParseErrors(t *testing.T) {
 	bad := []string{
 		"",                                     // no regions

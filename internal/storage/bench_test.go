@@ -27,9 +27,8 @@ func BenchmarkWALAppend(b *testing.B) {
 
 // BenchmarkWALGroupCommit measures the amortization group commit buys:
 // one fsync per record at batch=1 versus one per 32 records at
-// batch=32, against a real directory so the fsync cost is real. The
-// custom fsync/op metric feeds BENCH_PR5.json's
-// storage.group_commit.* derived ratios (cmd/benchjson).
+// batch=32, against a real directory so the fsync cost is real; the
+// custom fsync/op metric is the count being amortized.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	for _, batch := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {

@@ -113,24 +113,3 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// Wipe removes every WAL segment, snapshot, and temp file from the
-// backend. It implements the explicit restart-fresh path (amnesia on
-// purpose): sim.RestartProcessFresh wipes before Init so the node
-// comes back with the old pre-durability semantics.
-func Wipe(b Backend) error {
-	names, err := b.List()
-	if err != nil {
-		return err
-	}
-	var first error
-	for _, name := range names {
-		if !ownsFile(name) {
-			continue
-		}
-		if err := b.Remove(name); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -376,25 +376,6 @@ func TestSkipSyncTamperLosesAcknowledgedWrites(t *testing.T) {
 	}
 }
 
-func TestWipe(t *testing.T) {
-	b := NewMemBackend()
-	s := mustOpen(t, b, Options{SyncEvery: 1})
-	appendAll(t, s, 0, 10)
-	if err := s.WriteSnapshot([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, s, 10, 12)
-	s.Close()
-	if err := Wipe(b); err != nil {
-		t.Fatalf("Wipe: %v", err)
-	}
-	s2 := mustOpen(t, b, Options{})
-	snap, recs := s2.Recovered()
-	if snap != nil || len(recs) != 0 {
-		t.Fatalf("Wipe left state behind: snap=%q recs=%d", snap, len(recs))
-	}
-}
-
 // TestGapDropRemovesOrphanedSegments: when recovery drops records that
 // are not contiguous with the recovered snapshot, the orphaned segments
 // must be deleted and the append cursor rewound to the snapshot —

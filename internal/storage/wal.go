@@ -91,19 +91,6 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// ownsFile reports whether name is a storage-managed file (segment,
-// snapshot, or leftover temp).
-func ownsFile(name string) bool {
-	if strings.HasSuffix(name, tmpSuffix) {
-		return true
-	}
-	if _, ok := parseName(name, segPrefix, segSuffix); ok {
-		return true
-	}
-	_, ok := parseName(name, snapPrefix, snapSuffix)
-	return ok
-}
-
 // scanNames splits a backend listing into segments (ascending by first
 // record index) and snapshots (descending by walIndex, newest first).
 func scanNames(names []string) (segs, snaps []uint64) {

@@ -27,6 +27,13 @@ func newDurableXPaxosCluster(t *testing.T, n, f, batch int) (map[ids.ProcessID]*
 	for _, p := range cfg.All() {
 		nodeOpts := core.DefaultNodeOptions()
 		nodeOpts.HeartbeatPeriod = 25 * time.Millisecond
+		// Hosts start one by one and learn peer addresses only after all
+		// are up, so at the default 40 ms base timeout boot itself raises
+		// suspicions and deposes the leader holding the test's requests.
+		// These tests are about durability, not detection: FD sized as
+		// in the pipeline benchmark.
+		nodeOpts.FD.BaseTimeout = 2 * time.Second
+		nodeOpts.FD.MaxTimeout = 4 * time.Second
 		backends[p] = storage.NewMemBackend()
 		nodeOpts.Storage = backends[p]
 		node, replica := xpaxos.NewQSNode(xpaxos.Options{

@@ -101,10 +101,14 @@ func newFleetTCPCluster(tb testing.TB, cfg ids.Config, auth crypto.Authenticator
 // single group at window 16 is bounded by slots-in-flight × RTT, and
 // each added shard contributes its own independent commit window (and
 // a staggered leader), multiplying the aggregate in-flight depth. All
-// shard traffic rides the host's one connection per peer pair.
+// shard traffic rides the host's one connection per peer pair. It is
+// one of the three `make bench-smoke` gates: 4 shards below 1.5× one
+// group means the shards have stopped committing independently
+// (serialized windows, cross-shard interference, or a mux regression).
 func BenchmarkFleetThroughput(b *testing.B) {
 	cfg := ids.MustConfig(4, 1)
 	auth := crypto.NewHMACRing(cfg, []byte("fleet-bench"))
+	reqs := make(map[int]float64) // shards → req/s of its last, longest run
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			hosts, replicas, leaders, shutdown := newFleetTCPCluster(b, cfg, auth, shards, 16, 1, benchOneWayDelay, 0)
@@ -137,9 +141,11 @@ func BenchmarkFleetThroughput(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			reqs[shards] = float64(b.N) / b.Elapsed().Seconds()
+			b.ReportMetric(reqs[shards], "req/s")
 		})
 	}
+	requireSpeedup(b, "4 shards over 1 shard", reqs[4], reqs[1], 1.5)
 }
 
 // TestFleetSharesOneConnectionPerPeer pins the transport-muxing

@@ -10,6 +10,7 @@ import (
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/runtime"
 	"quorumselect/internal/transport"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -171,4 +172,60 @@ func TestStopDropsTraffic(t *testing.T) {
 	}
 	// A stopped node drops traffic instead of processing it.
 	node.Receive(2, &wire.Heartbeat{From: 2, Seq: 1})
+}
+
+// selfSender records the heartbeats it receives from itself.
+type selfSender struct {
+	env  runtime.Env
+	seqs []uint64
+}
+
+func (n *selfSender) Init(env runtime.Env) { n.env = env }
+
+func (n *selfSender) Receive(from ids.ProcessID, m wire.Message) {
+	if hb, ok := m.(*wire.Heartbeat); ok && from == n.env.ID() {
+		n.seqs = append(n.seqs, hb.Seq)
+	}
+}
+
+// TestSelfSendBurstFromLoop sends a node more messages to itself from
+// one handler than the event queue holds — what a suspicion storm's
+// broadcast-including-self does under load. The loop must not wait on
+// its own queue: the handler returns, every message arrives in send
+// order, and Close still completes.
+func TestSelfSendBurstFromLoop(t *testing.T) {
+	const burst = 3000 // > the 1024-slot event queue
+	node := &selfSender{}
+	h, err := transport.NewHost(transport.Config{Self: 1, System: ids.MustConfig(4, 1)}, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		h.Do(func() {
+			for i := 1; i <= burst; i++ {
+				node.env.Send(1, &wire.Heartbeat{From: 1, Seq: uint64(i)})
+			}
+		})
+		var got []uint64
+		h.Do(func() { got = node.seqs })
+		if len(got) != burst {
+			t.Errorf("delivered %d of %d self-sends", len(got), burst)
+		}
+		for i, seq := range got {
+			if seq != uint64(i+1) {
+				t.Errorf("delivery %d carries seq %d: self-sends reordered", i, seq)
+				break
+			}
+		}
+		if err := h.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("event loop deadlocked sending to itself")
+	}
 }

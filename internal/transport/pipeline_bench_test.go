@@ -196,13 +196,16 @@ func newWindowedTCPCluster(tb testing.TB, cfg ids.Config, auth crypto.Authentica
 // benchOneWayDelay) and BatchSize 1, so slots == requests and the
 // measured req/s isolates the window's latency hiding: at window 1 the
 // leader runs in lockstep, one RTT per slot; at deeper windows slot
-// round trips overlap until the path is crypto-bound.
+// round trips overlap until the path is crypto-bound. It is one of the
+// three `make bench-smoke` gates: window 16 below window 1 means the
+// pipeline has degraded to lockstep.
 func BenchmarkXPaxosPipelinedThroughput(b *testing.B) {
 	cfg := ids.MustConfig(4, 1)
 	ring, err := crypto.NewEd25519Ring(cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	reqs := make(map[int]float64) // window → req/s of its last, longest run
 	for _, w := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
 			hosts, replicas, shutdown := newWindowedTCPCluster(b, cfg, ring, w, 1, benchOneWayDelay, nil)
@@ -227,8 +230,24 @@ func BenchmarkXPaxosPipelinedThroughput(b *testing.B) {
 				time.Sleep(time.Millisecond)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			reqs[w] = float64(b.N) / b.Elapsed().Seconds()
+			b.ReportMetric(reqs[w], "req/s")
 		})
+	}
+	requireSpeedup(b, "window 16 over window 1", reqs[16], reqs[1], 1)
+}
+
+// requireSpeedup fails the sweep that calls it unless scaled reaches
+// min × base req/s. A side that -bench filtered out never ran and reads
+// 0; the comparison is then skipped.
+func requireSpeedup(b *testing.B, what string, scaled, base, min float64) {
+	b.Helper()
+	if scaled == 0 || base == 0 {
+		return
+	}
+	b.Logf("%s: %.0f / %.0f req/s = %.2fx (gate: >= %.1fx)", what, scaled, base, scaled/base, min)
+	if scaled < min*base {
+		b.Fatalf("%s: %.2fx, below the %.1fx gate", what, scaled/base, min)
 	}
 }
 

@@ -93,6 +93,13 @@ type Host struct {
 	wg       sync.WaitGroup
 	start    time.Time
 
+	// selfq holds what the node sent to itself from the closure the
+	// loop is running; the loop delivers it, in send order, when that
+	// closure returns. Owned by the event loop (Env is loop-only, see
+	// package runtime), so no lock. Queuing these on events instead
+	// would park the loop on a full channel that only it drains.
+	selfq []wire.Message
+
 	mu      sync.Mutex
 	addrs   map[ids.ProcessID]string
 	writers map[ids.ProcessID]*peerWriter
@@ -305,6 +312,14 @@ func (h *Host) eventLoop() {
 		case <-h.done:
 			return
 		}
+		// A delivery may itself send to self; the index walk picks
+		// those up too.
+		for i := 0; i < len(h.selfq); i++ {
+			msg := h.selfq[i]
+			h.selfq[i] = nil
+			h.node.Receive(h.cfg.Self, msg)
+		}
+		h.selfq = h.selfq[:0]
 	}
 }
 
@@ -380,9 +395,9 @@ func (h *Host) readLoop(conn net.Conn) {
 // send queues a frame for a peer, creating the writer on demand.
 func (h *Host) send(to ids.ProcessID, m wire.Message) {
 	if to == h.cfg.Self {
-		// Local delivery through the normal event path. The codec
-		// round-trip uses a pooled buffer; decoded messages never
-		// alias it.
+		// Local delivery after the current handler, through the same
+		// codec round-trip a peer's copy takes. The round-trip uses a
+		// pooled buffer; decoded messages never alias it.
 		msg := m
 		data := wire.EncodePooled(m)
 		decoded, err := wire.Decode(data)
@@ -390,10 +405,7 @@ func (h *Host) send(to ids.ProcessID, m wire.Message) {
 			msg = decoded
 		}
 		wire.Recycle(data)
-		select {
-		case h.events <- func() { h.node.Receive(h.cfg.Self, msg) }:
-		case <-h.done:
-		}
+		h.selfq = append(h.selfq, msg)
 		return
 	}
 	h.mu.Lock()

@@ -230,24 +230,3 @@ func TestBatchingEquivalenceUnderChaos(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkXPaxosBatchedThroughput measures wall-clock committed
-// requests per second on the simulator at increasing batch sizes. The
-// simulator's virtual clock pipelines slots regardless of batching, so
-// the honest signal is real elapsed time: batching cuts per-request
-// protocol messages (and signatures) roughly by the batch factor.
-func BenchmarkXPaxosBatchedThroughput(b *testing.B) {
-	for _, batch := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			c := newBatchCluster(b, 4, 1, xpaxos.Options{
-				BatchSize:       batch,
-				MaxBatchLatency: time.Millisecond,
-			})
-			b.ResetTimer()
-			c.submitAll(b.N)
-			c.runUntilExecuted(b, b.N)
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		})
-	}
-}

@@ -1,103 +1,16 @@
 package xpaxos_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"quorumselect/internal/obs/tracer"
-	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
-	"quorumselect/internal/xpaxos"
 )
 
-// BenchmarkXPaxosTracedThroughput measures what span recording costs on
-// the committed-request path at batch 32. The workload runs fully
-// traced; the overhead is then computed as
-//
-//	overhead_pct = spans/req × ns/span ÷ ns/req × 100
-//
-// from the ACTUAL span count of the run and the per-span recording
-// cost measured on the same, still-warm tracer (full ring — the
-// steady-state eviction path). This decomposition is deliberate:
-// differencing two wall-clock runs (traced vs untraced) cannot resolve
-// an effect this small — A/A probes of paired-chunk designs on a
-// 1-CPU machine show 5-30% artifacts from GC phase and memory-layout
-// luck, while the real tracing cost is ~0.5 span per request at ~100ns
-// per span, three orders of magnitude below the noise floor. The
-// product of measured span rate and measured span cost is a direct
-// upper bound on tracing's share of the commit path and is stable
-// run-to-run. benchjson lifts overhead_pct into trace.overhead.*; the
-// acceptance bar for the tracing layer is ≤5% at batch 32.
-func BenchmarkXPaxosTracedThroughput(b *testing.B) {
-	b.Run("batch=32", func(b *testing.B) {
-		tr := tracer.New(0)
-		c := newBatchClusterOpts(b, 4, 1, xpaxos.Options{
-			BatchSize:       32,
-			MaxBatchLatency: time.Millisecond,
-		}, quietNodeOpts(), sim.Options{Tracer: tr})
-		b.ResetTimer()
-		c.submitAll(b.N)
-		c.runUntilExecuted(b, b.N)
-		b.StopTimer()
-
-		nsPerReq := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		spansPerReq := float64(tr.Total()) / float64(b.N)
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		b.ReportMetric(spansPerReq, "spans/req")
-
-		// Per-span cost on the workload's own tracer, ring at capacity.
-		const probe = 1 << 17
-		parent := tr.Start(1, "probe.root", wire.TraceContext{}, 0)
-		start := time.Now()
-		for i := 0; i < probe; i++ {
-			a := tr.Start(2, "probe", parent.Context(), time.Duration(i))
-			a.SetSlot(uint64(i))
-			a.End(time.Duration(i + 1))
-		}
-		nsPerSpan := float64(time.Since(start).Nanoseconds()) / probe
-		b.ReportMetric(nsPerSpan, "ns/span")
-		if nsPerReq > 0 {
-			b.ReportMetric(100*spansPerReq*nsPerSpan/nsPerReq, "overhead_pct")
-		}
-	})
-}
-
-// BenchmarkXPaxosCommitPathStages runs a traced batch-32 workload and
-// reports where the commit path spends its (virtual) time, as the
-// percentage share of each recorded stage. benchjson lifts the pct.*
-// metrics into commit_path.stage_pct.* in the JSON report.
-func BenchmarkXPaxosCommitPathStages(b *testing.B) {
-	tr := tracer.New(1 << 16)
-	c := newBatchClusterOpts(b, 4, 1, xpaxos.Options{
-		BatchSize:       32,
-		MaxBatchLatency: time.Millisecond,
-	}, quietNodeOpts(), sim.Options{Tracer: tr})
-	b.ResetTimer()
-	c.submitAll(b.N)
-	c.runUntilExecuted(b, b.N)
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-
-	totals := make(map[string]time.Duration)
-	var sum time.Duration
-	for _, s := range tr.Spans() {
-		switch s.Name {
-		case "ingress", "propose", "accept", "quorum", "execute", "wal.sync":
-			totals[s.Name] += s.Dur
-			sum += s.Dur
-		}
-	}
-	if sum <= 0 {
-		b.Fatal("traced run recorded no stage time")
-	}
-	for name, d := range totals {
-		b.ReportMetric(100*float64(d)/float64(sum), "pct."+strings.ReplaceAll(name, ".", "_"))
-	}
-}
-
-// BenchmarkTracerSpan is the microbenchmark under the macro numbers:
-// the cost of one start/tag/end cycle on the bounded ring.
+// BenchmarkTracerSpan times one start/tag/end cycle on the bounded
+// ring. What tracing costs a committed request end to end is the
+// benchmark's xpaxos.trace_overhead_pct (bench/run.sh --trace 0|1).
 func BenchmarkTracerSpan(b *testing.B) {
 	tr := tracer.New(0)
 	parent := tr.Start(1, "parent", wire.TraceContext{}, 0)
