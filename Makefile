@@ -7,7 +7,7 @@ BENCHTIME ?= 100ms
 # Seeds per protocol for `make chaos`.
 CHAOS_SEEDS ?= 50
 
-.PHONY: all build test race vet check clean golden lines bench-check profile-churn bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover
+.PHONY: all build test race vet check examples clean golden lines bench-check profile-churn bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover
 
 all: build
 
@@ -28,6 +28,13 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# examples runs the guided examples of the root example_test.go, each
+# checked against its // Output: block, under the race detector.
+# Example_cluster opens real loopback sockets and kills a host, so this
+# is also the TCP path's end-to-end smoke.
+examples:
+	$(GO) test -race -count=1 -run '^Example' -v .
 
 # A whole-system number comes from the repo benchmark — `bash
 # bench/run.sh --workload W --seed N --seconds 20 --trace 0|1`, declared

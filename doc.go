@@ -17,8 +17,8 @@
 //     protocols with n > 3f, needing only O(f) quorum changes
 //     (Theorem 9, Corollary 10).
 //   - An XPaxos state-machine-replication substrate with the paper's
-//     failure-detector integration (§V), plus PBFT-style and
-//     BChain-style baselines.
+//     failure-detector integration (§V), a PBFT-style baseline, and a
+//     Tendermint-style consensus integration (§X).
 //   - A deterministic discrete-event simulator, a real TCP transport
 //     (the same protocol code runs on both), an adversary toolkit, and
 //     an experiment harness regenerating every bound, figure and
@@ -32,6 +32,7 @@
 //	cluster.Run(time.Second)
 //	fmt.Println(cluster.Node(3).CurrentQuorum()) // {p1,p3,p4}
 //
-// See the examples/ directory for runnable programs, DESIGN.md for the
-// system inventory and EXPERIMENTS.md for the paper-vs-measured record.
+// The package examples (go test -run Example -v .) walk through each
+// subsystem with checked output; see DESIGN.md for the system inventory
+// and EXPERIMENTS.md for the paper-vs-measured record.
 package quorumselect

@@ -33,8 +33,6 @@ type NodeOptions struct {
 	// the kernel recovers suspicion and application state at Init and
 	// persists from then on.
 	Storage storage.Backend
-	// StorageOptions tune the WAL (see host.Options.StorageOptions).
-	StorageOptions storage.Options
 	// Quorum is the generalized quorum system the selector runs on; nil
 	// means the paper's n−f threshold system from the configuration.
 	// Callers must validate non-default specs with quorum.Check before
@@ -56,10 +54,10 @@ func DefaultNodeOptions() NodeOptions {
 // Node is one complete process of the paper's architecture (Fig 1):
 // network → failure detector → {suspicion store → selector, application}.
 // It is a thin shell over the replica-host kernel (internal/host),
-// composed in ModeQuorumSelection with the Algorithm 1 selector; the
-// embedded kernel provides runtime.Node, the Detector/Store/HB modules,
-// Quorums/CurrentQuorum accounting, and the Stop lifecycle for both the
-// simulator and the TCP transport.
+// composed with the Algorithm 1 selector; the embedded kernel provides
+// runtime.Node, the Detector/Store/HB modules, Quorums/CurrentQuorum
+// accounting, and the Stop lifecycle for both the simulator and the TCP
+// transport.
 type Node struct {
 	*host.Host
 	// Selector is the Algorithm 1 selection module, exposed with its
@@ -79,13 +77,11 @@ var (
 func NewNode(opts NodeOptions) *Node {
 	n := &Node{}
 	n.Host = host.New(host.Options{
-		Mode:            host.ModeQuorumSelection,
 		FD:              opts.FD,
 		Store:           opts.Store,
 		HeartbeatPeriod: opts.HeartbeatPeriod,
 		App:             opts.App,
 		Storage:         opts.Storage,
-		StorageOptions:  opts.StorageOptions,
 		NewSelection: func(env runtime.Env, store *suspicion.Store, _ *fd.Detector, issue func(ids.Quorum)) host.Selection {
 			n.Selector = NewSelectorSystem(env, store, opts.Quorum, issue)
 			return n.Selector

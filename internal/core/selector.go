@@ -88,19 +88,13 @@ type Selector struct {
 	updateSeconds                              *metrics.HistHandle
 }
 
-// NewSelector creates a selector over the given store running the
-// paper's threshold system q = n − f. Bind the store's onChange to
+// NewSelectorSystem creates a selector over the given store running a
+// generalized quorum system. A nil system means the paper's threshold
+// system q = n − f from the configuration. The system's size must match
+// n; callers are expected to have validated the spec with quorum.Check
+// before booting a node on it. Bind the store's onChange to
 // (*Selector).UpdateQuorum; wire the failure detector's suspicions to
 // (*Selector).OnSuspected.
-func NewSelector(env runtime.Env, store *suspicion.Store, onQuorum OnQuorum) *Selector {
-	return NewSelectorSystem(env, store, nil, onQuorum)
-}
-
-// NewSelectorSystem creates a selector running a generalized quorum
-// system. A nil system means the threshold system from the
-// configuration. The system's size must match n; callers are expected
-// to have validated the spec with quorum.Check before booting a node
-// on it.
 func NewSelectorSystem(env runtime.Env, store *suspicion.Store, sys quorum.System, onQuorum OnQuorum) *Selector {
 	if sys == nil {
 		sys = quorum.FromConfig(env.Config())
@@ -186,15 +180,9 @@ func (s *Selector) UpdateQuorum() {
 				// preclude a quorum (it suspects more than f others —
 				// an assumption violation, e.g. f = 0 with any
 				// suspicion). Keep the last quorum rather than spin.
-				if sized, isSized := s.sys.(quorum.Sized); isSized {
-					s.log.Logf(logging.LevelError,
-						"core: own suspicions %s preclude any quorum of size %d; keeping %s",
-						s.store.Suspecting(), sized.QuorumSize(), s.qLast)
-				} else {
-					s.log.Logf(logging.LevelError,
-						"core: own suspicions %s preclude any quorum of %s; keeping %s",
-						s.store.Suspecting(), s.sys, s.qLast)
-				}
+				s.log.Logf(logging.LevelError,
+					"core: own suspicions %s preclude any quorum of %s; keeping %s",
+					s.store.Suspecting(), s.sys, s.qLast)
 				return
 			}
 			// Suspicions in the current epoch are inconsistent with

@@ -85,9 +85,6 @@ func NewPool(auth Authenticator, workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // VerifyAsync queues one signature check; done(err) is called from a
 // worker goroutine. After Close the job is dropped and done is never
 // called.

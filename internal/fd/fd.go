@@ -483,9 +483,6 @@ func (d *Detector) Close() {
 	d.verifyq = nil
 }
 
-// Closed reports whether the detector has been torn down.
-func (d *Detector) Closed() bool { return d.closed }
-
 // Suspected returns the current suspicion set S: every process with an
 // overdue expectation plus every detected process.
 func (d *Detector) Suspected() ids.ProcSet {

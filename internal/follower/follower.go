@@ -73,18 +73,12 @@ type Selector struct {
 	lineCached  *graph.LineSubgraph
 }
 
-// NewSelector creates a Follower Selection module running the paper's
-// threshold system. The configuration must satisfy the §VIII assumption
-// |Π| > 3f; NewSelector panics otherwise, since the O(f) bound (and
-// Lemma 8) does not hold below it.
-func NewSelector(env runtime.Env, store *suspicion.Store, detector *fd.Detector, onQuorum OnQuorum) *Selector {
-	return NewSelectorSystem(env, store, detector, nil, onQuorum)
-}
-
 // NewSelectorSystem creates a Follower Selection module running a
-// generalized quorum system; nil means the threshold system from the
-// configuration. Callers must validate non-default specs with
-// quorum.Check before booting on them.
+// generalized quorum system; nil means the paper's threshold system from
+// the configuration. Callers must validate non-default specs with
+// quorum.Check before booting on them. The configuration must satisfy
+// the §VIII assumption |Π| > 3f; NewSelectorSystem panics otherwise,
+// since the O(f) bound (and Lemma 8) does not hold below it.
 func NewSelectorSystem(env runtime.Env, store *suspicion.Store, detector *fd.Detector, sys quorum.System, onQuorum OnQuorum) *Selector {
 	cfg := env.Config()
 	if !cfg.LeaderCentric() {
@@ -159,15 +153,9 @@ func (s *Selector) UpdateQuorum() {
 		g, ver := s.store.GraphSnapshot()
 		if !s.hasQuorum(g, ver) {
 			if s.store.Epoch() > startMax {
-				if sized, isSized := s.sys.(quorum.Sized); isSized {
-					s.log.Logf(logging.LevelError,
-						"follower: own suspicions %s preclude any quorum of size %d; keeping %s",
-						s.store.Suspecting(), sized.QuorumSize(), s.qLast)
-				} else {
-					s.log.Logf(logging.LevelError,
-						"follower: own suspicions %s preclude any quorum of %s; keeping %s",
-						s.store.Suspecting(), s.sys, s.qLast)
-				}
+				s.log.Logf(logging.LevelError,
+					"follower: own suspicions %s preclude any quorum of %s; keeping %s",
+					s.store.Suspecting(), s.sys, s.qLast)
 				return
 			}
 			// Lines 10–15: next epoch, default leader and quorum.

@@ -40,9 +40,9 @@ func DefaultNodeOptions() NodeOptions {
 
 // Node is one complete Follower Selection process: network → failure
 // detector → {suspicion store → follower selector, application}. Like
-// core.Node it is a shell over the replica-host kernel in
-// ModeQuorumSelection; the Algorithm 2 selector additionally consumes
-// its own FOLLOWERS messages through the kernel's MessageHandler hook.
+// core.Node it is a shell over the replica-host kernel with a selection
+// module; the Algorithm 2 selector additionally consumes its own
+// FOLLOWERS messages through the kernel's MessageHandler hook.
 type Node struct {
 	*host.Host
 	// Selector is the Algorithm 2 selection module, exposed with its
@@ -73,7 +73,6 @@ func (s *Selector) HandleMessage(_ ids.ProcessID, m wire.Message) bool {
 func NewNode(opts NodeOptions) *Node {
 	n := &Node{}
 	n.Host = host.New(host.Options{
-		Mode:            host.ModeQuorumSelection,
 		FD:              opts.FD,
 		Store:           opts.Store,
 		HeartbeatPeriod: opts.HeartbeatPeriod,

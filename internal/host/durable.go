@@ -144,16 +144,12 @@ func (h *Host) storageErr(op string, err error) error {
 // quorum over the restored suspect graph. A host configured for
 // durability must not run without it, so open failures panic.
 func (h *Host) openStorage(env runtime.Env) {
-	o := h.opts.StorageOptions
-	if o.Metrics == nil {
-		o.Metrics = env.Metrics()
-	}
-	if o.After == nil {
-		o.After = func(d time.Duration, fn func()) storage.Timer {
+	st, err := storage.Open(h.opts.Storage, storage.Options{
+		Metrics: env.Metrics(),
+		After: func(d time.Duration, fn func()) storage.Timer {
 			return env.After(d, fn)
-		}
-	}
-	st, err := storage.Open(h.opts.Storage, o)
+		},
+	})
 	if err != nil {
 		panic(fmt.Sprintf("host: open storage: %v", err))
 	}

@@ -64,7 +64,7 @@ func newDurableHostEnv(t *testing.T, b storage.Backend) (*sim.Network, *walApp) 
 	t.Helper()
 	cfg := ids.MustConfig(4, 1)
 	app := &walApp{}
-	h := host.New(host.Options{Mode: host.ModeFDOnly, App: app, Storage: b})
+	h := host.New(host.Options{App: app, Storage: b})
 	nodes := map[ids.ProcessID]runtime.Node{1: h, 2: silent{}, 3: silent{}, 4: silent{}}
 	net := sim.NewNetwork(cfg, nodes, sim.Options{})
 	if app.wal == nil {

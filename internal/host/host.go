@@ -3,22 +3,23 @@
 // {suspicion store → selector, application}) is wired together. Every
 // composed process in this repository — the quorum-selection node
 // (internal/core), the follower-selection node (internal/follower), and
-// the standalone baselines in internal/{xpaxos,pbftlite,bchain} — is a
-// thin shell over host.New; the kernel owns the failure-detector bind,
+// the standalone baselines in internal/{xpaxos,pbftlite} — is a thin
+// shell over host.New; the kernel owns the failure-detector bind,
 // heartbeat traffic, UPDATE routing, quorum fan-out, and the node
 // lifecycle (Stop tears down heartbeaters, expectation timers, and the
 // application without leaking goroutines or timers).
 //
-// Two modes cover every composition in the repository:
+// Whether Options.NewSelection is set picks one of the two compositions
+// in the repository:
 //
-//   - ModeQuorumSelection runs the full stack: suspicions flow through
-//     the eventually-consistent suspicion store into an Algorithm-1/2
-//     selection module (supplied as a factory, so the kernel does not
-//     depend on any particular selector), and issued quorums fan out to
-//     the application.
-//   - ModeFDOnly runs network → failure detector → application, the
-//     wiring of the enumeration/broadcast/chain baselines: suspicions
-//     go straight to the configured OnSuspect hook, and no store or
+//   - With a selection factory the kernel runs the full stack:
+//     suspicions flow through the eventually-consistent suspicion store
+//     into an Algorithm-1/2 selection module (supplied as a factory, so
+//     the kernel does not depend on any particular selector), and issued
+//     quorums fan out to the application.
+//   - Without one it runs network → failure detector → application, the
+//     wiring of the enumeration and broadcast baselines: suspicions go
+//     straight to the configured OnSuspect hook, and no store or
 //     selector exists.
 package host
 
@@ -33,19 +34,6 @@ import (
 	"quorumselect/internal/storage"
 	"quorumselect/internal/suspicion"
 	"quorumselect/internal/wire"
-)
-
-// Mode selects which modules the kernel composes.
-type Mode int
-
-const (
-	// ModeQuorumSelection composes the full Figure 1 stack: failure
-	// detector, suspicion store, and a selection module built by
-	// Options.NewSelection.
-	ModeQuorumSelection Mode = iota + 1
-	// ModeFDOnly composes network → failure detector → application,
-	// with suspicions routed to Options.OnSuspect.
-	ModeFDOnly
 )
 
 // State is the host lifecycle state.
@@ -87,7 +75,7 @@ type App interface {
 }
 
 // QuorumApp is an App that also consumes the selection module's
-// ⟨QUORUM, Q⟩ events. Applications composed in ModeQuorumSelection
+// ⟨QUORUM, Q⟩ events. Applications composed with a selection module
 // normally implement it; the kernel type-asserts at Init.
 type QuorumApp interface {
 	App
@@ -103,7 +91,7 @@ type Stoppable interface {
 }
 
 // Selection is a quorum-selection state machine (Algorithm 1 or 2)
-// composed behind the suspicion store in ModeQuorumSelection.
+// composed behind the suspicion store.
 type Selection interface {
 	// OnSuspected receives the failure detector's ⟨SUSPECTED, S⟩.
 	OnSuspected(suspected ids.ProcSet)
@@ -128,23 +116,22 @@ type SelectionFactory func(env runtime.Env, store *suspicion.Store, detector *fd
 
 // Options configures a composed replica host.
 type Options struct {
-	// Mode selects the composition (required).
-	Mode Mode
 	// FD configures the failure detector.
 	FD fd.Options
-	// Store configures the suspicion store (ModeQuorumSelection only).
+	// Store configures the suspicion store (with a selection module
+	// only).
 	Store suspicion.Options
 	// HeartbeatPeriod enables the §II heartbeat traffic when positive.
 	HeartbeatPeriod time.Duration
 	// App is the optional application module.
 	App App
-	// NewSelection builds the selection module (required in
-	// ModeQuorumSelection, ignored in ModeFDOnly).
+	// NewSelection builds the selection module; nil composes the failure
+	// detector alone.
 	NewSelection SelectionFactory
-	// OnSuspect receives the detector's ⟨SUSPECTED, S⟩ in ModeFDOnly
-	// (may be nil when suspicions are masked, as in classic PBFT). In
-	// ModeQuorumSelection suspicions route to the selection module and
-	// this field is ignored.
+	// OnSuspect receives the detector's ⟨SUSPECTED, S⟩ when there is no
+	// selection module (may be nil when suspicions are masked, as in
+	// classic PBFT). With one, suspicions route to it and this field is
+	// ignored.
 	OnSuspect fd.OnSuspect
 	// Storage, when set, makes the host durable: at Init the kernel
 	// opens (and recovers) a storage.Store over this backend, restores
@@ -152,10 +139,6 @@ type Options struct {
 	// and persists suspicion writes from then on; Stop flushes and
 	// closes the WAL. Nil keeps the host fully in-memory.
 	Storage storage.Backend
-	// StorageOptions tune the WAL (segment size, group-commit batch,
-	// flush latency). The kernel fills Metrics and After from the
-	// environment when unset.
-	StorageOptions storage.Options
 }
 
 // Host is one composed replica process. It implements runtime.Node for
@@ -167,8 +150,8 @@ type Host struct {
 	env       runtime.Env
 	state     State
 	Detector  *fd.Detector
-	Store     *suspicion.Store // nil in ModeFDOnly
-	Selection Selection        // nil in ModeFDOnly
+	Store     *suspicion.Store // nil without a selection module
+	Selection Selection        // nil without a selection module
 	HB        *fd.Heartbeater  // nil when heartbeats are disabled
 
 	selHandler MessageHandler // Selection's message hook, if any
@@ -187,15 +170,6 @@ var (
 // raised to it: an expectation that cannot outlive the gap between two
 // heartbeats suspects every correct process on schedule.
 func New(opts Options) *Host {
-	switch opts.Mode {
-	case ModeQuorumSelection:
-		if opts.NewSelection == nil {
-			panic("host: ModeQuorumSelection requires a selection factory")
-		}
-	case ModeFDOnly:
-	default:
-		panic("host: Options.Mode is required")
-	}
 	if opts.HeartbeatPeriod > 0 && opts.FD.BaseTimeout < 3*opts.HeartbeatPeriod {
 		opts.FD.BaseTimeout = 3 * opts.HeartbeatPeriod
 	}
@@ -206,13 +180,12 @@ func New(opts Options) *Host {
 	return h
 }
 
-// Init implements runtime.Node: it wires the composition for the
-// configured mode and starts the heartbeat traffic.
+// Init implements runtime.Node: it wires the composition (with or
+// without a selection module) and starts the heartbeat traffic.
 func (h *Host) Init(env runtime.Env) {
 	h.env = env
 	h.Detector = fd.New(h.opts.FD)
-	switch h.opts.Mode {
-	case ModeQuorumSelection:
+	if h.opts.NewSelection != nil {
 		h.Store = suspicion.New(env.Config(), h.opts.Store)
 		h.Selection = h.opts.NewSelection(env, h.Store, h.Detector, h.issueQuorum)
 		if mh, ok := h.Selection.(MessageHandler); ok {
@@ -220,7 +193,7 @@ func (h *Host) Init(env runtime.Env) {
 		}
 		h.Store.Bind(env, h.Selection.UpdateQuorum)
 		h.Detector.Bind(env, h.deliver, h.Selection.OnSuspected)
-	case ModeFDOnly:
+	} else {
 		h.Detector.Bind(env, h.deliver, h.opts.OnSuspect)
 	}
 	if h.opts.App != nil {
@@ -278,16 +251,16 @@ func (h *Host) Env() runtime.Env { return h.env }
 // App returns the composed application module (nil when none).
 func (h *Host) App() App { return h.opts.App }
 
-// Quorums returns every quorum issued so far, in order
-// (ModeQuorumSelection; empty otherwise).
+// Quorums returns every quorum issued so far, in order (empty without
+// a selection module).
 func (h *Host) Quorums() []ids.Quorum {
 	out := make([]ids.Quorum, len(h.quorumLog))
 	copy(out, h.quorumLog)
 	return out
 }
 
-// CurrentQuorum returns the selection module's current quorum
-// (ModeQuorumSelection only).
+// CurrentQuorum returns the selection module's current quorum (hosts
+// with a selection module only).
 func (h *Host) CurrentQuorum() ids.Quorum { return h.Selection.Current() }
 
 // QuorumSystem returns the generalized quorum system the selection

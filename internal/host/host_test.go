@@ -146,7 +146,6 @@ func TestHostLifecycle(t *testing.T) {
 	cfg := ids.MustConfig(4, 1)
 	app := &recorder{}
 	h := host.New(host.Options{
-		Mode:            host.ModeFDOnly,
 		HeartbeatPeriod: 20 * time.Millisecond,
 		App:             app,
 	})
@@ -215,11 +214,17 @@ func TestHostLifecycle(t *testing.T) {
 	}
 }
 
-func TestNewPanicsWithoutMode(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted a zero Mode")
-		}
-	}()
-	host.New(host.Options{})
+// TestNewWithoutSelectionIsFDOnly pins how the composition is chosen:
+// a host given no selection factory runs network → failure detector →
+// application, with no suspicion store or selection module.
+func TestNewWithoutSelectionIsFDOnly(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	h := host.New(host.Options{})
+	sim.NewNetwork(cfg, map[ids.ProcessID]runtime.Node{1: h, 2: silent{}, 3: silent{}, 4: silent{}}, sim.Options{})
+	if h.State() != host.StateRunning || h.Detector == nil {
+		t.Fatalf("state %s, detector %v: want a running host with a detector", h.State(), h.Detector)
+	}
+	if h.Store != nil || h.Selection != nil || h.QuorumSystem() != nil {
+		t.Fatal("a host without a selection factory composed a store or selection module")
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"quorumselect/internal/obs"
 )
 
 // Clock supplies the timestamp for each event — in simulations, the
@@ -47,9 +49,8 @@ type Recorder struct {
 	clock Clock
 	max   Level
 
-	mu    sync.Mutex
-	buf   []Event
-	total uint64 // events ever captured
+	mu   sync.Mutex
+	ring obs.Ring[Event]
 }
 
 var _ Logger = (*Recorder)(nil)
@@ -67,7 +68,7 @@ func NewBounded(clock Clock, max Level, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{clock: clock, max: max, buf: make([]Event, capacity)}
+	return &Recorder{clock: clock, max: max, ring: obs.NewRing[Event](capacity)}
 }
 
 // Logf implements Logger.
@@ -82,30 +83,21 @@ func (r *Recorder) Logf(level Level, format string, args ...any) {
 	e := Event{At: at, Level: level, Message: fmt.Sprintf(format, args...)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf[int(r.total%uint64(len(r.buf)))] = e
-	r.total++
+	r.ring.Push(e)
 }
 
 // Len returns the number of retained events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return int(r.retained())
+	return r.ring.Len()
 }
 
 // Dropped returns how many events were evicted from the ring.
 func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total - r.retained()
-}
-
-// retained returns the number of events still in the ring (mu held).
-func (r *Recorder) retained() uint64 {
-	if r.total < uint64(len(r.buf)) {
-		return r.total
-	}
-	return uint64(len(r.buf))
+	return r.ring.Dropped()
 }
 
 // Filter selects events.
@@ -140,11 +132,10 @@ func (f Filter) match(e Event) bool {
 // order (which, under the deterministic simulator, is causal order).
 func (r *Recorder) Events(f Filter) []Event {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	all, _ := r.ring.Since(0)
+	r.mu.Unlock()
 	var out []Event
-	n := r.retained()
-	for i := r.total - n; i < r.total; i++ {
-		e := r.buf[int(i%uint64(len(r.buf)))]
+	for _, e := range all {
 		if f.match(e) {
 			out = append(out, e)
 		}

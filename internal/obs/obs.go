@@ -3,7 +3,7 @@
 // (EXPECT / SUSPECTED / DETECTED / CANCEL), quorum changes, view
 // changes, checkpoints and epoch advances.
 //
-// Where the trace package captures free-form log lines, obs events are
+// Where the logging recorder captures free-form log lines, obs events are
 // typed records with stable fields, so frontends can serve them over
 // HTTP (`GET /events?since=`) and experiments can assert on protocol
 // phases without grepping log text. Every event gets a monotonically
@@ -137,9 +137,8 @@ const DefaultCapacity = 65536
 
 // Bus is a bounded ring of events, safe for concurrent use.
 type Bus struct {
-	mu    sync.Mutex
-	buf   []Event
-	total uint64 // events ever published; the latest event's Seq
+	mu   sync.Mutex
+	ring Ring[Event] // an event's Seq is its ring sequence number
 }
 
 // NewBus returns a bus storing up to capacity events; capacity <= 0
@@ -148,7 +147,7 @@ func NewBus(capacity int) *Bus {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Bus{buf: make([]Event, capacity)}
+	return &Bus{ring: NewRing[Event](capacity)}
 }
 
 // Publish assigns the event's sequence number and stores it, evicting
@@ -157,39 +156,29 @@ func NewBus(capacity int) *Bus {
 func (b *Bus) Publish(e Event) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.total++
-	e.Seq = b.total
-	b.buf[int((b.total-1)%uint64(len(b.buf)))] = e
-	return e.Seq
+	e.Seq = b.ring.Total() + 1
+	return b.ring.Push(e)
 }
 
 // Total returns how many events were ever published (the latest Seq).
 func (b *Bus) Total() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.total
+	return b.ring.Total()
 }
 
 // Len returns how many events are currently retained.
 func (b *Bus) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return int(b.retained())
+	return b.ring.Len()
 }
 
 // Dropped returns how many events have been evicted from the ring.
 func (b *Bus) Dropped() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.total - b.retained()
-}
-
-// retained returns the number of events still in the ring (mu held).
-func (b *Bus) retained() uint64 {
-	if b.total < uint64(len(b.buf)) {
-		return b.total
-	}
-	return uint64(len(b.buf))
+	return b.ring.Dropped()
 }
 
 // Since returns a copy of every retained event with Seq > seq, in
@@ -198,20 +187,7 @@ func (b *Bus) retained() uint64 {
 func (b *Bus) Since(seq uint64) (events []Event, missed uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	oldest := b.total - b.retained() + 1 // seq of the oldest retained event
-	if b.total == 0 || seq >= b.total {
-		return nil, 0
-	}
-	start := seq + 1
-	if start < oldest {
-		missed = oldest - start
-		start = oldest
-	}
-	events = make([]Event, 0, b.total-start+1)
-	for s := start; s <= b.total; s++ {
-		events = append(events, b.buf[int((s-1)%uint64(len(b.buf)))])
-	}
-	return events, missed
+	return b.ring.Since(seq)
 }
 
 // Events returns every retained event in sequence order.

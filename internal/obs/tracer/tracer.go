@@ -27,14 +27,15 @@ import (
 	"time"
 
 	"quorumselect/internal/ids"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/wire"
 )
 
 // DefaultCapacity bounds the span ring when New is given no capacity:
 // enough for the recent history of a busy fleet without unbounded
 // growth. The ring holds pointers (span names), so its size is GC scan
-// work on every cycle — keep it modest, and grow it lazily (see
-// record) so idle or lightly-traced processes never pay for the cap.
+// work on every cycle — keep it modest; the ring grows lazily (see
+// obs.Ring) so idle or lightly-traced processes never pay for the cap.
 const DefaultCapacity = 4096
 
 // nodeShift positions the node identifier above the per-node sequence
@@ -73,12 +74,9 @@ func (s Span) Context() wire.TraceContext {
 type Tracer struct {
 	disabled atomic.Bool
 
-	mu    sync.Mutex
-	ring  []Span
-	limit int    // retention bound; the ring grows lazily up to it
-	next  int    // ring write cursor once full
-	total uint64 // spans ever recorded
-	seq   map[ids.ProcessID]uint64
+	mu   sync.Mutex
+	ring obs.Ring[Span]
+	seq  map[ids.ProcessID]uint64
 }
 
 // New creates a tracer retaining the last capacity spans
@@ -91,8 +89,8 @@ func New(capacity int) *Tracer {
 		capacity = DefaultCapacity
 	}
 	return &Tracer{
-		limit: capacity,
-		seq:   make(map[ids.ProcessID]uint64),
+		ring: obs.NewRing[Span](capacity),
+		seq:  make(map[ids.ProcessID]uint64),
 	}
 }
 
@@ -182,27 +180,7 @@ func (a Active) End(at time.Duration) {
 func (t *Tracer) record(s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) == cap(t.ring) && cap(t.ring) < t.limit {
-		// Grow geometrically, clamped to the retention bound so the
-		// GC never scans more backing array than the bound allows.
-		grown := 2 * cap(t.ring)
-		if grown == 0 {
-			grown = 64
-		}
-		if grown > t.limit {
-			grown = t.limit
-		}
-		next := make([]Span, len(t.ring), grown)
-		copy(next, t.ring)
-		t.ring = next
-	}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-	} else {
-		t.ring[t.next] = s
-		t.next = (t.next + 1) % len(t.ring)
-	}
-	t.total++
+	t.ring.Push(s)
 }
 
 // Spans returns the retained spans in recording order (oldest first).
@@ -212,9 +190,10 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
+	out, _ := t.ring.Since(0)
+	if out == nil {
+		out = []Span{} // an empty dump's spans serialize as [], not null
+	}
 	return out
 }
 
@@ -237,7 +216,7 @@ func (t *Tracer) Total() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Total()
 }
 
 // Dropped returns how many spans the ring has evicted.
@@ -247,5 +226,5 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total - uint64(len(t.ring))
+	return t.ring.Dropped()
 }

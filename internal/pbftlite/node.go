@@ -21,7 +21,8 @@ func NewQSNode(opts Options, nodeOpts core.NodeOptions) (*core.Node, *Replica) {
 
 // StandaloneNode runs a BroadcastAll replica with just a failure
 // detector (suspicions are recorded but masked, as in classic PBFT).
-// It is the replica-host kernel in ModeFDOnly with a nil OnSuspect.
+// It is the replica-host kernel without a selection module and with a
+// nil OnSuspect.
 type StandaloneNode struct {
 	*host.Host
 	Replica *Replica
@@ -38,7 +39,6 @@ func NewStandaloneNode(opts Options, fdOpts fd.Options, hbPeriod time.Duration) 
 	r := NewReplica(opts)
 	return &StandaloneNode{
 		Host: host.New(host.Options{
-			Mode:            host.ModeFDOnly,
 			FD:              fdOpts,
 			HeartbeatPeriod: hbPeriod,
 			App:             r,

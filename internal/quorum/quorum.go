@@ -65,14 +65,6 @@ type GraphSelector interface {
 	SelectQuorum(g *graph.Graph) ([]ids.ProcessID, bool)
 }
 
-// Sized is an optional System extension for uniform-size systems: every
-// minimal quorum has exactly QuorumSize members. The threshold system
-// implements it; the selectors read it to keep the paper's "quorum of
-// size q" wording in their log lines.
-type Sized interface {
-	QuorumSize() int
-}
-
 // ContainsQuorumer is an optional System extension answering the
 // monotone containment question "does set contain SOME quorum as a
 // subset?" — the predicate the intersection checker bipartitions are

@@ -10,7 +10,7 @@ import (
 )
 
 // genericOnly wraps a System and exposes ONLY the five interface
-// methods, hiding the GraphSelector/Sized/ContainsQuorumer fast paths,
+// methods, hiding the GraphSelector/ContainsQuorumer fast paths,
 // so tests can force the generic MinQuorums-driven code paths and diff
 // them against the specialized ones.
 type genericOnly struct{ sys System }

@@ -211,31 +211,6 @@ func Emit(env Env, e obs.Event) {
 	env.Events().Publish(e)
 }
 
-// Span measures one protocol phase against env's clock (virtual in
-// simulations, real on TCP), turning phase durations into histograms.
-type Span struct {
-	env   Env
-	name  string
-	start time.Duration
-}
-
-// StartSpan opens a phase timer; End records the elapsed duration, in
-// seconds, into the named histogram.
-func StartSpan(env Env, name string) Span {
-	return Span{env: env, name: name, start: env.Now()}
-}
-
-// End closes the span, observes the duration into the histogram named
-// at StartSpan, and returns it. A zero Span is a no-op.
-func (s Span) End() time.Duration {
-	if s.env == nil {
-		return 0
-	}
-	d := s.env.Now() - s.start
-	s.env.Metrics().Observe(s.name, d.Seconds())
-	return d
-}
-
 // TraceStart opens a causal span on env's tracer, stamped with env's
 // clock. A zero parent starts a new trace; a context taken off an
 // incoming frame joins the sender's trace. With tracing disabled the

@@ -41,7 +41,6 @@ func newDurableFDCluster(t *testing.T, n int) (*Network, []*durApp) {
 	for _, p := range cfg.All() {
 		apps[p] = &durApp{}
 		nodes[p] = host.New(host.Options{
-			Mode:            host.ModeFDOnly,
 			HeartbeatPeriod: 25 * time.Millisecond,
 			App:             apps[p],
 			Storage:         storage.NewMemBackend(),

@@ -22,7 +22,6 @@ type MemBackend struct {
 	mu       sync.Mutex
 	files    map[string]*memFileData
 	gen      uint64
-	crashes  int
 	skipSync bool
 
 	// volatileMeta models the weaker metadata-durability of a real
@@ -65,17 +64,9 @@ func (b *MemBackend) Crash() {
 		f.data = f.data[:f.durable]
 	}
 	b.gen++
-	b.crashes++
 	for _, child := range b.children {
 		child.Crash()
 	}
-}
-
-// Crashes returns how many times Crash has been called.
-func (b *MemBackend) Crashes() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.crashes
 }
 
 // SetSkipSync is a test-only tamper hook: while enabled, Sync reports

@@ -73,13 +73,6 @@ type Config struct {
 	Tracer *tracer.Tracer
 	// Seed drives the Env's randomness (default 1).
 	Seed int64
-	// VerifyWorkers sizes the off-loop signature-verification pool:
-	// inbound signed messages verify on pool workers instead of the
-	// event loop (arrival order preserved by the failure detector's
-	// pending-verify FIFO), and quorum-certificate batches fan out
-	// across them. 0 selects GOMAXPROCS workers; negative disables the
-	// pool and verifies synchronously on the loop.
-	VerifyWorkers int
 }
 
 // Host runs one runtime.Node over TCP.
@@ -105,8 +98,10 @@ type Host struct {
 	writers map[ids.ProcessID]*peerWriter
 	closed  bool
 
-	// pool verifies signatures off the event loop (nil when disabled
-	// via Config.VerifyWorkers < 0).
+	// pool verifies signatures off the event loop with GOMAXPROCS
+	// workers: inbound signed messages verify on it (arrival order kept
+	// by the failure detector's pending-verify FIFO), and
+	// quorum-certificate batches fan out across it.
 	pool *crypto.Pool
 
 	m   hostMetrics
@@ -197,12 +192,10 @@ func NewHost(cfg Config, node runtime.Node) (*Host, error) {
 		addrs:    make(map[ids.ProcessID]string, len(cfg.Peers)),
 		writers:  make(map[ids.ProcessID]*peerWriter),
 		m:        newHostMetrics(cfg.Metrics, cfg.Self),
+		pool:     crypto.NewPool(cfg.Auth, 0),
 	}
 	for p, a := range cfg.Peers {
 		h.addrs[p] = a
-	}
-	if cfg.VerifyWorkers >= 0 {
-		h.pool = crypto.NewPool(cfg.Auth, cfg.VerifyWorkers)
 	}
 	h.env = &hostEnv{
 		h:   h,
@@ -297,9 +290,7 @@ func (h *Host) Close() error {
 	// Stop the verification workers last: their pending completions
 	// post to h.events guarded by h.done, so they drain without
 	// blocking once the loop is gone.
-	if h.pool != nil {
-		h.pool.Close()
-	}
+	h.pool.Close()
 	return err
 }
 
@@ -634,23 +625,19 @@ var (
 // VerifyAsync implements runtime.AsyncVerifier: the signature check
 // runs on a pool worker and its completion is posted back onto the
 // event loop, so the loop spends none of its serial budget on ed25519
-// arithmetic. Reports false (verify synchronously) when the pool is
-// disabled.
+// arithmetic.
 func (e *hostEnv) VerifyAsync(m wire.Signed, done func(error)) bool {
 	return e.VerifyRawAsync(m.Signer(), m.SigBytes(), m.Signature(), done)
 }
 
-// VerifiesAsync implements runtime.AsyncVerifier: whether the host has
-// a verification pool.
-func (e *hostEnv) VerifiesAsync() bool { return e.h.pool != nil }
+// VerifiesAsync implements runtime.AsyncVerifier: a TCP host always
+// has a verification pool.
+func (e *hostEnv) VerifiesAsync() bool { return true }
 
 // VerifyRawAsync implements runtime.RawAsyncVerifier: the same pool
 // path as VerifyAsync for callers that rewrite the verified bytes
 // (the fleet's per-shard signing domains).
 func (e *hostEnv) VerifyRawAsync(signer ids.ProcessID, data, sig []byte, done func(error)) bool {
-	if e.h.pool == nil {
-		return false
-	}
 	e.h.m.verifyAsync.Inc()
 	e.h.pool.VerifyAsync(signer, data, sig, func(err error) {
 		select {
@@ -662,12 +649,8 @@ func (e *hostEnv) VerifyRawAsync(signer ids.ProcessID, data, sig []byte, done fu
 }
 
 // VerifyBatch implements runtime.BatchVerifier: one deduplicated,
-// fanned-out pass over a certificate's signatures. Nil (serial
-// fallback) when the pool is disabled.
+// fanned-out pass over a certificate's signatures.
 func (e *hostEnv) VerifyBatch(items []crypto.BatchItem) []error {
-	if e.h.pool == nil {
-		return nil
-	}
 	e.h.m.verifyBatched.Add(int64(len(items)))
 	return e.h.pool.VerifyBatch(items)
 }

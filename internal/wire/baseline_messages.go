@@ -170,121 +170,3 @@ func (m *PBFTCommit) Signature() []byte { return m.Sig }
 
 // SetSignature implements Signed.
 func (m *PBFTCommit) SetSignature(sig []byte) { m.Sig = sig }
-
-// ChainForward is the BChain-style baseline's forwarding message: the
-// request travels along a chain of active replicas; Hops records the
-// signatures-so-far path (here simplified to the visited replicas).
-type ChainForward struct {
-	Replica ids.ProcessID
-	Slot    uint64
-	Req     Request
-	Hops    []ids.ProcessID
-	Sig     []byte
-}
-
-// Kind implements Message.
-func (*ChainForward) Kind() Type { return TypeChainForward }
-
-func (m *ChainForward) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-}
-
-func (m *ChainForward) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeChainForward))
-	b.PutProc(m.Replica)
-	b.PutUint64(m.Slot)
-	m.Req.encodeBody(b)
-	b.PutProcs(m.Hops)
-}
-
-func (m *ChainForward) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeChainForward); err != nil {
-		return err
-	}
-	var err error
-	if m.Replica, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.Slot, err = r.Uint64(); err != nil {
-		return err
-	}
-	if err = m.Req.decodeBody(r); err != nil {
-		return err
-	}
-	if m.Hops, err = r.Procs(); err != nil {
-		return err
-	}
-	m.Sig, err = r.Bytes()
-	return err
-}
-
-// Signer implements Signed.
-func (m *ChainForward) Signer() ids.ProcessID { return m.Replica }
-
-// SigBytes implements Signed.
-func (m *ChainForward) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *ChainForward) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *ChainForward) SetSignature(sig []byte) { m.Sig = sig }
-
-// ChainAck travels back up the chain confirming execution.
-type ChainAck struct {
-	Replica ids.ProcessID
-	Slot    uint64
-	Sig     []byte
-}
-
-// Kind implements Message.
-func (*ChainAck) Kind() Type { return TypeChainAck }
-
-func (m *ChainAck) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-}
-
-func (m *ChainAck) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeChainAck))
-	b.PutProc(m.Replica)
-	b.PutUint64(m.Slot)
-}
-
-func (m *ChainAck) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeChainAck); err != nil {
-		return err
-	}
-	var err error
-	if m.Replica, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.Slot, err = r.Uint64(); err != nil {
-		return err
-	}
-	m.Sig, err = r.Bytes()
-	return err
-}
-
-// Signer implements Signed.
-func (m *ChainAck) Signer() ids.ProcessID { return m.Replica }
-
-// SigBytes implements Signed.
-func (m *ChainAck) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *ChainAck) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *ChainAck) SetSignature(sig []byte) { m.Sig = sig }

@@ -16,6 +16,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00})
 	f.Add(hostileUpdate())
+	for _, frame := range reservedTagFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(data)
 		if err != nil {

@@ -21,8 +21,6 @@ var (
 	_ Signed  = (*PrePrepare)(nil)
 	_ Signed  = (*PBFTPrepare)(nil)
 	_ Signed  = (*PBFTCommit)(nil)
-	_ Signed  = (*ChainForward)(nil)
-	_ Signed  = (*ChainAck)(nil)
 
 	_ TraceCarrier = (*Batch)(nil)
 	_ TraceCarrier = (*Prepare)(nil)

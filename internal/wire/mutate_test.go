@@ -23,6 +23,9 @@ func FuzzWireMutation(f *testing.F) {
 	}
 	f.Add([]byte{}, int64(0))
 	f.Add(hostileUpdate(), int64(0))
+	for _, frame := range reservedTagFrames() {
+		f.Add(frame, int64(0))
+	}
 	cfg := ids.MustConfig(16, 5)
 	ring := crypto.NewHMACRing(cfg, []byte("fuzz-mutation-master"))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {

@@ -20,7 +20,10 @@
 //     host's ingress (leader forwarding, mempool gossip).
 //   - PrePrepare/PBFTPrepare/PBFTCommit: the PBFT-style broadcast-all
 //     baseline used for the §I message-reduction claim.
-//   - ChainForward/ChainAck: the BChain-style chain baseline.
+//   - TMProposal/TMPrevote/TMPrecommit/TMDecided: the Tendermint-style
+//     consensus integration.
+//   - CommitCert/ShardEnvelope: XPaxos commit certificates and the
+//     fleet's per-shard routing frame.
 package wire
 
 import (
@@ -50,8 +53,8 @@ const (
 	TypePrePrepare
 	TypePBFTPrepare
 	TypePBFTCommit
-	TypeChainForward
-	TypeChainAck
+	_ // 13, 14: reserved — once the ChainForward/ChainAck frames of a
+	_ // removed bchain baseline; never reuse them.
 	TypeTMProposal
 	TypeTMPrevote
 	TypeTMPrecommit
@@ -92,10 +95,6 @@ func (t Type) String() string {
 		return "PBFT-PREPARE"
 	case TypePBFTCommit:
 		return "PBFT-COMMIT"
-	case TypeChainForward:
-		return "CHAIN-FORWARD"
-	case TypeChainAck:
-		return "CHAIN-ACK"
 	case TypeTMProposal:
 		return "TM-PROPOSAL"
 	case TypeTMPrevote:
@@ -276,10 +275,6 @@ func newMessage(t Type) Message {
 		return &PBFTPrepare{}
 	case TypePBFTCommit:
 		return &PBFTCommit{}
-	case TypeChainForward:
-		return &ChainForward{}
-	case TypeChainAck:
-		return &ChainAck{}
 	case TypeTMProposal:
 		return &TMProposal{}
 	case TypeTMPrevote:

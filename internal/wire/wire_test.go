@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -75,8 +77,6 @@ func sampleMessages() []Message {
 		&PrePrepare{Leader: 1, View: 0, Slot: 1, Req: req, Sig: []byte{4}},
 		&PBFTPrepare{phaseBody{Replica: 2, View: 0, Slot: 1, Digest: []byte{0xd}, Sig: []byte{6}}},
 		&PBFTCommit{phaseBody{Replica: 3, View: 0, Slot: 1, Digest: []byte{0xd}, Sig: []byte{7}}},
-		&ChainForward{Replica: 1, Slot: 2, Req: req, Hops: []ids.ProcessID{1, 2}, Sig: []byte{8}},
-		&ChainAck{Replica: 5, Slot: 2, Sig: []byte{9}},
 		&ShardEnvelope{Shard: 0, Frame: Encode(&Heartbeat{From: 2, Seq: 100})},
 		&ShardEnvelope{Shard: 3, Frame: Encode(&prep)},
 		&TMProposal{Proposer: 2, Height: 5, Round: 1, Req: req, Sig: []byte{10}},
@@ -136,6 +136,29 @@ func TestDecodeUnknownType(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Error("empty input decoded without error")
 	}
+	for _, frame := range reservedTagFrames() {
+		if _, err := Decode(frame); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("reserved tag %d: Decode err = %v, want ErrUnknownType", frame[0], err)
+		}
+	}
+}
+
+// reservedTagFrames are well-formed frames under the retired Type values
+// 13 and 14, as a peer running the old codec would send them.
+func reservedTagFrames() [][]byte {
+	return [][]byte{
+		mustHex("0d0d0000000100000000000000020000000000000007000000000000002a" +
+			"0000000773657420783d310000000200000001000000020000000108"),
+		mustHex("0e0e0000000500000000000000020000000109"),
+	}
+}
+
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func TestDecodeRejectsHugeSlices(t *testing.T) {

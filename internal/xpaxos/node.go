@@ -43,8 +43,6 @@ type StandaloneOptions struct {
 	// Storage, when set, makes the node durable (see
 	// host.Options.Storage).
 	Storage storage.Backend
-	// StorageOptions tune the WAL (see host.Options.StorageOptions).
-	StorageOptions storage.Options
 }
 
 // DefaultStandaloneOptions mirrors core.DefaultNodeOptions.
@@ -57,8 +55,8 @@ func DefaultStandaloneOptions() StandaloneOptions {
 
 // StandaloneNode runs an XPaxos replica in the original quorum-change
 // regime (ModeEnumeration): network → failure detector → replica, with
-// no quorum-selection module. It is the replica-host kernel in
-// ModeFDOnly, with FD suspicions feeding the replica directly to
+// no quorum-selection module. It is the replica-host kernel without a
+// selection module, with FD suspicions feeding the replica directly to
 // trigger next-quorum view changes.
 type StandaloneNode struct {
 	*host.Host
@@ -76,13 +74,11 @@ func NewStandaloneNode(opts StandaloneOptions) *StandaloneNode {
 	r := NewReplica(opts.Replica)
 	return &StandaloneNode{
 		Host: host.New(host.Options{
-			Mode:            host.ModeFDOnly,
 			FD:              opts.FD,
 			HeartbeatPeriod: opts.HeartbeatPeriod,
 			App:             r,
 			OnSuspect:       r.OnSuspected,
 			Storage:         opts.Storage,
-			StorageOptions:  opts.StorageOptions,
 		}),
 		Replica: r,
 	}

@@ -108,9 +108,6 @@ type (
 	// StorageBackend is the durable-storage interface a composed node
 	// persists through (see NodeOptions.Storage).
 	StorageBackend = storage.Backend
-	// StorageOptions tune the write-ahead log (segment size,
-	// group-commit batch, flush latency).
-	StorageOptions = storage.Options
 	// MemStorage is the in-memory StorageBackend with crash simulation,
 	// for tests and experiments.
 	MemStorage = storage.MemBackend
