@@ -7,7 +7,7 @@ BENCHTIME ?= 100ms
 # Seeds per protocol for `make chaos`.
 CHAOS_SEEDS ?= 50
 
-.PHONY: all build test race vet check examples clean golden lines bench-check profile-churn bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover
+.PHONY: all build test race vet check examples clean golden lines bench-check profile-churn bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover seeded
 
 all: build
 
@@ -152,6 +152,27 @@ lines:
 # intentional format change.
 golden:
 	UPDATE_GOLDEN=1 $(GO) test ./internal/metrics/
+
+# seeded prints the first 16 hex digits of the sha256 of every seeded
+# output a refactor must keep byte-identical (or move on purpose), one
+# "<hash>  <command>" line each. Every command is a pure function of its
+# seed, so comparing two checkouts is one diff:
+#   make seeded > a.txt; (in the other checkout) make seeded > b.txt; diff a.txt b.txt
+SEEDED_BIN = .bench_build/seeded
+seeded:
+	@mkdir -p $(SEEDED_BIN)
+	@$(GO) build -o $(SEEDED_BIN)/ ./cmd/benchpaper ./cmd/chaos ./cmd/fsim ./cmd/qsim ./cmd/loadgen
+	@set -e; \
+	sum() { echo "$$($(SEEDED_BIN)/"$$@" 2>&1 | sha256sum | cut -c1-16)  $$*"; }; \
+	sum benchpaper; \
+	for p in qs xpaxos; do for s in 0 7 41; do sum chaos -seed $$s -protocol $$p; done; done; \
+	sum chaos -sharded -seed 3; \
+	sum chaos -unsafe-spec -force-unsafe -seed 5; \
+	sum fsim; \
+	sum fsim -scenario crash -n 7 -f 2 -metrics-dump; \
+	sum qsim -trace QUORUM; \
+	sum loadgen -mode sim; \
+	sum loadgen -mode sim -topology examples/topologies/geo3.topo -faults crash-restart -fault-seed 1
 
 clean:
 	$(GO) clean ./...

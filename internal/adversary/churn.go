@@ -119,7 +119,7 @@ func RunQuorumChurn(net *sim.Network, nodes map[ids.ProcessID]*core.Node, opts C
 	}
 
 	used := make(map[uint64]map[Pair]bool) // epoch → pairs injected
-	res := ChurnResult{PerEpoch: make(map[uint64]int)}
+	var res ChurnResult
 
 	settle := func() {
 		net.Run(net.Now() + opts.SettleTime)
@@ -157,15 +157,7 @@ func RunQuorumChurn(net *sim.Network, nodes map[ids.ProcessID]*core.Node, opts C
 
 	res.QuorumsIssued = observer.Selector.QuorumsIssued()
 	res.FinalEpoch = observer.Selector.Epoch()
-	for e := uint64(1); e <= res.FinalEpoch; e++ {
-		count := observer.Selector.QuorumsIssuedInEpoch(e)
-		if count > 0 {
-			res.PerEpoch[e] = count
-		}
-		if count > res.MaxPerEpoch {
-			res.MaxPerEpoch = count
-		}
-	}
+	res.PerEpoch, res.MaxPerEpoch = perEpoch(observer.Selector)
 	res.Agreement = agreement(nodes)
 	return res
 }
@@ -193,7 +185,9 @@ func admissiblePairs(q ids.Quorum, f2 ids.ProcSet, victim Pair, used map[Pair]bo
 	return out
 }
 
-func agreement(nodes map[ids.ProcessID]*core.Node) bool {
+// agreement reports whether every node outputs the same quorum. Both
+// core.Node and follower.Node serve CurrentQuorum from their host.
+func agreement[N interface{ CurrentQuorum() ids.Quorum }](nodes map[ids.ProcessID]N) bool {
 	var first ids.Quorum
 	initialized := false
 	for _, n := range nodes {
@@ -208,4 +202,25 @@ func agreement(nodes map[ids.ProcessID]*core.Node) bool {
 		}
 	}
 	return true
+}
+
+// epochTally is what perEpoch reads of a selector; core.Selector and
+// follower.Selector both provide it.
+type epochTally interface {
+	Epoch() uint64
+	QuorumsIssuedInEpoch(e uint64) int
+}
+
+// perEpoch tallies the quorums a selector issued in each epoch up to
+// its current one, omitting empty epochs, and the largest tally.
+func perEpoch(sel epochTally) (per map[uint64]int, maxPer int) {
+	per = make(map[uint64]int)
+	for e := uint64(1); e <= sel.Epoch(); e++ {
+		count := sel.QuorumsIssuedInEpoch(e)
+		if count > 0 {
+			per[e] = count
+		}
+		maxPer = max(maxPer, count)
+	}
+	return per, maxPer
 }

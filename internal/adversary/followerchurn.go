@@ -79,7 +79,7 @@ func RunFollowerChurn(net *sim.Network, nodes map[ids.ProcessID]*follower.Node, 
 		suspecting[p] = ids.NewProcSet()
 	}
 
-	res := FollowerChurnResult{PerEpoch: make(map[uint64]int)}
+	var res FollowerChurnResult
 	settle := func() { net.Run(net.Now() + opts.SettleTime) }
 	settle()
 
@@ -115,32 +115,7 @@ func RunFollowerChurn(net *sim.Network, nodes map[ids.ProcessID]*follower.Node, 
 	res.QuorumsIssued = observer.Selector.QuorumsIssued()
 	res.FinalEpoch = observer.Selector.Epoch()
 	res.FinalLeader = observer.Selector.Leader()
-	for e := uint64(1); e <= res.FinalEpoch; e++ {
-		count := observer.Selector.QuorumsIssuedInEpoch(e)
-		if count > 0 {
-			res.PerEpoch[e] = count
-		}
-		if count > res.MaxPerEpoch {
-			res.MaxPerEpoch = count
-		}
-	}
-	res.Agreement = followerAgreement(nodes)
+	res.PerEpoch, res.MaxPerEpoch = perEpoch(observer.Selector)
+	res.Agreement = agreement(nodes)
 	return res
-}
-
-func followerAgreement(nodes map[ids.ProcessID]*follower.Node) bool {
-	var first ids.Quorum
-	initialized := false
-	for _, n := range nodes {
-		q := n.CurrentQuorum()
-		if !initialized {
-			first = q
-			initialized = true
-			continue
-		}
-		if !q.Equal(first) {
-			return false
-		}
-	}
-	return true
 }

@@ -177,13 +177,21 @@ type Result struct {
 // replayable dump.
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.FirstSeed + int64(i)
-		if v, _, _ := runSeed(cfg, seed, false); v != nil {
-			return Result{Protocol: cfg.Protocol, Seeds: i + 1, Violation: v}
+	return runSeeds(cfg.Protocol, cfg.FirstSeed, cfg.Seeds, func(seed int64) *Violation {
+		v, _, _ := runSeed(cfg, seed, false)
+		return v
+	})
+}
+
+// runSeeds is the campaign loop every scenario shares: it runs seeds
+// consecutive seeds from first and stops at the first violation.
+func runSeeds(protocol Protocol, first int64, seeds int, run func(seed int64) *Violation) Result {
+	for i := 0; i < seeds; i++ {
+		if v := run(first + int64(i)); v != nil {
+			return Result{Protocol: protocol, Seeds: i + 1, Violation: v}
 		}
 	}
-	return Result{Protocol: cfg.Protocol, Seeds: cfg.Seeds}
+	return Result{Protocol: protocol, Seeds: seeds}
 }
 
 // RunSeed executes one seed and returns its violation, if any.
@@ -378,30 +386,34 @@ func (r *RunState) dump(v *Violation) string {
 	} else {
 		b.WriteString("no violation\n")
 	}
-	evs := r.bus.Events()
-	if len(evs) > dumpEvents {
-		evs = evs[len(evs)-dumpEvents:]
-	}
-	fmt.Fprintf(&b, "events (last %d):\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
-	tes := r.rec.Events(logging.Filter{})
-	if len(tes) > dumpTrace {
-		tes = tes[len(tes)-dumpTrace:]
-	}
+	writeEventTail(&b, r.bus)
+	tes := last(r.rec.Events(logging.Filter{}), dumpTrace)
 	fmt.Fprintf(&b, "trace (last %d):\n", len(tes))
 	for _, e := range tes {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
-	spans := r.spans.Spans()
-	if len(spans) > dumpSpans {
-		spans = spans[len(spans)-dumpSpans:]
-	}
+	spans := last(r.spans.Spans(), dumpSpans)
 	fmt.Fprintf(&b, "spans (last %d):\n", len(spans))
 	for _, s := range spans {
 		fmt.Fprintf(&b, "  %s node=%s trace=%x id=%x parent=%x start=%s dur=%s slot=%d view=%d\n",
 			s.Name, s.Node, s.Trace, s.ID, s.Parent, s.Start, s.Dur, s.Slot, s.View)
 	}
 	return b.String()
+}
+
+// writeEventTail appends the last dumpEvents events of bus to a dump.
+func writeEventTail(b *strings.Builder, bus *obs.Bus) {
+	evs := last(bus.Events(), dumpEvents)
+	fmt.Fprintf(b, "events (last %d):\n", len(evs))
+	for _, e := range evs {
+		fmt.Fprintf(b, "  %s\n", e)
+	}
+}
+
+// last returns the final n elements of s (all of s if it is shorter).
+func last[T any](s []T, n int) []T {
+	if len(s) > n {
+		return s[len(s)-n:]
+	}
+	return s
 }

@@ -51,13 +51,10 @@ type ShardedConfig struct {
 // and stops at the first invariant violation.
 func RunSharded(cfg ShardedConfig) Result {
 	cfg = cfg.shardedDefaults()
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.FirstSeed + int64(i)
-		if v, _ := runShardedSeed(cfg, seed, false); v != nil {
-			return Result{Protocol: "sharded", Seeds: i + 1, Violation: v}
-		}
-	}
-	return Result{Protocol: "sharded", Seeds: cfg.Seeds}
+	return runSeeds("sharded", cfg.FirstSeed, cfg.Seeds, func(seed int64) *Violation {
+		v, _ := runShardedSeed(cfg, seed, false)
+		return v
+	})
 }
 
 // ReplaySharded executes one seed and returns the full dump regardless
@@ -283,13 +280,6 @@ func (r *shardedRun) dump(seed int64, v *Violation) string {
 		}
 		b.WriteString("]\n")
 	}
-	evs := r.bus.Events()
-	if len(evs) > dumpEvents {
-		evs = evs[len(evs)-dumpEvents:]
-	}
-	fmt.Fprintf(&b, "events (last %d):\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
+	writeEventTail(&b, r.bus)
 	return b.String()
 }

@@ -87,13 +87,10 @@ func (c UnsafeSpecConfig) unsafeDefaults() UnsafeSpecConfig {
 // and its absence is reported by the caller as the failure.
 func RunUnsafeSpec(cfg UnsafeSpecConfig) Result {
 	cfg = cfg.unsafeDefaults()
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.FirstSeed + int64(i)
-		if v, _ := runUnsafeSpecSeed(cfg, seed, false); v != nil {
-			return Result{Protocol: "unsafe-spec", Seeds: i + 1, Violation: v}
-		}
-	}
-	return Result{Protocol: "unsafe-spec", Seeds: cfg.Seeds}
+	return runSeeds("unsafe-spec", cfg.FirstSeed, cfg.Seeds, func(seed int64) *Violation {
+		v, _ := runUnsafeSpecSeed(cfg, seed, false)
+		return v
+	})
 }
 
 // ReplayUnsafeSpec executes one seed and returns the full dump
@@ -316,13 +313,6 @@ func (r *unsafeSpecRun) forceDump(seed int64, v *Violation, pair [2][]ids.Proces
 			fmt.Fprintf(&b, "    slot=%d client=%d seq=%d\n", e.Slot, e.Client, e.Seq)
 		}
 	}
-	evs := r.bus.Events()
-	if len(evs) > dumpEvents {
-		evs = evs[len(evs)-dumpEvents:]
-	}
-	fmt.Fprintf(&b, "events (last %d):\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
+	writeEventTail(&b, r.bus)
 	return b.String()
 }

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"quorumselect/internal/metrics"
 )
 
 // Summary is the machine-readable result of one load run — what
@@ -91,11 +93,13 @@ const DefaultBucketWidth = 500 * time.Millisecond
 
 // Recorder accumulates per-request accounting for one run. All
 // timestamps are offsets from the run start (wall or virtual). Safe
-// for concurrent use.
+// for concurrent use. Latency histograms hold nanoseconds and count
+// every completion, so the tail percentiles are exact counts to 1/128
+// bucket precision, never a sample of them.
 type Recorder struct {
 	mu      sync.Mutex
 	bucketW time.Duration
-	hist    *Hist
+	hist    metrics.Histogram
 	buckets []*bucket
 
 	offered, sent, shed, completed, failed, late uint64
@@ -103,7 +107,7 @@ type Recorder struct {
 
 type bucket struct {
 	sent, completed, failed uint64
-	hist                    *Hist
+	hist                    metrics.Histogram
 }
 
 // NewRecorder returns a Recorder with the given timeline bucket width
@@ -112,7 +116,7 @@ func NewRecorder(bucketWidth time.Duration) *Recorder {
 	if bucketWidth <= 0 {
 		bucketWidth = DefaultBucketWidth
 	}
-	return &Recorder{bucketW: bucketWidth, hist: NewHist()}
+	return &Recorder{bucketW: bucketWidth}
 }
 
 // bucketFor returns the timeline bucket covering the intended offset,
@@ -123,7 +127,7 @@ func (r *Recorder) bucketFor(intended time.Duration) *bucket {
 		i = 0
 	}
 	for len(r.buckets) <= i {
-		r.buckets = append(r.buckets, &bucket{hist: NewHist()})
+		r.buckets = append(r.buckets, new(bucket))
 	}
 	return r.buckets[i]
 }
@@ -160,10 +164,10 @@ func (r *Recorder) Sent(intended, actual time.Duration) {
 func (r *Recorder) Complete(intended, latency time.Duration) {
 	r.mu.Lock()
 	r.completed++
-	r.hist.Add(latency)
+	r.hist.Observe(float64(latency))
 	b := r.bucketFor(intended)
 	b.completed++
-	b.hist.Add(latency)
+	b.hist.Observe(float64(latency))
 	r.mu.Unlock()
 }
 
@@ -184,6 +188,9 @@ func (r *Recorder) Completed() uint64 {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// pms is the p-th percentile of a nanosecond histogram in milliseconds.
+func pms(h *metrics.Histogram, p float64) float64 { return ms(time.Duration(h.Percentile(p))) }
+
 // Summarize freezes the recorder into a Summary. elapsed is the
 // arrival window; fault, when non-nil, triggers the recovery analysis
 // (Desc and AtS must be filled in by the caller).
@@ -201,13 +208,13 @@ func (r *Recorder) Summarize(elapsed time.Duration, fault *FaultReport) *Summary
 		Unfinished: r.sent - r.completed - r.failed,
 		LateSends:  r.late,
 		LatencyMs: Latencies{
-			P50:   ms(r.hist.Percentile(50)),
-			P90:   ms(r.hist.Percentile(90)),
-			P99:   ms(r.hist.Percentile(99)),
-			P999:  ms(r.hist.Percentile(99.9)),
-			P9999: ms(r.hist.Percentile(99.99)),
-			Mean:  ms(r.hist.Mean()),
-			Max:   ms(r.hist.Max()),
+			P50:   pms(&r.hist, 50),
+			P90:   pms(&r.hist, 90),
+			P99:   pms(&r.hist, 99),
+			P999:  pms(&r.hist, 99.9),
+			P9999: pms(&r.hist, 99.99),
+			Mean:  ms(time.Duration(r.hist.Mean())),
+			Max:   ms(time.Duration(r.hist.MaxSeen)),
 		},
 	}
 	if elapsed > 0 {
@@ -223,8 +230,8 @@ func (r *Recorder) Summarize(elapsed time.Duration, fault *FaultReport) *Summary
 			Sent:      b.sent,
 			Completed: b.completed,
 			Failed:    b.failed,
-			P50Ms:     ms(b.hist.Percentile(50)),
-			P99Ms:     ms(b.hist.Percentile(99)),
+			P50Ms:     pms(&b.hist, 50),
+			P99Ms:     pms(&b.hist, 99),
 		})
 	}
 	if fault != nil {
@@ -245,8 +252,8 @@ func (r *Recorder) analyzeFault(rep *FaultReport) {
 	var pre []float64
 	for i, b := range r.buckets {
 		end := time.Duration(i+1) * r.bucketW
-		if end <= faultAt && b.hist.Count() > 0 {
-			pre = append(pre, ms(b.hist.Percentile(99)))
+		if end <= faultAt && b.hist.Count > 0 {
+			pre = append(pre, pms(&b.hist, 99))
 		}
 	}
 	if len(pre) == 0 {
@@ -259,10 +266,10 @@ func (r *Recorder) analyzeFault(rep *FaultReport) {
 	for i, b := range r.buckets {
 		start := time.Duration(i) * r.bucketW
 		end := start + r.bucketW
-		if end <= faultAt || b.hist.Count() == 0 {
+		if end <= faultAt || b.hist.Count == 0 {
 			continue
 		}
-		p99 := ms(b.hist.Percentile(99))
+		p99 := pms(&b.hist, 99)
 		if p99 > rep.SpikeP99Ms {
 			rep.SpikeP99Ms = p99
 		}

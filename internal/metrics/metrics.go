@@ -10,9 +10,9 @@
 //
 //   - gauges (Set/Add semantics, optionally labeled),
 //   - labeled counters (e.g. messages_total{type="commit",dir="sent"}),
-//   - bounded-memory histograms: count/sum/min/max are always exact;
-//     percentiles are exact up to ReservoirSize samples and computed
-//     over a deterministic uniform reservoir beyond it,
+//   - histograms that count every sample in log-spaced buckets:
+//     count/sum/min/max are exact and percentiles are within 1/128 of
+//     the true value at any magnitude (see Histogram),
 //   - a Snapshot() of everything, and a Prometheus-text-format
 //     exposition via WriteTo (see prometheus.go).
 package metrics
@@ -139,7 +139,7 @@ func (g *GaugeHandle) reset() {
 }
 
 // HistHandle is one resolved histogram; see CounterHandle. Observe
-// takes the histogram's own lock (the reservoir is not atomic), never
+// takes the histogram's own lock (its buckets are not atomic), never
 // the registry's.
 type HistHandle struct {
 	mu sync.Mutex
@@ -149,7 +149,7 @@ type HistHandle struct {
 // Observe records a sample.
 func (h *HistHandle) Observe(v float64) {
 	h.mu.Lock()
-	h.h.add(v)
+	h.h.Observe(v)
 	h.mu.Unlock()
 }
 
@@ -389,107 +389,4 @@ func (r *Registry) String() string {
 type NamedCount struct {
 	Name  string
 	Value int64
-}
-
-// ReservoirSize bounds the per-histogram sample memory. Percentiles are
-// exact while the sample count is at or below it and approximate (over
-// a uniform reservoir) beyond it.
-const ReservoirSize = 1024
-
-// Histogram accumulates scalar samples and exposes summary statistics.
-// Count, Sum, MinSeen and MaxSeen are exact regardless of sample count;
-// Percentile is exact up to ReservoirSize samples and computed over a
-// deterministic uniform reservoir (Vitter's Algorithm R with a fixed
-// PRNG seed) above it, so memory stays bounded on arbitrarily long
-// runs and two identical runs report identical percentiles.
-type Histogram struct {
-	Count   int64
-	Sum     float64
-	MinSeen float64
-	MaxSeen float64
-	samples []float64
-	rng     uint64
-}
-
-// nextRand is a xorshift64* step — deterministic, seeded with a fixed
-// constant on first use (so the zero Histogram is ready to use),
-// independent of the global rand state.
-func (h *Histogram) nextRand() uint64 {
-	x := h.rng
-	if x == 0 {
-		x = 0x9e3779b97f4a7c15
-	}
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	h.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (h *Histogram) add(v float64) {
-	if h.Count == 0 || v < h.MinSeen {
-		h.MinSeen = v
-	}
-	if h.Count == 0 || v > h.MaxSeen {
-		h.MaxSeen = v
-	}
-	h.Count++
-	h.Sum += v
-	if len(h.samples) < ReservoirSize {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Algorithm R: the i-th sample (1-based) replaces a random reservoir
-	// slot with probability ReservoirSize/i, keeping the reservoir a
-	// uniform sample of everything seen.
-	j := h.nextRand() % uint64(h.Count)
-	if j < uint64(ReservoirSize) {
-		h.samples[j] = v
-	}
-}
-
-func (h *Histogram) snapshot() Histogram {
-	cp := *h
-	cp.samples = make([]float64, len(h.samples))
-	copy(cp.samples, h.samples)
-	return cp
-}
-
-// Mean returns the arithmetic mean of the samples, or 0 with no samples.
-func (h Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// Exact reports whether Percentile is computed over every observed
-// sample (true while Count ≤ ReservoirSize) rather than a reservoir.
-func (h Histogram) Exact() bool { return h.Count <= ReservoirSize }
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using the
-// nearest-rank definition: the sample at rank ⌈p/100·N⌉ of the sorted
-// samples (p = 0 selects the minimum). 0 with no samples. The result
-// is exact while Exact() holds and reservoir-approximate beyond.
-func (h Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(h.samples))
-	copy(s, h.samples)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
 }
