@@ -15,8 +15,9 @@ import (
 // (`make profile-churn`) without touching bench/: the Theorem 4
 // adversary with PickRandom against Algorithm 1 alone, heartbeats off,
 // one-way delay uniform in [1.5 ms, 2.5 ms], 50 injections per game.
-// Nearly all of its work is UPDATE deliveries (n² + 1 per injected
-// suspicion), so the custom metrics report cost per delivery.
+// Nearly all of its work is UPDATE deliveries (the owner's n sends plus
+// (n−1)(f+1) ring forwards per injected suspicion, and the epoch
+// re-issues), so the custom metrics report cost per delivery.
 func BenchmarkQuorumChurn(b *testing.B) {
 	for _, size := range []struct{ n, f int }{{31, 10}, {64, 21}} {
 		b.Run(fmt.Sprintf("n=%d", size.n), func(b *testing.B) {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"quorumselect/internal/ids"
 )
@@ -36,7 +37,7 @@ func defaultCheckers(p Protocol) []Checker {
 		&completenessChecker{},
 	}
 	if p.settles() {
-		cs = append(cs, &agreementChecker{}, &terminationChecker{})
+		cs = append(cs, &agreementChecker{}, &convergenceChecker{}, &terminationChecker{})
 	}
 	if p.smr() {
 		cs = append(cs, &historyChecker{})
@@ -156,6 +157,41 @@ func (agreementChecker) Check(r *RunState, phase Phase) error {
 		if !q.Equal(*ref) {
 			return fmt.Errorf("quorum disagreement after settling: %s has %s, %s has %s",
 				refProc, *ref, p, q)
+		}
+	}
+	return nil
+}
+
+// convergenceChecker verifies Lemma 1's premise directly: after faults
+// stop and suspicions settle, every correct process holds the same
+// suspicion matrix. qs-agreement only implies it (equal matrices give
+// equal quorums, not the converse). Faulty processes are excluded, and
+// with them every restarted one: only faulty processes crash.
+type convergenceChecker struct{}
+
+func (convergenceChecker) Name() string { return "suspicion-convergence" }
+
+func (convergenceChecker) Check(r *RunState, phase Phase) error {
+	if phase != PhaseFinal {
+		return nil
+	}
+	var ref [][]uint64
+	var refProc ids.ProcessID
+	for _, p := range r.cfg.All() {
+		h := r.host(p)
+		if !r.cluster.Running(p) || h.Store == nil || r.Scenario.Faulty.Contains(p) {
+			continue
+		}
+		m := h.Store.Snapshot()
+		if ref == nil {
+			ref, refProc = m, p
+			continue
+		}
+		for l := range m {
+			if !slices.Equal(m[l], ref[l]) {
+				return fmt.Errorf("suspicion matrices differ after settling: %s's row is %v at %s, %v at %s",
+					ids.ProcessID(l+1), ref[l], refProc, m[l], p)
+			}
 		}
 	}
 	return nil

@@ -14,9 +14,10 @@ import (
 // size, the regime the paper positions it for ("consortium or
 // permissioned blockchains", §VI-C): virtual time until all correct
 // processes agree on a quorum excluding a crashed member, the UPDATE
-// traffic that convergence costs (the forwarded eventually-consistent
-// broadcasts, Θ(n²) per suspicion event), and the independent-set
-// computation's share of it.
+// traffic that convergence costs (each owner's broadcast to the n−1
+// others, plus one forward to the f+1 ring successors by every process
+// whose matrix a row changed), and the independent-set computation's
+// share of it.
 func E12Scalability(sizes []int) Table {
 	t := Table{
 		ID:    "E12",
@@ -26,7 +27,7 @@ func E12Scalability(sizes []int) Table {
 		},
 		Notes: []string{
 			"one crashed default-quorum member; virtual time from crash detection window start to agreement",
-			"UPDATE traffic grows Θ(n²) per suspicion event (broadcast + forward-on-change)",
+			"UPDATE traffic: n−1 per owner broadcast (plus its self-copy) and f+1 per changed-row forward to the ring successors (n−1 under the paper's flood)",
 		},
 	}
 	for _, n := range sizes {

@@ -10,7 +10,7 @@ package ids
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // ProcessID identifies a process in Π. IDs are 1-based; 0 is reserved as
@@ -25,7 +25,29 @@ func (p ProcessID) String() string {
 	if p == None {
 		return "p?"
 	}
-	return fmt.Sprintf("p%d", int(p))
+	return "p" + strconv.Itoa(int(p))
+}
+
+// appendTo appends the paper-style name of p to b. The set and quorum
+// renderings build their whole string with it in one buffer: a QUORUM
+// event formats one per process per quorum change.
+func (p ProcessID) appendTo(b []byte) []byte {
+	if p == None {
+		return append(b, "p?"...)
+	}
+	return strconv.AppendInt(append(b, 'p'), int64(p), 10)
+}
+
+// appendMembers appends ps in paper set notation, e.g. "{p1,p3,p4}".
+func appendMembers(b []byte, ps []ProcessID) []byte {
+	b = append(b, '{')
+	for i, p := range ps {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = p.appendTo(b)
+	}
+	return append(b, '}')
 }
 
 // Valid reports whether p is a legal identifier in a system of n processes.
@@ -218,14 +240,7 @@ func (s ProcSet) Min() ProcessID {
 }
 
 // String renders the set in sorted paper notation, e.g. "{p1,p3,p4}".
-func (s ProcSet) String() string {
-	ps := s.Sorted()
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = p.String()
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
+func (s ProcSet) String() string { return string(appendMembers(nil, s.Sorted())) }
 
 // Quorum is an ordered, immutable-by-convention quorum as issued by the
 // selection modules: a sorted slice of q distinct processes, plus an
@@ -296,15 +311,15 @@ func (q Quorum) Equal(o Quorum) bool {
 
 // String renders the quorum, including the leader when designated.
 func (q Quorum) String() string {
-	parts := make([]string, len(q.Members))
-	for i, p := range q.Members {
-		parts[i] = p.String()
+	// Room for "p64," per member and the leader prefix; append grows it
+	// for larger identifiers.
+	b := make([]byte, 0, 4*len(q.Members)+16)
+	if q.Leader == None {
+		return string(appendMembers(b, q.Members))
 	}
-	body := "{" + strings.Join(parts, ",") + "}"
-	if q.Leader != None {
-		return fmt.Sprintf("⟨leader=%s, %s⟩", q.Leader, body)
-	}
-	return body
+	b = q.Leader.appendTo(append(b, "⟨leader="...))
+	b = appendMembers(append(b, ", "...), q.Members)
+	return string(append(b, "⟩"...))
 }
 
 // Less orders quorums lexicographically by their sorted member lists,

@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -304,5 +306,44 @@ func TestProcSetMinusDisjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStringMatchesFmtRendering pins the strconv renderings of
+// ProcessID, ProcSet and Quorum byte for byte to the fmt-based ones
+// they replaced: QUORUM event details and seeded traces embed them.
+func TestStringMatchesFmtRendering(t *testing.T) {
+	name := func(p ProcessID) string {
+		if p == None {
+			return "p?"
+		}
+		return fmt.Sprintf("p%d", int(p))
+	}
+	body := func(ps []ProcessID) string {
+		parts := make([]string, len(ps))
+		for i, p := range ps {
+			parts[i] = name(p)
+		}
+		return "{" + strings.Join(parts, ",") + "}"
+	}
+	for _, p := range []ProcessID{None, 1, 9, 10, 64, 1024, -3} {
+		if got, want := p.String(), name(p); got != want {
+			t.Errorf("ProcessID(%d).String() = %q, want %q", int(p), got, want)
+		}
+	}
+	for _, members := range [][]ProcessID{nil, {1}, {2, 7, 10}, {1, 2, 3, 64, 1000}} {
+		if got, want := FromSlice(members).String(), body(members); got != want {
+			t.Errorf("ProcSet.String() = %q, want %q", got, want)
+		}
+		q := NewQuorum(members)
+		if got, want := q.String(), body(members); got != want {
+			t.Errorf("Quorum.String() = %q, want %q", got, want)
+		}
+		for _, leader := range []ProcessID{1, 12} {
+			q.Leader = leader
+			if got, want := q.String(), fmt.Sprintf("⟨leader=%s, %s⟩", name(leader), body(members)); got != want {
+				t.Errorf("leader Quorum.String() = %q, want %q", got, want)
+			}
+		}
 	}
 }

@@ -162,7 +162,7 @@ type Network struct {
 	queue   eventQueue
 	envs    map[ids.ProcessID]*procEnv
 	nodes   map[ids.ProcessID]runtime.Node
-	lastArr map[linkKey]time.Duration
+	lastArr []time.Duration // per-link FIFO clamp, see arrival
 	rng     *rand.Rand
 	metrics *metrics.Registry
 	m       netMetrics
@@ -174,10 +174,6 @@ type Network struct {
 	// that protocol code may hold (and Stop) long after they fire, so
 	// reusing those would let a stale handle cancel an unrelated event.
 	free []*event
-}
-
-type linkKey struct {
-	from, to ids.ProcessID
 }
 
 // netMetrics holds the message-accounting series, resolved once per
@@ -227,7 +223,7 @@ func NewNetwork(cfg ids.Config, nodes map[ids.ProcessID]runtime.Node, opts Optio
 		opts:    opts,
 		envs:    make(map[ids.ProcessID]*procEnv, cfg.N),
 		nodes:   make(map[ids.ProcessID]runtime.Node, cfg.N),
-		lastArr: make(map[linkKey]time.Duration),
+		lastArr: make([]time.Duration, cfg.N*cfg.N),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		metrics: opts.Metrics,
 		m:       newNetMetrics(opts.Metrics),
@@ -500,7 +496,9 @@ func (n *Network) send(from, to ids.ProcessID, m wire.Message) {
 
 // arrival computes the delivery time of one transmission on a link:
 // latency model plus adversary delay, clamped to per-link FIFO unless
-// reordering was opted into.
+// reordering was opted into. lastArr[(from−1)·n + (to−1)] holds the
+// latest arrival scheduled on from→to; its initial zero never exceeds
+// an arrival time, so it needs no "seen" flag.
 func (n *Network) arrival(from, to ids.ProcessID, delay time.Duration) time.Duration {
 	lat := n.opts.Latency(from, to, n.rng) + delay
 	if lat < 0 {
@@ -510,12 +508,12 @@ func (n *Network) arrival(from, to ids.ProcessID, delay time.Duration) time.Dura
 	if n.opts.AllowReorder {
 		return at
 	}
-	key := linkKey{from: from, to: to}
 	// Reliable FIFO links: arrival times on one link never reorder.
-	if last, ok := n.lastArr[key]; ok && at < last {
-		at = last
+	link := &n.lastArr[(int(from)-1)*n.cfg.N+int(to)-1]
+	if at < *link {
+		at = *link
 	}
-	n.lastArr[key] = at
+	*link = at
 	return at
 }
 

@@ -10,6 +10,17 @@
 // as the paper observes, equivocation only makes the merged state grow
 // faster.
 //
+// Forwarding deviates from Algorithm 1 line 23, which re-broadcasts a
+// changed row to all n−1 peers: a store forwards it only to its next
+// min(f+1, n−1) processes in ring order. Among any f+1 consecutive
+// processes one is correct, so every correct process's state is
+// eventually covered by the next correct process's, and going round the
+// ring every correct process ends in the same state (Lemma 1's premise).
+// A row then costs the owner's n sends (self-copy included) plus
+// (n−1)(f+1) forwards instead of (n−1)². A correct owner still reaches
+// everyone in one hop; a row a Byzantine owner hands to a single correct
+// process needs at most ⌈(n−1)/(f+1)⌉+2 hops (DESIGN.md §1).
+//
 // The suspect graph of §VI-B is maintained incrementally: every matrix
 // write updates a version-stamped cached graph edge-by-edge, and epoch
 // advances prune stale edges in O(edges), so selectors obtain the graph
@@ -38,14 +49,15 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Forward controls gossip forwarding of changed updates (Algorithm
-	// 1 line 23). Disabling it is the E10(a) ablation: correct
-	// processes then only converge if the original sender reaches
-	// everyone directly.
+	// Forward controls forwarding of changed updates to the f+1 ring
+	// successors (Algorithm 1 line 23, see the package comment).
+	// Disabling it is the E10(a) ablation: correct processes then only
+	// converge if the original sender reaches everyone directly.
 	Forward bool
 }
 
-// DefaultOptions returns the paper's configuration (forwarding on).
+// DefaultOptions returns the configuration every deployment runs:
+// forwarding on.
 func DefaultOptions() Options { return Options{Forward: true} }
 
 // Store is one process's replica of the suspicion matrix, together
@@ -54,6 +66,8 @@ type Store struct {
 	env  runtime.Env
 	opts Options
 	cfg  ids.Config
+	// forwardTo is where a changed row goes: forwardTargets of self.
+	forwardTo []ids.ProcessID
 
 	// mu guards the matrix, epoch, and the cached suspect graph. The
 	// protocol itself is single-threaded; the lock exists so that
@@ -127,6 +141,7 @@ func New(cfg ids.Config, opts Options) *Store {
 func (s *Store) Bind(env runtime.Env, onChange func()) {
 	s.env = env
 	s.onChange = onChange
+	s.forwardTo = forwardTargets(s.cfg, env.ID())
 	s.log = env.Logger()
 	reg := env.Metrics()
 	s.m = storeMetrics{
@@ -141,6 +156,22 @@ func (s *Store) Bind(env runtime.Env, onChange func()) {
 		epoch:         runtime.NodeGauge(env, "suspicion.epoch"),
 	}
 	runtime.NodeGauge(env, "graph.n").Set(float64(s.cfg.N))
+}
+
+// forwardTargets returns the processes self forwards a changed row to:
+// its f+1 ring successors, where f is the config's failure threshold.
+func forwardTargets(cfg ids.Config, self ids.ProcessID) []ids.ProcessID {
+	return ringSuccessors(self, cfg.N, cfg.F+1)
+}
+
+// ringSuccessors returns the min(k, n−1) processes after self in ring
+// order: self+1, …, self+k (mod n).
+func ringSuccessors(self ids.ProcessID, n, k int) []ids.ProcessID {
+	out := make([]ids.ProcessID, min(k, n-1))
+	for i := range out {
+		out[i] = ids.ProcessID((int(self)+i)%n + 1)
+	}
+	return out
 }
 
 // SetPersister installs the durable-log hook. Call it after restoring
@@ -357,8 +388,9 @@ func (s *Store) ObserveEpoch(e uint64) {
 
 // HandleUpdate merges a (signature-verified) UPDATE message into the
 // matrix (Algorithm 1 lines 16-24). It returns true if the local state
-// changed; in that case the message was forwarded to all other
-// processes and the onChange hook fired.
+// changed; in that case the same signed message was forwarded to the
+// f+1 ring successors (when Options.Forward is set) and the onChange
+// hook fired.
 func (s *Store) HandleUpdate(m *wire.Update) bool {
 	if !m.Owner.Valid(s.cfg.N) || len(m.Row) != s.cfg.N {
 		s.m.malformed.Inc()
@@ -385,7 +417,9 @@ func (s *Store) HandleUpdate(m *wire.Update) bool {
 	s.updateSizeGauge()
 	if s.opts.Forward {
 		s.m.forwarded.Inc()
-		runtime.Broadcast(s.env, m, false)
+		for _, p := range s.forwardTo {
+			s.env.Send(p, m)
+		}
 	}
 	if s.onChange != nil {
 		s.onChange()

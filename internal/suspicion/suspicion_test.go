@@ -111,6 +111,48 @@ func TestNoForwardingAblation(t *testing.T) {
 	}
 }
 
+// TestRingForwardDefeatsSelectiveOwner is the ring forward's worst case
+// at the select-scale size n=64, f=21: a Byzantine owner p22 sends its
+// row to exactly one correct process, p1, and the 20 other faulty
+// processes, p2…p21, sit right after p1 in ring order and drop
+// everything. Of p1's 22 successors only p23 is correct, and still
+// every correct process must merge the row within ⌈63/22⌉+2 = 5 hops of
+// the worst link delay.
+func TestRingForwardDefeatsSelectiveOwner(t *testing.T) {
+	const (
+		n, f     = 64, 21
+		owner    = ids.ProcessID(22)
+		maxDelay = 10 * time.Millisecond
+		hops     = (n-1+f)/(f+1) + 2
+	)
+	net, nodes := newStoreNet(t, n, f, suspicion.DefaultOptions(), sim.Options{
+		Seed:    3,
+		Latency: sim.UniformLatency(time.Millisecond, maxDelay),
+	})
+	faulty := ids.NewProcSet(owner)
+	for p := ids.ProcessID(2); p <= 21; p++ {
+		faulty.Add(p)
+	}
+	row := make([]uint64, n)
+	row[40] = 1 // p22 suspects p41
+	start := net.Now()
+	net.Env(owner).Send(1, &wire.Update{Owner: owner, Row: row, Sig: []byte{0}})
+	net.SetFilter(sim.FilterFunc(func(from, _ ids.ProcessID, _ wire.Message, _ time.Duration) sim.Verdict {
+		return sim.Verdict{Drop: faulty.Contains(from)}
+	}))
+	net.Run(start + hops*maxDelay)
+	for p, nd := range nodes {
+		if !faulty.Contains(p) && nd.store.Value(owner, 41) != 1 {
+			t.Errorf("%s has not merged %s's row %d hops of %s after the owner sent it", p, owner, hops, maxDelay)
+		}
+	}
+	// Every process merges the row once and forwards it to its f+1
+	// successors; the filter drops the faulty copies after they count.
+	if got := net.Metrics().Counter("msg.sent.UPDATE"); got != 1+n*(f+1) {
+		t.Errorf("%d UPDATE transmissions, want 1 + %d forwarders × %d successors", got, n, f+1)
+	}
+}
+
 func TestEquivocationConverges(t *testing.T) {
 	// A faulty p4 sends different rows to different processes. Max-merge
 	// plus forwarding still drives all correct processes to the same
