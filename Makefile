@@ -7,7 +7,7 @@ BENCHTIME ?= 100ms
 # Seeds per protocol for `make chaos`.
 CHAOS_SEEDS ?= 50
 
-.PHONY: all build test race vet check examples clean golden lines bench-check profile-churn bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover seeded
+.PHONY: all build test race vet check examples clean golden lines bench-check profile-churn bench-smoke loadgen-smoke chaos chaos-sharded chaos-unsafe-spec quorum-check fuzz-smoke cover seeded seeded-check
 
 all: build
 
@@ -173,6 +173,13 @@ seeded:
 	sum qsim -trace QUORUM; \
 	sum loadgen -mode sim; \
 	sum loadgen -mode sim -topology examples/topologies/geo3.topo -faults crash-restart -fault-seed 1
+
+# seeded-check fails when any seeded output differs from the committed
+# testdata/seeded.txt. A change that moves one on purpose regenerates
+# the file in the same commit, so the move shows in its diff:
+#   make seeded > testdata/seeded.txt
+seeded-check:
+	@$(MAKE) --no-print-directory seeded | diff -u testdata/seeded.txt -
 
 clean:
 	$(GO) clean ./...

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fsim [-n 7] [-f 2] [-seed 1] [-duration 5s] [-scenario crash|adversary] [-v]
+//	fsim [-n 7] [-f 2] [-seed 1] [-duration 5s] [-scenario crash|adversary] [-trace SUBSTR]
 package main
 
 import (
@@ -11,13 +11,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"quorumselect/internal/adversary"
 	"quorumselect/internal/cluster"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/sim"
 )
 
@@ -27,7 +27,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	duration := flag.Duration("duration", 5*time.Second, "virtual time to simulate")
 	scenario := flag.String("scenario", "crash", "crash|adversary")
-	verbose := flag.Bool("v", false, "log protocol events")
+	traceFilter := flag.String("trace", "", "print a timeline of events containing this substring (e.g. QUORUM)")
 	metricsDump := flag.Bool("metrics-dump", false, "print the run's metrics in Prometheus text format after the run")
 	flag.Parse()
 
@@ -41,11 +41,6 @@ func main() {
 	faulty := ids.NewProcSet()
 	for i := cfg.N - cfg.F + 1; i <= cfg.N; i++ {
 		faulty.Add(ids.ProcessID(i))
-	}
-
-	var logger logging.Logger = logging.Nop
-	if *verbose {
-		logger = logging.NewWriterLogger(os.Stdout, logging.LevelDebug)
 	}
 
 	opts := follower.DefaultNodeOptions()
@@ -70,7 +65,6 @@ func main() {
 		return cluster.Member{Node: fNodes[at.Proc]}
 	}, sim.Options{
 		Seed:    *seed,
-		Logger:  logger,
 		Latency: sim.ConstantLatency(5 * time.Millisecond),
 	}).Net
 
@@ -112,6 +106,14 @@ func main() {
 		}
 	}
 	fmt.Printf("agreement    : %v\n", agreed)
+	if *traceFilter != "" {
+		fmt.Printf("\ntrace (%q):\n", *traceFilter)
+		for _, e := range net.Events().Events() {
+			if s := e.String(); strings.Contains(s, *traceFilter) {
+				fmt.Println(s)
+			}
+		}
+	}
 	if *metricsDump {
 		fmt.Println()
 		net.Metrics().WriteTo(os.Stdout)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	qsim [-n 7] [-f 2] [-seed 1] [-duration 5s] [-scenario crash|omission|timing|adversary] [-v]
+//	qsim [-n 7] [-f 2] [-seed 1] [-duration 5s] [-scenario crash|omission|timing|adversary] [-trace SUBSTR]
 //
 // Scenarios:
 //
@@ -19,13 +19,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"quorumselect/internal/adversary"
 	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/sim"
 )
 
@@ -35,7 +35,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	duration := flag.Duration("duration", 5*time.Second, "virtual time to simulate")
 	scenario := flag.String("scenario", "crash", "crash|omission|timing|adversary")
-	verbose := flag.Bool("v", false, "log protocol events")
 	traceFilter := flag.String("trace", "", "print a timeline of events containing this substring (e.g. QUORUM)")
 	metricsDump := flag.Bool("metrics-dump", false, "print the run's metrics in Prometheus text format after the run")
 	flag.Parse()
@@ -49,22 +48,6 @@ func main() {
 	faulty := ids.NewProcSet()
 	for i := 2; i <= cfg.F+1; i++ {
 		faulty.Add(ids.ProcessID(i))
-	}
-
-	var logger logging.Logger = logging.Nop
-	if *verbose {
-		logger = logging.NewWriterLogger(os.Stdout, logging.LevelDebug)
-	}
-	var rec *logging.Recorder
-	var netRef *sim.Network
-	if *traceFilter != "" {
-		rec = logging.NewRecorder(func() time.Duration {
-			if netRef == nil {
-				return 0
-			}
-			return netRef.Now()
-		}, logging.LevelDebug)
-		logger = rec
 	}
 
 	opts := core.DefaultNodeOptions()
@@ -93,10 +76,8 @@ func main() {
 	}, sim.Options{
 		Seed:    *seed,
 		Filter:  filter,
-		Logger:  logger,
 		Latency: sim.ConstantLatency(5 * time.Millisecond),
 	}).Net
-	netRef = net
 
 	fmt.Printf("qsim: %s scenario=%s faulty=%s seed=%d\n\n", cfg, *scenario, faulty, *seed)
 
@@ -137,8 +118,13 @@ func main() {
 	fmt.Printf("agreement    : %v\n", agreed)
 	fmt.Printf("messages     : %d sent, %d dropped\n",
 		net.Metrics().Counter("msg.sent.total"), net.Metrics().Counter("msg.dropped.total"))
-	if rec != nil {
-		fmt.Printf("\ntrace (%q):\n%s", *traceFilter, rec.Timeline(logging.Filter{Contains: *traceFilter}))
+	if *traceFilter != "" {
+		fmt.Printf("\ntrace (%q):\n", *traceFilter)
+		for _, e := range net.Events().Events() {
+			if s := e.String(); strings.Contains(s, *traceFilter) {
+				fmt.Println(s)
+			}
+		}
 	}
 	if *metricsDump {
 		fmt.Println()

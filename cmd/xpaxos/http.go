@@ -206,16 +206,17 @@ func (f *frontend) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
-	bus := f.host.Events()
-	events, missed := bus.Since(since)
+	events, missed := f.host.Events().Since(since)
 	if events == nil {
 		events = []qs.Event{}
 	}
+	// The cursor comes from the same read as the events: a second read
+	// of the bus total would skip whatever was published in between.
 	resp := struct {
 		Events []qs.Event `json:"events"`
 		Missed uint64     `json:"missed"`
 		Latest uint64     `json:"latest"`
-	}{Events: events, Missed: missed, Latest: bus.Total()}
+	}{Events: events, Missed: missed, Latest: since + missed + uint64(len(events))}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }

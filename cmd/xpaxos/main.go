@@ -38,7 +38,6 @@ import (
 
 	qs "quorumselect"
 	"quorumselect/internal/crypto"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/wire"
@@ -60,17 +59,16 @@ func main() {
 	httpAddr := flag.String("http", "", "client-facing HTTP address (server mode), e.g. 127.0.0.1:8081")
 	debugAddr := flag.String("debug-addr", "", "optional pprof listener address (server mode), e.g. 127.0.0.1:6060")
 	flight := flag.String("flight", "", "write fail-stop flight-recorder dumps to this file instead of stderr (server mode)")
-	verbose := flag.Bool("v", false, "verbose protocol logging")
 	flag.Parse()
 
 	if *shards < 1 {
 		log.Fatalf("-shards %d: need at least one shard", *shards)
 	}
 	if *local {
-		runLocal(*n, *f, *secret, *auth, *window, *shards, *requests, *dataDir, *quorumSpec, *verbose)
+		runLocal(*n, *f, *secret, *auth, *window, *shards, *requests, *dataDir, *quorumSpec)
 		return
 	}
-	runServer(*id, *peersFlag, *f, *secret, *auth, *window, *shards, *dataDir, *httpAddr, *debugAddr, *flight, *quorumSpec, *verbose)
+	runServer(*id, *peersFlag, *f, *secret, *auth, *window, *shards, *dataDir, *httpAddr, *debugAddr, *flight, *quorumSpec)
 }
 
 // loadQuorumSpec is the boot gate for -quorum-spec: parse the spec,
@@ -137,7 +135,7 @@ func shardLeader(cfg qs.Config, shard int) qs.ProcessID {
 // wired bare for wire compatibility with non-fleet deployments).
 func buildHost(p qs.ProcessID, cfg qs.Config, addrs map[qs.ProcessID]string,
 	listen string, secret, auth string, window, shards int, dataDir string,
-	sys qs.QuorumSystem, verbose bool,
+	sys qs.QuorumSystem,
 	onExec func(shard int, e qs.Execution)) (*qs.Host, []*qs.XPaxosReplica, []*qs.KVMachine, error) {
 	var root qs.StorageBackend
 	if dataDir != "" {
@@ -207,10 +205,6 @@ func buildHost(p qs.ProcessID, cfg qs.Config, addrs map[qs.ProcessID]string,
 	if buildErr != nil {
 		return nil, nil, nil, buildErr
 	}
-	var logger qs.Logger = logging.Nop
-	if verbose {
-		logger = logging.NewWriterLogger(os.Stdout, logging.LevelDebug)
-	}
 	ring, err := makeAuth(auth, cfg, secret)
 	if err != nil {
 		return nil, nil, nil, err
@@ -221,14 +215,13 @@ func buildHost(p qs.ProcessID, cfg qs.Config, addrs map[qs.ProcessID]string,
 		ListenAddr: listen,
 		Peers:      addrs,
 		Auth:       ring,
-		Logger:     logger,
 		Tracer:     qs.NewTracer(0),
 		Seed:       int64(p),
 	}, node)
 	return host, replicas, kvs, err
 }
 
-func runServer(id int, peersFlag string, f int, secret, auth string, window, shards int, dataDir, httpAddr, debugAddr, flight, quorumSpec string, verbose bool) {
+func runServer(id int, peersFlag string, f int, secret, auth string, window, shards int, dataDir, httpAddr, debugAddr, flight, quorumSpec string) {
 	peers := strings.Split(peersFlag, ",")
 	if peersFlag == "" || len(peers) < 2 {
 		log.Fatal("server mode needs -peers with at least two addresses")
@@ -271,7 +264,7 @@ func runServer(id int, peersFlag string, f int, secret, auth string, window, sha
 	// only happen after the host loop starts).
 	var fe *frontend
 	var reg *qs.Registry
-	host, replicas, kvs, err := buildHost(self, cfg, addrs, listen, secret, auth, window, shards, dataDir, sys, verbose,
+	host, replicas, kvs, err := buildHost(self, cfg, addrs, listen, secret, auth, window, shards, dataDir, sys,
 		func(s int, e qs.Execution) {
 			if reg != nil {
 				reg.SetGauge("fleet.shard.executed", float64(e.Slot),
@@ -332,7 +325,7 @@ func runServer(id int, peersFlag string, f int, secret, auth string, window, sha
 	os.Exit(0)
 }
 
-func runLocal(n, f int, secret, auth string, window, shards, requests int, dataDir, quorumSpec string, verbose bool) {
+func runLocal(n, f int, secret, auth string, window, shards, requests int, dataDir, quorumSpec string) {
 	cfg, err := qs.NewConfig(n, f)
 	if err != nil {
 		log.Fatal(err)
@@ -350,7 +343,7 @@ func runLocal(n, f int, secret, auth string, window, shards, requests int, dataD
 			// Each process persists into its own subdirectory.
 			dir = fmt.Sprintf("%s/p%d", dataDir, p)
 		}
-		host, reps, _, err := buildHost(p, cfg, nil, "", secret, auth, window, shards, dir, sys, verbose, nil)
+		host, reps, _, err := buildHost(p, cfg, nil, "", secret, auth, window, shards, dir, sys, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

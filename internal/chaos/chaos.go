@@ -18,7 +18,6 @@ import (
 	"quorumselect/internal/core"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -39,7 +38,7 @@ const probeCount = 4
 // violation; unbounded dumps would bury it.
 const (
 	dumpEvents = 200
-	dumpTrace  = 120
+	dumpStory  = 120 // events without EXPECT
 	dumpSpans  = 120
 )
 
@@ -222,7 +221,6 @@ type RunState struct {
 	Scenario *Scenario
 	cfg      ids.Config
 	cluster  *cluster.Cluster
-	rec      *logging.Recorder
 	bus      *obs.Bus
 	spans    *tracer.Tracer
 	// probes is how many liveness probes went out (0 until PhaseSettled).
@@ -333,7 +331,6 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 	// run evicted (non-zero drops mean the dumps below are tails).
 	reg := cl.Net.Metrics()
 	reg.SetGauge("obs.bus.dropped", float64(rs.bus.Dropped()))
-	reg.SetGauge("trace.ring.dropped", float64(rs.rec.Dropped()))
 	reg.SetGauge("tracer.ring.dropped", float64(rs.spans.Dropped()))
 
 	var dump string
@@ -387,9 +384,17 @@ func (r *RunState) dump(v *Violation) string {
 		b.WriteString("no violation\n")
 	}
 	writeEventTail(&b, r.bus)
-	tes := last(r.rec.Events(logging.Filter{}), dumpTrace)
-	fmt.Fprintf(&b, "trace (last %d):\n", len(tes))
-	for _, e := range tes {
+	// Without the one per-message type, the bus is the sparse protocol
+	// story: suspicions, quorum changes, view changes, epochs.
+	var story []obs.Event
+	for _, e := range r.bus.Events() {
+		if e.Type != obs.TypeExpect {
+			story = append(story, e)
+		}
+	}
+	story = last(story, dumpStory)
+	fmt.Fprintf(&b, "events without EXPECT (last %d):\n", len(story))
+	for _, e := range story {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
 	spans := last(r.spans.Spans(), dumpSpans)

@@ -3,13 +3,11 @@ package chaos
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/fd"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/pbftlite"
@@ -104,15 +102,11 @@ func (p Protocol) settles() bool { return p != ProtocolPBFT }
 func (r *RunState) boot(seed int64) {
 	run := r.Config
 	r.bus, r.spans = obs.NewBus(0), tracer.New(0)
-	// The recorder's clock closes over the cluster pointer, which is
-	// assigned below — by the time anything logs, it is set.
-	r.rec = logging.NewRecorder(func() time.Duration { return r.cluster.Net.Now() }, logging.LevelDebug)
 	opts := sim.Options{
 		Metrics:      run.Metrics,
 		Seed:         seed,
 		Filter:       r.Scenario.Filter,
 		Auth:         crypto.NewHMACRing(r.cfg, []byte("chaos-master")),
-		Logger:       r.rec,
 		Events:       r.bus,
 		Tracer:       r.spans,
 		AllowReorder: run.Reorder,

@@ -232,7 +232,7 @@ func TestSelectorBoundsAccounting(t *testing.T) {
 func TestFZeroWithSuspicionKeepsQuorum(t *testing.T) {
 	// f = 0 means q = n: any persistent suspicion precludes every
 	// quorum (an assumption violation). The selector must not spin or
-	// panic — it logs and keeps the last quorum.
+	// panic — it counts the preclusion and keeps the last quorum.
 	fx := newFixture(t, 3, 0, quietOpts(), sim.Options{}, ids.NewProcSet())
 	fx.nodes[1].Selector.OnSuspected(ids.NewProcSet(2))
 	fx.net.Run(time.Second)
@@ -241,6 +241,9 @@ func TestFZeroWithSuspicionKeepsQuorum(t *testing.T) {
 		if !n.CurrentQuorum().Equal(want) {
 			t.Errorf("%s: quorum = %s, want the retained default %s", p, n.CurrentQuorum(), want)
 		}
+	}
+	if got := fx.net.Metrics().Counter("core.quorum.precluded"); got == 0 {
+		t.Error("core.quorum.precluded not counted")
 	}
 }
 

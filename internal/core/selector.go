@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/quorum"
@@ -57,7 +56,6 @@ type Selector struct {
 	env      runtime.Env
 	store    *suspicion.Store
 	onQuorum OnQuorum
-	log      logging.Logger
 	sys      quorum.System
 
 	qLast ids.Quorum
@@ -110,7 +108,6 @@ func NewSelectorSystem(env runtime.Env, store *suspicion.Store, sys quorum.Syste
 		env:           env,
 		store:         store,
 		onQuorum:      onQuorum,
-		log:           env.Logger(),
 		sys:           sys,
 		qLast:         ids.NewQuorum(dq),
 		issuedInEpoch: make(map[uint64]int),
@@ -180,9 +177,7 @@ func (s *Selector) UpdateQuorum() {
 				// preclude a quorum (it suspects more than f others —
 				// an assumption violation, e.g. f = 0 with any
 				// suspicion). Keep the last quorum rather than spin.
-				s.log.Logf(logging.LevelError,
-					"core: own suspicions %s preclude any quorum of %s; keeping %s",
-					s.store.Suspecting(), s.sys, s.qLast)
+				s.env.Metrics().Inc("core.quorum.precluded", 1)
 				return
 			}
 			// Suspicions in the current epoch are inconsistent with
@@ -198,7 +193,6 @@ func (s *Selector) UpdateQuorum() {
 			s.issued.Inc()
 			runtime.Emit(s.env, obs.Event{Type: obs.TypeQuorumChange,
 				Epoch: s.store.Epoch(), Detail: issued.String()})
-			s.log.Logf(logging.LevelDebug, "core: QUORUM %s (epoch %d)", issued, s.store.Epoch())
 			if s.onQuorum != nil {
 				s.onQuorum(issued)
 			}

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -136,8 +135,7 @@ type Detector struct {
 	// expectations are refused.
 	closed bool
 
-	log logging.Logger
-	m   detectorMetrics
+	m detectorMetrics
 }
 
 // detectorMetrics are the series touched once per received message or
@@ -194,7 +192,6 @@ func (d *Detector) Bind(env runtime.Env, deliver Deliver, onSuspect OnSuspect) {
 	d.env = env
 	d.deliver = deliver
 	d.onSuspect = onSuspect
-	d.log = env.Logger()
 	reg := env.Metrics()
 	d.m = detectorMetrics{
 		issued:   reg.CounterHandle("fd.expectation.issued"),
@@ -285,7 +282,6 @@ func (d *Detector) drainVerified() {
 func (d *Detector) verified(from ids.ProcessID, m wire.Signed, err error) {
 	if err != nil {
 		d.m.badsig.Inc()
-		d.log.Logf(logging.LevelDebug, "fd: dropping %s from %s: %v", m.Kind(), from, err)
 		return
 	}
 	d.dispatch(m.Signer(), m)
@@ -344,8 +340,9 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 
 // Expect registers the paper's ⟨EXPECT, P, i⟩: a message matching pred
 // is expected from process from. scope tags the issuing module for
-// CancelScope; desc is used in logs only. If no matching message is
-// delivered within the sender's current timeout, from is suspected.
+// CancelScope; desc becomes the Detail of its EXPECT and SUSPECTED
+// events. If no matching message is delivered within the sender's
+// current timeout, from is suspected.
 // After Close, Expect is a no-op: a stopping node arms no new timers.
 func (d *Detector) Expect(scope string, from ids.ProcessID, desc string, pred Predicate) {
 	if pred == nil {
@@ -389,8 +386,6 @@ func (d *Detector) expire(e *expectation) {
 			d.firstSuspectedAt[e.from] = d.env.Now()
 		}
 		runtime.Emit(d.env, obs.Event{Type: obs.TypeSuspected, Subject: e.from, Detail: e.desc})
-		d.log.Logf(logging.LevelDebug, "fd: suspecting %s (no %s within %v)",
-			e.from, e.desc, d.timeoutFor(e.from))
 		d.publish()
 	}
 }
@@ -412,7 +407,6 @@ func (d *Detector) Detected(i ids.ProcessID) {
 		delete(d.firstSuspectedAt, i)
 	}
 	runtime.Emit(d.env, obs.Event{Type: obs.TypeDetected, Subject: i})
-	d.log.Logf(logging.LevelInfo, "fd: application detected %s as faulty", i)
 	d.publish()
 }
 
@@ -545,9 +539,7 @@ func (d *Detector) publish() {
 	if d.onSuspect == nil {
 		return
 	}
-	s := d.Suspected()
-	d.log.Logf(logging.LevelTrace, "fd: SUSPECTED %s", s)
-	d.onSuspect(s)
+	d.onSuspect(d.Suspected())
 }
 
 // String summarizes the detector state for debugging.

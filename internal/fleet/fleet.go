@@ -7,7 +7,6 @@ import (
 
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -36,8 +35,8 @@ type Options struct {
 // Fleet runs Options.Shards independent shard kernels behind one
 // runtime.Node: one transport connection per peer pair carries every
 // shard's traffic (wire.ShardEnvelope multiplexing), and each shard
-// sees a shard-scoped Env — domain-separated authenticator, tagged
-// logger, shared clock, loop, and metrics registry.
+// sees a shard-scoped Env — domain-separated authenticator, shared
+// clock, loop, and metrics registry.
 type Fleet struct {
 	opts   Options
 	env    runtime.Env
@@ -89,7 +88,6 @@ func (f *Fleet) Init(env runtime.Env) {
 			shard:    s,
 			outer:    env,
 			auth:     crypto.NewDomainAuth(env.Auth(), ShardDomain(s)),
-			log:      logging.Tagged(env.Logger(), fmt.Sprintf("s%d", s)),
 			sent:     env.Metrics().CounterHandle("fleet.shard.sent", label),
 			received: env.Metrics().CounterHandle("fleet.shard.received", label),
 		}
@@ -112,12 +110,10 @@ func (f *Fleet) Receive(from ids.ProcessID, m wire.Message) {
 	env, ok := m.(*wire.ShardEnvelope)
 	if !ok {
 		f.env.Metrics().Inc("fleet.unwrapped.dropped", 1)
-		f.env.Logger().Logf(logging.LevelDebug, "fleet: dropping bare %s from %s", m.Kind(), from)
 		return
 	}
 	if int(env.Shard) >= len(f.nodes) || int(env.Shard) < 0 {
 		f.env.Metrics().Inc("fleet.misrouted.dropped", 1)
-		f.env.Logger().Logf(logging.LevelDebug, "fleet: dropping frame for unknown shard %d from %s", env.Shard, from)
 		return
 	}
 	inner, err := wire.Decode(env.Frame)
@@ -137,8 +133,8 @@ func (f *Fleet) Stop() {
 }
 
 // shardEnv is the Env one shard kernel runs against: the outer
-// process Env with shard-wrapped sending, a domain-separated
-// authenticator, and a shard-tagged logger. Clock, loop, randomness,
+// process Env with shard-wrapped sending and a domain-separated
+// authenticator. Clock, loop, randomness,
 // events, tracer, and metrics registry are shared across the
 // process's shards, so cross-shard event order stays a deterministic
 // property of the one loop.
@@ -146,7 +142,6 @@ type shardEnv struct {
 	shard int
 	outer runtime.Env
 	auth  *crypto.DomainAuth
-	log   logging.Logger
 
 	sent, received *metrics.CounterHandle // fleet.shard.{sent,received}{shard}
 }
@@ -162,7 +157,6 @@ func (e *shardEnv) Config() ids.Config         { return e.outer.Config() }
 func (e *shardEnv) Now() time.Duration         { return e.outer.Now() }
 func (e *shardEnv) Rand() *rand.Rand           { return e.outer.Rand() }
 func (e *shardEnv) Auth() crypto.Authenticator { return e.auth }
-func (e *shardEnv) Logger() logging.Logger     { return e.log }
 func (e *shardEnv) Metrics() *metrics.Registry { return e.outer.Metrics() }
 func (e *shardEnv) Events() *obs.Bus           { return e.outer.Events() }
 func (e *shardEnv) Tracer() *tracer.Tracer     { return e.outer.Tracer() }

@@ -28,7 +28,7 @@ import (
 	"quorumselect/internal/fd"
 	"quorumselect/internal/graph"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/quorum"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/suspicion"
@@ -47,7 +47,6 @@ type Selector struct {
 	store    *suspicion.Store
 	detector *fd.Detector
 	onQuorum OnQuorum
-	log      logging.Logger
 	sys      quorum.System
 
 	leader ids.ProcessID
@@ -100,7 +99,6 @@ func NewSelectorSystem(env runtime.Env, store *suspicion.Store, detector *fd.Det
 		store:         store,
 		detector:      detector,
 		onQuorum:      onQuorum,
-		log:           env.Logger(),
 		sys:           sys,
 		leader:        qDefault.Leader,
 		stable:        true,
@@ -153,9 +151,9 @@ func (s *Selector) UpdateQuorum() {
 		g, ver := s.store.GraphSnapshot()
 		if !s.hasQuorum(g, ver) {
 			if s.store.Epoch() > startMax {
-				s.log.Logf(logging.LevelError,
-					"follower: own suspicions %s preclude any quorum of %s; keeping %s",
-					s.store.Suspecting(), s.sys, s.qLast)
+				// As in core: the local process's own suspicions preclude
+				// any quorum. Keep the last one rather than spin.
+				s.env.Metrics().Inc("follower.quorum.precluded", 1)
 				return
 			}
 			// Lines 10–15: next epoch, default leader and quorum.
@@ -190,8 +188,7 @@ func (s *Selector) UpdateQuorum() {
 			// analyzes). Not broadcasting lets the followers'
 			// expectations expire; the resulting suspicions grow the
 			// graph and move the leader on.
-			s.log.Logf(logging.LevelInfo,
-				"follower: only %d possible followers for %s; withholding FOLLOWERS", len(fw), l)
+			s.env.Metrics().Inc("follower.followers.withheld", 1)
 			return
 		}
 		msg := &wire.Followers{
@@ -283,7 +280,6 @@ func (s *Selector) HandleFollowers(m *wire.Followers) {
 	}
 	if !wellFormed(s.sys, s.store.SuspectGraph(), m) {
 		s.env.Metrics().Inc("follower.detected.malformed", 1)
-		s.log.Logf(logging.LevelInfo, "follower: malformed FOLLOWERS from %s", m.Leader)
 		s.detector.Detected(m.Leader)
 		return
 	}
@@ -293,7 +289,6 @@ func (s *Selector) HandleFollowers(m *wire.Followers) {
 			// Line 31–32: a second, different FOLLOWERS in the same
 			// epoch — equivocation.
 			s.env.Metrics().Inc("follower.detected.equivocation", 1)
-			s.log.Logf(logging.LevelInfo, "follower: equivocation by leader %s", m.Leader)
 			s.detector.Detected(m.Leader)
 		}
 		return
@@ -363,7 +358,8 @@ func (s *Selector) issueQuorum(q ids.Quorum) {
 	s.issuedTotal++
 	s.issuedInEpoch[s.store.Epoch()]++
 	s.env.Metrics().Inc("follower.quorum.issued", 1)
-	s.log.Logf(logging.LevelDebug, "follower: QUORUM %s (epoch %d)", q, s.store.Epoch())
+	runtime.Emit(s.env, obs.Event{Type: obs.TypeQuorumChange,
+		Epoch: s.store.Epoch(), Detail: q.String()})
 	if s.onQuorum != nil {
 		s.onQuorum(q)
 	}

@@ -1,12 +1,14 @@
 package follower_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"quorumselect/internal/follower"
 	"quorumselect/internal/graph"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
@@ -141,6 +143,39 @@ func TestCrashedDefaultLeaderReplaced(t *testing.T) {
 	for p, n := range fx.nodes {
 		if !n.CurrentQuorum().Equal(first) {
 			t.Errorf("Agreement violated: %s has %s, p2 has %s", p, n.CurrentQuorum(), first)
+		}
+	}
+}
+
+// TestQuorumChangeEventsMatchTrajectory runs cmd/fsim's default crash
+// scenario and checks that each node's QUORUM_CHANGE events on the bus
+// are exactly its issued-quorum trajectory, as core's selector publishes
+// them.
+func TestQuorumChangeEventsMatchTrajectory(t *testing.T) {
+	fx := newFixture(t, 7, 2, follower.DefaultNodeOptions(),
+		sim.Options{Seed: 1, Latency: sim.ConstantLatency(5 * time.Millisecond)}, ids.NewProcSet(1))
+	fx.net.Run(5 * time.Second)
+	events := fx.net.Events().OfType(obs.TypeQuorumChange)
+	for p, n := range fx.nodes {
+		var got []string
+		for _, e := range events {
+			if e.Node != p {
+				continue
+			}
+			if e.Epoch == 0 {
+				t.Errorf("%s: QUORUM_CHANGE without an epoch: %s", p, e)
+			}
+			got = append(got, e.Detail)
+		}
+		var want []string
+		for _, q := range n.Quorums() {
+			want = append(want, q.String())
+		}
+		if len(want) == 0 {
+			t.Errorf("%s issued no quorum after p1 crashed", p)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: QUORUM_CHANGE details %v, trajectory %v", p, got, want)
 		}
 	}
 }

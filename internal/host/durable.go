@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"quorumselect/internal/logging"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/storage"
@@ -209,7 +208,6 @@ func (h *Host) closeStorage() {
 	}
 	if err := h.storage.Close(); err != nil {
 		h.env.Metrics().Inc("host.storage.close_errors", 1)
-		h.env.Logger().Logf(logging.LevelDebug, "host: storage close: %v", err)
 	}
 	h.storage = nil
 }

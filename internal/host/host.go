@@ -110,8 +110,8 @@ type MessageHandler interface {
 }
 
 // SelectionFactory builds the selection module at Init. issue must be
-// called for every ⟨QUORUM, Q⟩ event the module emits; the kernel logs
-// the quorum and fans it out to the application.
+// called for every ⟨QUORUM, Q⟩ event the module emits; the kernel
+// records the quorum and fans it out to the application.
 type SelectionFactory func(env runtime.Env, store *suspicion.Store, detector *fd.Detector, issue func(ids.Quorum)) Selection
 
 // Options configures a composed replica host.

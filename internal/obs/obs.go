@@ -3,10 +3,11 @@
 // (EXPECT / SUSPECTED / DETECTED / CANCEL), quorum changes, view
 // changes, checkpoints and epoch advances.
 //
-// Where the logging recorder captures free-form log lines, obs events are
-// typed records with stable fields, so frontends can serve them over
-// HTTP (`GET /events?since=`) and experiments can assert on protocol
-// phases without grepping log text. Every event gets a monotonically
+// It is the one record of protocol facts (the repository has no
+// logger): events are typed records with stable fields, so frontends
+// can serve them over HTTP (`GET /events?since=`), CLIs render them as
+// timelines, and experiments can assert on protocol phases without
+// parsing text. Every event gets a monotonically
 // increasing sequence number; the ring bounds memory, and overwritten
 // events are accounted in Dropped().
 package obs

@@ -7,8 +7,8 @@ package obs
 // memory and, for pointer-bearing values, in GC scan work. Once full, a
 // push is one store.
 //
-// Ring is not synchronized; its owner guards it (the event bus, the log
-// recorder and the span tracer each hold their own mutex).
+// Ring is not synchronized; its owner guards it (the event bus and the
+// span tracer each hold their own mutex).
 type Ring[T any] struct {
 	buf   []T
 	limit int

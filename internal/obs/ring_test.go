@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestRing covers the three things the bus, the log recorder and the
-// span tracer rely on: the backing array grows lazily and never past
+// TestRing covers the three things the bus and the span tracer rely
+// on: the backing array grows lazily and never past
 // the bound, the ring wraps keeping the newest values in order, and
 // Since reports what a reader that fell behind missed.
 func TestRing(t *testing.T) {

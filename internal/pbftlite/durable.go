@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"quorumselect/internal/host"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/wire"
 )
 
@@ -79,7 +78,5 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 	}
 	r.execute()
 	r.env.Metrics().Inc("pbftlite.recoveries", 1)
-	r.log.Logf(logging.LevelDebug, "pbftlite: recovered lastExec=%d nextSlot=%d (%d records)",
-		r.lastExec, r.nextSlot, len(records))
 	return nil
 }

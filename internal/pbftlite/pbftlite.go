@@ -32,7 +32,6 @@ import (
 	"quorumselect/internal/fd"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
@@ -84,7 +83,6 @@ type Replica struct {
 	env      runtime.Env
 	detector *fd.Detector
 	cfg      ids.Config
-	log      logging.Logger
 
 	view     uint64
 	active   ids.Quorum // participation set (Π under BroadcastAll)
@@ -123,7 +121,6 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.env = env
 	r.detector = detector
 	r.cfg = env.Config()
-	r.log = env.Logger()
 	r.nextSlot = 1
 	switch r.opts.Regime {
 	case BroadcastAll:
@@ -225,8 +222,6 @@ func (r *Replica) Deliver(from ids.ProcessID, m wire.Message) {
 		r.onPrepare(msg)
 	case *wire.PBFTCommit:
 		r.onCommit(msg)
-	default:
-		r.log.Logf(logging.LevelDebug, "pbftlite: ignoring %s from %s", m.Kind(), from)
 	}
 }
 

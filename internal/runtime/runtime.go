@@ -16,7 +16,6 @@ import (
 
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -31,7 +30,8 @@ type Timer interface {
 }
 
 // Env is the execution environment of one process: identity, transport,
-// virtual or real time, deterministic randomness, signing and logging.
+// virtual or real time, deterministic randomness, signing, metrics,
+// protocol events and spans.
 type Env interface {
 	// ID returns the identity of this process in Π.
 	ID() ids.ProcessID
@@ -49,8 +49,6 @@ type Env interface {
 	Rand() *rand.Rand
 	// Auth returns the authenticator used to sign and verify messages.
 	Auth() crypto.Authenticator
-	// Logger returns the process's logger.
-	Logger() logging.Logger
 	// Metrics returns the shared experiment registry.
 	Metrics() *metrics.Registry
 	// Events returns the protocol event bus (never nil; shared across

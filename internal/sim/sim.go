@@ -16,7 +16,6 @@ import (
 
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -123,8 +122,6 @@ type Options struct {
 	// Auth is the authenticator handed to every process; nil means
 	// crypto.NopRing (protocol-level adversary modeling).
 	Auth crypto.Authenticator
-	// Logger receives all process logs; nil means logging.Nop.
-	Logger logging.Logger
 	// Metrics receives message accounting; nil allocates a fresh
 	// registry.
 	Metrics *metrics.Registry
@@ -167,7 +164,6 @@ type Network struct {
 	metrics *metrics.Registry
 	m       netMetrics
 	events  *obs.Bus
-	log     logging.Logger
 	steps   uint64
 	// free recycles fired message-delivery events. Only delivery
 	// events are pooled: timer events double as runtime.Timer handles
@@ -209,9 +205,6 @@ func NewNetwork(cfg ids.Config, nodes map[ids.ProcessID]runtime.Node, opts Optio
 	if opts.Auth == nil {
 		opts.Auth = crypto.NopRing{}
 	}
-	if opts.Logger == nil {
-		opts.Logger = logging.Nop
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
@@ -228,7 +221,6 @@ func NewNetwork(cfg ids.Config, nodes map[ids.ProcessID]runtime.Node, opts Optio
 		metrics: opts.Metrics,
 		m:       newNetMetrics(opts.Metrics),
 		events:  opts.Events,
-		log:     opts.Logger,
 	}
 	for _, p := range cfg.All() {
 		node, ok := nodes[p]
@@ -240,7 +232,6 @@ func NewNetwork(cfg ids.Config, nodes map[ids.ProcessID]runtime.Node, opts Optio
 			net: n,
 			id:  p,
 			rng: rand.New(rand.NewSource(opts.Seed ^ int64(p)*0x5851f42d4c957f2d)),
-			log: logging.Tagged(opts.Logger, p.String()),
 		}
 	}
 	for _, p := range cfg.All() {
@@ -522,7 +513,6 @@ type procEnv struct {
 	net *Network
 	id  ids.ProcessID
 	rng *rand.Rand
-	log logging.Logger
 }
 
 var _ runtime.Env = (*procEnv)(nil)
@@ -532,7 +522,6 @@ func (e *procEnv) Config() ids.Config         { return e.net.cfg }
 func (e *procEnv) Now() time.Duration         { return e.net.now }
 func (e *procEnv) Rand() *rand.Rand           { return e.rng }
 func (e *procEnv) Auth() crypto.Authenticator { return e.net.opts.Auth }
-func (e *procEnv) Logger() logging.Logger     { return e.log }
 func (e *procEnv) Metrics() *metrics.Registry { return e.net.metrics }
 func (e *procEnv) Events() *obs.Bus           { return e.net.events }
 func (e *procEnv) Tracer() *tracer.Tracer     { return e.net.opts.Tracer }

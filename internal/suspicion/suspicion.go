@@ -40,7 +40,6 @@ import (
 
 	"quorumselect/internal/graph"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
@@ -88,7 +87,6 @@ type Store struct {
 
 	onChange  func()
 	persister Persister
-	log       logging.Logger
 	m         storeMetrics
 }
 
@@ -142,7 +140,6 @@ func (s *Store) Bind(env runtime.Env, onChange func()) {
 	s.env = env
 	s.onChange = onChange
 	s.forwardTo = forwardTargets(s.cfg, env.ID())
-	s.log = env.Logger()
 	reg := env.Metrics()
 	s.m = storeMetrics{
 		broadcast:     reg.CounterHandle("suspicion.update.broadcast"),
@@ -365,7 +362,6 @@ func (s *Store) IncrementEpoch() {
 	s.m.epochAdvanced.Inc()
 	s.m.epoch.Set(float64(next))
 	runtime.Emit(s.env, obs.Event{Type: obs.TypeEpochAdvance, Epoch: next})
-	s.log.Logf(logging.LevelDebug, "suspicion: advancing to epoch %d", next)
 }
 
 // ObserveEpoch fast-forwards the local epoch when merged suspicions
@@ -394,7 +390,6 @@ func (s *Store) ObserveEpoch(e uint64) {
 func (s *Store) HandleUpdate(m *wire.Update) bool {
 	if !m.Owner.Valid(s.cfg.N) || len(m.Row) != s.cfg.N {
 		s.m.malformed.Inc()
-		s.log.Logf(logging.LevelDebug, "suspicion: malformed update from %s (len=%d)", m.Owner, len(m.Row))
 		return false
 	}
 	owner := s.idx(m.Owner)

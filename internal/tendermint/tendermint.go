@@ -53,7 +53,6 @@ import (
 	"quorumselect/internal/fd"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -110,7 +109,6 @@ type Replica struct {
 	env      runtime.Env
 	detector *fd.Detector
 	cfg      ids.Config
-	log      logging.Logger
 
 	active ids.Quorum
 	height uint64
@@ -171,7 +169,6 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.env = env
 	r.detector = detector
 	r.cfg = env.Config()
-	r.log = env.Logger()
 	r.active = ids.NewQuorum(r.cfg.DefaultQuorum().Sorted())
 	r.height = 1
 	r.ingress = host.NewIngress(env, host.IngressOptions{
@@ -333,8 +330,6 @@ func (r *Replica) Deliver(from ids.ProcessID, m wire.Message) {
 		r.onPrecommit(msg)
 	case *wire.TMDecided:
 		r.onDecided(msg)
-	default:
-		r.log.Logf(logging.LevelDebug, "tendermint: ignoring %s from %s", m.Kind(), from)
 	}
 }
 
@@ -396,7 +391,6 @@ func (r *Replica) onRoundTimeout(height, round uint64) {
 		return
 	}
 	r.env.Metrics().Inc("tendermint.round.timeout", 1)
-	r.log.Logf(logging.LevelDebug, "tendermint: height %d round %d timed out", height, round)
 	r.enterRound(round + 1)
 }
 
@@ -621,8 +615,7 @@ func (r *Replica) onDecided(cert *wire.TMDecided) {
 		return // already applied
 	}
 	if err := r.verifyCert(cert); err != nil {
-		r.log.Logf(logging.LevelDebug, "tendermint: rejecting certificate for height %d: %v",
-			cert.Height, err)
+		r.env.Metrics().Inc("tendermint.cert.rejected", 1)
 		return
 	}
 	if cert.Height > r.height {

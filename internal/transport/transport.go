@@ -29,7 +29,6 @@ import (
 
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -58,9 +57,6 @@ type Config struct {
 	Peers map[ids.ProcessID]string
 	// Auth signs and verifies messages (default crypto.NopRing).
 	Auth crypto.Authenticator
-	// Logger receives transport and protocol logs (default
-	// logging.Nop).
-	Logger logging.Logger
 	// Metrics receives accounting (default: fresh registry).
 	Metrics *metrics.Registry
 	// Events receives typed protocol events (default: fresh bus with
@@ -159,9 +155,6 @@ func NewHost(cfg Config, node runtime.Node) (*Host, error) {
 	if cfg.Auth == nil {
 		cfg.Auth = crypto.NopRing{}
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = logging.Nop
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -200,7 +193,6 @@ func NewHost(cfg Config, node runtime.Node) (*Host, error) {
 	h.env = &hostEnv{
 		h:   h,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Self))),
-		log: logging.Tagged(cfg.Logger, cfg.Self.String()),
 	}
 
 	h.wg.Add(2)
@@ -350,7 +342,7 @@ func (h *Host) readLoop(conn net.Conn) {
 	}
 	from := ids.ProcessID(binary.BigEndian.Uint32(hello[:]))
 	if !from.Valid(h.cfg.System.N) {
-		h.env.log.Logf(logging.LevelDebug, "transport: hello from invalid process %d", from)
+		h.cfg.Metrics.Inc("transport.hello.invalid", 1)
 		return
 	}
 	for {
@@ -360,7 +352,7 @@ func (h *Host) readLoop(conn net.Conn) {
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
 		if n == 0 || n > maxFrame {
-			h.env.log.Logf(logging.LevelDebug, "transport: bad frame length %d from %s", n, from)
+			h.cfg.Metrics.Inc("transport.frame.bad_length", 1)
 			return
 		}
 		buf := make([]byte, n)
@@ -370,7 +362,6 @@ func (h *Host) readLoop(conn net.Conn) {
 		msg, err := wire.Decode(buf)
 		if err != nil {
 			h.cfg.Metrics.Inc("transport.decode.errors", 1)
-			h.env.log.Logf(logging.LevelDebug, "transport: undecodable frame from %s: %v", from, err)
 			continue
 		}
 		h.m.received.Inc()
@@ -593,7 +584,6 @@ func (w *peerWriter) dial() net.Conn {
 type hostEnv struct {
 	h   *Host
 	rng *rand.Rand
-	log logging.Logger
 }
 
 var _ runtime.Env = (*hostEnv)(nil)
@@ -603,14 +593,13 @@ func (e *hostEnv) Config() ids.Config         { return e.h.cfg.System }
 func (e *hostEnv) Now() time.Duration         { return time.Since(e.h.start) }
 func (e *hostEnv) Rand() *rand.Rand           { return e.rng }
 func (e *hostEnv) Auth() crypto.Authenticator { return e.h.cfg.Auth }
-func (e *hostEnv) Logger() logging.Logger     { return e.log }
 func (e *hostEnv) Metrics() *metrics.Registry { return e.h.cfg.Metrics }
 func (e *hostEnv) Events() *obs.Bus           { return e.h.cfg.Events }
 func (e *hostEnv) Tracer() *tracer.Tracer     { return e.h.cfg.Tracer }
 
 func (e *hostEnv) Send(to ids.ProcessID, m wire.Message) {
 	if !to.Valid(e.h.cfg.System.N) {
-		e.log.Logf(logging.LevelError, "transport: send to %s outside Π", to)
+		e.h.cfg.Metrics.Inc("transport.send.outside_pi", 1)
 		return
 	}
 	e.h.send(to, m)

@@ -276,6 +276,18 @@ func TestHostSurvivesHostileFrames(t *testing.T) {
 	if !ok {
 		t.Fatal("host stopped working after hostile frames")
 	}
+	// Each hostile connection is counted where its read loop gave up.
+	reg := hosts[1].Metrics()
+	counted := func() bool {
+		return reg.Counter("transport.hello.invalid") == 1 &&
+			reg.Counter("transport.frame.bad_length") == 2 &&
+			reg.Counter("transport.decode.errors") == 1
+	}
+	if !waitFor(t, 5*time.Second, counted) {
+		t.Errorf("hello.invalid=%d frame.bad_length=%d decode.errors=%d, want 1, 2, 1",
+			reg.Counter("transport.hello.invalid"), reg.Counter("transport.frame.bad_length"),
+			reg.Counter("transport.decode.errors"))
+	}
 }
 
 func TestHeartbeatsOverTCP(t *testing.T) {

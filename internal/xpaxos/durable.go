@@ -26,7 +26,6 @@ import (
 
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
@@ -280,7 +279,5 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 	r.env.Metrics().Inc("xpaxos.recoveries", 1)
 	runtime.Emit(r.env, obs.Event{Type: obs.TypeLifecycle, View: r.view, Slot: r.lastExec,
 		Detail: fmt.Sprintf("xpaxos recovered: view=%d lastExec=%d records=%d", r.view, r.lastExec, replayed)})
-	r.log.Logf(logging.LevelDebug, "xpaxos: recovered view=%d lastExec=%d nextSlot=%d (%d records)",
-		r.view, r.lastExec, r.nextSlot, replayed)
 	return nil
 }

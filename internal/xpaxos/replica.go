@@ -10,7 +10,6 @@ import (
 	"quorumselect/internal/fd"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -119,7 +118,6 @@ type Replica struct {
 	env      runtime.Env
 	detector *fd.Detector
 	cfg      ids.Config
-	log      logging.Logger
 
 	sys         quorum.System
 	enumeration []ids.Quorum
@@ -209,7 +207,6 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.env = env
 	r.detector = detector
 	r.cfg = env.Config()
-	r.log = env.Logger()
 	r.sys = r.opts.System
 	if r.sys == nil {
 		r.sys = quorum.FromConfig(r.cfg)
@@ -491,8 +488,6 @@ func (r *Replica) Deliver(from ids.ProcessID, m wire.Message) {
 		r.onViewChange(msg)
 	case *wire.NewView:
 		r.onNewView(msg)
-	default:
-		r.log.Logf(logging.LevelDebug, "xpaxos: ignoring %s from %s", m.Kind(), from)
 	}
 }
 
@@ -816,7 +811,6 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	}
 	if prep == nil || !r.sys.IsQuorum(signers.Sorted()) {
 		r.env.Metrics().Inc("xpaxos.cert.rejected", 1)
-		r.log.Logf(logging.LevelDebug, "xpaxos: rejecting commit certificate for slot %d", cert.Slot)
 		return
 	}
 	r.committedReq[cert.Slot] = prep.Requests()

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
@@ -22,7 +21,7 @@ func (r *Replica) OnQuorum(q ids.Quorum) {
 	}
 	target := r.quorumIndex(q)
 	if target < 0 {
-		r.log.Logf(logging.LevelError, "xpaxos: quorum %s not in enumeration", q)
+		r.env.Metrics().Inc("xpaxos.quorum.unenumerated", 1)
 		return
 	}
 	size := len(r.enumeration)
@@ -83,7 +82,6 @@ func (r *Replica) startViewChange(v uint64) {
 	r.m.view.Set(float64(v))
 	runtime.Emit(r.env, obs.Event{Type: obs.TypeViewChangeStart, View: v,
 		Detail: r.active.String()})
-	r.log.Logf(logging.LevelDebug, "xpaxos: view change to %d, quorum %s", v, r.active)
 	r.detector.CancelScope(Scope)
 	// Reset per-view round state; the accepted log survives. Messages
 	// buffered for an older in-progress view are obsolete. Open
@@ -295,7 +293,7 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 	// reproduction's simplified view change — see DESIGN.md.)
 	if nv.CheckpointSlot > r.lastExec {
 		if err := r.restoreCheckpoint(nv.CheckpointSlot, nv.Snapshot); err != nil {
-			r.log.Logf(logging.LevelError, "xpaxos: checkpoint restore failed: %v", err)
+			r.env.Metrics().Inc("xpaxos.checkpoint.restore_failed", 1)
 			r.detector.Detected(nv.Leader)
 			return
 		}
@@ -311,8 +309,6 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 			maxSlot = ls.Slot
 		}
 	}
-	r.log.Logf(logging.LevelDebug, "xpaxos: view %d installed, quorum %s, log to slot %d",
-		r.view, r.active, maxSlot)
 
 	// Replay normal-case messages that arrived for this view while the
 	// change was still in progress.

@@ -10,7 +10,6 @@ import (
 	"quorumselect/internal/fleet"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/logging"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -85,8 +84,6 @@ type (
 	// RuntimeNode is the interface the simulator and TCP transport
 	// drive.
 	RuntimeNode = runtime.Node
-	// Logger is the leveled logger protocol code writes to.
-	Logger = logging.Logger
 	// Registry collects counters, gauges and histograms for
 	// experiments and the /metrics endpoint.
 	Registry = metrics.Registry
