@@ -239,12 +239,15 @@ func (t *terminationChecker) Check(r *RunState, phase Phase) error {
 
 // historyChecker verifies cross-replica replicated-history agreement at
 // every instant (cluster.HistoriesAgree: slot-aligned, batch-aware,
-// comparing operation and result).
+// comparing operation and result), and exactly-once execution where the
+// protocol promises it.
 type historyChecker struct{}
 
 func (historyChecker) Name() string { return "history-agreement" }
 
-func (historyChecker) Check(r *RunState, _ Phase) error { return r.cluster.HistoriesAgree(0) }
+func (historyChecker) Check(r *RunState, _ Phase) error {
+	return r.cluster.HistoriesAgree(0, r.Config.Protocol.executesOnce())
+}
 
 // recoveryChecker verifies crash-restart durability: every restarted
 // durable member must be running again by the end of the run, and its

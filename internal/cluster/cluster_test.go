@@ -27,9 +27,10 @@ func exec(slot, client, seq uint64, op, result string) xpaxos.Execution {
 }
 
 // TestHistoriesAgree drives the checker with canned histories on silent
-// members. The last two failing cases — same client and sequence number
-// but a different operation or result — are the ones the per-scenario
-// copies this checker replaced did not compare.
+// members. The "different op" and "different result" cases — same
+// client and sequence number but a different operation or result — are
+// the ones the per-scenario copies this checker replaced did not
+// compare; "request executed twice" fails only the exactly-once check.
 func TestHistoriesAgree(t *testing.T) {
 	base := []xpaxos.Execution{
 		exec(1, 7, 1, "set a 1", "OK"),
@@ -42,6 +43,8 @@ func TestHistoriesAgree(t *testing.T) {
 		h[i] = e
 		return h
 	}
+	// slot 5 re-runs slot 2's first request
+	twice := append(append([]xpaxos.Execution(nil), base...), exec(5, 7, 2, "set b 2", "OK"))
 	cases := []struct {
 		name    string
 		p2      []xpaxos.Execution
@@ -56,19 +59,26 @@ func TestHistoriesAgree(t *testing.T) {
 		{"different client", with(3, exec(3, 9, 3, "set d 4", "OK")), "histories diverge at slot 3"},
 		{"different op", with(3, exec(3, 7, 3, "set d evil", "OK")), "histories diverge at slot 3"},
 		{"different result", with(4, exec(4, 8, 2, "set e 5", "ERR")), "histories diverge at slot 4"},
+		{"request executed twice", twice, "p2 executed client=7 seq=2 twice (slots 2 and 5)"},
+	}
+	agree := func(p2 []xpaxos.Execution, once bool) error {
+		hists := map[ids.ProcessID][]xpaxos.Execution{1: base, 2: p2, 3: base[:1]}
+		c := cluster.New(ids.MustConfig(3, 1), 1, func(at cluster.Site) cluster.Member {
+			h, ok := hists[at.Proc]
+			if !ok {
+				return cluster.Member{}
+			}
+			return cluster.Member{History: func() []xpaxos.Execution { return h }}
+		}, sim.Options{})
+		defer c.Net.Close()
+		return c.HistoriesAgree(0, once)
+	}
+	if err := agree(twice, false); err != nil {
+		t.Errorf("a duplicate rejected without the exactly-once check: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hists := map[ids.ProcessID][]xpaxos.Execution{1: base, 2: tc.p2, 3: base[:1]}
-			c := cluster.New(ids.MustConfig(3, 1), 1, func(at cluster.Site) cluster.Member {
-				h, ok := hists[at.Proc]
-				if !ok {
-					return cluster.Member{}
-				}
-				return cluster.Member{History: func() []xpaxos.Execution { return h }}
-			}, sim.Options{})
-			defer c.Net.Close()
-			err := c.HistoriesAgree(0)
+			err := agree(tc.p2, true)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("agreeing histories rejected: %v", err)
@@ -174,7 +184,7 @@ func TestHardCrashRestartRecovers(t *testing.T) {
 				t.Fatal("cluster made no progress after the restart")
 			}
 			for s := 0; s < shards; s++ {
-				if err := c.HistoriesAgree(s); err != nil {
+				if err := c.HistoriesAgree(s, true); err != nil {
 					t.Fatalf("shard %d: %v", s, err)
 				}
 			}

@@ -1,6 +1,12 @@
 package crypto
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"quorumselect/internal/ids"
@@ -137,4 +143,67 @@ func TestDigest(t *testing.T) {
 	if len(a) != 32 {
 		t.Errorf("Digest length = %d, want 32", len(a))
 	}
+}
+
+// TestHMACRingMatchesFreshMAC: the pooled, Reset-before-use MAC state
+// yields the same tag as a freshly keyed hmac.New on every input —
+// including inputs that follow a longer or shorter one through the same
+// pooled state.
+func TestHMACRingMatchesFreshMAC(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	master := []byte("master secret")
+	ring := NewHMACRing(cfg, master)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		p := ids.ProcessID(1 + rng.Intn(cfg.N))
+		data := make([]byte, rng.Intn(300))
+		rng.Read(data)
+		km := hmac.New(sha256.New, master)
+		fmt.Fprintf(km, "process-key-%d", p)
+		fresh := hmac.New(sha256.New, km.Sum(nil))
+		fresh.Write(data)
+		want := fresh.Sum(nil)
+		got, err := ring.Sign(p, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("input %d (%s, %d bytes): tag %x, fresh MAC %x", i, p, len(data), got, want)
+		}
+		if err := ring.Verify(p, data, want); err != nil {
+			t.Fatalf("input %d: fresh MAC rejected: %v", i, err)
+		}
+	}
+}
+
+// TestHMACRingConcurrent signs and verifies from several goroutines at
+// once over the shared per-process pools (run it under -race).
+func TestHMACRingConcurrent(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	ring := NewHMACRing(cfg, []byte("master secret"))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				p := ids.ProcessID(1 + (g+i)%cfg.N)
+				data := []byte(fmt.Sprintf("goroutine %d message %d", g, i))
+				sig, err := ring.Sign(p, data)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := ring.Verify(p, data, sig); err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if ring.Verify(p, append(data, '!'), sig) == nil {
+					t.Errorf("goroutine %d: tampered data verified", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -53,9 +53,11 @@ type SimOptions struct {
 	MaxInFlight int
 	Backlog     int
 	// RetryEvery re-submits an uncompleted request on this period
-	// (default 1s): across a leader crash, the retry is what carries a
-	// request into the new view — its full wait still counts, measured
-	// from the intended send time.
+	// (default 1s). A request a live replica forwarded crosses a leader
+	// crash without it (the replica re-submits it once the new view
+	// installs); the retry carries the ones the crashed leader itself
+	// held. Either way its full wait counts, measured from the intended
+	// send time.
 	RetryEvery time.Duration
 	// Topology, when set, supplies the latency model and any partition
 	// windows. FD timeouts are scaled to its worst one-way delay.

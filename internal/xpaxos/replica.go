@@ -110,6 +110,17 @@ type entry struct {
 	committed  bool
 }
 
+// reqKey identifies a client request: clients number their requests,
+// so (client, seq) names one request across resubmissions.
+type reqKey struct{ client, seq uint64 }
+
+// forwardedReq is a request this replica forwarded to a leader, with
+// its place in forward order.
+type forwardedReq struct {
+	order uint64
+	req   *wire.Request
+}
+
 // Replica is one XPaxos replica. It implements core.Application so it
 // can be composed with the quorum-selection stack, and is also driven
 // directly by StandaloneNode in enumeration mode.
@@ -127,6 +138,10 @@ type Replica struct {
 
 	nextSlot uint64
 	entries  map[uint64]*entry
+	// inflight counts the entries that hold a prepare and have not
+	// committed: the pipeline depth the window bounds. setPrep and
+	// tryCommit move it; a view change resets it with the entries.
+	inflight int
 	// accepted holds the highest-view prepare per slot across views —
 	// the log reported in VIEW-CHANGE messages.
 	accepted map[uint64]*wire.Prepare
@@ -141,6 +156,13 @@ type Replica struct {
 
 	vcVotes map[uint64]map[ids.ProcessID]*wire.ViewChange
 	pending []*wire.Request
+	// forwarded holds the requests this replica forwarded to a leader
+	// and has not seen execute, keyed by (client, seq) with their
+	// forward order. A leader that crashes takes its ingress with it;
+	// applyNewView re-submits what the new log lacks, so such a request
+	// does not wait for the client's retry.
+	forwarded    map[reqKey]forwardedReq
+	forwardCount uint64
 	// buffered holds PREPARE/COMMIT messages for the view currently
 	// being installed: a peer that finished its view change earlier may
 	// send them before our NEW-VIEW arrives; they are replayed at
@@ -197,6 +219,7 @@ func NewReplica(opts Options) *Replica {
 		committedReq: make(map[uint64][]*wire.Request),
 		clientTable:  make(map[uint64]uint64),
 		vcVotes:      make(map[uint64]map[ids.ProcessID]*wire.ViewChange),
+		forwarded:    make(map[reqKey]forwardedReq),
 		slotStart:    make(map[uint64]time.Duration),
 		traces:       make(map[uint64]*slotTrace),
 	}
@@ -343,26 +366,19 @@ func FirstViewLedBy(cfg ids.Config, p ids.ProcessID) (uint64, bool) {
 	return 0, false
 }
 
-// inflight counts slots proposed (or accepted) in the current view that
-// have not committed yet — the pipeline depth the window bounds. The
-// entries map holds at most a checkpoint interval plus a window of
-// slots, so the scan stays cheap, and deriving the count from round
-// state (rather than a counter) keeps it trivially correct across view
-// changes, which rebuild that state wholesale.
-func (r *Replica) inflight() int {
-	n := 0
-	for _, e := range r.entries {
-		if e.prep != nil && !e.committed {
-			n++
-		}
-	}
-	return n
-}
-
 // windowOpen reports whether the leader may take another slot in
 // flight.
 func (r *Replica) windowOpen() bool {
-	return r.opts.Window <= 0 || r.inflight() < r.opts.Window
+	return r.opts.Window <= 0 || r.inflight < r.opts.Window
+}
+
+// setPrep installs p as the slot's prepare, counting the slot in flight
+// when it first gets one (a committed entry always has one).
+func (r *Replica) setPrep(e *entry, p *wire.Prepare) {
+	if e.prep == nil {
+		r.inflight++
+	}
+	e.prep = p
 }
 
 // Submit injects a client request at this replica (the harness's or
@@ -406,6 +422,8 @@ func (r *Replica) flushBatch(reqs []*wire.Request, tc wire.TraceContext) {
 		batch := &wire.Batch{Reqs: make([]wire.Request, len(reqs)), TC: tc}
 		for i, req := range reqs {
 			batch.Reqs[i] = *req
+			r.forwardCount++
+			r.forwarded[reqKey{req.Client, req.Seq}] = forwardedReq{order: r.forwardCount, req: req}
 		}
 		r.env.Send(r.Leader(), batch)
 		return
@@ -453,7 +471,7 @@ func (r *Replica) propose(reqs []*wire.Request, tc wire.TraceContext) {
 	// issued when receiving or *sending* a PREPARE).
 	r.acceptPrepare(prep, stage)
 	if r.opts.Window > 0 {
-		r.m.windowInflight.Set(float64(r.inflight()))
+		r.m.windowInflight.Set(float64(r.inflight))
 	}
 }
 
@@ -542,7 +560,7 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 	if _, ok := r.slotStart[p.Slot]; !ok {
 		r.slotStart[p.Slot] = r.env.Now()
 	}
-	e.prep = p
+	r.setPrep(e, p)
 	e.adopted = false
 	r.accepted[p.Slot] = p
 	st := r.slotTraceFor(p.Slot)
@@ -656,7 +674,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		// PREPARE from the leader. The embedded prepare kept its trace
 		// context, so the accept span still joins the leader's trace.
 		prep := c.Prep
-		e.prep = &prep
+		r.setPrep(e, &prep)
 		e.adopted = true
 		r.accepted[c.Slot] = &prep
 		stage := r.traceStart("accept", prep.TC)
@@ -713,6 +731,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 		}
 	}
 	e.committed = true
+	r.inflight--
 	st := r.traces[slot]
 	if st != nil {
 		runtime.TraceEnd(r.env, st.quorum)
@@ -754,7 +773,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 	// flush-triggered propose chain is fine — the outer drain loop
 	// continues instead.
 	if r.opts.Window > 0 {
-		r.m.windowInflight.Set(float64(r.inflight()))
+		r.m.windowInflight.Set(float64(r.inflight))
 		if r.IsLeader() && !r.changing {
 			r.ingress.Flush()
 		}
@@ -847,10 +866,19 @@ func (r *Replica) execute() {
 			es.SetSlot(r.lastExec)
 		}
 		for _, req := range reqs {
-			result := r.opts.SM.Apply(req.Op)
-			if req.Seq > r.clientTable[req.Client] {
-				r.clientTable[req.Client] = req.Seq
+			if len(r.forwarded) > 0 {
+				delete(r.forwarded, reqKey{req.Client, req.Seq})
 			}
+			// Exactly once: a request can hold two slots (a re-submitted
+			// forward, a client retry), and only the first runs. Submit
+			// applies the same rule; the client table is replicated and
+			// checkpointed, so every replica skips the same entries.
+			if req.Seq <= r.clientTable[req.Client] {
+				r.env.Metrics().Inc("xpaxos.executed.duplicate", 1)
+				continue
+			}
+			result := r.opts.SM.Apply(req.Op)
+			r.clientTable[req.Client] = req.Seq
 			exec := Execution{
 				Slot:   r.lastExec,
 				Client: req.Client,

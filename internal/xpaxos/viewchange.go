@@ -88,6 +88,7 @@ func (r *Replica) startViewChange(v uint64) {
 	// commit-path spans die with the view (never recorded); surviving
 	// slots re-trace when the new leader re-proposes them.
 	r.entries = make(map[uint64]*entry)
+	r.inflight = 0
 	r.buffered = nil
 	r.traces = make(map[uint64]*slotTrace)
 	// Persist-before-act: the adopted view must be on disk before the
@@ -274,7 +275,9 @@ func (r *Replica) onNewView(nv *wire.NewView) {
 
 // applyNewView adopts the consolidated log and resumes normal
 // operation; the leader re-proposes every slot that is not yet
-// executed locally so the commit phase re-runs in the new view.
+// executed locally so the commit phase re-runs in the new view, and
+// every replica re-submits the requests it forwarded that the log
+// lacks.
 func (r *Replica) applyNewView(nv *wire.NewView) {
 	if !r.changing || nv.ViewNum != r.view {
 		return
@@ -361,15 +364,43 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 			}
 			r.acceptPrepare(prep, stage)
 		}
-		// Drain requests queued during the change.
-		pending := r.pending
-		r.pending = nil
-		for _, req := range pending {
-			r.Submit(req)
-		}
+	}
+	// Re-submit what this replica forwarded and the new log lacks (an
+	// old leader may have died holding it), then the requests parked
+	// during the change: a leader proposes them, others forward them.
+	resubmit := r.unlogged(nv.Log)
+	if len(resubmit) > 0 {
+		r.env.Metrics().Inc("xpaxos.forward.resubmitted", int64(len(resubmit)))
+	}
+	for _, f := range resubmit {
+		r.Submit(f.req)
+	}
+	pending := r.pending
+	r.pending = nil
+	for _, req := range pending {
+		r.Submit(req)
 	}
 	// Batches may have pooled behind a closed window gate in the old
 	// view (the gate reports open again now that r.changing cleared or
 	// leadership moved); drain them under the new view's rules.
 	r.ingress.Flush()
+}
+
+// unlogged empties the forwarded set and returns, in forward order, the
+// requests in it that no slot of log holds.
+func (r *Replica) unlogged(log []wire.LogSlot) []forwardedReq {
+	for i := 0; i < len(log) && len(r.forwarded) > 0; i++ {
+		p := &log[i].Prep
+		delete(r.forwarded, reqKey{p.Req.Client, p.Req.Seq})
+		for _, q := range p.Rest {
+			delete(r.forwarded, reqKey{q.Client, q.Seq})
+		}
+	}
+	out := make([]forwardedReq, 0, len(r.forwarded))
+	for _, f := range r.forwarded {
+		out = append(out, f)
+	}
+	clear(r.forwarded)
+	sort.Slice(out, func(i, j int) bool { return out[i].order < out[j].order })
+	return out
 }
