@@ -27,10 +27,10 @@ import (
 
 // options is the parsed command line.
 type options struct {
-	seed, first                                                         *int64
-	seeds, n, f, batch, window, shards                                  *int
-	protocols, faults, traceDump, topology, spec                        *string
-	reorder, asyncVerify, metricsDump, sharded, unsafeSpec, forceUnsafe *bool
+	seed, first                                            *int64
+	seeds, n, f, batch, window, shards                     *int
+	protocols, faults, traceDump, topology, spec           *string
+	reorder, metricsDump, sharded, unsafeSpec, forceUnsafe *bool
 }
 
 // defineFlags registers the command's flags on fs.
@@ -46,7 +46,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 		batch:       fs.Int("batch", 1, "replica batch size"),
 		window:      fs.Int("window", 0, "xpaxos commit-window depth (0 = unbounded)"),
 		reorder:     fs.Bool("reorder", false, "allow per-link message reordering"),
-		asyncVerify: fs.Bool("async-verify", false, "route signature checks through the async-verify path"),
 		metricsDump: fs.Bool("metrics-dump", false, "print the campaign's metrics in Prometheus text format after the run"),
 		traceDump:   fs.String("trace-dump", "", "write the flight-recorder dump (spans + events JSON) of a replayed or violating seed to this file"),
 		sharded:     fs.Bool("sharded", false, "run the sharded-partition fleet scenario instead of the generic protocol sweep"),
@@ -82,15 +81,14 @@ func (o *options) configs() ([]chaos.Config, error) {
 	for i, p := range ps {
 		out[i] = chaos.Config{
 			N: *o.n, F: *o.f,
-			Protocol:    p,
-			Faults:      fs,
-			BatchSize:   *o.batch,
-			Window:      *o.window,
-			Reorder:     *o.reorder,
-			AsyncVerify: *o.asyncVerify,
-			Seeds:       *o.seeds,
-			FirstSeed:   *o.first,
-			Topology:    topo,
+			Protocol:  p,
+			Faults:    fs,
+			BatchSize: *o.batch,
+			Window:    *o.window,
+			Reorder:   *o.reorder,
+			Seeds:     *o.seeds,
+			FirstSeed: *o.first,
+			Topology:  topo,
 		}
 	}
 	return out, nil

@@ -27,7 +27,7 @@ func parse(t *testing.T, args []string) (*options, *flag.FlagSet) {
 func TestReproduceArgsReparse(t *testing.T) {
 	const seed = 12
 	sweeps := [][]string{
-		{"-protocol", "xpaxos", "-window", "4", "-batch", "4", "-reorder", "-async-verify", "-seeds", "50"},
+		{"-protocol", "xpaxos", "-window", "4", "-batch", "4", "-reorder", "-seeds", "50"},
 		{"-n", "7", "-f", "2", "-protocol", "qs,xpaxos", "-faults", "crash,omission", "-first", "30", "-seeds", "30"},
 		{"-topology", "../../examples/topologies/geo3.topo", "-metrics-dump", "-trace-dump", "flight.json"},
 		{"-protocol", "pbftlite", "-faults", "crash-restart"},

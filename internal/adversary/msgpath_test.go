@@ -23,9 +23,10 @@ const (
 	// f+1 at n=64, f=21: how many ring successors a changed row is
 	// forwarded to.
 	forwardFanout = 21 + 1
-	// The decoder's reader, message, row and signature; SigBytes; the
-	// pool box the frame is recycled in.
-	noMergeBudget = 6
+	// The decoder's reader, message, row and signature; the pool box
+	// the frame is recycled in. The signature is checked against the
+	// bytes that arrived, so no SigBytes.
+	noMergeBudget = 5
 	// The same plus the merge's bookkeeping and 22 forwarded copies. In
 	// this test nothing is ever recycled (the forwards stay in flight),
 	// so every copy pays for its encoder, a fresh event and a fresh pool

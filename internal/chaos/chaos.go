@@ -66,11 +66,6 @@ type Config struct {
 	// commit path must tolerate (COMMIT before PREPARE, slots out of
 	// order).
 	Reorder bool
-	// AsyncVerify routes signature checks through the simulator's
-	// deterministic asynchronous-verification path (a zero-delay
-	// completion event per check) instead of inline calls, exercising
-	// the off-loop verify plumbing under faults.
-	AsyncVerify bool
 	// Requests is the workload size submitted while faults are active
 	// (default 30; ignored for the core-only protocol).
 	Requests int

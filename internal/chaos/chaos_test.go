@@ -99,24 +99,22 @@ func TestChaosBatchedProperty(t *testing.T) {
 
 // TestChaosPipelinedReorder exercises the pipelined commit path under
 // the harshest delivery schedule the simulator offers: a bounded
-// in-flight window keeps several slots open at once, per-link FIFO is
-// off so COMMITs overtake PREPAREs and slots interleave arbitrarily,
-// and every signature check detours through the deterministic
-// async-verify path. Execution must stay in slot order and agree
-// across replicas regardless.
+// in-flight window keeps several slots open at once, and per-link FIFO
+// is off so COMMITs overtake PREPAREs and slots interleave arbitrarily.
+// Execution must stay in slot order and agree across replicas
+// regardless.
 func TestChaosPipelinedReorder(t *testing.T) {
 	seeds := 4
 	if testing.Short() {
 		seeds = 2
 	}
 	res := Run(Config{
-		Protocol:    ProtocolXPaxos,
-		BatchSize:   4,
-		Window:      4,
-		Reorder:     true,
-		AsyncVerify: true,
-		Seeds:       seeds,
-		FirstSeed:   300,
+		Protocol:  ProtocolXPaxos,
+		BatchSize: 4,
+		Window:    4,
+		Reorder:   true,
+		Seeds:     seeds,
+		FirstSeed: 300,
 	})
 	if res.Violation != nil {
 		t.Fatalf("unexpected violation:\n%s", res.Violation.Dump)

@@ -117,7 +117,6 @@ func (r *RunState) boot(seed int64) {
 		Events:       r.bus,
 		Tracer:       r.spans,
 		AllowReorder: run.Reorder,
-		AsyncVerify:  run.AsyncVerify,
 	}
 	fdOpts := cluster.Links(run.Topology, &opts)
 	r.cluster = cluster.New(r.cfg, 1, func(at cluster.Site) cluster.Member {

@@ -27,115 +27,27 @@ func VerifySerial(auth Authenticator, items []BatchItem) []error {
 	return errs
 }
 
-// verifyJob is one queued asynchronous verification.
-type verifyJob struct {
-	item BatchItem
-	done func(error)
-}
-
-// Pool verifies signatures off the caller's thread: a fixed set of
-// standing workers drains an unbounded job queue, so the event loop
-// submitting work is never blocked (blocking it could deadlock against
-// a worker trying to post a completion back onto that same loop).
+// Pool verifies a batch of signatures at once: VerifyBatch
+// deduplicates identical (signer, data, sig) items so each distinct
+// signature is verified once, and fans the distinct checks out across
+// up to Workers goroutines for the duration of the call. A quorum
+// commit certificate embeds the same PREPARE in every COMMIT, so dedup
+// alone cuts a cert's cost from 2q to q+1 checks.
 //
-// Two entry points share the workers' Authenticator:
-//
-//   - VerifyAsync queues one check and invokes done(err) from a worker
-//     goroutine when it completes. Completions are unordered; callers
-//     needing arrival order re-sequence (see fd.Detector).
-//   - VerifyBatch checks a batch synchronously, deduplicating identical
-//     (signer, data, sig) items so each distinct signature is verified
-//     once, and fanning the distinct checks out across the CPUs. A
-//     quorum commit certificate embeds the same PREPARE in every
-//     COMMIT, so dedup alone cuts a cert's cost from 2q to q+1 checks.
-//
-// Pool is safe for concurrent use. Close stops the workers; jobs still
-// queued at Close are dropped without their done callback (the host
-// tearing the pool down has already detached the loop they would post
-// to).
+// Pool holds no goroutines between calls and is safe for concurrent
+// use.
 type Pool struct {
 	auth    Authenticator
 	workers int
-
-	mu     sync.Mutex
-	queue  []verifyJob
-	wake   chan struct{}
-	closed bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
-// NewPool starts a verification pool with the given worker count;
-// workers <= 0 selects GOMAXPROCS.
+// NewPool returns a batch verifier fanning out across the given number
+// of goroutines; workers <= 0 selects GOMAXPROCS.
 func NewPool(auth Authenticator, workers int) *Pool {
 	if workers <= 0 {
 		workers = gort.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		auth:    auth,
-		workers: workers,
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-// VerifyAsync queues one signature check; done(err) is called from a
-// worker goroutine. After Close the job is dropped and done is never
-// called.
-func (p *Pool) VerifyAsync(signer ids.ProcessID, data, sig []byte, done func(error)) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.queue = append(p.queue, verifyJob{item: BatchItem{Signer: signer, Data: data, Sig: sig}, done: done})
-	p.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for {
-		job, ok := p.pop()
-		if !ok {
-			select {
-			case <-p.wake:
-				continue
-			case <-p.done:
-				return
-			}
-		}
-		job.done(p.auth.Verify(job.item.Signer, job.item.Data, job.item.Sig))
-	}
-}
-
-func (p *Pool) pop() (verifyJob, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
-		return verifyJob{}, false
-	}
-	job := p.queue[0]
-	p.queue[0] = verifyJob{}
-	p.queue = p.queue[1:]
-	if len(p.queue) > 0 {
-		// More work remains: keep the wake token set so another idle
-		// worker picks it up.
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
-	return job, true
+	return &Pool{auth: auth, workers: workers}
 }
 
 // VerifyBatch checks all items and returns one error slice aligned with
@@ -213,16 +125,7 @@ func (p *Pool) VerifyBatch(items []BatchItem) []error {
 	return errs
 }
 
-// Close stops the workers and drops any queued jobs. Idempotent.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.queue = nil
-	p.mu.Unlock()
-	close(p.done)
-	p.wg.Wait()
-}
+// Close releases the pool. A pool keeps nothing running between
+// batches, so there is nothing to stop; Close is idempotent and the
+// pool stays usable.
+func (p *Pool) Close() {}

@@ -112,76 +112,33 @@ func TestPoolVerifyBatchSignerConfusion(t *testing.T) {
 	}
 }
 
-func TestPoolVerifyAsyncDelivers(t *testing.T) {
-	cfg := ids.MustConfig(4, 1)
-	ring := NewHMACRing(cfg, []byte("vk"))
-	pool := NewPool(ring, 2)
-	defer pool.Close()
-
-	data := []byte("async payload")
-	sig, err := ring.Sign(3, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const jobs = 64
-	results := make(chan error, jobs)
-	for i := 0; i < jobs; i++ {
-		if i%2 == 0 {
-			pool.VerifyAsync(3, data, sig, func(err error) { results <- err })
-		} else {
-			pool.VerifyAsync(3, data, []byte("forged"), func(err error) { results <- err })
-		}
-	}
-	good, bad := 0, 0
-	for i := 0; i < jobs; i++ {
-		if err := <-results; err != nil {
-			bad++
-		} else {
-			good++
-		}
-	}
-	if good != jobs/2 || bad != jobs/2 {
-		t.Fatalf("got %d good / %d bad verdicts, want %d/%d", good, bad, jobs/2, jobs/2)
-	}
-}
-
-func TestPoolCloseDropsQueued(t *testing.T) {
-	cfg := ids.MustConfig(4, 1)
-	ring := NewHMACRing(cfg, []byte("vk"))
-	pool := NewPool(ring, 1)
-	pool.Close()
-	pool.Close() // idempotent
-	// Submissions after Close are dropped without invoking done.
-	pool.VerifyAsync(1, []byte("x"), []byte("y"), func(error) {
-		t.Error("done callback ran after Close")
-	})
-}
-
-// TestPoolRaceStorm hammers one pool from many goroutines mixing async
-// submissions, batched passes, and a mid-storm Close — the -race
-// harness for the verifier's locking.
+// TestPoolRaceStorm hammers one pool from many goroutines with batched
+// passes, one of them forged, across a mid-storm Close — the -race
+// harness for the fan-out, and proof that every caller gets its own
+// aligned verdicts.
 func TestPoolRaceStorm(t *testing.T) {
 	cfg := ids.MustConfig(7, 2)
 	ring := NewHMACRing(cfg, []byte("storm"))
 	pool := NewPool(ring, 4)
 	items := certItems(t, cfg, ring)
-	data := []byte("storm payload")
-	sig, err := ring.Sign(1, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forged := certItems(t, cfg, ring)
+	forged[0].Sig = []byte("forged")
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
-		g := g
+		batch := items
+		if g%2 == 1 {
+			batch = forged
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if g%2 == 0 {
-					pool.VerifyAsync(1, data, sig, func(error) {})
-				} else {
-					pool.VerifyBatch(items)
+				for k, err := range pool.VerifyBatch(batch) {
+					if bad := &batch[k] == &forged[0]; bad != (err != nil) {
+						t.Errorf("item %d: verdict %v", k, err)
+						return
+					}
 				}
 			}
 		}()
@@ -193,6 +150,49 @@ func TestPoolRaceStorm(t *testing.T) {
 	}()
 	wg.Wait()
 	pool.Close()
+}
+
+// TestVerifyShardMatchesDomainAuth: checking a frame under the shard
+// number it carries is the check the shard's own DomainAuth makes —
+// its signatures pass, and another shard's do not.
+func TestVerifyShardMatchesDomainAuth(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	for name, ring := range map[string]Authenticator{"hmac": NewHMACRing(cfg, []byte("vk")), "ed25519": mustEd25519(t, cfg)} {
+		t.Run(name, func(t *testing.T) {
+			data := []byte("PREPARE view=0 slot=7")
+			for _, shard := range []uint32{0, 3, 12} {
+				auth := NewDomainAuth(ring, ShardDomain(int(shard)))
+				sig, err := auth.Sign(2, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := auth.Verify(2, data, sig); err != nil {
+					t.Fatalf("shard %d: DomainAuth rejects its own signature: %v", shard, err)
+				}
+				if err := VerifyShard(ring, shard, 2, data, sig); err != nil {
+					t.Fatalf("shard %d: VerifyShard rejects the shard's signature: %v", shard, err)
+				}
+				if err := VerifyShard(ring, shard+1, 2, data, sig); err == nil {
+					t.Fatalf("shard %d's signature verifies under shard %d", shard, shard+1)
+				}
+				if err := ring.Verify(2, data, sig); err == nil {
+					t.Fatalf("shard %d's signature verifies outside any domain", shard)
+				}
+			}
+		})
+	}
+	if got := ShardDomain(7); got != "qs/shard/7" {
+		t.Errorf("ShardDomain(7) = %q", got)
+	}
+}
+
+func mustEd25519(t *testing.T, cfg ids.Config) *Ed25519Ring {
+	t.Helper()
+	ring, err := NewEd25519Ring(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ring
 }
 
 // BenchmarkQuorumCertVerify measures the signature cost of validating

@@ -37,7 +37,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 )
@@ -111,7 +110,11 @@ type Detector struct {
 	deliver   Deliver
 	onSuspect OnSuspect
 
-	expects  []*expectation
+	// expects holds the outstanding expectations of each sender, at
+	// index sender−1, in issue order: a message is matched against its
+	// sender's list alone. pending counts them all.
+	expects  [][]*expectation
+	pending  int
 	detected map[ids.ProcessID]bool
 	timeout  map[ids.ProcessID]time.Duration
 
@@ -124,13 +127,6 @@ type Detector struct {
 	// the first still-standing suspicion of each process.
 	firstSuspectedAt map[ids.ProcessID]time.Duration
 
-	// verifyq is the arrival-order FIFO of messages awaiting (or past)
-	// signature verification when the environment verifies
-	// asynchronously; with synchronous verification entries complete
-	// inline and the queue never holds more than the message being
-	// received.
-	verifyq []*pendingVerify
-
 	// closed marks the detector torn down: timers are stopped and new
 	// expectations are refused.
 	closed bool
@@ -142,18 +138,9 @@ type Detector struct {
 // per expectation, resolved at Bind. The rarer ones (suspicions,
 // detections) stay name-keyed at their call sites.
 type detectorMetrics struct {
-	issued, matched, expired, canceled, badsig *metrics.CounterHandle
+	issued, matched, expired, canceled *metrics.CounterHandle
 
 	pending *metrics.GaugeHandle // fd.expectations.pending{node}
-}
-
-// pendingVerify is one arrival waiting in the verification FIFO.
-type pendingVerify struct {
-	from ids.ProcessID
-	m    wire.Message
-	done bool
-	err  error
-	span tracer.Active // verify.wait stage; zero when untraced or synchronous
 }
 
 // New returns an unbound Detector; call Bind before use.
@@ -198,16 +185,15 @@ func (d *Detector) Bind(env runtime.Env, deliver Deliver, onSuspect OnSuspect) {
 		matched:  reg.CounterHandle("fd.expectation.matched"),
 		expired:  reg.CounterHandle("fd.expectation.expired"),
 		canceled: reg.CounterHandle("fd.expectation.canceled"),
-		badsig:   reg.CounterHandle("fd.dropped.badsig"),
 		pending:  runtime.NodeGauge(env, "fd.expectations.pending"),
 	}
 }
 
-// Receive is the network entry point (⟨RECEIVE, m, i⟩). It
-// authenticates content-signed messages, matches expectations, and
-// delivers. Messages whose signature does not verify are dropped: they
-// cannot be attributed (the link sender may be an innocent forwarder),
-// so they produce neither delivery nor detection.
+// Receive is the network entry point (⟨RECEIVE, m, i⟩): it matches
+// expectations and delivers. The message is already authenticated: both
+// backends check content signatures where a frame lands
+// (runtime.Authenticate) and drop forgeries there, so the detector
+// never sees one.
 //
 // For content-signed messages the attributed sender is the signer, not
 // the link-level sender: protocols forward signed messages on behalf of
@@ -215,81 +201,10 @@ func (d *Detector) Bind(env runtime.Env, deliver Deliver, onSuspect OnSuspect) {
 // Algorithm 2 line 36), and a forwarded copy must still satisfy an
 // expectation against the originator — that indirect propagation is
 // what Lemmas 1 and 6 count on.
-//
-// When the environment verifies asynchronously (runtime.AsyncVerifier)
-// the signature check leaves the event loop, but dispatch order does
-// not change: every arrival joins a FIFO of pending verifications and
-// messages are matched/delivered strictly in arrival order as the
-// heads of that queue complete. Unsigned messages (heartbeats) queue
-// behind pending signed ones from the same stream, so an environment's
-// per-link FIFO guarantee survives off-loop verification unchanged.
 func (d *Detector) Receive(from ids.ProcessID, m wire.Message) {
-	signed, ok := m.(wire.Signed)
-	if !ok {
-		if len(d.verifyq) == 0 {
-			d.dispatch(from, m)
-			return
-		}
-		d.verifyq = append(d.verifyq, &pendingVerify{from: from, m: m, done: true})
-		return
+	if s, ok := m.(wire.Signed); ok {
+		from = s.Signer()
 	}
-	if len(d.verifyq) == 0 && !runtime.VerifiesAsync(d.env) {
-		// Nothing ahead of it and the verdict is available now: this is
-		// the queue's one-entry in, one-entry out case, minus the entry.
-		d.verified(from, signed, runtime.Verify(d.env, signed))
-		return
-	}
-	pv := &pendingVerify{from: from, m: m}
-	d.verifyq = append(d.verifyq, pv)
-	runtime.VerifyAsync(d.env, signed, func(err error) {
-		pv.err = err
-		pv.done = true
-		d.drainVerified()
-	})
-	if !pv.done {
-		// Genuinely asynchronous: the message now waits in the queue.
-		// The wait becomes a commit-path stage when the frame carries a
-		// trace context to hang it on.
-		if tc, ok := m.(wire.TraceCarrier); ok && !tc.TraceCtx().Zero() {
-			pv.span = runtime.TraceStart(d.env, "verify.wait", tc.TraceCtx())
-		}
-	}
-}
-
-// drainVerified dispatches completed verifications from the head of
-// the arrival FIFO. It stops at the first still-pending entry, so
-// out-of-order completions never reorder delivery.
-func (d *Detector) drainVerified() {
-	for len(d.verifyq) > 0 && d.verifyq[0].done {
-		pv := d.verifyq[0]
-		d.verifyq[0] = nil
-		d.verifyq = d.verifyq[1:]
-		if len(d.verifyq) == 0 {
-			d.verifyq = nil
-		}
-		runtime.TraceEnd(d.env, pv.span)
-		if signed, ok := pv.m.(wire.Signed); ok {
-			d.verified(pv.from, signed, pv.err)
-		} else {
-			d.dispatch(pv.from, pv.m)
-		}
-	}
-}
-
-// verified acts on the verdict for a signed message that arrived over
-// the link from `from`: drop and count a bad signature, dispatch a good
-// one as coming from its signer.
-func (d *Detector) verified(from ids.ProcessID, m wire.Signed, err error) {
-	if err != nil {
-		d.m.badsig.Inc()
-		return
-	}
-	d.dispatch(m.Signer(), m)
-}
-
-// dispatch is the authenticated tail of Receive: expectation matching,
-// heartbeat consumption, delivery.
-func (d *Detector) dispatch(from ids.ProcessID, m wire.Message) {
 	d.match(from, m)
 	if IsHeartbeat(m) {
 		return // consumed by the expectations; nothing above wants it
@@ -300,10 +215,14 @@ func (d *Detector) dispatch(from ids.ProcessID, m wire.Message) {
 // match consumes every outstanding expectation the message satisfies
 // and cancels suspicions that are no longer justified.
 func (d *Detector) match(from ids.ProcessID, m wire.Message) {
+	list := d.of(from)
+	if len(list) == 0 {
+		return
+	}
 	matchedOverdue := false
-	kept := d.expects[:0]
-	for _, e := range d.expects {
-		if e.from == from && e.pred(m) {
+	kept := list[:0]
+	for _, e := range list {
+		if e.pred(m) {
 			if e.timer != nil {
 				e.timer.Stop()
 			}
@@ -315,7 +234,7 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 		}
 		kept = append(kept, e)
 	}
-	d.expects = kept
+	d.keep(from, list, kept)
 	if matchedOverdue {
 		// The suspicion against from proved false: back off its
 		// timeout (eventual strong accuracy) and re-publish if it is
@@ -348,12 +267,19 @@ func (d *Detector) Expect(scope string, from ids.ProcessID, desc string, pred Pr
 	if pred == nil {
 		panic("fd: Expect requires a predicate")
 	}
+	if from < 1 {
+		panic(fmt.Sprintf("fd: Expect against %s, outside Π", from))
+	}
 	if d.closed {
 		return
 	}
 	e := &expectation{scope: scope, from: from, desc: desc, pred: pred, issuedAt: d.env.Now()}
 	e.timer = d.env.After(d.timeoutFor(from), func() { d.expire(e) })
-	d.expects = append(d.expects, e)
+	for int(from) > len(d.expects) {
+		d.expects = append(d.expects, nil)
+	}
+	d.expects[from-1] = append(d.expects[from-1], e)
+	d.pending++
 	d.m.issued.Inc()
 	runtime.Emit(d.env, obs.Event{Type: obs.TypeExpect, Subject: from, Detail: scope + ":" + desc})
 	d.updatePendingGauge()
@@ -364,7 +290,7 @@ func (d *Detector) expire(e *expectation) {
 	// The expectation may have been removed (matched or canceled)
 	// after the timer fired but before this callback ran.
 	found := false
-	for _, cur := range d.expects {
+	for _, cur := range d.of(e.from) {
 		if cur == e {
 			found = true
 			break
@@ -425,19 +351,21 @@ func (d *Detector) CancelScope(scope string) {
 func (d *Detector) cancelWhere(drop func(*expectation) bool) {
 	before := d.Suspected()
 	dropped := 0
-	kept := d.expects[:0]
-	for _, e := range d.expects {
-		if drop(e) {
-			if e.timer != nil {
-				e.timer.Stop()
+	for i, list := range d.expects {
+		kept := list[:0]
+		for _, e := range list {
+			if drop(e) {
+				if e.timer != nil {
+					e.timer.Stop()
+				}
+				d.m.canceled.Inc()
+				dropped++
+				continue
 			}
-			d.m.canceled.Inc()
-			dropped++
-			continue
+			kept = append(kept, e)
 		}
-		kept = append(kept, e)
+		d.keep(ids.ProcessID(i+1), list, kept)
 	}
-	d.expects = kept
 	if dropped > 0 {
 		runtime.Emit(d.env, obs.Event{Type: obs.TypeCancel,
 			Detail: fmt.Sprintf("canceled=%d", dropped)})
@@ -466,15 +394,14 @@ func (d *Detector) Close() {
 		return
 	}
 	d.closed = true
-	for _, e := range d.expects {
-		if e.timer != nil {
-			e.timer.Stop()
+	for _, list := range d.expects {
+		for _, e := range list {
+			if e.timer != nil {
+				e.timer.Stop()
+			}
 		}
 	}
-	d.expects = nil
-	// Verifications still in flight complete against an empty queue:
-	// their drain finds nothing to dispatch.
-	d.verifyq = nil
+	d.expects, d.pending = nil, 0
 }
 
 // Suspected returns the current suspicion set S: every process with an
@@ -484,9 +411,12 @@ func (d *Detector) Suspected() ids.ProcSet {
 	for p := range d.detected {
 		s.Add(p)
 	}
-	for _, e := range d.expects {
-		if e.overdue {
-			s.Add(e.from)
+	for _, list := range d.expects {
+		for _, e := range list {
+			if e.overdue {
+				s.Add(e.from)
+				break
+			}
 		}
 	}
 	return s
@@ -509,23 +439,40 @@ func (d *Detector) SuspicionsCanceled(i ids.ProcessID) int { return d.canceled[i
 
 // PendingExpectations returns the number of outstanding (not yet
 // matched or canceled) expectations, overdue ones included.
-func (d *Detector) PendingExpectations() int { return len(d.expects) }
+func (d *Detector) PendingExpectations() int { return d.pending }
 
 func (d *Detector) suspectedNow(i ids.ProcessID) bool {
 	if d.detected[i] {
 		return true
 	}
-	for _, e := range d.expects {
-		if e.overdue && e.from == i {
+	for _, e := range d.of(i) {
+		if e.overdue {
 			return true
 		}
 	}
 	return false
 }
 
+// of returns i's outstanding expectations, in issue order.
+func (d *Detector) of(i ids.ProcessID) []*expectation {
+	if i < 1 || int(i) > len(d.expects) {
+		return nil
+	}
+	return d.expects[i-1]
+}
+
+// keep replaces i's list with kept, a prefix-filtered copy made in
+// list's own array, and clears the tail so the dropped expectations
+// (and their predicates) can be collected.
+func (d *Detector) keep(i ids.ProcessID, list, kept []*expectation) {
+	clear(list[len(kept):])
+	d.pending -= len(list) - len(kept)
+	d.expects[i-1] = kept
+}
+
 // updatePendingGauge tracks the outstanding-expectation count per node.
 func (d *Detector) updatePendingGauge() {
-	d.m.pending.Set(float64(len(d.expects)))
+	d.m.pending.Set(float64(d.pending))
 }
 
 func (d *Detector) timeoutFor(i ids.ProcessID) time.Duration {
@@ -544,5 +491,5 @@ func (d *Detector) publish() {
 
 // String summarizes the detector state for debugging.
 func (d *Detector) String() string {
-	return fmt.Sprintf("fd{suspected=%s pending=%d}", d.Suspected(), len(d.expects))
+	return fmt.Sprintf("fd{suspected=%s pending=%d}", d.Suspected(), d.pending)
 }

@@ -1,6 +1,7 @@
 package fd_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -396,12 +397,12 @@ func TestDeliverWithoutExpectation(t *testing.T) {
 	}
 }
 
-// TestSyncAndAsyncVerifyDeliverTheSameStream: whether the verdict is
-// known on arrival (the queue-less fast path) or comes back as a later
-// loop event (the pending-verify FIFO), the detector hands the
-// application the same messages in the same order, attributes them to
-// the same signers, and counts the same forgeries.
-func TestSyncAndAsyncVerifyDeliverTheSameStream(t *testing.T) {
+// TestDeliveredStreamKeepsArrivalOrder: signatures are checked where
+// frames land, so the detector hands the application exactly the
+// authentic messages, in the order they arrived, each attributed to its
+// signer — heartbeats consumed, forgeries dropped and counted, a
+// forwarded copy attributed to its originator.
+func TestDeliveredStreamKeepsArrivalOrder(t *testing.T) {
 	cfg := ids.MustConfig(4, 1)
 	auth := crypto.NewHMACRing(cfg, []byte("secret"))
 	signed := func(owner ids.ProcessID, stamp uint64) *wire.Update {
@@ -413,54 +414,54 @@ func TestSyncAndAsyncVerifyDeliverTheSameStream(t *testing.T) {
 		up.Sig = sig
 		return up
 	}
-	run := func(async bool) (stream []string, badsig int64) {
-		opts := defaultOpts()
-		opts.sim.Auth = auth
-		opts.sim.AsyncVerify = async
-		net, nodes := newFDNet(t, 4, 1, opts)
-		for i := uint64(1); i <= 5; i++ {
-			net.Env(2).Send(1, signed(2, i))
-			net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: i}) // consumed, never delivered
-			net.Env(2).Send(1, &wire.Update{Owner: 3, Row: []uint64{i, 0, 0, 0}, Sig: []byte("forged")})
-			net.Env(3).Send(1, signed(2, 100+i)) // forwarded: attributed to its signer
-			net.Env(2).Send(1, &wire.Request{Client: 9, Seq: i})
+	opts := defaultOpts()
+	opts.sim.Auth = auth
+	opts.sim.Latency = sim.ConstantLatency(time.Millisecond)
+	net, nodes := newFDNet(t, 4, 1, opts)
+	var from []ids.ProcessID
+	n1 := nodes[1]
+	n1.d.Bind(n1.env, func(p ids.ProcessID, m wire.Message) {
+		from = append(from, p)
+		n1.delivered = append(n1.delivered, m)
+	}, nil)
+	var want []wire.Message
+	var wantFrom []ids.ProcessID
+	for i := uint64(1); i <= 5; i++ {
+		own, fwd, req := signed(2, i), signed(2, 100+i), &wire.Request{Client: 9, Seq: i}
+		net.Env(2).Send(1, own)
+		net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: i}) // consumed, never delivered
+		net.Env(2).Send(1, &wire.Update{Owner: 3, Row: []uint64{i, 0, 0, 0}, Sig: []byte("forged")})
+		net.Env(2).Send(1, req)
+		// A frame p2 signed, relayed by p3: attributed to its signer.
+		net.Env(3).Send(1, fwd)
+		want = append(want, own, req, fwd)
+		wantFrom = append(wantFrom, 2, 2, 2)
+	}
+	net.Run(time.Second)
+	if len(n1.delivered) != len(want) {
+		t.Fatalf("delivered %d messages, want %d", len(n1.delivered), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(wire.Encode(n1.delivered[i]), wire.Encode(want[i])) || from[i] != wantFrom[i] {
+			t.Fatalf("delivery %d: %T from %s, want %T from %s", i, n1.delivered[i], from[i], want[i], wantFrom[i])
 		}
-		net.Run(time.Second)
-		for _, m := range nodes[1].delivered {
-			stream = append(stream, string(wire.Encode(m)))
-		}
-		return stream, net.Metrics().Counter("fd.dropped.badsig")
 	}
-	syncStream, syncBad := run(false)
-	asyncStream, asyncBad := run(true)
-	if len(syncStream) != 15 {
-		t.Fatalf("synchronous run delivered %d messages, want 15", len(syncStream))
-	}
-	if len(asyncStream) != len(syncStream) {
-		t.Fatalf("async run delivered %d messages, sync %d", len(asyncStream), len(syncStream))
-	}
-	for i := range syncStream {
-		if syncStream[i] != asyncStream[i] {
-			t.Fatalf("delivery %d differs between sync and async verification", i)
-		}
-	}
-	if syncBad != 5 || asyncBad != 5 {
-		t.Errorf("forgeries counted: sync %d, async %d, want 5 and 5", syncBad, asyncBad)
+	if got := net.Metrics().Counter("fd.dropped.badsig"); got != 5 {
+		t.Errorf("forgeries counted: %d, want 5", got)
 	}
 }
 
-// TestSynchronousReceiveBuildsNoQueueEntry: with the verdict available
-// on arrival and nothing queued ahead, receiving a signed message
-// allocates only its SigBytes — no pending-verify entry, no completion
-// closure.
+// TestSynchronousReceiveBuildsNoQueueEntry: a message reaches the
+// detector already authenticated, so receiving a signed one allocates
+// nothing: the detector renders no signed bytes and queues nothing.
 func TestSynchronousReceiveBuildsNoQueueEntry(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	net.Run(time.Millisecond)
 	up := &wire.Update{Owner: 2, Row: make([]uint64, 4), Sig: []byte{0}}
 	d := nodes[1].d
 	nodes[1].delivered = make([]wire.Message, 0, 256) // appends below never grow it
-	if allocs := testing.AllocsPerRun(100, func() { d.Receive(2, up) }); allocs > 1 {
-		t.Errorf("synchronous Receive of a signed message: %v allocs, want 1 (SigBytes)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { d.Receive(2, up) }); allocs != 0 {
+		t.Errorf("Receive of an authenticated signed message: %v allocs, want 0", allocs)
 	}
 	if len(nodes[1].delivered) != 101 {
 		t.Fatalf("delivered %d messages, want 101", len(nodes[1].delivered))

@@ -14,14 +14,6 @@ import (
 	"quorumselect/internal/wire"
 )
 
-// ShardDomain returns the signing domain of one shard group. Every
-// signature a shard produces or accepts is domain-separated under it
-// (crypto.DomainAuth), which is what makes the unsigned routing label
-// on wire.ShardEnvelope safe: a frame relabeled to another shard fails
-// that shard's verification and dies at the failure detector's
-// drop-and-count path instead of becoming protocol input.
-func ShardDomain(shard int) string { return fmt.Sprintf("qs/shard/%d", shard) }
-
 // Options configures a Fleet.
 type Options struct {
 	// Shards is the number of independent replication groups (>= 1).
@@ -87,7 +79,7 @@ func (f *Fleet) Init(env runtime.Env) {
 		f.shards[s] = &shardEnv{
 			shard:    s,
 			outer:    env,
-			auth:     crypto.NewDomainAuth(env.Auth(), ShardDomain(s)),
+			auth:     crypto.NewDomainAuth(env.Auth(), crypto.ShardDomain(s)),
 			sent:     env.Metrics().CounterHandle("fleet.shard.sent", label),
 			received: env.Metrics().CounterHandle("fleet.shard.received", label),
 		}
@@ -101,28 +93,24 @@ func (f *Fleet) Init(env runtime.Env) {
 // Receive implements runtime.Node: demultiplex one envelope to its
 // shard. Anything else is dropped and counted — correct fleet peers
 // wrap every frame, so bare traffic is a mis-deployment (a non-fleet
-// process dialed in) or line garbage, never protocol input. An
+// process dialed in) or line garbage, never protocol input. The
+// envelope arrives opened and authenticated (runtime.Authenticate
+// checked its inner message under the domain of the shard it names), so
+// a relabeled signed frame never gets here (fd.dropped.badsig). An
 // envelope naming a shard this fleet does not run is counted as
-// misrouted; an in-range envelope is handed to its shard, where a
-// relabeled frame still dies at the shard's domain-separated signature
-// check (fd.dropped.badsig).
+// misrouted.
 func (f *Fleet) Receive(from ids.ProcessID, m wire.Message) {
 	env, ok := m.(*wire.ShardEnvelope)
 	if !ok {
 		f.env.Metrics().Inc("fleet.unwrapped.dropped", 1)
 		return
 	}
-	if int(env.Shard) >= len(f.nodes) || int(env.Shard) < 0 {
+	if int(env.Shard) >= len(f.nodes) {
 		f.env.Metrics().Inc("fleet.misrouted.dropped", 1)
 		return
 	}
-	inner, err := wire.Decode(env.Frame)
-	if err != nil {
-		f.env.Metrics().Inc("fleet.decode.errors", 1)
-		return
-	}
 	f.shards[env.Shard].received.Inc()
-	f.nodes[env.Shard].Receive(from, inner)
+	f.nodes[env.Shard].Receive(from, env.Inner)
 }
 
 // Stop implements runtime.Stopper: tear every shard kernel down.
@@ -148,7 +136,6 @@ type shardEnv struct {
 
 var (
 	_ runtime.Env           = (*shardEnv)(nil)
-	_ runtime.AsyncVerifier = (*shardEnv)(nil)
 	_ runtime.BatchVerifier = (*shardEnv)(nil)
 )
 
@@ -165,41 +152,17 @@ func (e *shardEnv) After(d time.Duration, fn func()) runtime.Timer {
 	return e.outer.After(d, fn)
 }
 
-// Send wraps the frame in this shard's envelope. The inner encoding is
-// pooled: the outer Send copies it into the transport frame (or the
-// simulator's delivery buffer) synchronously, so it is recycled on
-// return.
+// Send wraps the message in this shard's envelope; the outer Send
+// encodes both in one pass into the transport frame (or the
+// simulator's delivery buffer).
 func (e *shardEnv) Send(to ids.ProcessID, m wire.Message) {
-	frame := wire.EncodePooled(m)
 	e.sent.Inc()
-	e.outer.Send(to, &wire.ShardEnvelope{Shard: uint32(e.shard), Frame: frame})
-	wire.Recycle(frame)
+	e.outer.Send(to, &wire.ShardEnvelope{Shard: uint32(e.shard), Inner: m})
 }
 
-// VerifiesAsync implements runtime.AsyncVerifier: the outer
-// environment's raw path, when it has one and it is enabled.
-func (e *shardEnv) VerifiesAsync() bool {
-	raw, ok := e.outer.(runtime.RawAsyncVerifier)
-	return ok && raw.VerifiesAsync()
-}
-
-// VerifyAsync implements runtime.AsyncVerifier by handing the
-// domain-wrapped bytes to the outer environment's raw verifier (the
-// TCP host's worker pool, the simulator's virtual-time completion).
-// False — verify synchronously, against e.auth — when the outer Env
-// has no raw path (runtime.VerifyAsync asks VerifiesAsync before the
-// bytes are built and wrapped here).
-func (e *shardEnv) VerifyAsync(m wire.Signed, done func(error)) bool {
-	raw, ok := e.outer.(runtime.RawAsyncVerifier)
-	if !ok {
-		return false
-	}
-	return raw.VerifyRawAsync(m.Signer(), e.auth.Wrap(m.SigBytes()), m.Signature(), done)
-}
-
-// VerifyBatch implements runtime.BatchVerifier the same way: wrap
-// every item into this shard's domain, then let the outer pool
-// deduplicate and fan out.
+// VerifyBatch implements runtime.BatchVerifier: wrap every item into
+// this shard's domain, then let the outer pool deduplicate and fan
+// out.
 func (e *shardEnv) VerifyBatch(items []crypto.BatchItem) []error {
 	bv, ok := e.outer.(runtime.BatchVerifier)
 	if !ok {

@@ -138,10 +138,10 @@ func TestFleetShardsCommitIndependently(t *testing.T) {
 
 // TestFleetMisroutedFrameRejected is the satellite assertion for the
 // shard-ID mutation: frames relabeled to another shard must be dropped
-// and counted — in-range relabels die at the target shard's
-// domain-separated signature check (fd.dropped.badsig), out-of-range
-// ones at the fleet demultiplexer (fleet.misrouted.dropped) — and the
-// wrong shard must execute nothing.
+// and counted — signed ones at delivery, by the domain-separated check
+// made under the shard they name (fd.dropped.badsig), unsigned ones
+// naming a shard nobody runs at the fleet demultiplexer
+// (fleet.misrouted.dropped) — and the wrong shard must execute nothing.
 func TestFleetMisroutedFrameRejected(t *testing.T) {
 	const shards = 2
 	var fx *fleetFixture
@@ -189,9 +189,9 @@ func TestFleetMisroutedFrameRejected(t *testing.T) {
 	if got := m.Counter("fd.dropped.badsig"); got == 0 {
 		t.Error("no relabeled frame died at a domain-separated signature check")
 	}
-	// The filter counts at send, the fleet counter at delivery, so
-	// frames still in flight at the deadline leave the counter short of
-	// `evicted` — but never over, and never zero.
+	// The filter counts at send, the fleet counter at delivery, and
+	// only unsigned frames (heartbeats) get that far, so the counter
+	// stays short of `evicted` — but never over, and never zero.
 	if got := m.Counter("fleet.misrouted.dropped"); got == 0 || got > int64(evicted) {
 		t.Errorf("fleet.misrouted.dropped = %d, want 1..%d (out-of-range relabels sent)", got, evicted)
 	}

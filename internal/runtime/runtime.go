@@ -11,6 +11,7 @@
 package runtime
 
 import (
+	"errors"
 	"math/rand"
 	"time"
 
@@ -67,6 +68,8 @@ type Node interface {
 	// Init is called once before any message is delivered.
 	Init(env Env)
 	// Receive handles a message from the (link-authenticated) sender.
+	// Its content signature, if it has one, has already been checked
+	// (Authenticate).
 	Receive(from ids.ProcessID, m wire.Message)
 }
 
@@ -113,71 +116,56 @@ func Sign(env Env, m wire.Signed) {
 	m.SetSignature(sig)
 }
 
-// Verify checks a signed message against its claimed signer.
+// Verify checks a signed message against its claimed signer. Arriving
+// frames are checked by Authenticate; Verify is for signed messages a
+// frame embeds (a COMMIT's PREPARE), re-encoding what m says now.
 func Verify(env Env, m wire.Signed) error {
 	return env.Auth().Verify(m.Signer(), m.SigBytes(), m.Signature())
 }
 
-// AsyncVerifier is the optional off-loop verification extension of Env.
-// An environment that implements it may verify signatures away from the
-// event loop and deliver the result back ONTO the loop: done(err) must
-// run as a loop event (a virtual-time event in the simulator, an events
-// queue closure on the TCP host), never concurrently with protocol
-// code.
-type AsyncVerifier interface {
-	// VerifiesAsync reports whether the off-loop path is enabled, i.e.
-	// whether VerifyAsync would take the message. It costs nothing;
-	// VerifyAsync below asks it first, so an implementation's
-	// VerifyAsync may build SigBytes without testing again.
-	VerifiesAsync() bool
-	// VerifyAsync starts verification of m and reports whether it was
-	// accepted: false means asynchronous verification is disabled (or
-	// shut down) and done was NOT called — the caller verifies
-	// synchronously instead.
-	VerifyAsync(m wire.Signed, done func(error)) bool
-}
+// ErrForged is Authenticate's verdict on a frame whose content
+// signature does not verify.
+var ErrForged = errors.New("runtime: content signature does not verify")
 
-// VerifiesAsync reports whether VerifyAsync(env, …) would go off the
-// loop: when false, Verify(env, m) gives the verdict here and now.
-func VerifiesAsync(env Env) bool {
-	av, ok := env.(AsyncVerifier)
-	return ok && av.VerifiesAsync()
-}
-
-// VerifyAsync verifies m through env's AsyncVerifier when it has one,
-// falling back to an inline synchronous Verify otherwise. It reports
-// whether verification went asynchronous: if false, done already ran
-// before VerifyAsync returned.
-func VerifyAsync(env Env, m wire.Signed, done func(error)) bool {
-	if av, ok := env.(AsyncVerifier); ok && av.VerifiesAsync() && av.VerifyAsync(m, done) {
-		return true
+// Authenticate is the signature check of the paper's ⟨RECEIVE⟩, made
+// where a frame lands: it decodes the frame and checks the content
+// signature of the message it carries against the signed bytes as they
+// arrived (wire.DecodeSigned), so nothing is re-encoded. A
+// ShardEnvelope's inner message is checked under its shard's signing
+// domain (crypto.VerifyShard), the check that shard's DomainAuth makes.
+//
+// It returns the decoded message and whether a signature was checked.
+// A frame that does not decode fails with the decode error. A frame
+// whose signature does not verify fails with ErrForged and must be
+// dropped: it cannot be attributed (the link sender may be an innocent
+// forwarder), so it produces neither delivery nor detection.
+//
+// Both backends call it on every frame that crosses a link — the TCP
+// transport on the connection's reader goroutine, the simulator at the
+// delivery instant — so protocol code only ever receives authenticated
+// messages.
+func Authenticate(auth crypto.Authenticator, frame []byte) (m wire.Message, checked bool, err error) {
+	m, signed, err := wire.DecodeSigned(frame)
+	if err != nil || signed == nil {
+		return m, false, err
 	}
-	done(Verify(env, m))
-	return false
-}
-
-// RawAsyncVerifier is the raw-bytes form of AsyncVerifier: the
-// environment verifies an explicit (signer, data, sig) triple off the
-// loop, with the same delivery contract (done(err) runs as a loop
-// event). Wrapping environments that rewrite the signed bytes before
-// verification — the fleet's per-shard domain separation — need it:
-// they cannot hand the wrapped bytes to VerifyAsync, whose input is
-// the message itself.
-type RawAsyncVerifier interface {
-	// VerifiesAsync is AsyncVerifier's probe: false means VerifyRawAsync
-	// would refuse, so the caller need not build the bytes.
-	VerifiesAsync() bool
-	// VerifyRawAsync starts verification and reports whether it was
-	// accepted; false means done was NOT called and the caller must
-	// verify synchronously.
-	VerifyRawAsync(signer ids.ProcessID, data, sig []byte, done func(error)) bool
+	if env, ok := m.(*wire.ShardEnvelope); ok {
+		s := env.Inner.(wire.Signed)
+		err = crypto.VerifyShard(auth, env.Shard, s.Signer(), signed, s.Signature())
+	} else {
+		s := m.(wire.Signed)
+		err = auth.Verify(s.Signer(), signed, s.Signature())
+	}
+	if err != nil {
+		return m, true, ErrForged
+	}
+	return m, true, nil
 }
 
 // BatchVerifier is the optional batched-verification extension of Env:
 // all items of one pass are checked together (deduplicated and fanned
 // out across CPUs on the TCP host), blocking until the whole batch is
-// decided. Unlike AsyncVerifier this stays on the calling thread, so
-// protocol code may use the results immediately.
+// decided, so protocol code may use the results immediately.
 type BatchVerifier interface {
 	// VerifyBatch returns one error per item, aligned with items, or
 	// nil when batched verification is disabled.

@@ -93,3 +93,45 @@ func TestSignPanicsWithoutKey(t *testing.T) {
 	}()
 	runtime.Sign(env, &wire.Update{Owner: 3, Row: make([]uint64, 4)})
 }
+
+// TestAuthenticate: a frame's content signature is checked against the
+// bytes that arrived — a bare message under the ring, an enveloped one
+// under its shard's domain — and a frame fails as undecodable, forged,
+// or passes unchecked when it carries no signature.
+func TestAuthenticate(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	auth := crypto.NewHMACRing(cfg, []byte("k"))
+	up := func(a crypto.Authenticator) *wire.Update {
+		m := &wire.Update{Owner: 2, Row: []uint64{0, 0, 3, 0}}
+		sig, err := a.Sign(2, m.SigBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Sig = sig
+		return m
+	}
+	shard1 := crypto.NewDomainAuth(auth, crypto.ShardDomain(1))
+	cases := []struct {
+		name    string
+		frame   []byte
+		checked bool
+		err     error
+	}{
+		{"signed", wire.Encode(up(auth)), true, nil},
+		{"unsigned", wire.Encode(&wire.Heartbeat{From: 2, Seq: 1}), false, nil},
+		{"forged", wire.Encode(&wire.Update{Owner: 2, Row: []uint64{0, 0, 3, 0}, Sig: []byte("x")}), true, runtime.ErrForged},
+		{"enveloped", wire.Encode(&wire.ShardEnvelope{Shard: 1, Inner: up(shard1)}), true, nil},
+		{"relabeled", wire.Encode(&wire.ShardEnvelope{Shard: 2, Inner: up(shard1)}), true, runtime.ErrForged},
+		{"outside any domain", wire.Encode(&wire.ShardEnvelope{Shard: 1, Inner: up(auth)}), true, runtime.ErrForged},
+		{"enveloped unsigned", wire.Encode(&wire.ShardEnvelope{Shard: 9, Inner: &wire.Heartbeat{From: 2, Seq: 1}}), false, nil},
+	}
+	for _, c := range cases {
+		m, checked, err := runtime.Authenticate(auth, c.frame)
+		if checked != c.checked || err != c.err || m == nil {
+			t.Errorf("%s: checked=%v err=%v m=%T, want checked=%v err=%v", c.name, checked, err, m, c.checked, c.err)
+		}
+	}
+	if _, _, err := runtime.Authenticate(auth, []byte{0xEE}); err == nil || err == runtime.ErrForged {
+		t.Errorf("undecodable frame: err = %v, want a decode error", err)
+	}
+}

@@ -64,9 +64,9 @@ type Verdict struct {
 	// garbage instead of the protocol message. A mutated frame that no
 	// longer decodes is discarded like any other line garbage and
 	// counted in msg.mutated.undecodable; a frame that decodes but
-	// fails signature verification is dropped by the receiving failure
-	// detector. The function must be deterministic for reproducible
-	// runs and must not retain the slice it is given.
+	// fails signature verification is dropped at delivery and counted
+	// in fd.dropped.badsig. The function must be deterministic for
+	// reproducible runs and must not retain the slice it is given.
 	Mutate func(frame []byte) []byte
 }
 
@@ -138,15 +138,6 @@ type Options struct {
 	// (false) preserves the paper's reliable-FIFO channel model; chaos
 	// scenarios opt in to explore schedules the model excludes.
 	AllowReorder bool
-	// AsyncVerify models off-loop signature verification in virtual
-	// time: every runtime.VerifyAsync completion is delivered as its
-	// own zero-delay event instead of running inline, exercising the
-	// same completion-reordering machinery the TCP transport's worker
-	// pool does — deterministically, so seeded runs stay byte-identical
-	// across replays. The signature check itself still happens eagerly
-	// (virtual time has no CPU cost to move off the loop). Default off:
-	// inline verification, the seed behavior.
-	AsyncVerify bool
 }
 
 // Network is the simulated system: the event queue, the clock, and one
@@ -177,7 +168,7 @@ type Network struct {
 type netMetrics struct {
 	sentKind [wire.NumTypes]*metrics.CounterHandle // msg.sent.<TYPE>
 
-	sent, sentRemote, delivered, dropped, duplicated, mutated, undecodable *metrics.CounterHandle
+	sent, sentRemote, delivered, dropped, duplicated, mutated, undecodable, badsig *metrics.CounterHandle
 }
 
 func newNetMetrics(reg *metrics.Registry) netMetrics {
@@ -189,6 +180,7 @@ func newNetMetrics(reg *metrics.Registry) netMetrics {
 		duplicated:  reg.CounterHandle("msg.duplicated.total"),
 		mutated:     reg.CounterHandle("msg.mutated.total"),
 		undecodable: reg.CounterHandle("msg.mutated.undecodable"),
+		badsig:      reg.CounterHandle("fd.dropped.badsig"),
 	}
 	for t := 1; t < wire.NumTypes; t++ {
 		m.sentKind[t] = reg.CounterHandle("msg.sent." + wire.Type(t).String())
@@ -300,16 +292,22 @@ func (n *Network) Step() bool {
 	return false
 }
 
-// deliver decodes and hands a message to its destination node, then
-// recycles the frame buffer (decoded messages never alias it).
+// deliver authenticates a frame the way a TCP connection reader does
+// (runtime.Authenticate), recycles its buffer (decoded messages never
+// alias it) and hands the message to its destination node; a forgery is
+// dropped and counted instead.
 func (n *Network) deliver(from, to ids.ProcessID, data []byte) {
-	decoded, err := wire.Decode(data)
-	if err != nil {
+	m, _, err := runtime.Authenticate(n.opts.Auth, data)
+	wire.Recycle(data)
+	if err != nil && err != runtime.ErrForged {
 		panic(fmt.Sprintf("sim: message failed decode in flight: %v", err))
 	}
-	wire.Recycle(data)
 	n.m.delivered.Inc()
-	n.nodes[to].Receive(from, decoded)
+	if err != nil {
+		n.m.badsig.Inc()
+		return
+	}
+	n.nodes[to].Receive(from, m)
 }
 
 // Run processes events until the queue is empty or the virtual clock
@@ -539,35 +537,6 @@ func (e *procEnv) After(d time.Duration, fn func()) runtime.Timer {
 	}
 	ev := e.net.schedule(e.net.now+d, fn)
 	return ev
-}
-
-var _ runtime.AsyncVerifier = (*procEnv)(nil)
-
-// VerifiesAsync implements runtime.AsyncVerifier: Options.AsyncVerify.
-func (e *procEnv) VerifiesAsync() bool { return e.net.opts.AsyncVerify }
-
-// VerifyAsync implements runtime.AsyncVerifier when Options.AsyncVerify
-// is set: the check runs eagerly (it is deterministic and free in
-// virtual time) but its completion is delivered as a zero-delay event,
-// so protocol code observes the same "verified later, possibly after
-// other arrivals" schedule the TCP worker pool produces — with event
-// ordering still a pure function of the seed.
-func (e *procEnv) VerifyAsync(m wire.Signed, done func(error)) bool {
-	return e.VerifyRawAsync(m.Signer(), m.SigBytes(), m.Signature(), done)
-}
-
-var _ runtime.RawAsyncVerifier = (*procEnv)(nil)
-
-// VerifyRawAsync implements runtime.RawAsyncVerifier under the same
-// virtual-time model as VerifyAsync, for callers that rewrite the
-// verified bytes (the fleet's per-shard signing domains).
-func (e *procEnv) VerifyRawAsync(signer ids.ProcessID, data, sig []byte, done func(error)) bool {
-	if !e.net.opts.AsyncVerify {
-		return false
-	}
-	err := e.net.opts.Auth.Verify(signer, data, sig)
-	e.After(0, func() { done(err) })
-	return true
 }
 
 // event is a scheduled occurrence; it doubles as the runtime.Timer

@@ -10,13 +10,17 @@
 //
 // Link authentication is the hello claim plus per-message content
 // signatures (ed25519/HMAC via the crypto package) on every Signed
-// message; heartbeats are accepted on the hello claim alone. A
-// production deployment would add TLS on the links; the paper's
+// message; heartbeats are accepted on the hello claim alone. Each
+// connection's reader checks a frame's signature as it lands
+// (runtime.Authenticate) and posts one loop event per authenticated
+// frame, so the loop never waits for crypto and never sees a forgery.
+// A production deployment would add TLS on the links; the paper's
 // adversary model only requires unforgeable message signatures, which
 // the content signatures provide.
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,6 +45,10 @@ const maxFrame = 4 << 20
 
 // dialRetryDelay paces reconnection attempts.
 const dialRetryDelay = 100 * time.Millisecond
+
+// readBufferSize is each connection reader's buffer: one read syscall
+// takes in every frame of a writev burst up to this size.
+const readBufferSize = 32 << 10
 
 // Config describes one process of a TCP deployment.
 type Config struct {
@@ -94,10 +102,8 @@ type Host struct {
 	writers map[ids.ProcessID]*peerWriter
 	closed  bool
 
-	// pool verifies signatures off the event loop with GOMAXPROCS
-	// workers: inbound signed messages verify on it (arrival order kept
-	// by the failure detector's pending-verify FIFO), and
-	// quorum-certificate batches fan out across it.
+	// pool fans quorum-certificate batches out across GOMAXPROCS
+	// goroutines.
 	pool *crypto.Pool
 
 	m   hostMetrics
@@ -116,7 +122,7 @@ const (
 type hostMetrics struct {
 	messages, bytes [wire.NumTypes][2]*metrics.CounterHandle
 
-	sent, received, writevFlushes, verifyAsync, verifyBatched *metrics.CounterHandle
+	sent, received, writevFlushes, verifyAsync, verifyBatched, badsig *metrics.CounterHandle
 
 	writevFrames *metrics.HistHandle  // transport.writev.frames
 	sendqDepth   *metrics.GaugeHandle // transport.sendq.depth{node}
@@ -129,6 +135,7 @@ func newHostMetrics(reg *metrics.Registry, self ids.ProcessID) hostMetrics {
 		writevFlushes: reg.CounterHandle("transport.writev.flushes"),
 		verifyAsync:   reg.CounterHandle("transport.verify.async"),
 		verifyBatched: reg.CounterHandle("transport.verify.batched"),
+		badsig:        reg.CounterHandle("fd.dropped.badsig"),
 		writevFrames:  reg.HistHandle("transport.writev.frames"),
 		sendqDepth:    reg.GaugeHandle("transport.sendq.depth", metrics.L{Key: "node", Value: self.String()}),
 	}
@@ -279,10 +286,6 @@ func (h *Host) Close() error {
 		w.close()
 	}
 	h.wg.Wait()
-	// Stop the verification workers last: their pending completions
-	// post to h.events guarded by h.done, so they drain without
-	// blocking once the loop is gone.
-	h.pool.Close()
 	return err
 }
 
@@ -328,7 +331,10 @@ func (h *Host) acceptLoop() {
 }
 
 // readLoop consumes one inbound connection: a 4-byte hello naming the
-// sender, then length-prefixed frames.
+// sender, then length-prefixed frames. Each frame is authenticated here,
+// on the connection's own goroutine, and an authentic one becomes one
+// loop event, so the loop receives every link's frames in the order the
+// link carried them.
 func (h *Host) readLoop(conn net.Conn) {
 	defer h.wg.Done()
 	defer conn.Close()
@@ -336,8 +342,9 @@ func (h *Host) readLoop(conn net.Conn) {
 		<-h.done
 		conn.Close()
 	}()
+	rd := bufio.NewReaderSize(conn, readBufferSize)
 	var hello [4]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+	if _, err := io.ReadFull(rd, hello[:]); err != nil {
 		return
 	}
 	from := ids.ProcessID(binary.BigEndian.Uint32(hello[:]))
@@ -345,9 +352,11 @@ func (h *Host) readLoop(conn net.Conn) {
 		h.cfg.Metrics.Inc("transport.hello.invalid", 1)
 		return
 	}
+	// buf is reused frame after frame: decoded messages never alias it.
+	var buf []byte
 	for {
 		var lenBuf [4]byte
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(rd, lenBuf[:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
@@ -355,17 +364,27 @@ func (h *Host) readLoop(conn net.Conn) {
 			h.cfg.Metrics.Inc("transport.frame.bad_length", 1)
 			return
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		if uint32(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(rd, buf); err != nil {
 			return
 		}
-		msg, err := wire.Decode(buf)
-		if err != nil {
+		msg, checked, err := runtime.Authenticate(h.cfg.Auth, buf)
+		if err != nil && err != runtime.ErrForged {
 			h.cfg.Metrics.Inc("transport.decode.errors", 1)
 			continue
 		}
 		h.m.received.Inc()
 		h.m.count(msg.Kind(), dirRecv, int(n))
+		if checked {
+			h.m.verifyAsync.Inc()
+		}
+		if err != nil {
+			h.m.badsig.Inc()
+			continue
+		}
 		select {
 		case h.events <- func() { h.node.Receive(from, msg) }:
 		case <-h.done:
@@ -605,37 +624,7 @@ func (e *hostEnv) Send(to ids.ProcessID, m wire.Message) {
 	e.h.send(to, m)
 }
 
-var (
-	_ runtime.AsyncVerifier    = (*hostEnv)(nil)
-	_ runtime.BatchVerifier    = (*hostEnv)(nil)
-	_ runtime.RawAsyncVerifier = (*hostEnv)(nil)
-)
-
-// VerifyAsync implements runtime.AsyncVerifier: the signature check
-// runs on a pool worker and its completion is posted back onto the
-// event loop, so the loop spends none of its serial budget on ed25519
-// arithmetic.
-func (e *hostEnv) VerifyAsync(m wire.Signed, done func(error)) bool {
-	return e.VerifyRawAsync(m.Signer(), m.SigBytes(), m.Signature(), done)
-}
-
-// VerifiesAsync implements runtime.AsyncVerifier: a TCP host always
-// has a verification pool.
-func (e *hostEnv) VerifiesAsync() bool { return true }
-
-// VerifyRawAsync implements runtime.RawAsyncVerifier: the same pool
-// path as VerifyAsync for callers that rewrite the verified bytes
-// (the fleet's per-shard signing domains).
-func (e *hostEnv) VerifyRawAsync(signer ids.ProcessID, data, sig []byte, done func(error)) bool {
-	e.h.m.verifyAsync.Inc()
-	e.h.pool.VerifyAsync(signer, data, sig, func(err error) {
-		select {
-		case e.h.events <- func() { done(err) }:
-		case <-e.h.done:
-		}
-	})
-	return true
-}
+var _ runtime.BatchVerifier = (*hostEnv)(nil)
 
 // VerifyBatch implements runtime.BatchVerifier: one deduplicated,
 // fanned-out pass over a certificate's signatures.

@@ -1,14 +1,18 @@
 package transport_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
 
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
+	"quorumselect/internal/fleet"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/runtime"
 	"quorumselect/internal/transport"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -143,20 +147,165 @@ func TestXPaxosOverTCP(t *testing.T) {
 	}
 }
 
+// TestBadSignatureRejectedOverTCP plays a hostile p2 on a raw socket
+// against p1, a two-shard fleet of quorum-selection nodes: a forged
+// UPDATE, the same inside shard 0's envelope, and a genuine shard-0
+// UPDATE relabeled to shard 1 all die where they land (fd.dropped.badsig)
+// and merge nowhere, while a genuine shard-0 UPDATE sent after them on
+// the same connection merges into shard 0 alone.
 func TestBadSignatureRejectedOverTCP(t *testing.T) {
-	hosts, nodes := newQSCluster(t, 4, 1, 0)
-	// A forged UPDATE (bad signature) must not corrupt the store.
+	cfg := ids.MustConfig(4, 1)
+	auth := crypto.NewHMACRing(cfg, []byte("cluster-secret"))
+	shards := make([]*core.Node, 2)
+	fl := fleet.New(fleet.Options{Shards: len(shards), NewShard: func(s int) runtime.Node {
+		opts := core.DefaultNodeOptions()
+		opts.HeartbeatPeriod = 0
+		shards[s] = core.NewNode(opts)
+		return shards[s]
+	}})
+	host, err := transport.NewHost(transport.Config{Self: 1, System: cfg, Auth: auth}, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+
+	// signedFor returns p3's UPDATE with row, signed under shard's domain.
+	signedFor := func(shard int, row []uint64) *wire.Update {
+		up := &wire.Update{Owner: 3, Row: row}
+		sig, err := crypto.NewDomainAuth(auth, crypto.ShardDomain(shard)).Sign(3, up.SigBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		up.Sig = sig
+		return up
+	}
 	forged := &wire.Update{Owner: 3, Row: []uint64{9, 9, 9, 9}, Sig: []byte("forged")}
+	frames := []wire.Message{
+		forged,
+		&wire.ShardEnvelope{Shard: 0, Inner: forged},
+		&wire.ShardEnvelope{Shard: 1, Inner: signedFor(0, []uint64{9, 9, 9, 9})},
+		&wire.ShardEnvelope{Shard: 0, Inner: signedFor(0, []uint64{0, 0, 0, 7})},
+	}
+	conn, err := net.Dial("tcp", host.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stream := []byte{0, 0, 0, 2} // hello: p2
+	for _, m := range frames {
+		frame := wire.Encode(m)
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(frame)))
+		stream = append(stream, frame...)
+	}
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+
+	value := func(shard int, k ids.ProcessID) (v uint64) {
+		host.Do(func() { v = shards[shard].Store.Value(3, k) })
+		return v
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return value(0, 4) != 0 }) {
+		t.Fatal("the genuine UPDATE never merged into shard 0")
+	}
+	if v := value(0, 4); v != 7 {
+		t.Errorf("shard 0: matrix[3][4] = %d, want the genuine UPDATE's 7", v)
+	}
+	for s := range shards {
+		if v := value(s, 1); v != 0 {
+			t.Errorf("shard %d: a rejected UPDATE merged: matrix[3][1] = %d", s, v)
+		}
+	}
+	if v := value(1, 4); v != 0 {
+		t.Errorf("shard 1 merged shard 0's UPDATE: matrix[3][4] = %d", v)
+	}
+	if got := host.Metrics().Counter("fd.dropped.badsig"); got != 3 {
+		t.Errorf("fd.dropped.badsig = %d, want 3", got)
+	}
+}
+
+// recorder is a node that records what it receives and lets a test
+// send from its environment.
+type recorder struct {
+	env  runtime.Env
+	got  []wire.Message
+	from []ids.ProcessID
+}
+
+func (r *recorder) Init(env runtime.Env) { r.env = env }
+func (r *recorder) Receive(from ids.ProcessID, m wire.Message) {
+	r.got = append(r.got, m)
+	r.from = append(r.from, from)
+}
+
+// TestEd25519DeliveryOrderMatchesSendOrder: a connection's reader
+// authenticates each frame before it posts the next, so however long
+// each Ed25519 check takes, the loop receives one link's frames in the
+// order they were sent — signed and unsigned ones interleaved, forgeries
+// dropped without reordering the rest.
+func TestEd25519DeliveryOrderMatchesSendOrder(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	ring, err := crypto.NewEd25519Ring(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[ids.ProcessID]*recorder{1: {}, 2: {}}
+	hosts := make(map[ids.ProcessID]*transport.Host)
+	for p, node := range nodes {
+		h, err := transport.NewHost(transport.Config{Self: p, System: cfg, Auth: ring}, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		hosts[p] = h
+	}
+	hosts[2].SetPeerAddr(1, hosts[1].Addr())
+
+	const total = 300
+	var want []wire.Message
 	hosts[2].Do(func() {
-		// Send directly from p2's env path by injecting through the
-		// node's Receive (simulating a hostile frame).
-		nodes[2].Receive(3, forged)
+		env := nodes[2].env
+		for i := uint64(1); i <= total; i++ {
+			var m wire.Message
+			switch i % 5 {
+			case 0:
+				m = &wire.Heartbeat{From: 2, Seq: i}
+			case 1:
+				m = &wire.Request{Client: 7, Seq: i, Op: []byte("set k v")}
+			default:
+				up := &wire.Update{Owner: 2, Row: []uint64{i, 0, 0, 0}}
+				runtime.Sign(env, up)
+				if i%10 == 7 {
+					up.Row[0]++ // forged: the signature covers another row
+				}
+				m = up
+			}
+			if up, ok := m.(*wire.Update); !ok || up.Row[0] == i {
+				want = append(want, m)
+			}
+			env.Send(1, m)
+		}
 	})
-	time.Sleep(200 * time.Millisecond)
-	var v uint64
-	hosts[2].Do(func() { v = nodes[2].Store.Value(3, 1) })
-	if v != 0 {
-		t.Errorf("forged update merged: matrix[3][1] = %d", v)
+	var n int
+	if !waitFor(t, 10*time.Second, func() bool {
+		hosts[1].Do(func() { n = len(nodes[1].got) })
+		return n >= len(want)
+	}) {
+		t.Fatalf("received %d of %d frames", n, len(want))
+	}
+	var got []wire.Message
+	var from []ids.ProcessID
+	hosts[1].Do(func() { got, from = nodes[1].got, nodes[1].from })
+	if len(got) != len(want) {
+		t.Fatalf("received %d frames, want %d", len(got), len(want))
+	}
+	for i, m := range got {
+		if !bytes.Equal(wire.Encode(m), wire.Encode(want[i])) || from[i] != 2 {
+			t.Fatalf("delivery %d is %T from %s, want the %T sent at that position", i, m, from[i], want[i])
+		}
+	}
+	if got := hosts[1].Metrics().Counter("fd.dropped.badsig"); got != total/10 {
+		t.Errorf("fd.dropped.badsig = %d, want %d", got, total/10)
 	}
 }
 

@@ -47,7 +47,7 @@ func (m *PrePrepare) decodeBody(r *Reader) error {
 	if err = m.Req.decodeBody(r); err != nil {
 		return err
 	}
-	m.Sig, err = r.Bytes()
+	m.Sig, err = r.sig()
 	return err
 }
 
@@ -103,7 +103,7 @@ func (m *phaseBody) decode(r *Reader, t Type) error {
 	if m.Digest, err = r.Bytes(); err != nil {
 		return err
 	}
-	m.Sig, err = r.Bytes()
+	m.Sig, err = r.sig()
 	return err
 }
 

@@ -28,7 +28,8 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted non-canonical encoding:\n in: %x\nout: %x", data, re)
 		}
-		// Signed messages must expose stable signing bytes.
+		// Signed messages must expose stable signing bytes, and they
+		// must be the bytes DecodeSigned kept from the frame.
 		if s, ok := msg.(Signed); ok {
 			a := s.SigBytes()
 			b := s.SigBytes()
@@ -36,6 +37,7 @@ func FuzzDecode(f *testing.F) {
 				t.Fatal("SigBytes not deterministic")
 			}
 		}
+		checkKeptSigBytes(t, data)
 	})
 }
 

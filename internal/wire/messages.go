@@ -102,7 +102,7 @@ func (m *Update) decodeBody(r *Reader) error {
 	if m.Row, err = r.Uint64s(); err != nil {
 		return err
 	}
-	m.Sig, err = r.Bytes()
+	m.Sig, err = r.sig()
 	return err
 }
 
@@ -199,7 +199,7 @@ func (m *Followers) decodeBody(r *Reader) error {
 			return err
 		}
 	}
-	m.Sig, err = r.Bytes()
+	m.Sig, err = r.sig()
 	return err
 }
 
@@ -370,7 +370,7 @@ func (m *Prepare) decodeBody(r *Reader) error {
 			}
 		}
 	}
-	if m.Sig, err = r.Bytes(); err != nil {
+	if m.Sig, err = r.sig(); err != nil {
 		return err
 	}
 	m.TC, err = r.TraceContext()
@@ -470,7 +470,7 @@ func (m *Commit) decodeBody(r *Reader) error {
 			return err
 		}
 	}
-	if m.Sig, err = r.Bytes(); err != nil {
+	if m.Sig, err = r.sig(); err != nil {
 		return err
 	}
 	m.TC, err = r.TraceContext()
@@ -547,7 +547,7 @@ func (m *Reply) decodeBody(r *Reader) error {
 	if m.Result, err = r.Bytes(); err != nil {
 		return err
 	}
-	m.Sig, err = r.Bytes()
+	m.Sig, err = r.sig()
 	return err
 }
 
@@ -689,7 +689,7 @@ func (m *ViewChange) decodeBody(r *Reader) error {
 			return err
 		}
 	}
-	if m.Sig, err = r.Bytes(); err != nil {
+	if m.Sig, err = r.sig(); err != nil {
 		return err
 	}
 	m.TC, err = r.TraceContext()
@@ -786,7 +786,7 @@ func (m *NewView) decodeBody(r *Reader) error {
 			return err
 		}
 	}
-	if m.Sig, err = r.Bytes(); err != nil {
+	if m.Sig, err = r.sig(); err != nil {
 		return err
 	}
 	m.TC, err = r.TraceContext()

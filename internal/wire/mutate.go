@@ -65,10 +65,11 @@ func MutateFrame(rng *rand.Rand, frame []byte) []byte {
 	case 5:
 		// Shard-ID scramble: relabel a fleet envelope's shard field —
 		// cross-shard misrouting. The inner frame is untouched, so the
-		// mutant still decodes as a well-formed envelope; the receiving
-		// fleet must reject it (out-of-range shards die at the
-		// demultiplexer, in-range ones at the wrong shard's
-		// domain-separated signature check), never execute it.
+		// mutant still decodes as a well-formed envelope; the receiver
+		// must reject it, never execute it (a signed inner frame dies at
+		// the domain-separated check made under the shard it now names,
+		// an unsigned one naming a shard nobody runs at the fleet's
+		// demultiplexer).
 		m, err := Decode(frame)
 		if err != nil {
 			frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"quorumselect/internal/crypto"
@@ -111,8 +112,8 @@ func TestMutateFrameDeterministic(t *testing.T) {
 // mutant must still decode canonically (the demultiplexer, not the
 // codec, is responsible for rejecting it).
 func TestMutateFrameShardScramble(t *testing.T) {
-	inner := Encode(&Request{Client: 7, Seq: 42, Op: []byte("set x=1")})
-	data := Encode(&ShardEnvelope{Shard: 1, Frame: inner})
+	inner := &Request{Client: 7, Seq: 42, Op: []byte("set x=1")}
+	data := Encode(&ShardEnvelope{Shard: 1, Inner: inner})
 	relabeled := 0
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -122,7 +123,7 @@ func TestMutateFrameShardScramble(t *testing.T) {
 			continue
 		}
 		env, ok := m.(*ShardEnvelope)
-		if !ok || !bytes.Equal(env.Frame, inner) {
+		if !ok || !reflect.DeepEqual(env.Inner, inner) {
 			continue
 		}
 		if env.Shard == 1 {

@@ -82,3 +82,56 @@ func TestSigBytesOneExactAllocation(t *testing.T) {
 		t.Errorf("n=64 UPDATE: SigBytes = %v allocs, want exactly 1", allocs)
 	}
 }
+
+// checkKeptSigBytes decodes frame with DecodeSigned and requires the
+// kept signed bytes to be the SigBytes of the message the frame
+// carries (an envelope's inner one), or nil when it is unsigned.
+func checkKeptSigBytes(t *testing.T, frame []byte) {
+	t.Helper()
+	m, kept, err := DecodeSigned(frame)
+	if err != nil {
+		t.Fatalf("DecodeSigned: %v", err)
+	}
+	if env, ok := m.(*ShardEnvelope); ok {
+		m = env.Inner
+	}
+	s, ok := m.(Signed)
+	switch {
+	case !ok && kept != nil:
+		t.Fatalf("%s is unsigned, yet %d signed bytes were kept", m.Kind(), len(kept))
+	case ok && !bytes.Equal(kept, s.SigBytes()):
+		t.Fatalf("%s: kept signed bytes\n %x\ndiffer from SigBytes\n %x", m.Kind(), kept, s.SigBytes())
+	}
+}
+
+// TestDecodeSignedKeepsSigBytes: for every sample frame, bare and in a
+// shard envelope, the signed bytes DecodeSigned keeps are exactly what
+// SigBytes re-encodes, and they cannot be appended past.
+func TestDecodeSignedKeepsSigBytes(t *testing.T) {
+	for _, m := range sampleMessages() {
+		checkKeptSigBytes(t, Encode(m))
+		if _, isEnv := m.(*ShardEnvelope); !isEnv {
+			checkKeptSigBytes(t, Encode(&ShardEnvelope{Shard: 5, Inner: m}))
+		}
+	}
+	frame := Encode(&ShardEnvelope{Shard: 1, Inner: &Update{Owner: 2, Row: []uint64{1}, Sig: []byte{7}}})
+	if _, kept, _ := DecodeSigned(frame); cap(kept) != len(kept) {
+		t.Errorf("kept signed bytes have spare capacity %d: an append would overwrite the frame", cap(kept)-len(kept))
+	}
+}
+
+// TestEnvelopeRejectsNestingAndTrailingBytes: an envelope's inner frame
+// is a frame of its own — exactly its length, never another envelope.
+func TestEnvelopeRejectsNestingAndTrailingBytes(t *testing.T) {
+	nested := Encode(&ShardEnvelope{Shard: 1, Inner: &ShardEnvelope{Shard: 2, Inner: &Heartbeat{From: 1, Seq: 1}}})
+	if _, err := Decode(nested); err == nil {
+		t.Error("nested envelope decoded")
+	}
+	frame := Encode(&ShardEnvelope{Shard: 1, Inner: &Heartbeat{From: 1, Seq: 1}})
+	// Grow the inner length by one and append a byte inside it.
+	frame[envelopeHeader-1]++
+	frame = append(frame, 0)
+	if _, err := Decode(frame); err == nil {
+		t.Error("envelope with a trailing byte inside its inner frame decoded")
+	}
+}

@@ -54,7 +54,7 @@ func (m *TMProposal) decodeBody(r *Reader) error {
 	if err = m.Req.decodeBody(r); err != nil {
 		return err
 	}
-	m.Sig, err = r.Bytes()
+	m.Sig, err = r.sig()
 	return err
 }
 

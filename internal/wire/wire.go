@@ -212,7 +212,7 @@ var framePool = sync.Pool{
 // The returned slice must be handed back with Recycle once no live
 // reference to its bytes remains; decoded messages never alias the
 // input (the Reader copies every byte field), so recycling right after
-// Decode is safe.
+// Decode is safe — the signed bytes DecodeSigned returns excepted.
 func EncodePooled(m Message) []byte {
 	bp := framePool.Get().(*[]byte)
 	return AppendEncode((*bp)[:0], m)
@@ -231,7 +231,38 @@ func Recycle(buf []byte) {
 
 // Decode parses canonical bytes into a fresh message value.
 func Decode(data []byte) (Message, error) {
-	r := NewReader(data)
+	m, _, err := DecodeSigned(data)
+	return m, err
+}
+
+// DecodeSigned is Decode for a frame about to be authenticated: it also
+// returns the bytes covered by the signature of the message the frame
+// carries — the message itself, or a ShardEnvelope's inner message — as
+// they arrived, or nil when that message is unsigned. The codec is
+// canonical, so they equal that message's SigBytes() and a receiver
+// checks the signature without re-encoding anything. Unlike the decoded
+// message they alias data: they are valid only as long as data is.
+func DecodeSigned(data []byte) (Message, []byte, error) {
+	r := &Reader{buf: data}
+	m, err := r.message()
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.Remaining() != 0 {
+		return nil, nil, fmt.Errorf("wire: %d trailing bytes after %s", r.Remaining(), m.Kind())
+	}
+	signed, start := m, 1 // the signed bytes begin after the type tag
+	if env, ok := m.(*ShardEnvelope); ok {
+		signed, start = env.Inner, envelopeHeader+1
+	}
+	if _, ok := signed.(Signed); !ok {
+		return m, nil, nil
+	}
+	return m, data[start:r.sigEnd:r.sigEnd], nil
+}
+
+// message reads one frame: its type tag, then the body.
+func (r *Reader) message() (Message, error) {
 	tag, err := r.Uint8()
 	if err != nil {
 		return nil, err
@@ -242,9 +273,6 @@ func Decode(data []byte) (Message, error) {
 	}
 	if err := m.decodeBody(r); err != nil {
 		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %s", r.Remaining(), m.Kind())
 	}
 	return m, nil
 }
@@ -423,6 +451,9 @@ func (b *Buffer) PutTraceContext(tc TraceContext) {
 type Reader struct {
 	buf []byte
 	off int
+	// sigEnd is where the signed bytes of the last signature read end
+	// (see sig): for a signed message, the end of its SigBytes range.
+	sigEnd int
 }
 
 // NewReader wraps data for decoding.
@@ -532,6 +563,15 @@ func (r *Reader) Bytes() ([]byte, error) {
 	copy(out, r.buf[r.off:])
 	r.off += n
 	return out, nil
+}
+
+// sig reads a signed message's Sig field, which follows the bytes the
+// signature covers, and marks where those end. A message embedding
+// another reads its own Sig last, so after a whole frame the mark is
+// the outermost message's.
+func (r *Reader) sig() ([]byte, error) {
+	r.sigEnd = r.off
+	return r.Bytes()
 }
 
 // Procs reads a length-prefixed slice of process identifiers.

@@ -77,8 +77,8 @@ func sampleMessages() []Message {
 		&PrePrepare{Leader: 1, View: 0, Slot: 1, Req: req, Sig: []byte{4}},
 		&PBFTPrepare{phaseBody{Replica: 2, View: 0, Slot: 1, Digest: []byte{0xd}, Sig: []byte{6}}},
 		&PBFTCommit{phaseBody{Replica: 3, View: 0, Slot: 1, Digest: []byte{0xd}, Sig: []byte{7}}},
-		&ShardEnvelope{Shard: 0, Frame: Encode(&Heartbeat{From: 2, Seq: 100})},
-		&ShardEnvelope{Shard: 3, Frame: Encode(&prep)},
+		&ShardEnvelope{Shard: 0, Inner: &Heartbeat{From: 2, Seq: 100}},
+		&ShardEnvelope{Shard: 3, Inner: &Prepare{Leader: 1, View: 3, Slot: 9, Req: req, Sig: []byte{1, 2, 3}}},
 		&TMProposal{Proposer: 2, Height: 5, Round: 1, Req: req, Sig: []byte{10}},
 		&TMPrevote{phaseBody{Replica: 3, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{11}}},
 		&TMPrecommit{phaseBody{Replica: 4, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{12}}},

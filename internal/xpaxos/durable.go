@@ -49,7 +49,7 @@ var _ host.DurableApp = (*Replica)(nil)
 // dead by fiat — or storage.ErrClosed when Stop raced the event loop.
 // Those are counted, not acted on.
 func (r *Replica) persistRecord(rec []byte) {
-	if r.wal == nil || r.recovering {
+	if !r.persisting() {
 		return
 	}
 	if err := r.wal.Append(rec); err != nil {
@@ -57,8 +57,21 @@ func (r *Replica) persistRecord(rec []byte) {
 	}
 }
 
+// persistPrepare appends a recAccepted or recCommitted record of p. It
+// asks whether anything is persisted before encoding the record: a
+// replica without a WAL spends nothing on it.
+func (r *Replica) persistPrepare(kind byte, p *wire.Prepare) {
+	if r.persisting() {
+		r.persistRecord(recPrepareBytes(kind, p))
+	}
+}
+
+// persisting reports whether records reach the WAL: there is one, and
+// the replica is not replaying it.
+func (r *Replica) persisting() bool { return r.wal != nil && !r.recovering }
+
 func (r *Replica) persistSync() {
-	if r.wal == nil || r.recovering {
+	if !r.persisting() {
 		return
 	}
 	if err := r.wal.Sync(); err != nil {
@@ -90,7 +103,7 @@ func recVoteBytes(vc *wire.ViewChange) []byte {
 // persistSnapshot writes the durable snapshot through the host log,
 // compacting the WAL. Called wherever the in-memory checkpoint moves.
 func (r *Replica) persistSnapshot() {
-	if r.wal == nil || r.recovering {
+	if !r.persisting() {
 		return
 	}
 	if err := r.wal.Snapshot(r.encodeDurable()); err != nil {

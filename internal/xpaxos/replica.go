@@ -103,8 +103,11 @@ type slotTrace struct {
 
 // entry is the per-slot round state of the current view.
 type entry struct {
-	prep       *wire.Prepare // prepare accepted in the current view
-	adopted    bool          // prep was learned from a COMMIT (Fig 3)
+	prep *wire.Prepare // prepare accepted in the current view
+	// signed is prep.SigBytes(), encoded once when prep is set: every
+	// COMMIT of the slot embeds a copy that is compared against it.
+	signed     []byte
+	adopted    bool // prep was learned from a COMMIT (Fig 3)
 	commits    map[ids.ProcessID]*wire.Commit
 	commitSent bool
 	committed  bool
@@ -372,13 +375,14 @@ func (r *Replica) windowOpen() bool {
 	return r.opts.Window <= 0 || r.inflight < r.opts.Window
 }
 
-// setPrep installs p as the slot's prepare, counting the slot in flight
-// when it first gets one (a committed entry always has one).
-func (r *Replica) setPrep(e *entry, p *wire.Prepare) {
+// setPrep installs p, whose signed bytes are signed, as the slot's
+// prepare, counting the slot in flight when it first gets one (a
+// committed entry always has one).
+func (r *Replica) setPrep(e *entry, p *wire.Prepare, signed []byte) {
 	if e.prep == nil {
 		r.inflight++
 	}
-	e.prep = p
+	e.prep, e.signed = p, signed
 }
 
 // Submit injects a client request at this replica (the harness's or
@@ -528,7 +532,7 @@ func (r *Replica) onPrepare(p *wire.Prepare) {
 	if e.prep != nil && !e.adopted {
 		// A second direct PREPARE for the same (view, slot): detect
 		// equivocation if it differs.
-		if !bytes.Equal(e.prep.SigBytes(), p.SigBytes()) {
+		if !bytes.Equal(e.signed, p.SigBytes()) {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(p.Leader)
 		}
@@ -537,7 +541,7 @@ func (r *Replica) onPrepare(p *wire.Prepare) {
 	if e.prep != nil && e.adopted {
 		// Fig 3: the prepare adopted from an early COMMIT must match
 		// the leader's direct PREPARE.
-		if !bytes.Equal(e.prep.SigBytes(), p.SigBytes()) {
+		if !bytes.Equal(e.signed, p.SigBytes()) {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(p.Leader)
 			return
@@ -560,7 +564,7 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 	if _, ok := r.slotStart[p.Slot]; !ok {
 		r.slotStart[p.Slot] = r.env.Now()
 	}
-	r.setPrep(e, p)
+	r.setPrep(e, p, p.SigBytes())
 	e.adopted = false
 	r.accepted[p.Slot] = p
 	st := r.slotTraceFor(p.Slot)
@@ -571,7 +575,7 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 	if r.wal != nil {
 		ws = r.traceStart("wal.sync", stage.Context())
 	}
-	r.persistRecord(recPrepareBytes(recAccepted, p))
+	r.persistPrepare(recAccepted, p)
 	r.persistSync()
 	runtime.TraceEnd(r.env, ws)
 	// First subtlety (§V-A): no expectation for processes whose COMMIT
@@ -647,12 +651,16 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		return // commits count only from active-quorum members
 	}
 	// Second subtlety: a COMMIT must include a valid PREPARE. The
-	// outer signature was verified by the failure detector; the
+	// outer signature was verified where the frame landed; the
 	// embedded prepare is verified here (memoized against the slot's
-	// already-verified prepare in the steady state).
-	if !c.HasPrep || c.Prep.View != c.View || c.Prep.Slot != c.Slot ||
-		c.Prep.Leader != r.Leader() ||
-		r.verifyEmbedded(c) != nil {
+	// already-verified prepare in the steady state). Its signed bytes
+	// are encoded once, here, for that check and the equivocation
+	// check below.
+	var signed []byte
+	if c.HasPrep && c.Prep.View == c.View && c.Prep.Slot == c.Slot && c.Prep.Leader == r.Leader() {
+		signed = c.Prep.SigBytes()
+	}
+	if signed == nil || r.verifyEmbedded(c, signed) != nil {
 		r.env.Metrics().Inc("xpaxos.detected.malformed", 1)
 		r.detector.Detected(c.Replica)
 		return
@@ -663,7 +671,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	e := r.entry(c.Slot)
 	if e.prep != nil {
 		// Equivocation: a valid PREPARE that differs from ours.
-		if !bytes.Equal(e.prep.SigBytes(), c.Prep.SigBytes()) {
+		if !bytes.Equal(e.signed, signed) {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(r.Leader())
 			return
@@ -674,7 +682,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		// PREPARE from the leader. The embedded prepare kept its trace
 		// context, so the accept span still joins the leader's trace.
 		prep := c.Prep
-		r.setPrep(e, &prep)
+		r.setPrep(e, &prep, signed)
 		e.adopted = true
 		r.accepted[c.Slot] = &prep
 		stage := r.traceStart("accept", prep.TC)
@@ -688,7 +696,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		if r.wal != nil {
 			ws = r.traceStart("wal.sync", stage.Context())
 		}
-		r.persistRecord(recPrepareBytes(recAccepted, &prep))
+		r.persistPrepare(recAccepted, &prep)
 		r.persistSync()
 		runtime.TraceEnd(r.env, ws)
 		r.expectPrepare(r.Leader(), c.View, c.Slot)
@@ -702,21 +710,22 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	r.tryCommit(c.Slot, e)
 }
 
-// verifyEmbedded checks a COMMIT's embedded prepare signature. In the
-// steady state every COMMIT for a slot embeds a byte-identical copy of
-// the prepare this replica already accepted — and that prepare's
-// signature was verified when it arrived (by the failure detector for a
-// direct PREPARE, or right here for the first adopting COMMIT) — so a
-// matching copy is vouched for without a second crypto pass. This
-// matters at q−1 redundant verifications per slot on the hot path.
-func (r *Replica) verifyEmbedded(c *wire.Commit) error {
+// verifyEmbedded checks a COMMIT's embedded prepare signature; signed
+// is that prepare's SigBytes. In the steady state every COMMIT for a
+// slot embeds a byte-identical copy of the prepare this replica already
+// accepted — and that prepare's signature was verified when it arrived
+// (where the frame of a direct PREPARE landed, or right here for the
+// first adopting COMMIT) — so a matching copy is vouched for without a
+// second crypto pass. This matters at q−1 redundant verifications per
+// slot on the hot path.
+func (r *Replica) verifyEmbedded(c *wire.Commit, signed []byte) error {
 	if e, ok := r.entries[c.Slot]; ok && e.prep != nil &&
-		bytes.Equal(e.prep.SigBytes(), c.Prep.SigBytes()) &&
+		bytes.Equal(e.signed, signed) &&
 		bytes.Equal(e.prep.Signature(), c.Prep.Signature()) {
 		r.m.verifyMemoized.Inc()
 		return nil
 	}
-	return runtime.Verify(r.env, &c.Prep)
+	return r.env.Auth().Verify(c.Prep.Leader, signed, c.Prep.Signature())
 }
 
 // tryCommit commits the slot once COMMITs from every other quorum
@@ -744,7 +753,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 	if st != nil && st.quorum.Traced() && r.wal != nil {
 		ws = r.traceStart("wal.sync", st.quorum.Context())
 	}
-	r.persistRecord(recPrepareBytes(recCommitted, e.prep))
+	r.persistPrepare(recCommitted, e.prep)
 	r.persistSync()
 	runtime.TraceEnd(r.env, ws)
 	r.m.committed.Add(int64(len(reqs)))
@@ -815,15 +824,17 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	// embedded prepare.
 	signers := ids.NewProcSet()
 	var prep *wire.Prepare
+	var prepSigned []byte
 	for j, i := range cand {
 		c := &cert.Commits[i]
 		if signers.Contains(c.Replica) || errs[2*j] != nil || errs[2*j+1] != nil {
 			continue
 		}
+		// items[2j+1] holds this commit's embedded prepare's SigBytes.
 		if prep == nil {
 			p := c.Prep
-			prep = &p
-		} else if !bytes.Equal(prep.SigBytes(), c.Prep.SigBytes()) {
+			prep, prepSigned = &p, items[2*j+1].Data
+		} else if !bytes.Equal(prepSigned, items[2*j+1].Data) {
 			continue // conflicting embedded prepare: not part of this cert
 		}
 		signers.Add(c.Replica)
@@ -841,7 +852,7 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	if cur, ok := r.accepted[cert.Slot]; !ok || prep.View >= cur.View {
 		r.accepted[cert.Slot] = prep
 	}
-	r.persistRecord(recPrepareBytes(recCommitted, prep))
+	r.persistPrepare(recCommitted, prep)
 	r.persistSync()
 	r.m.certApplied.Inc()
 	r.execute()

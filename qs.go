@@ -225,7 +225,7 @@ func NewShardRouter(shards int) *ShardRouter { return fleet.NewRouter(shards) }
 // ShardDomain is the signing domain of one shard group (see
 // internal/fleet: the routing label is unsigned; domain separation is
 // what keeps misrouted frames from verifying).
-func ShardDomain(shard int) string { return fleet.ShardDomain(shard) }
+func ShardDomain(shard int) string { return crypto.ShardDomain(shard) }
 
 // FirstViewLedBy returns the first view of the quorum enumeration led
 // by p — the lever fleets use to stagger shard leaders across
