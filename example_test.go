@@ -358,8 +358,8 @@ func Example_consensus() {
 	for i := 1; i <= 3; i++ {
 		replicas[1].Submit(&qs.Request{Client: 1, Seq: uint64(i), Op: []byte(fmt.Sprintf("set h%d decided", i))})
 	}
-	c.Net.RunUntil(func() bool { return replicas[1].LastDecided() >= 3 }, 30*time.Second)
-	for _, d := range replicas[1].Decisions() {
+	c.Net.RunUntil(func() bool { return replicas[1].LastExecuted() >= 3 }, 30*time.Second)
+	for _, d := range replicas[1].Executions() {
 		fmt.Printf("  height %d decided %q (proposer %s)\n", d.Slot, d.Op, replicas[1].Proposer(d.Slot, 0))
 	}
 
@@ -375,7 +375,7 @@ func Example_consensus() {
 	}
 	ok := c.Net.RunUntil(func() bool {
 		for _, p := range survivors {
-			if replicas[p].LastDecided() < 4 || replicas[p].Active().Contains(next) {
+			if replicas[p].LastExecuted() < 4 || replicas[p].Active().Contains(next) {
 				return false
 			}
 		}
@@ -383,7 +383,7 @@ func Example_consensus() {
 	}, 60*time.Second)
 	fmt.Println("  recovered:", ok)
 	for _, p := range survivors {
-		fmt.Printf("  %s: decided=%d active=%s\n", p, replicas[p].LastDecided(), replicas[p].Active())
+		fmt.Printf("  %s: decided=%d active=%s\n", p, replicas[p].LastExecuted(), replicas[p].Active())
 	}
 	// Output:
 	// phase 1: three heights, fault-free

@@ -82,6 +82,15 @@ func TestChaosProperty(t *testing.T) {
 	}
 }
 
+// TestTendermintSeed138ExecutesOnce replays the seed on which tendermint
+// decided client 2 seq 4 at heights 11 and 12. history-agreement holds
+// every protocol to exactly-once, so the second height must run nothing.
+func TestTendermintSeed138ExecutesOnce(t *testing.T) {
+	if v := RunSeed(Config{Protocol: ProtocolTendermint}, 138); v != nil {
+		t.Fatalf("unexpected violation:\n%s", v.Dump)
+	}
+}
+
 // TestChaosBatchedProperty exercises the batched replica paths the
 // plain property run (BatchSize 1) never reaches.
 func TestChaosBatchedProperty(t *testing.T) {

@@ -239,14 +239,13 @@ func (t *terminationChecker) Check(r *RunState, phase Phase) error {
 
 // historyChecker verifies cross-replica replicated-history agreement at
 // every instant (cluster.HistoriesAgree: slot-aligned, batch-aware,
-// comparing operation and result), and exactly-once execution where the
-// protocol promises it.
+// comparing operation and result) and exactly-once execution.
 type historyChecker struct{}
 
 func (historyChecker) Name() string { return "history-agreement" }
 
 func (historyChecker) Check(r *RunState, _ Phase) error {
-	return r.cluster.HistoriesAgree(0, r.Config.Protocol.executesOnce())
+	return r.cluster.HistoriesAgree(0)
 }
 
 // recoveryChecker verifies crash-restart durability: every restarted

@@ -87,13 +87,6 @@ func (p Protocol) checksLiveness() bool {
 	return p == ProtocolXPaxos || p == ProtocolTendermint
 }
 
-// executesOnce reports whether the protocol executes each (client, seq)
-// at most once, which the history checker then demands. Only xpaxos
-// skips duplicates at execution: pbftlite keeps no client table, and
-// tendermint checks its table only at submit and gossip, so seed 138
-// executes one request at two heights.
-func (p Protocol) executesOnce() bool { return p == ProtocolXPaxos }
-
 // settles reports whether the composition quiesces once faults stop,
 // which is what the quorum-selection Agreement and Termination checks
 // assume. pbftlite is excluded for the same reason it skips liveness: a

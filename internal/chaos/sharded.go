@@ -234,7 +234,7 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	// slot executed by two replicas carries the same batch. Shards are
 	// compared independently; cross-shard histories share nothing.
 	for s := 0; v == nil && s < cfg.Shards; s++ {
-		if err := r.cluster.HistoriesAgree(s, true); err != nil {
+		if err := r.cluster.HistoriesAgree(s); err != nil {
 			v = r.violation(seed, "sharded-history", fmt.Sprintf("shard %d %v", s, err))
 		}
 	}

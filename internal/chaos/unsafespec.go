@@ -231,7 +231,7 @@ func runUnsafeSpecSeed(cfg UnsafeSpecConfig, seed int64, alwaysDump bool) (*Viol
 	// Expected evidence, in order of strength: both disjoint quorums
 	// certified slot 1 (divergent histories), and side B adopted side
 	// A's slot-2 certificate across the healed link.
-	if err := cl.HistoriesAgree(0, true); err != nil {
+	if err := cl.HistoriesAgree(0); err != nil {
 		v = &Violation{Seed: seed, Checker: "unsafe-spec-history", At: net.Now(), Detail: err.Error()}
 	}
 	dump := ""

@@ -213,13 +213,13 @@ func (c *Cluster) Executed(shard int, client uint64) (int, ids.ProcessID) {
 // shard's members: each executes in non-decreasing slot order, and any
 // slot executed by two of them carries the same batch — same length,
 // and per entry the same client, sequence number, operation and result.
-// With once set, for a protocol that promises exactly-once execution,
-// it also rejects a member that executed one (client, seq) twice.
+// It also rejects a member that executed one (client, seq) twice: every
+// protocol executes through xpaxos.Ledger, which runs each once.
 // Alignment is by slot, not list index: a member that caught up through
 // a checkpoint transfer legitimately skips the slots the checkpoint
 // subsumes. Crashed members keep their frozen history and stay in the
 // comparison.
-func (c *Cluster) HistoriesAgree(shard int, once bool) error {
+func (c *Cluster) HistoriesAgree(shard int) error {
 	type request struct{ client, seq uint64 }
 	procs := c.cfg.All()
 	hists := make([][]xpaxos.Execution, len(procs))
@@ -233,16 +233,14 @@ func (c *Cluster) HistoriesAgree(shard int, once bool) error {
 					p, h[k].Slot, h[k-1].Slot)
 			}
 		}
-		if once {
-			ran := make(map[request]uint64, len(h))
-			for _, e := range h {
-				k := request{e.Client, e.Seq}
-				if slot, dup := ran[k]; dup {
-					return fmt.Errorf("%s executed client=%d seq=%d twice (slots %d and %d)",
-						p, e.Client, e.Seq, slot, e.Slot)
-				}
-				ran[k] = e.Slot
+		ran := make(map[request]uint64, len(h))
+		for _, e := range h {
+			k := request{e.Client, e.Seq}
+			if slot, dup := ran[k]; dup {
+				return fmt.Errorf("%s executed client=%d seq=%d twice (slots %d and %d)",
+					p, e.Client, e.Seq, slot, e.Slot)
 			}
+			ran[k] = e.Slot
 		}
 		hists[i] = h
 	}

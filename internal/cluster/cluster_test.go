@@ -30,7 +30,7 @@ func exec(slot, client, seq uint64, op, result string) xpaxos.Execution {
 // members. The "different op" and "different result" cases — same
 // client and sequence number but a different operation or result — are
 // the ones the per-scenario copies this checker replaced did not
-// compare; "request executed twice" fails only the exactly-once check.
+// compare; "request executed twice" fails the exactly-once check.
 func TestHistoriesAgree(t *testing.T) {
 	base := []xpaxos.Execution{
 		exec(1, 7, 1, "set a 1", "OK"),
@@ -61,7 +61,7 @@ func TestHistoriesAgree(t *testing.T) {
 		{"different result", with(4, exec(4, 8, 2, "set e 5", "ERR")), "histories diverge at slot 4"},
 		{"request executed twice", twice, "p2 executed client=7 seq=2 twice (slots 2 and 5)"},
 	}
-	agree := func(p2 []xpaxos.Execution, once bool) error {
+	agree := func(p2 []xpaxos.Execution) error {
 		hists := map[ids.ProcessID][]xpaxos.Execution{1: base, 2: p2, 3: base[:1]}
 		c := cluster.New(ids.MustConfig(3, 1), 1, func(at cluster.Site) cluster.Member {
 			h, ok := hists[at.Proc]
@@ -71,14 +71,11 @@ func TestHistoriesAgree(t *testing.T) {
 			return cluster.Member{History: func() []xpaxos.Execution { return h }}
 		}, sim.Options{})
 		defer c.Net.Close()
-		return c.HistoriesAgree(0, once)
-	}
-	if err := agree(twice, false); err != nil {
-		t.Errorf("a duplicate rejected without the exactly-once check: %v", err)
+		return c.HistoriesAgree(0)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := agree(tc.p2, true)
+			err := agree(tc.p2)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("agreeing histories rejected: %v", err)
@@ -184,7 +181,7 @@ func TestHardCrashRestartRecovers(t *testing.T) {
 				t.Fatal("cluster made no progress after the restart")
 			}
 			for s := 0; s < shards; s++ {
-				if err := c.HistoriesAgree(s, true); err != nil {
+				if err := c.HistoriesAgree(s); err != nil {
 					t.Fatalf("shard %d: %v", s, err)
 				}
 			}

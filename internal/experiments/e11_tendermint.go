@@ -72,14 +72,14 @@ func runE11(crashed ids.ProcessID, requests int) (decided uint64, msgsPerDecisio
 	}
 	net.RunUntil(func() bool {
 		for _, r := range replicas {
-			if r.Participating() && r.LastDecided() < uint64(requests) {
+			if r.Participating() && r.LastExecuted() < uint64(requests) {
 				return false
 			}
 		}
 		return true
 	}, 2*time.Minute)
 
-	decided = entry.LastDecided()
+	decided = entry.LastExecuted()
 	m := net.Metrics()
 	consensusMsgs := m.Counter("msg.sent.TM-PROPOSAL") +
 		m.Counter("msg.sent.TM-PREVOTE") + m.Counter("msg.sent.TM-PRECOMMIT")
@@ -94,7 +94,7 @@ func runE11(crashed ids.ProcessID, requests int) (decided uint64, msgsPerDecisio
 			excluded = false
 		}
 		var log []string
-		for _, d := range r.Decisions() {
+		for _, d := range r.Executions() {
 			log = append(log, fmt.Sprintf("%d:%d/%d", d.Slot, d.Client, d.Seq))
 		}
 		if ref == nil {

@@ -25,7 +25,7 @@ var _ host.DurableApp = (*Replica)(nil)
 // storage.ErrCrashed after an injected crash or storage.ErrClosed when
 // Stop raced; counted, not acted on.
 func (r *Replica) persistCommitted(slot uint64, req *wire.Request) {
-	if r.wal == nil || r.recovering {
+	if r.wal == nil || r.ledger.Recovering() {
 		return
 	}
 	var b wire.Buffer
@@ -41,8 +41,8 @@ func (r *Replica) persistCommitted(slot uint64, req *wire.Request) {
 }
 
 // Recover implements host.DurableApp: replay the committed-slot records
-// into committedReq and re-execute deterministically. Replay is
-// invisible to clients (OnExecute is suppressed while recovering).
+// into the ledger and re-execute deterministically. Replay is invisible
+// to clients (OnExecute is suppressed while recovering).
 func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) error {
 	r.wal = log
 	if len(snapshot) > 0 {
@@ -51,8 +51,8 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 	if len(records) == 0 {
 		return nil
 	}
-	r.recovering = true
-	defer func() { r.recovering = false }()
+	r.ledger.SetRecovering(true)
+	defer r.ledger.SetRecovering(false)
 	for i, rec := range records {
 		rd := wire.NewReader(rec)
 		slot, err1 := rd.Uint64()
@@ -68,7 +68,7 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 		if !ok {
 			return fmt.Errorf("pbftlite: %T in committed record %d", m, i)
 		}
-		r.committedReq[slot] = req
+		r.ledger.Commit(slot, []*wire.Request{req})
 		if slot >= r.nextSlot {
 			r.nextSlot = slot + 1
 		}
@@ -76,7 +76,7 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 			r.maxSeen = slot
 		}
 	}
-	r.execute()
+	r.ledger.ExecuteCommitted()
 	r.env.Metrics().Inc("pbftlite.recoveries", 1)
 	return nil
 }

@@ -90,15 +90,13 @@ type Replica struct {
 	// maxSeen is the highest slot this replica ever saw proposed, across
 	// quorum changes: a leader elected after a participation change must
 	// not reassign a slot the previous quorum may have committed.
-	maxSeen  uint64
-	slots    map[uint64]*slotState
-	lastExec uint64
+	maxSeen uint64
+	slots   map[uint64]*slotState
+	// ledger executes committed slots in order, each (client, seq)
+	// once; its recovering flag is set while recovered records replay.
+	ledger *xpaxos.Ledger
 
-	committedReq map[uint64]*wire.Request
-	executions   []xpaxos.Execution
-
-	wal        host.AppLog // non-nil when the host is durable
-	recovering bool        // true while replaying recovered records
+	wal host.AppLog // non-nil when the host is durable
 }
 
 // NewReplica creates a PBFT-style replica.
@@ -110,9 +108,9 @@ func NewReplica(opts Options) *Replica {
 		opts.SM = xpaxos.NewKVMachine()
 	}
 	return &Replica{
-		opts:         opts,
-		slots:        make(map[uint64]*slotState),
-		committedReq: make(map[uint64]*wire.Request),
+		opts:   opts,
+		slots:  make(map[uint64]*slotState),
+		ledger: xpaxos.NewLedger(opts.SM, opts.OnExecute),
 	}
 }
 
@@ -145,14 +143,10 @@ func (r *Replica) Participating() bool { return r.active.Contains(r.env.ID()) }
 func (r *Replica) Active() ids.Quorum { return r.active }
 
 // LastExecuted returns the highest executed slot.
-func (r *Replica) LastExecuted() uint64 { return r.lastExec }
+func (r *Replica) LastExecuted() uint64 { return r.ledger.LastExecuted() }
 
 // Executions returns the executions observed so far, in order.
-func (r *Replica) Executions() []xpaxos.Execution {
-	out := make([]xpaxos.Execution, len(r.executions))
-	copy(out, r.executions)
-	return out
-}
+func (r *Replica) Executions() []xpaxos.Execution { return r.ledger.Executions() }
 
 // threshold returns the number of matching votes (sender included)
 // required per phase: 2f+1 under BroadcastAll; under ActiveQuorum every
@@ -234,7 +228,7 @@ func (r *Replica) onPrePrepare(pp *wire.PrePrepare) {
 		return
 	}
 	st.prePrepare = pp
-	if !r.recovering {
+	if !r.ledger.Recovering() {
 		st.trace = runtime.TraceStart(r.env, "pbft.commit", wire.TraceContext{})
 		st.trace.SetSlot(pp.Slot)
 		st.trace.SetView(pp.View)
@@ -338,35 +332,12 @@ func (r *Replica) advance(slot uint64, st *slotState) {
 		runtime.TraceEnd(r.env, st.trace)
 		st.trace = tracer.Active{}
 		req := st.prePrepare.Req
-		r.committedReq[slot] = &req
+		r.ledger.Commit(slot, []*wire.Request{&req})
 		// Persist before acting: the commit must survive a crash before
 		// it becomes visible through execution.
 		r.persistCommitted(slot, &req)
 		r.env.Metrics().Inc("pbftlite.committed", 1)
-		r.execute()
-	}
-}
-
-func (r *Replica) execute() {
-	for {
-		req, ok := r.committedReq[r.lastExec+1]
-		if !ok {
-			return
-		}
-		r.lastExec++
-		result := r.opts.SM.Apply(req.Op)
-		exec := xpaxos.Execution{
-			Slot:   r.lastExec,
-			Client: req.Client,
-			Seq:    req.Seq,
-			Op:     append([]byte(nil), req.Op...),
-			Result: result,
-		}
-		r.executions = append(r.executions, exec)
-		r.env.Metrics().Inc("pbftlite.executed", 1)
-		if r.opts.OnExecute != nil && !r.recovering {
-			r.opts.OnExecute(exec)
-		}
+		r.ledger.ExecuteCommitted()
 	}
 }
 

@@ -59,6 +59,23 @@ func TestBroadcastAllCommits(t *testing.T) {
 	}
 }
 
+// TestDuplicateSubmitExecutesOnce: one request submitted twice to the
+// primary takes two slots, and every replica runs it once.
+func TestDuplicateSubmitExecutesOnce(t *testing.T) {
+	net, replicas, _ := newBroadcastNet(t, 4, 1, ids.NewProcSet())
+	replicas[1].Submit(req(3, 1, "append d x"))
+	replicas[1].Submit(req(3, 1, "append d x"))
+	net.Run(2 * time.Second)
+	for p, r := range replicas {
+		if r.LastExecuted() != 2 {
+			t.Errorf("%s reached slot %d, want 2 (both copies commit)", p, r.LastExecuted())
+		}
+		if h := r.Executions(); len(h) != 1 || h[0].Slot != 1 {
+			t.Errorf("%s executed %v, want the request once, at slot 1", p, h)
+		}
+	}
+}
+
 func TestBroadcastAllMasksFaults(t *testing.T) {
 	// One crashed replica (f=1): PBFT must still commit with 2f+1
 	// votes — the "constant masking" the paper's intro describes.

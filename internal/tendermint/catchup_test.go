@@ -50,19 +50,19 @@ func TestNewMemberCatchesUpViaCertificates(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		replicas[1].Submit(req(1, uint64(i), fmt.Sprintf("set h%d v", i)))
 	}
-	if !net.RunUntil(func() bool { return replicas[1].LastDecided() >= 5 }, 30*time.Second) {
+	if !net.RunUntil(func() bool { return replicas[1].LastExecuted() >= 5 }, 30*time.Second) {
 		t.Fatal("setup: heights 1..5 did not decide")
 	}
-	if replicas[4].LastDecided() != 5 {
+	if replicas[4].LastExecuted() != 5 {
 		// The passive replica may already have caught up through the
 		// proposer's lazy certificate replication — that is fine too.
-		t.Logf("passive p4 at %d decisions before the crash", replicas[4].LastDecided())
+		t.Logf("passive p4 at %d decisions before the crash", replicas[4].LastExecuted())
 	}
 	wrappers[3].crashed = true
 	replicas[1].Submit(req(1, 6, "set h6 v"))
 	ok := net.RunUntil(func() bool {
 		for _, p := range []ids.ProcessID{1, 2, 4} {
-			if replicas[p].LastDecided() < 6 {
+			if replicas[p].LastExecuted() < 6 {
 				return false
 			}
 		}
@@ -70,12 +70,12 @@ func TestNewMemberCatchesUpViaCertificates(t *testing.T) {
 	}, 60*time.Second)
 	if !ok {
 		for p, r := range replicas {
-			t.Logf("%s: h=%d dec=%d active=%s", p, r.Height(), r.LastDecided(), r.Active())
+			t.Logf("%s: h=%d dec=%d active=%s", p, r.Height(), r.LastExecuted(), r.Active())
 		}
 		t.Fatal("new member did not catch up via certificates")
 	}
 	// Decision logs agree in full.
-	a, b := replicas[1].Decisions(), replicas[4].Decisions()
+	a, b := replicas[1].Executions(), replicas[4].Executions()
 	if len(b) < 6 {
 		t.Fatalf("p4 decisions = %d", len(b))
 	}
@@ -104,9 +104,9 @@ func TestPassiveReplicaFollowsViaLazyReplication(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		replicas[1].Submit(req(1, uint64(i), "op"))
 	}
-	ok := net.RunUntil(func() bool { return replicas[4].LastDecided() >= 4 }, 30*time.Second)
+	ok := net.RunUntil(func() bool { return replicas[4].LastExecuted() >= 4 }, 30*time.Second)
 	if !ok {
-		t.Fatalf("passive replica decided only %d heights", replicas[4].LastDecided())
+		t.Fatalf("passive replica decided only %d heights", replicas[4].LastExecuted())
 	}
 }
 
@@ -190,7 +190,7 @@ func TestForgedCertificatesRejected(t *testing.T) {
 		net.Env(2).Send(4, tt.cert)
 	}
 	net.Run(time.Second)
-	if got := replicas[4].LastDecided(); got != 0 {
+	if got := replicas[4].LastExecuted(); got != 0 {
 		t.Fatalf("a forged certificate was applied: decided = %d", got)
 	}
 
@@ -199,7 +199,7 @@ func TestForgedCertificatesRejected(t *testing.T) {
 		Precommits: []wire.TMPrecommit{vote(1, digest), vote(2, digest), vote(3, digest)}}
 	net.Env(2).Send(4, genuine)
 	net.Run(net.Now() + time.Second)
-	if got := replicas[4].LastDecided(); got != 1 {
+	if got := replicas[4].LastExecuted(); got != 1 {
 		t.Fatalf("genuine certificate rejected: decided = %d", got)
 	}
 }

@@ -58,23 +58,23 @@ func TestRoundTimeoutRace(t *testing.T) {
 	// The others decide promptly in round 0 — they have p1's precommit
 	// (outbound from p1 is not delayed).
 	ok := fx.net.RunUntil(func() bool {
-		return fx.replicas[2].LastDecided() >= 1 && fx.replicas[3].LastDecided() >= 1
+		return fx.replicas[2].LastExecuted() >= 1 && fx.replicas[3].LastExecuted() >= 1
 	}, 10*time.Second)
 	if !ok {
 		t.Fatal("undelayed replicas did not decide in round 0")
 	}
-	if fx.replicas[1].LastDecided() != 0 {
+	if fx.replicas[1].LastExecuted() != 0 {
 		t.Fatal("setup failed: p1 decided before its precommits arrived")
 	}
 
 	// p1 times out into a later round, then the late round-0 votes land
 	// and it decides the same value.
-	ok = fx.net.RunUntil(func() bool { return fx.replicas[1].LastDecided() >= 1 }, 10*time.Second)
+	ok = fx.net.RunUntil(func() bool { return fx.replicas[1].LastExecuted() >= 1 }, 10*time.Second)
 	if !ok {
 		t.Fatalf("p1 stuck at height %d round %d — any-round certificate not applied",
 			fx.replicas[1].Height(), fx.replicas[1].Round())
 	}
-	a, b := fx.replicas[1].Decisions()[0], fx.replicas[2].Decisions()[0]
+	a, b := fx.replicas[1].Executions()[0], fx.replicas[2].Executions()[0]
 	if string(a.Op) != string(b.Op) || a.Slot != b.Slot {
 		t.Fatalf("decisions diverge: %v vs %v", a, b)
 	}
@@ -108,7 +108,7 @@ func TestLockedProposerReproposesLockedValue(t *testing.T) {
 	fx.replicas[1].Submit(req(1, 2, "second"))
 	ok := fx.net.RunUntil(func() bool {
 		for _, p := range []ids.ProcessID{1, 2, 3} {
-			if fx.replicas[p].LastDecided() < 2 {
+			if fx.replicas[p].LastExecuted() < 2 {
 				return false
 			}
 		}
@@ -116,13 +116,13 @@ func TestLockedProposerReproposesLockedValue(t *testing.T) {
 	}, 30*time.Second)
 	if !ok {
 		for p, r := range fx.replicas {
-			t.Logf("%s: h=%d r=%d dec=%d", p, r.Height(), r.Round(), r.LastDecided())
+			t.Logf("%s: h=%d r=%d dec=%d", p, r.Height(), r.Round(), r.LastExecuted())
 		}
 		t.Fatal("heights did not decide under delayed precommits")
 	}
 	// Height 1 decided "first" everywhere (no value swap mid-height).
 	for _, p := range []ids.ProcessID{1, 2, 3} {
-		d := fx.replicas[p].Decisions()
+		d := fx.replicas[p].Executions()
 		if string(d[0].Op) != "first" || string(d[1].Op) != "second" {
 			t.Fatalf("%s decided out of order: %q then %q", p, d[0].Op, d[1].Op)
 		}

@@ -68,8 +68,6 @@ const maxPending = 4096
 type Options struct {
 	// SM is the replicated state machine (default KVMachine).
 	SM xpaxos.StateMachine
-	// OnDecide observes decisions in height order.
-	OnDecide func(xpaxos.Execution)
 	// RoundTimeout bounds how long an armed round may run before the
 	// replica moves to the next proposer (default 250ms).
 	RoundTimeout time.Duration
@@ -103,6 +101,10 @@ type roundState struct {
 	precommitted bool
 }
 
+// reqKey names a client request: clients number their requests, so
+// (client, seq) identifies one across gossip and re-proposals.
+type reqKey struct{ client, seq uint64 }
+
 // Replica is one consensus participant. It implements core.Application.
 type Replica struct {
 	opts     Options
@@ -122,9 +124,10 @@ type Replica struct {
 	// proposes) only that request until the height decides.
 	lockedReq *wire.Request
 
-	mempool     []*wire.Request
-	seen        map[string]bool // mempool dedupe key client/seq
-	clientTable map[uint64]uint64
+	mempool []*wire.Request
+	// seen dedupes the mempool until a request executes; from then on
+	// the ledger's client table rejects it.
+	seen map[reqKey]bool
 	// ingress is the shared client-request mempool frontend: locally
 	// submitted requests buffer there and flush as gossip batches.
 	ingress *host.Ingress
@@ -141,7 +144,9 @@ type Replica struct {
 	certs       map[uint64]*wire.TMDecided
 	futureCerts map[uint64]*wire.TMDecided
 
-	decisions []xpaxos.Execution
+	// ledger executes each decided height, each (client, seq) once,
+	// and keeps the history.
+	ledger *xpaxos.Ledger
 }
 
 var _ core.Application = (*Replica)(nil)
@@ -157,10 +162,10 @@ func NewReplica(opts Options) *Replica {
 	return &Replica{
 		opts:        opts,
 		rounds:      make(map[uint64]*roundState),
-		seen:        make(map[string]bool),
-		clientTable: make(map[uint64]uint64),
+		seen:        make(map[reqKey]bool),
 		certs:       make(map[uint64]*wire.TMDecided),
 		futureCerts: make(map[uint64]*wire.TMDecided),
+		ledger:      xpaxos.NewLedger(opts.SM, nil),
 	}
 }
 
@@ -199,21 +204,12 @@ func (r *Replica) Round() uint64 { return r.round }
 // Active returns the current participant set.
 func (r *Replica) Active() ids.Quorum { return r.active }
 
-// Decisions returns all decided executions in order.
-func (r *Replica) Decisions() []xpaxos.Execution {
-	out := make([]xpaxos.Execution, len(r.decisions))
-	copy(out, r.decisions)
-	return out
-}
+// Executions returns the executions of the decided heights, in order;
+// a height that decided an already executed request has none.
+func (r *Replica) Executions() []xpaxos.Execution { return r.ledger.Executions() }
 
-// Executions is Decisions under the name the other replicas use
-// (xpaxos, pbftlite), so protocol-generic harnesses — the chaos
-// history-agreement checkers in particular — can inspect every
-// protocol's replicated history through one method.
-func (r *Replica) Executions() []xpaxos.Execution { return r.Decisions() }
-
-// LastDecided returns the number of decided heights.
-func (r *Replica) LastDecided() uint64 { return uint64(len(r.decisions)) }
+// LastExecuted returns the highest decided height, height − 1.
+func (r *Replica) LastExecuted() uint64 { return r.ledger.LastExecuted() }
 
 // Proposer returns the proposer of (height, round): rotation over the
 // active quorum, offset by both height and round so every member leads
@@ -265,7 +261,7 @@ func (r *Replica) OnQuorum(q ids.Quorum) {
 // batches land in the local mempool and gossip to the other
 // participants so every proposer can propose them.
 func (r *Replica) Submit(req *wire.Request) {
-	if r.clientTable[req.Client] >= req.Seq {
+	if r.ledger.Executed(req) {
 		return
 	}
 	if err := r.ingress.Submit(req); err != nil {
@@ -295,8 +291,8 @@ func (r *Replica) flushGossip(reqs []*wire.Request, tc wire.TraceContext) {
 }
 
 func (r *Replica) addToMempool(req *wire.Request) bool {
-	key := fmt.Sprintf("%d/%d", req.Client, req.Seq)
-	if r.seen[key] || r.clientTable[req.Client] >= req.Seq {
+	key := reqKey{req.Client, req.Seq}
+	if r.seen[key] || r.ledger.Executed(req) {
 		return false
 	}
 	r.seen[key] = true
@@ -662,8 +658,9 @@ func (r *Replica) verifyCert(cert *wire.TMDecided) error {
 	return nil
 }
 
-// applyDecision executes the decided request, records the certificate,
-// notifies passive replicas, and moves to the next height.
+// applyDecision executes the decided request (nothing runs if it
+// executed at an earlier height), records the certificate, notifies
+// passive replicas, and moves to the next height.
 func (r *Replica) applyDecision(cert *wire.TMDecided) {
 	if r.timer != nil {
 		r.timer.Stop()
@@ -671,23 +668,10 @@ func (r *Replica) applyDecision(cert *wire.TMDecided) {
 	}
 	r.detector.CancelScope(Scope)
 	req := cert.Proposal.Req
-	result := r.opts.SM.Apply(req.Op)
-	if req.Seq > r.clientTable[req.Client] {
-		r.clientTable[req.Client] = req.Seq
-	}
-	exec := xpaxos.Execution{
-		Slot:   r.height,
-		Client: req.Client,
-		Seq:    req.Seq,
-		Op:     append([]byte(nil), req.Op...),
-		Result: result,
-	}
-	r.decisions = append(r.decisions, exec)
+	r.ledger.Execute(r.height, []*wire.Request{&req})
+	delete(r.seen, reqKey{req.Client, req.Seq})
 	r.certs[r.height] = cert
 	r.env.Metrics().Inc("tendermint.decided", 1)
-	if r.opts.OnDecide != nil {
-		r.opts.OnDecide(exec)
-	}
 	// Lazy replication: the deciding round's proposer ships the
 	// certificate to the passive replicas (one message per passive
 	// process per height; they verify it themselves).

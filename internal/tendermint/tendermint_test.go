@@ -59,7 +59,7 @@ func TestDecidesAcrossHeights(t *testing.T) {
 	}
 	ok := fx.net.RunUntil(func() bool {
 		for _, p := range []ids.ProcessID{1, 2, 3} {
-			if fx.replicas[p].LastDecided() < 5 {
+			if fx.replicas[p].LastExecuted() < 5 {
 				return false
 			}
 		}
@@ -67,12 +67,12 @@ func TestDecidesAcrossHeights(t *testing.T) {
 	}, 30*time.Second)
 	if !ok {
 		for p, r := range fx.replicas {
-			t.Logf("%s: height=%d round=%d decided=%d", p, r.Height(), r.Round(), r.LastDecided())
+			t.Logf("%s: height=%d round=%d decided=%d", p, r.Height(), r.Round(), r.LastExecuted())
 		}
 		t.Fatal("five heights did not decide")
 	}
 	// Decision order identical across participants.
-	a, b := fx.replicas[1].Decisions(), fx.replicas[2].Decisions()
+	a, b := fx.replicas[1].Executions(), fx.replicas[2].Executions()
 	for i := range a {
 		if a[i].Slot != b[i].Slot || string(a[i].Op) != string(b[i].Op) {
 			t.Fatalf("decision logs diverge at %d: %v vs %v", i, a[i], b[i])
@@ -113,7 +113,7 @@ func TestRoundAdvanceSkipsSilentProposer(t *testing.T) {
 	fx.replicas[1].Submit(req(1, 1, "set x 1"))
 	ok := fx.net.RunUntil(func() bool {
 		for _, p := range []ids.ProcessID{1, 3, 4} {
-			if fx.replicas[p].LastDecided() < 1 {
+			if fx.replicas[p].LastExecuted() < 1 {
 				return false
 			}
 		}
@@ -122,7 +122,7 @@ func TestRoundAdvanceSkipsSilentProposer(t *testing.T) {
 	if !ok {
 		for p, r := range fx.replicas {
 			t.Logf("%s: height=%d round=%d decided=%d active=%s",
-				p, r.Height(), r.Round(), r.LastDecided(), r.Active())
+				p, r.Height(), r.Round(), r.LastExecuted(), r.Active())
 		}
 		t.Fatal("height did not decide past the crashed proposer")
 	}
@@ -152,7 +152,7 @@ func TestQuorumSelectionSwapsParticipants(t *testing.T) {
 	ok := fx.net.RunUntil(func() bool {
 		for _, p := range []ids.ProcessID{1, 2, 4} {
 			r := fx.replicas[p]
-			if !ids.NewQuorum(r.Active().Members).Equal(want) || r.LastDecided() < 1 {
+			if !ids.NewQuorum(r.Active().Members).Equal(want) || r.LastExecuted() < 1 {
 				return false
 			}
 		}
@@ -161,7 +161,7 @@ func TestQuorumSelectionSwapsParticipants(t *testing.T) {
 	if !ok {
 		for p, r := range fx.replicas {
 			t.Logf("%s: height=%d round=%d decided=%d active=%s",
-				p, r.Height(), r.Round(), r.LastDecided(), r.Active())
+				p, r.Height(), r.Round(), r.LastExecuted(), r.Active())
 		}
 		t.Fatal("consensus did not continue on the selected quorum")
 	}
@@ -249,22 +249,56 @@ func TestDecisionLogsConsistentUnderDelays(t *testing.T) {
 		fx.replicas[ids.ProcessID(i%3+1)].Submit(req(uint64(i%2+1), uint64(i/2+1), fmt.Sprintf("set k%d v", i)))
 	}
 	fx.net.Run(20 * time.Second)
-	min := fx.replicas[1].LastDecided()
+	min := fx.replicas[1].LastExecuted()
 	for _, p := range []ids.ProcessID{2, 3} {
-		if d := fx.replicas[p].LastDecided(); d < min {
+		if d := fx.replicas[p].LastExecuted(); d < min {
 			min = d
 		}
 	}
 	if min == 0 {
 		t.Fatal("nothing decided under jittered latency")
 	}
-	a := fx.replicas[1].Decisions()
+	// A height that decided an already executed request runs nothing, so
+	// the histories are compared over their common prefix.
+	a := fx.replicas[1].Executions()
 	for _, p := range []ids.ProcessID{2, 3} {
-		b := fx.replicas[p].Decisions()
-		for i := 0; i < int(min); i++ {
+		b := fx.replicas[p].Executions()
+		for i := 0; i < len(a) && i < len(b); i++ {
 			if a[i].Slot != b[i].Slot || string(a[i].Op) != string(b[i].Op) {
-				t.Fatalf("decision logs diverge at height %d: %v vs %v", i+1, a[i], b[i])
+				t.Fatalf("decision logs diverge at entry %d: %v vs %v", i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// TestSeenForgetsExecutedRequests: the mempool's dedupe key for a
+// request lives until the request executes; after that the ledger's
+// client table rejects it, and a late copy leaves no key behind.
+func TestSeenForgetsExecutedRequests(t *testing.T) {
+	const k = 5
+	fx := newFixture(t, 4, 1, 0, ids.NewProcSet(), sim.Options{})
+	for i := 1; i <= k; i++ {
+		fx.replicas[1].Submit(req(1, uint64(i), fmt.Sprintf("set k%d v", i)))
+	}
+	decided := func() bool {
+		for _, r := range fx.replicas {
+			if r.LastExecuted() < k {
+				return false
+			}
+		}
+		return true
+	}
+	if !fx.net.RunUntil(decided, 30*time.Second) {
+		t.Fatal("the requests did not decide everywhere")
+	}
+	fx.replicas[2].Submit(req(1, 3, "set k3 v")) // a late retry
+	fx.net.Run(fx.net.Now() + time.Second)
+	for p, r := range fx.replicas {
+		if mempool, seen := r.Pending(); mempool != 0 || seen != 0 {
+			t.Errorf("%s holds %d mempool requests and %d dedupe keys, want 0 and 0", p, mempool, seen)
+		}
+		if r.LastExecuted() != k {
+			t.Errorf("%s decided %d heights, want %d", p, r.LastExecuted(), k)
 		}
 	}
 }

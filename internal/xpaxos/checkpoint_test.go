@@ -2,6 +2,7 @@ package xpaxos_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -50,6 +51,51 @@ func TestKVMachineRestoreRejectsCorrupt(t *testing.T) {
 		if err := xpaxos.NewKVMachine().Restore(data); err == nil {
 			t.Errorf("corrupt snapshot %v accepted", data)
 		}
+	}
+}
+
+// TestSnapshotBytesPinned pins, for a fixed run, the bytes a view change
+// and a restart read back: the checkpoint blob (client table, then the
+// KVMachine snapshot) and the application section of the durable
+// snapshot (view, proposal cursor, checkpoint, history). A format change
+// must update them on purpose.
+func TestSnapshotBytesPinned(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
+	replicas := make(map[ids.ProcessID]*xpaxos.Replica, cfg.N)
+	for _, p := range cfg.All() {
+		node, r := xpaxos.NewQSNode(xpaxos.Options{CheckpointInterval: 4}, quietNodeOpts())
+		nodes[p], replicas[p] = node, r
+	}
+	net := sim.NewNetwork(cfg, nodes, sim.Options{})
+	// Clients 7 and 9 alternate; the checkpoint at slot 4 holds
+	// {7: 2, 9: 2} and {a: 13, b: 2}.
+	for i, op := range []string{"set a 1", "set b 2", "append a 3", "get a", "del b", "set c 4"} {
+		replicas[1].Submit(req(uint64(7+2*(i%2)), uint64(i/2+1), op))
+	}
+	if !net.RunUntil(func() bool { return replicas[2].LastExecuted() >= 6 }, 10*time.Second) {
+		t.Fatal("the six requests did not execute")
+	}
+	const (
+		blob = "00000002" + "0000000000000007" + "0000000000000002" + "0000000000000009" + "0000000000000002" +
+			"00000019" + "00000002" + "00000001" + "61" + "00000002" + "3133" + "00000001" + "62" + "00000001" + "32"
+		history = "00000006" +
+			"0000000000000001000000000000000700000000000000010000000773657420612031000000024f4b" +
+			"0000000000000002000000000000000900000000000000010000000773657420622032000000024f4b" +
+			"0000000000000003000000000000000700000000000000020000000a617070656e6420612033000000024f4b" +
+			"000000000000000400000000000000090000000000000002000000056765742061000000023133" +
+			"0000000000000005000000000000000700000000000000030000000564656c2062000000024f4b" +
+			"0000000000000006000000000000000900000000000000030000000773657420632034000000024f4b"
+		// view 0, proposal cursor 1 (a follower proposes nothing),
+		// checkpoint slot 4, the blob, the history.
+		durable = "0000000000000000" + "0000000000000001" + "0000000000000004" + "00000041" + blob + history
+	)
+	r := replicas[2]
+	if got := hex.EncodeToString(r.CheckpointBlob()); got != blob {
+		t.Errorf("checkpoint blob\n got %s\nwant %s", got, blob)
+	}
+	if got := hex.EncodeToString(r.DurableSnapshot()); got != durable {
+		t.Errorf("durable snapshot\n got %s\nwant %s", got, durable)
 	}
 }
 

@@ -18,7 +18,9 @@
 // The durable snapshot (written through host.AppLog.Snapshot whenever a
 // checkpoint is taken or restored) carries the view, the proposal
 // cursor, the checkpoint blob (state machine + client table), and the
-// execution history, so recovery is snapshot + WAL-tail replay.
+// execution history, so recovery is snapshot + WAL-tail replay. This
+// file encodes the first three fields; the blob and the history
+// section are the Ledger's codecs.
 package xpaxos
 
 import (
@@ -68,7 +70,7 @@ func (r *Replica) persistPrepare(kind byte, p *wire.Prepare) {
 
 // persisting reports whether records reach the WAL: there is one, and
 // the replica is not replaying it.
-func (r *Replica) persisting() bool { return r.wal != nil && !r.recovering }
+func (r *Replica) persisting() bool { return r.wal != nil && !r.ledger.Recovering() }
 
 func (r *Replica) persistSync() {
 	if !r.persisting() {
@@ -123,15 +125,7 @@ func (r *Replica) encodeDurable() []byte {
 	b.PutUint64(r.nextSlot)
 	b.PutUint64(r.ckpt.Slot)
 	b.PutBytes(r.ckpt.Snapshot)
-	b.PutUint32(uint32(len(r.executions)))
-	for i := range r.executions {
-		e := &r.executions[i]
-		b.PutUint64(e.Slot)
-		b.PutUint64(e.Client)
-		b.PutUint64(e.Seq)
-		b.PutBytes(e.Op)
-		b.PutBytes(e.Result)
-	}
+	r.ledger.appendHistory(&b)
 	return b.Bytes()
 }
 
@@ -153,23 +147,8 @@ func (r *Replica) restoreDurable(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("xpaxos: durable snapshot checkpoint: %w", err)
 	}
-	count, err := rd.Uint32()
-	if err != nil {
-		return fmt.Errorf("xpaxos: durable snapshot executions: %w", err)
-	}
-	execs := make([]Execution, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var e Execution
-		var e1, e2, e3, e4, e5 error
-		e.Slot, e1 = rd.Uint64()
-		e.Client, e2 = rd.Uint64()
-		e.Seq, e3 = rd.Uint64()
-		e.Op, e4 = rd.Bytes()
-		e.Result, e5 = rd.Bytes()
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || e5 != nil {
-			return fmt.Errorf("xpaxos: durable snapshot execution %d corrupt", i)
-		}
-		execs = append(execs, e)
+	if err := r.ledger.readHistory(rd); err != nil {
+		return err
 	}
 	if view > r.view {
 		r.view = view
@@ -179,7 +158,6 @@ func (r *Replica) restoreDurable(data []byte) error {
 			return err
 		}
 	}
-	r.executions = execs
 	if nextSlot > r.nextSlot {
 		r.nextSlot = nextSlot
 	}
@@ -218,7 +196,7 @@ func (r *Replica) replayRecord(rec []byte) error {
 			r.accepted[p.Slot] = p
 		}
 		if kind == recCommitted {
-			r.committedReq[p.Slot] = p.Requests()
+			r.ledger.Commit(p.Slot, p.Requests())
 		}
 		if p.Slot >= r.nextSlot {
 			r.nextSlot = p.Slot + 1
@@ -263,8 +241,8 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 	if len(snapshot) == 0 && len(records) == 0 {
 		return nil
 	}
-	r.recovering = true
-	defer func() { r.recovering = false }()
+	r.ledger.SetRecovering(true)
+	defer r.ledger.SetRecovering(false)
 	if len(snapshot) > 0 {
 		if err := r.restoreDurable(snapshot); err != nil {
 			return err
@@ -281,16 +259,17 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 	}
 	r.active = r.quorumAt(r.view)
 	r.changing = false
-	if r.nextSlot <= r.lastExec {
-		r.nextSlot = r.lastExec + 1
+	if last := r.ledger.LastExecuted(); r.nextSlot <= last {
+		r.nextSlot = last + 1
 	}
-	// Re-execute whatever the replayed committedReq slots allow; the
+	// Re-execute whatever the replayed committed slots allow; the
 	// OnExecute callback and checkpointing are suppressed (recovering)
 	// so replay is invisible to clients.
 	r.execute()
+	lastExec := r.ledger.LastExecuted()
 	r.m.view.Set(float64(r.view))
 	r.env.Metrics().Inc("xpaxos.recoveries", 1)
-	runtime.Emit(r.env, obs.Event{Type: obs.TypeLifecycle, View: r.view, Slot: r.lastExec,
-		Detail: fmt.Sprintf("xpaxos recovered: view=%d lastExec=%d records=%d", r.view, r.lastExec, replayed)})
+	runtime.Emit(r.env, obs.Event{Type: obs.TypeLifecycle, View: r.view, Slot: lastExec,
+		Detail: fmt.Sprintf("xpaxos recovered: view=%d lastExec=%d records=%d", r.view, lastExec, replayed)})
 	return nil
 }

@@ -21,3 +21,10 @@ func (r *Replica) InflightScan() int {
 // Forwarded returns how many forwarded requests the replica still
 // tracks (forwarded and not yet seen executing).
 func (r *Replica) Forwarded() int { return len(r.forwarded) }
+
+// CheckpointBlob returns the latest stable checkpoint's bytes.
+func (r *Replica) CheckpointBlob() []byte { return r.ckpt.Snapshot }
+
+// DurableSnapshot returns the application section of the durable
+// snapshot the replica would write now.
+func (r *Replica) DurableSnapshot() []byte { return r.encodeDurable() }

@@ -3,7 +3,6 @@ package xpaxos
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"quorumselect/internal/crypto"
@@ -148,14 +147,14 @@ type Replica struct {
 	// accepted holds the highest-view prepare per slot across views —
 	// the log reported in VIEW-CHANGE messages.
 	accepted map[uint64]*wire.Prepare
-	// committedReq holds the request batch of each committed slot, in
-	// proposal order, for execution.
-	committedReq map[uint64][]*wire.Request
 	// ingress is the client-request mempool: requests accumulate there
 	// and flush into proposals (leader) or leader forwards (others).
-	ingress     *host.Ingress
-	lastExec    uint64
-	clientTable map[uint64]uint64 // client → highest executed seq
+	ingress *host.Ingress
+	// ledger executes committed slots in order, each (client, seq)
+	// once, and keeps the history. Its recovering flag, set while the
+	// WAL tail replays, also suppresses persistence, tracing and
+	// checkpointing here.
+	ledger *Ledger
 
 	vcVotes map[uint64]map[ids.ProcessID]*wire.ViewChange
 	pending []*wire.Request
@@ -172,15 +171,11 @@ type Replica struct {
 	// install instead of being lost (messages are never retransmitted).
 	buffered []wire.Message
 
-	executions  []Execution
 	viewChanges int
 	ckpt        checkpoint
 
-	// wal is the host's durable log (nil when the host has no storage);
-	// recovering suppresses persistence, client callbacks, and
-	// checkpointing while the WAL tail replays.
-	wal        host.AppLog
-	recovering bool
+	// wal is the host's durable log (nil when the host has no storage).
+	wal host.AppLog
 
 	// slotStart records when each slot's prepare was first accepted
 	// locally, feeding the commit-latency histogram.
@@ -216,15 +211,14 @@ func NewReplica(opts Options) *Replica {
 		opts.SM = NewKVMachine()
 	}
 	return &Replica{
-		opts:         opts,
-		entries:      make(map[uint64]*entry),
-		accepted:     make(map[uint64]*wire.Prepare),
-		committedReq: make(map[uint64][]*wire.Request),
-		clientTable:  make(map[uint64]uint64),
-		vcVotes:      make(map[uint64]map[ids.ProcessID]*wire.ViewChange),
-		forwarded:    make(map[reqKey]forwardedReq),
-		slotStart:    make(map[uint64]time.Duration),
-		traces:       make(map[uint64]*slotTrace),
+		opts:      opts,
+		entries:   make(map[uint64]*entry),
+		accepted:  make(map[uint64]*wire.Prepare),
+		ledger:    NewLedger(opts.SM, opts.OnExecute),
+		vcVotes:   make(map[uint64]map[ids.ProcessID]*wire.ViewChange),
+		forwarded: make(map[reqKey]forwardedReq),
+		slotStart: make(map[uint64]time.Duration),
+		traces:    make(map[uint64]*slotTrace),
 	}
 }
 
@@ -299,14 +293,10 @@ func (r *Replica) InQuorum() bool { return r.active.Contains(r.env.ID()) }
 func (r *Replica) ViewChanges() int { return r.viewChanges }
 
 // LastExecuted returns the highest executed slot.
-func (r *Replica) LastExecuted() uint64 { return r.lastExec }
+func (r *Replica) LastExecuted() uint64 { return r.ledger.LastExecuted() }
 
 // Executions returns the executions observed so far, in order.
-func (r *Replica) Executions() []Execution {
-	out := make([]Execution, len(r.executions))
-	copy(out, r.executions)
-	return out
-}
+func (r *Replica) Executions() []Execution { return r.ledger.Executions() }
 
 // System returns the quorum system the replica runs on.
 func (r *Replica) System() quorum.System { return r.sys }
@@ -391,7 +381,7 @@ func (r *Replica) setPrep(e *entry, p *wire.Prepare, signed []byte) {
 // At batch size 1 every Submit flushes synchronously, the original
 // request-per-slot behavior.
 func (r *Replica) Submit(req *wire.Request) {
-	if r.clientTable[req.Client] >= req.Seq {
+	if r.ledger.Executed(req) {
 		return // already executed; a real deployment would re-reply
 	}
 	if err := r.ingress.Submit(req); err != nil {
@@ -402,7 +392,7 @@ func (r *Replica) Submit(req *wire.Request) {
 // traceStart opens a commit-path span unless the replica is replaying
 // its WAL: recovered history already happened and is not re-traced.
 func (r *Replica) traceStart(name string, parent wire.TraceContext) tracer.Active {
-	if r.recovering {
+	if r.ledger.Recovering() {
 		return tracer.Active{}
 	}
 	return runtime.TraceStart(r.env, name, parent)
@@ -665,7 +655,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		r.detector.Detected(c.Replica)
 		return
 	}
-	if !c.TC.Zero() && !r.recovering {
+	if !c.TC.Zero() && !r.ledger.Recovering() {
 		runtime.TraceInstant(r.env, "commit.recv", c.TC)
 	}
 	e := r.entry(c.Slot)
@@ -746,7 +736,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 		runtime.TraceEnd(r.env, st.quorum)
 	}
 	reqs := e.prep.Requests()
-	r.committedReq[slot] = reqs
+	r.ledger.Commit(slot, reqs)
 	// The slot is decided: persist the deciding prepare before
 	// executing it or shipping the certificate to passive replicas.
 	var ws tracer.Active
@@ -797,7 +787,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 // the slot, so the value is the decided one — which is exactly why an
 // intersection-violating spec must never get this far.
 func (r *Replica) onCommitCert(cert *wire.CommitCert) {
-	if _, have := r.committedReq[cert.Slot]; have || cert.Slot <= r.lastExec {
+	if r.ledger.Committed(cert.Slot) {
 		return
 	}
 	// Pass 1: structural checks, collecting every plausible commit's
@@ -843,8 +833,8 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 		r.env.Metrics().Inc("xpaxos.cert.rejected", 1)
 		return
 	}
-	r.committedReq[cert.Slot] = prep.Requests()
-	if !prep.TC.Zero() && !r.recovering {
+	r.ledger.Commit(cert.Slot, prep.Requests())
+	if !prep.TC.Zero() && !r.ledger.Recovering() {
 		// Lazily replicated slots still join the original trace: the
 		// embedded prepare's context parents this replica's execute span.
 		r.slotTraceFor(cert.Slot).prep = prep.TC
@@ -858,87 +848,58 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	r.execute()
 }
 
-// execute applies committed slots in order — and within a slot, the
-// batch's requests in proposal order — taking periodic checkpoints.
+// execute runs committed slots through the ledger in slot order, each
+// under its execute span, taking periodic checkpoints.
 func (r *Replica) execute() {
 	for {
-		reqs, ok := r.committedReq[r.lastExec+1]
+		slot, reqs, ok := r.ledger.Next()
 		if !ok {
 			return
 		}
-		r.lastExec++
 		var es tracer.Active
-		if st := r.traces[r.lastExec]; st != nil {
+		if st := r.traces[slot]; st != nil {
 			parent := st.quorum.Context()
 			if parent.Zero() {
 				parent = st.prep // lazy replication: no quorum span
 			}
 			es = r.traceStart("execute", parent)
-			es.SetSlot(r.lastExec)
+			es.SetSlot(slot)
 		}
-		for _, req := range reqs {
-			if len(r.forwarded) > 0 {
+		if len(r.forwarded) > 0 {
+			for _, req := range reqs {
 				delete(r.forwarded, reqKey{req.Client, req.Seq})
 			}
-			// Exactly once: a request can hold two slots (a re-submitted
-			// forward, a client retry), and only the first runs. Submit
-			// applies the same rule; the client table is replicated and
-			// checkpointed, so every replica skips the same entries.
-			if req.Seq <= r.clientTable[req.Client] {
-				r.env.Metrics().Inc("xpaxos.executed.duplicate", 1)
-				continue
-			}
-			result := r.opts.SM.Apply(req.Op)
-			r.clientTable[req.Client] = req.Seq
-			exec := Execution{
-				Slot:   r.lastExec,
-				Client: req.Client,
-				Seq:    req.Seq,
-				Op:     append([]byte(nil), req.Op...),
-				Result: result,
-			}
-			r.executions = append(r.executions, exec)
-			r.m.executed.Inc()
-			if r.opts.OnExecute != nil && !r.recovering {
-				r.opts.OnExecute(exec)
-			}
+		}
+		ran := r.ledger.Execute(slot, reqs)
+		if ran > 0 {
+			r.m.executed.Add(int64(ran))
+		}
+		if dup := len(reqs) - ran; dup > 0 {
+			r.env.Metrics().Inc("xpaxos.executed.duplicate", int64(dup))
 		}
 		runtime.TraceEnd(r.env, es)
-		delete(r.traces, r.lastExec)
-		r.m.checkpointLag.Set(float64(r.lastExec - r.ckpt.Slot))
-		if r.opts.CheckpointInterval > 0 && !r.recovering && r.lastExec%r.opts.CheckpointInterval == 0 {
+		delete(r.traces, slot)
+		r.m.checkpointLag.Set(float64(slot - r.ckpt.Slot))
+		if r.opts.CheckpointInterval > 0 && !r.ledger.Recovering() && slot%r.opts.CheckpointInterval == 0 {
 			r.takeCheckpoint()
 		}
 	}
 }
 
-// takeCheckpoint snapshots the executed state (state machine plus the
-// client table, so duplicate suppression survives a restore) and
-// garbage-collects the log below it. Requires a Snapshotter state
-// machine; silently skipped otherwise.
+// takeCheckpoint snapshots the executed state (the ledger's checkpoint
+// blob) and garbage-collects the log below it. Requires a Snapshotter
+// state machine; silently skipped otherwise.
 func (r *Replica) takeCheckpoint() {
-	snap, ok := r.opts.SM.(Snapshotter)
+	data, ok := r.ledger.checkpoint()
 	if !ok {
 		return
 	}
-	var b wire.Buffer
-	clients := make([]uint64, 0, len(r.clientTable))
-	for c := range r.clientTable {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	b.PutUint32(uint32(len(clients)))
-	for _, c := range clients {
-		b.PutUint64(c)
-		b.PutUint64(r.clientTable[c])
-	}
-	b.PutBytes(snap.Snapshot())
-	data := b.Bytes()
-	r.ckpt = checkpoint{Slot: r.lastExec, Snapshot: data, Digest: crypto.Digest(data)}
+	slot := r.ledger.LastExecuted()
+	r.ckpt = checkpoint{Slot: slot, Snapshot: data, Digest: crypto.Digest(data)}
 	r.env.Metrics().Inc("xpaxos.checkpoint.taken", 1)
 	r.m.checkpointLag.Set(0)
-	runtime.Emit(r.env, obs.Event{Type: obs.TypeCheckpoint, View: r.view, Slot: r.lastExec})
-	r.gcBelow(r.lastExec)
+	runtime.Emit(r.env, obs.Event{Type: obs.TypeCheckpoint, View: r.view, Slot: slot})
+	r.gcBelow(slot)
 	// The checkpoint moved: compact the WAL behind a fresh durable
 	// snapshot.
 	r.persistSnapshot()
@@ -947,36 +908,9 @@ func (r *Replica) takeCheckpoint() {
 // restoreCheckpoint installs a stable checkpoint received during a view
 // change: state machine, client table and execution cursor.
 func (r *Replica) restoreCheckpoint(slot uint64, data []byte) error {
-	snap, ok := r.opts.SM.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("xpaxos: state machine %T cannot restore snapshots", r.opts.SM)
-	}
-	rd := wire.NewReader(data)
-	n, err := rd.Uint32()
-	if err != nil {
-		return fmt.Errorf("xpaxos: corrupt checkpoint: %w", err)
-	}
-	table := make(map[uint64]uint64, n)
-	for i := uint32(0); i < n; i++ {
-		c, err := rd.Uint64()
-		if err != nil {
-			return fmt.Errorf("xpaxos: corrupt checkpoint client: %w", err)
-		}
-		seq, err := rd.Uint64()
-		if err != nil {
-			return fmt.Errorf("xpaxos: corrupt checkpoint seq: %w", err)
-		}
-		table[c] = seq
-	}
-	smData, err := rd.Bytes()
-	if err != nil {
-		return fmt.Errorf("xpaxos: corrupt checkpoint snapshot: %w", err)
-	}
-	if err := snap.Restore(smData); err != nil {
+	if err := r.ledger.restore(slot, data); err != nil {
 		return err
 	}
-	r.clientTable = table
-	r.lastExec = slot
 	r.ckpt = checkpoint{Slot: slot, Snapshot: data, Digest: crypto.Digest(data)}
 	r.env.Metrics().Inc("xpaxos.checkpoint.restored", 1)
 	r.m.checkpointLag.Set(0)
@@ -994,11 +928,6 @@ func (r *Replica) gcBelow(slot uint64) {
 	for s := range r.accepted {
 		if s <= slot {
 			delete(r.accepted, s)
-		}
-	}
-	for s := range r.committedReq {
-		if s <= slot {
-			delete(r.committedReq, s)
 		}
 	}
 	for s, e := range r.entries {

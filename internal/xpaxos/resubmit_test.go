@@ -101,7 +101,7 @@ func TestLeaderCrashResubmitsForwarded(t *testing.T) {
 			t.Errorf("%s still tracks %d forwarded requests after they executed", p, f)
 		}
 	}
-	if err := c.HistoriesAgree(0, true); err != nil {
+	if err := c.HistoriesAgree(0); err != nil {
 		t.Fatal(err)
 	}
 	reg := c.Net.Metrics()

@@ -267,7 +267,7 @@ func (r *Replica) onNewView(nv *wire.NewView) {
 		r.detector.Detected(nv.Leader)
 		return
 	}
-	if !nv.TC.Zero() && !r.recovering {
+	if !nv.TC.Zero() && !r.ledger.Recovering() {
 		runtime.TraceInstant(r.env, "newview.recv", nv.TC)
 	}
 	r.applyNewView(nv)
@@ -294,7 +294,7 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 	// leader justified it with f+1 matching VIEW-CHANGE digests. A
 	// faulty leader forging it is a commission failure outside this
 	// reproduction's simplified view change — see DESIGN.md.)
-	if nv.CheckpointSlot > r.lastExec {
+	if nv.CheckpointSlot > r.ledger.LastExecuted() {
 		if err := r.restoreCheckpoint(nv.CheckpointSlot, nv.Snapshot); err != nil {
 			r.env.Metrics().Inc("xpaxos.checkpoint.restore_failed", 1)
 			r.detector.Detected(nv.Leader)
