@@ -41,7 +41,7 @@ examples:
 # in BENCHMARK.json and described in bench/README.md — or from the CLI
 # that owns the table: cmd/benchpaper (E1–E13), cmd/loadgen (rate
 # sweeps). `go test -bench` keeps single-package building-block timers
-# and the three bench-smoke gates below.
+# and the four bench-smoke gates below.
 
 # bench-check vets and tests the repo benchmark. bench/ is a nested
 # module (BENCHMARK.json runs it through bench/run.sh), so `go vet ./...`
@@ -74,17 +74,19 @@ profile-churn:
 		-cpuprofile $(PROFILE_DIR)/cpu.prof -memprofile $(PROFILE_DIR)/mem.prof \
 		-o $(PROFILE_DIR)/adversary.test ./internal/adversary/
 
-# bench-smoke is the CI regression gate: a brief window sweep + fleet
-# scaling sweep + cert verification pass. Each parent benchmark compares
-# its own sub-benchmarks and fails if the pipeline has degraded to
-# lockstep (req/s at window 16 below window 1), the 4-shard fleet has
-# lost its aggregate scaling over one group (below 1.5x), or batch
-# verification has lost its per-signature amortization — so the exit
-# status of `go test` is the gate.
+# bench-smoke is the CI regression gate, four gates in all: a brief
+# window sweep + fleet scaling sweep + cert verification pass + failure
+# detector match. Each parent benchmark compares its own sub-benchmarks
+# and fails if the pipeline has degraded to lockstep (req/s at window 16
+# below window 1), the 4-shard fleet has lost its aggregate scaling over
+# one group (below 1.5x), batch verification has lost its per-signature
+# amortization, or matching a message costs more than 2x as much with
+# 4,096 expectations outstanding as with 16 — so the exit status of
+# `go test` is the gate.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkXPaxosPipelinedThroughput|BenchmarkFleetThroughput|BenchmarkQuorumCertVerify' \
-		-benchtime $(BENCHTIME) -count 1 -v ./internal/transport/ ./internal/crypto/
+		-bench 'BenchmarkXPaxosPipelinedThroughput|BenchmarkFleetThroughput|BenchmarkQuorumCertVerify|BenchmarkDetectorMatch' \
+		-benchtime $(BENCHTIME) -count 1 -v ./internal/transport/ ./internal/crypto/ ./internal/fd/
 
 # loadgen-smoke drives a real 4-process, 2-shard TCP cluster with the
 # open-loop generator over loopback HTTP frontends: a short Poisson run
@@ -136,6 +138,7 @@ quorum-check:
 # parser/validator regressions without burning CI minutes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuorumSpec$$' -fuzztime 20s ./internal/quorum/
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectorMatch$$' -fuzztime 20s ./internal/fd/
 
 # cover runs the full suite with a coverage profile and prints the
 # total-coverage summary line.

@@ -201,7 +201,7 @@ func mustEd25519(t *testing.T, cfg ids.Config) *Ed25519Ring {
 // collapses the q identical embedded-prepare copies into a single
 // check (q+1 total). The ns/verify metric is per certificate item, so
 // serial/batched is the per-signature amortization. It is one of the
-// three `make bench-smoke` gates: batched above serial means batch
+// four `make bench-smoke` gates: batched above serial means batch
 // verification has stopped paying for itself.
 func BenchmarkQuorumCertVerify(b *testing.B) {
 	cfg := ids.MustConfig(7, 2)

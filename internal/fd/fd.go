@@ -6,10 +6,19 @@
 //
 //	⟨RECEIVE, m, i⟩    → Detector.Receive (called by the network layer)
 //	⟨DELIVER, m, i⟩    → the Deliver callback (to application/selector)
-//	⟨EXPECT, P, i⟩     → Detector.Expect (predicate + sender)
+//	⟨EXPECT, P, i⟩     → Detector.Expect(scope, i, desc, key), where P
+//	                     is a Key: a message type plus two identifiers
+//	                     the message carries, sent by its signer i
 //	⟨SUSPECTED, S⟩     → the OnSuspect callback (whole current set S)
 //	⟨DETECTED, i⟩      → Detector.Detected (permanent, from application)
 //	⟨CANCEL⟩           → Detector.Cancel / Detector.CancelScope
+//
+// Every predicate the protocols here expect has that shape — "the
+// COMMIT of view v, slot s, from replica k", "the FOLLOWERS of epoch e
+// from leader l", "any heartbeat from p" — so the detector indexes the
+// outstanding expectations by (sender, key), and matching a delivered
+// message, expiring an expectation and asking whether a process is
+// suspected each cost O(1), however many expectations are outstanding.
 //
 // Properties (and how they are achieved):
 //
@@ -32,6 +41,7 @@ package fd
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"quorumselect/internal/ids"
@@ -41,9 +51,44 @@ import (
 	"quorumselect/internal/wire"
 )
 
-// Predicate is the paper's P: it decides whether a delivered message
-// satisfies an expectation.
-type Predicate func(m wire.Message) bool
+// Key is the paper's P: the message an expectation waits for, named by
+// its type and two identifiers the message carries — view and slot,
+// height and round, or an epoch or view alone (B zero). A heartbeat's
+// key is its type alone: any heartbeat from the sender will do.
+type Key struct {
+	Type wire.Type
+	A, B uint64
+}
+
+// keyOf returns the key m satisfies, and false for a message no
+// expectation waits for. The sender needs no check of its own: every
+// keyed message but the heartbeat is signed, its signer is the replica,
+// leader or proposer field, and Receive attributes it to that signer.
+func keyOf(m wire.Message) (Key, bool) {
+	switch v := m.(type) {
+	case *wire.Heartbeat:
+		return Key{Type: wire.TypeHeartbeat}, true
+	case *wire.Commit:
+		return Key{wire.TypeCommit, v.View, v.Slot}, true
+	case *wire.Prepare:
+		return Key{wire.TypePrepare, v.View, v.Slot}, true
+	case *wire.NewView:
+		return Key{Type: wire.TypeNewView, A: v.ViewNum}, true
+	case *wire.Followers:
+		return Key{Type: wire.TypeFollowers, A: v.Epoch}, true
+	case *wire.PBFTPrepare:
+		return Key{wire.TypePBFTPrepare, v.View, v.Slot}, true
+	case *wire.PBFTCommit:
+		return Key{wire.TypePBFTCommit, v.View, v.Slot}, true
+	case *wire.TMProposal:
+		return Key{wire.TypeTMProposal, v.Height, v.Round}, true
+	case *wire.TMPrevote:
+		return Key{wire.TypeTMPrevote, v.Slot, v.View}, true
+	case *wire.TMPrecommit:
+		return Key{wire.TypeTMPrecommit, v.Slot, v.View}, true
+	}
+	return Key{}, false
+}
 
 // Deliver receives authenticated messages (the ⟨DELIVER, m, i⟩ event).
 type Deliver func(from ids.ProcessID, m wire.Message)
@@ -93,14 +138,23 @@ func (o Options) ScaledTo(oneWay time.Duration) Options {
 	return o
 }
 
+// target is what an expectation is indexed by: the expected sender and
+// the key of the message it must send.
+type target struct {
+	from ids.ProcessID
+	key  Key
+}
+
 type expectation struct {
+	target
 	scope    string
-	from     ids.ProcessID
 	desc     string
-	pred     Predicate
 	timer    runtime.Timer
 	issuedAt time.Duration // env.Now() at Expect, for detection latency
 	overdue  bool          // timer fired; suspicion raised and still matchable
+	// rearm is the heartbeater whose standing expectation this is: a
+	// match re-issues it.
+	rearm *Heartbeater
 }
 
 // Detector is the failure-detector module of one process.
@@ -110,10 +164,12 @@ type Detector struct {
 	deliver   Deliver
 	onSuspect OnSuspect
 
-	// expects holds the outstanding expectations of each sender, at
-	// index sender−1, in issue order: a message is matched against its
-	// sender's list alone. pending counts them all.
-	expects  [][]*expectation
+	// expects holds the outstanding expectations by target, in issue
+	// order: one delivery satisfies all of a target's. overdue counts
+	// the overdue ones of each sender, at index sender−1; pending counts
+	// them all.
+	expects  map[target][]*expectation
+	overdue  []int
 	pending  int
 	detected map[ids.ProcessID]bool
 	timeout  map[ids.ProcessID]time.Duration
@@ -156,6 +212,7 @@ func New(opts Options) *Detector {
 	}
 	return &Detector{
 		opts:             opts,
+		expects:          make(map[target][]*expectation),
 		detected:         make(map[ids.ProcessID]bool),
 		timeout:          make(map[ids.ProcessID]time.Duration),
 		raised:           make(map[ids.ProcessID]int),
@@ -215,26 +272,25 @@ func (d *Detector) Receive(from ids.ProcessID, m wire.Message) {
 // match consumes every outstanding expectation the message satisfies
 // and cancels suspicions that are no longer justified.
 func (d *Detector) match(from ids.ProcessID, m wire.Message) {
-	list := d.of(from)
+	key, ok := keyOf(m)
+	if !ok {
+		return
+	}
+	t := target{from, key}
+	list := d.expects[t]
 	if len(list) == 0 {
 		return
 	}
+	delete(d.expects, t)
 	matchedOverdue := false
-	kept := list[:0]
 	for _, e := range list {
-		if e.pred(m) {
-			if e.timer != nil {
-				e.timer.Stop()
-			}
-			if e.overdue {
-				matchedOverdue = true
-			}
-			d.m.matched.Inc()
-			continue
+		if e.rearm != nil {
+			e.rearm.rearmAfter(from)
 		}
-		kept = append(kept, e)
+		matchedOverdue = matchedOverdue || e.overdue
+		d.retire(e)
+		d.m.matched.Inc()
 	}
-	d.keep(from, list, kept)
 	if matchedOverdue {
 		// The suspicion against from proved false: back off its
 		// timeout (eventual strong accuracy) and re-publish if it is
@@ -257,28 +313,31 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 	d.updatePendingGauge()
 }
 
-// Expect registers the paper's ⟨EXPECT, P, i⟩: a message matching pred
-// is expected from process from. scope tags the issuing module for
+// Expect registers the paper's ⟨EXPECT, P, i⟩: a message with key is
+// expected from process from. scope tags the issuing module for
 // CancelScope; desc becomes the Detail of its EXPECT and SUSPECTED
 // events. If no matching message is delivered within the sender's
 // current timeout, from is suspected.
 // After Close, Expect is a no-op: a stopping node arms no new timers.
-func (d *Detector) Expect(scope string, from ids.ProcessID, desc string, pred Predicate) {
-	if pred == nil {
-		panic("fd: Expect requires a predicate")
-	}
+func (d *Detector) Expect(scope string, from ids.ProcessID, desc string, key Key) {
+	d.expect(scope, from, desc, key, nil)
+}
+
+// expect is Expect for the heartbeater too: a non-nil rearm re-issues
+// the expectation whenever it is matched.
+func (d *Detector) expect(scope string, from ids.ProcessID, desc string, key Key, rearm *Heartbeater) {
 	if from < 1 {
 		panic(fmt.Sprintf("fd: Expect against %s, outside Π", from))
 	}
 	if d.closed {
 		return
 	}
-	e := &expectation{scope: scope, from: from, desc: desc, pred: pred, issuedAt: d.env.Now()}
+	e := &expectation{target: target{from, key}, scope: scope, desc: desc, rearm: rearm, issuedAt: d.env.Now()}
 	e.timer = d.env.After(d.timeoutFor(from), func() { d.expire(e) })
-	for int(from) > len(d.expects) {
-		d.expects = append(d.expects, nil)
+	for int(from) > len(d.overdue) {
+		d.overdue = append(d.overdue, 0)
 	}
-	d.expects[from-1] = append(d.expects[from-1], e)
+	d.expects[e.target] = append(d.expects[e.target], e)
 	d.pending++
 	d.m.issued.Inc()
 	runtime.Emit(d.env, obs.Event{Type: obs.TypeExpect, Subject: from, Detail: scope + ":" + desc})
@@ -289,18 +348,12 @@ func (d *Detector) Expect(scope string, from ids.ProcessID, desc string, pred Pr
 func (d *Detector) expire(e *expectation) {
 	// The expectation may have been removed (matched or canceled)
 	// after the timer fired but before this callback ran.
-	found := false
-	for _, cur := range d.of(e.from) {
-		if cur == e {
-			found = true
-			break
-		}
-	}
-	if !found || e.overdue {
+	if e.overdue || !slices.Contains(d.expects[e.target], e) {
 		return
 	}
 	alreadySuspected := d.suspectedNow(e.from)
 	e.overdue = true
+	d.overdue[e.from-1]++
 	d.m.expired.Inc()
 	if !alreadySuspected {
 		d.raised[e.from]++
@@ -314,6 +367,19 @@ func (d *Detector) expire(e *expectation) {
 		runtime.Emit(d.env, obs.Event{Type: obs.TypeSuspected, Subject: e.from, Detail: e.desc})
 		d.publish()
 	}
+}
+
+// retire takes e out of the outstanding count: its timer is stopped and
+// an overdue e no longer suspects its sender. The caller removes it from
+// expects.
+func (d *Detector) retire(e *expectation) {
+	if e.timer != nil {
+		e.timer.Stop()
+	}
+	if e.overdue {
+		d.overdue[e.from-1]--
+	}
+	d.pending--
 }
 
 // Detected is the paper's ⟨DETECTED, i⟩: the application found a proof
@@ -348,23 +414,29 @@ func (d *Detector) CancelScope(scope string) {
 	d.cancelWhere(func(e *expectation) bool { return e.scope == scope })
 }
 
+// cancelWhere drops the expectations drop selects. It visits targets in
+// map order: stopping timers and counting commute, so nothing
+// observable depends on that order.
 func (d *Detector) cancelWhere(drop func(*expectation) bool) {
 	before := d.Suspected()
 	dropped := 0
-	for i, list := range d.expects {
+	for t, list := range d.expects {
 		kept := list[:0]
 		for _, e := range list {
-			if drop(e) {
-				if e.timer != nil {
-					e.timer.Stop()
-				}
-				d.m.canceled.Inc()
-				dropped++
+			if !drop(e) {
+				kept = append(kept, e)
 				continue
 			}
-			kept = append(kept, e)
+			d.retire(e)
+			d.m.canceled.Inc()
+			dropped++
 		}
-		d.keep(ids.ProcessID(i+1), list, kept)
+		clear(list[len(kept):])
+		if len(kept) == 0 {
+			delete(d.expects, t)
+		} else {
+			d.expects[t] = kept
+		}
 	}
 	if dropped > 0 {
 		runtime.Emit(d.env, obs.Event{Type: obs.TypeCancel,
@@ -396,12 +468,10 @@ func (d *Detector) Close() {
 	d.closed = true
 	for _, list := range d.expects {
 		for _, e := range list {
-			if e.timer != nil {
-				e.timer.Stop()
-			}
+			d.retire(e)
 		}
 	}
-	d.expects, d.pending = nil, 0
+	clear(d.expects)
 }
 
 // Suspected returns the current suspicion set S: every process with an
@@ -411,12 +481,9 @@ func (d *Detector) Suspected() ids.ProcSet {
 	for p := range d.detected {
 		s.Add(p)
 	}
-	for _, list := range d.expects {
-		for _, e := range list {
-			if e.overdue {
-				s.Add(e.from)
-				break
-			}
+	for i, n := range d.overdue {
+		if n > 0 {
+			s.Add(ids.ProcessID(i + 1))
 		}
 	}
 	return s
@@ -445,29 +512,7 @@ func (d *Detector) suspectedNow(i ids.ProcessID) bool {
 	if d.detected[i] {
 		return true
 	}
-	for _, e := range d.of(i) {
-		if e.overdue {
-			return true
-		}
-	}
-	return false
-}
-
-// of returns i's outstanding expectations, in issue order.
-func (d *Detector) of(i ids.ProcessID) []*expectation {
-	if i < 1 || int(i) > len(d.expects) {
-		return nil
-	}
-	return d.expects[i-1]
-}
-
-// keep replaces i's list with kept, a prefix-filtered copy made in
-// list's own array, and clears the tail so the dropped expectations
-// (and their predicates) can be collected.
-func (d *Detector) keep(i ids.ProcessID, list, kept []*expectation) {
-	clear(list[len(kept):])
-	d.pending -= len(list) - len(kept)
-	d.expects[i-1] = kept
+	return i >= 1 && int(i) <= len(d.overdue) && d.overdue[i-1] > 0
 }
 
 // updatePendingGauge tracks the outstanding-expectation count per node.

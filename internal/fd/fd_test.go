@@ -74,10 +74,13 @@ func defaultOpts() Options {
 	return Options{fd: fd.DefaultOptions(), silent: ids.NewProcSet()}
 }
 
+// heartbeatKey expects any heartbeat from the sender.
+var heartbeatKey = fd.Key{Type: wire.TypeHeartbeat}
+
 func TestExpectationMatched(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "heartbeat", fd.IsHeartbeat)
+	n1.d.Expect("test", 2, "heartbeat", heartbeatKey)
 	net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: 1})
 	net.Run(time.Second)
 	if !n1.d.Suspected().Empty() {
@@ -97,7 +100,7 @@ func TestExpectationCompleteness(t *testing.T) {
 	// No message arrives: the sender must be suspected.
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "commit", fd.IsHeartbeat)
+	n1.d.Expect("test", 2, "commit", heartbeatKey)
 	net.Run(time.Second)
 	if !n1.d.IsSuspected(2) {
 		t.Error("unmatched expectation did not lead to suspicion")
@@ -114,7 +117,7 @@ func TestExpectationCompleteness(t *testing.T) {
 func TestLateMessageCancelsSuspicion(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "heartbeat", fd.IsHeartbeat)
+	n1.d.Expect("test", 2, "heartbeat", heartbeatKey)
 	// Let the expectation expire, then deliver late.
 	net.Run(fd.DefaultBaseTimeout * 2)
 	if !n1.d.IsSuspected(2) {
@@ -139,14 +142,14 @@ func TestAdaptiveTimeoutGrows(t *testing.T) {
 	n1 := nodes[1]
 	delay := fd.DefaultBaseTimeout + 10*time.Millisecond // past base, within 2× base
 
-	n1.d.Expect("test", 2, "m1", fd.IsHeartbeat)
+	n1.d.Expect("test", 2, "m1", heartbeatKey)
 	net.Env(1).After(delay, func() { net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: 1}) })
 	net.Run(time.Second)
 	if n1.d.SuspicionsRaised(2) != 1 {
 		t.Fatalf("first delayed message: raised = %d, want 1", n1.d.SuspicionsRaised(2))
 	}
 
-	n1.d.Expect("test", 2, "m2", fd.IsHeartbeat)
+	n1.d.Expect("test", 2, "m2", heartbeatKey)
 	net.Env(1).After(delay, func() { net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: 2}) })
 	net.Run(net.Now() + time.Second)
 	if n1.d.SuspicionsRaised(2) != 1 {
@@ -167,7 +170,7 @@ func TestFixedTimeoutAblation(t *testing.T) {
 
 	for round := 1; round <= 3; round++ {
 		seq := uint64(round)
-		n1.d.Expect("test", 2, "m", fd.IsHeartbeat)
+		n1.d.Expect("test", 2, "m", heartbeatKey)
 		net.Env(1).After(delay, func() { net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: seq}) })
 		net.Run(net.Now() + time.Second)
 	}
@@ -200,8 +203,8 @@ func TestDetectedIsPermanent(t *testing.T) {
 func TestCancelClearsExpectationsAndSuspicions(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("a", 2, "x", fd.IsHeartbeat)
-	n1.d.Expect("b", 3, "y", fd.IsHeartbeat)
+	n1.d.Expect("a", 2, "x", heartbeatKey)
+	n1.d.Expect("b", 3, "y", heartbeatKey)
 	net.Run(time.Second)
 	if !n1.d.IsSuspected(2) || !n1.d.IsSuspected(3) {
 		t.Fatal("expectations did not expire")
@@ -218,8 +221,8 @@ func TestCancelClearsExpectationsAndSuspicions(t *testing.T) {
 func TestCancelScope(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("selector", 2, "followers", fd.IsHeartbeat)
-	n1.d.Expect("app", 3, "commit", fd.IsHeartbeat)
+	n1.d.Expect("selector", 2, "followers", heartbeatKey)
+	n1.d.Expect("app", 3, "commit", heartbeatKey)
 	net.Run(time.Second)
 	n1.d.CancelScope("selector")
 	if n1.d.IsSuspected(2) {
@@ -330,18 +333,15 @@ func TestForwardedSignedMessageSatisfiesExpectation(t *testing.T) {
 	opts.sim.Auth = auth
 	net, nodes := newFDNet(t, 4, 1, opts)
 	n1 := nodes[1]
-	n1.d.Expect("test", 3, "update from p3", func(m wire.Message) bool {
-		u, ok := m.(*wire.Update)
-		return ok && u.Owner == 3
-	})
+	n1.d.Expect("test", 3, "followers from p3", fd.Key{Type: wire.TypeFollowers, A: 1})
 	// p3 signs; p2 forwards it to p1 (p3 never talks to p1 directly).
-	up := &wire.Update{Owner: 3, Row: make([]uint64, 4)}
-	sig, err := auth.Sign(3, up.SigBytes())
+	fw := &wire.Followers{Leader: 3, Epoch: 1}
+	sig, err := auth.Sign(3, fw.SigBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	up.Sig = sig
-	net.Env(2).Send(1, up)
+	fw.Sig = sig
+	net.Env(2).Send(1, fw)
 	net.Run(time.Second)
 	if n1.d.IsSuspected(3) {
 		t.Error("forwarded signed message did not satisfy the expectation against the signer")
@@ -365,17 +365,14 @@ func TestExpectationAgainstForwarderNotSatisfied(t *testing.T) {
 	opts.sim.Auth = auth
 	net, nodes := newFDNet(t, 4, 1, opts)
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "update signed by p2", func(m wire.Message) bool {
-		_, ok := m.(*wire.Update)
-		return ok
-	})
-	up := &wire.Update{Owner: 3, Row: make([]uint64, 4)}
-	sig, err := auth.Sign(3, up.SigBytes())
+	n1.d.Expect("test", 2, "followers signed by p2", fd.Key{Type: wire.TypeFollowers, A: 1})
+	fw := &wire.Followers{Leader: 3, Epoch: 1}
+	sig, err := auth.Sign(3, fw.SigBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	up.Sig = sig
-	net.Env(2).Send(1, up) // link sender p2, signer p3
+	fw.Sig = sig
+	net.Env(2).Send(1, fw) // link sender p2, signer p3
 	net.Run(time.Second)
 	if !n1.d.IsSuspected(2) {
 		t.Error("expectation against the forwarder was satisfied by a foreign-signed message")

@@ -95,27 +95,20 @@ func (h *Heartbeater) tick() {
 }
 
 // expectFrom issues a standing heartbeat expectation for p: whenever it
-// is matched, the next one is issued, so the expectation never runs
-// out. The predicate accepts any heartbeat from p — which heartbeat
+// is matched, the next one is issued (rearmAfter), so the expectation
+// never runs out. Its key accepts any heartbeat from p — which heartbeat
 // arrives is irrelevant, only that p keeps sending.
 func (h *Heartbeater) expectFrom(p ids.ProcessID) {
 	if h.stopped {
 		return
 	}
-	matched := false
-	h.detector.Expect(HeartbeatScope, p, "heartbeat", func(m wire.Message) bool {
-		if _, ok := m.(*wire.Heartbeat); !ok {
-			return false
-		}
-		if matched {
-			return false // consume exactly one heartbeat per expectation
-		}
-		matched = true
-		// Re-arm on the process's event loop after this delivery
-		// completes.
-		h.env.After(0, func() { h.expectFrom(p) })
-		return true
-	})
+	h.detector.expect(HeartbeatScope, p, "heartbeat", Key{Type: wire.TypeHeartbeat}, h)
+}
+
+// rearmAfter re-issues p's standing expectation on the process's event
+// loop, after the delivery that matched it completes.
+func (h *Heartbeater) rearmAfter(p ids.ProcessID) {
+	h.env.After(0, func() { h.expectFrom(p) })
 }
 
 // IsHeartbeat reports whether m is a heartbeat. The detector filters

@@ -266,10 +266,7 @@ func (s *Selector) maximalLineSubgraph(g *graph.Graph) *graph.LineSubgraph {
 // line 23: a signed FOLLOWERS message from the leader for this epoch.
 func (s *Selector) expectFollowersFrom(leader ids.ProcessID, epoch uint64) {
 	s.detector.Expect(Scope, leader, fmt.Sprintf("FOLLOWERS(epoch=%d)", epoch),
-		func(m wire.Message) bool {
-			f, ok := m.(*wire.Followers)
-			return ok && f.Leader == leader && f.Epoch == epoch
-		})
+		fd.Key{Type: wire.TypeFollowers, A: epoch})
 }
 
 // HandleFollowers processes a (signature-verified) FOLLOWERS message

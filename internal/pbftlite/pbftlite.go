@@ -247,16 +247,7 @@ func (r *Replica) onPrePrepare(pp *wire.PrePrepare) {
 
 func (r *Replica) expectPhase(k ids.ProcessID, t wire.Type, view, slot uint64) {
 	r.detector.Expect(Scope, k, fmt.Sprintf("%s(v=%d,s=%d)", t, view, slot),
-		func(m wire.Message) bool {
-			switch v := m.(type) {
-			case *wire.PBFTPrepare:
-				return t == wire.TypePBFTPrepare && v.Replica == k && v.View == view && v.Slot == slot
-			case *wire.PBFTCommit:
-				return t == wire.TypePBFTCommit && v.Replica == k && v.View == view && v.Slot == slot
-			default:
-				return false
-			}
-		})
+		fd.Key{Type: t, A: view, B: slot})
 }
 
 func (r *Replica) sendPrepare(st *slotState, view, slot uint64, digest []byte) {

@@ -370,10 +370,7 @@ func (r *Replica) armRound() {
 	}
 	if state.proposal == nil {
 		r.detector.Expect(Scope, proposer, fmt.Sprintf("TM-PROPOSAL(h=%d,r=%d)", height, round),
-			func(m wire.Message) bool {
-				p, ok := m.(*wire.TMProposal)
-				return ok && p.Proposer == proposer && p.Height == height && p.Round == round
-			})
+			fd.Key{Type: wire.TypeTMProposal, A: height, B: round})
 	}
 }
 
@@ -486,16 +483,7 @@ func (r *Replica) onProposal(p *wire.TMProposal) {
 
 func (r *Replica) expectVote(k ids.ProcessID, t wire.Type, height, round uint64) {
 	r.detector.Expect(Scope, k, fmt.Sprintf("%s(h=%d,r=%d)", t, height, round),
-		func(m wire.Message) bool {
-			switch v := m.(type) {
-			case *wire.TMPrevote:
-				return t == wire.TypeTMPrevote && v.Replica == k && v.Slot == height && v.View == round
-			case *wire.TMPrecommit:
-				return t == wire.TypeTMPrecommit && v.Replica == k && v.Slot == height && v.View == round
-			default:
-				return false
-			}
-		})
+		fd.Key{Type: t, A: height, B: round})
 }
 
 // sendPrevote votes for the round's proposal — unless this replica is

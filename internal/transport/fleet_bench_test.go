@@ -102,7 +102,7 @@ func newFleetTCPCluster(tb testing.TB, cfg ids.Config, auth crypto.Authenticator
 // each added shard contributes its own independent commit window (and
 // a staggered leader), multiplying the aggregate in-flight depth. All
 // shard traffic rides the host's one connection per peer pair. It is
-// one of the three `make bench-smoke` gates: 4 shards below 1.5× one
+// one of the four `make bench-smoke` gates: 4 shards below 1.5× one
 // group means the shards have stopped committing independently
 // (serialized windows, cross-shard interference, or a mux regression).
 func BenchmarkFleetThroughput(b *testing.B) {

@@ -197,7 +197,7 @@ func newWindowedTCPCluster(tb testing.TB, cfg ids.Config, auth crypto.Authentica
 // measured req/s isolates the window's latency hiding: at window 1 the
 // leader runs in lockstep, one RTT per slot; at deeper windows slot
 // round trips overlap until the path is crypto-bound. It is one of the
-// three `make bench-smoke` gates: window 16 below window 1 means the
+// four `make bench-smoke` gates: window 16 below window 1 means the
 // pipeline has degraded to lockstep.
 func BenchmarkXPaxosPipelinedThroughput(b *testing.B) {
 	cfg := ids.MustConfig(4, 1)

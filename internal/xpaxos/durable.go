@@ -125,8 +125,7 @@ func (r *Replica) encodeDurable() []byte {
 	b.PutUint64(r.nextSlot)
 	b.PutUint64(r.ckpt.Slot)
 	b.PutBytes(r.ckpt.Snapshot)
-	r.ledger.appendHistory(&b)
-	return b.Bytes()
+	return r.ledger.appendHistory(b.Bytes())
 }
 
 func (r *Replica) restoreDurable(data []byte) error {
@@ -147,7 +146,7 @@ func (r *Replica) restoreDurable(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("xpaxos: durable snapshot checkpoint: %w", err)
 	}
-	if err := r.ledger.readHistory(rd); err != nil {
+	if err := r.ledger.readHistory(data[len(data)-rd.Remaining():]); err != nil {
 		return err
 	}
 	if view > r.view {

@@ -28,3 +28,13 @@ func (r *Replica) CheckpointBlob() []byte { return r.ckpt.Snapshot }
 // DurableSnapshot returns the application section of the durable
 // snapshot the replica would write now.
 func (r *Replica) DurableSnapshot() []byte { return r.encodeDurable() }
+
+// CommitsHeld returns how many COMMITs the replica keeps for slot, or
+// -1 when it has no round state for the slot.
+func (r *Replica) CommitsHeld(slot uint64) int {
+	e, ok := r.entries[slot]
+	if !ok {
+		return -1
+	}
+	return len(e.commits)
+}

@@ -1,6 +1,8 @@
 package xpaxos
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -23,7 +25,12 @@ type Ledger struct {
 	committed map[uint64][]*wire.Request // committed slots above lastExec
 	lastExec  uint64
 	clients   map[uint64]uint64 // client → highest executed seq
-	history   []Execution
+	// history is the executed history in the durable snapshot's layout
+	// (see appendHistory): one byte slice, so the collector has no
+	// pointers to scan in it however long the run. executed counts its
+	// entries.
+	history  []byte
+	executed uint32
 	// recovering marks a WAL replay: the replayed executions were
 	// reported before the crash, so onExecute stays silent.
 	recovering bool
@@ -87,10 +94,11 @@ func (l *Ledger) Execute(slot uint64, reqs []*wire.Request) int {
 			Slot:   slot,
 			Client: req.Client,
 			Seq:    req.Seq,
-			Op:     append([]byte(nil), req.Op...),
+			Op:     req.Op,
 			Result: result,
 		}
-		l.history = append(l.history, exec)
+		l.history = appendExecution(l.history, &exec)
+		l.executed++
 		ran++
 		if l.onExecute != nil && !l.recovering {
 			l.onExecute(exec)
@@ -116,10 +124,11 @@ func (l *Ledger) Executed(req *wire.Request) bool {
 // LastExecuted returns the execution cursor: the highest executed slot.
 func (l *Ledger) LastExecuted() uint64 { return l.lastExec }
 
-// Executions returns a copy of the executed history, in order.
+// Executions decodes the executed history, in order, into values the
+// caller owns: changing one changes neither the ledger nor a later
+// call's result.
 func (l *Ledger) Executions() []Execution {
-	out := make([]Execution, len(l.history))
-	copy(out, l.history)
+	out, _ := decodeHistory(wire.NewReader(l.history), l.executed)
 	return out
 }
 
@@ -196,29 +205,49 @@ func (l *Ledger) restore(slot uint64, data []byte) error {
 	return nil
 }
 
-// appendHistory writes the history section of XPaxos's durable
-// snapshot: a count, then per execution its slot, client, seq,
-// operation and result.
-func (l *Ledger) appendHistory(b *wire.Buffer) {
-	b.PutUint32(uint32(len(l.history)))
-	for i := range l.history {
-		e := &l.history[i]
-		b.PutUint64(e.Slot)
-		b.PutUint64(e.Client)
-		b.PutUint64(e.Seq)
-		b.PutBytes(e.Op)
-		b.PutBytes(e.Result)
-	}
+// appendHistory appends the history section of XPaxos's durable
+// snapshot to dst: a count, then per execution its slot, client, seq,
+// operation and result — the layout the history is kept in, so the
+// section is one copy.
+func (l *Ledger) appendHistory(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, l.executed)
+	return append(dst, l.history...)
 }
 
 // readHistory replaces the history with the section appendHistory
-// wrote.
-func (l *Ledger) readHistory(rd *wire.Reader) error {
+// wrote at the front of data; bytes after it are ignored.
+func (l *Ledger) readHistory(data []byte) error {
+	rd := wire.NewReader(data)
 	count, err := rd.Uint32()
 	if err != nil {
 		return fmt.Errorf("xpaxos: durable snapshot executions: %w", err)
 	}
-	execs := make([]Execution, 0, count)
+	if _, err := decodeHistory(rd, count); err != nil {
+		return err
+	}
+	l.history = bytes.Clone(data[4 : len(data)-rd.Remaining()])
+	l.executed = count
+	return nil
+}
+
+// appendExecution appends e to a history: slot, client and seq as
+// big-endian uint64s, then the operation and the result, each prefixed
+// by its uint32 length — wire.Buffer's encoding of those fields.
+func appendExecution(h []byte, e *Execution) []byte {
+	h = binary.BigEndian.AppendUint64(h, e.Slot)
+	h = binary.BigEndian.AppendUint64(h, e.Client)
+	h = binary.BigEndian.AppendUint64(h, e.Seq)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(e.Op)))
+	h = append(h, e.Op...)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(e.Result)))
+	return append(h, e.Result...)
+}
+
+// decodeHistory decodes count executions of a history off rd, copying
+// each operation and result out of its bytes. An execution takes at
+// least 32 bytes, which bounds what a corrupt count can allocate.
+func decodeHistory(rd *wire.Reader, count uint32) ([]Execution, error) {
+	execs := make([]Execution, 0, min(count, uint32(rd.Remaining()/32)))
 	for i := uint32(0); i < count; i++ {
 		var e Execution
 		var e1, e2, e3, e4, e5 error
@@ -228,10 +257,9 @@ func (l *Ledger) readHistory(rd *wire.Reader) error {
 		e.Op, e4 = rd.Bytes()
 		e.Result, e5 = rd.Bytes()
 		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || e5 != nil {
-			return fmt.Errorf("xpaxos: durable snapshot execution %d corrupt", i)
+			return nil, fmt.Errorf("xpaxos: durable snapshot execution %d corrupt", i)
 		}
 		execs = append(execs, e)
 	}
-	l.history = execs
-	return nil
+	return execs, nil
 }

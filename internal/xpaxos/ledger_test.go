@@ -1,6 +1,8 @@
 package xpaxos
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,24 +157,55 @@ func TestLedgerRestoreRejectsCorrupt(t *testing.T) {
 }
 
 // TestLedgerExecuteAllocations: executing a one-request slot allocates
-// only the history's copy of the operation; a skipped duplicate
-// allocates nothing.
+// nothing once the history has room — the operation and result are
+// appended to the history's bytes, not copied into their own slices —
+// and a skipped duplicate allocates nothing either.
 func TestLedgerExecuteAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	const runs = 1000
 	l := NewLedger(EchoMachine{}, nil)
-	l.history = make([]Execution, 0, runs+1) // history growth is amortized
+	l.history = make([]byte, 0, 64*(runs+1)) // history growth is amortized
 	req := &wire.Request{Client: 1, Op: []byte("set k v")}
 	reqs := batch(req)
 	if got := testing.AllocsPerRun(runs, func() {
 		req.Seq++
 		l.Execute(l.LastExecuted()+1, reqs)
-	}); got > 1 {
-		t.Errorf("Execute allocated %v times per request, want at most 1", got)
+	}); got != 0 {
+		t.Errorf("Execute allocated %v times per request, want 0", got)
 	}
 	if got := testing.AllocsPerRun(runs, func() { l.Execute(l.LastExecuted()+1, reqs) }); got != 0 {
 		t.Errorf("a skipped duplicate allocated %v times, want 0", got)
+	}
+}
+
+// TestLedgerHistoryRoundTrip: the history section appendHistory writes
+// reads back into the same executions, trailing bytes are left alone,
+// and a section cut anywhere inside an execution is rejected.
+func TestLedgerHistoryRoundTrip(t *testing.T) {
+	src := NewLedger(NewKVMachine(), nil)
+	src.Execute(1, batch(request(1, 1, "set a 1"), request(2, 1, "")))
+	src.Execute(2, batch(request(1, 2, "get a")))
+	section := src.appendHistory(nil)
+	dst := NewLedger(NewKVMachine(), nil)
+	if err := dst.readHistory(append(section, 0xff)); err != nil {
+		t.Fatal(err)
+	}
+	want, got := src.Executions(), dst.Executions()
+	if len(got) != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %v, want %v", got, want)
+	}
+	if !bytes.Equal(dst.appendHistory(nil), section) {
+		t.Error("a read history does not write back the same section")
+	}
+	for cut := 5; cut < len(section); cut++ {
+		err := NewLedger(EchoMachine{}, nil).readHistory(section[:cut])
+		if err == nil || !strings.HasPrefix(err.Error(), "xpaxos: durable snapshot execution ") {
+			t.Fatalf("section cut at %d of %d: error %v", cut, len(section), err)
+		}
+	}
+	if err := dst.readHistory(section[:3]); err == nil || !strings.HasPrefix(err.Error(), "xpaxos: durable snapshot executions: ") {
+		t.Errorf("a cut count: error %v", err)
 	}
 }

@@ -105,8 +105,10 @@ type entry struct {
 	prep *wire.Prepare // prepare accepted in the current view
 	// signed is prep.SigBytes(), encoded once when prep is set: every
 	// COMMIT of the slot embeds a copy that is compared against it.
-	signed     []byte
-	adopted    bool // prep was learned from a COMMIT (Fig 3)
+	signed  []byte
+	adopted bool // prep was learned from a COMMIT (Fig 3)
+	// commits holds the slot's COMMITs by sender until it commits;
+	// tryCommit releases it then.
 	commits    map[ids.ProcessID]*wire.Commit
 	commitSent bool
 	committed  bool
@@ -586,18 +588,12 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 
 func (r *Replica) expectCommit(k ids.ProcessID, view, slot uint64) {
 	r.detector.Expect(Scope, k, fmt.Sprintf("COMMIT(v=%d,s=%d)", view, slot),
-		func(m wire.Message) bool {
-			c, ok := m.(*wire.Commit)
-			return ok && c.Replica == k && c.View == view && c.Slot == slot
-		})
+		fd.Key{Type: wire.TypeCommit, A: view, B: slot})
 }
 
 func (r *Replica) expectPrepare(leader ids.ProcessID, view, slot uint64) {
 	r.detector.Expect(Scope, leader, fmt.Sprintf("PREPARE(v=%d,s=%d)", view, slot),
-		func(m wire.Message) bool {
-			p, ok := m.(*wire.Prepare)
-			return ok && p.Leader == leader && p.View == view && p.Slot == slot
-		})
+		fd.Key{Type: wire.TypePrepare, A: view, B: slot})
 }
 
 // sendCommit broadcasts this replica's COMMIT (carrying the full
@@ -696,6 +692,9 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		st.quorum.SetSlot(c.Slot)
 		st.quorum.SetView(c.View)
 	}
+	if e.committed {
+		return // checked for equivocation above; the COMMIT set is spent
+	}
 	e.commits[c.Replica] = c
 	r.tryCommit(c.Slot, e)
 }
@@ -766,6 +765,10 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 			}
 		}
 	}
+	// The certificate has shipped, so the COMMIT set has served its
+	// purpose. A late COMMIT is still checked against e.signed for
+	// equivocation (onCommit), then ignored.
+	e.commits = nil
 	r.execute()
 	// A committed slot frees window capacity: drain batches the gate
 	// held back. Flush is reentrancy-guarded, so reaching here from a

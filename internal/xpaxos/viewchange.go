@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"quorumselect/internal/fd"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
@@ -120,10 +121,7 @@ func (r *Replica) startViewChange(v uint64) {
 	} else if r.InQuorum() {
 		// Expect the NEW-VIEW installation from the incoming leader.
 		r.detector.Expect(Scope, newLeader, fmt.Sprintf("NEW-VIEW(v=%d)", v),
-			func(m wire.Message) bool {
-				nv, ok := m.(*wire.NewView)
-				return ok && nv.Leader == newLeader && nv.ViewNum == v
-			})
+			fd.Key{Type: wire.TypeNewView, A: v})
 	}
 }
 
