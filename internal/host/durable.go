@@ -37,7 +37,8 @@ const (
 // application payload.
 type AppLog interface {
 	// Append writes one application record to the WAL (durable after
-	// the next group commit).
+	// the next group commit). The record is copied: the caller may
+	// reuse rec once Append returns.
 	Append(rec []byte) error
 	// Sync forces the group commit: every prior Append is durable when
 	// it returns without error.
@@ -100,14 +101,15 @@ func splitSection(b []byte) (section, rest []byte, ok bool) {
 	return b[4 : 4+n], b[4+n:], true
 }
 
+// appendTagged writes tag + payload as one WAL record, built in h.rec:
+// the store copies what it is given, so the host reuses one buffer for
+// every record.
 func (h *Host) appendTagged(tag byte, payload []byte) error {
 	if h.storage == nil {
 		return storage.ErrClosed
 	}
-	rec := make([]byte, 0, 1+len(payload))
-	rec = append(rec, tag)
-	rec = append(rec, payload...)
-	return h.storageErr("append", h.storage.Append(rec))
+	h.rec = append(append(h.rec[:0], tag), payload...)
+	return h.storageErr("append", h.storage.Append(h.rec))
 }
 
 // storageErr is the kernel's durability failure policy. ErrCrashed (a

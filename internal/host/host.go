@@ -158,6 +158,7 @@ type Host struct {
 	quorumApp  QuorumApp      // App's quorum hook, if any
 	quorumLog  []ids.Quorum
 	storage    *storage.Store // nil when Options.Storage is unset
+	rec        []byte         // appendTagged's record buffer, reused
 }
 
 var (

@@ -58,7 +58,7 @@ func (m *PrePrepare) Signer() ids.ProcessID { return m.Leader }
 func (m *PrePrepare) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 
@@ -129,7 +129,7 @@ func (m *PBFTPrepare) Signer() ids.ProcessID { return m.Replica }
 func (m *PBFTPrepare) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer(), TypePBFTPrepare)
-	m.encodeSigned(b.sized(), TypePBFTPrepare)
+	m.encodeSigned(b.sized(nil), TypePBFTPrepare)
 	return b.buf
 }
 
@@ -161,7 +161,7 @@ func (m *PBFTCommit) Signer() ids.ProcessID { return m.Replica }
 func (m *PBFTCommit) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer(), TypePBFTCommit)
-	m.encodeSigned(b.sized(), TypePBFTCommit)
+	m.encodeSigned(b.sized(nil), TypePBFTCommit)
 	return b.buf
 }
 

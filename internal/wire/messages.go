@@ -113,7 +113,7 @@ func (m *Update) Signer() ids.ProcessID { return m.Owner }
 func (m *Update) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 
@@ -210,7 +210,7 @@ func (m *Followers) Signer() ids.ProcessID { return m.Leader }
 func (m *Followers) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 
@@ -401,8 +401,26 @@ func (m *Prepare) Signer() ids.ProcessID { return m.Leader }
 func (m *Prepare) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
+}
+
+// SameSigned reports whether m and o have the same SigBytes, comparing
+// the covered fields instead of rendering them: the codec is canonical,
+// so equal fields encode to equal bytes, and a nil and an empty Op or
+// Rest encode alike. Sig and TC are outside the signed bytes and are
+// not compared.
+func (m *Prepare) SameSigned(o *Prepare) bool {
+	if m.Leader != o.Leader || m.View != o.View || m.Slot != o.Slot ||
+		!m.Req.Equal(&o.Req) || len(m.Rest) != len(o.Rest) {
+		return false
+	}
+	for i := range m.Rest {
+		if !m.Rest[i].Equal(&o.Rest[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Signature implements Signed.
@@ -490,7 +508,7 @@ func (m *Commit) Signer() ids.ProcessID { return m.Replica }
 func (m *Commit) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 
@@ -558,7 +576,7 @@ func (m *Reply) Signer() ids.ProcessID { return m.Replica }
 func (m *Reply) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 
@@ -709,7 +727,7 @@ func (m *ViewChange) Signer() ids.ProcessID { return m.Replica }
 func (m *ViewChange) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 
@@ -806,7 +824,7 @@ func (m *NewView) Signer() ids.ProcessID { return m.Leader }
 func (m *NewView) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 

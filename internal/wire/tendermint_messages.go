@@ -65,7 +65,7 @@ func (m *TMProposal) Signer() ids.ProcessID { return m.Proposer }
 func (m *TMProposal) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized())
+	m.encodeSigned(b.sized(nil))
 	return b.buf
 }
 
@@ -98,7 +98,7 @@ func (m *TMPrevote) Signer() ids.ProcessID { return m.Replica }
 func (m *TMPrevote) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer(), TypeTMPrevote)
-	m.encodeSigned(b.sized(), TypeTMPrevote)
+	m.encodeSigned(b.sized(nil), TypeTMPrevote)
 	return b.buf
 }
 
@@ -180,7 +180,7 @@ func (m *TMPrecommit) Signer() ids.ProcessID { return m.Replica }
 func (m *TMPrecommit) SigBytes() []byte {
 	var b Buffer
 	m.encodeSigned(b.sizer(), TypeTMPrecommit)
-	m.encodeSigned(b.sized(), TypeTMPrecommit)
+	m.encodeSigned(b.sized(nil), TypeTMPrecommit)
 	return b.buf
 }
 

@@ -7,6 +7,15 @@
 // integers are encoded big-endian with fixed width; slices are
 // length-prefixed with uint32.
 //
+// No encode grows its buffer step by step. Encode, AppendEncode and
+// EncodePooled write into the room their destination has; a frame that
+// does not fit is counted to its end (Buffer's sizing mode, which
+// counts instead of appending) and written again into one allocation
+// of exactly the size needed. SigBytes sizes first, then fills. Each
+// encode therefore makes at most one allocation, of exactly the frame's
+// length — none when the destination has room — however large the
+// message (a whole-log VIEW-CHANGE included).
+//
 // Message kinds:
 //
 //   - Heartbeat: the paper's §II assumption that every process sends
@@ -183,24 +192,47 @@ var ErrUnknownType = errors.New("wire: unknown message type")
 const maxSliceLen = 1 << 20
 
 // Encode renders m as canonical bytes: a one-byte type tag followed by
-// the body encoding.
+// the body encoding. It makes one allocation, exactly the frame's
+// length (len == cap).
 func Encode(m Message) []byte {
 	return AppendEncode(nil, m)
 }
 
 // AppendEncode appends m's canonical encoding to dst and returns the
-// extended slice — the allocation-free form of Encode for callers that
-// manage their own buffers.
+// extended slice. It writes into dst's spare capacity; if the frame
+// does not fit, the pass turns into a sizing pass at the first byte
+// that does not, and the frame is written again into a copy of dst
+// grown to exactly the length needed. So a dst with room is filled in
+// place without allocating, and any other grows once.
 func AppendEncode(dst []byte, m Message) []byte {
-	b := Buffer{buf: dst}
-	b.PutUint8(uint8(m.Kind()))
-	m.encodeBody(&b)
-	return b.buf
+	b := bufferPool.Get().(*Buffer)
+	*b = Buffer{buf: dst, bounded: true, start: len(dst)}
+	encodeFrame(b, m)
+	if b.sizing {
+		encodeFrame(b.sized(dst), m)
+	}
+	dst = b.buf
+	*b = Buffer{}
+	bufferPool.Put(b)
+	return dst
 }
 
+// encodeFrame writes m's frame: its type tag, then its body.
+func encodeFrame(b *Buffer, m Message) {
+	b.PutUint8(uint8(m.Kind()))
+	m.encodeBody(b)
+}
+
+// bufferPool recycles AppendEncode's encoder: handed to encodeBody
+// through an interface, a Buffer would otherwise escape to the heap
+// once per encode.
+var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
+
 // framePool recycles encode buffers across the hot send paths
-// (simulator deliveries, transport frames). Buffers grow to fit and
-// keep their capacity across cycles.
+// (simulator deliveries, transport frames). Buffers keep their capacity
+// across cycles; one too small for a frame is dropped for the exactly
+// sized one that replaces it, so the pool settles on buffers that fit
+// the frames it serves.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)
@@ -208,14 +240,15 @@ var framePool = sync.Pool{
 	},
 }
 
-// EncodePooled is Encode drawing its buffer from a process-wide pool.
-// The returned slice must be handed back with Recycle once no live
-// reference to its bytes remains; decoded messages never alias the
-// input (the Reader copies every byte field), so recycling right after
-// Decode is safe — the signed bytes DecodeSigned returns excepted.
+// EncodePooled is Encode drawing its buffer from a process-wide pool:
+// the pooled buffer that comes up if the frame fits it, else one
+// exactly sized allocation. The returned slice must be handed back with
+// Recycle once no live reference to its bytes remains; decoded messages
+// never alias the input (the Reader copies every byte field), so
+// recycling right after Decode is safe — the signed bytes DecodeSigned
+// returns excepted.
 func EncodePooled(m Message) []byte {
-	bp := framePool.Get().(*[]byte)
-	return AppendEncode((*bp)[:0], m)
+	return AppendEncode((*framePool.Get().(*[]byte))[:0], m)
 }
 
 // Recycle returns a buffer obtained from EncodePooled to the pool.
@@ -324,12 +357,19 @@ func newMessage(t Type) Message {
 
 // Buffer is an append-only canonical encoder. In sizing mode (see
 // sizer) every Put counts the bytes it would append instead of
-// appending them, which is how SigBytes learns its exact size before it
-// allocates.
+// appending them, which is how an encode learns its exact size before
+// it allocates. An encoder appends only through the Put methods and
+// extend, so the count cannot miss a byte (TestAppendEncodeSizesExactly
+// checks every kind).
 type Buffer struct {
-	buf    []byte
-	sizing bool
-	n      int // bytes counted in sizing mode
+	buf []byte
+	// bounded confines the encoder to cap(buf): the first Put that does
+	// not fit switches it to sizing mode, counting the frame from start
+	// (see counts).
+	bounded bool
+	start   int
+	sizing  bool
+	n       int // bytes counted in sizing mode
 }
 
 // sizer puts b in sizing mode and returns it.
@@ -338,21 +378,40 @@ func (b *Buffer) sizer() *Buffer {
 	return b
 }
 
-// sized ends the sizing pass: b becomes an empty encoder whose capacity
-// is exactly the number of bytes the pass counted.
-func (b *Buffer) sized() *Buffer {
-	*b = Buffer{buf: make([]byte, 0, b.n)}
+// sized ends the sizing pass: b becomes an encoder appending to dst,
+// grown first — in one allocation, if at all — to hold exactly the
+// number of bytes the pass counted.
+func (b *Buffer) sized(dst []byte) *Buffer {
+	if cap(dst)-len(dst) < b.n {
+		grown := make([]byte, len(dst), len(dst)+b.n)
+		copy(grown, dst)
+		dst = grown
+	}
+	*b = Buffer{buf: dst}
 	return b
 }
 
 // Bytes returns the accumulated encoding.
 func (b *Buffer) Bytes() []byte { return b.buf }
 
+// counts reports whether the n bytes of a Put are counted (sizing mode)
+// rather than appended. A bounded encoder without room for them enters
+// sizing mode here, counting the bytes its frame holds so far.
+func (b *Buffer) counts(n int) bool {
+	if b.bounded && !b.sizing && cap(b.buf)-len(b.buf) < n {
+		b.sizing, b.n = true, len(b.buf)-b.start
+	}
+	if b.sizing {
+		b.n += n
+		return true
+	}
+	return false
+}
+
 // extend grows the encoding by n bytes and returns them for the caller
 // to fill; in sizing mode it counts them and returns nil.
 func (b *Buffer) extend(n int) []byte {
-	if b.sizing {
-		b.n += n
+	if b.counts(n) {
 		return nil
 	}
 	l := len(b.buf)
@@ -366,8 +425,7 @@ func (b *Buffer) extend(n int) []byte {
 
 // PutUint8 appends a single byte.
 func (b *Buffer) PutUint8(v uint8) {
-	if b.sizing {
-		b.n++
+	if b.counts(1) {
 		return
 	}
 	b.buf = append(b.buf, v)
@@ -375,8 +433,7 @@ func (b *Buffer) PutUint8(v uint8) {
 
 // PutUint32 appends a big-endian uint32.
 func (b *Buffer) PutUint32(v uint32) {
-	if b.sizing {
-		b.n += 4
+	if b.counts(4) {
 		return
 	}
 	b.buf = binary.BigEndian.AppendUint32(b.buf, v)
@@ -384,8 +441,7 @@ func (b *Buffer) PutUint32(v uint32) {
 
 // PutUint64 appends a big-endian uint64.
 func (b *Buffer) PutUint64(v uint64) {
-	if b.sizing {
-		b.n += 8
+	if b.counts(8) {
 		return
 	}
 	b.buf = binary.BigEndian.AppendUint64(b.buf, v)
@@ -433,8 +489,7 @@ func (b *Buffer) PutUint64s(vs []uint64) {
 // encoding/binary). The encoding is minimal by construction, matching
 // the Reader's canonicity requirement.
 func (b *Buffer) PutUvarint(v uint64) {
-	if b.sizing {
-		b.n += (bits.Len64(v|1) + 6) / 7
+	if b.counts((bits.Len64(v|1) + 6) / 7) {
 		return
 	}
 	b.buf = binary.AppendUvarint(b.buf, v)

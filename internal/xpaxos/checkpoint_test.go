@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
+	"quorumselect/internal/storage"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
 )
@@ -96,6 +98,103 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(r.DurableSnapshot()); got != durable {
 		t.Errorf("durable snapshot\n got %s\nwant %s", got, durable)
+	}
+}
+
+// frameRecorder is a storage backend whose WAL segments keep a copy of
+// every frame the store writes, in write order.
+type frameRecorder struct {
+	*storage.MemBackend
+	frames [][]byte
+}
+
+func (b *frameRecorder) Create(name string) (storage.File, error) {
+	f, err := b.MemBackend.Create(name)
+	if err != nil || !strings.HasPrefix(name, "wal-") {
+		return f, err
+	}
+	return recordingFile{File: f, b: b}, nil
+}
+
+type recordingFile struct {
+	storage.File
+	b *frameRecorder
+}
+
+func (f recordingFile) Write(p []byte) (int, error) {
+	f.b.frames = append(f.b.frames, bytes.Clone(p))
+	return f.File.Write(p)
+}
+
+// TestWALRecordBytesPinned pins, for a fixed run, the WAL bytes of an
+// accepted prepare, a committed prepare and a view-change vote: the
+// record XPaxos appends and the frame the store writes for it (length,
+// CRC, the host's application tag, the record). Existing data
+// directories and the WAL replay corpus hold these bytes, so a change
+// to them must be made on purpose.
+func TestWALRecordBytesPinned(t *testing.T) {
+	// p3 is down: p1 proposes slot 1 in view 0, the commit expectations
+	// on p3 expire, and p1 leads the next view ({1,2,4}), collecting
+	// VIEW-CHANGE votes and re-proposing slot 1 there.
+	rec := &frameRecorder{MemBackend: storage.NewMemBackend()}
+	opts := quietNodeOpts()
+	opts.Storage = rec
+	p1, r1 := xpaxos.NewQSNode(xpaxos.Options{}, opts)
+	fx := newQSFixture(t, 4, 1, quietNodeOpts(), sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)},
+		ids.NewProcSet(3), map[ids.ProcessID]runtime.Node{1: p1})
+	defer fx.net.Close()
+	r1.Submit(req(9, 1, "set x 1"))
+	if !fx.net.RunUntil(func() bool { return r1.LastExecuted() >= 1 }, 10*time.Second) {
+		t.Fatal("slot 1 did not execute")
+	}
+	// The first frame of each record kind. A frame is an 8-byte header
+	// (length, CRC), the host tag (2: application), then the record,
+	// whose first byte is its kind.
+	first := make(map[byte][]byte)
+	for _, f := range rec.frames {
+		if len(f) > 9 && f[8] == 2 && first[f[9]] == nil {
+			first[f[9]] = f
+		}
+	}
+	const (
+		// kind 2, then the view-0 PREPARE of slot 1 as a length-prefixed
+		// frame: leader 1, view 0, slot 1, request (9, 1, "set x 1"), no
+		// further requests, the simulator's one-byte signature, untraced.
+		accepted = "02" + "0000003c" + "05" + "05" + "00000001" + "0000000000000000" + "0000000000000001" +
+			"0000000000000009" + "0000000000000001" + "00000007" + "73657420782031" + "00000000" +
+			"00000001" + "00" + "0000"
+		// kind 3, then the view-1 PREPARE that decided slot 1.
+		committed = "03" + "0000003c" + "05" + "05" + "00000001" + "0000000000000001" + "0000000000000001" +
+			"0000000000000009" + "0000000000000001" + "00000007" + "73657420782031" + "00000000" +
+			"00000001" + "00" + "0000"
+		// kind 4, then p1's own VIEW-CHANGE for view 1: no checkpoint,
+		// a one-slot log holding the view-0 prepare.
+		vote = "04" + "0000006c" + "08" + "08" + "00000001" + "0000000000000001" + "0000000000000000" +
+			"00000000" + "00000000" + "00000001" + "0000000000000001" +
+			"05" + "00000001" + "0000000000000000" + "0000000000000001" + "0000000000000009" + "0000000000000001" +
+			"00000007" + "73657420782031" + "00000000" + "00000001" + "00" + "0000" +
+			"00000001" + "00" + "0000"
+	)
+	for _, c := range []struct {
+		name           string
+		kind           byte
+		header, record string // the frame is header, tag 02, record
+	}{
+		{"accepted", 2, "42000000" + "b43d5355", accepted},
+		{"committed", 3, "42000000" + "f04414fb", committed},
+		{"view-change vote", 4, "72000000" + "ad5fa5b9", vote},
+	} {
+		f := first[c.kind]
+		if f == nil {
+			t.Errorf("%s: no record written", c.name)
+			continue
+		}
+		if got := hex.EncodeToString(f[9:]); got != c.record {
+			t.Errorf("%s record\n got %s\nwant %s", c.name, got, c.record)
+		}
+		if got, want := hex.EncodeToString(f), c.header+"02"+c.record; got != want {
+			t.Errorf("%s frame\n got %s\nwant %s", c.name, got, want)
+		}
 	}
 }
 

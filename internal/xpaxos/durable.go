@@ -24,6 +24,7 @@
 package xpaxos
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"quorumselect/internal/host"
@@ -59,13 +60,21 @@ func (r *Replica) persistRecord(rec []byte) {
 	}
 }
 
-// persistPrepare appends a recAccepted or recCommitted record of p. It
-// asks whether anything is persisted before encoding the record: a
-// replica without a WAL spends nothing on it.
-func (r *Replica) persistPrepare(kind byte, p *wire.Prepare) {
-	if r.persisting() {
-		r.persistRecord(recPrepareBytes(kind, p))
+// persistMessage appends a record of kind (recAccepted, recCommitted
+// or recVCVote) carrying m's frame, laid out as wire.Buffer's
+// PutUint8(kind) + PutBytes(frame) would lay it out: the frame is
+// encoded straight into r.rec behind a length prefix patched in
+// afterwards. The WAL copies what it is given (host.AppLog), so the
+// replica reuses the one buffer for every record. A replica without a
+// WAL encodes nothing.
+func (r *Replica) persistMessage(kind byte, m wire.Message) {
+	if !r.persisting() {
+		return
 	}
+	rec := wire.AppendEncode(append(r.rec[:0], kind, 0, 0, 0, 0), m)
+	binary.BigEndian.PutUint32(rec[1:], uint32(len(rec)-5))
+	r.rec = rec
+	r.persistRecord(rec)
 }
 
 // persisting reports whether records reach the WAL: there is one, and
@@ -85,20 +94,6 @@ func recViewBytes(v uint64) []byte {
 	var b wire.Buffer
 	b.PutUint8(recView)
 	b.PutUint64(v)
-	return b.Bytes()
-}
-
-func recPrepareBytes(kind byte, p *wire.Prepare) []byte {
-	var b wire.Buffer
-	b.PutUint8(kind)
-	b.PutBytes(wire.Encode(p))
-	return b.Bytes()
-}
-
-func recVoteBytes(vc *wire.ViewChange) []byte {
-	var b wire.Buffer
-	b.PutUint8(recVCVote)
-	b.PutBytes(wire.Encode(vc))
 	return b.Bytes()
 }
 

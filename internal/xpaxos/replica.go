@@ -3,6 +3,7 @@ package xpaxos
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"time"
 
 	"quorumselect/internal/crypto"
@@ -102,10 +103,10 @@ type slotTrace struct {
 
 // entry is the per-slot round state of the current view.
 type entry struct {
-	prep *wire.Prepare // prepare accepted in the current view
-	// signed is prep.SigBytes(), encoded once when prep is set: every
-	// COMMIT of the slot embeds a copy that is compared against it.
-	signed  []byte
+	// prep is the prepare accepted in the current view. Every COMMIT of
+	// the slot embeds a copy, compared with it field by field
+	// (wire.Prepare.SameSigned).
+	prep    *wire.Prepare
 	adopted bool // prep was learned from a COMMIT (Fig 3)
 	// commits holds the slot's COMMITs by sender until it commits;
 	// tryCommit releases it then.
@@ -178,6 +179,9 @@ type Replica struct {
 
 	// wal is the host's durable log (nil when the host has no storage).
 	wal host.AppLog
+	// rec is the buffer WAL records are built in (persistMessage),
+	// reused from one record to the next.
+	rec []byte
 
 	// slotStart records when each slot's prepare was first accepted
 	// locally, feeding the commit-latency histogram.
@@ -367,14 +371,13 @@ func (r *Replica) windowOpen() bool {
 	return r.opts.Window <= 0 || r.inflight < r.opts.Window
 }
 
-// setPrep installs p, whose signed bytes are signed, as the slot's
-// prepare, counting the slot in flight when it first gets one (a
-// committed entry always has one).
-func (r *Replica) setPrep(e *entry, p *wire.Prepare, signed []byte) {
+// setPrep installs p as the slot's prepare, counting the slot in
+// flight when it first gets one (a committed entry always has one).
+func (r *Replica) setPrep(e *entry, p *wire.Prepare) {
 	if e.prep == nil {
 		r.inflight++
 	}
-	e.prep, e.signed = p, signed
+	e.prep = p
 }
 
 // Submit injects a client request at this replica (the harness's or
@@ -524,7 +527,7 @@ func (r *Replica) onPrepare(p *wire.Prepare) {
 	if e.prep != nil && !e.adopted {
 		// A second direct PREPARE for the same (view, slot): detect
 		// equivocation if it differs.
-		if !bytes.Equal(e.signed, p.SigBytes()) {
+		if !e.prep.SameSigned(p) {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(p.Leader)
 		}
@@ -533,7 +536,7 @@ func (r *Replica) onPrepare(p *wire.Prepare) {
 	if e.prep != nil && e.adopted {
 		// Fig 3: the prepare adopted from an early COMMIT must match
 		// the leader's direct PREPARE.
-		if !bytes.Equal(e.signed, p.SigBytes()) {
+		if !e.prep.SameSigned(p) {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(p.Leader)
 			return
@@ -556,7 +559,7 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 	if _, ok := r.slotStart[p.Slot]; !ok {
 		r.slotStart[p.Slot] = r.env.Now()
 	}
-	r.setPrep(e, p, p.SigBytes())
+	r.setPrep(e, p)
 	e.adopted = false
 	r.accepted[p.Slot] = p
 	st := r.slotTraceFor(p.Slot)
@@ -567,7 +570,7 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 	if r.wal != nil {
 		ws = r.traceStart("wal.sync", stage.Context())
 	}
-	r.persistPrepare(recAccepted, p)
+	r.persistMessage(recAccepted, p)
 	r.persistSync()
 	runtime.TraceEnd(r.env, ws)
 	// First subtlety (§V-A): no expectation for processes whose COMMIT
@@ -587,13 +590,23 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 }
 
 func (r *Replica) expectCommit(k ids.ProcessID, view, slot uint64) {
-	r.detector.Expect(Scope, k, fmt.Sprintf("COMMIT(v=%d,s=%d)", view, slot),
+	r.detector.Expect(Scope, k, slotDesc("COMMIT", view, slot),
 		fd.Key{Type: wire.TypeCommit, A: view, B: slot})
 }
 
 func (r *Replica) expectPrepare(leader ids.ProcessID, view, slot uint64) {
-	r.detector.Expect(Scope, leader, fmt.Sprintf("PREPARE(v=%d,s=%d)", view, slot),
+	r.detector.Expect(Scope, leader, slotDesc("PREPARE", view, slot),
 		fd.Key{Type: wire.TypePrepare, A: view, B: slot})
+}
+
+// slotDesc renders an expectation's description, "KIND(v=view,s=slot)",
+// in one buffer: the string fmt.Sprintf("%s(v=%d,s=%d)", …) renders,
+// without formatting it once per expectation.
+func slotDesc(kind string, view, slot uint64) string {
+	var buf [64]byte // "PREPARE", two 20-digit numbers and the punctuation
+	b := strconv.AppendUint(append(append(buf[:0], kind...), "(v="...), view, 10)
+	b = strconv.AppendUint(append(b, ",s="...), slot, 10)
+	return string(append(b, ')'))
 }
 
 // sendCommit broadcasts this replica's COMMIT (carrying the full
@@ -639,14 +652,15 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	// Second subtlety: a COMMIT must include a valid PREPARE. The
 	// outer signature was verified where the frame landed; the
 	// embedded prepare is verified here (memoized against the slot's
-	// already-verified prepare in the steady state). Its signed bytes
-	// are encoded once, here, for that check and the equivocation
-	// check below.
-	var signed []byte
-	if c.HasPrep && c.Prep.View == c.View && c.Prep.Slot == c.Slot && c.Prep.Leader == r.Leader() {
-		signed = c.Prep.SigBytes()
+	// already-verified prepare in the steady state). It is compared
+	// with the slot's prepare once, field by field, for that check and
+	// the equivocation check below.
+	wellFormed := c.HasPrep && c.Prep.View == c.View && c.Prep.Slot == c.Slot && c.Prep.Leader == r.Leader()
+	var match *wire.Prepare // the slot's prepare, if the embedded one equals it
+	if e, ok := r.entries[c.Slot]; ok && e.prep != nil && e.prep.SameSigned(&c.Prep) {
+		match = e.prep
 	}
-	if signed == nil || r.verifyEmbedded(c, signed) != nil {
+	if !wellFormed || r.verifyEmbedded(c, match) != nil {
 		r.env.Metrics().Inc("xpaxos.detected.malformed", 1)
 		r.detector.Detected(c.Replica)
 		return
@@ -657,7 +671,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	e := r.entry(c.Slot)
 	if e.prep != nil {
 		// Equivocation: a valid PREPARE that differs from ours.
-		if !bytes.Equal(e.signed, signed) {
+		if match == nil {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(r.Leader())
 			return
@@ -668,7 +682,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		// PREPARE from the leader. The embedded prepare kept its trace
 		// context, so the accept span still joins the leader's trace.
 		prep := c.Prep
-		r.setPrep(e, &prep, signed)
+		r.setPrep(e, &prep)
 		e.adopted = true
 		r.accepted[c.Slot] = &prep
 		stage := r.traceStart("accept", prep.TC)
@@ -682,7 +696,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		if r.wal != nil {
 			ws = r.traceStart("wal.sync", stage.Context())
 		}
-		r.persistPrepare(recAccepted, &prep)
+		r.persistMessage(recAccepted, &prep)
 		r.persistSync()
 		runtime.TraceEnd(r.env, ws)
 		r.expectPrepare(r.Leader(), c.View, c.Slot)
@@ -699,22 +713,22 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	r.tryCommit(c.Slot, e)
 }
 
-// verifyEmbedded checks a COMMIT's embedded prepare signature; signed
-// is that prepare's SigBytes. In the steady state every COMMIT for a
-// slot embeds a byte-identical copy of the prepare this replica already
-// accepted — and that prepare's signature was verified when it arrived
-// (where the frame of a direct PREPARE landed, or right here for the
-// first adopting COMMIT) — so a matching copy is vouched for without a
-// second crypto pass. This matters at q−1 redundant verifications per
-// slot on the hot path.
-func (r *Replica) verifyEmbedded(c *wire.Commit, signed []byte) error {
-	if e, ok := r.entries[c.Slot]; ok && e.prep != nil &&
-		bytes.Equal(e.signed, signed) &&
-		bytes.Equal(e.prep.Signature(), c.Prep.Signature()) {
+// verifyEmbedded checks a COMMIT's embedded prepare signature; match is
+// the slot's accepted prepare when its signed fields equal the embedded
+// one's, else nil. In the steady state every COMMIT for a slot embeds
+// an identical copy of the prepare this replica already accepted — and
+// that prepare's signature was verified when it arrived (where the
+// frame of a direct PREPARE landed, or right here for the first
+// adopting COMMIT) — so a matching copy with the same signature is
+// vouched for without rendering its signed bytes or a second crypto
+// pass. This matters at q−1 redundant verifications per slot on the hot
+// path.
+func (r *Replica) verifyEmbedded(c *wire.Commit, match *wire.Prepare) error {
+	if match != nil && bytes.Equal(match.Signature(), c.Prep.Signature()) {
 		r.m.verifyMemoized.Inc()
 		return nil
 	}
-	return r.env.Auth().Verify(c.Prep.Leader, signed, c.Prep.Signature())
+	return r.env.Auth().Verify(c.Prep.Leader, c.Prep.SigBytes(), c.Prep.Signature())
 }
 
 // tryCommit commits the slot once COMMITs from every other quorum
@@ -742,7 +756,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 	if st != nil && st.quorum.Traced() && r.wal != nil {
 		ws = r.traceStart("wal.sync", st.quorum.Context())
 	}
-	r.persistPrepare(recCommitted, e.prep)
+	r.persistMessage(recCommitted, e.prep)
 	r.persistSync()
 	runtime.TraceEnd(r.env, ws)
 	r.m.committed.Add(int64(len(reqs)))
@@ -766,7 +780,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 		}
 	}
 	// The certificate has shipped, so the COMMIT set has served its
-	// purpose. A late COMMIT is still checked against e.signed for
+	// purpose. A late COMMIT is still checked against e.prep for
 	// equivocation (onCommit), then ignored.
 	e.commits = nil
 	r.execute()
@@ -845,7 +859,7 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	if cur, ok := r.accepted[cert.Slot]; !ok || prep.View >= cur.View {
 		r.accepted[cert.Slot] = prep
 	}
-	r.persistPrepare(recCommitted, prep)
+	r.persistMessage(recCommitted, prep)
 	r.persistSync()
 	r.m.certApplied.Inc()
 	r.execute()

@@ -167,7 +167,7 @@ func (r *Replica) recordViewChange(vc *wire.ViewChange) {
 	// installed a view, crashed, and recovered without the votes could
 	// otherwise install a different log for the same view from a
 	// fresher vote set (see DESIGN.md §10).
-	r.persistRecord(recVoteBytes(vc))
+	r.persistMessage(recVCVote, vc)
 	r.persistSync()
 	// Install once every member of the new quorum reported (XFT: all
 	// q members of the active quorum participate).
