@@ -112,17 +112,19 @@ loadgen-smoke:
 # chaos sweeps CHAOS_SEEDS seeds of the scenario fuzzer per protocol
 # and fails on the first invariant violation, printing the violating
 # seed and its replayable dump (see internal/chaos). chaos-sharded runs
-# the sharded-partition fleet scenario the same way.
+# the sharded-partition preset on the same runner: an xpaxos fleet of 3
+# shards whose shard-0 leader is partitioned, checked shard by shard.
 chaos:
 	$(GO) run ./cmd/chaos -seeds $(CHAOS_SEEDS)
 
 chaos-sharded:
 	$(GO) run ./cmd/chaos -sharded -seeds $(CHAOS_SEEDS)
 
-# chaos-unsafe-spec runs the unsafe-spec adversary both ways: the
-# checker must reject the disjoint-quorum spec before boot, and when
-# forced past the gate the spec must demonstrably fork the log
-# (disjoint certificates on both sides of a partition).
+# chaos-unsafe-spec runs the unsafe-spec preset both ways: the spec
+# gate must reject the disjoint-quorum spec before boot, and when forced
+# past the gate the spec must demonstrably fork the log (disjoint
+# certificates on both sides of a partition, caught by
+# history-agreement; the command exits 0 only if the fork shows).
 chaos-unsafe-spec:
 	$(GO) run ./cmd/chaos -unsafe-spec -seeds 5
 	$(GO) run ./cmd/chaos -unsafe-spec -force-unsafe -seeds 1
@@ -171,6 +173,7 @@ seeded:
 	for p in qs xpaxos; do for s in 0 7 41; do sum chaos -seed $$s -protocol $$p; done; done; \
 	sum chaos -sharded -seed 3; \
 	sum chaos -unsafe-spec -force-unsafe -seed 5; \
+	sum chaos -protocol xpaxos -shards 3 -seed 7; \
 	sum fsim; \
 	sum fsim -scenario crash -n 7 -f 2 -metrics-dump; \
 	sum qsim -trace QUORUM; \

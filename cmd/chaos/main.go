@@ -7,6 +7,7 @@
 //
 //	chaos [-seeds n] [-first seed] [-protocol all|qs,xpaxos,...] [-faults all|crash,mutate,...]
 //	chaos -seed 1337 -protocol xpaxos        # replay one seed, dump everything
+//	chaos -shards 3 | -sharded | -unsafe-spec [-force-unsafe]   # a fleet, or a preset scenario
 //
 // Exit status is 1 when any protocol has a violating seed, so the
 // command can gate CI directly. A violation prints a reproduce line that
@@ -48,20 +49,31 @@ func defineFlags(fs *flag.FlagSet) *options {
 		reorder:     fs.Bool("reorder", false, "allow per-link message reordering"),
 		metricsDump: fs.Bool("metrics-dump", false, "print the campaign's metrics in Prometheus text format after the run"),
 		traceDump:   fs.String("trace-dump", "", "write the flight-recorder dump (spans + events JSON) of a replayed or violating seed to this file"),
-		sharded:     fs.Bool("sharded", false, "run the sharded-partition fleet scenario instead of the generic protocol sweep"),
-		shards:      fs.Int("shards", 3, "fleet width for -sharded"),
+		sharded:     fs.Bool("sharded", false, "run the sharded-partition fleet scenario (xpaxos) instead of the generated fault schedules"),
+		shards:      fs.Int("shards", 0, "shard groups per process (0: 1, or 3 with -sharded)"),
 		topology:    fs.String("topology", "", "WAN topology spec file (see examples/topologies/): replaces the LAN latency band and scales FD timeouts"),
-		unsafeSpec:  fs.Bool("unsafe-spec", false, "run the unsafe-spec adversary: the intersection checker must reject the spec before boot"),
+		unsafeSpec:  fs.Bool("unsafe-spec", false, "run the unsafe-spec adversary (xpaxos): the intersection checker must reject the spec before boot"),
 		spec:        fs.String("spec", "", "quorum spec for -unsafe-spec (default: the disjoint slices spec)"),
 		forceUnsafe: fs.Bool("force-unsafe", false, "with -unsafe-spec: boot a cluster on the spec anyway and demand the disjoint-certificate fork (exit 0 iff demonstrated)"),
 	}
 }
 
-// configs returns one campaign per protocol the flags select.
+// configs returns one campaign per protocol the flags select; a preset
+// is one xpaxos campaign.
 func (o *options) configs() ([]chaos.Config, error) {
 	ps, err := chaos.ParseProtocols(*o.protocols)
 	if err != nil {
 		return nil, err
+	}
+	preset := chaos.PresetGenerated
+	switch {
+	case *o.unsafeSpec:
+		preset = chaos.PresetUnsafeSpec
+	case *o.sharded:
+		preset = chaos.PresetShardedPartition
+	}
+	if preset != chaos.PresetGenerated {
+		ps = []chaos.Protocol{chaos.ProtocolXPaxos}
 	}
 	fs, err := chaos.ParseFaults(*o.faults)
 	if err != nil {
@@ -82,7 +94,11 @@ func (o *options) configs() ([]chaos.Config, error) {
 		out[i] = chaos.Config{
 			N: *o.n, F: *o.f,
 			Protocol:  p,
+			Preset:    preset,
 			Faults:    fs,
+			Shards:    *o.shards,
+			Spec:      *o.spec,
+			Force:     *o.forceUnsafe && *o.unsafeSpec,
 			BatchSize: *o.batch,
 			Window:    *o.window,
 			Reorder:   *o.reorder,
@@ -94,29 +110,10 @@ func (o *options) configs() ([]chaos.Config, error) {
 	return out, nil
 }
 
-func (o *options) shardedConfig() chaos.ShardedConfig {
-	return chaos.ShardedConfig{
-		N: *o.n, F: *o.f,
-		Shards:    *o.shards,
-		Window:    *o.window,
-		Seeds:     *o.seeds,
-		FirstSeed: *o.first,
-	}
-}
-
-func (o *options) unsafeSpecConfig() chaos.UnsafeSpecConfig {
-	return chaos.UnsafeSpecConfig{
-		Spec:      *o.spec,
-		Force:     *o.forceUnsafe,
-		Seeds:     *o.seeds,
-		FirstSeed: *o.first,
-	}
-}
-
 // reproduceArgs returns the arguments that replay seed alone: every
 // flag set away from its default, except the sweep's own (seed range,
-// protocol list, dump outputs), plus -seed and, when protocol is not
-// empty, -protocol narrowed to it.
+// protocol list, dump outputs), plus -seed and -protocol narrowed to
+// protocol.
 func reproduceArgs(fs *flag.FlagSet, seed int64, protocol chaos.Protocol) []string {
 	var args []string
 	fs.VisitAll(func(fl *flag.Flag) {
@@ -133,11 +130,7 @@ func reproduceArgs(fs *flag.FlagSet, seed int64, protocol chaos.Protocol) []stri
 			args = append(args, "-"+fl.Name, v)
 		}
 	})
-	args = append(args, "-seed", fmt.Sprint(seed))
-	if protocol != "" {
-		args = append(args, "-protocol", string(protocol))
-	}
-	return args
+	return append(args, "-seed", fmt.Sprint(seed), "-protocol", string(protocol))
 }
 
 var shellSafe = regexp.MustCompile(`^[A-Za-z0-9_./,:=@%+-]+$`)
@@ -159,19 +152,6 @@ func shellJoin(args []string) string {
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	reproduce := func(seed int64, protocol chaos.Protocol) {
-		fmt.Printf("reproduce: go run ./cmd/chaos %s\n", shellJoin(reproduceArgs(flag.CommandLine, seed, protocol)))
-	}
-
-	if *o.unsafeSpec {
-		runUnsafeSpec(o.unsafeSpecConfig(), *o.seed, *o.metricsDump, reproduce)
-		return
-	}
-	if *o.sharded {
-		runSharded(o.shardedConfig(), *o.seed, *o.metricsDump, reproduce)
-		return
-	}
-
 	cfgs, err := o.configs()
 	if err != nil {
 		fatal(err)
@@ -181,26 +161,38 @@ func main() {
 	var flight []byte
 	for _, cfg := range cfgs {
 		cfg.Metrics = reg
-		p := cfg.Protocol
+		name := string(cfg.Protocol)
+		if cfg.Preset != chaos.PresetGenerated {
+			name = string(cfg.Preset)
+		}
 		if *o.seed >= 0 {
 			dump, fl, v := chaos.ReplayDump(cfg, *o.seed)
 			fmt.Print(dump)
 			flight = fl
-			if v != nil {
-				failed = true
-			}
+			failed = failed || !expected(cfg, v)
 			continue
 		}
 		res := chaos.Run(cfg)
-		if res.Violation != nil {
-			failed = true
-			fmt.Printf("%-10s FAIL after %d seeds: %v\n", p, res.Seeds, res.Violation)
-			fmt.Print(res.Violation.Dump)
-			flight = res.Violation.Flight
-			reproduce(res.Violation.Seed, p)
-			continue
+		v := res.Violation
+		if v != nil {
+			flight = v.Flight
 		}
-		fmt.Printf("%-10s ok  %d seeds (%d..%d), no violations\n", p, res.Seeds, *o.first, *o.first+int64(res.Seeds)-1)
+		switch {
+		case cfg.Force && expected(cfg, v):
+			fmt.Printf("%-10s demonstrated: spec is unsafe (disjoint certificates forked the log)\n", name)
+		case v != nil:
+			failed = true
+			fmt.Printf("%-10s FAIL after %d seeds: %v\n", name, res.Seeds, v)
+		case cfg.Force:
+			failed = true
+			fmt.Printf("%-10s FAIL: forced unsafe spec did not fork the log in %d seeds\n", name, res.Seeds)
+		default:
+			fmt.Printf("%-10s ok  %d seeds (%d..%d), no violations\n", name, res.Seeds, *o.first, *o.first+int64(res.Seeds)-1)
+		}
+		if v != nil {
+			fmt.Print(v.Dump)
+			fmt.Printf("reproduce: go run ./cmd/chaos %s\n", shellJoin(reproduceArgs(flag.CommandLine, v.Seed, cfg.Protocol)))
+		}
 	}
 	if *o.traceDump != "" && flight != nil {
 		if err := os.WriteFile(*o.traceDump, flight, 0o644); err != nil {
@@ -217,87 +209,14 @@ func main() {
 	}
 }
 
-// runSharded executes (or replays) the sharded-partition scenario: a
-// fleet of XPaxos groups with shard 0's leader partitioned at the
-// envelope level while the other shards must keep committing.
-func runSharded(cfg chaos.ShardedConfig, seed int64, metricsDump bool, reproduce func(int64, chaos.Protocol)) {
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg
-	failed := false
-	if seed >= 0 {
-		dump, v := chaos.ReplaySharded(cfg, seed)
-		fmt.Print(dump)
-		failed = v != nil
-	} else {
-		res := chaos.RunSharded(cfg)
-		if res.Violation != nil {
-			failed = true
-			fmt.Printf("%-10s FAIL after %d seeds: %v\n", res.Protocol, res.Seeds, res.Violation)
-			fmt.Print(res.Violation.Dump)
-			reproduce(res.Violation.Seed, "")
-		} else {
-			fmt.Printf("%-10s ok  %d seeds (%d..%d), no violations\n",
-				res.Protocol, res.Seeds, cfg.FirstSeed, cfg.FirstSeed+int64(res.Seeds)-1)
-		}
+// expected reports whether a seed's outcome is the campaign's success:
+// no violation, except under -force-unsafe, where success is the
+// history fork that proves the spec unsafe.
+func expected(cfg chaos.Config, v *chaos.Violation) bool {
+	if cfg.Force {
+		return v != nil && v.Checker == "history-agreement"
 	}
-	if metricsDump {
-		fmt.Println()
-		reg.WriteTo(os.Stdout)
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// runUnsafeSpec executes (or replays) the unsafe-spec adversary. The
-// exit-status polarity follows the mode: without -force-unsafe the
-// checker rejecting the spec is success; with it, the demonstrated
-// disjoint-certificate fork is success (the spec is proven unsafe) and
-// an absent fork means the scenario failed to show anything.
-func runUnsafeSpec(cfg chaos.UnsafeSpecConfig, seed int64, metricsDump bool, reproduce func(int64, chaos.Protocol)) {
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg
-	failed := false
-	if seed >= 0 {
-		dump, v := chaos.ReplayUnsafeSpec(cfg, seed)
-		fmt.Print(dump)
-		if cfg.Force {
-			failed = v == nil || v.Checker != "unsafe-spec-history"
-		} else {
-			failed = v != nil
-		}
-	} else {
-		res := chaos.RunUnsafeSpec(cfg)
-		switch {
-		case cfg.Force && res.Violation != nil && res.Violation.Checker == "unsafe-spec-history":
-			fmt.Printf("%-10s demonstrated: spec is unsafe (disjoint certificates forked the log)\n", res.Protocol)
-			fmt.Print(res.Violation.Dump)
-			reproduce(res.Violation.Seed, "")
-		case cfg.Force:
-			failed = true
-			if res.Violation != nil {
-				fmt.Printf("%-10s FAIL: %v\n", res.Protocol, res.Violation)
-				fmt.Print(res.Violation.Dump)
-			} else {
-				fmt.Printf("%-10s FAIL: forced unsafe spec did not fork the log in %d seeds\n", res.Protocol, res.Seeds)
-			}
-		case res.Violation != nil:
-			failed = true
-			fmt.Printf("%-10s FAIL after %d seeds: %v\n", res.Protocol, res.Seeds, res.Violation)
-			fmt.Print(res.Violation.Dump)
-			reproduce(res.Violation.Seed, "")
-		default:
-			fmt.Printf("%-10s ok  %d seeds (%d..%d), checker rejected the spec before boot every time\n",
-				res.Protocol, res.Seeds, cfg.FirstSeed, cfg.FirstSeed+int64(res.Seeds)-1)
-		}
-	}
-	if metricsDump {
-		fmt.Println()
-		reg.WriteTo(os.Stdout)
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return v == nil
 }
 
 func fatal(err error) {

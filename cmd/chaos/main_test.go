@@ -22,8 +22,7 @@ func parse(t *testing.T, args []string) (*options, *flag.FlagSet) {
 
 // TestReproduceArgsReparse: the arguments a violation prints replay the
 // violating seed under the campaign's own configuration — the same
-// chaos.Config up to the seed range, for each of the three scenario
-// kinds.
+// chaos.Config up to the seed range, for every sweep, presets included.
 func TestReproduceArgsReparse(t *testing.T) {
 	const seed = 12
 	sweeps := [][]string{
@@ -31,6 +30,10 @@ func TestReproduceArgsReparse(t *testing.T) {
 		{"-n", "7", "-f", "2", "-protocol", "qs,xpaxos", "-faults", "crash,omission", "-first", "30", "-seeds", "30"},
 		{"-topology", "../../examples/topologies/geo3.topo", "-metrics-dump", "-trace-dump", "flight.json"},
 		{"-protocol", "pbftlite", "-faults", "crash-restart"},
+		{"-protocol", "xpaxos", "-shards", "3"},
+		{"-sharded", "-seeds", "10"},
+		{"-sharded", "-shards", "4", "-window", "2", "-n", "7", "-f", "2", "-seeds", "10"},
+		{"-unsafe-spec", "-force-unsafe", "-spec", "slices:n=4;1={2};2={1};3={4};4={3}", "-seeds", "1"},
 	}
 	for _, args := range sweeps {
 		o, fs := parse(t, args)
@@ -53,21 +56,6 @@ func TestReproduceArgsReparse(t *testing.T) {
 				t.Errorf("%q → %q re-parses to\n%+v\nwant\n%+v", args, rargs, got[0], want)
 			}
 		}
-	}
-
-	o, fs := parse(t, []string{"-sharded", "-shards", "4", "-window", "2", "-n", "7", "-f", "2", "-seeds", "10"})
-	ro, _ := parse(t, reproduceArgs(fs, seed, ""))
-	if got, want := ro.shardedConfig(), o.shardedConfig(); *ro.seed != seed || !*ro.sharded ||
-		got.N != want.N || got.F != want.F || got.Shards != want.Shards || got.Window != want.Window {
-		t.Errorf("sharded: re-parsed %+v (seed %d), want %+v (seed %d)", got, *ro.seed, want, seed)
-	}
-
-	spec := "slices:n=4;1={2};2={1};3={4};4={3}"
-	o, fs = parse(t, []string{"-unsafe-spec", "-force-unsafe", "-spec", spec, "-seeds", "1"})
-	ro, _ = parse(t, reproduceArgs(fs, seed, ""))
-	if got, want := ro.unsafeSpecConfig(), o.unsafeSpecConfig(); *ro.seed != seed || !*ro.unsafeSpec ||
-		got.Spec != want.Spec || got.Force != want.Force {
-		t.Errorf("unsafe-spec: re-parsed %+v (seed %d), want %+v (seed %d)", got, *ro.seed, want, seed)
 	}
 }
 

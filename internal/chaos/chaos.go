@@ -1,12 +1,14 @@
 // Package chaos is a seeded, fully deterministic scenario fuzzer for
-// the quorum-selection stack. From a single int64 seed it derives a
-// complete fault schedule (GenerateScenario), executes it against a
-// simulated cluster of any supported protocol composition, and checks a
-// suite of pluggable safety and liveness invariants online while the
-// faults play out. Because every source of randomness flows from the
-// seed and the simulator is single-threaded, a violating seed replays
-// byte-for-byte: Run reports the first bad seed, and Replay reproduces
-// its full trace dump on demand.
+// the quorum-selection stack. From a single int64 seed a preset's
+// generator derives a complete schedule — faults, workload, timing and
+// checkers (GenerateScenario for the default preset) — and one runner
+// executes it against a simulated cluster of any supported protocol
+// composition, checking a suite of pluggable safety and liveness
+// invariants on every shard while the faults play out. Because every
+// source of randomness flows from the seed and the simulator is
+// single-threaded, a violating seed replays byte-for-byte: Run reports
+// the first bad seed, and Replay reproduces its full trace dump on
+// demand.
 package chaos
 
 import (
@@ -21,6 +23,7 @@ import (
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
 	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/quorum"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -30,8 +33,8 @@ import (
 // workload clients are small integers, so it can never collide.
 const probeClient uint64 = 0xC4A05
 
-// probeCount is how many liveness probes are submitted once faults
-// settle.
+// probeCount is how many liveness probes are submitted per shard once
+// faults settle.
 const probeCount = 4
 
 // Dump size bounds: the tail of each stream is what localizes a
@@ -46,11 +49,24 @@ const (
 type Config struct {
 	// N, F are the cluster parameters (default 4, 1).
 	N, F int
-	// Protocol selects the composition under test (default ProtocolQS).
+	// Protocol selects the composition under test (default ProtocolQS;
+	// the sharded-partition and unsafe-spec presets always run
+	// ProtocolXPaxos).
 	Protocol Protocol
-	// Faults restricts the fault classes the generator draws from
+	// Preset selects the schedule generator (default PresetGenerated).
+	Preset Preset
+	// Faults restricts the fault classes PresetGenerated draws from
 	// (default: all).
 	Faults []FaultClass
+	// Shards is how many independent groups every process runs (default
+	// 1; 3 for PresetShardedPartition, which needs at least 2). Every
+	// invariant is checked per shard, and durable members keep each
+	// shard in its own storage sub-tree.
+	Shards int
+	// Spec is the quorum spec PresetUnsafeSpec attacks (default
+	// DefaultUnsafeSpec); Force boots a cluster on it past the gate.
+	Spec  string
+	Force bool
 	// Seeds is how many consecutive seeds Run executes (default 1).
 	Seeds int
 	// FirstSeed is the first seed of the campaign.
@@ -59,23 +75,14 @@ type Config struct {
 	// (default 1).
 	BatchSize int
 	// Window bounds the XPaxos leader's in-flight pipeline (0 =
-	// unbounded, the unwindowed behavior). Other protocols ignore it.
+	// unbounded, the unwindowed behavior; default 8 for
+	// PresetShardedPartition). Other protocols ignore it.
 	Window int
 	// Reorder disables the simulator's per-link FIFO clamp so messages
 	// on one link may overtake each other — the schedule a pipelined
 	// commit path must tolerate (COMMIT before PREPARE, slots out of
 	// order).
 	Reorder bool
-	// Requests is the workload size submitted while faults are active
-	// (default 30; ignored for the core-only protocol).
-	Requests int
-	// FaultEnd is when every generated fault window has closed (default
-	// 8s). Settle is when suspicions are assumed stable and liveness
-	// probes go out (default 18s); Horizon ends the run (default 28s).
-	// Slice is the online-checker cadence (default 500ms).
-	FaultEnd, Settle, Horizon, Slice time.Duration
-	// Checkers overrides the protocol's default invariant suite.
-	Checkers []Checker
 	// TamperHistory, when set, rewrites a replica's execution history
 	// before the checkers see it. Test-only: it exists so the harness's
 	// own tests can inject an agreement bug and prove the fuzzer catches
@@ -108,26 +115,30 @@ func (c Config) withDefaults() Config {
 	if c.Protocol == "" {
 		c.Protocol = ProtocolQS
 	}
+	switch c.Preset {
+	case PresetShardedPartition:
+		c.Protocol = ProtocolXPaxos
+		if c.Shards == 0 {
+			c.Shards = 3
+		}
+		c.Shards = max(c.Shards, 2)
+		if c.Window == 0 {
+			c.Window = 8
+		}
+	case PresetUnsafeSpec:
+		c.Protocol = ProtocolXPaxos
+		if c.Spec == "" {
+			c.Spec = DefaultUnsafeSpec
+		}
+	}
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
 	if c.Seeds == 0 {
 		c.Seeds = 1
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 1
-	}
-	if c.Requests == 0 {
-		c.Requests = 30
-	}
-	if c.FaultEnd == 0 {
-		c.FaultEnd = 8 * time.Second
-	}
-	if c.Settle == 0 {
-		c.Settle = 18 * time.Second
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 28 * time.Second
-	}
-	if c.Slice == 0 {
-		c.Slice = 500 * time.Millisecond
 	}
 	return c
 }
@@ -147,7 +158,7 @@ type Violation struct {
 	// retained causal spans and protocol events of the violating run.
 	// Span identifiers are node-prefixed sequence numbers and all
 	// timestamps are virtual, so it too is byte-identical across
-	// replays of the same seed.
+	// replays of the same seed. Nil when the run never booted.
 	Flight []byte
 }
 
@@ -158,7 +169,6 @@ func (v *Violation) Error() string {
 
 // Result summarizes a campaign.
 type Result struct {
-	Protocol Protocol
 	// Seeds is how many seeds actually executed (the campaign stops at
 	// the first violation).
 	Seeds int
@@ -171,21 +181,12 @@ type Result struct {
 // replayable dump.
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	return runSeeds(cfg.Protocol, cfg.FirstSeed, cfg.Seeds, func(seed int64) *Violation {
-		v, _, _ := runSeed(cfg, seed, false)
-		return v
-	})
-}
-
-// runSeeds is the campaign loop every scenario shares: it runs seeds
-// consecutive seeds from first and stops at the first violation.
-func runSeeds(protocol Protocol, first int64, seeds int, run func(seed int64) *Violation) Result {
-	for i := 0; i < seeds; i++ {
-		if v := run(first + int64(i)); v != nil {
-			return Result{Protocol: protocol, Seeds: i + 1, Violation: v}
+	for i := 0; i < cfg.Seeds; i++ {
+		if v, _, _ := runSeed(cfg, cfg.FirstSeed+int64(i), false); v != nil {
+			return Result{Seeds: i + 1, Violation: v}
 		}
 	}
-	return Result{Protocol: protocol, Seeds: seeds}
+	return Result{Seeds: cfg.Seeds}
 }
 
 // RunSeed executes one seed and returns its violation, if any.
@@ -210,134 +211,82 @@ func ReplayDump(cfg Config, seed int64) (string, []byte, *Violation) {
 }
 
 // RunState is the live run handed to checkers: the scenario being
-// injected, the cluster under test, and the harness's own bookkeeping.
+// injected, the cluster under test, the shard being checked, and the
+// harness's own bookkeeping.
 type RunState struct {
 	Config   Config
 	Scenario *Scenario
+	seed     int64
 	cfg      ids.Config
-	cluster  *cluster.Cluster
-	bus      *obs.Bus
-	spans    *tracer.Tracer
-	// probes is how many liveness probes went out (0 until PhaseSettled).
+	// shard is the group the checkers are evaluating: they read host,
+	// history, HistoriesAgree and Executed at it.
+	shard   int
+	cluster *cluster.Cluster
+	bus     *obs.Bus
+	spans   *tracer.Tracer
+	// gate holds the spec gate's reports (PresetUnsafeSpec only).
+	gate []quorum.Report
+	// probes is how many liveness probes went out per shard (0 until
+	// PhaseSettled).
 	probes int
-	// preCrash freezes each restarted durable member's execution history
-	// at the moment it crashed. Every execution is persisted before it
-	// happens (persist-before-act), so the recovered member must come
-	// back with at least this prefix — the crash-recovery checker's
-	// ground truth.
-	preCrash map[ids.ProcessID][]xpaxos.Execution
+	// preCrash freezes each restarted durable member's execution history,
+	// per shard, at the moment it crashed. Every execution is persisted
+	// before it happens (persist-before-act), so the recovered member
+	// must come back with at least this prefix — the crash-recovery
+	// checker's ground truth.
+	preCrash map[ids.ProcessID][][]xpaxos.Execution
 }
 
-// host returns p's live kernel: every chaos composition is a core.Node,
-// and after a restart the cluster holds the rebuilt one.
+// host returns p's live kernel in the checked shard: every chaos
+// composition is a core.Node, and after a restart the cluster holds the
+// rebuilt one.
 func (r *RunState) host(p ids.ProcessID) *host.Host {
-	return r.cluster.Member(p, 0).Node.(*core.Node).Host
+	return r.cluster.Member(p, r.shard).Node.(*core.Node).Host
 }
 
-// history returns p's replicated history as the checkers should see it
-// (the member builder applies the test-only tamper hook).
-func (r *RunState) history(p ids.ProcessID) []xpaxos.Execution {
-	if h := r.cluster.Member(p, 0).History; h != nil {
+// history returns p's replicated history in shard as the checkers
+// should see it (the member builder applies the test-only tamper hook).
+func (r *RunState) history(p ids.ProcessID, shard int) []xpaxos.Execution {
+	if h := r.cluster.Member(p, shard).History; h != nil {
 		return h()
 	}
 	return nil
 }
 
-// submit hands a request to the first correct running member — the
-// stand-in for a client that retries against a live replica.
-func (r *RunState) submit(req *wire.Request) {
-	r.cluster.Submit(0, req, r.Scenario.Faulty)
+// submit hands a request to shard: at the named process, or, when at
+// is 0, to the first correct running member — the stand-in for a
+// client that retries against a live replica.
+func (r *RunState) submit(shard int, at ids.ProcessID, req *wire.Request) {
+	if at != 0 {
+		r.cluster.Member(at, shard).Submit(req)
+		return
+	}
+	r.cluster.Submit(shard, req, r.Scenario.Faulty)
 }
 
-// runSeed generates, executes, and checks one scenario.
+// runSeed generates one seed's schedule, executes it, checks it, and
+// renders the dump.
 func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byte) {
-	idsCfg := ids.MustConfig(cfg.N, cfg.F)
-	sc := GenerateScenario(idsCfg, seed, cfg.Faults, cfg.Protocol.restartable(), cfg.FaultEnd)
-	rs := &RunState{Config: cfg, Scenario: sc, cfg: idsCfg,
-		preCrash: make(map[ids.ProcessID][]xpaxos.Execution)}
-	rs.boot(seed)
-	cl := rs.cluster
-	defer cl.Net.Close()
-	checkers := cfg.Checkers
-	if checkers == nil {
-		checkers = defaultCheckers(cfg.Protocol)
+	rs := &RunState{Config: cfg, seed: seed, cfg: ids.MustConfig(cfg.N, cfg.F),
+		preCrash: make(map[ids.ProcessID][][]xpaxos.Execution)}
+	sch, violation := rs.generate()
+	if sch != nil {
+		violation = rs.execute(sch)
+		defer rs.cluster.Net.Close()
 	}
-
-	// Crash/restart churn from the scenario, on the virtual clock. A
-	// crash that will restart freezes the member's history first: the
-	// recovered process must extend it (crash-recovery checker).
-	for _, plan := range sc.Crashes {
-		plan := plan
-		p := plan.Proc
-		cl.Net.At(plan.At, func() {
-			if plan.RestartAt > 0 && cfg.Protocol.durable() {
-				rs.preCrash[p] = rs.history(p)
-			}
-			cl.Crash(p, plan.Hard)
-		})
-		if plan.RestartAt > 0 {
-			cl.Net.At(plan.RestartAt, func() { cl.Restart(p) })
-		}
-	}
-
-	// Workload, spread across the fault window so requests commit while
-	// links drop, frames mutate, and processes churn.
-	if cfg.Protocol.smr() && cfg.Requests > 0 {
-		gap := cfg.FaultEnd / time.Duration(cfg.Requests+1)
-		for i := 1; i <= cfg.Requests; i++ {
-			req := &wire.Request{
-				Client: uint64(1 + (i-1)%3),
-				Seq:    uint64(1 + (i-1)/3),
-				Op:     []byte(fmt.Sprintf("set k%d v%d", i, i)),
-			}
-			cl.Net.At(time.Duration(i)*gap, func() { rs.submit(req) })
-		}
-	}
-
-	// Drive virtual time in slices, evaluating checkers at every
-	// boundary; one slice is promoted to PhaseSettled once faults are
-	// over, which also launches the liveness probes.
-	var violation *Violation
-	settled := false
-	for t := cfg.Slice; violation == nil && t <= cfg.Horizon; t += cfg.Slice {
-		cl.Net.Run(t)
-		phase := PhaseOnline
-		if !settled && t >= cfg.Settle {
-			settled = true
-			phase = PhaseSettled
-			if cfg.Protocol.checksLiveness() {
-				for i := 1; i <= probeCount; i++ {
-					rs.submit(&wire.Request{
-						Client: probeClient,
-						Seq:    uint64(i),
-						Op:     []byte(fmt.Sprintf("set probe p%d", i)),
-					})
-				}
-				rs.probes = probeCount
-			}
-		}
-		violation = runCheckers(checkers, rs, phase, seed)
-	}
-	if violation == nil {
-		violation = runCheckers(checkers, rs, PhaseFinal, seed)
-	}
-
-	// Observability loss accounting: how much of each bounded stream the
-	// run evicted (non-zero drops mean the dumps below are tails).
-	reg := cl.Net.Metrics()
-	reg.SetGauge("obs.bus.dropped", float64(rs.bus.Dropped()))
-	reg.SetGauge("tracer.ring.dropped", float64(rs.spans.Dropped()))
 
 	var dump string
 	var flight []byte
 	if violation != nil || alwaysDump {
 		dump = rs.dump(violation)
-		reason := fmt.Sprintf("chaos replay seed=%d", seed)
-		if violation != nil {
-			reason = fmt.Sprintf("chaos violation seed=%d checker=%s at=%s",
-				seed, violation.Checker, violation.At)
+		if rs.cluster != nil {
+			reason := fmt.Sprintf("chaos replay seed=%d", seed)
+			if violation != nil {
+				reason = fmt.Sprintf("chaos violation seed=%d checker=%s at=%s",
+					seed, violation.Checker, violation.At)
+			}
+			flight = tracer.Capture(reason, rs.spans, rs.bus).JSON()
 		}
-		flight = tracer.Capture(reason, rs.spans, rs.bus).JSON()
 	}
 	if violation != nil {
 		violation.Dump = dump
@@ -346,17 +295,96 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 	return violation, dump, flight
 }
 
-// runCheckers evaluates the suite and converts the first failure into a
-// Violation.
-func runCheckers(checkers []Checker, rs *RunState, phase Phase, seed int64) *Violation {
-	for _, ch := range checkers {
-		if err := ch.Check(rs, phase); err != nil {
-			return &Violation{
-				Seed:    seed,
-				Checker: ch.Name(),
-				At:      rs.cluster.Net.Now(),
-				Detail:  err.Error(),
+// execute boots the cluster and plays sch on it: crashes, workload,
+// then virtual time in slices with the checkers evaluated on every
+// shard at every boundary. One slice is promoted to PhaseSettled once
+// faults are over, which also launches the liveness probes.
+func (r *RunState) execute(sch *schedule) *Violation {
+	run := r.Config
+	r.Scenario = sch.Scenario
+	r.boot(sch)
+	cl := r.cluster
+
+	// Crash/restart churn, on the virtual clock. A crash that will
+	// restart freezes the member's histories first: the recovered
+	// process must extend them (crash-recovery checker).
+	for _, plan := range sch.Crashes {
+		plan := plan
+		p := plan.Proc
+		cl.Net.At(plan.At, func() {
+			if plan.RestartAt > 0 && run.Protocol.durable() {
+				r.preCrash[p] = make([][]xpaxos.Execution, run.Shards)
+				for s := range r.preCrash[p] {
+					r.preCrash[p][s] = r.history(p, s)
+				}
 			}
+			cl.Crash(p, plan.Hard)
+		})
+		if plan.RestartAt > 0 {
+			cl.Net.At(plan.RestartAt, func() { cl.Restart(p) })
+		}
+	}
+	for _, sub := range sch.submits {
+		sub := sub
+		cl.Net.At(sub.at, func() { r.submit(sub.shard, sub.entry, sub.req) })
+	}
+
+	// Stateful checkers snapshot per shard, so each shard gets its own
+	// suite.
+	suites := make([][]Checker, run.Shards)
+	for s := range suites {
+		suites[s] = append(defaultCheckers(run.Protocol), sch.checkers...)
+	}
+	var violation *Violation
+	settled := false
+	for t := sch.slice; violation == nil && t <= sch.horizon; t += sch.slice {
+		cl.Net.Run(t)
+		phase := PhaseOnline
+		if !settled && sch.settle > 0 && t >= sch.settle {
+			settled = true
+			phase = PhaseSettled
+			if run.Protocol.checksLiveness() {
+				for s := 0; s < run.Shards; s++ {
+					for i := 1; i <= probeCount; i++ {
+						r.submit(s, sch.probeAt, &wire.Request{
+							Client: probeClient,
+							Seq:    uint64(i),
+							Op:     []byte(fmt.Sprintf("set probe p%d", i)),
+						})
+					}
+				}
+				r.probes = probeCount
+			}
+		}
+		violation = r.check(suites, phase)
+	}
+	if violation == nil {
+		violation = r.check(suites, PhaseFinal)
+	}
+
+	// Observability loss accounting: how much of each bounded stream the
+	// run evicted (non-zero drops mean the dumps are tails).
+	reg := cl.Net.Metrics()
+	reg.SetGauge("obs.bus.dropped", float64(r.bus.Dropped()))
+	reg.SetGauge("tracer.ring.dropped", float64(r.spans.Dropped()))
+	return violation
+}
+
+// check evaluates every shard's suite and converts the first failure
+// into a Violation.
+func (r *RunState) check(suites [][]Checker, phase Phase) *Violation {
+	for s, suite := range suites {
+		r.shard = s
+		for _, ch := range suite {
+			err := ch.Check(r, phase)
+			if err == nil {
+				continue
+			}
+			detail := err.Error()
+			if len(suites) > 1 {
+				detail = fmt.Sprintf("shard %d: %s", s, detail)
+			}
+			return &Violation{Seed: r.seed, Checker: ch.Name(), At: r.cluster.Net.Now(), Detail: detail}
 		}
 	}
 	return nil
@@ -364,21 +392,54 @@ func runCheckers(checkers []Checker, rs *RunState, phase Phase, seed int64) *Vio
 
 // dump renders the replayable evidence for a run. Everything in it is a
 // function of the seed — virtual timestamps, deterministic event
-// strings — so two replays of the same seed produce identical bytes.
+// strings, a seeded spec sampler — so two replays of the same seed
+// produce identical bytes.
 func (r *RunState) dump(v *Violation) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos: protocol=%s seed=%d n=%d f=%d\n",
-		r.Config.Protocol, r.Scenario.Seed, r.Config.N, r.Config.F)
-	b.WriteString("schedule:\n")
-	for _, d := range r.Scenario.Desc {
-		fmt.Fprintf(&b, "  %s\n", d)
+	fmt.Fprintf(&b, "chaos: protocol=%s seed=%d n=%d f=%d", r.Config.Protocol, r.seed, r.Config.N, r.Config.F)
+	if r.Config.Shards > 1 {
+		fmt.Fprintf(&b, " shards=%d", r.Config.Shards)
+	}
+	if r.Config.Preset == PresetUnsafeSpec {
+		fmt.Fprintf(&b, " spec=%q force=%v", r.Config.Spec, r.Config.Force)
+	}
+	b.WriteByte('\n')
+	for _, rep := range r.gate {
+		fmt.Fprintf(&b, "  %s\n", rep)
+	}
+	if r.Scenario != nil {
+		b.WriteString("schedule:\n")
+		for _, d := range r.Scenario.Desc {
+			fmt.Fprintf(&b, "  %s\n", d)
+		}
 	}
 	if v != nil {
 		fmt.Fprintf(&b, "violation: checker=%s at=%s\n  %s\n", v.Checker, v.At, v.Detail)
 	} else {
 		b.WriteString("no violation\n")
 	}
-	writeEventTail(&b, r.bus)
+	if r.cluster == nil {
+		return b.String()
+	}
+	if r.Config.Shards > 1 || r.gate != nil {
+		b.WriteString("shards (last executed slot):\n")
+		for s := 0; s < r.Config.Shards; s++ {
+			fmt.Fprintf(&b, "  shard %d:", s)
+			for _, p := range r.cfg.All() {
+				last := uint64(0)
+				if h := r.history(p, s); len(h) > 0 {
+					last = h[len(h)-1].Slot
+				}
+				fmt.Fprintf(&b, " %s:%d", p, last)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	evs := last(r.bus.Events(), dumpEvents)
+	fmt.Fprintf(&b, "events (last %d):\n", len(evs))
+	for _, e := range evs {
+		fmt.Fprintf(&b, "  %s\n", e)
+	}
 	// Without the one per-message type, the bus is the sparse protocol
 	// story: suspicions, quorum changes, view changes, epochs.
 	var story []obs.Event
@@ -399,15 +460,6 @@ func (r *RunState) dump(v *Violation) string {
 			s.Name, s.Node, s.Trace, s.ID, s.Parent, s.Start, s.Dur, s.Slot, s.View)
 	}
 	return b.String()
-}
-
-// writeEventTail appends the last dumpEvents events of bus to a dump.
-func writeEventTail(b *strings.Builder, bus *obs.Bus) {
-	evs := last(bus.Events(), dumpEvents)
-	fmt.Fprintf(b, "events (last %d):\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintf(b, "  %s\n", e)
-	}
 }
 
 // last returns the final n elements of s (all of s if it is shorter).

@@ -38,30 +38,35 @@ func TestScenarioRespectsFBound(t *testing.T) {
 }
 
 // TestReplayDeterministic is the acceptance bar for reproducibility:
-// replaying the same seed twice yields byte-identical trace dumps.
+// replaying the same seed twice yields byte-identical trace dumps, for
+// one group per process and for a fleet of three.
 func TestReplayDeterministic(t *testing.T) {
 	for _, protocol := range AllProtocols() {
 		protocol := protocol
 		t.Run(string(protocol), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{Protocol: protocol}
-			d1, v1 := Replay(cfg, 42)
-			d2, v2 := Replay(cfg, 42)
-			if d1 != d2 {
-				t.Fatalf("same seed produced different dumps:\n--- first\n%s\n--- second\n%s", tail(d1), tail(d2))
-			}
-			if (v1 == nil) != (v2 == nil) {
-				t.Fatalf("same seed produced different verdicts: %v vs %v", v1, v2)
-			}
-			if d1 == "" {
-				t.Fatal("replay produced an empty dump")
+			for _, shards := range []int{1, 3} {
+				cfg := Config{Protocol: protocol, Shards: shards}
+				d1, v1 := Replay(cfg, 42)
+				d2, v2 := Replay(cfg, 42)
+				if d1 != d2 {
+					t.Fatalf("shards=%d: same seed produced different dumps:\n--- first\n%s\n--- second\n%s",
+						shards, tail(d1), tail(d2))
+				}
+				if (v1 == nil) != (v2 == nil) {
+					t.Fatalf("shards=%d: same seed produced different verdicts: %v vs %v", shards, v1, v2)
+				}
+				if d1 == "" {
+					t.Fatalf("shards=%d: replay produced an empty dump", shards)
+				}
 			}
 		})
 	}
 }
 
 // TestChaosProperty is the fuzzer run as a plain property test: a batch
-// of consecutive seeds per protocol must violate no invariant.
+// of consecutive seeds per protocol must violate no invariant on any
+// shard, for one group per process and for a fleet of three.
 func TestChaosProperty(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -71,12 +76,14 @@ func TestChaosProperty(t *testing.T) {
 		protocol := protocol
 		t.Run(string(protocol), func(t *testing.T) {
 			t.Parallel()
-			res := Run(Config{Protocol: protocol, Seeds: seeds, FirstSeed: 1})
-			if res.Violation != nil {
-				t.Fatalf("unexpected violation:\n%s", res.Violation.Dump)
-			}
-			if res.Seeds != seeds {
-				t.Fatalf("executed %d seeds, want %d", res.Seeds, seeds)
+			for _, shards := range []int{1, 3} {
+				res := Run(Config{Protocol: protocol, Shards: shards, Seeds: seeds, FirstSeed: 1})
+				if res.Violation != nil {
+					t.Fatalf("shards=%d: unexpected violation:\n%s", shards, res.Violation.Dump)
+				}
+				if res.Seeds != seeds {
+					t.Fatalf("shards=%d: executed %d seeds, want %d", shards, res.Seeds, seeds)
+				}
 			}
 		})
 	}
@@ -198,32 +205,36 @@ func TestCrashRestartRecovery(t *testing.T) {
 // backend that acknowledges fsyncs without persisting must be caught by
 // the crash-recovery checker when a hard crash drops the acknowledged
 // writes — and the identical untampered seed must pass, proving the
-// violation comes from the tamper, not the schedule.
+// violation comes from the tamper, not the schedule. With three shards
+// the tamper must reach every shard's storage sub-tree.
 func TestSkipSyncTamperCaught(t *testing.T) {
 	for _, protocol := range []Protocol{ProtocolXPaxos, ProtocolPBFT} {
 		protocol := protocol
 		t.Run(string(protocol), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{
-				Protocol:       protocol,
-				Faults:         []FaultClass{FaultCrashRestart},
-				Seeds:          60,
-				TamperSkipSync: true,
+			for _, shards := range []int{1, 3} {
+				cfg := Config{
+					Protocol:       protocol,
+					Faults:         []FaultClass{FaultCrashRestart},
+					Shards:         shards,
+					Seeds:          60,
+					TamperSkipSync: true,
+				}
+				res := Run(cfg)
+				if res.Violation == nil {
+					t.Fatalf("shards=%d: skip-fsync tamper not caught in %d seeds", shards, res.Seeds)
+				}
+				if res.Violation.Checker != "crash-recovery" {
+					t.Fatalf("shards=%d: caught by %q, want crash-recovery: %s",
+						shards, res.Violation.Checker, res.Violation.Detail)
+				}
+				clean := cfg
+				clean.TamperSkipSync = false
+				if v := RunSeed(clean, res.Violation.Seed); v != nil {
+					t.Fatalf("shards=%d: seed %d fails even without the tamper: %v", shards, res.Violation.Seed, v)
+				}
+				t.Logf("shards=%d: tamper caught at seed %d: %s", shards, res.Violation.Seed, res.Violation.Detail)
 			}
-			res := Run(cfg)
-			if res.Violation == nil {
-				t.Fatalf("skip-fsync tamper not caught in %d seeds", res.Seeds)
-			}
-			if res.Violation.Checker != "crash-recovery" {
-				t.Fatalf("caught by %q, want crash-recovery: %s",
-					res.Violation.Checker, res.Violation.Detail)
-			}
-			clean := cfg
-			clean.TamperSkipSync = false
-			if v := RunSeed(clean, res.Violation.Seed); v != nil {
-				t.Fatalf("seed %d fails even without the tamper: %v", res.Violation.Seed, v)
-			}
-			t.Logf("tamper caught at seed %d: %s", res.Violation.Seed, res.Violation.Detail)
 		})
 	}
 }

@@ -23,7 +23,8 @@ const (
 )
 
 // Checker is one pluggable invariant, evaluated against live node state
-// during a run. A non-nil error is a violation and aborts the seed.
+// during a run, once per shard (RunState knows which). A non-nil error
+// is a violation and aborts the seed.
 type Checker interface {
 	Name() string
 	Check(r *RunState, phase Phase) error
@@ -245,7 +246,7 @@ type historyChecker struct{}
 func (historyChecker) Name() string { return "history-agreement" }
 
 func (historyChecker) Check(r *RunState, _ Phase) error {
-	return r.cluster.HistoriesAgree(0)
+	return r.cluster.HistoriesAgree(r.shard)
 }
 
 // recoveryChecker verifies crash-restart durability: every restarted
@@ -264,14 +265,14 @@ func (recoveryChecker) Check(r *RunState, phase Phase) error {
 		return nil
 	}
 	for _, p := range r.cfg.All() {
-		pre, ok := r.preCrash[p]
+		frozen, ok := r.preCrash[p]
 		if !ok || !r.Scenario.Restarted(p) {
 			continue
 		}
 		if !r.cluster.Running(p) {
 			return fmt.Errorf("%s never came back up after its restart", p)
 		}
-		cur := r.history(p)
+		pre, cur := frozen[r.shard], r.history(p, r.shard)
 		if len(cur) < len(pre) {
 			return fmt.Errorf("%s recovered only %d of the %d executions it acknowledged before crashing",
 				p, len(cur), len(pre))
@@ -302,7 +303,7 @@ func (livenessChecker) Check(r *RunState, phase Phase) error {
 	if phase != PhaseFinal || r.probes == 0 {
 		return nil
 	}
-	if best, bestProc := r.cluster.Executed(0, probeClient); best < r.probes {
+	if best, bestProc := r.cluster.Executed(r.shard, probeClient); best < r.probes {
 		return fmt.Errorf("only %d of %d post-fault probes executed (best replica %s)",
 			best, r.probes, bestProc)
 	}

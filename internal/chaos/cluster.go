@@ -95,47 +95,60 @@ func (p Protocol) checksLiveness() bool {
 // churning by design and never converge.
 func (p Protocol) settles() bool { return p != ProtocolPBFT }
 
-// boot builds the protocol's composition for every process on a seeded
-// cluster. All runs authenticate with a real (HMAC) ring: chaos mutates
-// frames, and only unforgeable signatures make "a corrupted signed
-// message is dropped, not attributed" hold the way the paper assumes.
-func (r *RunState) boot(seed int64) {
+// boot builds the protocol's composition for every process and shard
+// on a seeded cluster. All runs authenticate with a real (HMAC) ring:
+// chaos mutates frames, and only unforgeable signatures make "a
+// corrupted signed message is dropped, not attributed" hold the way the
+// paper assumes.
+func (r *RunState) boot(sch *schedule) {
 	run := r.Config
 	r.bus, r.spans = obs.NewBus(0), tracer.New(0)
 	opts := sim.Options{
 		Metrics:      run.Metrics,
-		Seed:         seed,
-		Filter:       r.Scenario.Filter,
+		Seed:         r.seed,
+		Filter:       sch.Filter,
 		Auth:         crypto.NewHMACRing(r.cfg, []byte("chaos-master")),
 		Events:       r.bus,
 		Tracer:       r.spans,
 		AllowReorder: run.Reorder,
 	}
 	fdOpts := cluster.Links(run.Topology, &opts)
-	r.cluster = cluster.New(r.cfg, 1, func(at cluster.Site) cluster.Member {
-		return member(run, at, fdOpts)
+	r.cluster = cluster.New(r.cfg, run.Shards, func(at cluster.Site) cluster.Member {
+		return member(run, sch, at, fdOpts)
 	}, opts)
 }
 
-// member composes one process of the run's protocol, durable protocols
-// over the site's backend.
-func member(run Config, at cluster.Site, fdOpts fd.Options) cluster.Member {
+// member composes one site of the run's protocol, durable protocols
+// over the site's backend (one sub-tree per shard when there are
+// several).
+func member(run Config, sch *schedule, at cluster.Site, fdOpts fd.Options) cluster.Member {
 	nodeOpts := core.DefaultNodeOptions()
 	nodeOpts.FD = fdOpts
 	if run.Protocol.durable() {
 		at.Backend.SetSkipSync(run.TamperSkipSync)
 		nodeOpts.Storage = at.Backend
+		if run.Shards > 1 {
+			sub, err := at.Backend.Sub(fmt.Sprintf("shard-%d", at.Shard))
+			if err != nil {
+				panic(err) // a MemBackend always nests, and the name is valid
+			}
+			nodeOpts.Storage = sub
+		}
+	}
+	xo := xpaxos.Options{
+		CheckpointInterval: 8,
+		BatchSize:          run.BatchSize,
+		Window:             run.Window,
+	}
+	if sch.site != nil {
+		sch.site(at, &nodeOpts, &xo)
 	}
 	var m cluster.Member
 	switch run.Protocol {
 	case ProtocolQS:
 		m.Node = core.NewNode(nodeOpts)
 	case ProtocolXPaxos:
-		n, rep := xpaxos.NewQSNode(xpaxos.Options{
-			CheckpointInterval: 8,
-			BatchSize:          run.BatchSize,
-			Window:             run.Window,
-		}, nodeOpts)
+		n, rep := xpaxos.NewQSNode(xo, nodeOpts)
 		m.Node, m.Submit, m.History = n, rep.Submit, rep.Executions
 	case ProtocolPBFT:
 		n, rep := pbftlite.NewQSNode(pbftlite.Options{}, nodeOpts)

@@ -8,8 +8,12 @@ import (
 	"time"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/cluster"
+	"quorumselect/internal/core"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/sim"
+	"quorumselect/internal/wire"
+	"quorumselect/internal/xpaxos"
 )
 
 // FaultClass names one of the paper's §II failure classes as the
@@ -114,6 +118,95 @@ type Scenario struct {
 	// Desc is the deterministic, human-readable fault schedule, one
 	// line per faulty process.
 	Desc []string
+}
+
+// Preset names a schedule generator: the family of scenarios a
+// campaign draws its seeds from. Every preset runs on the same runner,
+// checkers and dump.
+type Preset string
+
+// The presets.
+const (
+	// PresetGenerated draws a random fault schedule per seed
+	// (GenerateScenario) against a spread-out client workload.
+	PresetGenerated Preset = ""
+	// PresetShardedPartition cuts shard 0's leader off at the envelope
+	// level — only its shard-0 frames drop, so the same process keeps
+	// serving its other shards — and demands the other shards commit
+	// through the fault.
+	PresetShardedPartition Preset = "sharded-partition"
+	// PresetUnsafeSpec gates an intersection-violating quorum spec
+	// before boot and, with Config.Force, boots on it anyway to show the
+	// fork.
+	PresetUnsafeSpec Preset = "unsafe-spec"
+)
+
+// schedule is one seed's scenario as data: everything the runner
+// executes besides the cluster composition Config names.
+type schedule struct {
+	// Scenario holds the faulty set, crashes, network filter and the
+	// human-readable description.
+	*Scenario
+	// submits is the workload, scheduled in order.
+	submits []submission
+	// probeAt is where liveness probes go (0: a correct running member).
+	probeAt ids.ProcessID
+	// site, when set, adjusts each site's node and XPaxos options.
+	site func(at cluster.Site, node *core.NodeOptions, xo *xpaxos.Options)
+	// settle is when suspicions are assumed stable and probes go out (0:
+	// never); horizon ends the run; checkers run every slice.
+	settle, horizon, slice time.Duration
+	// checkers extend every shard's default suite.
+	checkers []Checker
+}
+
+// submission is one client request of the workload.
+type submission struct {
+	at    time.Duration
+	shard int
+	entry ids.ProcessID // 0: a correct running member
+	req   *wire.Request
+}
+
+// generate returns the seed's schedule from the configured preset. A
+// nil schedule means the run ends before boot: with a violation, or
+// after the spec gate rejected the spec as it should.
+func (r *RunState) generate() (*schedule, *Violation) {
+	switch r.Config.Preset {
+	case PresetShardedPartition:
+		return r.shardedPartition(), nil
+	case PresetUnsafeSpec:
+		return r.unsafeSpec()
+	}
+	return r.generated(), nil
+}
+
+// generated is PresetGenerated: GenerateScenario's faults, closed by
+// 8s, against 30 requests spread across the fault window on every
+// shard, so requests commit while links drop, frames mutate and
+// processes churn.
+func (r *RunState) generated() *schedule {
+	const requests, faultEnd = 30, 8 * time.Second
+	run := r.Config
+	sch := &schedule{
+		Scenario: GenerateScenario(r.cfg, r.seed, run.Faults, run.Protocol.restartable(), faultEnd),
+		settle:   18 * time.Second,
+		horizon:  28 * time.Second,
+		slice:    500 * time.Millisecond,
+	}
+	if run.Protocol.smr() {
+		gap := faultEnd / time.Duration(requests+1)
+		for i := 1; i <= requests; i++ {
+			for s := 0; s < run.Shards; s++ {
+				sch.submits = append(sch.submits, submission{at: time.Duration(i) * gap, shard: s, req: &wire.Request{
+					Client: uint64(1 + (i-1)%3),
+					Seq:    uint64(1 + (i-1)/3),
+					Op:     []byte(fmt.Sprintf("set k%d v%d", i, i)),
+				}})
+			}
+		}
+	}
+	return sch
 }
 
 // Restarted reports whether p crashes and later restarts in this

@@ -10,7 +10,7 @@ import (
 // reject the intersection-violating spec before any node boots, so the
 // scenario reports no violation.
 func TestUnsafeSpecCheckerRejects(t *testing.T) {
-	res := RunUnsafeSpec(UnsafeSpecConfig{FirstSeed: 3, Seeds: 3})
+	res := Run(Config{Preset: PresetUnsafeSpec, FirstSeed: 3, Seeds: 3})
 	if res.Violation != nil {
 		t.Fatalf("checker failed to reject unsafe spec:\n%s", res.Violation.Dump)
 	}
@@ -23,7 +23,7 @@ func TestUnsafeSpecCheckerRejects(t *testing.T) {
 // feeding the adversary a spec with intersection is a scenario
 // misconfiguration, not a checker finding.
 func TestUnsafeSpecSafeSpecIsConfigError(t *testing.T) {
-	res := RunUnsafeSpec(UnsafeSpecConfig{Spec: "threshold:n=4;f=1", FirstSeed: 1})
+	res := Run(Config{Preset: PresetUnsafeSpec, Spec: "threshold:n=4;f=1", FirstSeed: 1})
 	if res.Violation == nil || res.Violation.Checker != "unsafe-spec-config" {
 		t.Fatalf("safe spec not flagged as config error: %+v", res.Violation)
 	}
@@ -35,12 +35,12 @@ func TestUnsafeSpecSafeSpecIsConfigError(t *testing.T) {
 // post-heal certificate crosses sides. The violation proves the spec
 // the checker rejects is genuinely unsafe at the wire level.
 func TestUnsafeSpecForcedForkViolates(t *testing.T) {
-	res := RunUnsafeSpec(UnsafeSpecConfig{Force: true, FirstSeed: 5})
+	res := Run(Config{Preset: PresetUnsafeSpec, Force: true, FirstSeed: 5})
 	if res.Violation == nil {
 		t.Fatal("forced unsafe spec did not fork the log")
 	}
-	if res.Violation.Checker != "unsafe-spec-history" {
-		t.Fatalf("violation from %q, want unsafe-spec-history:\n%s",
+	if res.Violation.Checker != "history-agreement" {
+		t.Fatalf("violation from %q, want history-agreement:\n%s",
 			res.Violation.Checker, res.Violation.Dump)
 	}
 	if !strings.Contains(res.Violation.Detail, "histories diverge at slot 1") {
@@ -48,10 +48,13 @@ func TestUnsafeSpecForcedForkViolates(t *testing.T) {
 	}
 	dump := res.Violation.Dump
 	for _, want := range []string{
-		"chaos-unsafe-spec: seed=5",
+		"seed=5",
 		"mode=sampled",
 		"disjoint quorums {p1,p2} | {p3,p4}",
 		`spec="slices:n=4;1={2};2={1};3={4};4={3}"`,
+		// Side B executed side A's slot 2: the cross-side certificate was
+		// accepted.
+		"shard 0: p1:2 p2:2 p3:2 p4:2",
 	} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)
@@ -64,9 +67,9 @@ func TestUnsafeSpecForcedForkViolates(t *testing.T) {
 // randomized intersection sampler, so two replays of one seed — checker
 // verdicts included — are byte-identical.
 func TestUnsafeSpecReplayDeterministic(t *testing.T) {
-	cfg := UnsafeSpecConfig{Force: true}
-	a, va := ReplayUnsafeSpec(cfg, 9)
-	b, vb := ReplayUnsafeSpec(cfg, 9)
+	cfg := Config{Preset: PresetUnsafeSpec, Force: true}
+	a, va := Replay(cfg, 9)
+	b, vb := Replay(cfg, 9)
 	if (va == nil) != (vb == nil) {
 		t.Fatalf("replays disagree on violation: %v vs %v", va, vb)
 	}

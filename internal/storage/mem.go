@@ -32,8 +32,9 @@ type MemBackend struct {
 	volatileMeta bool
 	metaUndo     []func()
 
-	// children are the live sub-trees carved out with Sub; Crash
-	// cascades into them (all shards of a process share its power cut).
+	// children are the live sub-trees carved out with Sub; Crash and
+	// both tamper hooks cascade into them (all shards of a process share
+	// its disk and its power cut).
 	children map[string]*MemBackend
 }
 
@@ -72,11 +73,15 @@ func (b *MemBackend) Crash() {
 // SetSkipSync is a test-only tamper hook: while enabled, Sync reports
 // success without advancing the durable watermark, so a later Crash
 // silently loses acknowledged writes. The chaos harness uses it to
-// prove the recovery checkers catch a broken fsync path.
+// prove the recovery checkers catch a broken fsync path. It applies to
+// every sub-tree, including ones carved out later.
 func (b *MemBackend) SetSkipSync(v bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.skipSync = v
+	for _, child := range b.children {
+		child.SetSkipSync(v)
+	}
 }
 
 // SetVolatileMetadata toggles the metadata crash window. By default
@@ -87,13 +92,17 @@ func (b *MemBackend) SetSkipSync(v bool) {
 // ordered metadata journal losing its un-flushed tail), so tests can
 // exercise lost-rename/lost-create schedules: a snapshot whose rename
 // never became durable, a created segment whose directory entry
-// vanished. Disabling the mode commits every pending operation.
+// vanished. Disabling the mode commits every pending operation. Like
+// SetSkipSync, it applies to every sub-tree, including later ones.
 func (b *MemBackend) SetVolatileMetadata(v bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.volatileMeta = v
 	if !v {
 		b.metaUndo = nil
+	}
+	for _, child := range b.children {
+		child.SetVolatileMetadata(v)
 	}
 }
 

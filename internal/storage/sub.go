@@ -54,7 +54,9 @@ var _ Subber = (*MemBackend)(nil)
 // Sub implements Subber: an in-memory child backend tracked by the
 // parent, so the parent's Crash cascades into every sub-tree — one
 // process's power cut takes all of its shards' unsynced state at once,
-// like a real machine. Repeated Sub(name) returns the same child.
+// like a real machine. A new child inherits the parent's tamper hooks
+// (SetSkipSync, SetVolatileMetadata). Repeated Sub(name) returns the
+// same child.
 func (b *MemBackend) Sub(name string) (Backend, error) {
 	if err := subName(name); err != nil {
 		return nil, err
@@ -67,6 +69,7 @@ func (b *MemBackend) Sub(name string) (Backend, error) {
 	child, ok := b.children[name]
 	if !ok {
 		child = NewMemBackend()
+		child.skipSync, child.volatileMeta = b.skipSync, b.volatileMeta
 		b.children[name] = child
 	}
 	return child, nil

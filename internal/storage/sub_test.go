@@ -87,6 +87,41 @@ func TestMemBackendSubCrashCascades(t *testing.T) {
 	}
 }
 
+// TestMemBackendSubSkipSync: the skip-sync tamper hook covers the whole
+// tree. A child carved out before the hook is set and one carved out
+// after both acknowledge a Sync, and both lose the write on the parent's
+// Crash.
+func TestMemBackendSubSkipSync(t *testing.T) {
+	root := NewMemBackend()
+	before, err := Sub(root, "shard-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.SetSkipSync(true)
+	after, err := Sub(root, "shard-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, child := range []Backend{before, after} {
+		f, err := child.Create("wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("acked")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatalf("tampered Sync must still report success: %v", err)
+		}
+	}
+	root.Crash()
+	for i, child := range []Backend{before, after} {
+		if data, err := child.ReadFile("wal"); err != nil || len(data) != 0 {
+			t.Fatalf("child %d kept %q (%v) across a skip-sync crash", i, data, err)
+		}
+	}
+}
+
 // TestSubUnsupportedBackend: a backend without sub-tree support fails
 // loudly instead of silently sharing one namespace across shards.
 func TestSubUnsupportedBackend(t *testing.T) {
