@@ -82,6 +82,17 @@ func sampleMessages() []Message {
 		&TMProposal{Proposer: 2, Height: 5, Round: 1, Req: req, Sig: []byte{10}},
 		&TMPrevote{phaseBody{Replica: 3, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{11}}},
 		&TMPrecommit{phaseBody{Replica: 4, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{12}}},
+		&CommitCert{Slot: 9, Commits: []Commit{
+			{Replica: 2, View: 3, Slot: 9, HasPrep: true, Prep: prep, Sig: []byte{13}},
+			{Replica: 4, View: 3, Slot: 9, HasPrep: true, Prep: prep, Sig: []byte{5},
+				TC: TraceContext{Trace: 4<<40 | 1, Span: 4<<40 | 2}},
+		}},
+		&TMDecided{Height: 5, Round: 1,
+			Proposal: TMProposal{Proposer: 2, Height: 5, Round: 1, Req: req, Sig: []byte{10}},
+			Precommits: []TMPrecommit{
+				{phaseBody{Replica: 3, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{14}}},
+				{phaseBody{Replica: 4, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{12}}},
+			}},
 	}
 }
 
