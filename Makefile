@@ -137,10 +137,15 @@ quorum-check:
 	! $(GO) run ./cmd/quorumcheck -spec "slices:n=4;1={2};2={1};3={4};4={3}"
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
-# parser/validator regressions without burning CI minutes.
+# parser/validator regressions without burning CI minutes. The wire
+# targets fuzz the codec every frame crosses: canonical decode, the
+# chaos mutator's contract and the Reader primitives.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuorumSpec$$' -fuzztime 20s ./internal/quorum/
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorMatch$$' -fuzztime 20s ./internal/fd/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireMutation$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzReaderPrimitives$$' -fuzztime 20s ./internal/wire/
 
 # cover runs the full suite with a coverage profile and prints the
 # total-coverage summary line.

@@ -14,10 +14,10 @@ import (
 
 // recvPathBudget is the allocation ceiling of one TCP receive of a
 // batch-8 PREPARE in a shard envelope, authentication and fleet demux
-// included: the decoder's reader, the envelope, the PREPARE, its Rest
-// slice, eight operations and the signature (13), plus the HMAC
+// included: the envelope, the PREPARE, its Rest slice, eight operations
+// and the signature (12; the decoder is pooled), plus the HMAC
 // verdict's buffer.
-const recvPathBudget = 14
+const recvPathBudget = 13
 
 // counting is a shard node that only counts what reaches it.
 type counting struct{ n int }

@@ -106,9 +106,6 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 }
 
-// Enabled reports whether Start currently records spans.
-func (t *Tracer) Enabled() bool { return t != nil && !t.disabled.Load() }
-
 // Active is an open span: started, not yet recorded. The zero Active
 // (from a nil or disabled tracer) is inert — Context returns the
 // untraced zero context and End records nothing — so protocol code

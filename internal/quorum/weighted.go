@@ -59,9 +59,6 @@ func (w Weighted) N() int { return len(w.weights) }
 // Target returns the quorum weight target T.
 func (w Weighted) Target() int { return w.target }
 
-// TotalWeight returns Σw.
-func (w Weighted) TotalWeight() int { return w.total }
-
 // Weight returns the weight of p, or 0 for invalid ids.
 func (w Weighted) Weight(p ids.ProcessID) int {
 	if !p.Valid(len(w.weights)) {

@@ -109,18 +109,19 @@ func Broadcast(env Env, m wire.Message, includeSelf bool) {
 // signing failure (a process that cannot sign with its own key is
 // misconfigured beyond recovery).
 func Sign(env Env, m wire.Signed) {
-	sig, err := env.Auth().Sign(env.ID(), m.SigBytes())
-	if err != nil {
+	covered, sig := wire.Signing(m)
+	var err error
+	if *sig, err = env.Auth().Sign(env.ID(), covered); err != nil {
 		panic("runtime: cannot sign with own key: " + err.Error())
 	}
-	m.SetSignature(sig)
 }
 
 // Verify checks a signed message against its claimed signer. Arriving
 // frames are checked by Authenticate; Verify is for signed messages a
 // frame embeds (a COMMIT's PREPARE), re-encoding what m says now.
 func Verify(env Env, m wire.Signed) error {
-	return env.Auth().Verify(m.Signer(), m.SigBytes(), m.Signature())
+	covered, sig := wire.Signing(m)
+	return env.Auth().Verify(m.Signer(), covered, *sig)
 }
 
 // ErrForged is Authenticate's verdict on a frame whose content
@@ -130,7 +131,7 @@ var ErrForged = errors.New("runtime: content signature does not verify")
 // Authenticate is the signature check of the paper's ⟨RECEIVE⟩, made
 // where a frame lands: it decodes the frame and checks the content
 // signature of the message it carries against the signed bytes as they
-// arrived (wire.DecodeSigned), so nothing is re-encoded. A
+// arrived (wire.Open), so nothing is re-encoded. A
 // ShardEnvelope's inner message is checked under its shard's signing
 // domain (crypto.VerifyShard), the check that shard's DomainAuth makes.
 //
@@ -145,16 +146,14 @@ var ErrForged = errors.New("runtime: content signature does not verify")
 // delivery instant — so protocol code only ever receives authenticated
 // messages.
 func Authenticate(auth crypto.Authenticator, frame []byte) (m wire.Message, checked bool, err error) {
-	m, signed, err := wire.DecodeSigned(frame)
+	m, signed, sig, err := wire.Open(frame)
 	if err != nil || signed == nil {
 		return m, false, err
 	}
 	if env, ok := m.(*wire.ShardEnvelope); ok {
-		s := env.Inner.(wire.Signed)
-		err = crypto.VerifyShard(auth, env.Shard, s.Signer(), signed, s.Signature())
+		err = crypto.VerifyShard(auth, env.Shard, env.Inner.(wire.Signed).Signer(), signed, sig)
 	} else {
-		s := m.(wire.Signed)
-		err = auth.Verify(s.Signer(), signed, s.Signature())
+		err = auth.Verify(m.(wire.Signed).Signer(), signed, sig)
 	}
 	if err != nil {
 		return m, true, ErrForged
@@ -186,7 +185,8 @@ func VerifyBatch(env Env, items []crypto.BatchItem) []error {
 
 // BatchItemOf builds the batch-verification item for a signed message.
 func BatchItemOf(m wire.Signed) crypto.BatchItem {
-	return crypto.BatchItem{Signer: m.Signer(), Data: m.SigBytes(), Sig: m.Signature()}
+	covered, sig := wire.Signing(m)
+	return crypto.BatchItem{Signer: m.Signer(), Data: covered, Sig: *sig}
 }
 
 // Emit publishes a protocol event stamped with env's identity and

@@ -34,9 +34,6 @@ func NewDirBackend(dir string) (*DirBackend, error) {
 	return &DirBackend{dir: dir}, nil
 }
 
-// Dir returns the backing directory path.
-func (b *DirBackend) Dir() string { return b.dir }
-
 func (b *DirBackend) path(name string) (string, error) {
 	if name == "" || name != filepath.Base(name) || strings.ContainsAny(name, "/\\") {
 		return "", fmt.Errorf("storage: invalid file name %q", name)

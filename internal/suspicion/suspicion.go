@@ -478,14 +478,14 @@ func (s *Store) SuspectGraphAt(epoch uint64) *graph.Graph {
 		return s.cache
 	}
 	s.mu.Unlock()
-	return s.RebuildSuspectGraphAt(epoch)
+	return s.rebuildSuspectGraphAt(epoch)
 }
 
-// RebuildSuspectGraphAt constructs the suspect graph for an epoch from
+// rebuildSuspectGraphAt constructs the suspect graph for an epoch from
 // the full matrix, bypassing the incremental cache — the pre-cache code
-// path, kept for arbitrary-epoch queries, differential tests, and as
-// the rebuild baseline in benchmarks.
-func (s *Store) RebuildSuspectGraphAt(epoch uint64) *graph.Graph {
+// path, kept for arbitrary-epoch queries and as the oracle the
+// incremental cache is tested against.
+func (s *Store) rebuildSuspectGraphAt(epoch uint64) *graph.Graph {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.env != nil {

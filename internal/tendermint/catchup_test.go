@@ -125,11 +125,11 @@ func TestForgedCertificatesRejected(t *testing.T) {
 	net := sim.NewNetwork(cfg, nodes, sim.Options{Auth: auth})
 
 	sign := func(m wire.Signed, as ids.ProcessID) {
-		sig, err := auth.Sign(as, m.SigBytes())
-		if err != nil {
+		covered, sig := wire.Signing(m)
+		var err error
+		if *sig, err = auth.Sign(as, covered); err != nil {
 			t.Fatal(err)
 		}
-		m.SetSignature(sig)
 	}
 	prop := &wire.TMProposal{Proposer: 2, Height: 1, Round: 0,
 		Req: wire.Request{Client: 9, Seq: 1, Op: []byte("evil op")}}

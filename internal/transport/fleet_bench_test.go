@@ -183,7 +183,19 @@ func TestFleetSharesOneConnectionPerPeer(t *testing.T) {
 			t.Fatalf("shard %d never committed its workload", s)
 		}
 	}
+	// A writer ticks its dial counter only once its lazy dial completes,
+	// which under load can trail the commits above: wait, with a bound,
+	// for every host to reach n-1 both ways, then require exactly n-1.
 	want := int64(cfg.N - 1)
+	waitFor(t, 10*time.Second, func() bool {
+		for _, p := range cfg.All() {
+			m := hosts[p].Metrics()
+			if m.Counter("transport.conns.dialed") < want || m.Counter("transport.conns.accepted") < want {
+				return false
+			}
+		}
+		return true
+	})
 	for _, p := range cfg.All() {
 		m := hosts[p].Metrics()
 		if got := m.Counter("transport.conns.dialed"); got != want {

@@ -36,16 +36,18 @@ func exactSizeSamples() []Message {
 
 // sizeOf is the length of m's frame as a sizing pass counts it.
 func sizeOf(m Message) int {
-	var b Buffer
-	encodeFrame(b.sizer(), m)
-	return b.n
+	c := newCodec()
+	defer c.release()
+	c.b = Buffer{sizing: true}
+	c.frame(m)
+	return c.b.n
 }
 
 // TestAppendEncodeSizesExactly: a frame that does not fit its
 // destination is counted before it is written again, so Encode makes
 // one allocation of exactly the frame's length, and AppendEncode grows
 // its destination at most once, to exactly the length needed, or not at
-// all when the room is there. An encodeBody that wrote around the
+// all when the room is there. A codec step that wrote around the
 // sizing-aware Put*/extend helpers would be undercounted and fail the
 // len == cap checks.
 func TestAppendEncodeSizesExactly(t *testing.T) {

@@ -21,12 +21,6 @@ var (
 	_ Signed  = (*PrePrepare)(nil)
 	_ Signed  = (*PBFTPrepare)(nil)
 	_ Signed  = (*PBFTCommit)(nil)
-
-	_ TraceCarrier = (*Batch)(nil)
-	_ TraceCarrier = (*Prepare)(nil)
-	_ TraceCarrier = (*Commit)(nil)
-	_ TraceCarrier = (*ViewChange)(nil)
-	_ TraceCarrier = (*NewView)(nil)
 )
 
 // Smallest encodings of the elements decoded into slices (every
@@ -52,18 +46,9 @@ type Heartbeat struct {
 // Kind implements Message.
 func (*Heartbeat) Kind() Type { return TypeHeartbeat }
 
-func (m *Heartbeat) encodeBody(b *Buffer) {
-	b.PutProc(m.From)
-	b.PutUint64(m.Seq)
-}
-
-func (m *Heartbeat) decodeBody(r *Reader) error {
-	var err error
-	if m.From, err = r.Proc(); err != nil {
-		return err
-	}
-	m.Seq, err = r.Uint64()
-	return err
+func (m *Heartbeat) layout(c *codec) {
+	c.proc(&m.From)
+	c.u64(&m.Seq)
 }
 
 // Update is Algorithm 1's ⟨UPDATE, suspected[i]⟩_σi message: the signed
@@ -80,48 +65,18 @@ type Update struct {
 // Kind implements Message.
 func (*Update) Kind() Type { return TypeUpdate }
 
-func (m *Update) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-}
-
-func (m *Update) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeUpdate))
-	b.PutProc(m.Owner)
-	b.PutUint64s(m.Row)
-}
-
-func (m *Update) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeUpdate); err != nil {
-		return err
-	}
-	var err error
-	if m.Owner, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.Row, err = r.Uint64s(); err != nil {
-		return err
-	}
-	m.Sig, err = r.sig()
-	return err
+func (m *Update) layout(c *codec) {
+	c.tag(TypeUpdate)
+	c.proc(&m.Owner)
+	c.u64s(&m.Row)
+	c.sig(&m.Sig)
 }
 
 // Signer implements Signed.
 func (m *Update) Signer() ids.ProcessID { return m.Owner }
 
 // SigBytes implements Signed.
-func (m *Update) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *Update) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *Update) SetSignature(sig []byte) { m.Sig = sig }
+func (m *Update) SigBytes() []byte { return sigBytes(m) }
 
 // Clone returns a deep copy, so stores can retain rows without aliasing
 // buffers owned by the transport.
@@ -155,70 +110,23 @@ type Followers struct {
 // Kind implements Message.
 func (*Followers) Kind() Type { return TypeFollowers }
 
-func (m *Followers) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-}
-
-func (m *Followers) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeFollowers))
-	b.PutProc(m.Leader)
-	b.PutUint64(m.Epoch)
-	b.PutProcs(m.Followers)
-	b.PutUint32(uint32(len(m.Line)))
-	for _, e := range m.Line {
-		b.PutProc(e.U)
-		b.PutProc(e.V)
+func (m *Followers) layout(c *codec) {
+	c.tag(TypeFollowers)
+	c.proc(&m.Leader)
+	c.u64(&m.Epoch)
+	c.procs(&m.Followers)
+	for i := range elems(c, &m.Line, minEdgeSize) {
+		c.proc(&m.Line[i].U)
+		c.proc(&m.Line[i].V)
 	}
-}
-
-func (m *Followers) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeFollowers); err != nil {
-		return err
-	}
-	var err error
-	if m.Leader, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.Epoch, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Followers, err = r.Procs(); err != nil {
-		return err
-	}
-	n, err := r.sliceLen(minEdgeSize)
-	if err != nil {
-		return err
-	}
-	m.Line = make([]Edge, n)
-	for i := range m.Line {
-		if m.Line[i].U, err = r.Proc(); err != nil {
-			return err
-		}
-		if m.Line[i].V, err = r.Proc(); err != nil {
-			return err
-		}
-	}
-	m.Sig, err = r.sig()
-	return err
+	c.sig(&m.Sig)
 }
 
 // Signer implements Signed.
 func (m *Followers) Signer() ids.ProcessID { return m.Leader }
 
 // SigBytes implements Signed.
-func (m *Followers) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *Followers) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *Followers) SetSignature(sig []byte) { m.Sig = sig }
+func (m *Followers) SigBytes() []byte { return sigBytes(m) }
 
 // Request is a client operation submitted to the replicated state
 // machine. Clients are identified outside Π, so Client is a plain
@@ -232,22 +140,10 @@ type Request struct {
 // Kind implements Message.
 func (*Request) Kind() Type { return TypeRequest }
 
-func (m *Request) encodeBody(b *Buffer) {
-	b.PutUint64(m.Client)
-	b.PutUint64(m.Seq)
-	b.PutBytes(m.Op)
-}
-
-func (m *Request) decodeBody(r *Reader) error {
-	var err error
-	if m.Client, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Seq, err = r.Uint64(); err != nil {
-		return err
-	}
-	m.Op, err = r.Bytes()
-	return err
+func (m *Request) layout(c *codec) {
+	c.u64(&m.Client)
+	c.u64(&m.Seq)
+	c.bytes(&m.Op)
 }
 
 // Equal reports whether two requests are identical.
@@ -270,36 +166,10 @@ type Batch struct {
 // Kind implements Message.
 func (*Batch) Kind() Type { return TypeBatch }
 
-func (m *Batch) encodeBody(b *Buffer) {
-	b.PutUint32(uint32(len(m.Reqs)))
-	for i := range m.Reqs {
-		m.Reqs[i].encodeBody(b)
-	}
-	b.PutTraceContext(m.TC)
+func (m *Batch) layout(c *codec) {
+	c.requests(&m.Reqs)
+	c.trace(&m.TC)
 }
-
-func (m *Batch) decodeBody(r *Reader) error {
-	n, err := r.sliceLen(minRequestSize)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Reqs = make([]Request, n)
-		for i := range m.Reqs {
-			if err := m.Reqs[i].decodeBody(r); err != nil {
-				return err
-			}
-		}
-	}
-	m.TC, err = r.TraceContext()
-	return err
-}
-
-// TraceCtx implements TraceCarrier.
-func (m *Batch) TraceCtx() TraceContext { return m.TC }
-
-// SetTraceCtx implements TraceCarrier.
-func (m *Batch) SetTraceCtx(tc TraceContext) { m.TC = tc }
 
 // Prepare is XPaxos's PREPARE: the leader proposes a slot's worth of
 // client requests in a view (§V-A step 1). Req is the first request of
@@ -323,65 +193,16 @@ type Prepare struct {
 // Kind implements Message.
 func (*Prepare) Kind() Type { return TypePrepare }
 
-func (m *Prepare) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-	b.PutTraceContext(m.TC)
+func (m *Prepare) layout(c *codec) {
+	c.tag(TypePrepare)
+	c.proc(&m.Leader)
+	c.u64(&m.View)
+	c.u64(&m.Slot)
+	m.Req.layout(c)
+	c.requests(&m.Rest)
+	c.sig(&m.Sig)
+	c.trace(&m.TC)
 }
-
-func (m *Prepare) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypePrepare))
-	b.PutProc(m.Leader)
-	b.PutUint64(m.View)
-	b.PutUint64(m.Slot)
-	m.Req.encodeBody(b)
-	b.PutUint32(uint32(len(m.Rest)))
-	for i := range m.Rest {
-		m.Rest[i].encodeBody(b)
-	}
-}
-
-func (m *Prepare) decodeBody(r *Reader) error {
-	if err := r.Tag(TypePrepare); err != nil {
-		return err
-	}
-	var err error
-	if m.Leader, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.View, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Slot, err = r.Uint64(); err != nil {
-		return err
-	}
-	if err = m.Req.decodeBody(r); err != nil {
-		return err
-	}
-	n, err := r.sliceLen(minRequestSize)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Rest = make([]Request, n)
-		for i := range m.Rest {
-			if err := m.Rest[i].decodeBody(r); err != nil {
-				return err
-			}
-		}
-	}
-	if m.Sig, err = r.sig(); err != nil {
-		return err
-	}
-	m.TC, err = r.TraceContext()
-	return err
-}
-
-// TraceCtx implements TraceCarrier.
-func (m *Prepare) TraceCtx() TraceContext { return m.TC }
-
-// SetTraceCtx implements TraceCarrier.
-func (m *Prepare) SetTraceCtx(tc TraceContext) { m.TC = tc }
 
 // Requests returns the slot's full batch in proposal order (Req
 // followed by Rest).
@@ -398,12 +219,7 @@ func (m *Prepare) Requests() []*Request {
 func (m *Prepare) Signer() ids.ProcessID { return m.Leader }
 
 // SigBytes implements Signed.
-func (m *Prepare) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
+func (m *Prepare) SigBytes() []byte { return sigBytes(m) }
 
 // SameSigned reports whether m and o have the same SigBytes, comparing
 // the covered fields instead of rendering them: the codec is canonical,
@@ -422,12 +238,6 @@ func (m *Prepare) SameSigned(o *Prepare) bool {
 	}
 	return true
 }
-
-// Signature implements Signed.
-func (m *Prepare) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *Prepare) SetSignature(sig []byte) { m.Sig = sig }
 
 // Commit is XPaxos's COMMIT. Per the paper's second protocol change in
 // §V-A, a COMMIT includes the full PREPARE message from the leader
@@ -449,74 +259,24 @@ type Commit struct {
 // Kind implements Message.
 func (*Commit) Kind() Type { return TypeCommit }
 
-func (m *Commit) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-	b.PutTraceContext(m.TC)
-}
-
-func (m *Commit) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeCommit))
-	b.PutProc(m.Replica)
-	b.PutUint64(m.View)
-	b.PutUint64(m.Slot)
-	b.PutBool(m.HasPrep)
+func (m *Commit) layout(c *codec) {
+	c.tag(TypeCommit)
+	c.proc(&m.Replica)
+	c.u64(&m.View)
+	c.u64(&m.Slot)
+	c.flag(&m.HasPrep)
 	if m.HasPrep {
-		m.Prep.encodeBody(b)
+		m.Prep.layout(c)
 	}
+	c.sig(&m.Sig)
+	c.trace(&m.TC)
 }
-
-func (m *Commit) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeCommit); err != nil {
-		return err
-	}
-	var err error
-	if m.Replica, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.View, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Slot, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.HasPrep, err = r.Bool(); err != nil {
-		return err
-	}
-	if m.HasPrep {
-		if err = m.Prep.decodeBody(r); err != nil {
-			return err
-		}
-	}
-	if m.Sig, err = r.sig(); err != nil {
-		return err
-	}
-	m.TC, err = r.TraceContext()
-	return err
-}
-
-// TraceCtx implements TraceCarrier.
-func (m *Commit) TraceCtx() TraceContext { return m.TC }
-
-// SetTraceCtx implements TraceCarrier.
-func (m *Commit) SetTraceCtx(tc TraceContext) { m.TC = tc }
 
 // Signer implements Signed.
 func (m *Commit) Signer() ids.ProcessID { return m.Replica }
 
 // SigBytes implements Signed.
-func (m *Commit) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *Commit) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *Commit) SetSignature(sig []byte) { m.Sig = sig }
+func (m *Commit) SigBytes() []byte { return sigBytes(m) }
 
 // Reply is a replica's response to a client request — the client-bound
 // leg of Fig 2. Clients live outside Π, so in-process harnesses observe
@@ -535,56 +295,20 @@ type Reply struct {
 // Kind implements Message.
 func (*Reply) Kind() Type { return TypeReply }
 
-func (m *Reply) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-}
-
-func (m *Reply) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeReply))
-	b.PutProc(m.Replica)
-	b.PutUint64(m.Client)
-	b.PutUint64(m.Seq)
-	b.PutBytes(m.Result)
-}
-
-func (m *Reply) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeReply); err != nil {
-		return err
-	}
-	var err error
-	if m.Replica, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.Client, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Seq, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Result, err = r.Bytes(); err != nil {
-		return err
-	}
-	m.Sig, err = r.sig()
-	return err
+func (m *Reply) layout(c *codec) {
+	c.tag(TypeReply)
+	c.proc(&m.Replica)
+	c.u64(&m.Client)
+	c.u64(&m.Seq)
+	c.bytes(&m.Result)
+	c.sig(&m.Sig)
 }
 
 // Signer implements Signed.
 func (m *Reply) Signer() ids.ProcessID { return m.Replica }
 
 // SigBytes implements Signed.
-func (m *Reply) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *Reply) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *Reply) SetSignature(sig []byte) { m.Sig = sig }
+func (m *Reply) SigBytes() []byte { return sigBytes(m) }
 
 // CommitCert is XPaxos's lazy-replication certificate: the full set of
 // COMMIT messages that committed a slot. Each COMMIT embeds the
@@ -599,30 +323,13 @@ type CommitCert struct {
 // Kind implements Message.
 func (*CommitCert) Kind() Type { return TypeCommitCert }
 
-func (m *CommitCert) encodeBody(b *Buffer) {
-	b.PutUint64(m.Slot)
-	b.PutUint32(uint32(len(m.Commits)))
-	for i := range m.Commits {
-		m.Commits[i].encodeBody(b)
+func (m *CommitCert) layout(c *codec) {
+	c.u64(&m.Slot)
+	c.depth++ // each COMMIT is a whole message: its Sig and TC are its own
+	for i := range elems(c, &m.Commits, minCommitSize) {
+		m.Commits[i].layout(c)
 	}
-}
-
-func (m *CommitCert) decodeBody(r *Reader) error {
-	var err error
-	if m.Slot, err = r.Uint64(); err != nil {
-		return err
-	}
-	n, err := r.sliceLen(minCommitSize)
-	if err != nil {
-		return err
-	}
-	m.Commits = make([]Commit, n)
-	for i := range m.Commits {
-		if err = m.Commits[i].decodeBody(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	c.depth--
 }
 
 // LogSlot is a prepared slot carried in view-change messages: the
@@ -654,88 +361,23 @@ type ViewChange struct {
 // Kind implements Message.
 func (*ViewChange) Kind() Type { return TypeViewChange }
 
-func (m *ViewChange) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-	b.PutTraceContext(m.TC)
+func (m *ViewChange) layout(c *codec) {
+	c.tag(TypeViewChange)
+	c.proc(&m.Replica)
+	c.u64(&m.NewViewNum)
+	c.u64(&m.CheckpointSlot)
+	c.bytes(&m.CheckpointDig)
+	c.bytes(&m.Snapshot)
+	c.log(&m.Log)
+	c.sig(&m.Sig)
+	c.trace(&m.TC)
 }
-
-func (m *ViewChange) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeViewChange))
-	b.PutProc(m.Replica)
-	b.PutUint64(m.NewViewNum)
-	b.PutUint64(m.CheckpointSlot)
-	b.PutBytes(m.CheckpointDig)
-	b.PutBytes(m.Snapshot)
-	b.PutUint32(uint32(len(m.Log)))
-	for i := range m.Log {
-		b.PutUint64(m.Log[i].Slot)
-		m.Log[i].Prep.encodeBody(b)
-	}
-}
-
-func (m *ViewChange) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeViewChange); err != nil {
-		return err
-	}
-	var err error
-	if m.Replica, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.NewViewNum, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.CheckpointSlot, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.CheckpointDig, err = r.Bytes(); err != nil {
-		return err
-	}
-	if m.Snapshot, err = r.Bytes(); err != nil {
-		return err
-	}
-	n, err := r.sliceLen(minLogSlotSize)
-	if err != nil {
-		return err
-	}
-	m.Log = make([]LogSlot, n)
-	for i := range m.Log {
-		if m.Log[i].Slot, err = r.Uint64(); err != nil {
-			return err
-		}
-		if err = m.Log[i].Prep.decodeBody(r); err != nil {
-			return err
-		}
-	}
-	if m.Sig, err = r.sig(); err != nil {
-		return err
-	}
-	m.TC, err = r.TraceContext()
-	return err
-}
-
-// TraceCtx implements TraceCarrier.
-func (m *ViewChange) TraceCtx() TraceContext { return m.TC }
-
-// SetTraceCtx implements TraceCarrier.
-func (m *ViewChange) SetTraceCtx(tc TraceContext) { m.TC = tc }
 
 // Signer implements Signed.
 func (m *ViewChange) Signer() ids.ProcessID { return m.Replica }
 
 // SigBytes implements Signed.
-func (m *ViewChange) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *ViewChange) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *ViewChange) SetSignature(sig []byte) { m.Sig = sig }
+func (m *ViewChange) SigBytes() []byte { return sigBytes(m) }
 
 // NewView installs a view: the new leader's consolidated log, assembled
 // from the VIEW-CHANGE messages of the new active quorum, plus the
@@ -755,81 +397,19 @@ type NewView struct {
 // Kind implements Message.
 func (*NewView) Kind() Type { return TypeNewView }
 
-func (m *NewView) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-	b.PutTraceContext(m.TC)
+func (m *NewView) layout(c *codec) {
+	c.tag(TypeNewView)
+	c.proc(&m.Leader)
+	c.u64(&m.ViewNum)
+	c.u64(&m.CheckpointSlot)
+	c.bytes(&m.Snapshot)
+	c.log(&m.Log)
+	c.sig(&m.Sig)
+	c.trace(&m.TC)
 }
-
-func (m *NewView) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeNewView))
-	b.PutProc(m.Leader)
-	b.PutUint64(m.ViewNum)
-	b.PutUint64(m.CheckpointSlot)
-	b.PutBytes(m.Snapshot)
-	b.PutUint32(uint32(len(m.Log)))
-	for i := range m.Log {
-		b.PutUint64(m.Log[i].Slot)
-		m.Log[i].Prep.encodeBody(b)
-	}
-}
-
-func (m *NewView) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeNewView); err != nil {
-		return err
-	}
-	var err error
-	if m.Leader, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.ViewNum, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.CheckpointSlot, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Snapshot, err = r.Bytes(); err != nil {
-		return err
-	}
-	n, err := r.sliceLen(minLogSlotSize)
-	if err != nil {
-		return err
-	}
-	m.Log = make([]LogSlot, n)
-	for i := range m.Log {
-		if m.Log[i].Slot, err = r.Uint64(); err != nil {
-			return err
-		}
-		if err = m.Log[i].Prep.decodeBody(r); err != nil {
-			return err
-		}
-	}
-	if m.Sig, err = r.sig(); err != nil {
-		return err
-	}
-	m.TC, err = r.TraceContext()
-	return err
-}
-
-// TraceCtx implements TraceCarrier.
-func (m *NewView) TraceCtx() TraceContext { return m.TC }
-
-// SetTraceCtx implements TraceCarrier.
-func (m *NewView) SetTraceCtx(tc TraceContext) { m.TC = tc }
 
 // Signer implements Signed.
 func (m *NewView) Signer() ids.ProcessID { return m.Leader }
 
 // SigBytes implements Signed.
-func (m *NewView) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *NewView) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *NewView) SetSignature(sig []byte) { m.Sig = sig }
+func (m *NewView) SigBytes() []byte { return sigBytes(m) }

@@ -18,12 +18,17 @@ func MutateFrame(rng *rand.Rand, frame []byte) []byte {
 	if len(frame) == 0 {
 		return append(frame, byte(1+rng.Intn(255)))
 	}
-	switch rng.Intn(7) {
-	case 0:
-		// Single bit flip anywhere, type tag included: the classic
-		// corrupted-field commission fault. XOR can never be identity.
+	// flip is a single bit flip anywhere, type tag included: the classic
+	// corrupted-field commission fault. XOR can never be identity. The
+	// re-encoding arms below degrade to it on a frame that does not
+	// carry what they rewrite.
+	flip := func() []byte {
 		frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))
 		return frame
+	}
+	switch rng.Intn(7) {
+	case 0:
+		return flip()
 	case 1:
 		// Whole-byte corruption of one field byte.
 		frame[rng.Intn(len(frame))] ^= byte(1 + rng.Intn(255))
@@ -47,20 +52,16 @@ func MutateFrame(rng *rand.Rand, frame []byte) []byte {
 		// treat it as at worst a wrong trace, never a protocol input.
 		m, err := Decode(frame)
 		if err != nil {
-			frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))
-			return frame
+			return flip()
 		}
-		c, ok := m.(TraceCarrier)
-		if !ok {
-			frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))
-			return frame
+		tc := TraceField(m)
+		if tc == nil {
+			return flip()
 		}
-		tc := c.TraceCtx()
 		// XOR with a non-zero delta so the context — and with it the
 		// re-encoded frame — always differs from the original.
 		tc.Trace ^= 1 + uint64(rng.Int63())
 		tc.Span ^= uint64(rng.Int63())
-		c.SetTraceCtx(tc)
 		return AppendEncode(frame[:0], m)
 	case 5:
 		// Shard-ID scramble: relabel a fleet envelope's shard field —
@@ -72,13 +73,11 @@ func MutateFrame(rng *rand.Rand, frame []byte) []byte {
 		// demultiplexer).
 		m, err := Decode(frame)
 		if err != nil {
-			frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))
-			return frame
+			return flip()
 		}
 		env, ok := m.(*ShardEnvelope)
 		if !ok {
-			frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))
-			return frame
+			return flip()
 		}
 		// XOR with a non-zero delta so the shard — and with it the
 		// re-encoded frame — always differs from the original. Small
@@ -91,18 +90,18 @@ func MutateFrame(rng *rand.Rand, frame []byte) []byte {
 		// signature — a forgery attempt that must die at Verify.
 		m, err := Decode(frame)
 		if err != nil {
-			// Not a valid frame to begin with; degrade to a bit flip.
-			frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))
-			return frame
+			return flip()
 		}
 		s, ok := m.(Signed)
-		if !ok || len(s.Signature()) == 0 {
-			frame[rng.Intn(len(frame))] ^= 1 << uint(rng.Intn(8))
-			return frame
+		if !ok {
+			return flip()
 		}
-		sig := append([]byte(nil), s.Signature()...)
-		sig[rng.Intn(len(sig))] ^= byte(1 + rng.Intn(255))
-		s.SetSignature(sig)
+		// A decoded signature is a copy, never the frame's bytes.
+		_, sig := Signing(s)
+		if len(*sig) == 0 {
+			return flip()
+		}
+		(*sig)[rng.Intn(len(*sig))] ^= byte(1 + rng.Intn(255))
 		return AppendEncode(frame[:0], m)
 	}
 }

@@ -39,44 +39,43 @@ const envelopeHeader = 1 + 4 + 4
 // Kind implements Message.
 func (*ShardEnvelope) Kind() Type { return TypeShardEnvelope }
 
-func (m *ShardEnvelope) encodeBody(b *Buffer) {
-	b.PutUint32(m.Shard)
-	at := len(b.buf)
-	b.PutUint32(0) // the inner frame's length, filled in below
-	b.PutUint8(uint8(m.Inner.Kind()))
-	m.Inner.encodeBody(b)
-	if !b.sizing {
-		binary.BigEndian.PutUint32(b.buf[at:], uint32(len(b.buf)-at-4))
+// layout is written by hand: the inner frame's length is patched in
+// once it is written, and a decoded inner frame must fill that length
+// exactly and never be another envelope.
+func (m *ShardEnvelope) layout(c *codec) {
+	c.u32(&m.Shard)
+	if !c.dec {
+		at := len(c.b.buf)
+		c.b.PutUint32(0) // the inner frame's length, filled in below
+		c.frame(m.Inner)
+		if !c.b.sizing {
+			binary.BigEndian.PutUint32(c.b.buf[at:], uint32(len(c.b.buf)-at-4))
+		}
+		return
 	}
-}
-
-func (m *ShardEnvelope) decodeBody(r *Reader) error {
-	var err error
-	if m.Shard, err = r.Uint32(); err != nil {
-		return err
+	if c.err != nil {
+		return
 	}
-	n, err := r.sliceLen(1)
-	if err != nil {
-		return err
+	n, err := c.r.sliceLen(1)
+	switch {
+	case err != nil:
+		c.err = err
+	case n == 0:
+		c.err = fmt.Errorf("wire: empty shard-envelope frame")
+	case Type(c.r.buf[c.r.off]) == TypeShardEnvelope:
+		c.err = fmt.Errorf("wire: nested shard envelope")
 	}
-	if n == 0 {
-		return fmt.Errorf("wire: empty shard-envelope frame")
-	}
-	if Type(r.buf[r.off]) == TypeShardEnvelope {
-		return fmt.Errorf("wire: nested shard envelope")
+	if c.err != nil {
+		return
 	}
 	// The inner frame is read in place, with the reader cut off where it
 	// ends: it must fill its length exactly, like a frame of its own.
-	full := r.buf
-	r.buf = r.buf[:r.off+n]
-	m.Inner, err = r.message()
-	trailing := r.Remaining()
-	r.buf = full
-	if err != nil {
-		return err
+	full := c.r.buf
+	c.r.buf = full[:c.r.off+n]
+	m.Inner = c.message()
+	trailing := c.r.Remaining()
+	c.r.buf = full
+	if c.err == nil && trailing != 0 {
+		c.err = fmt.Errorf("wire: %d trailing bytes after enveloped %s", trailing, m.Inner.Kind())
 	}
-	if trailing != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after enveloped %s", trailing, m.Inner.Kind())
-	}
-	return nil
 }

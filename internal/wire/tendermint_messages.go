@@ -24,56 +24,20 @@ type TMProposal struct {
 // Kind implements Message.
 func (*TMProposal) Kind() Type { return TypeTMProposal }
 
-func (m *TMProposal) encodeBody(b *Buffer) {
-	m.encodeSigned(b)
-	b.PutBytes(m.Sig)
-}
-
-func (m *TMProposal) encodeSigned(b *Buffer) {
-	b.PutUint8(uint8(TypeTMProposal))
-	b.PutProc(m.Proposer)
-	b.PutUint64(m.Height)
-	b.PutUint64(m.Round)
-	m.Req.encodeBody(b)
-}
-
-func (m *TMProposal) decodeBody(r *Reader) error {
-	if err := r.Tag(TypeTMProposal); err != nil {
-		return err
-	}
-	var err error
-	if m.Proposer, err = r.Proc(); err != nil {
-		return err
-	}
-	if m.Height, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Round, err = r.Uint64(); err != nil {
-		return err
-	}
-	if err = m.Req.decodeBody(r); err != nil {
-		return err
-	}
-	m.Sig, err = r.sig()
-	return err
+func (m *TMProposal) layout(c *codec) {
+	c.tag(TypeTMProposal)
+	c.proc(&m.Proposer)
+	c.u64(&m.Height)
+	c.u64(&m.Round)
+	m.Req.layout(c)
+	c.sig(&m.Sig)
 }
 
 // Signer implements Signed.
 func (m *TMProposal) Signer() ids.ProcessID { return m.Proposer }
 
 // SigBytes implements Signed.
-func (m *TMProposal) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer())
-	m.encodeSigned(b.sized(nil))
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *TMProposal) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *TMProposal) SetSignature(sig []byte) { m.Sig = sig }
+func (m *TMProposal) SigBytes() []byte { return sigBytes(m) }
 
 // TMPrevote is a prevote on (height=Slot, round=View, proposal digest).
 // It reuses the generic phase-vote shape.
@@ -84,29 +48,10 @@ type TMPrevote struct {
 // Kind implements Message.
 func (*TMPrevote) Kind() Type { return TypeTMPrevote }
 
-func (m *TMPrevote) encodeBody(b *Buffer) {
-	m.encodeSigned(b, TypeTMPrevote)
-	b.PutBytes(m.Sig)
-}
-
-func (m *TMPrevote) decodeBody(r *Reader) error { return m.decode(r, TypeTMPrevote) }
-
-// Signer implements Signed.
-func (m *TMPrevote) Signer() ids.ProcessID { return m.Replica }
+func (m *TMPrevote) layout(c *codec) { m.layoutAs(c, TypeTMPrevote) }
 
 // SigBytes implements Signed.
-func (m *TMPrevote) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer(), TypeTMPrevote)
-	m.encodeSigned(b.sized(nil), TypeTMPrevote)
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *TMPrevote) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *TMPrevote) SetSignature(sig []byte) { m.Sig = sig }
+func (m *TMPrevote) SigBytes() []byte { return sigBytes(m) }
 
 // TMDecided is a self-certifying decision certificate: the decided
 // proposal together with the precommit votes that justify it. It is not
@@ -124,38 +69,15 @@ type TMDecided struct {
 // Kind implements Message.
 func (*TMDecided) Kind() Type { return TypeTMDecided }
 
-func (m *TMDecided) encodeBody(b *Buffer) {
-	b.PutUint64(m.Height)
-	b.PutUint64(m.Round)
-	m.Proposal.encodeBody(b)
-	b.PutUint32(uint32(len(m.Precommits)))
-	for i := range m.Precommits {
-		m.Precommits[i].encodeBody(b)
+func (m *TMDecided) layout(c *codec) {
+	c.u64(&m.Height)
+	c.u64(&m.Round)
+	c.depth++ // the proposal and votes are whole messages: their Sigs are their own
+	m.Proposal.layout(c)
+	for i := range elems(c, &m.Precommits, minPhaseBodySize) {
+		m.Precommits[i].layout(c)
 	}
-}
-
-func (m *TMDecided) decodeBody(r *Reader) error {
-	var err error
-	if m.Height, err = r.Uint64(); err != nil {
-		return err
-	}
-	if m.Round, err = r.Uint64(); err != nil {
-		return err
-	}
-	if err = m.Proposal.decodeBody(r); err != nil {
-		return err
-	}
-	n, err := r.sliceLen(minPhaseBodySize)
-	if err != nil {
-		return err
-	}
-	m.Precommits = make([]TMPrecommit, n)
-	for i := range m.Precommits {
-		if err = m.Precommits[i].decodeBody(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	c.depth--
 }
 
 // TMPrecommit is a precommit vote; same shape as TMPrevote.
@@ -166,26 +88,7 @@ type TMPrecommit struct {
 // Kind implements Message.
 func (*TMPrecommit) Kind() Type { return TypeTMPrecommit }
 
-func (m *TMPrecommit) encodeBody(b *Buffer) {
-	m.encodeSigned(b, TypeTMPrecommit)
-	b.PutBytes(m.Sig)
-}
-
-func (m *TMPrecommit) decodeBody(r *Reader) error { return m.decode(r, TypeTMPrecommit) }
-
-// Signer implements Signed.
-func (m *TMPrecommit) Signer() ids.ProcessID { return m.Replica }
+func (m *TMPrecommit) layout(c *codec) { m.layoutAs(c, TypeTMPrecommit) }
 
 // SigBytes implements Signed.
-func (m *TMPrecommit) SigBytes() []byte {
-	var b Buffer
-	m.encodeSigned(b.sizer(), TypeTMPrecommit)
-	m.encodeSigned(b.sized(nil), TypeTMPrecommit)
-	return b.buf
-}
-
-// Signature implements Signed.
-func (m *TMPrecommit) Signature() []byte { return m.Sig }
-
-// SetSignature implements Signed.
-func (m *TMPrecommit) SetSignature(sig []byte) { m.Sig = sig }
+func (m *TMPrecommit) SigBytes() []byte { return sigBytes(m) }

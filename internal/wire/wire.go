@@ -5,16 +5,18 @@
 // JSON-based: signatures are computed over the canonical encoding, so
 // encoding must be deterministic and stable across processes. All
 // integers are encoded big-endian with fixed width; slices are
-// length-prefixed with uint32.
+// length-prefixed with uint32. Each message describes its format once,
+// in a layout method that encoding, SigBytes and decoding all run (see
+// codec).
 //
 // No encode grows its buffer step by step. Encode, AppendEncode and
 // EncodePooled write into the room their destination has; a frame that
 // does not fit is counted to its end (Buffer's sizing mode, which
 // counts instead of appending) and written again into one allocation
-// of exactly the size needed. SigBytes sizes first, then fills. Each
-// encode therefore makes at most one allocation, of exactly the frame's
-// length — none when the destination has room — however large the
-// message (a whole-log VIEW-CHANGE included).
+// of exactly the size needed. SigBytes does the same through a scratch
+// buffer. Each encode therefore makes at most one allocation, of exactly
+// the frame's length — none when the destination has room — however
+// large the message (a whole-log VIEW-CHANGE included).
 //
 // Message kinds:
 //
@@ -77,75 +79,68 @@ const (
 	NumTypes = int(iota) + 1
 )
 
+// kinds names every message type and makes an empty message of it for
+// a decode to fill.
+var kinds = [NumTypes]struct {
+	name  string
+	alloc func() Message
+}{
+	TypeHeartbeat:     {"HEARTBEAT", func() Message { return new(Heartbeat) }},
+	TypeUpdate:        {"UPDATE", func() Message { return new(Update) }},
+	TypeFollowers:     {"FOLLOWERS", func() Message { return new(Followers) }},
+	TypeRequest:       {"REQUEST", func() Message { return new(Request) }},
+	TypePrepare:       {"PREPARE", func() Message { return new(Prepare) }},
+	TypeCommit:        {"COMMIT", func() Message { return new(Commit) }},
+	TypeReply:         {"REPLY", func() Message { return new(Reply) }},
+	TypeViewChange:    {"VIEW-CHANGE", func() Message { return new(ViewChange) }},
+	TypeNewView:       {"NEW-VIEW", func() Message { return new(NewView) }},
+	TypePrePrepare:    {"PRE-PREPARE", func() Message { return new(PrePrepare) }},
+	TypePBFTPrepare:   {"PBFT-PREPARE", func() Message { return new(PBFTPrepare) }},
+	TypePBFTCommit:    {"PBFT-COMMIT", func() Message { return new(PBFTCommit) }},
+	TypeTMProposal:    {"TM-PROPOSAL", func() Message { return new(TMProposal) }},
+	TypeTMPrevote:     {"TM-PREVOTE", func() Message { return new(TMPrevote) }},
+	TypeTMPrecommit:   {"TM-PRECOMMIT", func() Message { return new(TMPrecommit) }},
+	TypeTMDecided:     {"TM-DECIDED", func() Message { return new(TMDecided) }},
+	TypeCommitCert:    {"COMMIT-CERT", func() Message { return new(CommitCert) }},
+	TypeBatch:         {"BATCH", func() Message { return new(Batch) }},
+	TypeShardEnvelope: {"SHARD-ENVELOPE", func() Message { return new(ShardEnvelope) }},
+}
+
 // String returns the protocol name of the message type.
 func (t Type) String() string {
-	switch t {
-	case TypeHeartbeat:
-		return "HEARTBEAT"
-	case TypeUpdate:
-		return "UPDATE"
-	case TypeFollowers:
-		return "FOLLOWERS"
-	case TypeRequest:
-		return "REQUEST"
-	case TypePrepare:
-		return "PREPARE"
-	case TypeCommit:
-		return "COMMIT"
-	case TypeReply:
-		return "REPLY"
-	case TypeViewChange:
-		return "VIEW-CHANGE"
-	case TypeNewView:
-		return "NEW-VIEW"
-	case TypePrePrepare:
-		return "PRE-PREPARE"
-	case TypePBFTPrepare:
-		return "PBFT-PREPARE"
-	case TypePBFTCommit:
-		return "PBFT-COMMIT"
-	case TypeTMProposal:
-		return "TM-PROPOSAL"
-	case TypeTMPrevote:
-		return "TM-PREVOTE"
-	case TypeTMPrecommit:
-		return "TM-PRECOMMIT"
-	case TypeTMDecided:
-		return "TM-DECIDED"
-	case TypeCommitCert:
-		return "COMMIT-CERT"
-	case TypeBatch:
-		return "BATCH"
-	case TypeShardEnvelope:
-		return "SHARD-ENVELOPE"
-	default:
-		return fmt.Sprintf("TYPE(%d)", uint8(t))
+	if int(t) < NumTypes && kinds[t].name != "" {
+		return kinds[t].name
 	}
+	return fmt.Sprintf("TYPE(%d)", uint8(t))
+}
+
+// newMessage returns an empty message of type t, or nil for an unknown
+// or reserved type.
+func newMessage(t Type) Message {
+	if int(t) < NumTypes && kinds[t].alloc != nil {
+		return kinds[t].alloc()
+	}
+	return nil
 }
 
 // Message is implemented by every wire message.
 type Message interface {
 	// Kind returns the message's wire type.
 	Kind() Type
-	// encodeBody appends the canonical encoding of all fields
-	// (including any signature) to b.
-	encodeBody(b *Buffer)
-	// decodeBody parses the canonical encoding from b.
-	decodeBody(b *Reader) error
+	// layout lists the message's fields to c in wire order (see codec),
+	// which encodes, sizes or decodes them.
+	layout(c *codec)
 }
 
 // Signed is implemented by messages that carry a content signature
-// (as opposed to link-level authentication).
+// (as opposed to link-level authentication). The signature field is
+// reached through Signing.
 type Signed interface {
 	Message
 	// Signer returns the process whose key must verify the signature.
 	Signer() ids.ProcessID
 	// SigBytes returns the canonical bytes covered by the signature.
 	SigBytes() []byte
-	// Signature returns the attached signature.
-	Signature() []byte
-	// SetSignature attaches a signature.
-	SetSignature(sig []byte)
 }
 
 // ErrTruncated is returned when a decode runs out of bytes.
@@ -171,18 +166,6 @@ type TraceContext struct {
 // Zero reports whether the context is the untraced zero value.
 func (tc TraceContext) Zero() bool { return tc.Trace == 0 && tc.Span == 0 }
 
-// TraceCarrier is implemented by messages that piggyback a
-// TraceContext.
-type TraceCarrier interface {
-	Message
-	// TraceCtx returns the piggybacked context.
-	TraceCtx() TraceContext
-	// SetTraceCtx replaces the piggybacked context. For bare signed
-	// frames this never invalidates the signature (the context is
-	// outside SigBytes).
-	SetTraceCtx(tc TraceContext)
-}
-
 // ErrUnknownType is returned when a decode meets an unknown type tag.
 var ErrUnknownType = errors.New("wire: unknown message type")
 
@@ -205,28 +188,17 @@ func Encode(m Message) []byte {
 // grown to exactly the length needed. So a dst with room is filled in
 // place without allocating, and any other grows once.
 func AppendEncode(dst []byte, m Message) []byte {
-	b := bufferPool.Get().(*Buffer)
-	*b = Buffer{buf: dst, bounded: true, start: len(dst)}
-	encodeFrame(b, m)
-	if b.sizing {
-		encodeFrame(b.sized(dst), m)
+	c := newCodec()
+	c.b = Buffer{buf: dst, bounded: true, start: len(dst)}
+	c.frame(m)
+	if c.b.sizing {
+		c.b.sized(dst)
+		c.frame(m)
 	}
-	dst = b.buf
-	*b = Buffer{}
-	bufferPool.Put(b)
+	dst = c.b.buf
+	c.release()
 	return dst
 }
-
-// encodeFrame writes m's frame: its type tag, then its body.
-func encodeFrame(b *Buffer, m Message) {
-	b.PutUint8(uint8(m.Kind()))
-	m.encodeBody(b)
-}
-
-// bufferPool recycles AppendEncode's encoder: handed to encodeBody
-// through an interface, a Buffer would otherwise escape to the heap
-// once per encode.
-var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
 // framePool recycles encode buffers across the hot send paths
 // (simulator deliveries, transport frames). Buffers keep their capacity
@@ -264,7 +236,7 @@ func Recycle(buf []byte) {
 
 // Decode parses canonical bytes into a fresh message value.
 func Decode(data []byte) (Message, error) {
-	m, _, err := DecodeSigned(data)
+	m, _, _, err := Open(data)
 	return m, err
 }
 
@@ -276,91 +248,41 @@ func Decode(data []byte) (Message, error) {
 // checks the signature without re-encoding anything. Unlike the decoded
 // message they alias data: they are valid only as long as data is.
 func DecodeSigned(data []byte) (Message, []byte, error) {
-	r := &Reader{buf: data}
-	m, err := r.message()
-	if err != nil {
-		return nil, nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("wire: %d trailing bytes after %s", r.Remaining(), m.Kind())
-	}
-	signed, start := m, 1 // the signed bytes begin after the type tag
-	if env, ok := m.(*ShardEnvelope); ok {
-		signed, start = env.Inner, envelopeHeader+1
-	}
-	if _, ok := signed.(Signed); !ok {
-		return m, nil, nil
-	}
-	return m, data[start:r.sigEnd:r.sigEnd], nil
+	m, signed, _, err := Open(data)
+	return m, signed, err
 }
 
-// message reads one frame: its type tag, then the body.
-func (r *Reader) message() (Message, error) {
-	tag, err := r.Uint8()
-	if err != nil {
-		return nil, err
+// Open is DecodeSigned that also returns the signature of the message
+// whose signed bytes it keeps (nil with them), read on the way: a
+// receiver authenticates the frame from its results alone.
+func Open(data []byte) (m Message, signed, sig []byte, err error) {
+	c := newCodec()
+	c.dec, c.r = true, Reader{buf: data}
+	m = c.message()
+	if c.err == nil && c.r.Remaining() != 0 {
+		c.err = fmt.Errorf("wire: %d trailing bytes after %s", c.r.Remaining(), m.Kind())
 	}
-	m := newMessage(Type(tag))
-	if m == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, tag)
+	if err = c.err; err != nil {
+		m = nil
+	} else {
+		carried, start := m, 1 // the signed bytes begin after the type tag
+		if env, ok := m.(*ShardEnvelope); ok {
+			carried, start = env.Inner, envelopeHeader+1
+		}
+		if _, ok := carried.(Signed); ok {
+			signed, sig = data[start:c.sigEnd:c.sigEnd], *c.ownSig
+		}
 	}
-	if err := m.decodeBody(r); err != nil {
-		return nil, err
-	}
-	return m, nil
+	c.release()
+	return m, signed, sig, err
 }
 
-func newMessage(t Type) Message {
-	switch t {
-	case TypeHeartbeat:
-		return &Heartbeat{}
-	case TypeUpdate:
-		return &Update{}
-	case TypeFollowers:
-		return &Followers{}
-	case TypeRequest:
-		return &Request{}
-	case TypePrepare:
-		return &Prepare{}
-	case TypeCommit:
-		return &Commit{}
-	case TypeReply:
-		return &Reply{}
-	case TypeViewChange:
-		return &ViewChange{}
-	case TypeNewView:
-		return &NewView{}
-	case TypePrePrepare:
-		return &PrePrepare{}
-	case TypePBFTPrepare:
-		return &PBFTPrepare{}
-	case TypePBFTCommit:
-		return &PBFTCommit{}
-	case TypeTMProposal:
-		return &TMProposal{}
-	case TypeTMPrevote:
-		return &TMPrevote{}
-	case TypeTMPrecommit:
-		return &TMPrecommit{}
-	case TypeTMDecided:
-		return &TMDecided{}
-	case TypeCommitCert:
-		return &CommitCert{}
-	case TypeBatch:
-		return &Batch{}
-	case TypeShardEnvelope:
-		return &ShardEnvelope{}
-	default:
-		return nil
-	}
-}
-
-// Buffer is an append-only canonical encoder. In sizing mode (see
-// sizer) every Put counts the bytes it would append instead of
-// appending them, which is how an encode learns its exact size before
-// it allocates. An encoder appends only through the Put methods and
-// extend, so the count cannot miss a byte (TestAppendEncodeSizesExactly
-// checks every kind).
+// Buffer is an append-only canonical encoder. In sizing mode
+// (Buffer{sizing: true}) every Put counts the bytes it would append
+// instead of appending them, which is how an encode learns its exact
+// size before it allocates. The codec appends only through the Put
+// methods and extend, so the count cannot miss a byte
+// (TestAppendEncodeSizesExactly checks every kind).
 type Buffer struct {
 	buf []byte
 	// bounded confines the encoder to cap(buf): the first Put that does
@@ -372,23 +294,16 @@ type Buffer struct {
 	n       int // bytes counted in sizing mode
 }
 
-// sizer puts b in sizing mode and returns it.
-func (b *Buffer) sizer() *Buffer {
-	*b = Buffer{sizing: true}
-	return b
-}
-
 // sized ends the sizing pass: b becomes an encoder appending to dst,
 // grown first — in one allocation, if at all — to hold exactly the
 // number of bytes the pass counted.
-func (b *Buffer) sized(dst []byte) *Buffer {
+func (b *Buffer) sized(dst []byte) {
 	if cap(dst)-len(dst) < b.n {
 		grown := make([]byte, len(dst), len(dst)+b.n)
 		copy(grown, dst)
 		dst = grown
 	}
 	*b = Buffer{buf: dst}
-	return b
 }
 
 // Bytes returns the accumulated encoding.
@@ -431,12 +346,16 @@ func (b *Buffer) PutUint8(v uint8) {
 	b.buf = append(b.buf, v)
 }
 
-// PutUint32 appends a big-endian uint32.
+// PutUint32 appends a big-endian uint32. Like every Put it extends
+// b.buf in place, which stores only the length unless the slice grows:
+// storing a returned slice would cost a GC write barrier per field in a
+// heap-resident Buffer, such as the pooled codec's.
 func (b *Buffer) PutUint32(v uint32) {
 	if b.counts(4) {
 		return
 	}
-	b.buf = binary.BigEndian.AppendUint32(b.buf, v)
+	b.buf = append(b.buf, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(b.buf[len(b.buf)-4:], v)
 }
 
 // PutUint64 appends a big-endian uint64.
@@ -444,7 +363,8 @@ func (b *Buffer) PutUint64(v uint64) {
 	if b.counts(8) {
 		return
 	}
-	b.buf = binary.BigEndian.AppendUint64(b.buf, v)
+	b.buf = append(b.buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint64(b.buf[len(b.buf)-8:], v)
 }
 
 // PutBool appends a boolean as one byte.
@@ -489,10 +409,9 @@ func (b *Buffer) PutUint64s(vs []uint64) {
 // encoding/binary). The encoding is minimal by construction, matching
 // the Reader's canonicity requirement.
 func (b *Buffer) PutUvarint(v uint64) {
-	if b.counts((bits.Len64(v|1) + 6) / 7) {
-		return
+	if dst := b.extend((bits.Len64(v|1) + 6) / 7); dst != nil {
+		binary.PutUvarint(dst, v)
 	}
-	b.buf = binary.AppendUvarint(b.buf, v)
 }
 
 // PutTraceContext appends a trace context as two uvarints. The common
@@ -506,9 +425,6 @@ func (b *Buffer) PutTraceContext(tc TraceContext) {
 type Reader struct {
 	buf []byte
 	off int
-	// sigEnd is where the signed bytes of the last signature read end
-	// (see sig): for a signed message, the end of its SigBytes range.
-	sigEnd int
 }
 
 // NewReader wraps data for decoding.
@@ -618,15 +534,6 @@ func (r *Reader) Bytes() ([]byte, error) {
 	copy(out, r.buf[r.off:])
 	r.off += n
 	return out, nil
-}
-
-// sig reads a signed message's Sig field, which follows the bytes the
-// signature covers, and marks where those end. A message embedding
-// another reads its own Sig last, so after a whole frame the mark is
-// the outermost message's.
-func (r *Reader) sig() ([]byte, error) {
-	r.sigEnd = r.off
-	return r.Bytes()
 }
 
 // Procs reads a length-prefixed slice of process identifiers.

@@ -239,20 +239,16 @@ func TestDecodeHugeClaimAllocatesNothing(t *testing.T) {
 // codec: each is exactly the encoding of the element's zero value. A
 // bound above the real minimum would reject valid frames.
 func TestMinElementSizes(t *testing.T) {
-	size := func(enc func(b *Buffer)) int {
-		var b Buffer
-		enc(&b)
-		return len(b.Bytes())
-	}
+	size := func(m Message) int { return len(Encode(m)) - 1 } // the body, without the frame's type tag
 	checks := []struct {
 		name      string
 		got, want int
 	}{
-		{"request", size((&Request{}).encodeBody), minRequestSize},
-		{"prepare", size((&Prepare{}).encodeBody), minPrepareSize},
-		{"commit", size((&Commit{}).encodeBody), minCommitSize},
-		{"phase body", size((&TMPrecommit{}).encodeBody), minPhaseBodySize},
-		{"log slot", 8 + size((&Prepare{}).encodeBody), minLogSlotSize},
+		{"request", size(&Request{}), minRequestSize},
+		{"prepare", size(&Prepare{}), minPrepareSize},
+		{"commit", size(&Commit{}), minCommitSize},
+		{"phase body", size(&TMPrecommit{}), minPhaseBodySize},
+		{"log slot", 8 + size(&Prepare{}), minLogSlotSize},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -287,12 +283,18 @@ func TestSigBytesExcludeSignature(t *testing.T) {
 		if !ok {
 			continue
 		}
-		before := s.SigBytes()
-		s.SetSignature([]byte("different signature"))
+		before, sig := Signing(s)
+		*sig = []byte("different signature")
 		if !bytes.Equal(before, s.SigBytes()) {
 			t.Errorf("%s: SigBytes covers the signature field", m.Kind())
 		}
 	}
+}
+
+// signature returns s's signature field.
+func signature(s Signed) []byte {
+	_, sig := Signing(s)
+	return *sig
 }
 
 func TestSigBytesDomainSeparated(t *testing.T) {

@@ -724,11 +724,11 @@ func (r *Replica) onCommit(c *wire.Commit) {
 // pass. This matters at q−1 redundant verifications per slot on the hot
 // path.
 func (r *Replica) verifyEmbedded(c *wire.Commit, match *wire.Prepare) error {
-	if match != nil && bytes.Equal(match.Signature(), c.Prep.Signature()) {
+	if match != nil && bytes.Equal(match.Sig, c.Prep.Sig) {
 		r.m.verifyMemoized.Inc()
 		return nil
 	}
-	return r.env.Auth().Verify(c.Prep.Leader, c.Prep.SigBytes(), c.Prep.Signature())
+	return r.env.Auth().Verify(c.Prep.Leader, c.Prep.SigBytes(), c.Prep.Sig)
 }
 
 // tryCommit commits the slot once COMMITs from every other quorum

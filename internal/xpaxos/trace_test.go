@@ -182,11 +182,11 @@ func TestMutatedTraceContextDegradesGracefully(t *testing.T) {
 				if err != nil {
 					return frame
 				}
-				c, ok := m.(wire.TraceCarrier)
-				if !ok {
+				c := wire.TraceField(m)
+				if c == nil {
 					return frame
 				}
-				c.SetTraceCtx(tc.stamp)
+				*c = tc.stamp
 				return wire.Encode(m)
 			}
 			filter := sim.FilterFunc(func(_, _ ids.ProcessID, m wire.Message, _ time.Duration) sim.Verdict {

@@ -105,9 +105,6 @@ type (
 	// StorageBackend is the durable-storage interface a composed node
 	// persists through (see NodeOptions.Storage).
 	StorageBackend = storage.Backend
-	// MemStorage is the in-memory StorageBackend with crash simulation,
-	// for tests and experiments.
-	MemStorage = storage.MemBackend
 	// Fleet runs several independent replication groups (shards) behind
 	// one transport endpoint, multiplexed over one connection per peer
 	// pair (see internal/fleet).
@@ -201,10 +198,6 @@ func NewKVMachine() *KVMachine { return xpaxos.NewKVMachine() }
 // storage backend. Wire it into NodeOptions.Storage to make a node's
 // protocol state survive crashes.
 func NewDirStorage(dir string) (StorageBackend, error) { return storage.NewDirBackend(dir) }
-
-// NewMemStorage returns an in-memory storage backend whose Crash method
-// simulates power loss (unsynced writes are dropped).
-func NewMemStorage() *MemStorage { return storage.NewMemBackend() }
 
 // SubStorage returns the named sub-tree of a backend (per-shard
 // durability: each shard of a fleet persists into its own sub-tree of
