@@ -31,11 +31,6 @@ type codec struct {
 	sigEnd int // decode: offset into the frame; encode: bytes laid out before it
 	ownSig *[]byte
 	ownTC  *TraceContext
-
-	// scratch is where Signing lays a message out first: a signed body
-	// that fits — an 8-request COMMIT, an n=64 UPDATE row — is laid out
-	// once and copied out.
-	scratch [1024]byte
 }
 
 // codecPool recycles codecs: handed to a layout through the Message
@@ -45,11 +40,10 @@ var codecPool = sync.Pool{New: func() any { return new(codec) }}
 
 func newCodec() *codec { return codecPool.Get().(*codec) }
 
-// release resets every field but scratch, dropping the references the
-// codec took, and pools it.
+// release resets the codec, dropping the references it took, and pools
+// it.
 func (c *codec) release() {
-	c.b, c.r, c.dec, c.err = Buffer{}, Reader{}, false, nil
-	c.depth, c.sigEnd, c.ownSig, c.ownTC = 0, 0, nil, nil
+	*c = codec{}
 	codecPool.Put(c)
 }
 
@@ -242,25 +236,17 @@ func (c *codec) log(l *[]LogSlot) {
 
 // Signing returns the bytes m's signature covers — what m.SigBytes()
 // returns — and a pointer to m's signature field, through which a
-// signer attaches the signature and a verifier reads it. m is laid out
-// into the codec's scratch and its signed bytes copied out; if they do
-// not fit, the pass has counted them, and they are laid out again into
-// a buffer bounded to exactly their length, which turns to counting at
-// the signature. So it makes one allocation, of exactly the signed
-// length.
+// signer attaches the signature and a verifier reads it. A sizing pass
+// finds where the signed bytes end; m is then laid out again into a
+// buffer bounded to exactly that length, which turns to counting at the
+// signature. So it makes one allocation, of exactly the signed length.
 func Signing(m Signed) (covered []byte, sig *[]byte) {
 	c := newCodec()
-	c.b = Buffer{buf: c.scratch[:0], bounded: true}
+	c.b = Buffer{sizing: true}
 	m.layout(c)
-	if n := c.sigEnd; len(c.b.buf) >= n {
-		covered = make([]byte, n)
-		copy(covered, c.b.buf)
-	} else {
-		c.b = Buffer{buf: make([]byte, 0, n), bounded: true}
-		m.layout(c)
-		covered = c.b.buf
-	}
-	sig = c.ownSig
+	c.b = Buffer{buf: make([]byte, 0, c.sigEnd), bounded: true}
+	m.layout(c)
+	covered, sig = c.b.buf, c.ownSig
 	c.release()
 	return covered, sig
 }

@@ -217,7 +217,7 @@ var framePool = sync.Pool{
 // exactly sized allocation. The returned slice must be handed back with
 // Recycle once no live reference to its bytes remains; decoded messages
 // never alias the input (the Reader copies every byte field), so
-// recycling right after Decode is safe — the signed bytes DecodeSigned
+// recycling right after Decode is safe — the signed bytes Open
 // returns excepted.
 func EncodePooled(m Message) []byte {
 	return AppendEncode((*framePool.Get().(*[]byte))[:0], m)
@@ -240,21 +240,14 @@ func Decode(data []byte) (Message, error) {
 	return m, err
 }
 
-// DecodeSigned is Decode for a frame about to be authenticated: it also
-// returns the bytes covered by the signature of the message the frame
-// carries — the message itself, or a ShardEnvelope's inner message — as
-// they arrived, or nil when that message is unsigned. The codec is
-// canonical, so they equal that message's SigBytes() and a receiver
-// checks the signature without re-encoding anything. Unlike the decoded
-// message they alias data: they are valid only as long as data is.
-func DecodeSigned(data []byte) (Message, []byte, error) {
-	m, signed, _, err := Open(data)
-	return m, signed, err
-}
-
-// Open is DecodeSigned that also returns the signature of the message
-// whose signed bytes it keeps (nil with them), read on the way: a
-// receiver authenticates the frame from its results alone.
+// Open is Decode for a frame about to be authenticated. It also returns
+// the bytes covered by the signature of the message the frame carries —
+// the message itself, or a ShardEnvelope's inner message — as they
+// arrived, and that signature, read on the way; both are nil when that
+// message is unsigned. The codec is canonical, so the signed bytes equal
+// that message's SigBytes() and a receiver checks the signature from
+// Open's results alone, re-encoding nothing. Unlike the decoded message
+// they alias data: they are valid only as long as data is.
 func Open(data []byte) (m Message, signed, sig []byte, err error) {
 	c := newCodec()
 	c.dec, c.r = true, Reader{buf: data}
