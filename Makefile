@@ -139,13 +139,18 @@ quorum-check:
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
 # parser/validator regressions without burning CI minutes. The wire
 # targets fuzz the codec every frame crosses: canonical decode, the
-# chaos mutator's contract and the Reader primitives.
+# chaos mutator's contract and the reader primitives. The two
+# FuzzDurableRestore targets feed arbitrary bytes to every restore of
+# local durable bytes: XPaxos's checkpoint, durable snapshot, WAL
+# records and KV snapshot, and the host's suspicion section and records.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuorumSpec$$' -fuzztime 20s ./internal/quorum/
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorMatch$$' -fuzztime 20s ./internal/fd/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireMutation$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderPrimitives$$' -fuzztime 20s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDurableRestore$$' -fuzztime 20s ./internal/xpaxos/
+	$(GO) test -run '^$$' -fuzz '^FuzzDurableRestore$$' -fuzztime 20s ./internal/host/
 
 # cover runs the full suite with a coverage profile and prints the
 # total-coverage summary line.

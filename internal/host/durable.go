@@ -6,7 +6,6 @@
 package host
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -74,31 +73,21 @@ func (l appLog) Snapshot(app []byte) error {
 	if l.h.storage == nil {
 		return storage.ErrClosed
 	}
-	snap := appendSection(nil, l.h.encodeSuspicionState())
-	snap = appendSection(snap, app)
-	return l.h.storageErr("snapshot", l.h.storage.WriteSnapshot(snap))
+	snap := snapshot{suspicion: l.h.encodeSuspicionState(), app: app}
+	c := wire.NewEncoder(nil)
+	snap.layout(c)
+	return l.h.storageErr("snapshot", l.h.storage.WriteSnapshot(c.Encoded()))
 }
 
-// appendSection and splitSection frame the snapshot's two sections
-// (suspicion state, application state) with a big-endian uint32 length.
-// The framing is the host's own: the snapshot is a checksummed file it
-// wrote itself, so a section is bounded only by the bytes present — not
-// by wire.Reader's slice limit, which guards against untrusted network
-// frames and would refuse an application section over 1 MiB.
-func appendSection(dst, section []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(section)))
-	return append(dst, section...)
-}
+// snapshot is the host's snapshot: the suspicion section, then the
+// application's, each behind its length. A section may exceed the 1 MiB
+// a network frame's slice may hold: the snapshot is local durable bytes
+// (wire.NewDecoder).
+type snapshot struct{ suspicion, app []byte }
 
-func splitSection(b []byte) (section, rest []byte, ok bool) {
-	if len(b) < 4 {
-		return nil, nil, false
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n > len(b)-4 {
-		return nil, nil, false
-	}
-	return b[4 : 4+n], b[4+n:], true
+func (s *snapshot) layout(c *wire.Codec) {
+	c.Bytes(&s.suspicion)
+	c.Bytes(&s.app)
 }
 
 // appendTagged writes tag + payload as one WAL record, built in h.rec:
@@ -155,18 +144,19 @@ func (h *Host) openStorage(env runtime.Env) {
 		panic(fmt.Sprintf("host: open storage: %v", err))
 	}
 	h.storage = st
-	snapshot, records := st.Recovered()
+	data, records := st.Recovered()
 
 	var appSnap []byte
 	restored := false
-	if snapshot != nil {
-		susSnap, rest, ok1 := splitSection(snapshot)
-		app, _, ok2 := splitSection(rest)
-		if !ok1 || !ok2 {
-			panic(fmt.Sprintf("host: corrupt snapshot framing (walIndex %d)", st.SnapshotIndex()))
+	if data != nil {
+		var snap snapshot
+		c := wire.NewDecoder(data)
+		snap.layout(c)
+		if err := c.Decoded(); err != nil {
+			panic(fmt.Sprintf("host: corrupt snapshot framing (walIndex %d): %v", st.SnapshotIndex(), err))
 		}
-		appSnap = app
-		if h.restoreSuspicionState(susSnap) {
+		appSnap = snap.app
+		if h.restoreSuspicionState(snap.suspicion) {
 			restored = true
 		}
 	}
@@ -222,88 +212,108 @@ func (h *Host) closeStorage() {
 type storePersister struct{ h *Host }
 
 func (p storePersister) PersistCell(l, k int, epoch uint64) {
-	var b wire.Buffer
-	b.PutUint8(susKindCell)
-	b.PutUint32(uint32(l))
-	b.PutUint32(uint32(k))
-	b.PutUint64(epoch)
-	_ = p.h.appendTagged(tagSuspicion, b.Bytes())
+	p.persist(suspicionRecord{kind: susKindCell, cell: cell{uint32(l), uint32(k), epoch}})
 }
 
 func (p storePersister) PersistEpoch(epoch uint64) {
-	var b wire.Buffer
-	b.PutUint8(susKindEpoch)
-	b.PutUint64(epoch)
-	_ = p.h.appendTagged(tagSuspicion, b.Bytes())
+	p.persist(suspicionRecord{kind: susKindEpoch, epoch: epoch})
 }
 
-// encodeSuspicionState serializes the suspicion matrix and epoch as the
-// kernel section of a snapshot: epoch, n, then every non-zero cell.
+func (p storePersister) persist(rec suspicionRecord) {
+	c := wire.NewEncoder(nil)
+	rec.layout(c)
+	_ = p.h.appendTagged(tagSuspicion, c.Encoded())
+}
+
+// cell is one suspicion-matrix entry: row l suspects column k since
+// epoch v.
+type cell struct {
+	l, k uint32
+	v    uint64
+}
+
+func (x *cell) layout(c *wire.Codec) {
+	c.U32(&x.l)
+	c.U32(&x.k)
+	c.U64(&x.v)
+}
+
+// suspicionRecord is a suspicion WAL record: its kind, then a cell
+// (susKindCell) or the epoch (susKindEpoch).
+type suspicionRecord struct {
+	kind  byte
+	cell  cell
+	epoch uint64
+}
+
+func (r *suspicionRecord) layout(c *wire.Codec) {
+	c.U8(&r.kind)
+	switch r.kind {
+	case susKindCell:
+		r.cell.layout(c)
+	case susKindEpoch:
+		c.U64(&r.epoch)
+	}
+}
+
+// suspicionState is the kernel section of a snapshot: the epoch, the
+// cluster size n, then every non-zero cell.
+type suspicionState struct {
+	epoch uint64
+	n     uint32
+	cells []cell
+}
+
+func (s *suspicionState) layout(c *wire.Codec) {
+	c.U64(&s.epoch)
+	c.U32(&s.n)
+	for i := range wire.Elems(c, &s.cells, 16) {
+		s.cells[i].layout(c)
+	}
+}
+
+// encodeSuspicionState encodes the suspicion matrix and epoch as the
+// kernel section of a snapshot.
 func (h *Host) encodeSuspicionState() []byte {
 	if h.Store == nil {
 		return nil
 	}
 	matrix := h.Store.Snapshot()
-	var b wire.Buffer
-	b.PutUint64(h.Store.Epoch())
-	b.PutUint32(uint32(len(matrix)))
-	count := 0
-	for _, row := range matrix {
-		for _, v := range row {
-			if v != 0 {
-				count++
-			}
-		}
-	}
-	b.PutUint32(uint32(count))
+	s := suspicionState{epoch: h.Store.Epoch(), n: uint32(len(matrix))}
 	for l, row := range matrix {
 		for k, v := range row {
 			if v != 0 {
-				b.PutUint32(uint32(l))
-				b.PutUint32(uint32(k))
-				b.PutUint64(v)
+				s.cells = append(s.cells, cell{uint32(l), uint32(k), v})
 			}
 		}
 	}
-	return b.Bytes()
+	c := wire.NewEncoder(nil)
+	s.layout(c)
+	return c.Encoded()
 }
 
 // restoreSuspicionState re-applies an encoded matrix section; it
-// reports whether anything was restored. A section from a different
-// cluster size is skipped (counted, not fatal).
+// reports whether anything was restored. A section that does not decode,
+// or comes from a different cluster size, is skipped (counted, not
+// fatal).
 func (h *Host) restoreSuspicionState(data []byte) bool {
 	if h.Store == nil || len(data) == 0 {
 		return false
 	}
-	r := wire.NewReader(data)
-	epoch, err1 := r.Uint64()
-	n, err2 := r.Uint32()
-	count, err3 := r.Uint32()
-	if err1 != nil || err2 != nil || err3 != nil {
+	var s suspicionState
+	c := wire.NewDecoder(data)
+	s.layout(c)
+	if err := c.Decoded(); err != nil || int(s.n) != h.env.Config().N {
 		h.env.Metrics().Inc("host.storage.bad_suspicion_state", 1)
 		return false
 	}
-	if int(n) != h.env.Config().N {
-		h.env.Metrics().Inc("host.storage.bad_suspicion_state", 1)
-		return false
+	for _, x := range s.cells {
+		h.Store.RestoreCell(int(x.l), int(x.k), x.v)
 	}
-	restored := false
-	for i := uint32(0); i < count; i++ {
-		l, e1 := r.Uint32()
-		k, e2 := r.Uint32()
-		v, e3 := r.Uint64()
-		if e1 != nil || e2 != nil || e3 != nil {
-			h.env.Metrics().Inc("host.storage.bad_suspicion_state", 1)
-			return restored
-		}
-		h.Store.RestoreCell(int(l), int(k), v)
-		restored = true
+	if s.epoch > 1 {
+		h.Store.RestoreEpoch(s.epoch)
 	}
-	if epoch > 1 {
-		h.Store.RestoreEpoch(epoch)
-		restored = true
-	}
-	return restored
+	return len(s.cells) > 0 || s.epoch > 1
 }
 
 // restoreSuspicionRecord replays one tagged suspicion WAL record.
@@ -311,30 +321,20 @@ func (h *Host) restoreSuspicionRecord(payload []byte) bool {
 	if h.Store == nil {
 		return false
 	}
-	r := wire.NewReader(payload)
-	kind, err := r.Uint8()
-	if err != nil {
-		return false
-	}
-	switch kind {
-	case susKindCell:
-		l, e1 := r.Uint32()
-		k, e2 := r.Uint32()
-		v, e3 := r.Uint64()
-		if e1 != nil || e2 != nil || e3 != nil {
-			return false
-		}
-		h.Store.RestoreCell(int(l), int(k), v)
-		return true
-	case susKindEpoch:
-		e, err := r.Uint64()
-		if err != nil {
-			return false
-		}
-		h.Store.RestoreEpoch(e)
-		return true
-	default:
+	var rec suspicionRecord
+	c := wire.NewDecoder(payload)
+	rec.layout(c)
+	err := c.Decoded()
+	switch {
+	case rec.kind != susKindCell && rec.kind != susKindEpoch:
 		h.env.Metrics().Inc("host.storage.unknown_records", 1)
 		return false
+	case err != nil:
+		return false
+	case rec.kind == susKindCell:
+		h.Store.RestoreCell(int(rec.cell.l), int(rec.cell.k), rec.cell.v)
+	default:
+		h.Store.RestoreEpoch(rec.epoch)
 	}
+	return true
 }

@@ -28,16 +28,28 @@ func (r *Replica) persistCommitted(slot uint64, req *wire.Request) {
 	if r.wal == nil || r.ledger.Recovering() {
 		return
 	}
-	var b wire.Buffer
-	b.PutUint64(slot)
-	b.PutBytes(wire.Encode(req))
-	if err := r.wal.Append(b.Bytes()); err != nil {
+	rec := committed{slot: slot, req: req}
+	c := wire.NewEncoder(nil)
+	rec.layout(c)
+	if err := r.wal.Append(c.Encoded()); err != nil {
 		r.env.Metrics().Inc("pbftlite.wal.errors", 1)
 		return
 	}
 	if err := r.wal.Sync(); err != nil {
 		r.env.Metrics().Inc("pbftlite.wal.errors", 1)
 	}
+}
+
+// committed is the WAL record of a committed slot: the slot, then the
+// deciding request's frame behind its length.
+type committed struct {
+	slot uint64
+	req  wire.Message
+}
+
+func (rec *committed) layout(c *wire.Codec) {
+	c.U64(&rec.slot)
+	c.Frame(&rec.req)
 }
 
 // Recover implements host.DurableApp: replay the committed-slot records
@@ -53,21 +65,18 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 	}
 	r.ledger.SetRecovering(true)
 	defer r.ledger.SetRecovering(false)
-	for i, rec := range records {
-		rd := wire.NewReader(rec)
-		slot, err1 := rd.Uint64()
-		data, err2 := rd.Bytes()
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("pbftlite: record %d corrupt", i)
-		}
-		m, err := wire.Decode(data)
-		if err != nil {
+	for i, data := range records {
+		var rec committed
+		c := wire.NewDecoder(data)
+		rec.layout(c)
+		if err := c.Decoded(); err != nil {
 			return fmt.Errorf("pbftlite: record %d: %w", i, err)
 		}
-		req, ok := m.(*wire.Request)
+		req, ok := rec.req.(*wire.Request)
 		if !ok {
-			return fmt.Errorf("pbftlite: %T in committed record %d", m, i)
+			return fmt.Errorf("pbftlite: %T in committed record %d", rec.req, i)
 		}
+		slot := rec.slot
 		r.ledger.Commit(slot, []*wire.Request{req})
 		if slot >= r.nextSlot {
 			r.nextSlot = slot + 1

@@ -17,11 +17,11 @@ type PrePrepare struct {
 // Kind implements Message.
 func (*PrePrepare) Kind() Type { return TypePrePrepare }
 
-func (m *PrePrepare) layout(c *codec) {
+func (m *PrePrepare) layout(c *Codec) {
 	c.tag(TypePrePrepare)
 	c.proc(&m.Leader)
-	c.u64(&m.View)
-	c.u64(&m.Slot)
+	c.U64(&m.View)
+	c.U64(&m.Slot)
 	m.Req.layout(c)
 	c.sig(&m.Sig)
 }
@@ -43,12 +43,12 @@ type phaseBody struct {
 	Sig     []byte
 }
 
-func (m *phaseBody) layoutAs(c *codec, t Type) {
+func (m *phaseBody) layoutAs(c *Codec, t Type) {
 	c.tag(t)
 	c.proc(&m.Replica)
-	c.u64(&m.View)
-	c.u64(&m.Slot)
-	c.bytes(&m.Digest)
+	c.U64(&m.View)
+	c.U64(&m.Slot)
+	c.Bytes(&m.Digest)
 	c.sig(&m.Sig)
 }
 
@@ -63,7 +63,7 @@ type PBFTPrepare struct {
 // Kind implements Message.
 func (*PBFTPrepare) Kind() Type { return TypePBFTPrepare }
 
-func (m *PBFTPrepare) layout(c *codec) { m.layoutAs(c, TypePBFTPrepare) }
+func (m *PBFTPrepare) layout(c *Codec) { m.layoutAs(c, TypePBFTPrepare) }
 
 // SigBytes implements Signed.
 func (m *PBFTPrepare) SigBytes() []byte { return sigBytes(m) }
@@ -76,7 +76,7 @@ type PBFTCommit struct {
 // Kind implements Message.
 func (*PBFTCommit) Kind() Type { return TypePBFTCommit }
 
-func (m *PBFTCommit) layout(c *codec) { m.layoutAs(c, TypePBFTCommit) }
+func (m *PBFTCommit) layout(c *Codec) { m.layoutAs(c, TypePBFTCommit) }
 
 // SigBytes implements Signed.
 func (m *PBFTCommit) SigBytes() []byte { return sigBytes(m) }

@@ -1,19 +1,25 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"quorumselect/internal/ids"
 )
 
-// codec is the two-way walker every message's layout runs. A layout
-// lists the message's fields once, in wire order; the codec encodes
-// them through its Buffer (appending, bounded or sizing, as the Buffer
-// is set up) or, with dec set, decodes them through its Reader. A decode
-// keeps its first error, so a layout needs no error handling: reads
-// after it are bounds-checked garbage the caller never sees, and a
-// slice whose count was not read cleanly has no elements to walk.
+// Codec is the two-way walker every format's layout runs: each wire
+// message's layout method, and the layouts of the durable formats the
+// replicas keep (WAL records, snapshots, checkpoints). A layout lists
+// the format's fields once, in order; the codec encodes them through its
+// buffer (appending, bounded or sizing, as the buffer is set up) or, when
+// decoding, decodes them through its reader. A decode keeps its first
+// error, so a layout needs no error handling: reads after it are
+// bounds-checked garbage the caller never sees, and a slice whose count
+// was not read cleanly has no elements to walk.
+//
+// A durable format is written with NewEncoder and Encoded and read back
+// with NewDecoder and Decoded, its layout called between the two.
 //
 // Signed framing is written once, here: tag opens a signed body and sig
 // closes it. The sig that closes at depth 0 belongs to the outermost
@@ -21,9 +27,9 @@ import (
 // COMMIT's signed bytes — so it marks where those bytes end (sigEnd)
 // and records the message's signature field, and the trace context laid
 // out at depth 0 is the message's own.
-type codec struct {
-	b   Buffer
-	r   Reader
+type Codec struct {
+	b   buffer
+	r   reader
 	dec bool
 	err error
 
@@ -34,36 +40,73 @@ type codec struct {
 }
 
 // codecPool recycles codecs: handed to a layout through the Message
-// interface, a codec — with its Buffer or Reader — would otherwise
+// interface, a codec — with its buffer or reader — would otherwise
 // escape to the heap once per encode or decode.
-var codecPool = sync.Pool{New: func() any { return new(codec) }}
+var codecPool = sync.Pool{New: func() any { return new(Codec) }}
 
-func newCodec() *codec { return codecPool.Get().(*codec) }
+func newCodec() *Codec { return codecPool.Get().(*Codec) }
 
 // release resets the codec, dropping the references it took, and pools
 // it.
-func (c *codec) release() {
-	*c = codec{}
+func (c *Codec) release() {
+	*c = Codec{}
 	codecPool.Put(c)
+}
+
+// NewEncoder returns a codec that appends what a layout lays out to
+// dst, growing it as append does; Encoded ends the encode.
+func NewEncoder(dst []byte) *Codec {
+	c := newCodec()
+	c.b = buffer{buf: dst}
+	return c
+}
+
+// NewDecoder returns a codec that decodes data; Decoded ends the
+// decode. data is local durable bytes — a WAL record, a snapshot, a
+// checkpoint — so a count is checked against the bytes present before
+// anything is allocated, but not against the 1 MiB cap on a network
+// frame's counts (maxSliceLen): a snapshot or checkpoint may be larger.
+func NewDecoder(data []byte) *Codec {
+	c := newCodec()
+	c.dec, c.r = true, reader{buf: data, local: true}
+	return c
+}
+
+// Encoded ends an encode: it returns the encoding and releases c.
+func (c *Codec) Encoded() []byte {
+	out := c.b.buf
+	c.release()
+	return out
+}
+
+// Decoded ends a decode: it returns the first error a field met, or an
+// error if bytes remain after the layout, and releases c.
+func (c *Codec) Decoded() error {
+	err := c.err
+	if err == nil && c.r.Remaining() != 0 {
+		err = fmt.Errorf("wire: %d trailing bytes", c.r.Remaining())
+	}
+	c.release()
+	return err
 }
 
 // fail keeps err if it is the decode's first. A field read writes the
 // codec only on failure: a store per field into the pooled (heap)
 // codec would cost a GC write barrier each.
-func (c *codec) fail(err error) {
+func (c *Codec) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
 }
 
 // frame lays out m as a frame: its type tag, then its body.
-func (c *codec) frame(m Message) {
+func (c *Codec) frame(m Message) {
 	c.b.PutUint8(uint8(m.Kind()))
 	m.layout(c)
 }
 
 // message decodes one frame: its type tag, then its body.
-func (c *codec) message() Message {
+func (c *Codec) message() Message {
 	if c.err != nil {
 		return nil
 	}
@@ -81,7 +124,19 @@ func (c *codec) message() Message {
 	return m
 }
 
-func (c *codec) u32(v *uint32) {
+// U8 lays out one byte.
+func (c *Codec) U8(v *uint8) {
+	if !c.dec {
+		c.b.PutUint8(*v)
+	} else if x, err := c.r.Uint8(); err == nil {
+		*v = x
+	} else {
+		c.fail(err)
+	}
+}
+
+// U32 lays out a big-endian uint32.
+func (c *Codec) U32(v *uint32) {
 	if !c.dec {
 		c.b.PutUint32(*v)
 	} else if x, err := c.r.Uint32(); err == nil {
@@ -91,7 +146,8 @@ func (c *codec) u32(v *uint32) {
 	}
 }
 
-func (c *codec) u64(v *uint64) {
+// U64 lays out a big-endian uint64.
+func (c *Codec) U64(v *uint64) {
 	if !c.dec {
 		c.b.PutUint64(*v)
 	} else if x, err := c.r.Uint64(); err == nil {
@@ -101,7 +157,7 @@ func (c *codec) u64(v *uint64) {
 	}
 }
 
-func (c *codec) flag(v *bool) {
+func (c *Codec) flag(v *bool) {
 	if !c.dec {
 		c.b.PutBool(*v)
 	} else if x, err := c.r.Bool(); err == nil {
@@ -111,7 +167,7 @@ func (c *codec) flag(v *bool) {
 	}
 }
 
-func (c *codec) proc(v *ids.ProcessID) {
+func (c *Codec) proc(v *ids.ProcessID) {
 	if !c.dec {
 		c.b.PutProc(*v)
 	} else if x, err := c.r.Proc(); err == nil {
@@ -121,7 +177,9 @@ func (c *codec) proc(v *ids.ProcessID) {
 	}
 }
 
-func (c *codec) bytes(v *[]byte) {
+// Bytes lays out a byte slice behind its uint32 length. A decoded
+// slice is a copy: it never aliases the bytes decoded.
+func (c *Codec) Bytes(v *[]byte) {
 	if !c.dec {
 		c.b.PutBytes(*v)
 	} else if x, err := c.r.Bytes(); err == nil {
@@ -131,7 +189,73 @@ func (c *codec) bytes(v *[]byte) {
 	}
 }
 
-func (c *codec) procs(v *[]ids.ProcessID) {
+// Str lays out a string as Bytes lays out its bytes.
+func (c *Codec) Str(v *string) {
+	if !c.dec {
+		c.b.PutUint32(uint32(len(*v)))
+		copy(c.b.extend(len(*v)), *v)
+	} else if n, err := c.r.sliceLen(1); err == nil {
+		*v = string(c.r.buf[c.r.off : c.r.off+n])
+		c.r.off += n
+	} else {
+		c.fail(err)
+	}
+}
+
+// Frame lays out the message *m as a frame behind its uint32 length —
+// what Bytes(Encode(*m)) lays out — written in place, its length
+// patched in once it is written. A decoded frame must fill its length
+// exactly, like a frame of its own.
+func (c *Codec) Frame(m *Message) {
+	if !c.dec {
+		at := len(c.b.buf)
+		c.b.PutUint32(0) // the frame's length, filled in below
+		c.frame(*m)
+		if !c.b.sizing {
+			binary.BigEndian.PutUint32(c.b.buf[at:], uint32(len(c.b.buf)-at-4))
+		}
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	n, err := c.r.sliceLen(1)
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	// The frame is read in place, with the reader cut off where it ends.
+	full := c.r.buf
+	c.r.buf = full[:c.r.off+n]
+	*m = c.message()
+	trailing := c.r.Remaining()
+	c.r.buf = full
+	if c.err == nil && trailing != 0 {
+		c.fail(fmt.Errorf("wire: %d trailing bytes after framed %s", trailing, (*m).Kind()))
+	}
+}
+
+// Records lays out a run of records kept as one byte string, raw, that
+// holds their encodings back to back: the count *n, then raw, which has
+// no length of its own. Decoding walks *n records with record, each of
+// which reads at least one byte, to find where the run ends — so every
+// record must decode — and copies the run into raw.
+func (c *Codec) Records(n *uint32, raw *[]byte, record func(*Codec)) {
+	c.U32(n)
+	if !c.dec {
+		copy(c.b.extend(len(*raw)), *raw)
+		return
+	}
+	start := c.r.off
+	for i := uint32(0); i < *n && c.err == nil; i++ {
+		record(c)
+	}
+	if c.err == nil {
+		*raw = append([]byte(nil), c.r.buf[start:c.r.off]...)
+	}
+}
+
+func (c *Codec) procs(v *[]ids.ProcessID) {
 	if !c.dec {
 		c.b.PutProcs(*v)
 	} else if x, err := c.r.Procs(); err == nil {
@@ -141,7 +265,7 @@ func (c *codec) procs(v *[]ids.ProcessID) {
 	}
 }
 
-func (c *codec) u64s(v *[]uint64) {
+func (c *Codec) u64s(v *[]uint64) {
 	if !c.dec {
 		c.b.PutUint64s(*v)
 	} else if x, err := c.r.Uint64s(); err == nil {
@@ -152,7 +276,7 @@ func (c *codec) u64s(v *[]uint64) {
 }
 
 // trace lays out a trace context; at depth 0 it is the message's own.
-func (c *codec) trace(v *TraceContext) {
+func (c *Codec) trace(v *TraceContext) {
 	if c.depth == 0 {
 		c.ownTC = v
 	}
@@ -166,7 +290,7 @@ func (c *codec) trace(v *TraceContext) {
 }
 
 // tag opens a signed body with its inner type tag.
-func (c *codec) tag(t Type) {
+func (c *Codec) tag(t Type) {
 	c.depth++
 	if !c.dec {
 		c.b.PutUint8(uint8(t))
@@ -177,7 +301,7 @@ func (c *codec) tag(t Type) {
 
 // sig closes a signed body with its signature field, which follows the
 // bytes the signature covers.
-func (c *codec) sig(v *[]byte) {
+func (c *Codec) sig(v *[]byte) {
 	if c.depth--; c.depth == 0 {
 		c.ownSig = v
 		switch {
@@ -189,15 +313,15 @@ func (c *codec) sig(v *[]byte) {
 			c.sigEnd = len(c.b.buf) - c.b.start
 		}
 	}
-	c.bytes(v)
+	c.Bytes(v)
 }
 
-// elems lays out a slice's element count and returns it: len(*s) when
+// Elems lays out a slice's element count and returns it: len(*s) when
 // encoding; when decoding, the count read — checked against minSize
 // encoded bytes per element before anything is allocated (see
-// Reader.sliceLen) — with *s allocated to hold it. The layout then
+// reader.sliceLen) — with *s allocated to hold it. The layout then
 // walks the elements itself.
-func elems[T any](c *codec, s *[]T, minSize int) int {
+func Elems[T any](c *Codec, s *[]T, minSize int) int {
 	if !c.dec {
 		c.b.PutUint32(uint32(len(*s)))
 		return len(*s)
@@ -216,8 +340,8 @@ func elems[T any](c *codec, s *[]T, minSize int) int {
 
 // requests lays out a list of requests (a batch, a slot's Rest); an
 // empty one decodes to nil.
-func (c *codec) requests(rs *[]Request) {
-	n := elems(c, rs, minRequestSize)
+func (c *Codec) requests(rs *[]Request) {
+	n := Elems(c, rs, minRequestSize)
 	if n == 0 && c.dec {
 		*rs = nil
 	}
@@ -227,9 +351,9 @@ func (c *codec) requests(rs *[]Request) {
 }
 
 // log lays out a view-change log.
-func (c *codec) log(l *[]LogSlot) {
-	for i := range elems(c, l, minLogSlotSize) {
-		c.u64(&(*l)[i].Slot)
+func (c *Codec) log(l *[]LogSlot) {
+	for i := range Elems(c, l, minLogSlotSize) {
+		c.U64(&(*l)[i].Slot)
 		(*l)[i].Prep.layout(c)
 	}
 }
@@ -242,9 +366,9 @@ func (c *codec) log(l *[]LogSlot) {
 // signature. So it makes one allocation, of exactly the signed length.
 func Signing(m Signed) (covered []byte, sig *[]byte) {
 	c := newCodec()
-	c.b = Buffer{sizing: true}
+	c.b = buffer{sizing: true}
 	m.layout(c)
-	c.b = Buffer{buf: make([]byte, 0, c.sigEnd), bounded: true}
+	c.b = buffer{buf: make([]byte, 0, c.sigEnd), bounded: true}
 	m.layout(c)
 	covered, sig = c.b.buf, c.ownSig
 	c.release()
@@ -265,7 +389,7 @@ func TraceField(m Message) *TraceContext {
 		return nil
 	}
 	c := newCodec()
-	c.b = Buffer{sizing: true}
+	c.b = buffer{sizing: true}
 	m.layout(c)
 	tc := c.ownTC
 	c.release()

@@ -38,7 +38,7 @@ func exactSizeSamples() []Message {
 func sizeOf(m Message) int {
 	c := newCodec()
 	defer c.release()
-	c.b = Buffer{sizing: true}
+	c.b = buffer{sizing: true}
 	c.frame(m)
 	return c.b.n
 }

@@ -7,3 +7,6 @@ func DecodeSigned(data []byte) (Message, []byte, error) {
 	m, signed, _, err := Open(data)
 	return m, signed, err
 }
+
+// newReader wraps data for decoding as a network frame.
+func newReader(data []byte) *reader { return &reader{buf: data} }

@@ -46,7 +46,7 @@ func FuzzDecode(f *testing.F) {
 func FuzzReaderPrimitives(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(data)
+		r := newReader(data)
 		// Walk the buffer with a fixed schedule of reads; all must
 		// either succeed in-bounds or fail cleanly.
 		r.Uint8()

@@ -24,7 +24,7 @@ var (
 )
 
 // Smallest encodings of the elements decoded into slices (every
-// variable-length field empty, untraced): what Reader.sliceLen multiplies an
+// variable-length field empty, untraced): what reader.sliceLen multiplies an
 // element count by before anything is allocated.
 const (
 	minEdgeSize      = 4 + 4
@@ -46,9 +46,9 @@ type Heartbeat struct {
 // Kind implements Message.
 func (*Heartbeat) Kind() Type { return TypeHeartbeat }
 
-func (m *Heartbeat) layout(c *codec) {
+func (m *Heartbeat) layout(c *Codec) {
 	c.proc(&m.From)
-	c.u64(&m.Seq)
+	c.U64(&m.Seq)
 }
 
 // Update is Algorithm 1's ⟨UPDATE, suspected[i]⟩_σi message: the signed
@@ -65,7 +65,7 @@ type Update struct {
 // Kind implements Message.
 func (*Update) Kind() Type { return TypeUpdate }
 
-func (m *Update) layout(c *codec) {
+func (m *Update) layout(c *Codec) {
 	c.tag(TypeUpdate)
 	c.proc(&m.Owner)
 	c.u64s(&m.Row)
@@ -110,12 +110,12 @@ type Followers struct {
 // Kind implements Message.
 func (*Followers) Kind() Type { return TypeFollowers }
 
-func (m *Followers) layout(c *codec) {
+func (m *Followers) layout(c *Codec) {
 	c.tag(TypeFollowers)
 	c.proc(&m.Leader)
-	c.u64(&m.Epoch)
+	c.U64(&m.Epoch)
 	c.procs(&m.Followers)
-	for i := range elems(c, &m.Line, minEdgeSize) {
+	for i := range Elems(c, &m.Line, minEdgeSize) {
 		c.proc(&m.Line[i].U)
 		c.proc(&m.Line[i].V)
 	}
@@ -140,10 +140,10 @@ type Request struct {
 // Kind implements Message.
 func (*Request) Kind() Type { return TypeRequest }
 
-func (m *Request) layout(c *codec) {
-	c.u64(&m.Client)
-	c.u64(&m.Seq)
-	c.bytes(&m.Op)
+func (m *Request) layout(c *Codec) {
+	c.U64(&m.Client)
+	c.U64(&m.Seq)
+	c.Bytes(&m.Op)
 }
 
 // Equal reports whether two requests are identical.
@@ -166,7 +166,7 @@ type Batch struct {
 // Kind implements Message.
 func (*Batch) Kind() Type { return TypeBatch }
 
-func (m *Batch) layout(c *codec) {
+func (m *Batch) layout(c *Codec) {
 	c.requests(&m.Reqs)
 	c.trace(&m.TC)
 }
@@ -193,11 +193,11 @@ type Prepare struct {
 // Kind implements Message.
 func (*Prepare) Kind() Type { return TypePrepare }
 
-func (m *Prepare) layout(c *codec) {
+func (m *Prepare) layout(c *Codec) {
 	c.tag(TypePrepare)
 	c.proc(&m.Leader)
-	c.u64(&m.View)
-	c.u64(&m.Slot)
+	c.U64(&m.View)
+	c.U64(&m.Slot)
 	m.Req.layout(c)
 	c.requests(&m.Rest)
 	c.sig(&m.Sig)
@@ -259,11 +259,11 @@ type Commit struct {
 // Kind implements Message.
 func (*Commit) Kind() Type { return TypeCommit }
 
-func (m *Commit) layout(c *codec) {
+func (m *Commit) layout(c *Codec) {
 	c.tag(TypeCommit)
 	c.proc(&m.Replica)
-	c.u64(&m.View)
-	c.u64(&m.Slot)
+	c.U64(&m.View)
+	c.U64(&m.Slot)
 	c.flag(&m.HasPrep)
 	if m.HasPrep {
 		m.Prep.layout(c)
@@ -295,12 +295,12 @@ type Reply struct {
 // Kind implements Message.
 func (*Reply) Kind() Type { return TypeReply }
 
-func (m *Reply) layout(c *codec) {
+func (m *Reply) layout(c *Codec) {
 	c.tag(TypeReply)
 	c.proc(&m.Replica)
-	c.u64(&m.Client)
-	c.u64(&m.Seq)
-	c.bytes(&m.Result)
+	c.U64(&m.Client)
+	c.U64(&m.Seq)
+	c.Bytes(&m.Result)
 	c.sig(&m.Sig)
 }
 
@@ -323,10 +323,10 @@ type CommitCert struct {
 // Kind implements Message.
 func (*CommitCert) Kind() Type { return TypeCommitCert }
 
-func (m *CommitCert) layout(c *codec) {
-	c.u64(&m.Slot)
+func (m *CommitCert) layout(c *Codec) {
+	c.U64(&m.Slot)
 	c.depth++ // each COMMIT is a whole message: its Sig and TC are its own
-	for i := range elems(c, &m.Commits, minCommitSize) {
+	for i := range Elems(c, &m.Commits, minCommitSize) {
 		m.Commits[i].layout(c)
 	}
 	c.depth--
@@ -361,13 +361,13 @@ type ViewChange struct {
 // Kind implements Message.
 func (*ViewChange) Kind() Type { return TypeViewChange }
 
-func (m *ViewChange) layout(c *codec) {
+func (m *ViewChange) layout(c *Codec) {
 	c.tag(TypeViewChange)
 	c.proc(&m.Replica)
-	c.u64(&m.NewViewNum)
-	c.u64(&m.CheckpointSlot)
-	c.bytes(&m.CheckpointDig)
-	c.bytes(&m.Snapshot)
+	c.U64(&m.NewViewNum)
+	c.U64(&m.CheckpointSlot)
+	c.Bytes(&m.CheckpointDig)
+	c.Bytes(&m.Snapshot)
 	c.log(&m.Log)
 	c.sig(&m.Sig)
 	c.trace(&m.TC)
@@ -397,12 +397,12 @@ type NewView struct {
 // Kind implements Message.
 func (*NewView) Kind() Type { return TypeNewView }
 
-func (m *NewView) layout(c *codec) {
+func (m *NewView) layout(c *Codec) {
 	c.tag(TypeNewView)
 	c.proc(&m.Leader)
-	c.u64(&m.ViewNum)
-	c.u64(&m.CheckpointSlot)
-	c.bytes(&m.Snapshot)
+	c.U64(&m.ViewNum)
+	c.U64(&m.CheckpointSlot)
+	c.Bytes(&m.Snapshot)
 	c.log(&m.Log)
 	c.sig(&m.Sig)
 	c.trace(&m.TC)

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // ShardEnvelope carries one shard's frame between fleet processes: the
 // fleet demultiplexer (internal/fleet) wraps every outbound frame of
@@ -39,43 +36,12 @@ const envelopeHeader = 1 + 4 + 4
 // Kind implements Message.
 func (*ShardEnvelope) Kind() Type { return TypeShardEnvelope }
 
-// layout is written by hand: the inner frame's length is patched in
-// once it is written, and a decoded inner frame must fill that length
-// exactly and never be another envelope.
-func (m *ShardEnvelope) layout(c *codec) {
-	c.u32(&m.Shard)
-	if !c.dec {
-		at := len(c.b.buf)
-		c.b.PutUint32(0) // the inner frame's length, filled in below
-		c.frame(m.Inner)
-		if !c.b.sizing {
-			binary.BigEndian.PutUint32(c.b.buf[at:], uint32(len(c.b.buf)-at-4))
-		}
-		return
+// layout rejects an inner frame that is itself an envelope before
+// decoding it.
+func (m *ShardEnvelope) layout(c *Codec) {
+	c.U32(&m.Shard)
+	if c.dec && c.err == nil && c.r.Remaining() > 4 && Type(c.r.buf[c.r.off+4]) == TypeShardEnvelope {
+		c.fail(fmt.Errorf("wire: nested shard envelope"))
 	}
-	if c.err != nil {
-		return
-	}
-	n, err := c.r.sliceLen(1)
-	switch {
-	case err != nil:
-		c.err = err
-	case n == 0:
-		c.err = fmt.Errorf("wire: empty shard-envelope frame")
-	case Type(c.r.buf[c.r.off]) == TypeShardEnvelope:
-		c.err = fmt.Errorf("wire: nested shard envelope")
-	}
-	if c.err != nil {
-		return
-	}
-	// The inner frame is read in place, with the reader cut off where it
-	// ends: it must fill its length exactly, like a frame of its own.
-	full := c.r.buf
-	c.r.buf = full[:c.r.off+n]
-	m.Inner = c.message()
-	trailing := c.r.Remaining()
-	c.r.buf = full
-	if c.err == nil && trailing != 0 {
-		c.err = fmt.Errorf("wire: %d trailing bytes after enveloped %s", trailing, m.Inner.Kind())
-	}
+	c.Frame(&m.Inner)
 }

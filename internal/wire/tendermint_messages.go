@@ -24,11 +24,11 @@ type TMProposal struct {
 // Kind implements Message.
 func (*TMProposal) Kind() Type { return TypeTMProposal }
 
-func (m *TMProposal) layout(c *codec) {
+func (m *TMProposal) layout(c *Codec) {
 	c.tag(TypeTMProposal)
 	c.proc(&m.Proposer)
-	c.u64(&m.Height)
-	c.u64(&m.Round)
+	c.U64(&m.Height)
+	c.U64(&m.Round)
 	m.Req.layout(c)
 	c.sig(&m.Sig)
 }
@@ -48,7 +48,7 @@ type TMPrevote struct {
 // Kind implements Message.
 func (*TMPrevote) Kind() Type { return TypeTMPrevote }
 
-func (m *TMPrevote) layout(c *codec) { m.layoutAs(c, TypeTMPrevote) }
+func (m *TMPrevote) layout(c *Codec) { m.layoutAs(c, TypeTMPrevote) }
 
 // SigBytes implements Signed.
 func (m *TMPrevote) SigBytes() []byte { return sigBytes(m) }
@@ -69,12 +69,12 @@ type TMDecided struct {
 // Kind implements Message.
 func (*TMDecided) Kind() Type { return TypeTMDecided }
 
-func (m *TMDecided) layout(c *codec) {
-	c.u64(&m.Height)
-	c.u64(&m.Round)
+func (m *TMDecided) layout(c *Codec) {
+	c.U64(&m.Height)
+	c.U64(&m.Round)
 	c.depth++ // the proposal and votes are whole messages: their Sigs are their own
 	m.Proposal.layout(c)
-	for i := range elems(c, &m.Precommits, minPhaseBodySize) {
+	for i := range Elems(c, &m.Precommits, minPhaseBodySize) {
 		m.Precommits[i].layout(c)
 	}
 	c.depth--
@@ -88,7 +88,7 @@ type TMPrecommit struct {
 // Kind implements Message.
 func (*TMPrecommit) Kind() Type { return TypeTMPrecommit }
 
-func (m *TMPrecommit) layout(c *codec) { m.layoutAs(c, TypeTMPrecommit) }
+func (m *TMPrecommit) layout(c *Codec) { m.layoutAs(c, TypeTMPrecommit) }
 
 // SigBytes implements Signed.
 func (m *TMPrecommit) SigBytes() []byte { return sigBytes(m) }

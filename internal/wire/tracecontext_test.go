@@ -9,9 +9,9 @@ import (
 func TestUvarintRoundTrip(t *testing.T) {
 	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<40 | 7, 1<<63 - 1, ^uint64(0)}
 	for _, v := range vals {
-		var b Buffer
+		var b buffer
 		b.PutUvarint(v)
-		r := NewReader(b.Bytes())
+		r := newReader(b.buf)
 		got, err := r.Uvarint()
 		if err != nil {
 			t.Fatalf("Uvarint(%d): %v", v, err)
@@ -34,7 +34,7 @@ func TestUvarintRejectsNonMinimal(t *testing.T) {
 		{0x80, 0x80, 0x00},
 	}
 	for _, enc := range cases {
-		r := NewReader(enc)
+		r := newReader(enc)
 		if _, err := r.Uvarint(); err == nil {
 			t.Errorf("non-minimal uvarint % x accepted", enc)
 		}
@@ -45,13 +45,13 @@ func TestUvarintRejectsOverflowAndTruncation(t *testing.T) {
 	// Eleven continuation bytes overflow uint64.
 	over := bytes.Repeat([]byte{0x80}, 10)
 	over = append(over, 0x02)
-	if _, err := NewReader(over).Uvarint(); err == nil {
+	if _, err := newReader(over).Uvarint(); err == nil {
 		t.Error("overflowing uvarint accepted")
 	}
-	if _, err := NewReader(nil).Uvarint(); err == nil {
+	if _, err := newReader(nil).Uvarint(); err == nil {
 		t.Error("empty uvarint accepted")
 	}
-	if _, err := NewReader([]byte{0x80}).Uvarint(); err == nil {
+	if _, err := newReader([]byte{0x80}).Uvarint(); err == nil {
 		t.Error("truncated uvarint accepted")
 	}
 }
@@ -111,20 +111,20 @@ func TestTraceContextZero(t *testing.T) {
 		t.Error("non-zero context reported Zero()")
 	}
 	// Untraced frames cost exactly two context bytes.
-	var b Buffer
+	var b buffer
 	b.PutTraceContext(TraceContext{})
-	if len(b.Bytes()) != 2 {
-		t.Errorf("zero context encodes to %d bytes, want 2", len(b.Bytes()))
+	if len(b.buf) != 2 {
+		t.Errorf("zero context encodes to %d bytes, want 2", len(b.buf))
 	}
 }
 
 func TestPutUvarintMatchesBinary(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 1 << 21, ^uint64(0)} {
-		var b Buffer
+		var b buffer
 		b.PutUvarint(v)
 		want := binary.AppendUvarint(nil, v)
-		if !bytes.Equal(b.Bytes(), want) {
-			t.Errorf("PutUvarint(%d) = % x, want % x", v, b.Bytes(), want)
+		if !bytes.Equal(b.buf, want) {
+			t.Errorf("PutUvarint(%d) = % x, want % x", v, b.buf, want)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //
 // No encode grows its buffer step by step. Encode, AppendEncode and
 // EncodePooled write into the room their destination has; a frame that
-// does not fit is counted to its end (Buffer's sizing mode, which
+// does not fit is counted to its end (buffer's sizing mode, which
 // counts instead of appending) and written again into one allocation
 // of exactly the size needed. SigBytes does the same through a scratch
 // buffer. Each encode therefore makes at most one allocation, of exactly
@@ -129,7 +129,7 @@ type Message interface {
 	Kind() Type
 	// layout lists the message's fields to c in wire order (see codec),
 	// which encodes, sizes or decodes them.
-	layout(c *codec)
+	layout(c *Codec)
 }
 
 // Signed is implemented by messages that carry a content signature
@@ -169,9 +169,11 @@ func (tc TraceContext) Zero() bool { return tc.Trace == 0 && tc.Span == 0 }
 // ErrUnknownType is returned when a decode meets an unknown type tag.
 var ErrUnknownType = errors.New("wire: unknown message type")
 
-// maxSliceLen bounds decoded slice lengths; together with the
-// bytes-remaining check in Reader.sliceLen it keeps a malicious peer from
-// forcing an allocation larger than the frame it actually sent.
+// maxSliceLen bounds the slice lengths a network frame may declare;
+// together with the bytes-remaining check in reader.sliceLen it keeps a
+// malicious peer from forcing an allocation larger than the frame it
+// actually sent. Local durable bytes (NewDecoder) have only the second
+// check.
 const maxSliceLen = 1 << 20
 
 // Encode renders m as canonical bytes: a one-byte type tag followed by
@@ -189,7 +191,7 @@ func Encode(m Message) []byte {
 // place without allocating, and any other grows once.
 func AppendEncode(dst []byte, m Message) []byte {
 	c := newCodec()
-	c.b = Buffer{buf: dst, bounded: true, start: len(dst)}
+	c.b = buffer{buf: dst, bounded: true, start: len(dst)}
 	c.frame(m)
 	if c.b.sizing {
 		c.b.sized(dst)
@@ -216,7 +218,7 @@ var framePool = sync.Pool{
 // the pooled buffer that comes up if the frame fits it, else one
 // exactly sized allocation. The returned slice must be handed back with
 // Recycle once no live reference to its bytes remains; decoded messages
-// never alias the input (the Reader copies every byte field), so
+// never alias the input (the reader copies every byte field), so
 // recycling right after Decode is safe — the signed bytes Open
 // returns excepted.
 func EncodePooled(m Message) []byte {
@@ -250,7 +252,7 @@ func Decode(data []byte) (Message, error) {
 // they alias data: they are valid only as long as data is.
 func Open(data []byte) (m Message, signed, sig []byte, err error) {
 	c := newCodec()
-	c.dec, c.r = true, Reader{buf: data}
+	c.dec, c.r = true, reader{buf: data}
 	m = c.message()
 	if c.err == nil && c.r.Remaining() != 0 {
 		c.err = fmt.Errorf("wire: %d trailing bytes after %s", c.r.Remaining(), m.Kind())
@@ -270,13 +272,13 @@ func Open(data []byte) (m Message, signed, sig []byte, err error) {
 	return m, signed, sig, err
 }
 
-// Buffer is an append-only canonical encoder. In sizing mode
-// (Buffer{sizing: true}) every Put counts the bytes it would append
+// buffer is an append-only canonical encoder. In sizing mode
+// (buffer{sizing: true}) every Put counts the bytes it would append
 // instead of appending them, which is how an encode learns its exact
 // size before it allocates. The codec appends only through the Put
 // methods and extend, so the count cannot miss a byte
 // (TestAppendEncodeSizesExactly checks every kind).
-type Buffer struct {
+type buffer struct {
 	buf []byte
 	// bounded confines the encoder to cap(buf): the first Put that does
 	// not fit switches it to sizing mode, counting the frame from start
@@ -290,22 +292,19 @@ type Buffer struct {
 // sized ends the sizing pass: b becomes an encoder appending to dst,
 // grown first — in one allocation, if at all — to hold exactly the
 // number of bytes the pass counted.
-func (b *Buffer) sized(dst []byte) {
+func (b *buffer) sized(dst []byte) {
 	if cap(dst)-len(dst) < b.n {
 		grown := make([]byte, len(dst), len(dst)+b.n)
 		copy(grown, dst)
 		dst = grown
 	}
-	*b = Buffer{buf: dst}
+	*b = buffer{buf: dst}
 }
-
-// Bytes returns the accumulated encoding.
-func (b *Buffer) Bytes() []byte { return b.buf }
 
 // counts reports whether the n bytes of a Put are counted (sizing mode)
 // rather than appended. A bounded encoder without room for them enters
 // sizing mode here, counting the bytes its frame holds so far.
-func (b *Buffer) counts(n int) bool {
+func (b *buffer) counts(n int) bool {
 	if b.bounded && !b.sizing && cap(b.buf)-len(b.buf) < n {
 		b.sizing, b.n = true, len(b.buf)-b.start
 	}
@@ -318,7 +317,7 @@ func (b *Buffer) counts(n int) bool {
 
 // extend grows the encoding by n bytes and returns them for the caller
 // to fill; in sizing mode it counts them and returns nil.
-func (b *Buffer) extend(n int) []byte {
+func (b *buffer) extend(n int) []byte {
 	if b.counts(n) {
 		return nil
 	}
@@ -332,7 +331,7 @@ func (b *Buffer) extend(n int) []byte {
 }
 
 // PutUint8 appends a single byte.
-func (b *Buffer) PutUint8(v uint8) {
+func (b *buffer) PutUint8(v uint8) {
 	if b.counts(1) {
 		return
 	}
@@ -342,8 +341,8 @@ func (b *Buffer) PutUint8(v uint8) {
 // PutUint32 appends a big-endian uint32. Like every Put it extends
 // b.buf in place, which stores only the length unless the slice grows:
 // storing a returned slice would cost a GC write barrier per field in a
-// heap-resident Buffer, such as the pooled codec's.
-func (b *Buffer) PutUint32(v uint32) {
+// heap-resident buffer, such as the pooled codec's.
+func (b *buffer) PutUint32(v uint32) {
 	if b.counts(4) {
 		return
 	}
@@ -352,7 +351,7 @@ func (b *Buffer) PutUint32(v uint32) {
 }
 
 // PutUint64 appends a big-endian uint64.
-func (b *Buffer) PutUint64(v uint64) {
+func (b *buffer) PutUint64(v uint64) {
 	if b.counts(8) {
 		return
 	}
@@ -361,7 +360,7 @@ func (b *Buffer) PutUint64(v uint64) {
 }
 
 // PutBool appends a boolean as one byte.
-func (b *Buffer) PutBool(v bool) {
+func (b *buffer) PutBool(v bool) {
 	if v {
 		b.PutUint8(1)
 	} else {
@@ -370,16 +369,16 @@ func (b *Buffer) PutBool(v bool) {
 }
 
 // PutProc appends a process identifier.
-func (b *Buffer) PutProc(p ids.ProcessID) { b.PutUint32(uint32(p)) }
+func (b *buffer) PutProc(p ids.ProcessID) { b.PutUint32(uint32(p)) }
 
 // PutBytes appends a length-prefixed byte slice.
-func (b *Buffer) PutBytes(v []byte) {
+func (b *buffer) PutBytes(v []byte) {
 	b.PutUint32(uint32(len(v)))
 	copy(b.extend(len(v)), v)
 }
 
 // PutProcs appends a length-prefixed slice of process identifiers.
-func (b *Buffer) PutProcs(ps []ids.ProcessID) {
+func (b *buffer) PutProcs(ps []ids.ProcessID) {
 	b.PutUint32(uint32(len(ps)))
 	if dst := b.extend(4 * len(ps)); dst != nil {
 		for i, p := range ps {
@@ -389,7 +388,7 @@ func (b *Buffer) PutProcs(ps []ids.ProcessID) {
 }
 
 // PutUint64s appends a length-prefixed slice of uint64.
-func (b *Buffer) PutUint64s(vs []uint64) {
+func (b *buffer) PutUint64s(vs []uint64) {
 	b.PutUint32(uint32(len(vs)))
 	if dst := b.extend(8 * len(vs)); dst != nil {
 		for i, v := range vs {
@@ -400,8 +399,8 @@ func (b *Buffer) PutUint64s(vs []uint64) {
 
 // PutUvarint appends an unsigned varint (LEB128, as produced by
 // encoding/binary). The encoding is minimal by construction, matching
-// the Reader's canonicity requirement.
-func (b *Buffer) PutUvarint(v uint64) {
+// the reader's canonicity requirement.
+func (b *buffer) PutUvarint(v uint64) {
 	if dst := b.extend((bits.Len64(v|1) + 6) / 7); dst != nil {
 		binary.PutUvarint(dst, v)
 	}
@@ -409,24 +408,24 @@ func (b *Buffer) PutUvarint(v uint64) {
 
 // PutTraceContext appends a trace context as two uvarints. The common
 // untraced case costs two bytes.
-func (b *Buffer) PutTraceContext(tc TraceContext) {
+func (b *buffer) PutTraceContext(tc TraceContext) {
 	b.PutUvarint(tc.Trace)
 	b.PutUvarint(tc.Span)
 }
 
-// Reader decodes canonical bytes with bounds checking.
-type Reader struct {
+// reader decodes canonical bytes with bounds checking.
+type reader struct {
 	buf []byte
 	off int
+	// local marks local durable bytes (see NewDecoder), whose counts
+	// are not capped at maxSliceLen.
+	local bool
 }
 
-// NewReader wraps data for decoding.
-func NewReader(data []byte) *Reader { return &Reader{buf: data} }
-
 // Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+func (r *reader) Remaining() int { return len(r.buf) - r.off }
 
-func (r *Reader) take(n int) ([]byte, error) {
+func (r *reader) take(n int) ([]byte, error) {
 	if n < 0 || r.Remaining() < n {
 		return nil, ErrTruncated
 	}
@@ -436,7 +435,7 @@ func (r *Reader) take(n int) ([]byte, error) {
 }
 
 // Uint8 reads one byte.
-func (r *Reader) Uint8() (uint8, error) {
+func (r *reader) Uint8() (uint8, error) {
 	b, err := r.take(1)
 	if err != nil {
 		return 0, err
@@ -445,7 +444,7 @@ func (r *Reader) Uint8() (uint8, error) {
 }
 
 // Uint32 reads a big-endian uint32.
-func (r *Reader) Uint32() (uint32, error) {
+func (r *reader) Uint32() (uint32, error) {
 	b, err := r.take(4)
 	if err != nil {
 		return 0, err
@@ -454,7 +453,7 @@ func (r *Reader) Uint32() (uint32, error) {
 }
 
 // Uint64 reads a big-endian uint64.
-func (r *Reader) Uint64() (uint64, error) {
+func (r *reader) Uint64() (uint64, error) {
 	b, err := r.take(8)
 	if err != nil {
 		return 0, err
@@ -463,7 +462,7 @@ func (r *Reader) Uint64() (uint64, error) {
 }
 
 // Bool reads a boolean byte, rejecting values other than 0 and 1.
-func (r *Reader) Bool() (bool, error) {
+func (r *reader) Bool() (bool, error) {
 	v, err := r.Uint8()
 	if err != nil {
 		return false, err
@@ -481,7 +480,7 @@ func (r *Reader) Bool() (bool, error) {
 // Tag reads the inner type tag of a signed body and rejects anything
 // but want: accepting non-canonical encodings would let one message
 // re-encode differently than it arrived.
-func (r *Reader) Tag(want Type) error {
+func (r *reader) Tag(want Type) error {
 	v, err := r.Uint8()
 	if err != nil {
 		return err
@@ -493,32 +492,32 @@ func (r *Reader) Tag(want Type) error {
 }
 
 // Proc reads a process identifier.
-func (r *Reader) Proc() (ids.ProcessID, error) {
+func (r *reader) Proc() (ids.ProcessID, error) {
 	v, err := r.Uint32()
 	return ids.ProcessID(v), err
 }
 
 // sliceLen reads a uint32 element count for a slice whose elements each
 // occupy at least elemSize encoded bytes. It rejects counts above
-// maxSliceLen and — before the caller allocates anything — counts the
+// maxSliceLen in a network frame and — before the caller allocates anything — counts the
 // remaining bytes could not hold, so a short hostile frame claiming a
 // huge slice costs an error, not memory.
-func (r *Reader) sliceLen(elemSize int) (int, error) {
+func (r *reader) sliceLen(elemSize int) (int, error) {
 	n, err := r.Uint32()
 	if err != nil {
 		return 0, err
 	}
-	if n > maxSliceLen {
+	if n > maxSliceLen && !r.local {
 		return 0, fmt.Errorf("wire: slice length %d exceeds limit", n)
 	}
-	if int(n)*elemSize > r.Remaining() {
+	if uint64(n)*uint64(elemSize) > uint64(r.Remaining()) {
 		return 0, ErrTruncated
 	}
 	return int(n), nil
 }
 
 // Bytes reads a length-prefixed byte slice (copied out of the buffer).
-func (r *Reader) Bytes() ([]byte, error) {
+func (r *reader) Bytes() ([]byte, error) {
 	n, err := r.sliceLen(1)
 	if err != nil {
 		return nil, err
@@ -530,7 +529,7 @@ func (r *Reader) Bytes() ([]byte, error) {
 }
 
 // Procs reads a length-prefixed slice of process identifiers.
-func (r *Reader) Procs() ([]ids.ProcessID, error) {
+func (r *reader) Procs() ([]ids.ProcessID, error) {
 	n, err := r.sliceLen(4)
 	if err != nil {
 		return nil, err
@@ -548,7 +547,7 @@ func (r *Reader) Procs() ([]ids.ProcessID, error) {
 // (a final continuation group of zero, e.g. 0x80 0x00 for 0) and
 // 64-bit overflow: accepting either would let one value arrive in more
 // than one byte form, breaking the codec's canonicity invariant.
-func (r *Reader) Uvarint() (uint64, error) {
+func (r *reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n == 0 {
 		return 0, ErrTruncated
@@ -564,7 +563,7 @@ func (r *Reader) Uvarint() (uint64, error) {
 }
 
 // TraceContext reads a trace context (two uvarints).
-func (r *Reader) TraceContext() (TraceContext, error) {
+func (r *reader) TraceContext() (TraceContext, error) {
 	var tc TraceContext
 	var err error
 	if tc.Trace, err = r.Uvarint(); err != nil {
@@ -575,7 +574,7 @@ func (r *Reader) TraceContext() (TraceContext, error) {
 }
 
 // Uint64s reads a length-prefixed slice of uint64.
-func (r *Reader) Uint64s() ([]uint64, error) {
+func (r *reader) Uint64s() ([]uint64, error) {
 	n, err := r.sliceLen(8)
 	if err != nil {
 		return nil, err

@@ -174,12 +174,12 @@ func mustHex(s string) []byte {
 
 func TestDecodeRejectsHugeSlices(t *testing.T) {
 	// Hand-craft an Update claiming a row of 2^30 entries.
-	var b Buffer
+	var b buffer
 	b.PutUint8(uint8(TypeUpdate))
 	b.PutUint8(uint8(TypeUpdate))
 	b.PutProc(1)
 	b.PutUint32(1 << 30) // row length
-	if _, err := Decode(b.Bytes()); err == nil {
+	if _, err := Decode(b.buf); err == nil {
 		t.Error("oversized slice length decoded without error")
 	}
 }
@@ -187,12 +187,12 @@ func TestDecodeRejectsHugeSlices(t *testing.T) {
 // hostileUpdate is a 10-byte UPDATE frame whose row claims the largest
 // length the codec accepts (2²⁰ cells = 8 MiB) and then ends.
 func hostileUpdate() []byte {
-	var b Buffer
+	var b buffer
 	b.PutUint8(uint8(TypeUpdate))
 	b.PutUint8(uint8(TypeUpdate))
 	b.PutProc(1)
 	b.PutUint32(maxSliceLen)
-	return b.Bytes()
+	return b.buf
 }
 
 // TestDecodeHugeClaimAllocatesNothing: a slice length is checked
@@ -201,20 +201,20 @@ func hostileUpdate() []byte {
 func TestDecodeHugeClaimAllocatesNothing(t *testing.T) {
 	frames := map[string][]byte{"update row": hostileUpdate()}
 	// The same claim in front of every other element type.
-	put := func(name string, head func(b *Buffer)) {
-		var b Buffer
+	put := func(name string, head func(b *buffer)) {
+		var b buffer
 		head(&b)
 		b.PutUint32(maxSliceLen)
-		frames[name] = b.Bytes()
+		frames[name] = b.buf
 	}
-	put("followers", func(b *Buffer) {
+	put("followers", func(b *buffer) {
 		b.PutUint8(uint8(TypeFollowers))
 		b.PutUint8(uint8(TypeFollowers))
 		b.PutProc(1)
 		b.PutUint64(1)
 	})
-	put("batch", func(b *Buffer) { b.PutUint8(uint8(TypeBatch)) })
-	put("commit cert", func(b *Buffer) {
+	put("batch", func(b *buffer) { b.PutUint8(uint8(TypeBatch)) })
+	put("commit cert", func(b *buffer) {
 		b.PutUint8(uint8(TypeCommitCert))
 		b.PutUint64(1)
 	})
@@ -235,7 +235,7 @@ func TestDecodeHugeClaimAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMinElementSizes pins the lower bounds Reader.sliceLen relies on to the
+// TestMinElementSizes pins the lower bounds reader.sliceLen relies on to the
 // codec: each is exactly the encoding of the element's zero value. A
 // bound above the real minimum would reject valid frames.
 func TestMinElementSizes(t *testing.T) {
@@ -258,7 +258,7 @@ func TestMinElementSizes(t *testing.T) {
 }
 
 func TestInvalidBool(t *testing.T) {
-	r := NewReader([]byte{2})
+	r := newReader([]byte{2})
 	if _, err := r.Bool(); err == nil {
 		t.Error("Bool accepted byte 2")
 	}

@@ -49,8 +49,13 @@ func TestKVMachineRestoreRejectsCorrupt(t *testing.T) {
 	for _, data := range [][]byte{
 		{1, 2, 3},
 		append(kv.Snapshot(), 0xff), // trailing bytes
+		{0xff, 0xff, 0xff, 0xff},    // a key count no snapshot of 4 bytes can hold
 	} {
-		if err := xpaxos.NewKVMachine().Restore(data); err == nil {
+		var err error
+		if allocated := xpaxos.HeapAllocated(func() { err = xpaxos.NewKVMachine().Restore(data) }); allocated > 1<<16 {
+			t.Errorf("restoring %v allocated %d bytes", data, allocated)
+		}
+		if err == nil {
 			t.Errorf("corrupt snapshot %v accepted", data)
 		}
 	}
@@ -318,5 +323,53 @@ func TestCheckpointCatchUpAfterViewChange(t *testing.T) {
 	net.Run(net.Now() + time.Second)
 	if v, _ := machines[1].Get("k21"); v != "v21" {
 		t.Errorf("duplicate re-executed after checkpoint restore: k21 = %q", v)
+	}
+}
+
+// TestLargeCheckpointRecovers: a replica whose state passed 1 MiB
+// restarts from its durable snapshot. The checkpoint used to be read
+// back with a network frame's 1 MiB slice limit, so the restart panicked
+// in application recovery.
+func TestLargeCheckpointRecovers(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	backend := storage.NewMemBackend()
+	machines := make(map[ids.ProcessID]*xpaxos.KVMachine, cfg.N)
+	replicas := make(map[ids.ProcessID]*xpaxos.Replica, cfg.N)
+	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
+	boot := func(p ids.ProcessID) {
+		opts := quietNodeOpts()
+		if p == 2 {
+			opts.Storage = backend
+		}
+		machines[p] = xpaxos.NewKVMachine()
+		nodes[p], replicas[p] = xpaxos.NewQSNode(xpaxos.Options{SM: machines[p], CheckpointInterval: 4}, opts)
+	}
+	for _, p := range cfg.All() {
+		boot(p)
+	}
+	net := sim.NewNetwork(cfg, nodes, sim.Options{})
+	defer net.Close()
+	value := strings.Repeat("v", 300<<10)
+	for i := 1; i <= 4; i++ {
+		replicas[1].Submit(req(1, uint64(i), fmt.Sprintf("set k%d %s", i, value)))
+	}
+	if !net.RunUntil(func() bool { return replicas[2].CheckpointSlot() >= 4 }, 10*time.Second) {
+		t.Fatal("p2 took no checkpoint at slot 4")
+	}
+	if n := len(replicas[2].CheckpointBlob()); n <= 1<<20 {
+		t.Fatalf("checkpoint is %d bytes, want over 1 MiB", n)
+	}
+	backend.Crash()
+	net.StopProcess(2)
+	boot(2)
+	net.ReplaceProcess(2, nodes[2])
+	if replicas[2].LastExecuted() != 4 || replicas[2].CheckpointSlot() != 4 {
+		t.Fatalf("recovered to slot %d with checkpoint %d, want 4 and 4",
+			replicas[2].LastExecuted(), replicas[2].CheckpointSlot())
+	}
+	for i := 1; i <= 4; i++ {
+		if v, _ := machines[2].Get(fmt.Sprintf("k%d", i)); v != value {
+			t.Errorf("k%d holds %d bytes after recovery, want %d", i, len(v), len(value))
+		}
 	}
 }

@@ -18,13 +18,13 @@
 // The durable snapshot (written through host.AppLog.Snapshot whenever a
 // checkpoint is taken or restored) carries the view, the proposal
 // cursor, the checkpoint blob (state machine + client table), and the
-// execution history, so recovery is snapshot + WAL-tail replay. This
-// file encodes the first three fields; the blob and the history
-// section are the Ledger's codecs.
+// execution history, so recovery is snapshot + WAL-tail replay. Each
+// record and the snapshot have one layout (record, durableSnapshot),
+// which wire.NewEncoder and wire.NewDecoder run; the blob and the
+// executions in the history are the Ledger's.
 package xpaxos
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"quorumselect/internal/host"
@@ -61,20 +61,39 @@ func (r *Replica) persistRecord(rec []byte) {
 }
 
 // persistMessage appends a record of kind (recAccepted, recCommitted
-// or recVCVote) carrying m's frame, laid out as wire.Buffer's
-// PutUint8(kind) + PutBytes(frame) would lay it out: the frame is
-// encoded straight into r.rec behind a length prefix patched in
-// afterwards. The WAL copies what it is given (host.AppLog), so the
-// replica reuses the one buffer for every record. A replica without a
-// WAL encodes nothing.
+// or recVCVote) carrying m's frame, encoded straight into r.rec: the
+// WAL copies what it is given (host.AppLog), so the replica reuses the
+// one buffer for every record. A replica without a WAL encodes nothing.
 func (r *Replica) persistMessage(kind byte, m wire.Message) {
 	if !r.persisting() {
 		return
 	}
-	rec := wire.AppendEncode(append(r.rec[:0], kind, 0, 0, 0, 0), m)
-	binary.BigEndian.PutUint32(rec[1:], uint32(len(rec)-5))
-	r.rec = rec
-	r.persistRecord(rec)
+	r.rec = encodeRecord(r.rec[:0], record{kind: kind, msg: m})
+	r.persistRecord(r.rec)
+}
+
+// record is one WAL record: its kind, then the view (recView) or the
+// message's frame behind its length (the other kinds).
+type record struct {
+	kind byte
+	view uint64
+	msg  wire.Message
+}
+
+func (rec *record) layout(c *wire.Codec) {
+	c.U8(&rec.kind)
+	switch rec.kind {
+	case recView:
+		c.U64(&rec.view)
+	case recAccepted, recCommitted, recVCVote:
+		c.Frame(&rec.msg)
+	}
+}
+
+func encodeRecord(dst []byte, rec record) []byte {
+	c := wire.NewEncoder(dst)
+	rec.layout(c)
+	return c.Encoded()
 }
 
 // persisting reports whether records reach the WAL: there is one, and
@@ -90,13 +109,6 @@ func (r *Replica) persistSync() {
 	}
 }
 
-func recViewBytes(v uint64) []byte {
-	var b wire.Buffer
-	b.PutUint8(recView)
-	b.PutUint64(v)
-	return b.Bytes()
-}
-
 // persistSnapshot writes the durable snapshot through the host log,
 // compacting the WAL. Called wherever the in-memory checkpoint moves.
 func (r *Replica) persistSnapshot() {
@@ -108,88 +120,83 @@ func (r *Replica) persistSnapshot() {
 	}
 }
 
-// encodeDurable serializes the replica's application section of the
-// durable snapshot. The execution history rides along so a recovered
-// replica reports the same history prefix it acknowledged before the
-// crash (the chaos history checker compares cross-replica histories
-// index-wise); a production system would persist only the checkpoint
-// and align by slot.
+// durableSnapshot is the replica's application section of the durable
+// snapshot: the view, the proposal cursor, the checkpoint slot and blob,
+// then the execution history — the count, then the executions, kept as
+// the Ledger keeps them. The history rides along so a recovered replica
+// reports the same history prefix it acknowledged before the crash (the
+// chaos history checker compares cross-replica histories index-wise); a
+// production system would persist only the checkpoint and align by
+// slot.
+type durableSnapshot struct {
+	view, nextSlot, ckptSlot uint64
+	ckpt                     []byte
+	executed                 uint32
+	history                  []byte
+}
+
+func (d *durableSnapshot) layout(c *wire.Codec) {
+	c.U64(&d.view)
+	c.U64(&d.nextSlot)
+	c.U64(&d.ckptSlot)
+	c.Bytes(&d.ckpt)
+	c.Records(&d.executed, &d.history, func(c *wire.Codec) {
+		var e Execution
+		e.layout(c)
+	})
+}
+
 func (r *Replica) encodeDurable() []byte {
-	var b wire.Buffer
-	b.PutUint64(r.view)
-	b.PutUint64(r.nextSlot)
-	b.PutUint64(r.ckpt.Slot)
-	b.PutBytes(r.ckpt.Snapshot)
-	return r.ledger.appendHistory(b.Bytes())
+	d := durableSnapshot{view: r.view, nextSlot: r.nextSlot, ckptSlot: r.ckpt.Slot, ckpt: r.ckpt.Snapshot,
+		executed: r.ledger.executed, history: r.ledger.history}
+	c := wire.NewEncoder(nil)
+	d.layout(c)
+	return c.Encoded()
 }
 
 func (r *Replica) restoreDurable(data []byte) error {
-	rd := wire.NewReader(data)
-	view, err := rd.Uint64()
-	if err != nil {
-		return fmt.Errorf("xpaxos: durable snapshot view: %w", err)
+	var d durableSnapshot
+	c := wire.NewDecoder(data)
+	d.layout(c)
+	if err := c.Decoded(); err != nil {
+		return fmt.Errorf("xpaxos: corrupt durable snapshot: %w", err)
 	}
-	nextSlot, err := rd.Uint64()
-	if err != nil {
-		return fmt.Errorf("xpaxos: durable snapshot nextSlot: %w", err)
-	}
-	ckptSlot, err := rd.Uint64()
-	if err != nil {
-		return fmt.Errorf("xpaxos: durable snapshot ckptSlot: %w", err)
-	}
-	ckptData, err := rd.Bytes()
-	if err != nil {
-		return fmt.Errorf("xpaxos: durable snapshot checkpoint: %w", err)
-	}
-	if err := r.ledger.readHistory(data[len(data)-rd.Remaining():]); err != nil {
-		return err
-	}
-	if view > r.view {
-		r.view = view
-	}
-	if ckptSlot > 0 && len(ckptData) > 0 {
-		if err := r.restoreCheckpoint(ckptSlot, ckptData); err != nil {
+	if d.ckptSlot > 0 && len(d.ckpt) > 0 {
+		if err := r.restoreCheckpoint(d.ckptSlot, d.ckpt); err != nil {
 			return err
 		}
 	}
-	if nextSlot > r.nextSlot {
-		r.nextSlot = nextSlot
+	r.ledger.history, r.ledger.executed = d.history, d.executed
+	if d.view > r.view {
+		r.view = d.view
+	}
+	if d.nextSlot > r.nextSlot {
+		r.nextSlot = d.nextSlot
 	}
 	return nil
 }
 
-func (r *Replica) replayRecord(rec []byte) error {
-	rd := wire.NewReader(rec)
-	kind, err := rd.Uint8()
-	if err != nil {
+func (r *Replica) replayRecord(data []byte) error {
+	var rec record
+	c := wire.NewDecoder(data)
+	rec.layout(c)
+	if err := c.Decoded(); err != nil {
 		return err
 	}
-	switch kind {
+	switch rec.kind {
 	case recView:
-		v, err := rd.Uint64()
-		if err != nil {
-			return err
-		}
-		if v > r.view {
-			r.view = v
+		if rec.view > r.view {
+			r.view = rec.view
 		}
 	case recAccepted, recCommitted:
-		data, err := rd.Bytes()
-		if err != nil {
-			return err
-		}
-		m, err := wire.Decode(data)
-		if err != nil {
-			return err
-		}
-		p, ok := m.(*wire.Prepare)
+		p, ok := rec.msg.(*wire.Prepare)
 		if !ok {
-			return fmt.Errorf("xpaxos: %T in prepare record", m)
+			return fmt.Errorf("xpaxos: %T in prepare record", rec.msg)
 		}
 		if cur, have := r.accepted[p.Slot]; !have || p.View >= cur.View {
 			r.accepted[p.Slot] = p
 		}
-		if kind == recCommitted {
+		if rec.kind == recCommitted {
 			r.ledger.Commit(p.Slot, p.Requests())
 		}
 		if p.Slot >= r.nextSlot {
@@ -199,17 +206,9 @@ func (r *Replica) replayRecord(rec []byte) error {
 			r.view = p.View
 		}
 	case recVCVote:
-		data, err := rd.Bytes()
-		if err != nil {
-			return err
-		}
-		m, err := wire.Decode(data)
-		if err != nil {
-			return err
-		}
-		vc, ok := m.(*wire.ViewChange)
+		vc, ok := rec.msg.(*wire.ViewChange)
 		if !ok {
-			return fmt.Errorf("xpaxos: %T in view-change record", m)
+			return fmt.Errorf("xpaxos: %T in view-change record", rec.msg)
 		}
 		votes, have := r.vcVotes[vc.NewViewNum]
 		if !have {
@@ -218,7 +217,7 @@ func (r *Replica) replayRecord(rec []byte) error {
 		}
 		votes[vc.Replica] = vc
 	default:
-		return fmt.Errorf("xpaxos: unknown record kind %d", kind)
+		return fmt.Errorf("xpaxos: unknown record kind %d", rec.kind)
 	}
 	return nil
 }

@@ -1,5 +1,16 @@
 package xpaxos
 
+import "runtime"
+
+// HeapAllocated returns the bytes f allocates on the heap.
+func HeapAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // Inflight returns the maintained in-flight slot count the window gate
 // reads.
 func (r *Replica) Inflight() int { return r.inflight }

@@ -1,8 +1,6 @@
 package xpaxos
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -25,10 +23,10 @@ type Ledger struct {
 	committed map[uint64][]*wire.Request // committed slots above lastExec
 	lastExec  uint64
 	clients   map[uint64]uint64 // client → highest executed seq
-	// history is the executed history in the durable snapshot's layout
-	// (see appendHistory): one byte slice, so the collector has no
-	// pointers to scan in it however long the run. executed counts its
-	// entries.
+	// history is the executed history, each execution in its layout
+	// back to back, as the durable snapshot holds it: one byte slice, so
+	// the collector has no pointers to scan in it however long the run.
+	// executed counts its entries.
 	history  []byte
 	executed uint32
 	// recovering marks a WAL replay: the replayed executions were
@@ -97,7 +95,9 @@ func (l *Ledger) Execute(slot uint64, reqs []*wire.Request) int {
 			Op:     req.Op,
 			Result: result,
 		}
-		l.history = appendExecution(l.history, &exec)
+		c := wire.NewEncoder(l.history)
+		exec.layout(c)
+		l.history = c.Encoded()
 		l.executed++
 		ran++
 		if l.onExecute != nil && !l.recovering {
@@ -128,7 +128,12 @@ func (l *Ledger) LastExecuted() uint64 { return l.lastExec }
 // caller owns: changing one changes neither the ledger nor a later
 // call's result.
 func (l *Ledger) Executions() []Execution {
-	out, _ := decodeHistory(wire.NewReader(l.history), l.executed)
+	out := make([]Execution, l.executed)
+	c := wire.NewDecoder(l.history)
+	for i := range out {
+		out[i].layout(c)
+	}
+	_ = c.Decoded() // the ledger's own bytes, checked when restored
 	return out
 }
 
@@ -139,63 +144,64 @@ func (l *Ledger) SetRecovering(on bool) { l.recovering = on }
 // Recovering reports whether a WAL replay is in progress.
 func (l *Ledger) Recovering() bool { return l.recovering }
 
-// checkpoint encodes the checkpoint blob: the client table sorted by
-// client, so duplicate suppression survives a restore, then the state
-// machine's snapshot. It reports false when the state machine cannot
-// snapshot.
+// checkpointBlob is the checkpoint a view change ships and the durable
+// snapshot keeps: the client table sorted by client, so duplicate
+// suppression survives a restore, then the state machine's snapshot.
+type checkpointBlob struct {
+	clients []clientSeq
+	state   []byte
+}
+
+// clientSeq is one client table entry: the client's highest executed
+// seq.
+type clientSeq struct{ client, seq uint64 }
+
+func (b *checkpointBlob) layout(c *wire.Codec) {
+	for i := range wire.Elems(c, &b.clients, 16) {
+		c.U64(&b.clients[i].client)
+		c.U64(&b.clients[i].seq)
+	}
+	c.Bytes(&b.state)
+}
+
+// checkpoint encodes the checkpoint blob. It reports false when the
+// state machine cannot snapshot.
 func (l *Ledger) checkpoint() ([]byte, bool) {
 	snap, ok := l.sm.(Snapshotter)
 	if !ok {
 		return nil, false
 	}
-	var b wire.Buffer
-	clients := make([]uint64, 0, len(l.clients))
-	for c := range l.clients {
-		clients = append(clients, c)
+	b := checkpointBlob{clients: make([]clientSeq, 0, len(l.clients)), state: snap.Snapshot()}
+	for client, seq := range l.clients {
+		b.clients = append(b.clients, clientSeq{client, seq})
 	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	b.PutUint32(uint32(len(clients)))
-	for _, c := range clients {
-		b.PutUint64(c)
-		b.PutUint64(l.clients[c])
-	}
-	b.PutBytes(snap.Snapshot())
-	return b.Bytes(), true
+	sort.Slice(b.clients, func(i, j int) bool { return b.clients[i].client < b.clients[j].client })
+	c := wire.NewEncoder(nil)
+	b.layout(c)
+	return c.Encoded(), true
 }
 
 // restore installs a checkpoint blob taken after executing slot: state
 // machine, client table and cursor. Committed slots the checkpoint
-// covers are dropped.
+// covers are dropped. A blob that does not decode changes nothing.
 func (l *Ledger) restore(slot uint64, data []byte) error {
 	snap, ok := l.sm.(Snapshotter)
 	if !ok {
 		return fmt.Errorf("xpaxos: state machine %T cannot restore snapshots", l.sm)
 	}
-	rd := wire.NewReader(data)
-	n, err := rd.Uint32()
-	if err != nil {
+	var b checkpointBlob
+	c := wire.NewDecoder(data)
+	b.layout(c)
+	if err := c.Decoded(); err != nil {
 		return fmt.Errorf("xpaxos: corrupt checkpoint: %w", err)
 	}
-	table := make(map[uint64]uint64, n)
-	for i := uint32(0); i < n; i++ {
-		c, err := rd.Uint64()
-		if err != nil {
-			return fmt.Errorf("xpaxos: corrupt checkpoint client: %w", err)
-		}
-		seq, err := rd.Uint64()
-		if err != nil {
-			return fmt.Errorf("xpaxos: corrupt checkpoint seq: %w", err)
-		}
-		table[c] = seq
-	}
-	smData, err := rd.Bytes()
-	if err != nil {
-		return fmt.Errorf("xpaxos: corrupt checkpoint snapshot: %w", err)
-	}
-	if err := snap.Restore(smData); err != nil {
+	if err := snap.Restore(b.state); err != nil {
 		return err
 	}
-	l.clients = table
+	l.clients = make(map[uint64]uint64, len(b.clients))
+	for _, e := range b.clients {
+		l.clients[e.client] = e.seq
+	}
 	l.lastExec = slot
 	for s := range l.committed {
 		if s <= slot {
@@ -203,63 +209,4 @@ func (l *Ledger) restore(slot uint64, data []byte) error {
 		}
 	}
 	return nil
-}
-
-// appendHistory appends the history section of XPaxos's durable
-// snapshot to dst: a count, then per execution its slot, client, seq,
-// operation and result — the layout the history is kept in, so the
-// section is one copy.
-func (l *Ledger) appendHistory(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, l.executed)
-	return append(dst, l.history...)
-}
-
-// readHistory replaces the history with the section appendHistory
-// wrote at the front of data; bytes after it are ignored.
-func (l *Ledger) readHistory(data []byte) error {
-	rd := wire.NewReader(data)
-	count, err := rd.Uint32()
-	if err != nil {
-		return fmt.Errorf("xpaxos: durable snapshot executions: %w", err)
-	}
-	if _, err := decodeHistory(rd, count); err != nil {
-		return err
-	}
-	l.history = bytes.Clone(data[4 : len(data)-rd.Remaining()])
-	l.executed = count
-	return nil
-}
-
-// appendExecution appends e to a history: slot, client and seq as
-// big-endian uint64s, then the operation and the result, each prefixed
-// by its uint32 length — wire.Buffer's encoding of those fields.
-func appendExecution(h []byte, e *Execution) []byte {
-	h = binary.BigEndian.AppendUint64(h, e.Slot)
-	h = binary.BigEndian.AppendUint64(h, e.Client)
-	h = binary.BigEndian.AppendUint64(h, e.Seq)
-	h = binary.BigEndian.AppendUint32(h, uint32(len(e.Op)))
-	h = append(h, e.Op...)
-	h = binary.BigEndian.AppendUint32(h, uint32(len(e.Result)))
-	return append(h, e.Result...)
-}
-
-// decodeHistory decodes count executions of a history off rd, copying
-// each operation and result out of its bytes. An execution takes at
-// least 32 bytes, which bounds what a corrupt count can allocate.
-func decodeHistory(rd *wire.Reader, count uint32) ([]Execution, error) {
-	execs := make([]Execution, 0, min(count, uint32(rd.Remaining()/32)))
-	for i := uint32(0); i < count; i++ {
-		var e Execution
-		var e1, e2, e3, e4, e5 error
-		e.Slot, e1 = rd.Uint64()
-		e.Client, e2 = rd.Uint64()
-		e.Seq, e3 = rd.Uint64()
-		e.Op, e4 = rd.Bytes()
-		e.Result, e5 = rd.Bytes()
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || e5 != nil {
-			return nil, fmt.Errorf("xpaxos: durable snapshot execution %d corrupt", i)
-		}
-		execs = append(execs, e)
-	}
-	return execs, nil
 }

@@ -2,6 +2,7 @@ package xpaxos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,12 +122,9 @@ func TestLedgerCheckpointRestore(t *testing.T) {
 }
 
 func TestLedgerRestoreRejectsCorrupt(t *testing.T) {
-	encode := func(put func(*wire.Buffer)) []byte {
-		var b wire.Buffer
-		put(&b)
-		return b.Bytes()
-	}
-	header := func(b *wire.Buffer) { b.PutUint32(1); b.PutUint64(9); b.PutUint64(4) }
+	u32 := func(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
+	u64 := func(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+	header := u64(u64(u32(nil, 1), 9), 4) // one client table entry: client 9 at seq 4
 	good, _ := NewLedger(NewKVMachine(), nil).checkpoint()
 	cases := []struct {
 		name string
@@ -136,16 +134,20 @@ func TestLedgerRestoreRejectsCorrupt(t *testing.T) {
 	}{
 		{"no snapshotter", EchoMachine{}, good, "xpaxos: state machine xpaxos.EchoMachine cannot restore snapshots"},
 		{"empty", NewKVMachine(), nil, "xpaxos: corrupt checkpoint: "},
-		{"client cut", NewKVMachine(), encode(func(b *wire.Buffer) { b.PutUint32(1) }), "xpaxos: corrupt checkpoint client: "},
-		{"seq cut", NewKVMachine(), encode(func(b *wire.Buffer) { b.PutUint32(1); b.PutUint64(9) }), "xpaxos: corrupt checkpoint seq: "},
-		{"snapshot missing", NewKVMachine(), encode(header), "xpaxos: corrupt checkpoint snapshot: "},
-		{"snapshot corrupt", NewKVMachine(), encode(func(b *wire.Buffer) { header(b); b.PutBytes([]byte{1, 2, 3}) }), "xpaxos: corrupt snapshot: "},
+		{"client cut", NewKVMachine(), u32(nil, 1), "xpaxos: corrupt checkpoint: "},
+		{"seq cut", NewKVMachine(), u64(u32(nil, 1), 9), "xpaxos: corrupt checkpoint: "},
+		{"snapshot missing", NewKVMachine(), header, "xpaxos: corrupt checkpoint: "},
+		{"snapshot corrupt", NewKVMachine(), append(u32(header, 3), 1, 2, 3), "xpaxos: corrupt snapshot: "},
+		{"hostile client count", NewKVMachine(), []byte{0xff, 0xff, 0xff, 0xff}, "xpaxos: corrupt checkpoint: "},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l := NewLedger(tc.sm, nil)
 			l.Execute(1, batch(request(1, 1, "set x 1")))
-			err := l.restore(9, tc.data)
+			var err error
+			if allocated := HeapAllocated(func() { err = l.restore(9, tc.data) }); allocated > 1<<16 {
+				t.Errorf("restore allocated %d bytes", allocated)
+			}
 			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 				t.Fatalf("restore error %v, want prefix %q", err, tc.want)
 			}
@@ -180,32 +182,39 @@ func TestLedgerExecuteAllocations(t *testing.T) {
 	}
 }
 
-// TestLedgerHistoryRoundTrip: the history section appendHistory writes
-// reads back into the same executions, trailing bytes are left alone,
-// and a section cut anywhere inside an execution is rejected.
+// TestLedgerHistoryRoundTrip: the history a durable snapshot holds
+// reads back into the same executions and writes back the same bytes,
+// and a snapshot cut anywhere, or with a byte after its end, is
+// rejected and leaves the ledger as it was.
 func TestLedgerHistoryRoundTrip(t *testing.T) {
-	src := NewLedger(NewKVMachine(), nil)
-	src.Execute(1, batch(request(1, 1, "set a 1"), request(2, 1, "")))
-	src.Execute(2, batch(request(1, 2, "get a")))
-	section := src.appendHistory(nil)
-	dst := NewLedger(NewKVMachine(), nil)
-	if err := dst.readHistory(append(section, 0xff)); err != nil {
+	src := NewReplica(Options{})
+	src.ledger.Execute(1, batch(request(1, 1, "set a 1"), request(2, 1, "")))
+	src.ledger.Execute(2, batch(request(1, 2, "get a")))
+	snap := src.encodeDurable()
+	dst := NewReplica(Options{})
+	if err := dst.restoreDurable(snap); err != nil {
 		t.Fatal(err)
 	}
-	want, got := src.Executions(), dst.Executions()
+	want, got := src.ledger.Executions(), dst.ledger.Executions()
 	if len(got) != 3 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("read back %v, want %v", got, want)
 	}
-	if !bytes.Equal(dst.appendHistory(nil), section) {
-		t.Error("a read history does not write back the same section")
+	if !bytes.Equal(dst.encodeDurable(), snap) {
+		t.Error("a read history does not write back the same snapshot")
 	}
-	for cut := 5; cut < len(section); cut++ {
-		err := NewLedger(EchoMachine{}, nil).readHistory(section[:cut])
-		if err == nil || !strings.HasPrefix(err.Error(), "xpaxos: durable snapshot execution ") {
-			t.Fatalf("section cut at %d of %d: error %v", cut, len(section), err)
+	corrupt := [][]byte{append(bytes.Clone(snap), 0xff)}
+	for cut := range snap {
+		corrupt = append(corrupt, snap[:cut])
+	}
+	for _, data := range corrupt {
+		r := NewReplica(Options{})
+		r.ledger.Execute(1, batch(request(7, 1, "set x 1")))
+		err := r.restoreDurable(data)
+		if err == nil || !strings.HasPrefix(err.Error(), "xpaxos: corrupt durable snapshot: ") {
+			t.Fatalf("%d of the snapshot's %d bytes: error %v", len(data), len(snap), err)
 		}
-	}
-	if err := dst.readHistory(section[:3]); err == nil || !strings.HasPrefix(err.Error(), "xpaxos: durable snapshot executions: ") {
-		t.Errorf("a cut count: error %v", err)
+		if h := r.ledger.Executions(); len(h) != 1 || h[0].Client != 7 || r.ledger.LastExecuted() != 1 {
+			t.Fatalf("%d of the snapshot's %d bytes: a rejected restore changed the ledger: %v", len(data), len(snap), h)
+		}
 	}
 }

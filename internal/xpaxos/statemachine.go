@@ -87,46 +87,43 @@ func (kv *KVMachine) Apply(op []byte) []byte {
 	}
 }
 
-// Snapshot implements Snapshotter: keys in sorted order, each key and
-// value length-prefixed — deterministic for identical state.
+// kvSnapshot is a KVMachine snapshot: its entries in key order, each
+// key and value behind its length — deterministic for identical state.
+type kvSnapshot []kvEntry
+
+type kvEntry struct{ key, value string }
+
+func (s *kvSnapshot) layout(c *wire.Codec) {
+	for i := range wire.Elems(c, (*[]kvEntry)(s), 8) {
+		c.Str(&(*s)[i].key)
+		c.Str(&(*s)[i].value)
+	}
+}
+
+// Snapshot implements Snapshotter.
 func (kv *KVMachine) Snapshot() []byte {
-	keys := make([]string, 0, len(kv.data))
-	for k := range kv.data {
-		keys = append(keys, k)
+	s := make(kvSnapshot, 0, len(kv.data))
+	for k, v := range kv.data {
+		s = append(s, kvEntry{k, v})
 	}
-	sort.Strings(keys)
-	var b wire.Buffer
-	b.PutUint32(uint32(len(keys)))
-	for _, k := range keys {
-		b.PutBytes([]byte(k))
-		b.PutBytes([]byte(kv.data[k]))
-	}
-	return b.Bytes()
+	sort.Slice(s, func(i, j int) bool { return s[i].key < s[j].key })
+	c := wire.NewEncoder(nil)
+	s.layout(c)
+	return c.Encoded()
 }
 
 // Restore implements Snapshotter.
 func (kv *KVMachine) Restore(snapshot []byte) error {
-	r := wire.NewReader(snapshot)
-	n, err := r.Uint32()
-	if err != nil {
+	var s kvSnapshot
+	c := wire.NewDecoder(snapshot)
+	s.layout(c)
+	if err := c.Decoded(); err != nil {
 		return fmt.Errorf("xpaxos: corrupt snapshot: %w", err)
 	}
-	data := make(map[string]string, n)
-	for i := uint32(0); i < n; i++ {
-		k, err := r.Bytes()
-		if err != nil {
-			return fmt.Errorf("xpaxos: corrupt snapshot key: %w", err)
-		}
-		v, err := r.Bytes()
-		if err != nil {
-			return fmt.Errorf("xpaxos: corrupt snapshot value: %w", err)
-		}
-		data[string(k)] = string(v)
+	kv.data = make(map[string]string, len(s))
+	for _, e := range s {
+		kv.data[e.key] = e.value
 	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("xpaxos: %d trailing snapshot bytes", r.Remaining())
-	}
-	kv.data = data
 	return nil
 }
 
@@ -156,6 +153,14 @@ type Execution struct {
 	Seq    uint64
 	Op     []byte
 	Result []byte
+}
+
+func (e *Execution) layout(c *wire.Codec) {
+	c.U64(&e.Slot)
+	c.U64(&e.Client)
+	c.U64(&e.Seq)
+	c.Bytes(&e.Op)
+	c.Bytes(&e.Result)
 }
 
 // String renders the execution compactly.

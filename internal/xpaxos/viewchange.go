@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"quorumselect/internal/crypto"
 	"quorumselect/internal/fd"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/obs"
@@ -96,7 +97,7 @@ func (r *Replica) startViewChange(v uint64) {
 	// VIEW-CHANGE announces it — a replica that crashes after sending
 	// must not recover into the abandoned view and accept prepares
 	// there.
-	r.persistRecord(recViewBytes(v))
+	r.persistRecord(encodeRecord(nil, record{kind: recView, view: v}))
 	r.persistSync()
 
 	vc := &wire.ViewChange{
@@ -228,7 +229,9 @@ func (r *Replica) installView(v uint64, votes map[ids.ProcessID]*wire.ViewChange
 
 // stableCheckpoint returns the highest checkpoint slot supported by at
 // least f+1 matching (slot, digest) votes, with a snapshot from one of
-// the supporters. Slot 0 (no checkpoint) is always available.
+// the supporters whose bytes have that digest: a faulty voter may send
+// the winning pair with other bytes. Slot 0 (no checkpoint) is always
+// available.
 func (r *Replica) stableCheckpoint(votes map[ids.ProcessID]*wire.ViewChange) (uint64, []byte) {
 	type key struct {
 		slot uint64
@@ -239,14 +242,15 @@ func (r *Replica) stableCheckpoint(votes map[ids.ProcessID]*wire.ViewChange) (ui
 	for _, vc := range votes {
 		k := key{slot: vc.CheckpointSlot, dig: string(vc.CheckpointDig)}
 		count[k]++
-		snap[k] = vc.Snapshot
+		if _, ok := snap[k]; !ok && k.slot > 0 && string(crypto.Digest(vc.Snapshot)) == k.dig {
+			snap[k] = vc.Snapshot
+		}
 	}
 	var bestSlot uint64
 	var bestSnap []byte
 	for k, c := range count {
-		if c >= r.cfg.F+1 && k.slot > bestSlot {
-			bestSlot = k.slot
-			bestSnap = snap[k]
+		if s, ok := snap[k]; ok && c >= r.cfg.F+1 && k.slot > bestSlot {
+			bestSlot, bestSnap = k.slot, s
 		}
 	}
 	return bestSlot, bestSnap
