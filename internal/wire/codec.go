@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"quorumselect/internal/ids"
@@ -107,12 +108,9 @@ func (c *Codec) frame(m Message) {
 
 // message decodes one frame: its type tag, then its body.
 func (c *Codec) message() Message {
+	var tag uint8
+	c.U8(&tag)
 	if c.err != nil {
-		return nil
-	}
-	tag, err := c.r.Uint8()
-	if err != nil {
-		c.fail(err)
 		return nil
 	}
 	m := newMessage(Type(tag))
@@ -124,14 +122,51 @@ func (c *Codec) message() Message {
 	return m
 }
 
+// take returns the next n bytes of a decode, or nil — failing the
+// decode — when fewer remain.
+func (c *Codec) take(n int) []byte {
+	if c.r.Remaining() < n {
+		c.fail(ErrTruncated)
+		return nil
+	}
+	c.r.off += n
+	return c.r.buf[c.r.off-n : c.r.off]
+}
+
+// count lays out the uint32 element count of a slice whose elements
+// each take at least minSize encoded bytes, and returns it: n when
+// encoding; when decoding, the count read, or 0 once the decode has
+// failed. A decoded count is checked before the caller allocates
+// anything: against maxSliceLen in a network frame, and against the
+// bytes left, so a short hostile input claiming a huge slice costs an
+// error, not memory.
+func (c *Codec) count(n, minSize int) int {
+	if !c.dec {
+		c.b.PutUint32(uint32(n))
+		return n
+	}
+	b := c.take(4)
+	if c.err != nil {
+		return 0
+	}
+	x := binary.BigEndian.Uint32(b)
+	switch {
+	case x > maxSliceLen && !c.r.local:
+		c.fail(fmt.Errorf("wire: slice length %d exceeds limit", x))
+		return 0
+	case uint64(x)*uint64(minSize) > uint64(c.r.Remaining()):
+		c.fail(ErrTruncated)
+		return 0
+	}
+	return int(x)
+}
+
 // U8 lays out one byte.
 func (c *Codec) U8(v *uint8) {
 	if !c.dec {
 		c.b.PutUint8(*v)
-	} else if x, err := c.r.Uint8(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
 }
 
@@ -139,10 +174,8 @@ func (c *Codec) U8(v *uint8) {
 func (c *Codec) U32(v *uint32) {
 	if !c.dec {
 		c.b.PutUint32(*v)
-	} else if x, err := c.r.Uint32(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
+	} else if b := c.take(4); b != nil {
+		*v = binary.BigEndian.Uint32(b)
 	}
 }
 
@@ -150,55 +183,51 @@ func (c *Codec) U32(v *uint32) {
 func (c *Codec) U64(v *uint64) {
 	if !c.dec {
 		c.b.PutUint64(*v)
-	} else if x, err := c.r.Uint64(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
+	} else if b := c.take(8); b != nil {
+		*v = binary.BigEndian.Uint64(b)
 	}
 }
 
+// flag lays out a boolean as one byte; a decode rejects bytes other
+// than 0 and 1.
 func (c *Codec) flag(v *bool) {
-	if !c.dec {
-		c.b.PutBool(*v)
-	} else if x, err := c.r.Bool(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
+	var b uint8
+	if *v {
+		b = 1
 	}
+	c.U8(&b)
+	if b > 1 {
+		c.fail(fmt.Errorf("wire: invalid bool byte %d", b))
+	}
+	*v = b == 1
 }
 
 func (c *Codec) proc(v *ids.ProcessID) {
-	if !c.dec {
-		c.b.PutProc(*v)
-	} else if x, err := c.r.Proc(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
-	}
+	x := uint32(*v)
+	c.U32(&x)
+	*v = ids.ProcessID(x)
 }
 
 // Bytes lays out a byte slice behind its uint32 length. A decoded
 // slice is a copy: it never aliases the bytes decoded.
 func (c *Codec) Bytes(v *[]byte) {
+	n := c.count(len(*v), 1)
 	if !c.dec {
-		c.b.PutBytes(*v)
-	} else if x, err := c.r.Bytes(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
+		copy(c.b.extend(n), *v)
+		return
 	}
+	out := make([]byte, n)
+	copy(out, c.take(n))
+	*v = out
 }
 
 // Str lays out a string as Bytes lays out its bytes.
 func (c *Codec) Str(v *string) {
+	n := c.count(len(*v), 1)
 	if !c.dec {
-		c.b.PutUint32(uint32(len(*v)))
-		copy(c.b.extend(len(*v)), *v)
-	} else if n, err := c.r.sliceLen(1); err == nil {
-		*v = string(c.r.buf[c.r.off : c.r.off+n])
-		c.r.off += n
+		copy(c.b.extend(n), *v)
 	} else {
-		c.fail(err)
+		*v = string(c.take(n))
 	}
 }
 
@@ -216,12 +245,8 @@ func (c *Codec) Frame(m *Message) {
 		}
 		return
 	}
+	n := c.count(0, 1)
 	if c.err != nil {
-		return
-	}
-	n, err := c.r.sliceLen(1)
-	if err != nil {
-		c.fail(err)
 		return
 	}
 	// The frame is read in place, with the reader cut off where it ends.
@@ -256,46 +281,85 @@ func (c *Codec) Records(n *uint32, raw *[]byte, record func(*Codec)) {
 }
 
 func (c *Codec) procs(v *[]ids.ProcessID) {
+	n := c.count(len(*v), 4)
 	if !c.dec {
-		c.b.PutProcs(*v)
-	} else if x, err := c.r.Procs(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
+		if dst := c.b.extend(4 * n); dst != nil {
+			for i, p := range *v {
+				binary.BigEndian.PutUint32(dst[4*i:], uint32(p))
+			}
+		}
+		return
 	}
+	out, raw := make([]ids.ProcessID, n), c.take(4*n)
+	for i := range out {
+		out[i] = ids.ProcessID(binary.BigEndian.Uint32(raw[4*i:]))
+	}
+	*v = out
 }
 
 func (c *Codec) u64s(v *[]uint64) {
+	n := c.count(len(*v), 8)
 	if !c.dec {
-		c.b.PutUint64s(*v)
-	} else if x, err := c.r.Uint64s(); err == nil {
+		if dst := c.b.extend(8 * n); dst != nil {
+			for i, x := range *v {
+				binary.BigEndian.PutUint64(dst[8*i:], x)
+			}
+		}
+		return
+	}
+	out, raw := make([]uint64, n), c.take(8*n)
+	for i := range out {
+		out[i] = binary.BigEndian.Uint64(raw[8*i:])
+	}
+	*v = out
+}
+
+// uvarint lays out an unsigned varint (LEB128, as encoding/binary
+// writes it). The encoding is minimal by construction, and a decode
+// rejects non-minimal encodings (a final continuation group of zero,
+// e.g. 0x80 0x00 for 0) and 64-bit overflow: accepting either would let
+// one value arrive in more than one byte form, breaking the codec's
+// canonicity.
+func (c *Codec) uvarint(v *uint64) {
+	if !c.dec {
+		if dst := c.b.extend((bits.Len64(*v|1) + 6) / 7); dst != nil {
+			binary.PutUvarint(dst, *v)
+		}
+		return
+	}
+	x, n := binary.Uvarint(c.r.buf[c.r.off:])
+	switch {
+	case n == 0:
+		c.fail(ErrTruncated)
+	case n < 0:
+		c.fail(fmt.Errorf("wire: uvarint overflows 64 bits"))
+	case n > 1 && c.r.buf[c.r.off+n-1] == 0:
+		c.fail(fmt.Errorf("wire: non-minimal uvarint encoding"))
+	default:
 		*v = x
-	} else {
-		c.fail(err)
+		c.r.off += n
 	}
 }
 
-// trace lays out a trace context; at depth 0 it is the message's own.
+// trace lays out a trace context as two uvarints, so the common
+// untraced case costs two bytes; at depth 0 it is the message's own.
 func (c *Codec) trace(v *TraceContext) {
 	if c.depth == 0 {
 		c.ownTC = v
 	}
-	if !c.dec {
-		c.b.PutTraceContext(*v)
-	} else if x, err := c.r.TraceContext(); err == nil {
-		*v = x
-	} else {
-		c.fail(err)
-	}
+	c.uvarint(&v.Trace)
+	c.uvarint(&v.Span)
 }
 
-// tag opens a signed body with its inner type tag.
+// tag opens a signed body with its inner type tag. A decode rejects
+// any tag but t: accepting non-canonical encodings would let one
+// message re-encode differently than it arrived.
 func (c *Codec) tag(t Type) {
 	c.depth++
-	if !c.dec {
-		c.b.PutUint8(uint8(t))
-	} else if err := c.r.Tag(t); err != nil {
-		c.fail(err)
+	got := uint8(t)
+	c.U8(&got)
+	if Type(got) != t {
+		c.fail(fmt.Errorf("wire: inner tag %d, want %s", got, t))
 	}
 }
 
@@ -316,25 +380,14 @@ func (c *Codec) sig(v *[]byte) {
 	c.Bytes(v)
 }
 
-// Elems lays out a slice's element count and returns it: len(*s) when
-// encoding; when decoding, the count read — checked against minSize
-// encoded bytes per element before anything is allocated (see
-// reader.sliceLen) — with *s allocated to hold it. The layout then
-// walks the elements itself.
+// Elems lays out a slice's element count and returns it (see count),
+// with *s allocated to hold it when decoding. The layout then walks the
+// elements itself.
 func Elems[T any](c *Codec, s *[]T, minSize int) int {
-	if !c.dec {
-		c.b.PutUint32(uint32(len(*s)))
-		return len(*s)
+	n := c.count(len(*s), minSize)
+	if c.dec {
+		*s = make([]T, n)
 	}
-	if c.err != nil {
-		return 0
-	}
-	n, err := c.r.sliceLen(minSize)
-	if err != nil {
-		c.fail(err)
-		return 0
-	}
-	*s = make([]T, n)
 	return n
 }
 

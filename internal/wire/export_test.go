@@ -8,5 +8,5 @@ func DecodeSigned(data []byte) (Message, []byte, error) {
 	return m, signed, err
 }
 
-// newReader wraps data for decoding as a network frame.
-func newReader(data []byte) *reader { return &reader{buf: data} }
+// decoder returns a codec decoding data as a network frame.
+func decoder(data []byte) *Codec { return &Codec{dec: true, r: reader{buf: data}} }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"quorumselect/internal/ids"
 )
 
 // FuzzDecode drives the codec with arbitrary bytes: it must never
@@ -41,23 +43,40 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzKVSnapshot is in the xpaxos package (snapshot decoding); this one
-// covers the reader primitives against arbitrary splits.
+// FuzzReaderPrimitives covers the codec's decode primitives against
+// arbitrary splits, in a network frame and in local durable bytes. (The
+// durable layouts are fuzzed by FuzzDurableRestore in xpaxos and host.)
 func FuzzReaderPrimitives(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := newReader(data)
-		// Walk the buffer with a fixed schedule of reads; all must
-		// either succeed in-bounds or fail cleanly.
-		r.Uint8()
-		r.Uint32()
-		r.Uint64()
-		r.Bool()
-		r.Bytes()
-		r.Procs()
-		r.Uint64s()
-		if r.Remaining() < 0 {
-			t.Fatal("negative remaining")
+		for _, local := range []bool{false, true} {
+			c := decoder(data)
+			c.r.local = local
+			// Walk the input with a fixed schedule of reads; all must
+			// either succeed in-bounds or fail cleanly.
+			var (
+				u8  uint8
+				u32 uint32
+				u64 uint64
+				b   bool
+				bs  []byte
+				s   string
+				ps  []ids.ProcessID
+				us  []uint64
+				tc  TraceContext
+			)
+			c.U8(&u8)
+			c.U32(&u32)
+			c.U64(&u64)
+			c.flag(&b)
+			c.Bytes(&bs)
+			c.Str(&s)
+			c.procs(&ps)
+			c.u64s(&us)
+			c.trace(&tc)
+			if c.r.Remaining() < 0 {
+				t.Fatal("negative remaining")
+			}
 		}
 	})
 }

@@ -24,7 +24,7 @@ var (
 )
 
 // Smallest encodings of the elements decoded into slices (every
-// variable-length field empty, untraced): what reader.sliceLen multiplies an
+// variable-length field empty, untraced): what Codec.count multiplies an
 // element count by before anything is allocated.
 const (
 	minEdgeSize      = 4 + 4

@@ -9,18 +9,19 @@ import (
 func TestUvarintRoundTrip(t *testing.T) {
 	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<40 | 7, 1<<63 - 1, ^uint64(0)}
 	for _, v := range vals {
-		var b buffer
-		b.PutUvarint(v)
-		r := newReader(b.buf)
-		got, err := r.Uvarint()
-		if err != nil {
-			t.Fatalf("Uvarint(%d): %v", v, err)
+		enc := &Codec{}
+		enc.uvarint(&v)
+		c := decoder(enc.b.buf)
+		var got uint64
+		c.uvarint(&got)
+		if c.err != nil {
+			t.Fatalf("uvarint(%d): %v", v, c.err)
 		}
 		if got != v {
-			t.Errorf("Uvarint round trip: got %d, want %d", got, v)
+			t.Errorf("uvarint round trip: got %d, want %d", got, v)
 		}
-		if r.Remaining() != 0 {
-			t.Errorf("Uvarint(%d): %d bytes unread", v, r.Remaining())
+		if c.r.Remaining() != 0 {
+			t.Errorf("uvarint(%d): %d bytes unread", v, c.r.Remaining())
 		}
 	}
 }
@@ -34,8 +35,7 @@ func TestUvarintRejectsNonMinimal(t *testing.T) {
 		{0x80, 0x80, 0x00},
 	}
 	for _, enc := range cases {
-		r := newReader(enc)
-		if _, err := r.Uvarint(); err == nil {
+		if uvarintErr(enc) == nil {
 			t.Errorf("non-minimal uvarint % x accepted", enc)
 		}
 	}
@@ -45,15 +45,24 @@ func TestUvarintRejectsOverflowAndTruncation(t *testing.T) {
 	// Eleven continuation bytes overflow uint64.
 	over := bytes.Repeat([]byte{0x80}, 10)
 	over = append(over, 0x02)
-	if _, err := newReader(over).Uvarint(); err == nil {
+	if uvarintErr(over) == nil {
 		t.Error("overflowing uvarint accepted")
 	}
-	if _, err := newReader(nil).Uvarint(); err == nil {
+	if uvarintErr(nil) == nil {
 		t.Error("empty uvarint accepted")
 	}
-	if _, err := newReader([]byte{0x80}).Uvarint(); err == nil {
+	if uvarintErr([]byte{0x80}) == nil {
 		t.Error("truncated uvarint accepted")
 	}
+}
+
+// uvarintErr decodes one uvarint from enc and returns the decode's
+// error.
+func uvarintErr(enc []byte) error {
+	var v uint64
+	c := decoder(enc)
+	c.uvarint(&v)
+	return c.err
 }
 
 func TestTraceContextOutsideSignature(t *testing.T) {
@@ -111,20 +120,20 @@ func TestTraceContextZero(t *testing.T) {
 		t.Error("non-zero context reported Zero()")
 	}
 	// Untraced frames cost exactly two context bytes.
-	var b buffer
-	b.PutTraceContext(TraceContext{})
-	if len(b.buf) != 2 {
-		t.Errorf("zero context encodes to %d bytes, want 2", len(b.buf))
+	c := &Codec{}
+	c.trace(&TraceContext{})
+	if len(c.b.buf) != 2 {
+		t.Errorf("zero context encodes to %d bytes, want 2", len(c.b.buf))
 	}
 }
 
 func TestPutUvarintMatchesBinary(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 1 << 21, ^uint64(0)} {
-		var b buffer
-		b.PutUvarint(v)
+		c := &Codec{}
+		c.uvarint(&v)
 		want := binary.AppendUvarint(nil, v)
-		if !bytes.Equal(b.buf, want) {
-			t.Errorf("PutUvarint(%d) = % x, want % x", v, b.buf, want)
+		if !bytes.Equal(c.b.buf, want) {
+			t.Errorf("uvarint(%d) = % x, want % x", v, c.b.buf, want)
 		}
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"quorumselect/internal/ids"
@@ -170,7 +169,7 @@ func (tc TraceContext) Zero() bool { return tc.Trace == 0 && tc.Span == 0 }
 var ErrUnknownType = errors.New("wire: unknown message type")
 
 // maxSliceLen bounds the slice lengths a network frame may declare;
-// together with the bytes-remaining check in reader.sliceLen it keeps a
+// together with the bytes-remaining check in Codec.count it keeps a
 // malicious peer from forcing an allocation larger than the frame it
 // actually sent. Local durable bytes (NewDecoder) have only the second
 // check.
@@ -218,7 +217,7 @@ var framePool = sync.Pool{
 // the pooled buffer that comes up if the frame fits it, else one
 // exactly sized allocation. The returned slice must be handed back with
 // Recycle once no live reference to its bytes remains; decoded messages
-// never alias the input (the reader copies every byte field), so
+// never alias the input (the codec copies every byte field), so
 // recycling right after Decode is safe — the signed bytes Open
 // returns excepted.
 func EncodePooled(m Message) []byte {
@@ -359,61 +358,7 @@ func (b *buffer) PutUint64(v uint64) {
 	binary.BigEndian.PutUint64(b.buf[len(b.buf)-8:], v)
 }
 
-// PutBool appends a boolean as one byte.
-func (b *buffer) PutBool(v bool) {
-	if v {
-		b.PutUint8(1)
-	} else {
-		b.PutUint8(0)
-	}
-}
-
-// PutProc appends a process identifier.
-func (b *buffer) PutProc(p ids.ProcessID) { b.PutUint32(uint32(p)) }
-
-// PutBytes appends a length-prefixed byte slice.
-func (b *buffer) PutBytes(v []byte) {
-	b.PutUint32(uint32(len(v)))
-	copy(b.extend(len(v)), v)
-}
-
-// PutProcs appends a length-prefixed slice of process identifiers.
-func (b *buffer) PutProcs(ps []ids.ProcessID) {
-	b.PutUint32(uint32(len(ps)))
-	if dst := b.extend(4 * len(ps)); dst != nil {
-		for i, p := range ps {
-			binary.BigEndian.PutUint32(dst[4*i:], uint32(p))
-		}
-	}
-}
-
-// PutUint64s appends a length-prefixed slice of uint64.
-func (b *buffer) PutUint64s(vs []uint64) {
-	b.PutUint32(uint32(len(vs)))
-	if dst := b.extend(8 * len(vs)); dst != nil {
-		for i, v := range vs {
-			binary.BigEndian.PutUint64(dst[8*i:], v)
-		}
-	}
-}
-
-// PutUvarint appends an unsigned varint (LEB128, as produced by
-// encoding/binary). The encoding is minimal by construction, matching
-// the reader's canonicity requirement.
-func (b *buffer) PutUvarint(v uint64) {
-	if dst := b.extend((bits.Len64(v|1) + 6) / 7); dst != nil {
-		binary.PutUvarint(dst, v)
-	}
-}
-
-// PutTraceContext appends a trace context as two uvarints. The common
-// untraced case costs two bytes.
-func (b *buffer) PutTraceContext(tc TraceContext) {
-	b.PutUvarint(tc.Trace)
-	b.PutUvarint(tc.Span)
-}
-
-// reader decodes canonical bytes with bounds checking.
+// reader is a decode's input and how far the codec has read it.
 type reader struct {
 	buf []byte
 	off int
@@ -424,166 +369,3 @@ type reader struct {
 
 // Remaining returns the number of unread bytes.
 func (r *reader) Remaining() int { return len(r.buf) - r.off }
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.Remaining() < n {
-		return nil, ErrTruncated
-	}
-	out := r.buf[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-// Uint8 reads one byte.
-func (r *reader) Uint8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-// Uint32 reads a big-endian uint32.
-func (r *reader) Uint32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-// Uint64 reads a big-endian uint64.
-func (r *reader) Uint64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-// Bool reads a boolean byte, rejecting values other than 0 and 1.
-func (r *reader) Bool() (bool, error) {
-	v, err := r.Uint8()
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("wire: invalid bool byte %d", v)
-	}
-}
-
-// Tag reads the inner type tag of a signed body and rejects anything
-// but want: accepting non-canonical encodings would let one message
-// re-encode differently than it arrived.
-func (r *reader) Tag(want Type) error {
-	v, err := r.Uint8()
-	if err != nil {
-		return err
-	}
-	if Type(v) != want {
-		return fmt.Errorf("wire: inner tag %d, want %s", v, want)
-	}
-	return nil
-}
-
-// Proc reads a process identifier.
-func (r *reader) Proc() (ids.ProcessID, error) {
-	v, err := r.Uint32()
-	return ids.ProcessID(v), err
-}
-
-// sliceLen reads a uint32 element count for a slice whose elements each
-// occupy at least elemSize encoded bytes. It rejects counts above
-// maxSliceLen in a network frame and — before the caller allocates anything — counts the
-// remaining bytes could not hold, so a short hostile frame claiming a
-// huge slice costs an error, not memory.
-func (r *reader) sliceLen(elemSize int) (int, error) {
-	n, err := r.Uint32()
-	if err != nil {
-		return 0, err
-	}
-	if n > maxSliceLen && !r.local {
-		return 0, fmt.Errorf("wire: slice length %d exceeds limit", n)
-	}
-	if uint64(n)*uint64(elemSize) > uint64(r.Remaining()) {
-		return 0, ErrTruncated
-	}
-	return int(n), nil
-}
-
-// Bytes reads a length-prefixed byte slice (copied out of the buffer).
-func (r *reader) Bytes() ([]byte, error) {
-	n, err := r.sliceLen(1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += n
-	return out, nil
-}
-
-// Procs reads a length-prefixed slice of process identifiers.
-func (r *reader) Procs() ([]ids.ProcessID, error) {
-	n, err := r.sliceLen(4)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ids.ProcessID, n)
-	raw := r.buf[r.off : r.off+4*n]
-	for i := range out {
-		out[i] = ids.ProcessID(binary.BigEndian.Uint32(raw[4*i:]))
-	}
-	r.off += 4 * n
-	return out, nil
-}
-
-// Uvarint reads an unsigned varint, rejecting non-minimal encodings
-// (a final continuation group of zero, e.g. 0x80 0x00 for 0) and
-// 64-bit overflow: accepting either would let one value arrive in more
-// than one byte form, breaking the codec's canonicity invariant.
-func (r *reader) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n == 0 {
-		return 0, ErrTruncated
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("wire: uvarint overflows 64 bits")
-	}
-	if n > 1 && r.buf[r.off+n-1] == 0 {
-		return 0, fmt.Errorf("wire: non-minimal uvarint encoding")
-	}
-	r.off += n
-	return v, nil
-}
-
-// TraceContext reads a trace context (two uvarints).
-func (r *reader) TraceContext() (TraceContext, error) {
-	var tc TraceContext
-	var err error
-	if tc.Trace, err = r.Uvarint(); err != nil {
-		return tc, err
-	}
-	tc.Span, err = r.Uvarint()
-	return tc, err
-}
-
-// Uint64s reads a length-prefixed slice of uint64.
-func (r *reader) Uint64s() ([]uint64, error) {
-	n, err := r.sliceLen(8)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	raw := r.buf[r.off : r.off+8*n]
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64(raw[8*i:])
-	}
-	r.off += 8 * n
-	return out, nil
-}

@@ -177,7 +177,7 @@ func TestDecodeRejectsHugeSlices(t *testing.T) {
 	var b buffer
 	b.PutUint8(uint8(TypeUpdate))
 	b.PutUint8(uint8(TypeUpdate))
-	b.PutProc(1)
+	b.PutUint32(1)
 	b.PutUint32(1 << 30) // row length
 	if _, err := Decode(b.buf); err == nil {
 		t.Error("oversized slice length decoded without error")
@@ -190,7 +190,7 @@ func hostileUpdate() []byte {
 	var b buffer
 	b.PutUint8(uint8(TypeUpdate))
 	b.PutUint8(uint8(TypeUpdate))
-	b.PutProc(1)
+	b.PutUint32(1)
 	b.PutUint32(maxSliceLen)
 	return b.buf
 }
@@ -210,7 +210,7 @@ func TestDecodeHugeClaimAllocatesNothing(t *testing.T) {
 	put("followers", func(b *buffer) {
 		b.PutUint8(uint8(TypeFollowers))
 		b.PutUint8(uint8(TypeFollowers))
-		b.PutProc(1)
+		b.PutUint32(1)
 		b.PutUint64(1)
 	})
 	put("batch", func(b *buffer) { b.PutUint8(uint8(TypeBatch)) })
@@ -235,7 +235,7 @@ func TestDecodeHugeClaimAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMinElementSizes pins the lower bounds reader.sliceLen relies on to the
+// TestMinElementSizes pins the lower bounds Codec.count relies on to the
 // codec: each is exactly the encoding of the element's zero value. A
 // bound above the real minimum would reject valid frames.
 func TestMinElementSizes(t *testing.T) {
@@ -258,9 +258,10 @@ func TestMinElementSizes(t *testing.T) {
 }
 
 func TestInvalidBool(t *testing.T) {
-	r := newReader([]byte{2})
-	if _, err := r.Bool(); err == nil {
-		t.Error("Bool accepted byte 2")
+	c := decoder([]byte{2})
+	var v bool
+	if c.flag(&v); c.err == nil {
+		t.Error("flag accepted byte 2")
 	}
 }
 
