@@ -14,7 +14,7 @@ import (
 // replicas keep (WAL records, snapshots, checkpoints). A layout lists
 // the format's fields once, in order; the codec encodes them through its
 // buffer (appending, bounded or sizing, as the buffer is set up) or, when
-// decoding, decodes them through its reader. A decode keeps its first
+// decoding, reads them from its input (take). A decode keeps its first
 // error, so a layout needs no error handling: reads after it are
 // bounds-checked garbage the caller never sees, and a slice whose count
 // was not read cleanly has no elements to walk.

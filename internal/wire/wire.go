@@ -7,14 +7,16 @@
 // integers are encoded big-endian with fixed width; slices are
 // length-prefixed with uint32. Each message describes its format once,
 // in a layout method that encoding, SigBytes and decoding all run (see
-// codec).
+// Codec). The replicas' durable formats — WAL records, snapshots,
+// checkpoints — are described the same way, by layouts that NewEncoder
+// and NewDecoder run.
 //
-// No encode grows its buffer step by step. Encode, AppendEncode and
-// EncodePooled write into the room their destination has; a frame that
-// does not fit is counted to its end (buffer's sizing mode, which
+// No message encode grows its buffer step by step. Encode, AppendEncode
+// and EncodePooled write into the room their destination has; a frame
+// that does not fit is counted to its end (buffer's sizing mode, which
 // counts instead of appending) and written again into one allocation
-// of exactly the size needed. SigBytes does the same through a scratch
-// buffer. Each encode therefore makes at most one allocation, of exactly
+// of exactly the size needed. SigBytes sizes its bytes first the same
+// way. Each encode therefore makes at most one allocation, of exactly
 // the frame's length — none when the destination has room — however
 // large the message (a whole-log VIEW-CHANGE included).
 //

@@ -155,6 +155,9 @@ type Execution struct {
 	Result []byte
 }
 
+// layout is an execution's encoding in the ledger's history: slot,
+// client and seq, then the operation and the result behind their
+// lengths.
 func (e *Execution) layout(c *wire.Codec) {
 	c.U64(&e.Slot)
 	c.U64(&e.Client)
