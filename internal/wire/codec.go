@@ -245,7 +245,7 @@ func (c *Codec) Frame(m *Message) {
 		}
 		return
 	}
-	n := c.count(0, 1)
+	n := c.count(0, 1) // the frame's length
 	if c.err != nil {
 		return
 	}
