@@ -186,7 +186,11 @@ seeded:
 	sum chaos -protocol xpaxos -shards 3 -seed 7; \
 	sum fsim; \
 	sum fsim -scenario crash -n 7 -f 2 -metrics-dump; \
+	sum fsim -scenario adversary -n 10 -f 3; \
 	sum qsim -trace QUORUM; \
+	sum qsim -scenario adversary -n 10 -f 3; \
+	sum qsim -scenario omission; \
+	sum qsim -scenario timing; \
 	sum loadgen -mode sim; \
 	sum loadgen -mode sim -topology examples/topologies/geo3.topo -faults crash-restart -fault-seed 1
 
