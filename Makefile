@@ -176,7 +176,7 @@ golden:
 SEEDED_BIN = .bench_build/seeded
 seeded:
 	@mkdir -p $(SEEDED_BIN)
-	@$(GO) build -o $(SEEDED_BIN)/ ./cmd/benchpaper ./cmd/chaos ./cmd/fsim ./cmd/qsim ./cmd/loadgen
+	@$(GO) build -o $(SEEDED_BIN)/ ./cmd/benchpaper ./cmd/chaos ./cmd/qsim ./cmd/loadgen
 	@set -e; \
 	sum() { echo "$$($(SEEDED_BIN)/"$$@" 2>&1 | sha256sum | cut -c1-16)  $$*"; }; \
 	sum benchpaper; \
@@ -184,9 +184,9 @@ seeded:
 	sum chaos -sharded -seed 3; \
 	sum chaos -unsafe-spec -force-unsafe -seed 5; \
 	sum chaos -protocol xpaxos -shards 3 -seed 7; \
-	sum fsim; \
-	sum fsim -scenario crash -n 7 -f 2 -metrics-dump; \
-	sum fsim -scenario adversary -n 10 -f 3; \
+	sum qsim -selector follower; \
+	sum qsim -selector follower -scenario crash -n 7 -f 2 -metrics-dump; \
+	sum qsim -selector follower -scenario adversary -n 10 -f 3; \
 	sum qsim -trace QUORUM; \
 	sum qsim -scenario adversary -n 10 -f 3; \
 	sum qsim -scenario omission; \

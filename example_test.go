@@ -233,11 +233,9 @@ func Example_adversarial() {
 		cfg := ids.MustConfig(n, f)
 		opts := core.DefaultNodeOptions()
 		opts.HeartbeatPeriod = 0
-		nodes := make(map[ids.ProcessID]*core.Node, n)
-		net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-			nodes[at.Proc] = core.NewNode(opts)
-			return cluster.Member{Node: nodes[at.Proc]}
-		}, sim.Options{}).Net
+		net, nodes := cluster.Nodes(cfg, func(ids.ProcessID) (*core.Node, bool) {
+			return core.NewNode(opts), true
+		}, sim.Options{})
 		res := adversary.RunQuorumChurn(net, nodes, adversary.ChurnOptions{F: f})
 		fmt.Printf("f=%d n=%d: suspicions=%d quorums-issued=%d bounds: f(f+1)=%d C(f+2,2)=%d agreement=%v\n",
 			f, n, res.Injections, res.QuorumsIssued,
@@ -287,13 +285,11 @@ func printTable(rendered string) {
 //	go test -run Example_followers -v .
 func Example_followers() {
 	newNet := func(n, f int) (*sim.Network, map[ids.ProcessID]*follower.Node) {
-		opts := follower.DefaultNodeOptions()
+		opts := core.DefaultNodeOptions()
 		opts.HeartbeatPeriod = 0
-		nodes := make(map[ids.ProcessID]*follower.Node, n)
-		return cluster.New(ids.MustConfig(n, f), 1, func(at cluster.Site) cluster.Member {
-			nodes[at.Proc] = follower.NewNode(opts)
-			return cluster.Member{Node: nodes[at.Proc]}
-		}, sim.Options{}).Net, nodes
+		return cluster.Nodes(ids.MustConfig(n, f), func(ids.ProcessID) (*follower.Node, bool) {
+			return follower.NewNode(opts), true
+		}, sim.Options{})
 	}
 
 	net, nodes := newNet(7, 2)
@@ -315,7 +311,7 @@ func Example_followers() {
 	for f := 1; f <= 4; f++ {
 		n := 3*f + 1
 		netA, nodesA := newNet(n, f)
-		res := adversary.RunFollowerChurn(netA, nodesA, adversary.FollowerChurnOptions{F: f})
+		res := adversary.RunFollowerChurn(netA, nodesA, adversary.ChurnOptions{F: f})
 		fmt.Printf("  f=%d n=%d: quorums=%d max/epoch=%d bounds: 3f+1=%d 6f+2=%d final-leader=%s\n",
 			f, n, res.QuorumsIssued, res.MaxPerEpoch,
 			ids.TheoremNineBound(f), ids.CorollaryTenBound(f), res.FinalLeader)

@@ -35,7 +35,7 @@ func newCoreNetOn(n, f int, simOpts sim.Options) (*sim.Network, map[ids.ProcessI
 func newFollowerNet(t *testing.T, n, f int) (*sim.Network, map[ids.ProcessID]*follower.Node) {
 	t.Helper()
 	cfg := ids.MustConfig(n, f)
-	opts := follower.DefaultNodeOptions()
+	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
 	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	fNodes := make(map[ids.ProcessID]*follower.Node, n)
@@ -123,7 +123,7 @@ func TestFollowerChurnRespectsTheorem9(t *testing.T) {
 	for f := 1; f <= 3; f++ {
 		n := 3*f + 1
 		net, nodes := newFollowerNet(t, n, f)
-		res := adversary.RunFollowerChurn(net, nodes, adversary.FollowerChurnOptions{F: f})
+		res := adversary.RunFollowerChurn(net, nodes, adversary.ChurnOptions{F: f})
 		if res.MaxPerEpoch > ids.TheoremNineBound(f) {
 			t.Errorf("f=%d: per-epoch churn %d exceeds Theorem 9 bound %d",
 				f, res.MaxPerEpoch, ids.TheoremNineBound(f))
@@ -151,7 +151,7 @@ func TestFollowerChurnLinearVsQuadratic(t *testing.T) {
 	netQ, nodesQ := newCoreNet(t, n, f)
 	resQ := adversary.RunQuorumChurn(netQ, nodesQ, adversary.ChurnOptions{F: f})
 	netF, nodesF := newFollowerNet(t, n, f)
-	resF := adversary.RunFollowerChurn(netF, nodesF, adversary.FollowerChurnOptions{F: f})
+	resF := adversary.RunFollowerChurn(netF, nodesF, adversary.ChurnOptions{F: f})
 	if resF.QuorumsIssued >= resQ.QuorumsIssued {
 		t.Errorf("follower churn (%d) not below quorum churn (%d) at f=%d",
 			resF.QuorumsIssued, resQ.QuorumsIssued, f)

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"time"
 
+	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
+	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/sim"
 )
@@ -39,14 +41,15 @@ func PickReverseLex(candidates []Pair, _ *rand.Rand) Pair {
 	return candidates[len(candidates)-1]
 }
 
-// ChurnOptions configures the Theorem 4 adversary.
+// ChurnOptions configures a churn adversary: the Theorem 4 adversary
+// of RunQuorumChurn or the leader-targeting one of RunFollowerChurn.
 type ChurnOptions struct {
 	// F is the failure threshold the adversary plays with.
 	F int
 	// Picker chooses among admissible suspicion pairs (default
-	// PickLex).
+	// PickLex; RunQuorumChurn only).
 	Picker PairPicker
-	// Seed drives the picker's randomness.
+	// Seed drives the picker's randomness (RunQuorumChurn only).
 	Seed int64
 	// SettleTime is how long to run the network after each injection
 	// for the quorum to converge (default 1s of virtual time).
@@ -58,11 +61,12 @@ type ChurnOptions struct {
 // ChurnResult reports what the adversary achieved.
 type ChurnResult struct {
 	// QuorumsIssued is the total number of ⟨QUORUM⟩ events at the
-	// observer.
+	// observer; Corollary 10 bounds it by 6f+2 for Follower Selection.
 	QuorumsIssued int
 	// PerEpoch maps epoch → quorums issued in it at the observer; the
 	// quantity Theorem 3 bounds by f(f+1) and the paper's simulations
-	// bound by C(f+2, 2).
+	// bound by C(f+2, 2) for Quorum Selection, and Theorem 9 bounds by
+	// 3f+1 for Follower Selection.
 	PerEpoch map[uint64]int
 	// MaxPerEpoch is the largest PerEpoch value.
 	MaxPerEpoch int
@@ -70,6 +74,9 @@ type ChurnResult struct {
 	Injections int
 	// FinalEpoch is the observer's epoch at the end.
 	FinalEpoch uint64
+	// FinalLeader is the observer's leader at the end (RunFollowerChurn
+	// only).
+	FinalLeader ids.ProcessID
 	// Agreement reports whether all nodes ended on the same quorum.
 	Agreement bool
 }
@@ -130,9 +137,9 @@ func RunQuorumChurn(net *sim.Network, nodes map[ids.ProcessID]*core.Node, opts C
 		// All correct processes must have converged before the
 		// adversary moves (the proof's "waits until a quorum was
 		// output by all correct nodes").
-		if !agreement(nodes) {
+		if _, ok := cluster.Agreed(nodes); !ok {
 			settle()
-			if !agreement(nodes) {
+			if _, ok := cluster.Agreed(nodes); !ok {
 				break
 			}
 		}
@@ -155,10 +162,8 @@ func RunQuorumChurn(net *sim.Network, nodes map[ids.ProcessID]*core.Node, opts C
 		settle()
 	}
 
-	res.QuorumsIssued = observer.Selector.QuorumsIssued()
-	res.FinalEpoch = observer.Selector.Epoch()
-	res.PerEpoch, res.MaxPerEpoch = perEpoch(observer.Selector)
-	res.Agreement = agreement(nodes)
+	res.tally(observer.Selector)
+	_, res.Agreement = cluster.Agreed(nodes)
 	return res
 }
 
@@ -185,42 +190,103 @@ func admissiblePairs(q ids.Quorum, f2 ids.ProcSet, victim Pair, used map[Pair]bo
 	return out
 }
 
-// agreement reports whether every node outputs the same quorum. Both
-// core.Node and follower.Node serve CurrentQuorum from their host.
-func agreement[N interface{ CurrentQuorum() ids.Quorum }](nodes map[ids.ProcessID]N) bool {
-	var first ids.Quorum
-	initialized := false
-	for _, n := range nodes {
-		q := n.CurrentQuorum()
-		if !initialized {
-			first = q
-			initialized = true
-			continue
-		}
-		if !q.Equal(first) {
-			return false
+// RunFollowerChurn plays the leader-targeting adversary of §IX against
+// Follower Selection (Algorithm 2): the f faulty processes (the
+// highest identifiers) repeatedly issue a false suspicion against the
+// current leader — the strategy behind Theorem 9's 3f+1 bound, since
+// every such suspicion either advances the leader or forces an epoch
+// change.
+//
+// Every injected suspicion has a faulty endpoint, so it is a legal
+// post-accuracy adversary move; the run terminates when no injection
+// changes the system any more (the correct processes have settled on a
+// leader the adversary cannot dislodge).
+func RunFollowerChurn(net *sim.Network, nodes map[ids.ProcessID]*follower.Node, opts ChurnOptions) ChurnResult {
+	if opts.SettleTime <= 0 {
+		opts.SettleTime = time.Second
+	}
+	if opts.MaxInjections <= 0 {
+		opts.MaxInjections = 20 * (ids.CorollaryTenBound(opts.F) + 1)
+	}
+	cfg := net.Config()
+	faulty := ids.NewProcSet()
+	for i := cfg.N - opts.F + 1; i <= cfg.N; i++ {
+		faulty.Add(ids.ProcessID(i))
+	}
+
+	var observer *follower.Node
+	for _, p := range cfg.All() {
+		if n, ok := nodes[p]; ok && !faulty.Contains(p) {
+			observer = n
+			break
 		}
 	}
-	return true
+
+	// Each faulty process accumulates its (false) suspicions: a real
+	// attacker keeps its published row maximal.
+	suspecting := make(map[ids.ProcessID]ids.ProcSet)
+	for _, p := range faulty.Sorted() {
+		suspecting[p] = ids.NewProcSet()
+	}
+
+	var res ChurnResult
+	settle := func() { net.Run(net.Now() + opts.SettleTime) }
+	settle()
+
+	for res.Injections < opts.MaxInjections {
+		leader := observer.Selector.Leader()
+		epoch := observer.Selector.Epoch()
+		// Pick a faulty process that has not yet suspected this leader
+		// in this epoch.
+		var attacker ids.ProcessID
+		for _, x := range faulty.Sorted() {
+			if x == leader {
+				continue
+			}
+			if nodes[x].Store.Value(x, leader) < epoch {
+				attacker = x
+				break
+			}
+		}
+		if attacker == ids.None {
+			break // no move changes anything
+		}
+		res.Injections++
+		suspecting[attacker].Add(leader)
+		nodes[attacker].Selector.OnSuspected(suspecting[attacker].Clone())
+		settle()
+		// An injection that moved nothing (e.g. the attacker's star is
+		// saturated in the line subgraph) is not retried: the stamp
+		// recorded above excludes the pair, so the loop falls through
+		// to the next attacker and terminates once every faulty
+		// process has suspected the current leader in this epoch.
+	}
+
+	res.tally(observer.Selector)
+	res.FinalLeader = observer.Selector.Leader()
+	_, res.Agreement = cluster.Agreed(nodes)
+	return res
 }
 
-// epochTally is what perEpoch reads of a selector; core.Selector and
-// follower.Selector both provide it.
-type epochTally interface {
+// selectorTally is what a result reads of the observer's selector;
+// core.Selector and follower.Selector both provide it.
+type selectorTally interface {
 	Epoch() uint64
+	QuorumsIssued() int
 	QuorumsIssuedInEpoch(e uint64) int
 }
 
-// perEpoch tallies the quorums a selector issued in each epoch up to
-// its current one, omitting empty epochs, and the largest tally.
-func perEpoch(sel epochTally) (per map[uint64]int, maxPer int) {
-	per = make(map[uint64]int)
+// tally records the selector's quorum counts, per epoch up to its
+// current one (omitting empty epochs), and its final epoch.
+func (res *ChurnResult) tally(sel selectorTally) {
+	res.QuorumsIssued = sel.QuorumsIssued()
+	res.FinalEpoch = sel.Epoch()
+	res.PerEpoch = make(map[uint64]int)
 	for e := uint64(1); e <= sel.Epoch(); e++ {
 		count := sel.QuorumsIssuedInEpoch(e)
 		if count > 0 {
-			per[e] = count
+			res.PerEpoch[e] = count
 		}
-		maxPer = max(maxPer, count)
+		res.MaxPerEpoch = max(res.MaxPerEpoch, count)
 	}
-	return per, maxPer
 }

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"quorumselect/internal/cluster"
+	"quorumselect/internal/core"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/sim"
 	"quorumselect/internal/xpaxos"
 )
 
@@ -173,6 +176,29 @@ func TestInjectedAgreementBugCaught(t *testing.T) {
 		t.Fatalf("dump does not identify the violated checker:\n%s", tail(res.Violation.Dump))
 	}
 	t.Logf("injected bug caught at seed %d after %d seeds", res.Violation.Seed, res.Seeds)
+}
+
+// TestAgreementCheckerNamesQuorums splits a cluster by one suspicion
+// the others have not heard of yet: the qs-agreement checker must
+// report the disagreement with every checked process's quorum.
+func TestAgreementCheckerNamesQuorums(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	opts := core.DefaultNodeOptions()
+	opts.HeartbeatPeriod = 0
+	c := cluster.New(cfg, 1, func(cluster.Site) cluster.Member {
+		return cluster.Member{Node: core.NewNode(opts)}
+	}, sim.Options{})
+	defer c.Net.Close()
+	r := &RunState{Scenario: &Scenario{}, cfg: cfg, cluster: c}
+	if err := (agreementChecker{}).Check(r, PhaseFinal); err != nil {
+		t.Fatalf("fresh cluster: %v", err)
+	}
+	r.host(1).Selection.OnSuspected(ids.NewProcSet(2)) // p1 moves at once; the UPDATE is still in flight
+	err := (agreementChecker{}).Check(r, PhaseFinal)
+	want := "quorum disagreement after settling: p1 has {p1,p3,p4}, p2 has {p1,p2,p3}, p3 has {p1,p2,p3}, p4 has {p1,p2,p3}"
+	if err == nil || err.Error() != want {
+		t.Fatalf("split cluster: got %v, want %q", err, want)
+	}
 }
 
 // TestCrashRestartRecovery runs the crash-restart fault class alone

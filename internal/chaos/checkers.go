@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 
+	"quorumselect/internal/cluster"
+	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
 )
 
@@ -143,22 +146,16 @@ func (agreementChecker) Check(r *RunState, phase Phase) error {
 	if phase != PhaseFinal {
 		return nil
 	}
-	var ref *ids.Quorum
-	var refProc ids.ProcessID
+	hosts := make(map[ids.ProcessID]*host.Host)
+	var held []string
 	for _, p := range r.cfg.All() {
-		h := r.host(p)
-		if !r.cluster.Running(p) || h.Store == nil || r.Scenario.Restarted(p) {
-			continue
+		if h := r.host(p); r.cluster.Running(p) && h.Store != nil && !r.Scenario.Restarted(p) {
+			hosts[p] = h
+			held = append(held, fmt.Sprintf("%s has %s", p, h.CurrentQuorum()))
 		}
-		q := h.CurrentQuorum()
-		if ref == nil {
-			ref, refProc = &q, p
-			continue
-		}
-		if !q.Equal(*ref) {
-			return fmt.Errorf("quorum disagreement after settling: %s has %s, %s has %s",
-				refProc, *ref, p, q)
-		}
+	}
+	if _, ok := cluster.Agreed(hosts); !ok {
+		return fmt.Errorf("quorum disagreement after settling: %s", strings.Join(held, ", "))
 	}
 	return nil
 }

@@ -12,6 +12,9 @@
 // drives. Typed handles a driver wants (a *core.Node, a
 // *xpaxos.Replica) it captures inside that closure; the closure runs
 // again on Restart, so the capture always names the live member.
+// Drivers that need no restarts or application hooks use Nodes, which
+// returns the typed nodes directly, and Agreed, the one quorum-agreement
+// check over them.
 //
 // It is simulator-only by design: crash semantics, virtual time and the
 // determinism the chaos, load and experiment drivers rely on all come
@@ -99,6 +102,39 @@ func New(cfg ids.Config, shards int, build Builder, opts sim.Options) *Cluster {
 	}
 	c.Net = sim.NewNetwork(cfg, nodes, opts)
 	return c
+}
+
+// Nodes builds a single-shard cluster of one node per process and
+// returns its network and the nodes by process, typed as newNode makes
+// them. A process for which newNode reports false has no node and stays
+// silent. It is the harness for drivers that need neither restarts nor
+// application hooks.
+func Nodes[N runtime.Node](cfg ids.Config, newNode func(ids.ProcessID) (N, bool), opts sim.Options) (*sim.Network, map[ids.ProcessID]N) {
+	nodes := make(map[ids.ProcessID]N, cfg.N)
+	net := New(cfg, 1, func(at Site) Member {
+		n, ok := newNode(at.Proc)
+		if !ok {
+			return Member{}
+		}
+		nodes[at.Proc] = n
+		return Member{Node: n}
+	}, opts).Net
+	return net, nodes
+}
+
+// Agreed reports whether every node holds the same current quorum, and
+// returns it. core.Node and follower.Node both serve CurrentQuorum from
+// their host.
+func Agreed[N interface{ CurrentQuorum() ids.Quorum }](nodes map[ids.ProcessID]N) (q ids.Quorum, ok bool) {
+	first := true
+	for _, n := range nodes {
+		if first {
+			q, first = n.CurrentQuorum(), false
+		} else if !n.CurrentQuorum().Equal(q) {
+			return ids.Quorum{}, false
+		}
+	}
+	return q, true
 }
 
 // process builds p's members and returns the node that hosts them.

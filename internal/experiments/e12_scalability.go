@@ -50,29 +50,15 @@ func runE12(n, f int) (converge time.Duration, updates int64, changes int) {
 	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 25 * time.Millisecond
 	crashed := ids.ProcessID(2) // a default-quorum member
-	coreNodes := make(map[ids.ProcessID]*core.Node, n)
-	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		if at.Proc == crashed {
-			return cluster.Member{}
+	net, coreNodes := cluster.Nodes(cfg, func(p ids.ProcessID) (*core.Node, bool) {
+		if p == crashed {
+			return nil, false
 		}
-		coreNodes[at.Proc] = core.NewNode(opts)
-		return cluster.Member{Node: coreNodes[at.Proc]}
-	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)}).Net
+		return core.NewNode(opts), true
+	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
 	agreedWithout := func() bool {
-		var first ids.Quorum
-		initialized := false
-		for _, node := range coreNodes {
-			q := node.CurrentQuorum()
-			if q.Contains(crashed) {
-				return false
-			}
-			if !initialized {
-				first, initialized = q, true
-			} else if !q.Equal(first) {
-				return false
-			}
-		}
-		return true
+		q, ok := cluster.Agreed(coreNodes)
+		return ok && !q.Contains(crashed)
 	}
 	net.RunUntil(agreedWithout, 2*time.Minute)
 	converge = net.Now()

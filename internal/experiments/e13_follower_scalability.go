@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/core"
+	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
 )
 
@@ -25,10 +27,10 @@ func E13FollowerScalability(maxF int) Table {
 	}
 	for f := 1; f <= maxF; f++ {
 		n := 3*f + 1
-		netQ, nodesQ := newCoreNet(n, f, 1)
+		netQ, nodesQ := newChurnNet(n, f, 1, core.NewNode)
 		resQ := adversary.RunQuorumChurn(netQ, nodesQ, adversary.ChurnOptions{F: f})
-		netF, nodesF := newFollowerNet(n, f, 1)
-		resF := adversary.RunFollowerChurn(netF, nodesF, adversary.FollowerChurnOptions{F: f})
+		netF, nodesF := newChurnNet(n, f, 1, follower.NewNode)
+		resF := adversary.RunFollowerChurn(netF, nodesF, adversary.ChurnOptions{F: f})
 		qs := resQ.QuorumsIssued + 1
 		fs := resF.QuorumsIssued
 		ratio := "∞"

@@ -8,29 +8,17 @@ import (
 	"quorumselect/internal/core"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 )
 
-func newCoreNet(n, f int, seed int64) (*sim.Network, map[ids.ProcessID]*core.Node) {
-	cfg := ids.MustConfig(n, f)
+// newChurnNet builds the cluster the churn adversaries play against,
+// on Algorithm 1 (core.NewNode) or Algorithm 2 (follower.NewNode). It
+// sends no heartbeats: the adversaries inject suspicions directly.
+func newChurnNet[N runtime.Node](n, f int, seed int64, newNode func(core.NodeOptions) N) (*sim.Network, map[ids.ProcessID]N) {
 	opts := core.DefaultNodeOptions()
-	opts.HeartbeatPeriod = 0 // the churn adversary injects suspicions directly
-	coreNodes := make(map[ids.ProcessID]*core.Node, n)
-	return cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		coreNodes[at.Proc] = core.NewNode(opts)
-		return cluster.Member{Node: coreNodes[at.Proc]}
-	}, sim.Options{Seed: seed}).Net, coreNodes
-}
-
-func newFollowerNet(n, f int, seed int64) (*sim.Network, map[ids.ProcessID]*follower.Node) {
-	cfg := ids.MustConfig(n, f)
-	opts := follower.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
-	fNodes := make(map[ids.ProcessID]*follower.Node, n)
-	return cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		fNodes[at.Proc] = follower.NewNode(opts)
-		return cluster.Member{Node: fNodes[at.Proc]}
-	}, sim.Options{Seed: seed}).Net, fNodes
+	return cluster.Nodes(ids.MustConfig(n, f), func(ids.ProcessID) (N, bool) { return newNode(opts), true }, sim.Options{Seed: seed})
 }
 
 // churnPickers are the adversary heuristics E1/E2 maximize over.
@@ -67,7 +55,7 @@ func E1QuorumChanges(maxF, seedsPerPicker int) Table {
 				seeds = seedsPerPicker
 			}
 			for s := 0; s < seeds; s++ {
-				net, nodes := newCoreNet(n, f, int64(s))
+				net, nodes := newChurnNet(n, f, int64(s), core.NewNode)
 				res := adversary.RunQuorumChurn(net, nodes, adversary.ChurnOptions{
 					F: f, Picker: picker, Seed: int64(s),
 				})
@@ -103,7 +91,7 @@ func E2LowerBound(maxF int) Table {
 		n := 3*f + 1
 		bestProposed, bestInj := 0, 0
 		for s := int64(0); s < 6; s++ {
-			net, nodes := newCoreNet(n, f, s)
+			net, nodes := newChurnNet(n, f, s, core.NewNode)
 			res := adversary.RunQuorumChurn(net, nodes, adversary.ChurnOptions{
 				F: f, Picker: adversary.PickRandom, Seed: s,
 			})
@@ -135,9 +123,9 @@ func E3FollowerBound(maxF int) Table {
 	}
 	for f := 1; f <= maxF; f++ {
 		n := 3*f + 1
-		netF, nodesF := newFollowerNet(n, f, 1)
-		resF := adversary.RunFollowerChurn(netF, nodesF, adversary.FollowerChurnOptions{F: f})
-		netQ, nodesQ := newCoreNet(n, f, 1)
+		netF, nodesF := newChurnNet(n, f, 1, follower.NewNode)
+		resF := adversary.RunFollowerChurn(netF, nodesF, adversary.ChurnOptions{F: f})
+		netQ, nodesQ := newChurnNet(n, f, 1, core.NewNode)
 		resQ := adversary.RunQuorumChurn(netQ, nodesQ, adversary.ChurnOptions{F: f})
 		within := resF.MaxPerEpoch <= ids.TheoremNineBound(f) &&
 			resF.QuorumsIssued <= ids.CorollaryTenBound(f)

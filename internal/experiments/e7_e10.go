@@ -131,17 +131,15 @@ func detectionP50(net *sim.Network) string {
 
 func runE7(filter sim.Filter, crash, detect bool, dur time.Duration) (raised, canceled int, detected bool, detectP50 string) {
 	cfg := ids.MustConfig(4, 1)
-	observers := make(map[ids.ProcessID]*e7Node, cfg.N)
-	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		if at.Proc == 4 && crash {
-			return cluster.Member{}
+	net, observers := cluster.Nodes(cfg, func(p ids.ProcessID) (*e7Node, bool) {
+		if p == 4 && crash {
+			return nil, false
 		}
-		observers[at.Proc] = &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: true}
-		return cluster.Member{Node: observers[at.Proc]}
+		return &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: true}, true
 	}, sim.Options{
 		Latency: sim.ConstantLatency(2 * time.Millisecond),
 		Filter:  filter,
-	}).Net
+	})
 	if detect {
 		// The application found a proof of misbehavior shortly into
 		// the run.
@@ -280,11 +278,8 @@ func runE10Forwarding(forward bool) bool {
 	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
 	opts.Store = suspicion.Options{Forward: forward}
-	coreNodes := make(map[ids.ProcessID]*core.Node, cfg.N)
-	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		coreNodes[at.Proc] = core.NewNode(opts)
-		return cluster.Member{Node: coreNodes[at.Proc]}
-	}, sim.Options{Filter: cut}).Net
+	net, coreNodes := cluster.Nodes(cfg, func(ids.ProcessID) (*core.Node, bool) { return core.NewNode(opts), true },
+		sim.Options{Filter: cut})
 	coreNodes[1].Selector.OnSuspected(ids.NewProcSet(2))
 	net.Run(2 * time.Second)
 	return coreNodes[3].Store.Value(1, 2) == 1
@@ -294,14 +289,12 @@ func runE10Adaptive(adaptive bool) (int, string) {
 	faulty := ids.NewProcSet(4)
 	slow := adversary.NewJitterDelay(faulty, 120*time.Millisecond, 2)
 	cfg := ids.MustConfig(4, 1)
-	observers := make(map[ids.ProcessID]*e7Node, cfg.N)
-	net := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		observers[at.Proc] = &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: adaptive}
-		return cluster.Member{Node: observers[at.Proc]}
+	net, observers := cluster.Nodes(cfg, func(ids.ProcessID) (*e7Node, bool) {
+		return &e7Node{hbPeriod: 25 * time.Millisecond, adaptive: adaptive}, true
 	}, sim.Options{
 		Latency: sim.ConstantLatency(2 * time.Millisecond),
 		Filter:  slow,
-	}).Net
+	})
 	net.Run(6 * time.Second)
 	return observers[1].d.SuspicionsRaised(4), detectionP50(net)
 }

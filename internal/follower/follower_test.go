@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"quorumselect/internal/core"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/graph"
 	"quorumselect/internal/ids"
@@ -24,7 +25,7 @@ type fixture struct {
 	nodes map[ids.ProcessID]*follower.Node
 }
 
-func newFixture(t *testing.T, n, f int, opts follower.NodeOptions, simOpts sim.Options, crashed ids.ProcSet) *fixture {
+func newFixture(t *testing.T, n, f int, opts core.NodeOptions, simOpts sim.Options, crashed ids.ProcSet) *fixture {
 	t.Helper()
 	cfg := ids.MustConfig(n, f)
 	nodes := make(map[ids.ProcessID]runtime.Node, n)
@@ -41,8 +42,8 @@ func newFixture(t *testing.T, n, f int, opts follower.NodeOptions, simOpts sim.O
 	return &fixture{net: sim.NewNetwork(cfg, nodes, simOpts), nodes: fNodes}
 }
 
-func quietOpts() follower.NodeOptions {
-	opts := follower.DefaultNodeOptions()
+func quietOpts() core.NodeOptions {
+	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
 	return opts
 }
@@ -121,7 +122,7 @@ func TestLeaderSuspicionMovesLeader(t *testing.T) {
 func TestCrashedDefaultLeaderReplaced(t *testing.T) {
 	// p1 is crashed; heartbeat expectations suspect it everywhere, the
 	// leader moves to p2 and the selected quorum excludes p1.
-	opts := follower.DefaultNodeOptions()
+	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 20 * time.Millisecond
 	fx := newFixture(t, 7, 2, opts, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)},
 		ids.NewProcSet(1))
@@ -147,12 +148,12 @@ func TestCrashedDefaultLeaderReplaced(t *testing.T) {
 	}
 }
 
-// TestQuorumChangeEventsMatchTrajectory runs cmd/fsim's default crash
-// scenario and checks that each node's QUORUM_CHANGE events on the bus
-// are exactly its issued-quorum trajectory, as core's selector publishes
-// them.
+// TestQuorumChangeEventsMatchTrajectory runs the default crash scenario
+// of `qsim -selector follower` and checks that each node's QUORUM_CHANGE
+// events on the bus are exactly its issued-quorum trajectory, as core's
+// selector publishes them.
 func TestQuorumChangeEventsMatchTrajectory(t *testing.T) {
-	fx := newFixture(t, 7, 2, follower.DefaultNodeOptions(),
+	fx := newFixture(t, 7, 2, core.DefaultNodeOptions(),
 		sim.Options{Seed: 1, Latency: sim.ConstantLatency(5 * time.Millisecond)}, ids.NewProcSet(1))
 	fx.net.Run(5 * time.Second)
 	events := fx.net.Events().OfType(obs.TypeQuorumChange)

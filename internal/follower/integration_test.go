@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"quorumselect/internal/adversary"
+	"quorumselect/internal/core"
 	"quorumselect/internal/follower"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/runtime"
@@ -61,7 +62,7 @@ func runRandomFollowerScenario(t *testing.T, seed int64) {
 	}
 	t.Logf("n=%d f=%d faulty=%v", n, f, classes)
 
-	opts := follower.DefaultNodeOptions()
+	opts := core.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 25 * time.Millisecond
 	nodes := make(map[ids.ProcessID]runtime.Node, n)
 	correct := make(map[ids.ProcessID]*follower.Node, n)

@@ -1,42 +1,14 @@
 package follower
 
 import (
-	"time"
-
 	"quorumselect/internal/core"
 	"quorumselect/internal/fd"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/quorum"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/suspicion"
 	"quorumselect/internal/wire"
 )
-
-// NodeOptions configures a composed Follower Selection process.
-type NodeOptions struct {
-	// FD configures the failure detector.
-	FD fd.Options
-	// Store configures the suspicion store.
-	Store suspicion.Options
-	// HeartbeatPeriod enables §II heartbeat traffic when positive.
-	HeartbeatPeriod time.Duration
-	// App is the optional application module (the same interface as
-	// core.Application, so applications run on either selector).
-	App core.Application
-	// Quorum is the generalized quorum system; nil means the threshold
-	// system from the configuration (see core.NodeOptions.Quorum).
-	Quorum quorum.System
-}
-
-// DefaultNodeOptions mirrors core.DefaultNodeOptions.
-func DefaultNodeOptions() NodeOptions {
-	return NodeOptions{
-		FD:              fd.DefaultOptions(),
-		Store:           suspicion.DefaultOptions(),
-		HeartbeatPeriod: 25 * time.Millisecond,
-	}
-}
 
 // Node is one complete Follower Selection process: network → failure
 // detector → {suspicion store → follower selector, application}. Like
@@ -68,9 +40,20 @@ func (s *Selector) HandleMessage(_ ids.ProcessID, m wire.Message) bool {
 	return false
 }
 
-// NewNode creates an unstarted node. As in core.NewNode, the kernel
+// NewNode creates an unstarted node from the same options as
+// core.NewNode; only the selection module differs. As there, the kernel
 // floors the failure-detector base timeout at 3× the heartbeat period.
-func NewNode(opts NodeOptions) *Node {
+//
+// A durable node is not supported, so a non-nil opts.Storage panics.
+// The kernel would restore the suspicion matrix, but the leader's
+// FOLLOWERS choice is not persisted: a follower restarted under a
+// leader other than the default one waits for a FOLLOWERS message that
+// leader already sent, then suspects it, and the system moves on to
+// another leader.
+func NewNode(opts core.NodeOptions) *Node {
+	if opts.Storage != nil {
+		panic("follower: durable Storage is unsupported: a restarted follower cannot recover its leader's FOLLOWERS choice")
+	}
 	n := &Node{}
 	n.Host = host.New(host.Options{
 		FD:              opts.FD,

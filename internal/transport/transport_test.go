@@ -317,7 +317,7 @@ func TestFollowerSelectionOverTCP(t *testing.T) {
 	hosts := make(map[ids.ProcessID]*transport.Host, cfg.N)
 	nodes := make(map[ids.ProcessID]*follower.Node, cfg.N)
 	for _, p := range cfg.All() {
-		opts := follower.DefaultNodeOptions()
+		opts := core.DefaultNodeOptions()
 		opts.HeartbeatPeriod = 0
 		node := follower.NewNode(opts)
 		host, err := transport.NewHost(transport.Config{Self: p, System: cfg, Auth: auth, Seed: int64(p)}, node)

@@ -55,10 +55,9 @@ type (
 	Node = core.Node
 	// NodeOptions configures a composed process.
 	NodeOptions = core.NodeOptions
-	// FollowerNode is a fully composed Follower Selection process.
+	// FollowerNode is a fully composed Follower Selection process; it
+	// takes the same NodeOptions as Node.
 	FollowerNode = follower.Node
-	// FollowerNodeOptions configures a follower-selection process.
-	FollowerNodeOptions = follower.NodeOptions
 	// Application is the interface replicated services implement to
 	// sit on top of selection (XPaxos implements it).
 	Application = core.Application
@@ -176,13 +175,10 @@ func DefaultNodeOptions() NodeOptions { return core.DefaultNodeOptions() }
 // NewNode creates a composed Quorum Selection process (Algorithm 1).
 func NewNode(opts NodeOptions) *Node { return core.NewNode(opts) }
 
-// DefaultFollowerNodeOptions returns the standard Follower Selection
-// composition.
-func DefaultFollowerNodeOptions() FollowerNodeOptions { return follower.DefaultNodeOptions() }
-
 // NewFollowerNode creates a composed Follower Selection process
-// (Algorithm 2); the configuration must satisfy n > 3f.
-func NewFollowerNode(opts FollowerNodeOptions) *FollowerNode { return follower.NewNode(opts) }
+// (Algorithm 2); the configuration must satisfy n > 3f, and
+// opts.Storage must be nil (see follower.NewNode).
+func NewFollowerNode(opts NodeOptions) *FollowerNode { return follower.NewNode(opts) }
 
 // NewXPaxosNode creates an XPaxos replica composed with the full
 // quorum-selection stack. The returned node runs on the simulator or a
@@ -244,14 +240,22 @@ func NewConsensusNode(opts ConsensusOptions, nodeOpts NodeOptions) (*Node, *Cons
 
 // ClusterOptions configures a simulated cluster.
 type ClusterOptions struct {
-	// Node configures every process; zero value means
-	// DefaultNodeOptions.
+	// Node configures every process of NewSimulatedCluster and
+	// NewSimulatedFollowerCluster; nil means DefaultNodeOptions.
 	Node *NodeOptions
 	// Seed drives all simulation randomness.
 	Seed int64
 	// LatencyMin/LatencyMax bound the per-message link latency; both
 	// zero selects the simulator default (10ms constant).
 	LatencyMin, LatencyMax time.Duration
+}
+
+// node returns the options every process is built with.
+func (o ClusterOptions) node() NodeOptions {
+	if o.Node != nil {
+		return *o.Node
+	}
+	return DefaultNodeOptions()
 }
 
 // simOptions maps the options onto the simulator's: the seed, and the
@@ -268,73 +272,11 @@ func (o ClusterOptions) simOptions() sim.Options {
 	return so
 }
 
-// Cluster is a simulated Quorum Selection deployment: one composed Node
-// per process on a deterministic discrete-event network.
-type Cluster struct {
-	net   *sim.Network
-	nodes map[ProcessID]*Node
-}
-
-// NewSimulatedCluster builds and initializes a simulated cluster.
-func NewSimulatedCluster(cfg Config, opts ClusterOptions) *Cluster {
-	nodeOpts := DefaultNodeOptions()
-	if opts.Node != nil {
-		nodeOpts = *opts.Node
-	}
-	c := &Cluster{nodes: make(map[ProcessID]*Node, cfg.N)}
-	c.net = cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		c.nodes[at.Proc] = NewNode(nodeOpts)
-		return cluster.Member{Node: c.nodes[at.Proc]}
-	}, opts.simOptions()).Net
-	return c
-}
-
-// Node returns the composed process p.
-func (c *Cluster) Node(p ProcessID) *Node { return c.nodes[p] }
-
-// Run advances virtual time to the given instant, processing all due
-// events.
-func (c *Cluster) Run(until time.Duration) { c.net.Run(until) }
-
-// RunUntil processes events until pred holds or maxTime passes.
-func (c *Cluster) RunUntil(pred func() bool, maxTime time.Duration) bool {
-	return c.net.RunUntil(pred, maxTime)
-}
-
-// Now returns the cluster's virtual time.
-func (c *Cluster) Now() time.Duration { return c.net.Now() }
-
-// Metrics returns the cluster's counter registry.
-func (c *Cluster) Metrics() *Registry { return c.net.Metrics() }
-
-// Events returns the cluster's protocol event bus.
-func (c *Cluster) Events() *EventBus { return c.net.Events() }
-
-// Close stops every node through the host lifecycle (heartbeats
-// silenced, timers canceled) and discards queued events. Idempotent.
-func (c *Cluster) Close() { c.net.Close() }
-
-// Agreed reports whether every node currently holds the same quorum,
-// and returns it.
-func (c *Cluster) Agreed() (Quorum, bool) {
-	var first Quorum
-	initialized := false
-	for _, n := range c.nodes {
-		q := n.CurrentQuorum()
-		if !initialized {
-			first, initialized = q, true
-			continue
-		}
-		if !q.Equal(first) {
-			return Quorum{}, false
-		}
-	}
-	return first, true
-}
-
-// Simulation wraps the deterministic discrete-event network over
-// arbitrary protocol nodes — for compositions the Cluster helpers do
-// not cover (XPaxos or consensus replicas, custom Byzantine nodes).
+// Simulation is a deployment on the deterministic discrete-event
+// network. NewSimulatedClusterOf drives arbitrary protocol nodes with it
+// — for compositions the selector clusters do not cover (XPaxos or
+// consensus replicas, custom Byzantine nodes); Cluster and
+// FollowerCluster embed it.
 type Simulation struct {
 	net *sim.Network
 }
@@ -342,12 +284,15 @@ type Simulation struct {
 // NewSimulatedClusterOf builds a simulated network driving the given
 // nodes; a process in cfg without one stays silent.
 func NewSimulatedClusterOf(cfg Config, nodes map[ProcessID]RuntimeNode, opts ClusterOptions) *Simulation {
-	return &Simulation{net: cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		return cluster.Member{Node: nodes[at.Proc]}
-	}, opts.simOptions()).Net}
+	net, _ := cluster.Nodes(cfg, func(p ProcessID) (RuntimeNode, bool) {
+		n, ok := nodes[p]
+		return n, ok
+	}, opts.simOptions())
+	return &Simulation{net}
 }
 
-// Run advances virtual time to the given instant.
+// Run advances virtual time to the given instant, processing all due
+// events.
 func (s *Simulation) Run(until time.Duration) { s.net.Run(until) }
 
 // RunUntil processes events until pred holds or maxTime passes.
@@ -364,61 +309,51 @@ func (s *Simulation) Metrics() *Registry { return s.net.Metrics() }
 // Events returns the run's protocol event bus.
 func (s *Simulation) Events() *EventBus { return s.net.Events() }
 
-// Close stops every node that supports the lifecycle and discards
-// queued events. Idempotent.
+// Close stops every node through the host lifecycle (heartbeats
+// silenced, timers canceled) and discards queued events. Idempotent.
 func (s *Simulation) Close() { s.net.Close() }
+
+// Cluster is a simulated Quorum Selection deployment: one composed Node
+// per process on a deterministic discrete-event network.
+type Cluster struct {
+	Simulation
+	nodes map[ProcessID]*Node
+}
+
+// NewSimulatedCluster builds and initializes a simulated cluster.
+func NewSimulatedCluster(cfg Config, opts ClusterOptions) *Cluster {
+	nodeOpts := opts.node()
+	net, nodes := cluster.Nodes(cfg, func(ProcessID) (*Node, bool) { return NewNode(nodeOpts), true }, opts.simOptions())
+	return &Cluster{Simulation{net}, nodes}
+}
+
+// Node returns the composed process p.
+func (c *Cluster) Node(p ProcessID) *Node { return c.nodes[p] }
+
+// Agreed reports whether every node currently holds the same quorum,
+// and returns it.
+func (c *Cluster) Agreed() (Quorum, bool) { return cluster.Agreed(c.nodes) }
 
 // FollowerCluster is a simulated Follower Selection deployment.
 type FollowerCluster struct {
-	net   *sim.Network
+	Simulation
 	nodes map[ProcessID]*FollowerNode
 }
 
 // NewSimulatedFollowerCluster builds a simulated Follower Selection
 // cluster (requires n > 3f).
 func NewSimulatedFollowerCluster(cfg Config, opts ClusterOptions) *FollowerCluster {
-	nodeOpts := DefaultFollowerNodeOptions()
-	if opts.Node != nil {
-		nodeOpts.FD = opts.Node.FD
-		nodeOpts.Store = opts.Node.Store
-		nodeOpts.HeartbeatPeriod = opts.Node.HeartbeatPeriod
-	}
-	c := &FollowerCluster{nodes: make(map[ProcessID]*FollowerNode, cfg.N)}
-	c.net = cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		c.nodes[at.Proc] = NewFollowerNode(nodeOpts)
-		return cluster.Member{Node: c.nodes[at.Proc]}
-	}, sim.Options{Seed: opts.Seed}).Net
-	return c
+	nodeOpts := opts.node()
+	net, nodes := cluster.Nodes(cfg, func(ProcessID) (*FollowerNode, bool) { return NewFollowerNode(nodeOpts), true }, opts.simOptions())
+	return &FollowerCluster{Simulation{net}, nodes}
 }
 
 // Node returns the composed process p.
 func (c *FollowerCluster) Node(p ProcessID) *FollowerNode { return c.nodes[p] }
 
-// Run advances virtual time to the given instant.
-func (c *FollowerCluster) Run(until time.Duration) { c.net.Run(until) }
-
-// Now returns the cluster's virtual time.
-func (c *FollowerCluster) Now() time.Duration { return c.net.Now() }
-
-// Close stops every node through the host lifecycle. Idempotent.
-func (c *FollowerCluster) Close() { c.net.Close() }
-
-// Agreed reports whether every node holds the same leader quorum.
-func (c *FollowerCluster) Agreed() (Quorum, bool) {
-	var first Quorum
-	initialized := false
-	for _, n := range c.nodes {
-		q := n.CurrentQuorum()
-		if !initialized {
-			first, initialized = q, true
-			continue
-		}
-		if !q.Equal(first) {
-			return Quorum{}, false
-		}
-	}
-	return first, true
-}
+// Agreed reports whether every node holds the same leader quorum, and
+// returns it.
+func (c *FollowerCluster) Agreed() (Quorum, bool) { return cluster.Agreed(c.nodes) }
 
 // HostConfig configures a real TCP process (see internal/transport).
 type HostConfig = transport.Config

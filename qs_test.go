@@ -77,20 +77,72 @@ func TestFacadeFollowerCluster(t *testing.T) {
 	}
 }
 
-func TestFacadeLatencyOptions(t *testing.T) {
-	cfg := qs.MustConfig(4, 1)
+// TestFacadeFollowerClusterQuorumSpec checks that a follower cluster
+// runs on the quorum system its node options name, not on the
+// configuration's threshold system.
+func TestFacadeFollowerClusterQuorumSpec(t *testing.T) {
+	const spec = "weighted:w=2,1,1,1,1,1,1;t=6"
+	sys, err := qs.ParseQuorumSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := qs.MustConfig(7, 2)
 	opts := qs.DefaultNodeOptions()
 	opts.HeartbeatPeriod = 0
-	for _, co := range []qs.ClusterOptions{
-		{Node: &opts},
-		{Node: &opts, LatencyMin: time.Millisecond},
-		{Node: &opts, LatencyMin: time.Millisecond, LatencyMax: 5 * time.Millisecond, Seed: 7},
-	} {
-		cluster := qs.NewSimulatedCluster(cfg, co)
-		cluster.Node(2).Selector.OnSuspected(qs.NewProcSet(4))
-		cluster.Run(time.Second)
-		if _, ok := cluster.Agreed(); !ok {
-			t.Errorf("cluster with options %+v did not agree", co)
+	opts.Quorum = sys
+	cluster := qs.NewSimulatedFollowerCluster(cfg, qs.ClusterOptions{Node: &opts})
+	defer cluster.Close()
+	for _, p := range cfg.All() {
+		if got := cluster.Node(p).Selector.System().String(); got != spec {
+			t.Errorf("%s runs on %s, want %s", p, got, spec)
+		}
+	}
+}
+
+// TestFacadeLatencyOptions runs each selector's cluster under each
+// latency band. One suspicion moves every node to a new quorum within
+// hops one-way delays, so agreement must come no later than hops times
+// the band's upper end.
+func TestFacadeLatencyOptions(t *testing.T) {
+	opts := qs.DefaultNodeOptions()
+	opts.HeartbeatPeriod = 0
+	deployments := []struct {
+		name string
+		hops int
+		// start builds the cluster, injects the suspicion and returns
+		// the simulation and its agreement on the new quorum.
+		start func(qs.ClusterOptions) (*qs.Simulation, func() bool)
+	}{
+		{"quorum", 1, func(co qs.ClusterOptions) (*qs.Simulation, func() bool) {
+			c := qs.NewSimulatedCluster(qs.MustConfig(4, 1), co)
+			c.Node(1).Selector.OnSuspected(qs.NewProcSet(2))
+			return &c.Simulation, func() bool { q, ok := c.Agreed(); return ok && !q.Contains(2) }
+		}},
+		// UPDATE to the new leader p2, then its FOLLOWERS to everyone.
+		{"follower", 2, func(co qs.ClusterOptions) (*qs.Simulation, func() bool) {
+			c := qs.NewSimulatedFollowerCluster(qs.MustConfig(7, 2), co)
+			c.Node(3).Selector.OnSuspected(qs.NewProcSet(1))
+			return &c.Simulation, func() bool { q, ok := c.Agreed(); return ok && q.Leader == 2 }
+		}},
+	}
+	for _, d := range deployments {
+		for _, co := range []qs.ClusterOptions{
+			{Node: &opts},
+			{Node: &opts, LatencyMin: time.Millisecond},
+			{Node: &opts, LatencyMin: time.Millisecond, LatencyMax: 5 * time.Millisecond, Seed: 7},
+		} {
+			maxDelay := max(co.LatencyMin, co.LatencyMax)
+			if maxDelay == 0 {
+				maxDelay = 10 * time.Millisecond // the simulator default
+			}
+			s, agreed := d.start(co)
+			if !s.RunUntil(agreed, time.Second) {
+				t.Errorf("%s cluster, latency %v–%v: no agreement", d.name, co.LatencyMin, co.LatencyMax)
+			} else if limit := time.Duration(d.hops) * maxDelay; s.Now() > limit {
+				t.Errorf("%s cluster, latency %v–%v: agreed at %v, later than %v",
+					d.name, co.LatencyMin, co.LatencyMax, s.Now(), limit)
+			}
+			s.Close()
 		}
 	}
 }
