@@ -181,7 +181,7 @@ func E8SuspectGraph() Table {
 func buildFig4Store(cfg ids.Config) *suspicion.Store {
 	// A bare store is enough for a static replay; the network exists
 	// only to provide an Env.
-	net := cluster.New(cfg, 1, func(cluster.Site) cluster.Member { return cluster.Member{} }, sim.Options{}).Net
+	net, _ := cluster.Nodes(cfg, func(ids.ProcessID) (runtime.Node, bool) { return nil, false }, sim.Options{})
 	store := suspicion.New(cfg, suspicion.Options{Forward: false})
 	store.Bind(net.Env(1), nil)
 	store.HandleUpdate(&wire.Update{Owner: 1, Row: []uint64{0, 3, 0, 0, 3}, Sig: []byte{0}})
