@@ -56,11 +56,9 @@ func NewDomainAuth(inner Authenticator, domain string) *DomainAuth {
 	return &DomainAuth{inner: inner, prefix: prefix}
 }
 
-// Wrap returns domain || 0x00 || data — the bytes the inner
-// authenticator actually signs. Callers that hand a batch to a raw
-// verifier (the fleet's certificate path) wrap explicitly and verify
-// against the inner ring.
-func (a *DomainAuth) Wrap(data []byte) []byte {
+// wrap returns domain || 0x00 || data — the bytes the inner
+// authenticator actually signs.
+func (a *DomainAuth) wrap(data []byte) []byte {
 	out := make([]byte, 0, len(a.prefix)+len(data))
 	out = append(out, a.prefix...)
 	return append(out, data...)
@@ -68,7 +66,7 @@ func (a *DomainAuth) Wrap(data []byte) []byte {
 
 // Sign implements Authenticator.
 func (a *DomainAuth) Sign(as ids.ProcessID, data []byte) ([]byte, error) {
-	return a.inner.Sign(as, a.Wrap(data))
+	return a.inner.Sign(as, a.wrap(data))
 }
 
 // Verify implements Authenticator.

@@ -30,9 +30,12 @@ func VerifySerial(auth Authenticator, items []BatchItem) []error {
 // Pool verifies a batch of signatures at once: VerifyBatch
 // deduplicates identical (signer, data, sig) items so each distinct
 // signature is verified once, and fans the distinct checks out across
-// up to Workers goroutines for the duration of the call. A quorum
-// commit certificate embeds the same PREPARE in every COMMIT, so dedup
-// alone cuts a cert's cost from 2q to q+1 checks.
+// up to Workers goroutines for the duration of the call.
+//
+// Pool is on no product path: replicas check commit certificates on
+// their event loop (xpaxos onCommitCert). It remains for the
+// BenchmarkQuorumCertVerify gate and the benchmark's
+// crypto.cert_verify_us probe.
 //
 // Pool holds no goroutines between calls and is safe for concurrent
 // use.

@@ -134,10 +134,7 @@ type shardEnv struct {
 	sent, received *metrics.CounterHandle // fleet.shard.{sent,received}{shard}
 }
 
-var (
-	_ runtime.Env           = (*shardEnv)(nil)
-	_ runtime.BatchVerifier = (*shardEnv)(nil)
-)
+var _ runtime.Env = (*shardEnv)(nil)
 
 func (e *shardEnv) ID() ids.ProcessID          { return e.outer.ID() }
 func (e *shardEnv) Config() ids.Config         { return e.outer.Config() }
@@ -158,19 +155,4 @@ func (e *shardEnv) After(d time.Duration, fn func()) runtime.Timer {
 func (e *shardEnv) Send(to ids.ProcessID, m wire.Message) {
 	e.sent.Inc()
 	e.outer.Send(to, &wire.ShardEnvelope{Shard: uint32(e.shard), Inner: m})
-}
-
-// VerifyBatch implements runtime.BatchVerifier: wrap every item into
-// this shard's domain, then let the outer pool deduplicate and fan
-// out.
-func (e *shardEnv) VerifyBatch(items []crypto.BatchItem) []error {
-	bv, ok := e.outer.(runtime.BatchVerifier)
-	if !ok {
-		return nil
-	}
-	wrapped := make([]crypto.BatchItem, len(items))
-	for i, it := range items {
-		wrapped[i] = crypto.BatchItem{Signer: it.Signer, Data: e.auth.Wrap(it.Data), Sig: it.Sig}
-	}
-	return bv.VerifyBatch(wrapped)
 }

@@ -161,34 +161,6 @@ func Authenticate(auth crypto.Authenticator, frame []byte) (m wire.Message, chec
 	return m, true, nil
 }
 
-// BatchVerifier is the optional batched-verification extension of Env:
-// all items of one pass are checked together (deduplicated and fanned
-// out across CPUs on the TCP host), blocking until the whole batch is
-// decided, so protocol code may use the results immediately.
-type BatchVerifier interface {
-	// VerifyBatch returns one error per item, aligned with items, or
-	// nil when batched verification is disabled.
-	VerifyBatch(items []crypto.BatchItem) []error
-}
-
-// VerifyBatch checks a batch of signatures through env's BatchVerifier
-// when it has one, serially otherwise. The result is always aligned
-// with items.
-func VerifyBatch(env Env, items []crypto.BatchItem) []error {
-	if bv, ok := env.(BatchVerifier); ok {
-		if errs := bv.VerifyBatch(items); errs != nil {
-			return errs
-		}
-	}
-	return crypto.VerifySerial(env.Auth(), items)
-}
-
-// BatchItemOf builds the batch-verification item for a signed message.
-func BatchItemOf(m wire.Signed) crypto.BatchItem {
-	covered, sig := wire.Signing(m)
-	return crypto.BatchItem{Signer: m.Signer(), Data: covered, Sig: *sig}
-}
-
 // Emit publishes a protocol event stamped with env's identity and
 // clock.
 func Emit(env Env, e obs.Event) {

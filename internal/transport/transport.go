@@ -102,10 +102,6 @@ type Host struct {
 	writers map[ids.ProcessID]*peerWriter
 	closed  bool
 
-	// pool fans quorum-certificate batches out across GOMAXPROCS
-	// goroutines.
-	pool *crypto.Pool
-
 	m   hostMetrics
 	env *hostEnv
 }
@@ -122,7 +118,7 @@ const (
 type hostMetrics struct {
 	messages, bytes [wire.NumTypes][2]*metrics.CounterHandle
 
-	sent, received, writevFlushes, verifyAsync, verifyBatched, badsig *metrics.CounterHandle
+	sent, received, writevFlushes, verifyAsync, badsig *metrics.CounterHandle
 
 	writevFrames *metrics.HistHandle  // transport.writev.frames
 	sendqDepth   *metrics.GaugeHandle // transport.sendq.depth{node}
@@ -134,7 +130,6 @@ func newHostMetrics(reg *metrics.Registry, self ids.ProcessID) hostMetrics {
 		received:      reg.CounterHandle("transport.received"),
 		writevFlushes: reg.CounterHandle("transport.writev.flushes"),
 		verifyAsync:   reg.CounterHandle("transport.verify.async"),
-		verifyBatched: reg.CounterHandle("transport.verify.batched"),
 		badsig:        reg.CounterHandle("fd.dropped.badsig"),
 		writevFrames:  reg.HistHandle("transport.writev.frames"),
 		sendqDepth:    reg.GaugeHandle("transport.sendq.depth", metrics.L{Key: "node", Value: self.String()}),
@@ -192,7 +187,6 @@ func NewHost(cfg Config, node runtime.Node) (*Host, error) {
 		addrs:    make(map[ids.ProcessID]string, len(cfg.Peers)),
 		writers:  make(map[ids.ProcessID]*peerWriter),
 		m:        newHostMetrics(cfg.Metrics, cfg.Self),
-		pool:     crypto.NewPool(cfg.Auth, 0),
 	}
 	for p, a := range cfg.Peers {
 		h.addrs[p] = a
@@ -622,15 +616,6 @@ func (e *hostEnv) Send(to ids.ProcessID, m wire.Message) {
 		return
 	}
 	e.h.send(to, m)
-}
-
-var _ runtime.BatchVerifier = (*hostEnv)(nil)
-
-// VerifyBatch implements runtime.BatchVerifier: one deduplicated,
-// fanned-out pass over a certificate's signatures.
-func (e *hostEnv) VerifyBatch(items []crypto.BatchItem) []error {
-	e.h.m.verifyBatched.Add(int64(len(items)))
-	return e.h.pool.VerifyBatch(items)
 }
 
 func (e *hostEnv) After(d time.Duration, fn func()) runtime.Timer {

@@ -163,3 +163,33 @@ func TestCommitCertAcceptance(t *testing.T) {
 		})
 	}
 }
+
+// TestCommitCertVerifyCost: the certificate check runs each signature
+// once. A well-formed certificate of q commits costs q+1 checks (q
+// COMMITs, one shared PREPARE), and no certificate costs more than 2n
+// however many commits it lists.
+func TestCommitCertVerifyCost(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	q := cfg.Q()
+	applied, got := deliverCert(t, "", func(a crypto.Authenticator) *wire.CommitCert {
+		return certOf(t, a, certPrepare(t, a, "set x 1"), 1, 2, 3)
+	})
+	if !applied || got != q+1 {
+		t.Errorf("well-formed certificate: applied=%v after %d checks, want applied after q+1 = %d", applied, got, q+1)
+	}
+	applied, got = deliverCert(t, "", func(a crypto.Authenticator) *wire.CommitCert {
+		// 64 validly signed COMMITs cycling through every replica, each
+		// embedding its own forged PREPARE.
+		cert := &wire.CommitCert{Slot: 1}
+		for i := 0; i < 64; i++ {
+			prep := certPrepare(t, a, "set x 1")
+			prep.Sig[0] ^= 0xff
+			prep.Sig[1] = byte(i)
+			cert.Commits = append(cert.Commits, certCommit(t, a, ids.ProcessID(i%cfg.N+1), prep))
+		}
+		return cert
+	})
+	if applied || got > 2*cfg.N {
+		t.Errorf("64-commit garbage certificate: applied=%v after %d checks, want rejected after at most 2n = %d", applied, got, 2*cfg.N)
+	}
+}

@@ -714,7 +714,8 @@ func (r *Replica) onCommit(c *wire.Commit) {
 }
 
 // verifyEmbedded checks a COMMIT's embedded prepare signature; match is
-// the slot's accepted prepare when its signed fields equal the embedded
+// an already-verified prepare (the slot's accepted one, or a
+// certificate's reference copy) whose signed fields equal the embedded
 // one's, else nil. In the steady state every COMMIT for a slot embeds
 // an identical copy of the prepare this replica already accepted — and
 // that prepare's signature was verified when it arrived (where the
@@ -807,42 +808,33 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	if r.ledger.Committed(cert.Slot) {
 		return
 	}
-	// Pass 1: structural checks, collecting every plausible commit's
-	// signature work — the outer COMMIT and its embedded PREPARE — into
-	// one batch. A well-formed certificate embeds the SAME prepare in
-	// each of its q commits, so batched verification (which dedups
-	// identical items) does q+1 actual checks where a serial loop does
-	// 2q.
-	cand := make([]int, 0, len(cert.Commits))
-	items := make([]crypto.BatchItem, 0, 2*len(cert.Commits))
+	// One pass on the loop, trying each replica index at most once. A
+	// commit counts when it is well formed, embeds the same PREPARE as
+	// the first commit that counted (prep; anything else is skipped
+	// before any signature work), and both its own signature and the
+	// embedded one verify. Copies of prep's signature are vouched for
+	// by verifyEmbedded, so a well-formed certificate of k commits
+	// costs k+1 checks, and any certificate at most 2n.
+	tried, signers := ids.NewProcSet(), ids.NewProcSet()
+	var prep *wire.Prepare
 	for i := range cert.Commits {
 		c := &cert.Commits[i]
 		if c.Slot != cert.Slot || !c.HasPrep || c.Prep.Slot != cert.Slot || c.Prep.View != c.View {
 			continue
 		}
-		if !c.Replica.Valid(r.cfg.N) {
+		if !c.Replica.Valid(r.cfg.N) || tried.Contains(c.Replica) {
 			continue
 		}
-		cand = append(cand, i)
-		items = append(items, runtime.BatchItemOf(c), runtime.BatchItemOf(&c.Prep))
-	}
-	errs := runtime.VerifyBatch(r.env, items)
-	// Pass 2: count distinct, validly signed commits agreeing on one
-	// embedded prepare.
-	signers := ids.NewProcSet()
-	var prep *wire.Prepare
-	var prepSigned []byte
-	for j, i := range cand {
-		c := &cert.Commits[i]
-		if signers.Contains(c.Replica) || errs[2*j] != nil || errs[2*j+1] != nil {
+		if prep != nil && !prep.SameSigned(&c.Prep) {
+			continue // conflicting embedded prepare: not part of this cert
+		}
+		tried.Add(c.Replica)
+		if runtime.Verify(r.env, c) != nil || r.verifyEmbedded(c, prep) != nil {
 			continue
 		}
-		// items[2j+1] holds this commit's embedded prepare's SigBytes.
 		if prep == nil {
 			p := c.Prep
-			prep, prepSigned = &p, items[2*j+1].Data
-		} else if !bytes.Equal(prepSigned, items[2*j+1].Data) {
-			continue // conflicting embedded prepare: not part of this cert
+			prep = &p
 		}
 		signers.Add(c.Replica)
 	}
