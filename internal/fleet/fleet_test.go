@@ -197,6 +197,93 @@ func TestFleetMisroutedFrameRejected(t *testing.T) {
 	}
 }
 
+// certReplayer sends one commit certificate to p4 inside each of the
+// given shard envelopes, 100 ms apart.
+type certReplayer struct {
+	cert   *wire.CommitCert
+	shards []uint32
+}
+
+func (r *certReplayer) Init(env runtime.Env) {
+	for i, s := range r.shards {
+		s := s
+		env.After(time.Duration(i+1)*100*time.Millisecond, func() {
+			env.Send(4, &wire.ShardEnvelope{Shard: s, Inner: r.cert})
+		})
+	}
+}
+
+func (*certReplayer) Receive(ids.ProcessID, wire.Message) {}
+
+type silent struct{}
+
+func (silent) Init(runtime.Env)                    {}
+func (silent) Receive(ids.ProcessID, wire.Message) {}
+
+// TestFleetCertificateCannotCrossShards: a CommitCert is an unsigned
+// container, so nothing but the certificate check stops a shard-0
+// certificate replayed inside shard 1's envelope. Both shards of p4's
+// fleet run view 0 with the same leader, so the signing domain is the
+// only difference between them: the certificate is rejected in shard 1
+// and applied in shard 0.
+func TestFleetCertificateCannotCrossShards(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	ring := crypto.NewHMACRing(cfg, []byte("fleet-test-master"))
+	shard0 := crypto.NewDomainAuth(ring, crypto.ShardDomain(0))
+	sign := func(m wire.Signed) {
+		covered, sig := wire.Signing(m)
+		s, err := shard0.Sign(m.Signer(), covered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*sig = s
+	}
+	prep := wire.Prepare{Leader: 1, Slot: 1, Req: wire.Request{Client: 1, Seq: 1, Op: []byte("set x 1")}}
+	sign(&prep)
+	cert := &wire.CommitCert{Slot: 1}
+	for _, p := range []ids.ProcessID{1, 2, 3} {
+		c := wire.Commit{Replica: p, Slot: 1, HasPrep: true, Prep: prep}
+		sign(&c)
+		cert.Commits = append(cert.Commits, c)
+	}
+
+	replicas := make(map[int]*xpaxos.Replica, 2)
+	p4 := fleet.New(fleet.Options{
+		Shards: 2,
+		NewShard: func(s int) runtime.Node {
+			nodeOpts := core.DefaultNodeOptions()
+			nodeOpts.HeartbeatPeriod = 0
+			node, replica := xpaxos.NewQSNode(xpaxos.Options{}, nodeOpts)
+			replicas[s] = replica
+			return node
+		},
+	})
+	net := sim.NewNetwork(cfg, map[ids.ProcessID]runtime.Node{
+		1: &certReplayer{cert: cert, shards: []uint32{1, 0}},
+		2: silent{}, 3: silent{}, 4: p4,
+	}, sim.Options{Auth: ring, Latency: sim.ConstantLatency(time.Millisecond)})
+	defer net.Close()
+
+	net.Run(150 * time.Millisecond) // the shard-1 replay only
+	m := net.Metrics()
+	if got := m.Counter("xpaxos.cert.rejected"); got != 1 {
+		t.Errorf("after the shard-1 replay: xpaxos.cert.rejected = %d, want 1", got)
+	}
+	if got := replicas[1].LastExecuted(); got != 0 {
+		t.Errorf("shard 1 executed %d slots from a shard-0 certificate", got)
+	}
+	net.Run(time.Second)
+	if got := m.Counter("xpaxos.cert.applied"); got != 1 {
+		t.Errorf("xpaxos.cert.applied = %d, want 1 (shard 0 only)", got)
+	}
+	if got := replicas[0].LastExecuted(); got != 1 {
+		t.Errorf("shard 0 executed %d slots from its own certificate, want 1", got)
+	}
+	if got := replicas[1].LastExecuted(); got != 0 {
+		t.Errorf("shard 1 executed %d slots from a shard-0 certificate", got)
+	}
+}
+
 // TestFleetPerShardRecovery: acceptance-criteria pin for durability —
 // after a whole-process power cut and restart, every shard recovers
 // its own committed prefix from its own WAL sub-tree, independently.
