@@ -49,17 +49,18 @@ examples:
 # an internal/ refactor can break the benchmark silently. It then runs
 # the driver's own command — bench/run.sh, whose build is pinned to
 # GOPROXY=off GOTOOLCHAIN=local GOWORK=off, which `go test` is not — for
-# one traced second per workload, and requires exit status 0 and a result
-# line (the last line of stdout) that says "correct":true.
+# one second per workload, untraced (a nil tracer) and traced, and
+# requires exit status 0 and a result line (the last line of stdout)
+# that says "correct":true.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	set -e; for w in lan-open shard-sat geo-fault select-scale; do \
-		echo "bench/run.sh --workload $$w"; \
-		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1) \
-			|| { echo "bench/run.sh --workload $$w exited non-zero" >&2; exit 1; }; \
+	set -e; for w in lan-open shard-sat geo-fault select-scale; do for tr in 0 1; do \
+		echo "bench/run.sh --workload $$w --trace $$tr"; \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$tr) \
+			|| { echo "bench/run.sh --workload $$w --trace $$tr exited non-zero" >&2; exit 1; }; \
 		tail -n 1 <<<"$$out" | grep -q '"correct":true' \
-			|| { echo "bench/run.sh --workload $$w did not end in \"correct\":true" >&2; exit 1; }; \
-	done
+			|| { echo "bench/run.sh --workload $$w --trace $$tr did not end in \"correct\":true" >&2; exit 1; }; \
+	done; done
 
 # profile-churn profiles the message path where select-scale spends its
 # time: BenchmarkQuorumChurn/n=64 (the same Theorem 4 game, see
