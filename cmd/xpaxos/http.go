@@ -12,6 +12,7 @@ import (
 	"time"
 
 	qs "quorumselect"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/wire"
 )
 
@@ -21,7 +22,8 @@ import (
 //	GET  /status          JSON: per-shard view, leader, quorum, executed
 //	GET  /kv?key=k        read a key from the owning shard's state machine
 //	GET  /metrics         Prometheus text exposition of the host registry
-//	GET  /events?since=N  JSON: protocol events with Seq > N
+//	GET  /events?since=N  JSON: the stream's records (events, spans) with Seq > N
+//	GET  /trace           flight-recorder dump of the stream (?format=chrome)
 //
 // With a fleet (-shards > 1) the frontend routes every operation to
 // its owning shard through the deterministic consistent-hash router —
@@ -168,22 +170,21 @@ func (f *frontend) handleKV(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the host's registry in Prometheus text
-// exposition format 0.0.4. Observability-loss gauges (event-bus and
-// span-ring evictions) are refreshed at scrape time so they always
-// reflect the rings' current totals.
+// exposition format 0.0.4. The observability-loss gauge (stream
+// evictions) is refreshed at scrape time so it always reflects the
+// ring's current total.
 func (f *frontend) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	reg := f.host.Metrics()
 	reg.SetGauge("obs.bus.dropped", float64(f.host.Events().Dropped()))
-	reg.SetGauge("tracer.ring.dropped", float64(f.host.Tracer().Dropped()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reg.WriteTo(w)
 }
 
-// handleTrace dumps the host's span ring (plus the protocol event ring)
-// as a flight-recorder snapshot. ?format=chrome re-encodes the dump in
+// handleTrace dumps the host's stream as a flight-recorder snapshot:
+// its span and event views. ?format=chrome re-encodes the dump in
 // Chrome trace-event format for chrome://tracing / Perfetto.
 func (f *frontend) handleTrace(w http.ResponseWriter, r *http.Request) {
-	d := qs.CaptureTrace("trace endpoint", f.host.Tracer(), f.host.Events())
+	d := obs.Capture("trace endpoint", f.host.Events())
 	w.Header().Set("Content-Type", "application/json")
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Write(d.Chrome())
@@ -192,10 +193,13 @@ func (f *frontend) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(d.JSON())
 }
 
-// handleEvents serves the protocol event ring as JSON. ?since=N returns
-// only events with Seq > N; "missed" counts matching events already
-// evicted from the ring (the caller fell behind), and "latest" is the
-// cursor to pass as ?since= on the next poll.
+// handleEvents serves the host's stream as JSON: protocol events and,
+// while spans are on, SPAN records, in one sequence order. ?since=N
+// returns only records with Seq > N; "missed" counts matching records
+// already evicted from the ring (the caller fell behind), and "latest"
+// is the cursor to pass as ?since= on the next poll. A cursor past the
+// stream's total came from an earlier process (the replica restarted),
+// so it is served from the start.
 func (f *frontend) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var since uint64
 	if s := r.URL.Query().Get("since"); s != "" {
@@ -206,7 +210,11 @@ func (f *frontend) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
-	events, missed := f.host.Events().Since(since)
+	stream := f.host.Events()
+	if since > stream.Total() {
+		since = 0
+	}
+	events, missed := stream.Since(since)
 	if events == nil {
 		events = []qs.Event{}
 	}

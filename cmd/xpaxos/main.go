@@ -39,7 +39,7 @@ import (
 	qs "quorumselect"
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/metrics"
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/wire"
 )
 
@@ -256,7 +256,7 @@ func runServer(id int, peersFlag string, f int, secret, auth string, window, sha
 			log.Fatalf("open flight file: %v", err)
 		}
 		defer fw.Close()
-		tracer.SetCrashWriter(fw)
+		obs.SetCrashWriter(fw)
 	}
 
 	// Per-shard execution gauges are refreshed from the execute hook;

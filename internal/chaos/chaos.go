@@ -22,7 +22,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/quorum"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
@@ -154,7 +153,7 @@ type Violation struct {
 	// the tails of the observability and trace streams. It is
 	// byte-identical across replays of the same seed.
 	Dump string
-	// Flight is the flight-recorder dump (tracer.Dump JSON): the
+	// Flight is the flight-recorder dump (obs.Dump JSON): the
 	// retained causal spans and protocol events of the violating run.
 	// Span identifiers are node-prefixed sequence numbers and all
 	// timestamps are virtual, so it too is byte-identical across
@@ -203,7 +202,7 @@ func Replay(cfg Config, seed int64) (string, *Violation) {
 }
 
 // ReplayDump is Replay plus the flight-recorder dump: the text trace,
-// the tracer.Dump JSON (spans and protocol events), and the violation,
+// the obs.Dump JSON (spans and protocol events), and the violation,
 // if any. Both dumps are byte-identical across replays of one seed.
 func ReplayDump(cfg Config, seed int64) (string, []byte, *Violation) {
 	v, dump, flight := runSeed(cfg.withDefaults(), seed, true)
@@ -222,8 +221,7 @@ type RunState struct {
 	// history, HistoriesAgree and Executed at it.
 	shard   int
 	cluster *cluster.Cluster
-	bus     *obs.Bus
-	spans   *tracer.Tracer
+	bus     *obs.Bus // the run's one stream, spans on
 	// gate holds the spec gate's reports (PresetUnsafeSpec only).
 	gate []quorum.Report
 	// probes is how many liveness probes went out per shard (0 until
@@ -285,7 +283,7 @@ func runSeed(cfg Config, seed int64, alwaysDump bool) (*Violation, string, []byt
 				reason = fmt.Sprintf("chaos violation seed=%d checker=%s at=%s",
 					seed, violation.Checker, violation.At)
 			}
-			flight = tracer.Capture(reason, rs.spans, rs.bus).JSON()
+			flight = obs.Capture(reason, rs.bus).JSON()
 		}
 	}
 	if violation != nil {
@@ -362,11 +360,9 @@ func (r *RunState) execute(sch *schedule) *Violation {
 		violation = r.check(suites, PhaseFinal)
 	}
 
-	// Observability loss accounting: how much of each bounded stream the
+	// Observability loss accounting: how much of the bounded stream the
 	// run evicted (non-zero drops mean the dumps are tails).
-	reg := cl.Net.Metrics()
-	reg.SetGauge("obs.bus.dropped", float64(r.bus.Dropped()))
-	reg.SetGauge("tracer.ring.dropped", float64(r.spans.Dropped()))
+	cl.Net.Metrics().SetGauge("obs.bus.dropped", float64(r.bus.Dropped()))
 	return violation
 }
 
@@ -453,7 +449,7 @@ func (r *RunState) dump(v *Violation) string {
 	for _, e := range story {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
-	spans := last(r.spans.Spans(), dumpSpans)
+	spans := last(r.bus.Spans(), dumpSpans)
 	fmt.Fprintf(&b, "spans (last %d):\n", len(spans))
 	for _, s := range spans {
 		fmt.Fprintf(&b, "  %s node=%s trace=%x id=%x parent=%x start=%s dur=%s slot=%d view=%d\n",

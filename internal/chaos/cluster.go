@@ -9,7 +9,6 @@ import (
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/fd"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/pbftlite"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/tendermint"
@@ -102,14 +101,14 @@ func (p Protocol) settles() bool { return p != ProtocolPBFT }
 // paper assumes.
 func (r *RunState) boot(sch *schedule) {
 	run := r.Config
-	r.bus, r.spans = obs.NewBus(0), tracer.New(0)
+	r.bus = obs.NewBus(0)
+	r.bus.SetEnabled(true)
 	opts := sim.Options{
 		Metrics:      run.Metrics,
 		Seed:         r.seed,
 		Filter:       sch.Filter,
 		Auth:         crypto.NewHMACRing(r.cfg, []byte("chaos-master")),
-		Events:       r.bus,
-		Tracer:       r.spans,
+		Tracer:       r.bus,
 		AllowReorder: run.Reorder,
 	}
 	fdOpts := cluster.Links(run.Topology, &opts)

@@ -40,10 +40,9 @@ func TestFlightRecorderDeterministic(t *testing.T) {
 func TestFlightRecorderContents(t *testing.T) {
 	_, flight, _ := ReplayDump(Config{Protocol: ProtocolXPaxos}, 3)
 	var d struct {
-		Reason        string `json:"reason"`
-		SpansDropped  uint64 `json:"spans_dropped"`
-		EventsDropped uint64 `json:"events_dropped"`
-		Spans         []struct {
+		Reason  string `json:"reason"`
+		Dropped uint64 `json:"dropped"`
+		Spans   []struct {
 			Trace uint64 `json:"trace"`
 			ID    uint64 `json:"id"`
 			Node  uint64 `json:"node"`

@@ -17,7 +17,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 )
@@ -674,7 +673,6 @@ func (e *fakeEnv) Rand() *rand.Rand                 { return e.rng }
 func (e *fakeEnv) Auth() crypto.Authenticator       { return crypto.NopRing{} }
 func (e *fakeEnv) Metrics() *metrics.Registry       { return e.reg }
 func (e *fakeEnv) Events() *obs.Bus                 { return e.bus }
-func (e *fakeEnv) Tracer() *tracer.Tracer           { return nil }
 
 func (e *fakeEnv) After(d time.Duration, fn func()) runtime.Timer {
 	e.seq++

@@ -9,7 +9,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 )
@@ -123,7 +122,7 @@ func (f *Fleet) Stop() {
 // shardEnv is the Env one shard kernel runs against: the outer
 // process Env with shard-wrapped sending and a domain-separated
 // authenticator. Clock, loop, randomness,
-// events, tracer, and metrics registry are shared across the
+// observability stream, and metrics registry are shared across the
 // process's shards, so cross-shard event order stays a deterministic
 // property of the one loop.
 type shardEnv struct {
@@ -143,7 +142,6 @@ func (e *shardEnv) Rand() *rand.Rand           { return e.outer.Rand() }
 func (e *shardEnv) Auth() crypto.Authenticator { return e.auth }
 func (e *shardEnv) Metrics() *metrics.Registry { return e.outer.Metrics() }
 func (e *shardEnv) Events() *obs.Bus           { return e.outer.Events() }
-func (e *shardEnv) Tracer() *tracer.Tracer     { return e.outer.Tracer() }
 
 func (e *shardEnv) After(d time.Duration, fn func()) runtime.Timer {
 	return e.outer.After(d, fn)

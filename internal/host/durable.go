@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"time"
 
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/storage"
 	"quorumselect/internal/wire"
@@ -123,8 +123,7 @@ func (h *Host) storageErr(op string, err error) error {
 	// Last act before the fail-stop: dump the flight recorder so the
 	// causal timeline leading into the persist failure survives the
 	// process.
-	tracer.WriteCrash(fmt.Sprintf("durable %s failed: %v", op, err),
-		h.env.Tracer(), h.env.Events())
+	obs.WriteCrash(fmt.Sprintf("durable %s failed: %v", op, err), h.env.Events())
 	panic(fmt.Sprintf("host: durable %s failed: %v — halting: continuing without durability would break persist-before-act (DESIGN.md §10)", op, err))
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"quorumselect/internal/metrics"
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 )
@@ -51,7 +51,7 @@ type Ingress struct {
 	opts    IngressOptions
 	flush   func([]*wire.Request, wire.TraceContext)
 	buf     []*wire.Request
-	span    tracer.Active
+	span    obs.Active
 	adopted wire.TraceContext
 	timer   runtime.Timer
 	stopped bool
@@ -194,7 +194,7 @@ func (in *Ingress) Flush() {
 		if first {
 			first = false
 			span := in.span
-			in.span = tracer.Active{}
+			in.span = obs.Active{}
 			runtime.TraceEnd(in.env, span)
 			tc = span.Context()
 		}
@@ -241,5 +241,5 @@ func (in *Ingress) Stop() {
 	}
 	in.buf = nil
 	in.noteDepth()
-	in.span = tracer.Active{} // dropped, never recorded
+	in.span = obs.Active{} // dropped, never recorded
 }

@@ -1,39 +1,31 @@
-package tracer
+package obs
 
 import (
 	"encoding/json"
 	"io"
 	"os"
 	"sync"
-
-	"quorumselect/internal/obs"
 )
 
-// Dump is a flight-recorder snapshot: the reason it was taken, the
-// retained spans, and the retained protocol events — everything needed
+// Dump is a flight-recorder snapshot: the reason it was taken and the
+// span and event views of one read of the stream — everything needed
 // to reconstruct the causal timeline leading up to a failure. Field
 // order is part of the dump format; deterministic inputs (the chaos
 // simulator) produce byte-identical dumps across replays.
 type Dump struct {
-	Reason        string      `json:"reason"`
-	SpansDropped  uint64      `json:"spans_dropped"`
-	EventsDropped uint64      `json:"events_dropped"`
-	Spans         []Span      `json:"spans"`
-	Events        []obs.Event `json:"events"`
+	Reason  string  `json:"reason"`
+	Dropped uint64  `json:"dropped"`
+	Spans   []Span  `json:"spans"`
+	Events  []Event `json:"events"`
 }
 
-// Capture snapshots the tracer and event bus (either may be nil).
-func Capture(reason string, t *Tracer, bus *obs.Bus) Dump {
-	d := Dump{Reason: reason}
-	if t != nil {
-		d.Spans = t.Spans()
-		d.SpansDropped = t.Dropped()
-	}
-	if bus != nil {
-		d.Events = bus.Events()
-		d.EventsDropped = bus.Dropped()
-	}
-	return d
+// Capture snapshots the stream.
+func Capture(reason string, b *Bus) Dump {
+	b.mu.Lock()
+	all, _ := b.ring.Since(0)
+	dropped := b.ring.Dropped()
+	b.mu.Unlock()
+	return Dump{Reason: reason, Dropped: dropped, Spans: spansOf(all), Events: eventsOf(all)}
 }
 
 // JSON renders the dump as indented, deterministic JSON.
@@ -41,7 +33,7 @@ func (d Dump) JSON() []byte {
 	out, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		// Dump holds only marshalable fields; this cannot fail.
-		panic("tracer: dump marshal: " + err.Error())
+		panic("obs: dump marshal: " + err.Error())
 	}
 	return append(out, '\n')
 }
@@ -69,16 +61,15 @@ type chromeArgs struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-type chromeTrace struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
 // Chrome renders the dump in the Chrome trace-event format: spans as
 // complete ("X") events grouped by node (pid) and trace (tid), protocol
 // events as instants ("i"). Load the output in Perfetto or
 // chrome://tracing to see the per-node span timelines.
 func (d Dump) Chrome() []byte {
-	ct := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(d.Spans)+len(d.Events))}
+	var ct struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	ct.TraceEvents = make([]chromeEvent, 0, len(d.Spans)+len(d.Events))
 	for _, s := range d.Spans {
 		ct.TraceEvents = append(ct.TraceEvents, chromeEvent{
 			Name: s.Name,
@@ -104,7 +95,7 @@ func (d Dump) Chrome() []byte {
 	}
 	out, err := json.MarshalIndent(ct, "", " ")
 	if err != nil {
-		panic("tracer: chrome marshal: " + err.Error())
+		panic("obs: chrome marshal: " + err.Error())
 	}
 	return append(out, '\n')
 }
@@ -117,15 +108,11 @@ var (
 	crashW  io.Writer = os.Stderr
 )
 
-// SetCrashWriter redirects crash dumps (nil restores standard error).
-// It returns the previous writer.
+// SetCrashWriter redirects crash dumps and returns the previous writer.
 func SetCrashWriter(w io.Writer) io.Writer {
 	crashMu.Lock()
 	defer crashMu.Unlock()
 	prev := crashW
-	if w == nil {
-		w = os.Stderr
-	}
 	crashW = w
 	return prev
 }
@@ -133,8 +120,8 @@ func SetCrashWriter(w io.Writer) io.Writer {
 // WriteCrash captures a dump and writes it to the crash writer. It is
 // called on paths that are about to panic, so it never fails loudly:
 // a write error is ignored (the panic itself still reports the cause).
-func WriteCrash(reason string, t *Tracer, bus *obs.Bus) {
+func WriteCrash(reason string, b *Bus) {
 	crashMu.Lock()
 	defer crashMu.Unlock()
-	_, _ = crashW.Write(Capture(reason, t, bus).JSON())
+	_, _ = crashW.Write(Capture(reason, b).JSON())
 }

@@ -16,8 +16,8 @@ func TestBusSequenceAndSince(t *testing.T) {
 			t.Fatalf("Publish #%d returned seq %d", i+1, seq)
 		}
 	}
-	if b.Total() != 5 || b.Len() != 5 || b.Dropped() != 0 {
-		t.Fatalf("total=%d len=%d dropped=%d", b.Total(), b.Len(), b.Dropped())
+	if b.Total() != 5 || len(b.Events()) != 5 || b.Dropped() != 0 {
+		t.Fatalf("total=%d len=%d dropped=%d", b.Total(), len(b.Events()), b.Dropped())
 	}
 	ev, missed := b.Since(2)
 	if missed != 0 || len(ev) != 3 || ev[0].Seq != 3 || ev[2].Seq != 5 {
@@ -36,8 +36,8 @@ func TestBusRingEviction(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		b.Publish(Event{Type: TypeExpect, Slot: uint64(i)})
 	}
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", b.Len())
+	if len(b.Events()) != 4 {
+		t.Fatalf("Len = %d, want 4", len(b.Events()))
 	}
 	if b.Dropped() != 6 {
 		t.Fatalf("Dropped = %d, want 6", b.Dropped())
@@ -112,7 +112,7 @@ func TestBusConcurrency(t *testing.T) {
 	if b.Total() != 8000 {
 		t.Fatalf("Total = %d, want 8000", b.Total())
 	}
-	if b.Len() != 128 || b.Dropped() != 8000-128 {
-		t.Fatalf("len=%d dropped=%d", b.Len(), b.Dropped())
+	if len(b.Events()) != 128 || b.Dropped() != 8000-128 {
+		t.Fatalf("len=%d dropped=%d", len(b.Events()), b.Dropped())
 	}
 }

@@ -7,8 +7,8 @@ package obs
 // memory and, for pointer-bearing values, in GC scan work. Once full, a
 // push is one store.
 //
-// Ring is not synchronized; its owner guards it (the event bus and the
-// span tracer each hold their own mutex).
+// Ring is not synchronized; its owner guards it (the stream's Bus holds
+// the one mutex).
 type Ring[T any] struct {
 	buf   []T
 	limit int
@@ -54,9 +54,6 @@ func (r *Ring[T]) grow() {
 
 // Total returns how many values were ever pushed.
 func (r *Ring[T]) Total() uint64 { return r.total }
-
-// Len returns how many values are retained.
-func (r *Ring[T]) Len() int { return len(r.buf) }
 
 // Dropped returns how many values have been evicted.
 func (r *Ring[T]) Dropped() uint64 { return r.total - uint64(len(r.buf)) }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestRing covers the three things the bus and the span tracer rely
-// on: the backing array grows lazily and never past
+// TestRing covers the three things the stream relies on: the backing
+// array grows lazily and never past
 // the bound, the ring wraps keeping the newest values in order, and
 // Since reports what a reader that fell behind missed.
 func TestRing(t *testing.T) {
@@ -36,8 +36,8 @@ func TestRing(t *testing.T) {
 	for i := 66; i <= 250; i++ {
 		r.Push(i)
 	}
-	if cap(r.buf) != limit || r.Len() != limit {
-		t.Fatalf("full ring: cap %d len %d, want both %d", cap(r.buf), r.Len(), limit)
+	if cap(r.buf) != limit || len(r.buf) != limit {
+		t.Fatalf("full ring: cap %d len %d, want both %d", cap(r.buf), len(r.buf), limit)
 	}
 	if r.Total() != 250 || r.Dropped() != 150 {
 		t.Fatalf("Total %d Dropped %d, want 250 and 150", r.Total(), r.Dropped())

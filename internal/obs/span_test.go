@@ -1,4 +1,4 @@
-package tracer
+package obs
 
 import (
 	"bytes"
@@ -11,8 +11,15 @@ import (
 	"quorumselect/internal/wire"
 )
 
+// newTracing returns a stream with spans on.
+func newTracing(capacity int) *Bus {
+	b := NewBus(capacity)
+	b.SetEnabled(true)
+	return b
+}
+
 func TestSpanTreeBasics(t *testing.T) {
-	tr := New(8)
+	tr := newTracing(8)
 	root := tr.Start(3, "ingress", wire.TraceContext{}, 10*time.Millisecond)
 	if root.Context().Trace != root.Context().Span {
 		t.Errorf("root trace %#x != span %#x", root.Context().Trace, root.Context().Span)
@@ -44,7 +51,7 @@ func TestSpanTreeBasics(t *testing.T) {
 }
 
 func TestNodePrefixedIDsNeverCollide(t *testing.T) {
-	tr := New(64)
+	tr := newTracing(64)
 	seen := make(map[uint64]bool)
 	for node := 1; node <= 4; node++ {
 		for i := 0; i < 10; i++ {
@@ -59,9 +66,9 @@ func TestNodePrefixedIDsNeverCollide(t *testing.T) {
 }
 
 func TestRingEvictionAndDropped(t *testing.T) {
-	tr := New(4)
+	tr := newTracing(4)
 	for i := 1; i <= 10; i++ {
-		tr.Instant(1, "e", wire.TraceContext{}, time.Duration(i))
+		tr.Start(1, "e", wire.TraceContext{}, time.Duration(i)).End(time.Duration(i))
 	}
 	if got := tr.Total(); got != 10 {
 		t.Errorf("Total = %d, want 10", got)
@@ -82,7 +89,7 @@ func TestRingEvictionAndDropped(t *testing.T) {
 }
 
 func TestBackwardsClockClampsToZero(t *testing.T) {
-	tr := New(4)
+	tr := newTracing(4)
 	a := tr.Start(1, "s", wire.TraceContext{}, 10*time.Millisecond)
 	a.End(5 * time.Millisecond) // restarted clock
 	if d := tr.Spans()[0].Dur; d != 0 {
@@ -90,47 +97,39 @@ func TestBackwardsClockClampsToZero(t *testing.T) {
 	}
 }
 
-func TestNilTracerIsInert(t *testing.T) {
-	var tr *Tracer
-	a := tr.Start(1, "s", wire.TraceContext{}, 0)
-	if a.Traced() {
-		t.Error("nil tracer returned a traced Active")
-	}
-	if !a.Context().Zero() {
-		t.Error("nil tracer's context is not zero")
-	}
-	a.SetSlot(1)
-	a.SetView(1)
-	a.End(time.Second) // must not panic
-	tr.Instant(1, "i", wire.TraceContext{}, 0)
-	if tr.Spans() != nil || tr.Total() != 0 || tr.Dropped() != 0 {
-		t.Error("nil tracer is not empty")
-	}
-}
-
-func TestOfFiltersByTrace(t *testing.T) {
-	tr := New(16)
-	a := tr.Start(1, "a", wire.TraceContext{}, 0)
-	b := tr.Start(2, "b", wire.TraceContext{}, 0)
-	tr.Instant(1, "a.child", a.Context(), 1)
-	tr.Instant(2, "b.child", b.Context(), 1)
-	a.End(2)
-	b.End(2)
-	got := tr.Of(a.Context().Trace)
-	if len(got) != 2 {
-		t.Fatalf("Of returned %d spans, want 2", len(got))
-	}
-	for _, s := range got {
-		if s.Node != 1 {
-			t.Errorf("trace A contains span from node %s", s.Node)
+// TestSpansOffIsInert: with spans off, Start hands out an inert Active
+// and records nothing — without taking the stream's lock, which the
+// test holds throughout.
+func TestSpansOffIsInert(t *testing.T) {
+	b := NewBus(4)
+	b.mu.Lock()
+	done := make(chan Active)
+	go func() {
+		a := b.Start(1, "s", wire.TraceContext{}, 0)
+		a.SetSlot(1)
+		a.SetView(1)
+		a.End(time.Second)
+		b.Start(1, "i", wire.TraceContext{}, 0).End(0)
+		done <- a
+	}()
+	select {
+	case a := <-done:
+		if a.Traced() || !a.Context().Zero() {
+			t.Errorf("spans off returned a traced Active: %+v", a)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Start/End with spans off waited for the stream's lock")
+	}
+	b.mu.Unlock()
+	if b.Total() != 0 || len(b.Spans()) != 0 {
+		t.Errorf("spans off recorded %d records", b.Total())
 	}
 }
 
-func TestCaptureNilSafety(t *testing.T) {
-	d := Capture("empty", nil, nil)
+func TestCaptureEmpty(t *testing.T) {
+	d := Capture("empty", NewBus(4))
 	if d.Reason != "empty" || len(d.Spans) != 0 || len(d.Events) != 0 {
-		t.Errorf("Capture(nil, nil) = %+v", d)
+		t.Errorf("Capture(empty stream) = %+v", d)
 	}
 	var dump Dump
 	if err := json.Unmarshal(d.JSON(), &dump); err != nil {
@@ -151,9 +150,9 @@ func TestSetCrashWriter(t *testing.T) {
 	var buf bytes.Buffer
 	prev := SetCrashWriter(&buf)
 	defer SetCrashWriter(prev)
-	tr := New(4)
-	tr.Instant(2, "doomed", wire.TraceContext{}, time.Millisecond)
-	WriteCrash("test crash", tr, nil)
+	tr := newTracing(4)
+	tr.Start(2, "doomed", wire.TraceContext{}, time.Millisecond).End(time.Millisecond)
+	WriteCrash("test crash", tr)
 	var d Dump
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
 		t.Fatalf("crash dump does not parse: %v", err)
@@ -163,11 +162,11 @@ func TestSetCrashWriter(t *testing.T) {
 	}
 }
 
-// TestConcurrentStorm hammers one tracer from writers and readers at
-// once; run under -race this pins the locking contract the /trace
-// endpoint and multi-host TCP deployments rely on.
+// TestConcurrentStorm hammers one stream from span writers and
+// readers at once; run under -race this pins the locking contract the
+// /trace endpoint and multi-host TCP deployments rely on.
 func TestConcurrentStorm(t *testing.T) {
-	tr := New(128)
+	tr := newTracing(128)
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 1; w <= 4; w++ {
@@ -177,7 +176,7 @@ func TestConcurrentStorm(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				a := tr.Start(node, "storm", wire.TraceContext{}, time.Duration(i))
 				a.SetSlot(uint64(i))
-				tr.Instant(node, "storm.instant", a.Context(), time.Duration(i))
+				tr.Start(node, "storm.instant", a.Context(), time.Duration(i)).End(time.Duration(i))
 				a.End(time.Duration(i + 1))
 			}
 		}(ids.ProcessID(w))
@@ -193,7 +192,7 @@ func TestConcurrentStorm(t *testing.T) {
 				default:
 					_ = tr.Spans()
 					_ = tr.Dropped()
-					_ = Capture("storm", tr, nil).JSON()
+					_ = Capture("storm", tr).JSON()
 				}
 			}
 		}()

@@ -32,7 +32,7 @@ import (
 	"quorumselect/internal/fd"
 	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -73,7 +73,7 @@ type slotState struct {
 	// trace spans the local three-phase round, pre-prepare acceptance
 	// to commit. PBFT frames carry no trace context (the baseline is
 	// message-accounting only), so the span is node-local.
-	trace tracer.Active
+	trace obs.Active
 }
 
 // Replica is one PBFT-style replica. It implements core.Application so
@@ -321,7 +321,7 @@ func (r *Replica) advance(slot uint64, st *slotState) {
 	if st.prepared && !st.committed && st.commitSent && len(st.commits) >= r.threshold() {
 		st.committed = true
 		runtime.TraceEnd(r.env, st.trace)
-		st.trace = tracer.Active{}
+		st.trace = obs.Active{}
 		req := st.prePrepare.Req
 		r.ledger.Commit(slot, []*wire.Request{&req})
 		// Persist before acting: the commit must survive a crash before

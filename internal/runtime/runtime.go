@@ -19,7 +19,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/wire"
 )
 
@@ -32,7 +31,7 @@ type Timer interface {
 
 // Env is the execution environment of one process: identity, transport,
 // virtual or real time, deterministic randomness, signing, metrics,
-// protocol events and spans.
+// and the observability stream of protocol events and spans.
 type Env interface {
 	// ID returns the identity of this process in Π.
 	ID() ids.ProcessID
@@ -52,13 +51,12 @@ type Env interface {
 	Auth() crypto.Authenticator
 	// Metrics returns the shared experiment registry.
 	Metrics() *metrics.Registry
-	// Events returns the protocol event bus (never nil; shared across
-	// processes in simulations, per-host on TCP).
+	// Events returns the observability stream (never nil; shared across
+	// processes in simulations, per-host on TCP). It records protocol
+	// events always and causal spans while its spans are enabled; with
+	// spans off the Trace helpers are inert, so protocol code calls
+	// them unconditionally.
 	Events() *obs.Bus
-	// Tracer returns the causal span recorder, or nil when tracing is
-	// disabled — a nil *tracer.Tracer is inert, so protocol code calls
-	// the Trace helpers unconditionally.
-	Tracer() *tracer.Tracer
 }
 
 // Node is a protocol instance: the simulator or transport calls Init
@@ -169,22 +167,23 @@ func Emit(env Env, e obs.Event) {
 	env.Events().Publish(e)
 }
 
-// TraceStart opens a causal span on env's tracer, stamped with env's
+// TraceStart opens a causal span on env's stream, stamped with env's
 // clock. A zero parent starts a new trace; a context taken off an
-// incoming frame joins the sender's trace. With tracing disabled the
-// returned Active is inert.
-func TraceStart(env Env, name string, parent wire.TraceContext) tracer.Active {
-	return env.Tracer().Start(env.ID(), name, parent, env.Now())
+// incoming frame joins the sender's trace. With spans off the returned
+// Active is inert.
+func TraceStart(env Env, name string, parent wire.TraceContext) obs.Active {
+	return env.Events().Start(env.ID(), name, parent, env.Now())
 }
 
 // TraceEnd records a span opened with TraceStart at env's current
 // clock.
-func TraceEnd(env Env, a tracer.Active) { a.End(env.Now()) }
+func TraceEnd(env Env, a obs.Active) { a.End(env.Now()) }
 
 // TraceInstant records a zero-duration span (a point event such as a
 // message arrival) parented on the given context.
 func TraceInstant(env Env, name string, parent wire.TraceContext) {
-	env.Tracer().Instant(env.ID(), name, parent, env.Now())
+	now := env.Now()
+	env.Events().Start(env.ID(), name, parent, now).End(now)
 }
 
 // NodeGauge resolves the named gauge labeled with env's process

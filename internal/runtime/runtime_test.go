@@ -6,6 +6,7 @@ import (
 
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
@@ -133,5 +134,39 @@ func TestAuthenticate(t *testing.T) {
 	}
 	if _, _, err := runtime.Authenticate(auth, []byte{0xEE}); err == nil || err == runtime.ErrForged {
 		t.Errorf("undecodable frame: err = %v, want a decode error", err)
+	}
+}
+
+// TestUntracedHotPathIsFree: every expectation publishes an EXPECT, and
+// every commit-path stage calls the Trace helpers whether or not spans
+// are on. Publishing into a full stream and tracing with spans off must
+// allocate nothing.
+func TestUntracedHotPathIsFree(t *testing.T) {
+	const capacity = 64
+	stream := obs.NewBus(capacity)
+	cfg := ids.MustConfig(4, 1)
+	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
+	for _, p := range cfg.All() {
+		nodes[p] = &collector{}
+	}
+	env := sim.NewNetwork(cfg, nodes, sim.Options{Tracer: stream}).Env(1)
+	for i := 0; i < capacity; i++ {
+		runtime.Emit(env, obs.Event{Type: obs.TypeExpect})
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		runtime.Emit(env, obs.Event{Type: obs.TypeExpect, Subject: 2, Detail: "scope"})
+	}); got != 0 {
+		t.Errorf("Publish into a full stream: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		a := runtime.TraceStart(env, "propose", wire.TraceContext{})
+		a.SetSlot(1)
+		runtime.TraceInstant(env, "commit.recv", a.Context())
+		runtime.TraceEnd(env, a)
+	}); got != 0 {
+		t.Errorf("tracing with spans off: %v allocs, want 0", got)
+	}
+	if len(stream.Spans()) != 0 {
+		t.Error("spans off recorded spans")
 	}
 }

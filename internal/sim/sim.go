@@ -18,7 +18,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 )
@@ -125,14 +124,12 @@ type Options struct {
 	// Metrics receives message accounting; nil allocates a fresh
 	// registry.
 	Metrics *metrics.Registry
-	// Events receives typed protocol events from every simulated
-	// process (the Event.Node field distinguishes them); nil allocates
-	// a fresh bus with obs.DefaultCapacity.
-	Events *obs.Bus
-	// Tracer receives causal spans from every simulated process,
-	// stamped with the shared virtual clock (the Span.Node field
-	// distinguishes them); nil disables tracing.
-	Tracer *tracer.Tracer
+	// Tracer is the observability stream every simulated process
+	// records into: protocol events, and causal spans stamped with the
+	// shared virtual clock while its spans are enabled (Event.Node
+	// distinguishes the processes). nil allocates a fresh stream with
+	// obs.DefaultCapacity and spans off.
+	Tracer *obs.Bus
 	// AllowReorder disables the per-link FIFO clamp: messages on one
 	// link arrive in latency order rather than send order. The default
 	// (false) preserves the paper's reliable-FIFO channel model; chaos
@@ -154,7 +151,6 @@ type Network struct {
 	rng     *rand.Rand
 	metrics *metrics.Registry
 	m       netMetrics
-	events  *obs.Bus
 	steps   uint64
 	// free recycles fired message-delivery events. Only delivery
 	// events are pooled: timer events double as runtime.Timer handles
@@ -200,8 +196,8 @@ func NewNetwork(cfg ids.Config, nodes map[ids.ProcessID]runtime.Node, opts Optio
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
-	if opts.Events == nil {
-		opts.Events = obs.NewBus(0)
+	if opts.Tracer == nil {
+		opts.Tracer = obs.NewBus(0)
 	}
 	n := &Network{
 		cfg:     cfg,
@@ -212,7 +208,6 @@ func NewNetwork(cfg ids.Config, nodes map[ids.ProcessID]runtime.Node, opts Optio
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		metrics: opts.Metrics,
 		m:       newNetMetrics(opts.Metrics),
-		events:  opts.Events,
 	}
 	for _, p := range cfg.All() {
 		node, ok := nodes[p]
@@ -241,12 +236,8 @@ func (n *Network) Now() time.Duration { return n.now }
 // Metrics returns the run's registry.
 func (n *Network) Metrics() *metrics.Registry { return n.metrics }
 
-// Events returns the run's protocol event bus.
-func (n *Network) Events() *obs.Bus { return n.events }
-
-// Tracer returns the run's span recorder (nil when tracing is
-// disabled).
-func (n *Network) Tracer() *tracer.Tracer { return n.opts.Tracer }
+// Events returns the run's observability stream.
+func (n *Network) Events() *obs.Bus { return n.opts.Tracer }
 
 // Env returns the environment of process p, letting tests and
 // experiments inject events as if they were local modules.
@@ -521,8 +512,7 @@ func (e *procEnv) Now() time.Duration         { return e.net.now }
 func (e *procEnv) Rand() *rand.Rand           { return e.rng }
 func (e *procEnv) Auth() crypto.Authenticator { return e.net.opts.Auth }
 func (e *procEnv) Metrics() *metrics.Registry { return e.net.metrics }
-func (e *procEnv) Events() *obs.Bus           { return e.net.events }
-func (e *procEnv) Tracer() *tracer.Tracer     { return e.net.opts.Tracer }
+func (e *procEnv) Events() *obs.Bus           { return e.net.opts.Tracer }
 
 func (e *procEnv) Send(to ids.ProcessID, m wire.Message) {
 	if !to.Valid(e.net.cfg.N) {

@@ -8,22 +8,23 @@ import (
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/transport"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
 )
 
 // newTracedXPaxosCluster builds a 4-process XPaxos cluster over real
-// TCP, every host recording into ONE shared tracer. Span IDs are
+// TCP, every host recording into ONE shared stream. Span IDs are
 // node-prefixed, so the shared ring never collides; each host stamps
 // times on its own monotonic clock, so only same-node durations are
 // compared below.
-func newTracedXPaxosCluster(t *testing.T) (map[ids.ProcessID]*transport.Host, map[ids.ProcessID]*xpaxos.Replica, *tracer.Tracer) {
+func newTracedXPaxosCluster(t *testing.T) (map[ids.ProcessID]*transport.Host, map[ids.ProcessID]*xpaxos.Replica, *obs.Bus) {
 	t.Helper()
 	cfg := ids.MustConfig(4, 1)
 	auth := crypto.NewHMACRing(cfg, []byte("cluster-secret"))
-	tr := tracer.New(0)
+	tr := obs.NewBus(0)
+	tr.SetEnabled(true)
 	hosts := make(map[ids.ProcessID]*transport.Host, cfg.N)
 	replicas := make(map[ids.ProcessID]*xpaxos.Replica, cfg.N)
 	for _, p := range cfg.All() {
@@ -59,9 +60,9 @@ func newTracedXPaxosCluster(t *testing.T) (map[ids.ProcessID]*transport.Host, ma
 // simulator test pins, but assembled from four independent monotonic
 // clocks — and checks the leader's stage durations still account for
 // (almost all of) the end-to-end commit latency on the leader's own
-// clock. Concurrent readers hammer the shared tracer while the
+// clock. Concurrent readers hammer the shared stream while the
 // protocol records into it, which makes this the -race storm for the
-// tracer's locking.
+// stream's locking.
 func TestTraceSpanTreeOverTCP(t *testing.T) {
 	hosts, replicas, tr := newTracedXPaxosCluster(t)
 
@@ -83,7 +84,7 @@ func TestTraceSpanTreeOverTCP(t *testing.T) {
 					return
 				case <-tick.C:
 					_ = tr.Spans()
-					_ = tracer.Capture("storm", tr, nil).JSON()
+					_ = obs.Capture("storm", tr).JSON()
 					_ = tr.Dropped()
 				}
 			}
@@ -115,12 +116,12 @@ func TestTraceSpanTreeOverTCP(t *testing.T) {
 	}
 
 	spans := tr.Spans()
-	byName := make(map[ids.ProcessID]map[string]tracer.Span)
-	idx := make(map[uint64]tracer.Span, len(spans))
+	byName := make(map[ids.ProcessID]map[string]obs.Span)
+	idx := make(map[uint64]obs.Span, len(spans))
 	for _, s := range spans {
 		idx[s.ID] = s
 		if byName[s.Node] == nil {
-			byName[s.Node] = make(map[string]tracer.Span)
+			byName[s.Node] = make(map[string]obs.Span)
 		}
 		byName[s.Node][s.Name] = s
 	}

@@ -35,7 +35,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 )
@@ -67,14 +66,13 @@ type Config struct {
 	Auth crypto.Authenticator
 	// Metrics receives accounting (default: fresh registry).
 	Metrics *metrics.Registry
-	// Events receives typed protocol events (default: fresh bus with
-	// obs.DefaultCapacity).
-	Events *obs.Bus
-	// Tracer records causal commit-path spans (nil: tracing disabled).
-	// Spans are stamped against this host's monotonic clock (time since
-	// host start), so durations are per-host; trace structure (IDs,
-	// parents) is comparable across hosts.
-	Tracer *tracer.Tracer
+	// Tracer is the host's observability stream: protocol events, and
+	// causal commit-path spans while its spans are enabled (default:
+	// fresh stream with obs.DefaultCapacity, spans off). Spans are
+	// stamped against this host's monotonic clock (time since host
+	// start), so durations are per-host; trace structure (IDs, parents)
+	// is comparable across hosts.
+	Tracer *obs.Bus
 	// Seed drives the Env's randomness (default 1).
 	Seed int64
 }
@@ -160,8 +158,8 @@ func NewHost(cfg Config, node runtime.Node) (*Host, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Events == nil {
-		cfg.Events = obs.NewBus(0)
+	if cfg.Tracer == nil {
+		cfg.Tracer = obs.NewBus(0)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -215,12 +213,9 @@ func (h *Host) Addr() string { return h.listener.Addr().String() }
 // Metrics returns the host's registry (for /metrics frontends).
 func (h *Host) Metrics() *metrics.Registry { return h.cfg.Metrics }
 
-// Events returns the host's protocol event bus (for /events frontends).
-func (h *Host) Events() *obs.Bus { return h.cfg.Events }
-
-// Tracer returns the host's span recorder (nil when tracing is
-// disabled; for /trace frontends).
-func (h *Host) Tracer() *tracer.Tracer { return h.cfg.Tracer }
+// Events returns the host's observability stream (for /events and
+// /trace frontends).
+func (h *Host) Events() *obs.Bus { return h.cfg.Tracer }
 
 // SetPeerAddr records or updates a peer's address.
 func (h *Host) SetPeerAddr(p ids.ProcessID, addr string) {
@@ -607,8 +602,7 @@ func (e *hostEnv) Now() time.Duration         { return time.Since(e.h.start) }
 func (e *hostEnv) Rand() *rand.Rand           { return e.rng }
 func (e *hostEnv) Auth() crypto.Authenticator { return e.h.cfg.Auth }
 func (e *hostEnv) Metrics() *metrics.Registry { return e.h.cfg.Metrics }
-func (e *hostEnv) Events() *obs.Bus           { return e.h.cfg.Events }
-func (e *hostEnv) Tracer() *tracer.Tracer     { return e.h.cfg.Tracer }
+func (e *hostEnv) Events() *obs.Bus           { return e.h.cfg.Tracer }
 
 func (e *hostEnv) Send(to ids.ProcessID, m wire.Message) {
 	if !to.Valid(e.h.cfg.System.N) {

@@ -10,7 +10,7 @@ import (
 	"quorumselect/internal/core"
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -188,7 +188,8 @@ func TestEd25519ReplayDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := tracer.New(0)
+		tr := obs.NewBus(0)
+		tr.SetEnabled(true)
 		c := newBatchClusterOpts(t, 4, 1, xpaxos.Options{
 			BatchSize: 2,
 			Window:    3,
@@ -202,7 +203,7 @@ func TestEd25519ReplayDeterminism(t *testing.T) {
 		const total = 16
 		c.submitAll(total)
 		c.runUntilExecuted(t, total)
-		return c.replicas[1].Executions(), tracer.Capture("determinism", tr, c.net.Events()).Chrome()
+		return c.replicas[1].Executions(), obs.Capture("determinism", tr).Chrome()
 	}
 	execA, chromeA := run()
 	execB, chromeB := run()
@@ -231,7 +232,8 @@ func TestTraceVerifyWaitSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tracer.New(0)
+	tr := obs.NewBus(0)
+	tr.SetEnabled(true)
 	c := newBatchClusterOpts(t, 4, 1, xpaxos.Options{
 		BatchSize: 1,
 		Window:    4,

@@ -12,7 +12,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/quorum"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
@@ -98,7 +97,7 @@ type checkpoint struct {
 // open quorum-wait span that closes when the slot commits.
 type slotTrace struct {
 	prep   wire.TraceContext
-	quorum tracer.Active
+	quorum obs.Active
 }
 
 // entry is the per-slot round state of the current view.
@@ -190,7 +189,7 @@ type Replica struct {
 	// dropped wholesale on a view change, trimmed with the checkpoint.
 	traces map[uint64]*slotTrace
 	// vcTrace is the span covering an in-progress view change.
-	vcTrace tracer.Active
+	vcTrace obs.Active
 	// vcStart records when the in-progress view change began, feeding
 	// the view-change-duration histogram.
 	vcStart time.Duration
@@ -396,9 +395,9 @@ func (r *Replica) Submit(req *wire.Request) {
 
 // traceStart opens a commit-path span unless the replica is replaying
 // its WAL: recovered history already happened and is not re-traced.
-func (r *Replica) traceStart(name string, parent wire.TraceContext) tracer.Active {
+func (r *Replica) traceStart(name string, parent wire.TraceContext) obs.Active {
 	if r.ledger.Recovering() {
-		return tracer.Active{}
+		return obs.Active{}
 	}
 	return runtime.TraceStart(r.env, name, parent)
 }
@@ -554,7 +553,7 @@ func (r *Replica) onPrepare(p *wire.Prepare) {
 // sends this replica's COMMIT. stage is the open propose (leader) or
 // accept (follower) span covering this slot's local processing; it
 // closes once the COMMIT is out and the quorum wait begins.
-func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
+func (r *Replica) acceptPrepare(p *wire.Prepare, stage obs.Active) {
 	e := r.entry(p.Slot)
 	if _, ok := r.slotStart[p.Slot]; !ok {
 		r.slotStart[p.Slot] = r.env.Now()
@@ -566,7 +565,7 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage tracer.Active) {
 	st.prep = stage.Context()
 	// Persist-before-act: the COMMIT below promises this prepare is in
 	// our log, so it must be on disk before the COMMIT leaves.
-	var ws tracer.Active
+	var ws obs.Active
 	if r.wal != nil {
 		ws = r.traceStart("wal.sync", stage.Context())
 	}
@@ -692,7 +691,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		st.prep = stage.Context()
 		// Adopted prepares carry the same promise as direct ones:
 		// persist before our COMMIT goes out.
-		var ws tracer.Active
+		var ws obs.Active
 		if r.wal != nil {
 			ws = r.traceStart("wal.sync", stage.Context())
 		}
@@ -753,7 +752,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 	r.ledger.Commit(slot, reqs)
 	// The slot is decided: persist the deciding prepare before
 	// executing it or shipping the certificate to passive replicas.
-	var ws tracer.Active
+	var ws obs.Active
 	if st != nil && st.quorum.Traced() && r.wal != nil {
 		ws = r.traceStart("wal.sync", st.quorum.Context())
 	}
@@ -865,7 +864,7 @@ func (r *Replica) execute() {
 		if !ok {
 			return
 		}
-		var es tracer.Active
+		var es obs.Active
 		if st := r.traces[slot]; st != nil {
 			parent := st.quorum.Context()
 			if parent.Zero() {

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/wire"
 )
 
@@ -12,7 +12,8 @@ import (
 // ring. What tracing costs a committed request end to end is the
 // benchmark's xpaxos.trace_overhead_pct (bench/run.sh --trace 0|1).
 func BenchmarkTracerSpan(b *testing.B) {
-	tr := tracer.New(0)
+	tr := obs.NewBus(0)
+	tr.SetEnabled(true)
 	parent := tr.Start(1, "parent", wire.TraceContext{}, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

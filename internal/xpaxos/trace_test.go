@@ -4,20 +4,23 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"quorumselect/internal/ids"
-	"quorumselect/internal/obs/tracer"
+	"quorumselect/internal/obs"
 	"quorumselect/internal/sim"
 	"quorumselect/internal/wire"
 )
 
-// traceFixture is the qsFixture plus a span recorder shared by every
-// simulated process (one virtual clock, so durations compare exactly).
-func newTraceFixture(t *testing.T, simOpts sim.Options) (*qsFixture, *tracer.Tracer) {
+// traceFixture is the qsFixture plus its stream with spans on, shared
+// by every simulated process (one virtual clock, so durations compare
+// exactly).
+func newTraceFixture(t *testing.T, simOpts sim.Options) (*qsFixture, *obs.Bus) {
 	t.Helper()
-	tr := tracer.New(0)
+	tr := obs.NewBus(0)
+	tr.SetEnabled(true)
 	simOpts.Tracer = tr
 	if simOpts.Latency == nil {
 		simOpts.Latency = sim.ConstantLatency(2 * time.Millisecond)
@@ -27,16 +30,16 @@ func newTraceFixture(t *testing.T, simOpts sim.Options) (*qsFixture, *tracer.Tra
 }
 
 // spanIndex maps span IDs to spans for parent resolution.
-func spanIndex(spans []tracer.Span) map[uint64]tracer.Span {
-	idx := make(map[uint64]tracer.Span, len(spans))
+func spanIndex(spans []obs.Span) map[uint64]obs.Span {
+	idx := make(map[uint64]obs.Span, len(spans))
 	for _, s := range spans {
 		idx[s.ID] = s
 	}
 	return idx
 }
 
-func namesOn(spans []tracer.Span, node ids.ProcessID) map[string]tracer.Span {
-	out := make(map[string]tracer.Span)
+func namesOn(spans []obs.Span, node ids.ProcessID) map[string]obs.Span {
+	out := make(map[string]obs.Span)
 	for _, s := range spans {
 		if s.Node == node {
 			out[s.Name] = s
@@ -69,7 +72,7 @@ func TestTraceSpanTreeAcrossReplicas(t *testing.T) {
 	}
 
 	// Exactly one trace, rooted at p4's ingress span.
-	var roots []tracer.Span
+	var roots []obs.Span
 	for _, s := range tr.Spans() {
 		if s.Parent == 0 {
 			roots = append(roots, s)
@@ -86,8 +89,14 @@ func TestTraceSpanTreeAcrossReplicas(t *testing.T) {
 		t.Errorf("root span ID %#x != trace ID %#x", root.ID, root.Trace)
 	}
 
-	spans := tr.Of(root.Trace)
-	if got, want := len(spans), int(tr.Total()); got != want {
+	all := tr.Spans()
+	var spans []obs.Span
+	for _, s := range all {
+		if s.Trace == root.Trace {
+			spans = append(spans, s)
+		}
+	}
+	if got, want := len(spans), len(all); got != want {
 		t.Errorf("trace holds %d spans but %d were recorded — a span escaped the tree", got, want)
 	}
 	idx := spanIndex(spans)
@@ -252,7 +261,7 @@ func TestChromeExportGolden(t *testing.T) {
 	if fx.replicas[1].LastExecuted() != 3 {
 		t.Fatalf("golden scenario executed %d slots, want 3", fx.replicas[1].LastExecuted())
 	}
-	got := tracer.Capture("golden", tr, fx.net.Events()).Chrome()
+	got := obs.Capture("golden", tr).Chrome()
 
 	golden := filepath.Join("testdata", "chrome_trace_golden.json")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -267,5 +276,69 @@ func TestChromeExportGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("Chrome export drifted from golden file %s (%d vs %d bytes); "+
 			"regenerate with UPDATE_GOLDEN=1 if the change is intentional", golden, len(got), len(want))
+	}
+}
+
+// TestOneStreamOneOrder: with spans on, a simulated cluster's protocol
+// events and spans land in one stream, interleaved in one strictly
+// increasing sequence, and the span view, the event view, the /trace
+// dump and the Chrome export are all views of that same read.
+func TestOneStreamOneOrder(t *testing.T) {
+	fx, tr := newTraceFixture(t, sim.Options{Seed: 42})
+	for i := 1; i <= 3; i++ {
+		fx.replicas[1].Submit(req(9, uint64(i), "set one stream"))
+	}
+	fx.net.Run(time.Second)
+	all, missed := tr.Since(0)
+	if missed != 0 || len(all) == 0 {
+		t.Fatalf("Since(0) = %d records, %d missed", len(all), missed)
+	}
+
+	var spans []obs.Span
+	var events []obs.Event
+	switches := 0
+	for i, e := range all {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d: not one strictly increasing sequence", i, e.Seq)
+		}
+		if i > 0 && (e.Type == obs.TypeSpan) != (all[i-1].Type == obs.TypeSpan) {
+			switches++
+		}
+		if e.Type != obs.TypeSpan {
+			events = append(events, e)
+			continue
+		}
+		spans = append(spans, obs.Span{Trace: e.Trace, ID: e.SpanID, Parent: e.Parent, Node: e.Node,
+			Name: e.Detail, Start: e.At, Dur: e.Dur, Slot: e.Slot, View: e.View})
+	}
+	if len(spans) == 0 || len(events) == 0 || switches < 2 {
+		t.Fatalf("%d spans and %d events with %d switches between them: not interleaved",
+			len(spans), len(events), switches)
+	}
+	if !reflect.DeepEqual(tr.Spans(), spans) || !reflect.DeepEqual(tr.Events(), events) ||
+		len(tr.OfType(obs.TypeSpan)) != len(spans) {
+		t.Error("Spans/Events/OfType are not views of Since(0)")
+	}
+
+	// Every span belongs to a trace rooted at a span of the same read.
+	roots := make(map[uint64]bool)
+	for _, s := range spans {
+		if s.Parent == 0 && s.Trace == s.ID {
+			roots[s.ID] = true
+		}
+	}
+	for _, s := range spans {
+		if !roots[s.Trace] {
+			t.Fatalf("span %s on %s names trace %#x, which has no root in the stream", s.Name, s.Node, s.Trace)
+		}
+	}
+
+	got := obs.Capture("one stream", tr)
+	want := obs.Dump{Reason: "one stream", Spans: spans, Events: events}
+	if !bytes.Equal(got.JSON(), want.JSON()) {
+		t.Error("the /trace dump is not the views of Since(0)")
+	}
+	if !bytes.Equal(got.Chrome(), want.Chrome()) {
+		t.Error("the Chrome export is not the views of Since(0)")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"quorumselect/internal/fd"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/wire"
 )
@@ -288,7 +287,7 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 	r.env.Metrics().Observe("xpaxos.viewchange.duration.seconds",
 		(r.env.Now() - r.vcStart).Seconds())
 	runtime.TraceEnd(r.env, r.vcTrace)
-	r.vcTrace = tracer.Active{}
+	r.vcTrace = obs.Active{}
 	runtime.Emit(r.env, obs.Event{Type: obs.TypeViewChangeEnd, View: nv.ViewNum,
 		Detail: r.active.String()})
 	// Catch up from the stable checkpoint if it is ahead of local

@@ -12,7 +12,6 @@ import (
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
 	"quorumselect/internal/obs"
-	"quorumselect/internal/obs/tracer"
 	"quorumselect/internal/quorum"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
@@ -86,21 +85,22 @@ type (
 	// Registry collects counters, gauges and histograms for
 	// experiments and the /metrics endpoint.
 	Registry = metrics.Registry
-	// EventBus is the bounded ring of typed protocol events.
+	// EventBus is the observability stream: one bounded ring of typed
+	// records, protocol events and commit-path spans in one order (see
+	// internal/obs). EventBus and Tracer are one type.
 	EventBus = obs.Bus
-	// Event is one structured protocol event (EXPECT, SUSPECTED, ...).
+	// Event is one record of the stream: a protocol event (EXPECT,
+	// SUSPECTED, ...) or, with type SPAN, a commit-path span.
 	Event = obs.Event
-	// EventType classifies protocol events.
+	// EventType classifies the stream's records.
 	EventType = obs.Type
-	// Tracer is the causal commit-path span recorder (see
-	// internal/obs/tracer); wire one into HostConfig.Tracer (TCP) or
-	// SimOptions.Tracer to trace the commit path.
-	Tracer = tracer.Tracer
-	// TraceSpan is one recorded commit-path stage.
-	TraceSpan = tracer.Span
-	// TraceDump is a flight-recorder snapshot: spans plus protocol
-	// events, serializable as JSON or Chrome trace-event format.
-	TraceDump = tracer.Dump
+	// Tracer is the same type as EventBus, under the name of the one
+	// stream field: wire one into HostConfig.Tracer (TCP) or
+	// SimOptions.Tracer, or leave the field nil for a fresh stream with
+	// spans off.
+	Tracer = obs.Bus
+	// TraceSpan is the span view of one recorded commit-path stage.
+	TraceSpan = obs.Span
 	// StorageBackend is the durable-storage interface a composed node
 	// persists through (see NodeOptions.Storage).
 	StorageBackend = storage.Backend
@@ -126,18 +126,15 @@ type (
 	QuorumReport = quorum.Report
 )
 
-// NewEventBus returns an event bus retaining up to capacity events
-// (capacity <= 0 selects the default, obs.DefaultCapacity).
+// NewEventBus returns a stream retaining up to capacity records, spans
+// off (capacity <= 0 selects the default, obs.DefaultCapacity).
 func NewEventBus(capacity int) *EventBus { return obs.NewBus(capacity) }
 
-// NewTracer returns a span recorder retaining the last capacity spans
-// (capacity <= 0 selects the default, tracer.DefaultCapacity).
-func NewTracer(capacity int) *Tracer { return tracer.New(capacity) }
-
-// CaptureTrace snapshots a tracer and event bus (either may be nil)
-// into a flight-recorder dump.
-func CaptureTrace(reason string, t *Tracer, bus *EventBus) TraceDump {
-	return tracer.Capture(reason, t, bus)
+// NewTracer is NewEventBus with spans on.
+func NewTracer(capacity int) *Tracer {
+	t := obs.NewBus(capacity)
+	t.SetEnabled(true)
+	return t
 }
 
 // NewConfig validates and returns a system configuration; it enforces
@@ -306,7 +303,7 @@ func (s *Simulation) Now() time.Duration { return s.net.Now() }
 // Metrics returns the run's counter registry.
 func (s *Simulation) Metrics() *Registry { return s.net.Metrics() }
 
-// Events returns the run's protocol event bus.
+// Events returns the run's observability stream.
 func (s *Simulation) Events() *EventBus { return s.net.Events() }
 
 // Close stops every node through the host lifecycle (heartbeats
