@@ -23,8 +23,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# check is the gate CI and pre-commit hooks should run.
+# check is the gate CI and pre-commit hooks should run. It starts with
+# formatting: any Go file outside .bench_build that gofmt would change
+# fails the gate.
 check:
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/' || true); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
