@@ -344,13 +344,16 @@ type LogSlot struct {
 // committed requests. With checkpointing enabled it also reports the
 // replica's latest stable checkpoint: the slot, the state-machine
 // snapshot digest, and the snapshot itself (so the incoming leader can
-// serve it to lagging members).
+// serve it to lagging members). Executed is the sender's execution
+// cursor: the incoming leader re-proposes only the slots above the
+// lowest cursor of the new quorum's members.
 type ViewChange struct {
 	Replica        ids.ProcessID
 	NewViewNum     uint64
 	CheckpointSlot uint64
 	CheckpointDig  []byte
 	Snapshot       []byte
+	Executed       uint64
 	Log            []LogSlot
 	Sig            []byte
 	// TC is the sender's view-change-span context, so view-change
@@ -368,6 +371,7 @@ func (m *ViewChange) layout(c *Codec) {
 	c.U64(&m.CheckpointSlot)
 	c.Bytes(&m.CheckpointDig)
 	c.Bytes(&m.Snapshot)
+	c.U64(&m.Executed)
 	c.log(&m.Log)
 	c.sig(&m.Sig)
 	c.trace(&m.TC)

@@ -53,6 +53,7 @@ func sampleMessages() []Message {
 			CheckpointSlot: 4,
 			CheckpointDig:  []byte{0xcd},
 			Snapshot:       []byte("snapshot-bytes"),
+			Executed:       7,
 			Log:            []LogSlot{{Slot: 9, Prep: prep}},
 			Sig:            []byte{2},
 		},
@@ -62,6 +63,7 @@ func sampleMessages() []Message {
 			CheckpointSlot: 4,
 			CheckpointDig:  []byte{0xcd},
 			Snapshot:       []byte("snapshot-bytes"),
+			Executed:       8,
 			// The logged prepare keeps its own context; the outer frame
 			// carries the view-change span's.
 			Log: []LogSlot{{Slot: 9, Prep: Prepare{Leader: 1, View: 3, Slot: 9, Req: req,

@@ -173,9 +173,9 @@ func TestWALRecordBytesPinned(t *testing.T) {
 			"0000000000000009" + "0000000000000001" + "00000007" + "73657420782031" + "00000000" +
 			"00000001" + "00" + "0000"
 		// kind 4, then p1's own VIEW-CHANGE for view 1: no checkpoint,
-		// a one-slot log holding the view-0 prepare.
-		vote = "04" + "0000006c" + "08" + "08" + "00000001" + "0000000000000001" + "0000000000000000" +
-			"00000000" + "00000000" + "00000001" + "0000000000000001" +
+		// nothing executed, a one-slot log holding the view-0 prepare.
+		vote = "04" + "00000074" + "08" + "08" + "00000001" + "0000000000000001" + "0000000000000000" +
+			"00000000" + "00000000" + "0000000000000000" + "00000001" + "0000000000000001" +
 			"05" + "00000001" + "0000000000000000" + "0000000000000001" + "0000000000000009" + "0000000000000001" +
 			"00000007" + "73657420782031" + "00000000" + "00000001" + "00" + "0000" +
 			"00000001" + "00" + "0000"
@@ -187,7 +187,7 @@ func TestWALRecordBytesPinned(t *testing.T) {
 	}{
 		{"accepted", 2, "42000000" + "b43d5355", accepted},
 		{"committed", 3, "42000000" + "f04414fb", committed},
-		{"view-change vote", 4, "72000000" + "ad5fa5b9", vote},
+		{"view-change vote", 4, "7a000000" + "40975e52", vote},
 	} {
 		f := first[c.kind]
 		if f == nil {

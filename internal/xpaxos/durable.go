@@ -250,6 +250,9 @@ func (r *Replica) Recover(log host.AppLog, snapshot []byte, records [][]byte) er
 		}
 		replayed++
 	}
+	// The log holds the votes of every view this replica led; keep only
+	// the recovered view's.
+	r.dropStaleVotes()
 	r.active = r.quorumAt(r.view)
 	r.changing = false
 	if last := r.ledger.LastExecuted(); r.nextSlot <= last {

@@ -49,3 +49,7 @@ func (r *Replica) CommitsHeld(slot uint64) int {
 	}
 	return len(e.commits)
 }
+
+// VoteViews returns how many views the replica holds VIEW-CHANGE votes
+// for.
+func (r *Replica) VoteViews() int { return len(r.vcVotes) }

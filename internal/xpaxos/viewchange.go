@@ -2,6 +2,7 @@ package xpaxos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"quorumselect/internal/crypto"
@@ -61,7 +62,7 @@ func (r *Replica) quorumSuspected(s ids.ProcSet) bool {
 
 // startViewChange moves to view v > view: cancel expectations (§V-B),
 // mark the view in progress, and send VIEW-CHANGE with the accepted
-// log to the members of the new quorum.
+// log and the execution cursor to the members of the new quorum.
 func (r *Replica) startViewChange(v uint64) {
 	if v <= r.view {
 		return
@@ -77,6 +78,7 @@ func (r *Replica) startViewChange(v uint64) {
 	r.vcTrace.SetView(v)
 	r.view = v
 	r.active = r.quorumAt(v)
+	r.dropStaleVotes()
 	r.changing = true
 	r.viewChanges++
 	r.env.Metrics().Inc("xpaxos.viewchange", 1)
@@ -105,6 +107,7 @@ func (r *Replica) startViewChange(v uint64) {
 		CheckpointSlot: r.ckpt.Slot,
 		CheckpointDig:  r.ckpt.Digest,
 		Snapshot:       r.ckpt.Snapshot,
+		Executed:       r.ledger.LastExecuted(),
 		Log:            r.acceptedLog(),
 	}
 	runtime.Sign(r.env, vc)
@@ -122,6 +125,17 @@ func (r *Replica) startViewChange(v uint64) {
 		// Expect the NEW-VIEW installation from the incoming leader.
 		r.detector.Expect(Scope, newLeader, fmt.Sprintf("NEW-VIEW(v=%d)", v),
 			fd.Key{Type: wire.TypeNewView, A: v})
+	}
+}
+
+// dropStaleVotes forgets the VIEW-CHANGE votes of views below the
+// current one: recordViewChange counts only the current view's, and
+// each vote holds its sender's whole log.
+func (r *Replica) dropStaleVotes() {
+	for v := range r.vcVotes {
+		if v < r.view {
+			delete(r.vcVotes, v)
+		}
 	}
 }
 
@@ -183,9 +197,16 @@ func (r *Replica) recordViewChange(vc *wire.ViewChange) {
 // slot whose digest at least f+1 votes agree on — at least one of them
 // correct), merges the reported logs above it (highest prepare view
 // wins per slot), broadcasts NEW-VIEW, and re-proposes the merged slots
-// in the new view.
+// the new quorum has not all executed in the new view.
 func (r *Replica) installView(v uint64, votes map[ids.ProcessID]*wire.ViewChange) {
 	ckptSlot, snapshot := r.stableCheckpoint(votes)
+	// Every member of the new quorum has executed up to the lowest
+	// cursor among their votes. A faulty member can only lower it; a
+	// non-member's vote contributes its log, not its cursor.
+	floor := uint64(math.MaxUint64)
+	for _, p := range r.active.Members {
+		floor = min(floor, votes[p].Executed)
+	}
 	merged := make(map[uint64]wire.Prepare)
 	for _, vc := range votes {
 		for _, ls := range vc.Log {
@@ -223,7 +244,7 @@ func (r *Replica) installView(v uint64, votes map[ids.ProcessID]*wire.ViewChange
 			r.env.Send(p, nv)
 		}
 	}
-	r.applyNewView(nv)
+	r.applyNewView(nv, floor)
 }
 
 // stableCheckpoint returns the highest checkpoint slot supported by at
@@ -271,15 +292,15 @@ func (r *Replica) onNewView(nv *wire.NewView) {
 	if !nv.TC.Zero() && !r.ledger.Recovering() {
 		runtime.TraceInstant(r.env, "newview.recv", nv.TC)
 	}
-	r.applyNewView(nv)
+	r.applyNewView(nv, 0)
 }
 
 // applyNewView adopts the consolidated log and resumes normal
-// operation; the leader re-proposes every slot that is not yet
-// executed locally so the commit phase re-runs in the new view, and
-// every replica re-submits the requests it forwarded that the log
-// lacks.
-func (r *Replica) applyNewView(nv *wire.NewView) {
+// operation; the leader re-proposes the slots of the log above floor,
+// the lowest execution cursor of the new quorum, so the commit phase
+// re-runs for them in the new view, and every replica re-submits the
+// requests it forwarded that the log lacks.
+func (r *Replica) applyNewView(nv *wire.NewView, floor uint64) {
 	if !r.changing || nv.ViewNum != r.view {
 		return
 	}
@@ -331,14 +352,20 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 		if r.nextSlot <= maxSlot {
 			r.nextSlot = maxSlot + 1
 		}
-		// Re-propose every slot of the consolidated log under the new
-		// view — not just the ones this leader has yet to execute: a
-		// member of the new quorum that was passive before (XPaxos
-		// keeps non-quorum replicas lazily updated; this reproduction
-		// has no separate state-transfer path) needs the full prefix
-		// to execute in order. Replicas that already executed a slot
-		// re-commit it but skip re-execution.
+		// Re-propose the slots of the consolidated log above floor
+		// under the new view. Every member of the new quorum has
+		// executed the slots at or below it; one that was passive or
+		// down before (XPaxos keeps non-quorum replicas lazily
+		// updated; this reproduction has no separate state-transfer
+		// path) reported a low cursor and needs every slot above it to
+		// execute in order. Replicas that already executed a
+		// re-proposed slot re-commit it but skip re-execution.
+		reproposed := 0
 		for _, ls := range nv.Log {
+			if ls.Slot <= floor {
+				continue
+			}
+			reproposed++
 			// The re-proposal joins the slot's original trace when the
 			// merged prepare still carries one: the span tree then shows
 			// the request crossing the view change.
@@ -365,6 +392,7 @@ func (r *Replica) applyNewView(nv *wire.NewView) {
 			}
 			r.acceptPrepare(prep, stage)
 		}
+		r.env.Metrics().Inc("xpaxos.viewchange.reproposed", int64(reproposed))
 	}
 	// Re-submit what this replica forwarded and the new log lacks (an
 	// old leader may have died holding it), then the requests parked
