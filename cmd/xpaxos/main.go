@@ -151,8 +151,8 @@ func buildHost(p qs.ProcessID, cfg qs.Config, addrs map[qs.ProcessID]string,
 	newShard := func(s int) qs.RuntimeNode {
 		nodeOpts := qs.DefaultNodeOptions()
 		nodeOpts.HeartbeatPeriod = 50 * time.Millisecond
-		// A checked generalized spec drives both selection and the
-		// certificate path (NewXPaxosNode syncs the replica side).
+		// The checked spec drives both selection and the replica's
+		// certificate path.
 		nodeOpts.Quorum = sys
 		if root != nil {
 			st := root

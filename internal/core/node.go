@@ -76,16 +76,27 @@ var (
 // heartbeat period (see host.New).
 func NewNode(opts NodeOptions) *Node {
 	n := &Node{}
-	n.Host = host.New(host.Options{
+	n.Host = NewHost(opts, func(env runtime.Env, store *suspicion.Store, _ *fd.Detector, issue func(ids.Quorum)) host.Selection {
+		n.Selector = NewSelectorSystem(env, store, opts.Quorum, issue)
+		return n.Selector
+	}, nil)
+	return n
+}
+
+// NewHost builds the replica-host kernel a composition runs on: the one
+// place NodeOptions map onto host.Options. newSelection builds the
+// selection module; nil composes network → failure detector →
+// application, and the detector's ⟨SUSPECTED⟩ then goes to onSuspect
+// (nil masks it). The kernel has no quorum-system option: the selection
+// module and the application take opts.Quorum from their constructors.
+func NewHost(opts NodeOptions, newSelection host.SelectionFactory, onSuspect fd.OnSuspect) *host.Host {
+	return host.New(host.Options{
 		FD:              opts.FD,
 		Store:           opts.Store,
 		HeartbeatPeriod: opts.HeartbeatPeriod,
 		App:             opts.App,
 		Storage:         opts.Storage,
-		NewSelection: func(env runtime.Env, store *suspicion.Store, _ *fd.Detector, issue func(ids.Quorum)) host.Selection {
-			n.Selector = NewSelectorSystem(env, store, opts.Quorum, issue)
-			return n.Selector
-		},
+		NewSelection:    newSelection,
+		OnSuspect:       onSuspect,
 	})
-	return n
 }

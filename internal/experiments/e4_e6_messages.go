@@ -6,7 +6,6 @@ import (
 
 	"quorumselect/internal/cluster"
 	"quorumselect/internal/core"
-	"quorumselect/internal/fd"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/pbftlite"
 	"quorumselect/internal/sim"
@@ -19,17 +18,17 @@ import (
 func countPBFT(n, f, requests int, active bool) int64 {
 	cfg := ids.MustConfig(n, f)
 	replicas := make([]*pbftlite.Replica, 0, n)
+	opts := core.DefaultNodeOptions()
+	opts.HeartbeatPeriod = 0
 	net := cluster.New(cfg, 1, func(cluster.Site) cluster.Member {
 		if active {
-			opts := core.DefaultNodeOptions()
-			opts.HeartbeatPeriod = 0
 			node, r := pbftlite.NewQSNode(pbftlite.Options{}, opts)
 			replicas = append(replicas, r)
 			return cluster.Member{Node: node}
 		}
-		sn := pbftlite.NewStandaloneNode(pbftlite.Options{}, fd.DefaultOptions(), 0)
-		replicas = append(replicas, sn.Replica)
-		return cluster.Member{Node: sn}
+		node, r := pbftlite.NewStandaloneNode(pbftlite.Options{}, opts)
+		replicas = append(replicas, r)
+		return cluster.Member{Node: node}
 	}, sim.Options{}).Net
 	for i := 1; i <= requests; i++ {
 		replicas[0].Submit(&wire.Request{Client: 1, Seq: uint64(i), Op: []byte("op")})
@@ -161,18 +160,16 @@ func runE5(n, f int, useQS bool) int {
 		if crashed.Contains(at.Proc) {
 			return cluster.Member{}
 		}
+		opts := core.DefaultNodeOptions()
+		opts.HeartbeatPeriod = 15 * time.Millisecond
 		if useQS {
-			opts := core.DefaultNodeOptions()
-			opts.HeartbeatPeriod = 15 * time.Millisecond
 			node, r := xpaxos.NewQSNode(xpaxos.Options{}, opts)
 			replicas[at.Proc] = r
 			return cluster.Member{Node: node}
 		}
-		sOpts := xpaxos.DefaultStandaloneOptions()
-		sOpts.HeartbeatPeriod = 15 * time.Millisecond
-		sn := xpaxos.NewStandaloneNode(sOpts)
-		replicas[at.Proc] = sn.Replica
-		return cluster.Member{Node: sn}
+		node, r := xpaxos.NewStandaloneNode(xpaxos.Options{}, opts)
+		replicas[at.Proc] = r
+		return cluster.Member{Node: node}
 	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)}).Net
 	net.RunUntil(func() bool {
 		for _, r := range replicas {

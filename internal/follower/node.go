@@ -55,15 +55,9 @@ func NewNode(opts core.NodeOptions) *Node {
 		panic("follower: durable Storage is unsupported: a restarted follower cannot recover its leader's FOLLOWERS choice")
 	}
 	n := &Node{}
-	n.Host = host.New(host.Options{
-		FD:              opts.FD,
-		Store:           opts.Store,
-		HeartbeatPeriod: opts.HeartbeatPeriod,
-		App:             opts.App,
-		NewSelection: func(env runtime.Env, store *suspicion.Store, detector *fd.Detector, issue func(ids.Quorum)) host.Selection {
-			n.Selector = NewSelectorSystem(env, store, detector, opts.Quorum, issue)
-			return n.Selector
-		},
-	})
+	n.Host = core.NewHost(opts, func(env runtime.Env, store *suspicion.Store, detector *fd.Detector, issue func(ids.Quorum)) host.Selection {
+		n.Selector = NewSelectorSystem(env, store, detector, opts.Quorum, issue)
+		return n.Selector
+	}, nil)
 	return n
 }

@@ -4,7 +4,8 @@
 // composed process in this repository — the quorum-selection node
 // (internal/core), the follower-selection node (internal/follower), and
 // the standalone baselines in internal/{xpaxos,pbftlite} — is a thin
-// shell over host.New; the kernel owns the failure-detector bind,
+// shell over host.New, built through core.NewHost, which maps the one
+// set of node options onto Options; the kernel owns the failure-detector bind,
 // heartbeat traffic, UPDATE routing, quorum fan-out, and the node
 // lifecycle (Stop tears down heartbeaters, expectation timers, and the
 // application without leaking goroutines or timers).

@@ -42,7 +42,7 @@ func mkReq(seq uint64) *wire.Request {
 func TestIngressBatchSizeFlushesSynchronously(t *testing.T) {
 	net, env := newEnv(t)
 	var got [][]*wire.Request
-	in := host.NewIngress(env, host.IngressOptions{BatchSize: 3, MaxLatency: time.Second},
+	in := host.NewIngress(env, 3,
 		func(reqs []*wire.Request, _ wire.TraceContext) { got = append(got, reqs) })
 
 	in.Submit(mkReq(1))
@@ -68,7 +68,7 @@ func TestIngressBatchSizeFlushesSynchronously(t *testing.T) {
 func TestIngressBatchSizeOneIsUnbatched(t *testing.T) {
 	_, env := newEnv(t)
 	var got [][]*wire.Request
-	in := host.NewIngress(env, host.IngressOptions{}, // BatchSize < 1 → 1
+	in := host.NewIngress(env, 0, // BatchSize < 1 → 1
 		func(reqs []*wire.Request, _ wire.TraceContext) { got = append(got, reqs) })
 	for seq := uint64(1); seq <= 3; seq++ {
 		in.Submit(mkReq(seq))
@@ -86,7 +86,7 @@ func TestIngressBatchSizeOneIsUnbatched(t *testing.T) {
 func TestIngressMaxLatencyFlush(t *testing.T) {
 	net, env := newEnv(t)
 	var got [][]*wire.Request
-	in := host.NewIngress(env, host.IngressOptions{BatchSize: 8, MaxLatency: 10 * time.Millisecond},
+	in := host.NewIngress(env, 8,
 		func(reqs []*wire.Request, _ wire.TraceContext) { got = append(got, reqs) })
 
 	in.Submit(mkReq(1))
@@ -115,7 +115,7 @@ func TestIngressMaxLatencyFlush(t *testing.T) {
 func TestIngressStopCancelsTimerAndDropsBuffer(t *testing.T) {
 	net, env := newEnv(t)
 	flushed := 0
-	in := host.NewIngress(env, host.IngressOptions{BatchSize: 8, MaxLatency: 10 * time.Millisecond},
+	in := host.NewIngress(env, 8,
 		func([]*wire.Request, wire.TraceContext) { flushed++ })
 
 	in.Submit(mkReq(1))

@@ -23,32 +23,20 @@ var ErrStopped = errors.New("host: ingress stopped")
 // light load.
 const DefaultMaxBatchLatency = 5 * time.Millisecond
 
-// IngressOptions configures a client-request mempool.
-type IngressOptions struct {
-	// BatchSize is the number of requests that triggers a synchronous
-	// flush; values < 1 are treated as 1 (unbatched, seed-equivalent
-	// behavior: every Submit flushes immediately).
-	BatchSize int
-	// MaxLatency caps how long a buffered request waits for the batch
-	// to fill before a timer-driven flush; <= 0 selects
-	// DefaultMaxBatchLatency. Ignored at BatchSize 1.
-	MaxLatency time.Duration
-}
-
 // Ingress is the shared client-request mempool of the replica-host
 // kernel: protocols push deduplicated requests in and receive them back
 // in arrival order as batches, either when BatchSize requests have
 // accumulated or when the oldest buffered request has waited
-// MaxLatency. Dedup and client-table bookkeeping stay in the protocol
-// (they are protocol state); Ingress owns only buffering and flush
-// policy, so XPaxos proposal batching and the tendermint mempool run
-// the same code.
+// DefaultMaxBatchLatency. Dedup and client-table bookkeeping stay in
+// the protocol (they are protocol state); Ingress owns only buffering
+// and flush policy, so XPaxos proposal batching and the tendermint
+// mempool run the same code.
 //
 // Like all protocol state it is single-threaded: Submit, Flush, and
 // Stop run on the node's event loop.
 type Ingress struct {
 	env     runtime.Env
-	opts    IngressOptions
+	size    int // flush threshold, at least 1
 	flush   func([]*wire.Request, wire.TraceContext)
 	buf     []*wire.Request
 	span    obs.Active
@@ -69,28 +57,24 @@ type Ingress struct {
 	batchSize *metrics.HistHandle  // host.ingress.batch_size
 }
 
-// NewIngress creates a mempool delivering batches to flush. The flush
-// callback runs on the node's event loop and owns the slice it is
-// given; the trace context identifies the ingress span covering the
-// batch's buffering time (zero when tracing is disabled).
-func NewIngress(env runtime.Env, opts IngressOptions, flush func([]*wire.Request, wire.TraceContext)) *Ingress {
-	if opts.BatchSize < 1 {
-		opts.BatchSize = 1
-	}
-	if opts.MaxLatency <= 0 {
-		opts.MaxLatency = DefaultMaxBatchLatency
-	}
+// NewIngress creates a mempool delivering batches of up to batchSize
+// requests to flush. A batch size below 1 means 1 (unbatched: every
+// Submit flushes immediately). The flush callback runs on the node's
+// event loop and owns the slice it is given; the trace context
+// identifies the ingress span covering the batch's buffering time
+// (zero when tracing is disabled).
+func NewIngress(env runtime.Env, batchSize int, flush func([]*wire.Request, wire.TraceContext)) *Ingress {
 	if flush == nil {
 		panic("host: ingress flush callback is required")
 	}
-	return &Ingress{env: env, opts: opts, flush: flush,
+	return &Ingress{env: env, size: max(batchSize, 1), flush: flush,
 		pending:   runtime.NodeGauge(env, "host.ingress.pending"),
 		batchSize: env.Metrics().HistHandle("host.ingress.batch_size"),
 	}
 }
 
-// BatchSize returns the configured flush threshold.
-func (in *Ingress) BatchSize() int { return in.opts.BatchSize }
+// BatchSize returns the flush threshold.
+func (in *Ingress) BatchSize() int { return in.size }
 
 // SetGate installs the flush gate (see the field comment); protocols
 // use it for commit-window backpressure: a leader whose in-flight
@@ -139,13 +123,13 @@ func (in *Ingress) Submit(req *wire.Request) error {
 		in.adopted = wire.TraceContext{}
 	}
 	in.buf = append(in.buf, req)
-	if len(in.buf) >= in.opts.BatchSize && in.gateOpen() {
+	if len(in.buf) >= in.size && in.gateOpen() {
 		in.Flush()
 		return nil
 	}
 	in.noteDepth()
 	if in.timer == nil {
-		in.timer = in.env.After(in.opts.MaxLatency, func() {
+		in.timer = in.env.After(DefaultMaxBatchLatency, func() {
 			in.timer = nil
 			in.Flush()
 		})
@@ -178,7 +162,7 @@ func (in *Ingress) Flush() {
 	in.flushing = true
 	first := true
 	for len(in.buf) > 0 && in.gateOpen() {
-		n := in.opts.BatchSize
+		n := in.size
 		if n > len(in.buf) {
 			n = len(in.buf)
 		}
@@ -219,7 +203,7 @@ func (in *Ingress) Flush() {
 			in.span = runtime.TraceStart(in.env, "ingress", wire.TraceContext{})
 		}
 		if in.timer == nil {
-			in.timer = in.env.After(in.opts.MaxLatency, func() {
+			in.timer = in.env.After(DefaultMaxBatchLatency, func() {
 				in.timer = nil
 				in.Flush()
 			})

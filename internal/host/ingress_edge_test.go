@@ -25,13 +25,13 @@ func TestIngressEdgeCases(t *testing.T) {
 			run: func(t *testing.T) {
 				net, env := newEnv(t)
 				var flushes int
-				in := host.NewIngress(env, host.IngressOptions{BatchSize: 8, MaxLatency: 10 * time.Millisecond},
+				in := host.NewIngress(env, 8,
 					func([]*wire.Request, wire.TraceContext) { flushes++ })
 				if err := in.Submit(mkReq(1)); err != nil {
 					t.Fatalf("Submit: %v", err)
 				}
 				// Stop lands between timer arm and timer fire.
-				net.At(5*time.Millisecond, func() { in.Stop() })
+				net.At(host.DefaultMaxBatchLatency/2, func() { in.Stop() })
 				net.Run(50 * time.Millisecond)
 				if flushes != 0 {
 					t.Fatalf("flush fired %d times after Stop", flushes)
@@ -49,7 +49,7 @@ func TestIngressEdgeCases(t *testing.T) {
 				net, env := newEnv(t)
 				var in *host.Ingress
 				var flushes int
-				in = host.NewIngress(env, host.IngressOptions{BatchSize: 2, MaxLatency: time.Second},
+				in = host.NewIngress(env, 2,
 					func([]*wire.Request, wire.TraceContext) {
 						flushes++
 						in.Stop()
@@ -70,7 +70,7 @@ func TestIngressEdgeCases(t *testing.T) {
 			run: func(t *testing.T) {
 				net, env := newEnv(t)
 				var flushes int
-				in := host.NewIngress(env, host.IngressOptions{BatchSize: 4, MaxLatency: 5 * time.Millisecond},
+				in := host.NewIngress(env, 4,
 					func(reqs []*wire.Request, _ wire.TraceContext) {
 						if len(reqs) == 0 {
 							t.Fatal("flushed a zero-length batch")
@@ -96,7 +96,7 @@ func TestIngressEdgeCases(t *testing.T) {
 			run: func(t *testing.T) {
 				net, env := newEnv(t)
 				var flushes int
-				in := host.NewIngress(env, host.IngressOptions{BatchSize: 1},
+				in := host.NewIngress(env, 1,
 					func([]*wire.Request, wire.TraceContext) { flushes++ })
 				if err := in.Submit(mkReq(1)); err != nil {
 					t.Fatalf("Submit before Stop: %v", err)
@@ -131,7 +131,7 @@ func TestIngressPendingGauge(t *testing.T) {
 		return net.Metrics().Gauge("host.ingress.pending", metrics.L{Key: "node", Value: env.ID().String()})
 	}
 	open := false
-	in := host.NewIngress(env, host.IngressOptions{BatchSize: 2, MaxLatency: time.Second},
+	in := host.NewIngress(env, 2,
 		func([]*wire.Request, wire.TraceContext) {})
 	in.SetGate(func() bool { return open })
 

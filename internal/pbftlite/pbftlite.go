@@ -11,13 +11,14 @@
 //	PRE-PREPARE (leader → replicas), PREPARE (all-to-all),
 //	COMMIT (all-to-all), with 2f+1-of-n vote thresholds.
 //
-// Two participation regimes:
+// The constructor picks one of two participation regimes:
 //
-//   - BroadcastAll: every replica in Π participates (the baseline).
-//   - ActiveQuorum: only the members of a selected quorum of n−f
-//     processes exchange messages; the vote threshold is reached with
-//     every active member voting (the quorum-selection deployment à la
-//     Distler et al.).
+//   - BroadcastAll (NewStandaloneNode): every replica in Π participates
+//     (the baseline).
+//   - ActiveQuorum (NewQSNode): only the members of a selected quorum
+//     of n−f processes exchange messages; the vote threshold is reached
+//     with every active member voting (the quorum-selection deployment
+//     à la Distler et al.).
 //
 // View changes are out of scope here — this baseline exists for
 // message accounting under fault-free operation, where the paper's
@@ -41,21 +42,8 @@ import (
 // Scope tags this module's expectations in the failure detector.
 const Scope = "pbftlite"
 
-// Regime selects who participates in the normal case.
-type Regime int
-
-// Participation regimes.
-const (
-	// BroadcastAll is the classic PBFT pattern over all n replicas.
-	BroadcastAll Regime = iota + 1
-	// ActiveQuorum restricts traffic to a selected quorum of n−f.
-	ActiveQuorum
-)
-
 // Options configures a Replica.
 type Options struct {
-	// Regime selects BroadcastAll (default) or ActiveQuorum.
-	Regime Regime
 	// SM is the replicated state machine (default KVMachine).
 	SM xpaxos.StateMachine
 	// OnExecute observes executions in slot order.
@@ -83,6 +71,9 @@ type Replica struct {
 	env      runtime.Env
 	detector *fd.Detector
 	cfg      ids.Config
+	// broadcastAll is the regime the constructor picked: BroadcastAll
+	// (NewStandaloneNode) or ActiveQuorum (NewQSNode).
+	broadcastAll bool
 
 	view     uint64
 	active   ids.Quorum // participation set (Π under BroadcastAll)
@@ -99,18 +90,17 @@ type Replica struct {
 	wal host.AppLog // non-nil when the host is durable
 }
 
-// NewReplica creates a PBFT-style replica.
-func NewReplica(opts Options) *Replica {
-	if opts.Regime == 0 {
-		opts.Regime = BroadcastAll
-	}
+// newReplica creates a PBFT-style replica in the BroadcastAll regime
+// or, without broadcastAll, the ActiveQuorum one.
+func newReplica(opts Options, broadcastAll bool) *Replica {
 	if opts.SM == nil {
 		opts.SM = xpaxos.NewKVMachine()
 	}
 	return &Replica{
-		opts:   opts,
-		slots:  make(map[uint64]*slotState),
-		ledger: xpaxos.NewLedger(opts.SM, opts.OnExecute),
+		opts:         opts,
+		broadcastAll: broadcastAll,
+		slots:        make(map[uint64]*slotState),
+		ledger:       xpaxos.NewLedger(opts.SM, opts.OnExecute),
 	}
 }
 
@@ -120,10 +110,9 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.detector = detector
 	r.cfg = env.Config()
 	r.nextSlot = 1
-	switch r.opts.Regime {
-	case BroadcastAll:
+	if r.broadcastAll {
 		r.active = ids.NewQuorum(r.cfg.All())
-	case ActiveQuorum:
+	} else {
 		r.active = ids.NewQuorum(r.cfg.DefaultQuorum().Sorted())
 	}
 }
@@ -154,18 +143,16 @@ func (r *Replica) Executions() []xpaxos.Execution { return r.ledger.Executions()
 // detectable failure handled by selection, not masked by extra
 // replicas).
 func (r *Replica) threshold() int {
-	if r.opts.Regime == BroadcastAll {
+	if r.broadcastAll {
 		return 2*r.cfg.F + 1
 	}
 	return r.active.Set().Len()
 }
 
 // OnQuorum implements core.Application: under ActiveQuorum, adopt the
-// selected participation set.
+// selected participation set. A BroadcastAll replica has no selection
+// module, so nothing calls it there.
 func (r *Replica) OnQuorum(q ids.Quorum) {
-	if r.opts.Regime != ActiveQuorum {
-		return
-	}
 	r.active = ids.NewQuorum(q.Members)
 	r.detector.CancelScope(Scope)
 	// Per-slot vote state is view-local; reset uncommitted rounds.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"quorumselect/internal/core"
-	"quorumselect/internal/fd"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/pbftlite"
 	"quorumselect/internal/runtime"
@@ -18,9 +17,12 @@ type silent struct{}
 func (silent) Init(runtime.Env)                    {}
 func (silent) Receive(ids.ProcessID, wire.Message) {}
 
-func quietFD() fd.Options {
-	o := fd.DefaultOptions()
-	o.BaseTimeout = 200 * time.Millisecond
+// quietNodeOpts is the broadcast baseline's composition: no heartbeats
+// and a 200ms failure-detector timeout.
+func quietNodeOpts() core.NodeOptions {
+	o := core.DefaultNodeOptions()
+	o.HeartbeatPeriod = 0
+	o.FD.BaseTimeout = 200 * time.Millisecond
 	return o
 }
 
@@ -34,9 +36,9 @@ func newBroadcastNet(t *testing.T, n, f int, crashed ids.ProcSet) (*sim.Network,
 			nodes[p] = silent{}
 			continue
 		}
-		sn := pbftlite.NewStandaloneNode(pbftlite.Options{}, quietFD(), 0)
-		replicas[p] = sn.Replica
-		nodes[p] = sn
+		node, r := pbftlite.NewStandaloneNode(pbftlite.Options{}, quietNodeOpts())
+		replicas[p] = r
+		nodes[p] = node
 	}
 	net := sim.NewNetwork(cfg, nodes, sim.Options{})
 	return net, replicas, net
@@ -111,11 +113,11 @@ func TestMessageCountsPerRegime(t *testing.T) {
 				}
 				nodes[p] = node
 			} else {
-				sn := pbftlite.NewStandaloneNode(pbftlite.Options{}, quietFD(), 0)
+				node, r := pbftlite.NewStandaloneNode(pbftlite.Options{}, quietNodeOpts())
 				if p == 1 {
-					first = sn.Replica
+					first = r
 				}
-				nodes[p] = sn
+				nodes[p] = node
 			}
 		}
 		net := sim.NewNetwork(cfg, nodes, sim.Options{})

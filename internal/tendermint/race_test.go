@@ -26,7 +26,7 @@ func newSlowFDFixture(t *testing.T, n, f int, simOpts sim.Options) *fixture {
 	for _, p := range cfg.All() {
 		nodeOpts := core.DefaultNodeOptions()
 		nodeOpts.HeartbeatPeriod = 0
-		nodeOpts.FD.BaseTimeout = 5 * time.Second // >> RoundTimeout
+		nodeOpts.FD.BaseTimeout = 5 * time.Second // >> the 250ms round timeout
 		node, r := tendermint.NewQSNode(tendermint.Options{}, nodeOpts)
 		fx.nodes[p] = node
 		fx.replicas[p] = r
@@ -45,7 +45,7 @@ func newSlowFDFixture(t *testing.T, n, f int, simOpts sim.Options) *fixture {
 func TestRoundTimeoutRace(t *testing.T) {
 	delay := sim.FilterFunc(func(from, to ids.ProcessID, m wire.Message, _ time.Duration) sim.Verdict {
 		if to == 1 && m.Kind() == wire.TypeTMPrecommit {
-			return sim.Verdict{Delay: 400 * time.Millisecond} // > RoundTimeout (250ms)
+			return sim.Verdict{Delay: 400 * time.Millisecond} // > the 250ms round timeout
 		}
 		return sim.Verdict{}
 	})

@@ -64,21 +64,20 @@ const Scope = "tendermint"
 // maxPending bounds the future-message buffer.
 const maxPending = 4096
 
+// roundTimeout bounds how long an armed round may run before the
+// replica moves to the next proposer.
+const roundTimeout = 250 * time.Millisecond
+
 // Options configures a Replica.
 type Options struct {
 	// SM is the replicated state machine (default KVMachine).
 	SM xpaxos.StateMachine
-	// RoundTimeout bounds how long an armed round may run before the
-	// replica moves to the next proposer (default 250ms).
-	RoundTimeout time.Duration
 	// BatchSize is the ingress gossip batch size: locally submitted
 	// requests accumulate in the shared host.Ingress mempool and gossip
 	// to the other participants as one BATCH frame. Values < 1 mean 1
-	// (every request gossips immediately).
+	// (every request gossips immediately). A partial batch waits at
+	// most host.DefaultMaxBatchLatency.
 	BatchSize int
-	// MaxBatchLatency caps how long a submitted request waits for its
-	// gossip batch to fill; <= 0 selects host.DefaultMaxBatchLatency.
-	MaxBatchLatency time.Duration
 }
 
 // step is the position inside a round.
@@ -156,9 +155,6 @@ func NewReplica(opts Options) *Replica {
 	if opts.SM == nil {
 		opts.SM = xpaxos.NewKVMachine()
 	}
-	if opts.RoundTimeout <= 0 {
-		opts.RoundTimeout = 250 * time.Millisecond
-	}
 	return &Replica{
 		opts:        opts,
 		rounds:      make(map[uint64]*roundState),
@@ -176,10 +172,7 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.cfg = env.Config()
 	r.active = ids.NewQuorum(r.cfg.DefaultQuorum().Sorted())
 	r.height = 1
-	r.ingress = host.NewIngress(env, host.IngressOptions{
-		BatchSize:  r.opts.BatchSize,
-		MaxLatency: r.opts.MaxBatchLatency,
-	}, r.flushGossip)
+	r.ingress = host.NewIngress(env, r.opts.BatchSize, r.flushGossip)
 	r.enterRound(0)
 }
 
@@ -361,7 +354,7 @@ func (r *Replica) armRound() {
 	if r.timer != nil {
 		r.timer.Stop()
 	}
-	r.timer = r.env.After(r.opts.RoundTimeout, func() { r.onRoundTimeout(height, round) })
+	r.timer = r.env.After(roundTimeout, func() { r.onRoundTimeout(height, round) })
 
 	proposer := r.Proposer(height, round)
 	if proposer == r.env.ID() {

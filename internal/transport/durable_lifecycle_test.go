@@ -38,7 +38,6 @@ func newDurableXPaxosCluster(t *testing.T, n, f, batch int) (map[ids.ProcessID]*
 		nodeOpts.Storage = backends[p]
 		node, replica := xpaxos.NewQSNode(xpaxos.Options{
 			BatchSize:          batch,
-			MaxBatchLatency:    2 * time.Millisecond,
 			CheckpointInterval: 16,
 		}, nodeOpts)
 		h, err := transport.NewHost(transport.Config{

@@ -29,8 +29,7 @@ func newXPaxosCluster(t *testing.T, n, f int, batch int) (map[ids.ProcessID]*tra
 		nodeOpts := core.DefaultNodeOptions()
 		nodeOpts.HeartbeatPeriod = 25 * time.Millisecond
 		node, replica := xpaxos.NewQSNode(xpaxos.Options{
-			BatchSize:       batch,
-			MaxBatchLatency: 2 * time.Millisecond,
+			BatchSize: batch,
 		}, nodeOpts)
 		h, err := transport.NewHost(transport.Config{
 			Self:   p,

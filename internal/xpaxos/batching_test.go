@@ -77,8 +77,7 @@ func TestBatchingEquivalence(t *testing.T) {
 	const total = 24
 	run := func(batch int) *batchCluster {
 		c := newBatchCluster(t, 4, 1, xpaxos.Options{
-			BatchSize:       batch,
-			MaxBatchLatency: 2 * time.Millisecond,
+			BatchSize: batch,
 		})
 		c.submitAll(total)
 		c.runUntilExecuted(t, total)
@@ -184,8 +183,7 @@ func TestBatchingEquivalenceUnderChaos(t *testing.T) {
 				// the traffic the fault schedule mostly acts on, and they
 				// drive the suspicions that make quorums move mid-run.
 				c := newBatchClusterOpts(t, 4, 1, xpaxos.Options{
-					BatchSize:       batch,
-					MaxBatchLatency: 2 * time.Millisecond,
+					BatchSize: batch,
 				}, core.DefaultNodeOptions(), sim.Options{
 					Seed:   seed,
 					Filter: exemptClientPath{inner: sc.Filter},

@@ -63,7 +63,7 @@ func FuzzDurableRestore(f *testing.F) {
 	net := sim.NewNetwork(cfg, nodes, sim.Options{})
 	f.Cleanup(func() { net.Close() })
 	fresh := func() *Replica {
-		r := NewReplica(Options{CheckpointInterval: 4})
+		r := newReplica(Options{CheckpointInterval: 4}, nil)
 		r.Attach(live.env, live.detector)
 		return r
 	}

@@ -187,11 +187,11 @@ func TestLedgerExecuteAllocations(t *testing.T) {
 // and a snapshot cut anywhere, or with a byte after its end, is
 // rejected and leaves the ledger as it was.
 func TestLedgerHistoryRoundTrip(t *testing.T) {
-	src := NewReplica(Options{})
+	src := newReplica(Options{}, nil)
 	src.ledger.Execute(1, batch(request(1, 1, "set a 1"), request(2, 1, "")))
 	src.ledger.Execute(2, batch(request(1, 2, "get a")))
 	snap := src.encodeDurable()
-	dst := NewReplica(Options{})
+	dst := newReplica(Options{}, nil)
 	if err := dst.restoreDurable(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestLedgerHistoryRoundTrip(t *testing.T) {
 		corrupt = append(corrupt, snap[:cut])
 	}
 	for _, data := range corrupt {
-		r := NewReplica(Options{})
+		r := newReplica(Options{}, nil)
 		r.ledger.Execute(1, batch(request(7, 1, "set x 1")))
 		err := r.restoreDurable(data)
 		if err == nil || !strings.HasPrefix(err.Error(), "xpaxos: corrupt durable snapshot: ") {

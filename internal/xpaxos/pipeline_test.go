@@ -148,9 +148,8 @@ func TestPipelinedBatchingEquivalence(t *testing.T) {
 	const total = 24
 	run := func(batch, window int) []xpaxos.Execution {
 		c := newBatchCluster(t, 4, 1, xpaxos.Options{
-			BatchSize:       batch,
-			MaxBatchLatency: 2 * time.Millisecond,
-			Window:          window,
+			BatchSize: batch,
+			Window:    window,
 		})
 		c.submitAll(total)
 		c.runUntilExecuted(t, total)
@@ -279,9 +278,8 @@ func TestPipelineUnderChaosSchedule(t *testing.T) {
 			run := func(window int) []xpaxos.Execution {
 				sc := chaos.GenerateScenario(cfg, seed, classes, false, 4*time.Second)
 				c := newBatchClusterOpts(t, 4, 1, xpaxos.Options{
-					BatchSize:       2,
-					MaxBatchLatency: 2 * time.Millisecond,
-					Window:          window,
+					BatchSize: 2,
+					Window:    window,
 				}, core.DefaultNodeOptions(), sim.Options{
 					Seed:   seed,
 					Filter: exemptClientPath{inner: sc.Filter},

@@ -20,25 +20,8 @@ import (
 // Scope tags XPaxos's expectations in the failure detector.
 const Scope = "xpaxos"
 
-// Mode selects the quorum-change regime.
-type Mode int
-
-// Modes. See the package comment.
-const (
-	// ModeQuorumSelection installs quorums issued by the paper's
-	// selection module (§V-B).
-	ModeQuorumSelection Mode = iota + 1
-	// ModeEnumeration is the original XPaxos baseline: on suspicion of
-	// an active-quorum member, move to the next quorum in the
-	// lexicographic enumeration, round-robin.
-	ModeEnumeration
-)
-
 // Options configures a Replica.
 type Options struct {
-	// Mode selects the quorum-change regime (default
-	// ModeQuorumSelection).
-	Mode Mode
 	// SM is the replicated state machine (default KVMachine).
 	SM StateMachine
 	// OnExecute observes executions in slot order; the sim harness uses
@@ -52,12 +35,9 @@ type Options struct {
 	// BatchSize is the client-request ingress batch size: the leader
 	// commits up to this many requests per slot. Values < 1 mean 1
 	// (unbatched: every request proposes its own slot, the original
-	// behavior).
+	// behavior). A partial batch waits at most
+	// host.DefaultMaxBatchLatency.
 	BatchSize int
-	// MaxBatchLatency caps how long a buffered request waits for its
-	// batch to fill; <= 0 selects host.DefaultMaxBatchLatency. Ignored
-	// at BatchSize 1, where every submit flushes synchronously.
-	MaxBatchLatency time.Duration
 	// InitialView is the view every replica starts in (default 0). It
 	// is configuration, exactly like view 0: all replicas of one group
 	// must agree on it, and the group's initial leader is
@@ -72,15 +52,6 @@ type Options struct {
 	// lockstep-free behavior of the unwindowed design. Followers accept
 	// out of order regardless; execution is in slot order either way.
 	Window int
-	// System is the generalized quorum system the replica runs on; nil
-	// means the paper's n−f threshold system from the configuration.
-	// The view enumeration walks the system's minimal quorums and
-	// certificate acceptance asks System.IsQuorum instead of counting
-	// signatures to q. All replicas of one group must agree on it, and
-	// callers must validate non-default specs with quorum.Check first —
-	// an intersection-violating spec lets disjoint signer sets both
-	// certify.
-	System quorum.System
 }
 
 // checkpoint is a stable checkpoint: the replica's state after
@@ -125,15 +96,19 @@ type forwardedReq struct {
 	req   *wire.Request
 }
 
-// Replica is one XPaxos replica. It implements core.Application so it
-// can be composed with the quorum-selection stack, and is also driven
-// directly by StandaloneNode in enumeration mode.
+// Replica is one XPaxos replica. It implements core.Application;
+// NewQSNode composes it with the quorum-selection stack and
+// NewStandaloneNode runs it as the enumeration baseline.
 type Replica struct {
 	opts     Options
 	env      runtime.Env
 	detector *fd.Detector
 	cfg      ids.Config
 
+	// sys is the quorum system of the composition (nil until Attach
+	// means the n−f threshold system): the view enumeration walks its
+	// minimal quorums and certificate acceptance asks sys.IsQuorum
+	// instead of counting signatures to q.
 	sys         quorum.System
 	enumeration []ids.Quorum
 	view        uint64
@@ -207,16 +182,15 @@ type replicaMetrics struct {
 	view, windowInflight, checkpointLag *metrics.GaugeHandle // per node
 }
 
-// NewReplica creates an XPaxos replica.
-func NewReplica(opts Options) *Replica {
-	if opts.Mode == 0 {
-		opts.Mode = ModeQuorumSelection
-	}
+// newReplica creates an XPaxos replica running on the quorum system
+// sys (nil means the n−f threshold system).
+func newReplica(opts Options, sys quorum.System) *Replica {
 	if opts.SM == nil {
 		opts.SM = NewKVMachine()
 	}
 	return &Replica{
 		opts:      opts,
+		sys:       sys,
 		entries:   make(map[uint64]*entry),
 		accepted:  make(map[uint64]*wire.Prepare),
 		ledger:    NewLedger(opts.SM, opts.OnExecute),
@@ -232,7 +206,6 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.env = env
 	r.detector = detector
 	r.cfg = env.Config()
-	r.sys = r.opts.System
 	if r.sys == nil {
 		r.sys = quorum.FromConfig(r.cfg)
 	}
@@ -243,10 +216,7 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.view = r.opts.InitialView
 	r.active = r.quorumAt(r.view)
 	r.nextSlot = 1
-	r.ingress = host.NewIngress(env, host.IngressOptions{
-		BatchSize:  r.opts.BatchSize,
-		MaxLatency: r.opts.MaxBatchLatency,
-	}, r.flushBatch)
+	r.ingress = host.NewIngress(env, r.opts.BatchSize, r.flushBatch)
 	// The commit window gates ingress flushes only while this replica
 	// leads: followers forward batches immediately (the leader's own
 	// ingress applies its window), and during a view change flushBatch

@@ -5,15 +5,16 @@
 // subtleties (Fig 3), equivocation detection, and quorum installation
 // via view change (§V-B).
 //
-// Two quorum-change regimes are supported:
+// The constructor picks one of two quorum-change regimes:
 //
-//   - ModeQuorumSelection: views are installed by the paper's Quorum
-//     Selection module; on ⟨QUORUM, Q⟩ all quorums enumerated before Q
-//     are skipped.
-//   - ModeEnumeration: the original XPaxos behavior — on any suspicion
-//     of an active-quorum member, move to the next quorum in the
-//     lexicographic enumeration of all C(n, q) quorums, round-robin.
-//     This is the baseline experiment E5 measures against.
+//   - NewQSNode composes the replica with the paper's Quorum Selection
+//     module, which installs views: on ⟨QUORUM, Q⟩ all quorums
+//     enumerated before Q are skipped.
+//   - NewStandaloneNode builds the original XPaxos behavior, with no
+//     selection module: on any suspicion of an active-quorum member,
+//     move to the next quorum in the lexicographic enumeration of the
+//     minimal quorums (all C(n, q) of them under the threshold system),
+//     round-robin. This is the baseline experiment E5 measures against.
 //
 // The view change itself is deliberately simpler than XPaxos's full
 // XFT view change (which handles partial synchrony edge cases the

@@ -18,9 +18,6 @@ import (
 // ordered before Q (jumping straight to the first view whose quorum is
 // Q) and cancels its outstanding expectations.
 func (r *Replica) OnQuorum(q ids.Quorum) {
-	if r.opts.Mode != ModeQuorumSelection {
-		return
-	}
 	target := r.quorumIndex(q)
 	if target < 0 {
 		r.env.Metrics().Inc("xpaxos.quorum.unenumerated", 1)
@@ -40,12 +37,9 @@ func (r *Replica) OnQuorum(q ids.Quorum) {
 // after the other" as the original XPaxos does — skipping ahead until a
 // quorum free of currently-suspected members is reached (or the whole
 // enumeration was cycled once, in which case the system is stuck by
-// assumption violation and we stop advancing). In quorum-selection mode
-// suspicions are handled by the selection module instead.
+// assumption violation and we stop advancing). Only NewStandaloneNode
+// wires it: with a selection module, suspicions go to the selector.
 func (r *Replica) OnSuspected(s ids.ProcSet) {
-	if r.opts.Mode != ModeEnumeration {
-		return
-	}
 	for tries := 0; tries < len(r.enumeration) && r.quorumSuspected(s); tries++ {
 		r.startViewChange(r.view + 1)
 	}

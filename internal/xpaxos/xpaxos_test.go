@@ -317,12 +317,11 @@ func TestEnumerationBaselineCrash(t *testing.T) {
 			nodes[p] = silent{}
 			continue
 		}
-		sn := xpaxos.NewStandaloneNode(xpaxos.StandaloneOptions{
-			FD:              xpaxos.DefaultStandaloneOptions().FD,
-			HeartbeatPeriod: 15 * time.Millisecond,
-		})
-		replicas[p] = sn.Replica
-		nodes[p] = sn
+		opts := core.DefaultNodeOptions()
+		opts.HeartbeatPeriod = 15 * time.Millisecond
+		node, r := xpaxos.NewStandaloneNode(xpaxos.Options{}, opts)
+		replicas[p] = r
+		nodes[p] = node
 	}
 	net := sim.NewNetwork(cfg, nodes, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
 	ok := net.RunUntil(func() bool {

@@ -115,9 +115,10 @@ type (
 	// frontends use.
 	ShardRouter = fleet.Router
 	// QuorumSystem is a generalized Byzantine quorum system (threshold,
-	// weighted, or slice-based); wire one into NodeOptions.Quorum /
-	// XPaxosOptions.System to run selection and the certificate path on
-	// a non-threshold spec (see internal/quorum).
+	// weighted, or slice-based); wire one into NodeOptions.Quorum to run
+	// a node on a non-threshold spec: the selector picks its quorums,
+	// and an XPaxos replica walks its minimal quorums and accepts
+	// certificates under it (see internal/quorum).
 	QuorumSystem = quorum.System
 	// QuorumCheckOptions tune the intersection/availability checker.
 	QuorumCheckOptions = quorum.CheckOptions
