@@ -162,7 +162,9 @@ func TestRestartedMemberCatchesUpThroughViewChange(t *testing.T) {
 	if got := c.replicas[3].LastExecuted(); got != k {
 		t.Fatalf("setup: p3 recovered to slot %d, want %d", got, k)
 	}
-	reproposed := c.net.Metrics().Counter("xpaxos.viewchange.reproposed")
+	m := c.net.Metrics()
+	reproposed := m.Counter("xpaxos.viewchange.reproposed")
+	newViews, views := m.Counter("xpaxos.newview.sent"), c.replicas[1].ViewChanges()
 	c.net.StopProcess(4)
 	if !c.net.RunUntil(func() bool {
 		for _, p := range []ids.ProcessID{1, 2, 3} {
@@ -185,8 +187,17 @@ func TestRestartedMemberCatchesUpThroughViewChange(t *testing.T) {
 	if !bytes.Equal(c.machines[3].Snapshot(), c.machines[1].Snapshot()) {
 		t.Error("p3's key-value state differs from the leader's")
 	}
-	if got := c.net.Metrics().Counter("xpaxos.viewchange.reproposed") - reproposed; got < k {
+	if got := m.Counter("xpaxos.viewchange.reproposed") - reproposed; got < k {
 		t.Errorf("p3's return re-proposed %d slots, want at least the %d it missed", got, k)
+	}
+	// The leader installs one view and announces it once. The restarted
+	// p3's VIEW-CHANGE for the view that excluded it arrives after that
+	// view was installed; it must not install it again.
+	if got := c.replicas[1].ViewChanges() - views; got != 1 {
+		t.Fatalf("setup: the leader performed %d view changes, want 1", got)
+	}
+	if got := m.Counter("xpaxos.newview.sent") - newViews; got != 1 {
+		t.Errorf("the leader sent %d NEW-VIEWs for the one view it installed, want 1", got)
 	}
 }
 

@@ -151,7 +151,7 @@ func (r *Replica) acceptedLog() []wire.LogSlot {
 // onViewChange collects VIEW-CHANGE votes. A replica seeing a vote for
 // a higher view joins it (the standard catch-up rule); the new leader
 // installs the view once it holds votes from every member of the new
-// quorum.
+// quorum, and ignores the votes that arrive after that.
 func (r *Replica) onViewChange(vc *wire.ViewChange) {
 	if vc.NewViewNum > r.view {
 		r.startViewChange(vc.NewViewNum)
@@ -169,6 +169,12 @@ func (r *Replica) recordViewChange(vc *wire.ViewChange) {
 		votes = make(map[ids.ProcessID]*wire.ViewChange)
 		r.vcVotes[v] = votes
 	}
+	if r.allVoted(votes) {
+		// The view is installed: every member's vote was counted, so
+		// this one is a non-member's or a duplicate, and installing
+		// again would only re-send a NEW-VIEW every receiver drops.
+		return
+	}
 	votes[vc.Replica] = vc
 	// View-change votes hit disk before they count: the install
 	// decision below is a function of the vote set, and a leader that
@@ -179,12 +185,20 @@ func (r *Replica) recordViewChange(vc *wire.ViewChange) {
 	r.persistSync()
 	// Install once every member of the new quorum reported (XFT: all
 	// q members of the active quorum participate).
+	if r.allVoted(votes) {
+		r.installView(v, votes)
+	}
+}
+
+// allVoted reports whether votes holds the vote of every member of the
+// active quorum.
+func (r *Replica) allVoted(votes map[ids.ProcessID]*wire.ViewChange) bool {
 	for _, p := range r.active.Members {
 		if _, ok := votes[p]; !ok {
-			return
+			return false
 		}
 	}
-	r.installView(v, votes)
+	return true
 }
 
 // installView selects the stable checkpoint (the highest checkpoint
