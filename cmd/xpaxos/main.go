@@ -74,12 +74,11 @@ func main() {
 // loadQuorumSpec is the boot gate for -quorum-spec: parse the spec,
 // run the intersection/availability checker against the cluster's
 // failure threshold, and refuse to boot on a spec that admits disjoint
-// quorums or cannot survive f faults. The default threshold spec is
-// checked too (its report is printed), but returns a nil system so the
-// byte-exact legacy selection path stays in effect.
+// quorums or cannot survive f faults. An empty spec is the threshold
+// system threshold:n;f, the one a nil NodeOptions.Quorum also selects;
+// it is checked and returned like any other.
 func loadQuorumSpec(spec string, cfg qs.Config, shards int) (qs.QuorumSystem, qs.QuorumReport, error) {
-	defaulted := spec == ""
-	if defaulted {
+	if spec == "" {
 		spec = fmt.Sprintf("threshold:n=%d;f=%d", cfg.N, cfg.F)
 	} else if shards > 1 {
 		// Fleet leader staggering walks the threshold view enumeration
@@ -96,9 +95,6 @@ func loadQuorumSpec(spec string, cfg qs.Config, shards int) (qs.QuorumSystem, qs
 	report := qs.CheckQuorumSystem(sys, qs.QuorumCheckOptions{Faults: cfg.F})
 	if err := report.Err(); err != nil {
 		return nil, report, err
-	}
-	if defaulted {
-		return nil, report, nil
 	}
 	return sys, report, nil
 }
