@@ -21,10 +21,10 @@ func NewQSNode(opts Options, nodeOpts core.NodeOptions) (*core.Node, *Replica) {
 // NewStandaloneNode composes the original XPaxos baseline (Liu et al.):
 // network → failure detector → replica, with no selection module. The
 // detector's ⟨SUSPECTED⟩ goes straight to the replica, which walks the
-// enumeration of nodeOpts.Quorum's minimal quorums (OnSuspected).
+// enumeration of nodeOpts.Quorum's minimal quorums (onSuspected).
 // nodeOpts.Store is unused, as there is no suspicion store.
 func NewStandaloneNode(opts Options, nodeOpts core.NodeOptions) (*host.Host, *Replica) {
 	r := newReplica(opts, nodeOpts.Quorum)
 	nodeOpts.App = r
-	return core.NewHost(nodeOpts, nil, r.OnSuspected), r
+	return core.NewHost(nodeOpts, nil, r.onSuspected), r
 }

@@ -32,14 +32,14 @@ func (r *Replica) OnQuorum(q ids.Quorum) {
 	r.startViewChange(r.view + uint64(delta))
 }
 
-// OnSuspected drives the enumeration baseline: any suspicion of an
+// onSuspected drives the enumeration baseline: any suspicion of an
 // active-quorum member moves to the next view, trying quorums "one
 // after the other" as the original XPaxos does — skipping ahead until a
 // quorum free of currently-suspected members is reached (or the whole
 // enumeration was cycled once, in which case the system is stuck by
 // assumption violation and we stop advancing). Only NewStandaloneNode
 // wires it: with a selection module, suspicions go to the selector.
-func (r *Replica) OnSuspected(s ids.ProcSet) {
+func (r *Replica) onSuspected(s ids.ProcSet) {
 	for tries := 0; tries < len(r.enumeration) && r.quorumSuspected(s); tries++ {
 		r.startViewChange(r.view + 1)
 	}
