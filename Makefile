@@ -55,15 +55,16 @@ examples:
 # GOPROXY=off GOTOOLCHAIN=local GOWORK=off, which `go test` is not — for
 # one second per workload, untraced (a nil tracer) and traced, and
 # requires exit status 0 and a result line (the last line of stdout)
-# that says "correct":true.
+# that says "correct":true. A run that fails either check has its
+# VIOLATION lines copied to stderr, since its stdout is not shown.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	set -e; for w in lan-open shard-sat geo-fault select-scale; do for tr in 0 1; do \
 		echo "bench/run.sh --workload $$w --trace $$tr"; \
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$tr) \
-			|| { echo "bench/run.sh --workload $$w --trace $$tr exited non-zero" >&2; exit 1; }; \
+			|| { echo "bench/run.sh --workload $$w --trace $$tr exited non-zero" >&2; grep VIOLATION <<<"$$out" >&2; exit 1; }; \
 		tail -n 1 <<<"$$out" | grep -q '"correct":true' \
-			|| { echo "bench/run.sh --workload $$w --trace $$tr did not end in \"correct\":true" >&2; exit 1; }; \
+			|| { echo "bench/run.sh --workload $$w --trace $$tr did not end in \"correct\":true" >&2; grep VIOLATION <<<"$$out" >&2; exit 1; }; \
 	done; done
 
 # profile-churn profiles the message path where select-scale spends its

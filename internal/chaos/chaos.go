@@ -39,8 +39,7 @@ const probeCount = 4
 // Dump size bounds: the tail of each stream is what localizes a
 // violation; unbounded dumps would bury it.
 const (
-	dumpEvents = 200
-	dumpStory  = 120 // events without EXPECT
+	dumpEvents = 120
 	dumpSpans  = 120
 )
 
@@ -434,19 +433,6 @@ func (r *RunState) dump(v *Violation) string {
 	evs := last(r.bus.Events(), dumpEvents)
 	fmt.Fprintf(&b, "events (last %d):\n", len(evs))
 	for _, e := range evs {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
-	// Without the one per-message type, the bus is the sparse protocol
-	// story: suspicions, quorum changes, view changes, epochs.
-	var story []obs.Event
-	for _, e := range r.bus.Events() {
-		if e.Type != obs.TypeExpect {
-			story = append(story, e)
-		}
-	}
-	story = last(story, dumpStory)
-	fmt.Fprintf(&b, "events without EXPECT (last %d):\n", len(story))
-	for _, e := range story {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
 	spans := last(r.bus.Spans(), dumpSpans)

@@ -39,14 +39,14 @@ func BenchmarkDetectorMatch(b *testing.B) {
 			commits := make([]*wire.Commit, outstanding)
 			for s := range commits {
 				commits[s] = &wire.Commit{Replica: 2, View: 1, Slot: uint64(s)}
-				d.Expect("xpaxos", 2, "COMMIT", Key{wire.TypeCommit, 1, uint64(s)})
+				d.Expect("xpaxos", 2, Key{wire.TypeCommit, 1, uint64(s)})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				c := commits[n%outstanding]
 				d.Receive(2, c)
-				d.Expect("xpaxos", 2, "COMMIT", Key{wire.TypeCommit, 1, c.Slot})
+				d.Expect("xpaxos", 2, Key{wire.TypeCommit, 1, c.Slot})
 			}
 			if d.PendingExpectations() != outstanding {
 				b.Fatalf("%d expectations outstanding, want %d", d.PendingExpectations(), outstanding)

@@ -3,7 +3,12 @@ package fd
 // Differential tests: the keyed index must be observably identical to
 // the predicate-scan Detector it replaced. The reference below is a
 // faithful copy of that detector and its heartbeater (types renamed),
-// driven through the predicates the protocols used to pass it.
+// driven through the predicates the protocols used to pass it and
+// given key.String() as each expectation's description. It arms one
+// timer per expectation, and its heartbeater re-arms on a zero-delay
+// timer; the keyed detector arms one timer in all and re-arms inline,
+// so the drivers compare timers by the keyed detector's invariant, not
+// by count. Neither publishes a record per expectation.
 
 import (
 	"fmt"
@@ -182,8 +187,7 @@ func (d *refDetector) match(from ids.ProcessID, m wire.Message) {
 
 // Expect registers the paper's ⟨EXPECT, P, i⟩: a message matching pred
 // is expected from process from. scope tags the issuing module for
-// CancelScope; desc becomes the Detail of its EXPECT and SUSPECTED
-// events. If no matching message is delivered within the sender's
+// CancelScope; desc becomes the Detail of its SUSPECTED event. If no matching message is delivered within the sender's
 // current timeout, from is suspected.
 // After Close, Expect is a no-op: a stopping node arms no new timers.
 func (d *refDetector) Expect(scope string, from ids.ProcessID, desc string, pred refPredicate) {
@@ -204,7 +208,6 @@ func (d *refDetector) Expect(scope string, from ids.ProcessID, desc string, pred
 	d.expects[from-1] = append(d.expects[from-1], e)
 	d.pending++
 	d.m.issued.Inc()
-	runtime.Emit(d.env, obs.Event{Type: obs.TypeExpect, Subject: from, Detail: scope + ":" + desc})
 	d.updatePendingGauge()
 }
 
@@ -423,6 +426,7 @@ type refHeartbeater struct {
 	period   time.Duration
 	seq      uint64
 	stopped  bool
+	armed    int // standing expectations issued, counted for coverage
 
 	// tickTimer and armTimer are the pending periodic timers, kept so
 	// Stop can cancel them instead of leaving them to fire into a
@@ -496,6 +500,7 @@ func (h *refHeartbeater) expectFrom(p ids.ProcessID) {
 	if h.stopped {
 		return
 	}
+	h.armed++
 	matched := false
 	h.detector.Expect(HeartbeatScope, p, "heartbeat", func(m wire.Message) bool {
 		if _, ok := m.(*wire.Heartbeat); !ok {
@@ -632,8 +637,10 @@ func messageFor(t wire.Type, s ids.ProcessID, a, b uint64) wire.Message {
 }
 
 // fakeEnv is a hand-cranked runtime.Env for one process: timers fire in
-// (deadline, issue) order only when advance moves the clock past them,
-// so two detectors driven in lockstep see identical clocks.
+// (deadline, issue) order only when advance moves the clock past them
+// (or up to them: advance(0) runs what is due now, as an event loop
+// would once the current event completes), so two detectors driven in
+// lockstep see identical clocks.
 type fakeEnv struct {
 	id     ids.ProcessID
 	cfg    ids.Config
@@ -681,6 +688,17 @@ func (e *fakeEnv) After(d time.Duration, fn func()) runtime.Timer {
 	return t
 }
 
+// live returns the timers still armed.
+func (e *fakeEnv) live() []*fakeTimer {
+	var out []*fakeTimer
+	for _, t := range e.timers {
+		if !t.done {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // advance moves the clock by d, firing every timer due on the way.
 func (e *fakeEnv) advance(d time.Duration) {
 	until := e.now + d
@@ -712,7 +730,7 @@ func (e *fakeEnv) advance(d time.Duration) {
 // the reference, with its heartbeater and the callbacks it made.
 type detectorUnderTest struct {
 	env       *fakeEnv
-	expect    func(scope string, from ids.ProcessID, desc string, key Key)
+	expect    func(scope string, from ids.ProcessID, key Key)
 	receive   func(from ids.ProcessID, m wire.Message)
 	cancel    func()
 	scope     func(string)
@@ -721,12 +739,17 @@ type detectorUnderTest struct {
 	state     func() detectorState
 	delivered []string
 	published []string
+	// timers checks the keyed detector's timer invariant (nil for the
+	// reference); hbArmed counts the reference heartbeater's standing
+	// expectations (nil for the keyed detector).
+	timers  func() error
+	hbArmed func() int
 }
 
 // detectorState is everything the two detectors must agree on after
 // every step.
 type detectorState struct {
-	Outstanding      []outstanding // sorted by desc, then sender
+	Outstanding      []outstanding // sorted
 	Pending          int
 	Suspected        string
 	Raised, Canceled []int
@@ -763,16 +786,19 @@ func newKeyed(cfg ids.Config, opts Options, hb time.Duration) *detectorUnderTest
 	d := New(opts)
 	deliver, onSuspect := u.bindCallbacks()
 	d.Bind(u.env, deliver, onSuspect)
+	var h *Heartbeater
 	if hb > 0 {
-		NewHeartbeater(d, hb).Start(u.env)
+		h = NewHeartbeater(d, hb)
+		h.Start(u.env)
 	}
 	u.expect, u.receive, u.cancel, u.scope, u.close, u.detected =
 		d.Expect, d.Receive, d.Cancel, d.CancelScope, d.Close, d.Detected
+	u.timers = func() error { return keyedTimerInvariant(u.env, d, h) }
 	u.state = func() detectorState {
 		s := detectorState{Pending: d.PendingExpectations(), Suspected: d.Suspected().String()}
 		for _, list := range d.expects {
 			for _, e := range list {
-				s.Outstanding = append(s.Outstanding, outstanding{e.desc, e.scope, e.from, e.overdue})
+				s.Outstanding = append(s.Outstanding, outstanding{e.key.String(), e.scope, e.from, e.overdue})
 			}
 		}
 		for _, p := range cfg.All() {
@@ -792,11 +818,14 @@ func newReference(cfg ids.Config, opts Options, hb time.Duration) *detectorUnder
 	d := newRefDetector(opts)
 	deliver, onSuspect := u.bindCallbacks()
 	d.Bind(u.env, deliver, onSuspect)
+	u.hbArmed = func() int { return 0 }
 	if hb > 0 {
-		newRefHeartbeater(d, hb).Start(u.env)
+		h := newRefHeartbeater(d, hb)
+		h.Start(u.env)
+		u.hbArmed = func() int { return h.armed }
 	}
-	u.expect = func(scope string, from ids.ProcessID, desc string, key Key) {
-		d.Expect(scope, from, desc, refPredicateFor(from, key))
+	u.expect = func(scope string, from ids.ProcessID, key Key) {
+		d.Expect(scope, from, key.String(), refPredicateFor(from, key))
 	}
 	u.receive, u.cancel, u.scope, u.close, u.detected = d.Receive, d.Cancel, d.CancelScope, d.Close, d.Detected
 	u.state = func() detectorState {
@@ -816,6 +845,42 @@ func newReference(cfg ids.Config, opts Options, hb time.Duration) *detectorUnder
 		return s
 	}
 	return u
+}
+
+// keyedTimerInvariant is what replaces timer-count equality with the
+// reference: the keyed detector has at most one timer armed (beside the
+// heartbeater's tick and first-arming timers), each sender's waiting
+// expectations are in deadline order, none is past due, and the timer
+// fires no later than the earliest of them — so every expectation
+// still expires when the reference's own timer would.
+func keyedTimerInvariant(env *fakeEnv, d *Detector, h *Heartbeater) error {
+	var armed []*fakeTimer
+	for _, t := range env.live() {
+		if h == nil || t != h.tickTimer && t != h.armTimer {
+			armed = append(armed, t)
+		}
+	}
+	if len(armed) > 1 {
+		return fmt.Errorf("%d detector timers armed, want at most one", len(armed))
+	}
+	for i := range d.queues {
+		last := time.Duration(-1)
+		for _, e := range d.queues[i] {
+			if e.done || e.overdue {
+				continue
+			}
+			switch {
+			case e.deadline < last:
+				return fmt.Errorf("p%d's deadlines out of order: %s after %s", i+1, e.deadline, last)
+			case e.deadline <= env.now:
+				return fmt.Errorf("p%d's %s, due at %s, still waiting at %s", i+1, e.key, e.deadline, env.now)
+			case len(armed) == 0 || armed[0].at > e.deadline:
+				return fmt.Errorf("p%d's %s, due at %s, has no timer armed by then", i+1, e.key, e.deadline)
+			}
+			last = e.deadline
+		}
+	}
+	return nil
 }
 
 // byteStream hands out a fuzz input one byte at a time, zeros once it
@@ -839,7 +904,10 @@ func (s *byteStream) next() byte {
 // stream of operations decoded from ops and fails at the first step
 // after which they disagree on consumed expectations, suspicions,
 // raised/canceled counts, per-peer timeouts, deliveries, published
-// suspicion sets or obs events. The first byte picks n ∈ {4, 7}, the
+// suspicion sets, obs events or the clock, or after which the keyed
+// detector breaks its timer invariant. Each step ends by running the
+// timers due at its instant, so the reference's zero-delay heartbeat
+// re-arming completes before the comparison. The first byte picks n ∈ {4, 7}, the
 // adaptive option and whether a heartbeater runs; then each operation
 // is one opcode byte and its operands:
 //
@@ -861,10 +929,15 @@ func runDifferential(t testing.TB, ops []byte, seen map[string]int) {
 		hb = 15 * time.Millisecond
 	}
 	keyed, ref := newKeyed(cfg, opts, hb), newReference(cfg, opts, hb)
-	both := func(fn func(u *detectorUnderTest)) { fn(keyed); fn(ref) }
+	defer func() { seen["heartbeat armed"] += ref.hbArmed() }()
+	both := func(fn func(u *detectorUnderTest)) {
+		for _, u := range []*detectorUnderTest{keyed, ref} {
+			fn(u)
+			u.env.advance(0)
+		}
+	}
 	scopes := []string{"xpaxos", "selector", HeartbeatScope}
 	proc := func(b byte) ids.ProcessID { return ids.ProcessID(int(b)%n + 1) }
-	issued := 0
 	for step := 0; in.more(); step++ {
 		var what string
 		switch op := in.next() % 16; {
@@ -872,10 +945,8 @@ func runDifferential(t testing.TB, ops []byte, seen map[string]int) {
 			scope, from := scopes[int(in.next())%2], proc(in.next())
 			kb := in.next()
 			key := keyFor(keyTypes[int(kb)%len(keyTypes)], uint64(kb/16%3), uint64(in.next()%3))
-			issued++
-			desc := fmt.Sprintf("e%d", issued)
-			what = fmt.Sprintf("Expect(%s, %s, %s, %+v)", scope, from, desc, key)
-			both(func(u *detectorUnderTest) { u.expect(scope, from, desc, key) })
+			what = fmt.Sprintf("Expect(%s, %s, %+v)", scope, from, key)
+			both(func(u *detectorUnderTest) { u.expect(scope, from, key) })
 		case op < 10:
 			tb, signer, link, ab := in.next(), proc(in.next()), proc(in.next()), in.next()
 			t := wire.TypeUpdate
@@ -936,10 +1007,17 @@ func compareDetectors(t testing.TB, step int, what string, keyed, ref *detectorU
 	ks, rs := keyed.state(), ref.state()
 	for _, s := range [][]outstanding{ks.Outstanding, rs.Outstanding} {
 		sort.Slice(s, func(i, j int) bool {
-			if s[i].desc != s[j].desc {
-				return s[i].desc < s[j].desc
+			a, b := s[i], s[j]
+			if a.desc != b.desc {
+				return a.desc < b.desc
 			}
-			return s[i].from < s[j].from
+			if a.from != b.from {
+				return a.from < b.from
+			}
+			if a.scope != b.scope {
+				return a.scope < b.scope
+			}
+			return !a.overdue && b.overdue
 		})
 	}
 	if !reflect.DeepEqual(ks, rs) {
@@ -961,13 +1039,12 @@ func compareDetectors(t testing.TB, step int, what string, keyed, ref *detectorU
 	ref.env.events += uint64(len(re))
 	for _, e := range ke {
 		seen[e.Type.String()]++
-		if e.Type == obs.TypeExpect && e.Detail == HeartbeatScope+":heartbeat" {
-			seen["heartbeat armed"]++
-		}
 	}
-	if keyed.env.now != ref.env.now || keyed.env.seq != ref.env.seq {
-		t.Fatalf("step %d, %s: clock %s/%d timers, reference %s/%d", step, what,
-			keyed.env.now, keyed.env.seq, ref.env.now, ref.env.seq)
+	if keyed.env.now != ref.env.now {
+		t.Fatalf("step %d, %s: clock %s, reference %s", step, what, keyed.env.now, ref.env.now)
+	}
+	if err := keyed.timers(); err != nil {
+		t.Fatalf("step %d, %s: %v", step, what, err)
 	}
 }
 
@@ -995,7 +1072,7 @@ func TestDetectorIndexMatchesPredicateScan(t *testing.T) {
 	// The streams must reach every path they are meant to: expiry,
 	// a late match clearing a suspicion, cancellation, detection and
 	// the heartbeater re-arming its standing expectations.
-	for _, kind := range []string{"EXPECT", "SUSPECTED", "SUSPICION_CLEARED", "CANCEL", "DETECTED"} {
+	for _, kind := range []string{"SUSPECTED", "SUSPICION_CLEARED", "CANCEL", "DETECTED"} {
 		if seen[kind] == 0 {
 			t.Errorf("no %s event in any stream", kind)
 		}

@@ -6,9 +6,9 @@
 //
 //	⟨RECEIVE, m, i⟩    → Detector.Receive (called by the network layer)
 //	⟨DELIVER, m, i⟩    → the Deliver callback (to application/selector)
-//	⟨EXPECT, P, i⟩     → Detector.Expect(scope, i, desc, key), where P
-//	                     is a Key: a message type plus two identifiers
-//	                     the message carries, sent by its signer i
+//	⟨EXPECT, P, i⟩     → Detector.Expect(scope, i, key), where P is a
+//	                     Key: a message type plus two identifiers the
+//	                     message carries, sent by its signer i
 //	⟨SUSPECTED, S⟩     → the OnSuspect callback (whole current set S)
 //	⟨DETECTED, i⟩      → Detector.Detected (permanent, from application)
 //	⟨CANCEL⟩           → Detector.Cancel / Detector.CancelScope
@@ -19,6 +19,13 @@
 // outstanding expectations by (sender, key), and matching a delivered
 // message, expiring an expectation and asking whether a process is
 // suspected each cost O(1), however many expectations are outstanding.
+//
+// A deadline is issue time plus the sender's timeout, which only grows,
+// so each sender's expectations in issue order are in deadline order.
+// One timer is armed, at the earliest deadline still waiting; a match
+// or cancel only marks its expectation. The timer expires what is due
+// in (deadline, issue) order, as per-expectation timers would fire, and
+// re-arms for the next deadline.
 //
 // Properties (and how they are achieved):
 //
@@ -41,7 +48,6 @@ package fd
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"quorumselect/internal/ids"
@@ -58,6 +64,22 @@ import (
 type Key struct {
 	Type wire.Type
 	A, B uint64
+}
+
+// String describes the expected message, the Detail of a SUSPECTED
+// record: "heartbeat", "NEW-VIEW(v=3)", "COMMIT(v=6,s=2658)", ….
+func (k Key) String() string {
+	switch k.Type {
+	case wire.TypeHeartbeat:
+		return "heartbeat"
+	case wire.TypeNewView:
+		return fmt.Sprintf("%s(v=%d)", k.Type, k.A)
+	case wire.TypeFollowers:
+		return fmt.Sprintf("%s(epoch=%d)", k.Type, k.A)
+	case wire.TypeTMProposal, wire.TypeTMPrevote, wire.TypeTMPrecommit:
+		return fmt.Sprintf("%s(h=%d,r=%d)", k.Type, k.A, k.B)
+	}
+	return fmt.Sprintf("%s(v=%d,s=%d)", k.Type, k.A, k.B)
 }
 
 // keyOf returns the key m satisfies, and false for a message no
@@ -148,10 +170,11 @@ type target struct {
 type expectation struct {
 	target
 	scope    string
-	desc     string
-	timer    runtime.Timer
 	issuedAt time.Duration // env.Now() at Expect, for detection latency
-	overdue  bool          // timer fired; suspicion raised and still matchable
+	deadline time.Duration // issuedAt plus the sender's timeout then
+	seq      uint64        // issue order: breaks ties between equal deadlines
+	overdue  bool          // deadline passed; suspicion raised and still matchable
+	done     bool          // matched or canceled: its deadline no longer counts
 	// rearm is the heartbeater whose standing expectation this is: a
 	// match re-issues it.
 	rearm *Heartbeater
@@ -165,12 +188,15 @@ type Detector struct {
 	onSuspect OnSuspect
 
 	// expects holds the outstanding expectations by target, in issue
-	// order: one delivery satisfies all of a target's. overdue counts
-	// the overdue ones of each sender, at index sender−1; pending counts
-	// them all.
+	// order: one delivery satisfies all of a target's. queues holds
+	// each sender's in issue order, which is deadline order, until they
+	// reach its front no longer waiting; overdue counts its overdue
+	// ones. Both are at index sender−1; pending counts them all.
 	expects  map[target][]*expectation
+	queues   [][]*expectation
 	overdue  []int
 	pending  int
+	issued   uint64
 	detected map[ids.ProcessID]bool
 	timeout  map[ids.ProcessID]time.Duration
 
@@ -183,7 +209,12 @@ type Detector struct {
 	// the first still-standing suspicion of each process.
 	firstSuspectedAt map[ids.ProcessID]time.Duration
 
-	// closed marks the detector torn down: timers are stopped and new
+	// timer runs expireDue at timerAt, the earliest deadline waiting
+	// when it was armed; nil when disarmed.
+	timer   runtime.Timer
+	timerAt time.Duration
+
+	// closed marks the detector torn down: the timer is stopped and new
 	// expectations are refused.
 	closed bool
 
@@ -281,15 +312,21 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 	if len(list) == 0 {
 		return
 	}
-	delete(d.expects, t)
-	matchedOverdue := false
+	var rearm *Heartbeater
+	rearms, matchedOverdue := 0, false
 	for _, e := range list {
 		if e.rearm != nil {
-			e.rearm.rearmAfter(from)
+			rearm, rearms = e.rearm, rearms+1
 		}
 		matchedOverdue = matchedOverdue || e.overdue
 		d.retire(e)
 		d.m.matched.Inc()
+	}
+	clear(list)
+	if rearm != nil {
+		d.expects[t] = list[:0] // the re-issue below refills it
+	} else {
+		delete(d.expects, t)
 	}
 	if matchedOverdue {
 		// The suspicion against from proved false: back off its
@@ -310,47 +347,112 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 			d.publish()
 		}
 	}
+	// A standing expectation is re-issued last, so its deadline counts
+	// a timeout the match just doubled.
+	for range rearms {
+		rearm.expectFrom(from)
+	}
 	d.updatePendingGauge()
 }
 
 // Expect registers the paper's ⟨EXPECT, P, i⟩: a message with key is
 // expected from process from. scope tags the issuing module for
-// CancelScope; desc becomes the Detail of its EXPECT and SUSPECTED
-// events. If no matching message is delivered within the sender's
-// current timeout, from is suspected.
+// CancelScope. If no matching message is delivered within the sender's
+// current timeout, from is suspected, and the SUSPECTED record's Detail
+// is key.String().
 // After Close, Expect is a no-op: a stopping node arms no new timers.
-func (d *Detector) Expect(scope string, from ids.ProcessID, desc string, key Key) {
-	d.expect(scope, from, desc, key, nil)
+func (d *Detector) Expect(scope string, from ids.ProcessID, key Key) {
+	d.expect(scope, from, key, nil)
 }
 
 // expect is Expect for the heartbeater too: a non-nil rearm re-issues
 // the expectation whenever it is matched.
-func (d *Detector) expect(scope string, from ids.ProcessID, desc string, key Key, rearm *Heartbeater) {
+func (d *Detector) expect(scope string, from ids.ProcessID, key Key, rearm *Heartbeater) {
 	if from < 1 {
 		panic(fmt.Sprintf("fd: Expect against %s, outside Π", from))
 	}
 	if d.closed {
 		return
 	}
-	e := &expectation{target: target{from, key}, scope: scope, desc: desc, rearm: rearm, issuedAt: d.env.Now()}
-	e.timer = d.env.After(d.timeoutFor(from), func() { d.expire(e) })
+	now := d.env.Now()
+	e := &expectation{target: target{from, key}, scope: scope, rearm: rearm,
+		issuedAt: now, deadline: now + d.timeoutFor(from), seq: d.issued}
+	d.issued++
 	for int(from) > len(d.overdue) {
 		d.overdue = append(d.overdue, 0)
+		d.queues = append(d.queues, nil)
 	}
+	d.front(from)
+	d.queues[from-1] = append(d.queues[from-1], e)
 	d.expects[e.target] = append(d.expects[e.target], e)
 	d.pending++
 	d.m.issued.Inc()
-	runtime.Emit(d.env, obs.Event{Type: obs.TypeExpect, Subject: from, Detail: scope + ":" + desc})
+	d.armBy(e.deadline)
 	d.updatePendingGauge()
 }
 
-// expire fires when an expectation's timer lapses unmatched.
-func (d *Detector) expire(e *expectation) {
-	// The expectation may have been removed (matched or canceled)
-	// after the timer fired but before this callback ran.
-	if e.overdue || !slices.Contains(d.expects[e.target], e) {
-		return
+// armBy makes the detector's one timer fire by at.
+func (d *Detector) armBy(at time.Duration) {
+	if d.timer != nil {
+		if d.timerAt <= at {
+			return
+		}
+		d.timer.Stop()
 	}
+	d.timer, d.timerAt = d.env.After(at-d.env.Now(), d.expireDue), at
+}
+
+// expireDue runs when the timer fires. expire publishes, and what the
+// callback does — issue, cancel, close — is seen by the next turn.
+func (d *Detector) expireDue() {
+	d.timer = nil
+	for !d.closed {
+		e := d.earliest()
+		if e == nil {
+			return
+		}
+		if e.deadline > d.env.Now() {
+			d.armBy(e.deadline)
+			return
+		}
+		d.expire(e)
+	}
+}
+
+// earliest returns the waiting expectation with the earliest deadline,
+// the earlier issued one on a tie, or nil.
+func (d *Detector) earliest() *expectation {
+	var first *expectation
+	for i := range d.queues {
+		e := d.front(ids.ProcessID(i + 1))
+		if e != nil && (first == nil || e.deadline < first.deadline ||
+			e.deadline == first.deadline && e.seq < first.seq) {
+			first = e
+		}
+	}
+	return first
+}
+
+// front drops the expectations at the front of p's queue that no
+// longer wait — matched, canceled or expired — and returns the first
+// that does, or nil.
+func (d *Detector) front(p ids.ProcessID) *expectation {
+	q := d.queues[p-1]
+	k := 0
+	for k < len(q) && (q[k].done || q[k].overdue) {
+		k++
+	}
+	clear(q[:k])
+	if k == len(q) {
+		d.queues[p-1] = q[:0]
+		return nil
+	}
+	d.queues[p-1] = q[k:]
+	return q[k]
+}
+
+// expire suspects e's sender: e's deadline passed unmatched.
+func (d *Detector) expire(e *expectation) {
 	alreadySuspected := d.suspectedNow(e.from)
 	e.overdue = true
 	d.overdue[e.from-1]++
@@ -364,18 +466,16 @@ func (d *Detector) expire(e *expectation) {
 		if _, ok := d.firstSuspectedAt[e.from]; !ok {
 			d.firstSuspectedAt[e.from] = d.env.Now()
 		}
-		runtime.Emit(d.env, obs.Event{Type: obs.TypeSuspected, Subject: e.from, Detail: e.desc})
+		runtime.Emit(d.env, obs.Event{Type: obs.TypeSuspected, Subject: e.from, Detail: e.key.String()})
 		d.publish()
 	}
 }
 
-// retire takes e out of the outstanding count: its timer is stopped and
-// an overdue e no longer suspects its sender. The caller removes it from
-// expects.
+// retire takes e out of the outstanding count: its deadline no longer
+// counts and an overdue e no longer suspects its sender. The caller
+// removes it from expects.
 func (d *Detector) retire(e *expectation) {
-	if e.timer != nil {
-		e.timer.Stop()
-	}
+	e.done = true
 	if e.overdue {
 		d.overdue[e.from-1]--
 	}
@@ -415,8 +515,8 @@ func (d *Detector) CancelScope(scope string) {
 }
 
 // cancelWhere drops the expectations drop selects. It visits targets in
-// map order: stopping timers and counting commute, so nothing
-// observable depends on that order.
+// map order: marking and counting commute, so nothing observable
+// depends on that order.
 func (d *Detector) cancelWhere(drop func(*expectation) bool) {
 	before := d.Suspected()
 	dropped := 0
@@ -455,23 +555,27 @@ func (d *Detector) cancelWhere(drop func(*expectation) bool) {
 	d.updatePendingGauge()
 }
 
-// Close tears the detector down as part of node shutdown: every
-// outstanding expectation timer is stopped and the expectations are
-// dropped without publishing — this is lifecycle teardown, not the
-// protocol's ⟨CANCEL⟩, so no events are emitted and no suspicion set is
-// re-broadcast. Subsequent Expect calls are no-ops; Close is
+// Close tears the detector down as part of node shutdown: the timer is
+// stopped and the expectations are dropped without publishing — this
+// is lifecycle teardown, not the protocol's ⟨CANCEL⟩, so no events are
+// emitted and no suspicion set is re-broadcast. Subsequent Expect calls are no-ops; Close is
 // idempotent.
 func (d *Detector) Close() {
 	if d.closed {
 		return
 	}
 	d.closed = true
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timer = nil
+	}
 	for _, list := range d.expects {
 		for _, e := range list {
 			d.retire(e)
 		}
 	}
 	clear(d.expects)
+	clear(d.queues)
 }
 
 // Suspected returns the current suspicion set S: every process with an

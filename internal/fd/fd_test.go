@@ -80,7 +80,7 @@ var heartbeatKey = fd.Key{Type: wire.TypeHeartbeat}
 func TestExpectationMatched(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "heartbeat", heartbeatKey)
+	n1.d.Expect("test", 2, heartbeatKey)
 	net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: 1})
 	net.Run(time.Second)
 	if !n1.d.Suspected().Empty() {
@@ -100,7 +100,7 @@ func TestExpectationCompleteness(t *testing.T) {
 	// No message arrives: the sender must be suspected.
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "commit", heartbeatKey)
+	n1.d.Expect("test", 2, heartbeatKey)
 	net.Run(time.Second)
 	if !n1.d.IsSuspected(2) {
 		t.Error("unmatched expectation did not lead to suspicion")
@@ -117,7 +117,7 @@ func TestExpectationCompleteness(t *testing.T) {
 func TestLateMessageCancelsSuspicion(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "heartbeat", heartbeatKey)
+	n1.d.Expect("test", 2, heartbeatKey)
 	// Let the expectation expire, then deliver late.
 	net.Run(fd.DefaultBaseTimeout * 2)
 	if !n1.d.IsSuspected(2) {
@@ -142,14 +142,14 @@ func TestAdaptiveTimeoutGrows(t *testing.T) {
 	n1 := nodes[1]
 	delay := fd.DefaultBaseTimeout + 10*time.Millisecond // past base, within 2× base
 
-	n1.d.Expect("test", 2, "m1", heartbeatKey)
+	n1.d.Expect("test", 2, heartbeatKey)
 	net.Env(1).After(delay, func() { net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: 1}) })
 	net.Run(time.Second)
 	if n1.d.SuspicionsRaised(2) != 1 {
 		t.Fatalf("first delayed message: raised = %d, want 1", n1.d.SuspicionsRaised(2))
 	}
 
-	n1.d.Expect("test", 2, "m2", heartbeatKey)
+	n1.d.Expect("test", 2, heartbeatKey)
 	net.Env(1).After(delay, func() { net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: 2}) })
 	net.Run(net.Now() + time.Second)
 	if n1.d.SuspicionsRaised(2) != 1 {
@@ -170,7 +170,7 @@ func TestFixedTimeoutAblation(t *testing.T) {
 
 	for round := 1; round <= 3; round++ {
 		seq := uint64(round)
-		n1.d.Expect("test", 2, "m", heartbeatKey)
+		n1.d.Expect("test", 2, heartbeatKey)
 		net.Env(1).After(delay, func() { net.Env(2).Send(1, &wire.Heartbeat{From: 2, Seq: seq}) })
 		net.Run(net.Now() + time.Second)
 	}
@@ -203,8 +203,8 @@ func TestDetectedIsPermanent(t *testing.T) {
 func TestCancelClearsExpectationsAndSuspicions(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("a", 2, "x", heartbeatKey)
-	n1.d.Expect("b", 3, "y", heartbeatKey)
+	n1.d.Expect("a", 2, heartbeatKey)
+	n1.d.Expect("b", 3, heartbeatKey)
 	net.Run(time.Second)
 	if !n1.d.IsSuspected(2) || !n1.d.IsSuspected(3) {
 		t.Fatal("expectations did not expire")
@@ -221,8 +221,8 @@ func TestCancelClearsExpectationsAndSuspicions(t *testing.T) {
 func TestCancelScope(t *testing.T) {
 	net, nodes := newFDNet(t, 4, 1, defaultOpts())
 	n1 := nodes[1]
-	n1.d.Expect("selector", 2, "followers", heartbeatKey)
-	n1.d.Expect("app", 3, "commit", heartbeatKey)
+	n1.d.Expect("selector", 2, heartbeatKey)
+	n1.d.Expect("app", 3, heartbeatKey)
 	net.Run(time.Second)
 	n1.d.CancelScope("selector")
 	if n1.d.IsSuspected(2) {
@@ -333,7 +333,7 @@ func TestForwardedSignedMessageSatisfiesExpectation(t *testing.T) {
 	opts.sim.Auth = auth
 	net, nodes := newFDNet(t, 4, 1, opts)
 	n1 := nodes[1]
-	n1.d.Expect("test", 3, "followers from p3", fd.Key{Type: wire.TypeFollowers, A: 1})
+	n1.d.Expect("test", 3, fd.Key{Type: wire.TypeFollowers, A: 1})
 	// p3 signs; p2 forwards it to p1 (p3 never talks to p1 directly).
 	fw := &wire.Followers{Leader: 3, Epoch: 1}
 	sig, err := auth.Sign(3, fw.SigBytes())
@@ -365,7 +365,7 @@ func TestExpectationAgainstForwarderNotSatisfied(t *testing.T) {
 	opts.sim.Auth = auth
 	net, nodes := newFDNet(t, 4, 1, opts)
 	n1 := nodes[1]
-	n1.d.Expect("test", 2, "followers signed by p2", fd.Key{Type: wire.TypeFollowers, A: 1})
+	n1.d.Expect("test", 2, fd.Key{Type: wire.TypeFollowers, A: 1})
 	fw := &wire.Followers{Leader: 3, Epoch: 1}
 	sig, err := auth.Sign(3, fw.SigBytes())
 	if err != nil {

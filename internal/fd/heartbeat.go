@@ -94,21 +94,15 @@ func (h *Heartbeater) tick() {
 	h.tickTimer = h.env.After(h.period, h.tick)
 }
 
-// expectFrom issues a standing heartbeat expectation for p: whenever it
-// is matched, the next one is issued (rearmAfter), so the expectation
+// expectFrom issues a standing heartbeat expectation for p: the match
+// that consumes it issues the next one, at its end, so the expectation
 // never runs out. Its key accepts any heartbeat from p — which heartbeat
 // arrives is irrelevant, only that p keeps sending.
 func (h *Heartbeater) expectFrom(p ids.ProcessID) {
 	if h.stopped {
 		return
 	}
-	h.detector.expect(HeartbeatScope, p, "heartbeat", Key{Type: wire.TypeHeartbeat}, h)
-}
-
-// rearmAfter re-issues p's standing expectation on the process's event
-// loop, after the delivery that matched it completes.
-func (h *Heartbeater) rearmAfter(p ids.ProcessID) {
-	h.env.After(0, func() { h.expectFrom(p) })
+	h.detector.expect(HeartbeatScope, p, Key{Type: wire.TypeHeartbeat}, h)
 }
 
 // IsHeartbeat reports whether m is a heartbeat. The detector filters

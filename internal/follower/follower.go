@@ -265,8 +265,7 @@ func (s *Selector) maximalLineSubgraph(g *graph.Graph) *graph.LineSubgraph {
 // expectFollowersFrom issues the ⟨EXPECT, P_{Fw,epoch}, leader⟩ of
 // line 23: a signed FOLLOWERS message from the leader for this epoch.
 func (s *Selector) expectFollowersFrom(leader ids.ProcessID, epoch uint64) {
-	s.detector.Expect(Scope, leader, fmt.Sprintf("FOLLOWERS(epoch=%d)", epoch),
-		fd.Key{Type: wire.TypeFollowers, A: epoch})
+	s.detector.Expect(Scope, leader, fd.Key{Type: wire.TypeFollowers, A: epoch})
 }
 
 // HandleFollowers processes a (signature-verified) FOLLOWERS message

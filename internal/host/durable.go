@@ -35,9 +35,9 @@ const (
 // with a snapshot composed of the kernel's suspicion section plus the
 // application payload.
 type AppLog interface {
-	// Append writes one application record to the WAL (durable after
-	// the next group commit). The record is copied: the caller may
-	// reuse rec once Append returns.
+	// Append writes one application record to the WAL, durable once
+	// a Sync covers it: no timer flushes it. The record is copied: the
+	// caller may reuse rec once Append returns.
 	Append(rec []byte) error
 	// Sync forces the group commit: every prior Append is durable when
 	// it returns without error.
@@ -133,12 +133,7 @@ func (h *Host) storageErr(op string, err error) error {
 // quorum over the restored suspect graph. A host configured for
 // durability must not run without it, so open failures panic.
 func (h *Host) openStorage(env runtime.Env) {
-	st, err := storage.Open(h.opts.Storage, storage.Options{
-		Metrics: env.Metrics(),
-		After: func(d time.Duration, fn func()) storage.Timer {
-			return env.After(d, fn)
-		},
-	})
+	st, err := storage.Open(h.opts.Storage, storage.Options{Metrics: env.Metrics()})
 	if err != nil {
 		panic(fmt.Sprintf("host: open storage: %v", err))
 	}
@@ -197,17 +192,24 @@ func (h *Host) closeStorage() {
 	if h.storage == nil {
 		return
 	}
+	if h.syncTimer != nil {
+		h.syncTimer.Stop()
+	}
 	if err := h.storage.Close(); err != nil {
 		h.env.Metrics().Inc("host.storage.close_errors", 1)
 	}
 	h.storage = nil
 }
 
+// maxSyncDelay bounds how long a suspicion record waits for the group
+// commit that makes it durable.
+const maxSyncDelay = 2 * time.Millisecond
+
 // storePersister routes suspicion-store writes into tagged WAL
 // records. Cell and epoch records are appended without a forced sync:
 // losing a suffix of monotone CRDT writes is safe (the matrix re-merges
-// from peers), so suspicion durability rides the group-commit batch and
-// the max-latency flush timer.
+// from peers), so suspicion durability rides the next group commit, at
+// the latest maxSyncDelay after the first record no sync has covered.
 type storePersister struct{ h *Host }
 
 func (p storePersister) PersistCell(l, k int, epoch uint64) {
@@ -221,7 +223,22 @@ func (p storePersister) PersistEpoch(epoch uint64) {
 func (p storePersister) persist(rec suspicionRecord) {
 	c := wire.NewEncoder(nil)
 	rec.layout(c)
-	_ = p.h.appendTagged(tagSuspicion, c.Encoded())
+	if p.h.appendTagged(tagSuspicion, c.Encoded()) != nil {
+		return
+	}
+	// Arm the group commit for the first record no sync covers (one
+	// waiting alone came after the last sync: an older timer is stale).
+	// The application syncs its own records at once.
+	h := p.h
+	if n := h.storage.Pending(); n == 1 || n > 1 && h.syncTimer == nil {
+		if h.syncTimer != nil {
+			h.syncTimer.Stop()
+		}
+		h.syncTimer = h.env.After(maxSyncDelay, func() {
+			h.syncTimer = nil
+			_ = h.storage.Sync() // a failure is sticky: the next append reports it
+		})
+	}
 }
 
 // cell is one suspicion-matrix entry: row l suspects column k since

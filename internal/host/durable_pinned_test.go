@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"quorumselect/internal/core"
+	"quorumselect/internal/host"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
@@ -107,5 +109,49 @@ func TestSuspicionBytesPinned(t *testing.T) {
 	}
 	if got := node.Store.Snapshot(); !reflect.DeepEqual(got, matrix) || node.Store.Epoch() != epoch {
 		t.Errorf("recovered matrix %v in epoch %d, want %v in epoch %d", got, node.Store.Epoch(), matrix, epoch)
+	}
+}
+
+// TestSuspicionRecordSyncedWithinDelay: an application Append arms no
+// timer (the application syncs each record itself), while a suspicion
+// record, appended without a sync, is durable once MaxSyncDelay has
+// passed, because the host arms the group commit for it. A power cut
+// before then loses it: a monotone write the matrix re-merges from
+// peers.
+func TestSuspicionRecordSyncedWithinDelay(t *testing.T) {
+	cfg := ids.MustConfig(4, 1)
+	boot := func(backend *storage.MemBackend) (*core.Node, *walApp, *sim.Network) {
+		app := &walApp{}
+		opts := core.DefaultNodeOptions()
+		opts.HeartbeatPeriod = 0
+		opts.App = quorumWalApp{app}
+		opts.Storage = backend
+		node := core.NewNode(opts)
+		nodes := map[ids.ProcessID]runtime.Node{1: node, 2: silent{}, 3: silent{}, 4: silent{}}
+		return node, app, sim.NewNetwork(cfg, nodes, sim.Options{})
+	}
+	for _, wait := range []time.Duration{host.MaxSyncDelay - 1, host.MaxSyncDelay} {
+		backend := storage.NewMemBackend()
+		node, app, net := boot(backend)
+		queued := net.Pending()
+		if err := app.wal.Append([]byte("app")); err != nil {
+			t.Fatal(err)
+		}
+		if net.Pending() != queued {
+			t.Errorf("an application Append scheduled %d events, want none", net.Pending()-queued)
+		}
+		if err := app.wal.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		node.Store.UpdateSuspicions(ids.NewProcSet(3))
+		net.Run(net.Now() + wait)
+		backend.Crash()
+		net.Close()
+		node, _, net = boot(backend)
+		kept := node.Store.Snapshot()[0][2] != 0 // p1 suspects p3
+		net.Close()
+		if want := wait >= host.MaxSyncDelay; kept != want {
+			t.Errorf("power cut %s after a suspicion record: recovered it %v, want %v", wait, kept, want)
+		}
 	}
 }

@@ -7,3 +7,6 @@ func (h *Host) RestoreSuspicionState(data []byte) bool { return h.restoreSuspici
 // RestoreSuspicionRecord exposes the replay of one suspicion WAL record
 // (the bytes after the host's tag) to the fuzz tests.
 func (h *Host) RestoreSuspicionRecord(payload []byte) bool { return h.restoreSuspicionRecord(payload) }
+
+// MaxSyncDelay exposes the suspicion records' group-commit bound.
+const MaxSyncDelay = maxSyncDelay

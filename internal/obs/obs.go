@@ -1,8 +1,8 @@
 // Package obs is the observability stream: one bounded, concurrency-
 // safe ring of typed records. A record is either a protocol event —
-// the paper's module interface (EXPECT / SUSPECTED / DETECTED /
-// CANCEL), quorum changes, view changes, checkpoints, epoch advances —
-// or a causal span of the commit path.
+// the paper's module interface (SUSPECTED, naming the ⟨EXPECT⟩ that
+// fired / DETECTED / CANCEL), quorum changes, view changes,
+// checkpoints, epoch advances — or a causal span of the commit path.
 //
 // It is the one record of what a process did (the repository has no
 // logger): records have stable fields, so frontends serve them over
@@ -41,8 +41,9 @@ type Type uint8
 // Record types: the paper's interface events, the phase transitions
 // the observability layer times, and spans.
 const (
-	// TypeExpect is the failure detector's ⟨EXPECT, P, i⟩.
-	TypeExpect Type = iota + 1
+	// Value 1 is unused: an ⟨EXPECT, P, i⟩ gets no record. The other
+	// types keep their values.
+	_ Type = iota + 1
 	// TypeSuspected is a new suspicion: ⟨SUSPECTED, S⟩ grew.
 	TypeSuspected
 	// TypeSuspicionCleared is a suspicion canceled by a late matching
@@ -77,7 +78,6 @@ const (
 )
 
 var typeNames = map[Type]string{
-	TypeExpect:           "EXPECT",
 	TypeSuspected:        "SUSPECTED",
 	TypeSuspicionCleared: "SUSPICION_CLEARED",
 	TypeDetected:         "DETECTED",

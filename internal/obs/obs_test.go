@@ -34,7 +34,7 @@ func TestBusSequenceAndSince(t *testing.T) {
 func TestBusRingEviction(t *testing.T) {
 	b := NewBus(4)
 	for i := 1; i <= 10; i++ {
-		b.Publish(Event{Type: TypeExpect, Slot: uint64(i)})
+		b.Publish(Event{Type: TypeCheckpoint, Slot: uint64(i)})
 	}
 	if len(b.Events()) != 4 {
 		t.Fatalf("Len = %d, want 4", len(b.Events()))
@@ -99,7 +99,7 @@ func TestBusConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				b.Publish(Event{Type: TypeExpect, Node: 1})
+				b.Publish(Event{Type: TypeSuspected, Node: 1})
 				if i%50 == 0 {
 					_, _ = b.Since(uint64(i))
 					_ = b.Dropped()

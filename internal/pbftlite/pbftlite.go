@@ -27,8 +27,6 @@
 package pbftlite
 
 import (
-	"fmt"
-
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/fd"
 	"quorumselect/internal/host"
@@ -233,8 +231,7 @@ func (r *Replica) onPrePrepare(pp *wire.PrePrepare) {
 }
 
 func (r *Replica) expectPhase(k ids.ProcessID, t wire.Type, view, slot uint64) {
-	r.detector.Expect(Scope, k, fmt.Sprintf("%s(v=%d,s=%d)", t, view, slot),
-		fd.Key{Type: t, A: view, B: slot})
+	r.detector.Expect(Scope, k, fd.Key{Type: t, A: view, B: slot})
 }
 
 func (r *Replica) sendPrepare(st *slotState, view, slot uint64, digest []byte) {

@@ -137,9 +137,9 @@ func TestAuthenticate(t *testing.T) {
 	}
 }
 
-// TestUntracedHotPathIsFree: every expectation publishes an EXPECT, and
-// every commit-path stage calls the Trace helpers whether or not spans
-// are on. Publishing into a full stream and tracing with spans off must
+// TestUntracedHotPathIsFree: protocol events are published as they
+// happen, and every commit-path stage calls the Trace helpers whether
+// or not spans are on. Publishing into a full stream and tracing with spans off must
 // allocate nothing.
 func TestUntracedHotPathIsFree(t *testing.T) {
 	const capacity = 64
@@ -151,10 +151,10 @@ func TestUntracedHotPathIsFree(t *testing.T) {
 	}
 	env := sim.NewNetwork(cfg, nodes, sim.Options{Tracer: stream}).Env(1)
 	for i := 0; i < capacity; i++ {
-		runtime.Emit(env, obs.Event{Type: obs.TypeExpect})
+		runtime.Emit(env, obs.Event{Type: obs.TypeSuspected})
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		runtime.Emit(env, obs.Event{Type: obs.TypeExpect, Subject: 2, Detail: "scope"})
+		runtime.Emit(env, obs.Event{Type: obs.TypeSuspected, Subject: 2, Detail: "heartbeat"})
 	}); got != 0 {
 		t.Errorf("Publish into a full stream: %v allocs, want 0", got)
 	}

@@ -13,18 +13,16 @@
 // crash-simulating backend (MemBackend, used by the simulator and the
 // chaos harness to model kill -9 + restart deterministically).
 //
-// Group commit mirrors the host.Ingress flush design: appends
-// accumulate and a single fsync covers the batch, forced synchronously
-// once SyncEvery records are pending or by a MaxSyncDelay timer,
-// whichever comes first. Callers with a persist-before-act obligation
-// (e.g. XPaxos syncing a view-change vote before counting it) call
-// Sync explicitly.
+// Group commit: appends accumulate and a single fsync covers the
+// batch, forced synchronously once SyncEvery records are pending or by
+// an explicit Sync, whichever comes first. The Store arms no timer:
+// callers with a persist-before-act obligation (e.g. XPaxos syncing a
+// view-change vote before counting it) call Sync at once, and a writer
+// that may let records wait (the host's suspicion records) bounds the
+// wait with a timer of its own.
 package storage
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Backend is the minimal filesystem surface the Store needs. Names are
 // flat (no directories). Create truncates; the Store never appends to
@@ -49,13 +47,6 @@ type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
 	Close() error
-}
-
-// Timer matches runtime.Timer structurally so the Store can arm its
-// group-commit flush timer on a process event loop without importing
-// the runtime package.
-type Timer interface {
-	Stop() bool
 }
 
 // Metrics is the slice of the metrics registry the Store uses,
@@ -88,15 +79,6 @@ type Options struct {
 	// SyncEvery forces a synchronous fsync once this many appended
 	// records are pending. Default 32.
 	SyncEvery int
-	// MaxSyncDelay bounds how long an appended record may sit without
-	// an fsync when traffic is too light to fill a batch; the timer
-	// fires on the owning event loop via After. Default 2ms. Ignored
-	// when After is nil.
-	MaxSyncDelay time.Duration
-	// After schedules the group-commit flush timer (wire it to
-	// runtime.Env.After). Nil disables the timer: durability then
-	// relies on SyncEvery and explicit Sync calls.
-	After func(d time.Duration, fn func()) Timer
 	// Metrics receives storage.* counters and histograms. May be nil.
 	Metrics Metrics
 }
@@ -107,9 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 32
-	}
-	if o.MaxSyncDelay <= 0 {
-		o.MaxSyncDelay = 2 * time.Millisecond
 	}
 	return o
 }

@@ -23,7 +23,6 @@ type Store struct {
 	cur     File // current segment, nil until the first post-open append
 	curSize int
 	pending int // records appended since the last fsync
-	timer   Timer
 
 	nextIndex uint64 // logical index of the next record to append
 	snapIndex uint64 // walIndex of the newest durable snapshot
@@ -234,8 +233,8 @@ func (s *Store) repairSegment(first uint64, valid []byte) error {
 // Append frames rec and writes it to the current segment, rotating
 // first if the segment is full. The record is durable only after the
 // next fsync: Append triggers one synchronously once SyncEvery records
-// are pending, otherwise it arms the MaxSyncDelay timer. Callers that
-// must persist before acting call Sync.
+// are pending; otherwise the caller's Sync does. Callers that must
+// persist before acting call Sync at once.
 func (s *Store) Append(rec []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,7 +268,6 @@ func (s *Store) Append(rec []byte) error {
 	if s.pending >= s.o.SyncEvery {
 		return s.syncLocked()
 	}
-	s.armTimerLocked()
 	return nil
 }
 
@@ -287,10 +285,6 @@ func (s *Store) Sync() error {
 }
 
 func (s *Store) syncLocked() error {
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
 	if s.cur == nil || s.pending == 0 {
 		return nil
 	}
@@ -329,23 +323,6 @@ func (s *Store) rotateLocked() error {
 	s.cur = f
 	s.curSize = 0
 	return nil
-}
-
-func (s *Store) armTimerLocked() {
-	if s.o.After == nil || s.timer != nil {
-		return
-	}
-	s.timer = s.o.After(s.o.MaxSyncDelay, s.onSyncTimer)
-}
-
-func (s *Store) onSyncTimer() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.timer = nil
-	if s.closed || s.fail != nil {
-		return
-	}
-	_ = s.syncLocked()
 }
 
 // WriteSnapshot atomically installs payload as the newest snapshot,
@@ -423,8 +400,8 @@ func (s *Store) WriteSnapshot(payload []byte) error {
 	return nil
 }
 
-// Close flushes pending appends, closes the current segment, and
-// cancels the flush timer. It is idempotent: the second and later
+// Close flushes pending appends and closes the current segment. It is
+// idempotent: the second and later
 // calls return nil without touching the backend.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -433,10 +410,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
 	var err error
 	if s.fail == nil && s.cur != nil && s.pending > 0 {
 		err = s.syncLocked()

@@ -345,8 +345,8 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("pending after 3 full batches = %d, want 0", got)
 	}
-	// A partial batch stays pending until an explicit Sync (no timer
-	// configured here).
+	// A partial batch stays pending until an explicit Sync: the Store
+	// arms no timer.
 	appendAll(t, s, 24, 27)
 	if got := s.Pending(); got != 3 {
 		t.Fatalf("pending = %d, want 3", got)

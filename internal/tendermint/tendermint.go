@@ -362,8 +362,7 @@ func (r *Replica) armRound() {
 		return
 	}
 	if state.proposal == nil {
-		r.detector.Expect(Scope, proposer, fmt.Sprintf("TM-PROPOSAL(h=%d,r=%d)", height, round),
-			fd.Key{Type: wire.TypeTMProposal, A: height, B: round})
+		r.detector.Expect(Scope, proposer, fd.Key{Type: wire.TypeTMProposal, A: height, B: round})
 	}
 }
 
@@ -475,8 +474,7 @@ func (r *Replica) onProposal(p *wire.TMProposal) {
 }
 
 func (r *Replica) expectVote(k ids.ProcessID, t wire.Type, height, round uint64) {
-	r.detector.Expect(Scope, k, fmt.Sprintf("%s(h=%d,r=%d)", t, height, round),
-		fd.Key{Type: t, A: height, B: round})
+	r.detector.Expect(Scope, k, fd.Key{Type: t, A: height, B: round})
 }
 
 // sendPrevote votes for the round's proposal — unless this replica is

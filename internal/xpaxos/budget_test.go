@@ -2,8 +2,6 @@ package xpaxos
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -112,21 +110,5 @@ func TestMatchingCommitRendersNoSigBytes(t *testing.T) {
 	}
 	if net.Metrics().Counter("xpaxos.detected.equivocation") != 0 {
 		t.Error("a matching COMMIT was taken for equivocation")
-	}
-}
-
-// TestSlotDescMatchesFmt: expectation descriptions (EXPECT and
-// SUSPECTED event details) are byte-identical to the fmt rendering they
-// replace, at the edges of both numbers.
-func TestSlotDescMatchesFmt(t *testing.T) {
-	for _, kind := range []string{"COMMIT", "PREPARE"} {
-		for _, view := range []uint64{0, 1, 9, 10, math.MaxUint64} {
-			for _, slot := range []uint64{0, 7, 100, math.MaxUint64} {
-				want := fmt.Sprintf("%s(v=%d,s=%d)", kind, view, slot)
-				if got := slotDesc(kind, view, slot); got != want {
-					t.Errorf("slotDesc = %q, want %q", got, want)
-				}
-			}
-		}
 	}
 }

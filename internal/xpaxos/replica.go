@@ -3,7 +3,6 @@ package xpaxos
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"time"
 
 	"quorumselect/internal/crypto"
@@ -559,23 +558,11 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage obs.Active) {
 }
 
 func (r *Replica) expectCommit(k ids.ProcessID, view, slot uint64) {
-	r.detector.Expect(Scope, k, slotDesc("COMMIT", view, slot),
-		fd.Key{Type: wire.TypeCommit, A: view, B: slot})
+	r.detector.Expect(Scope, k, fd.Key{Type: wire.TypeCommit, A: view, B: slot})
 }
 
 func (r *Replica) expectPrepare(leader ids.ProcessID, view, slot uint64) {
-	r.detector.Expect(Scope, leader, slotDesc("PREPARE", view, slot),
-		fd.Key{Type: wire.TypePrepare, A: view, B: slot})
-}
-
-// slotDesc renders an expectation's description, "KIND(v=view,s=slot)",
-// in one buffer: the string fmt.Sprintf("%s(v=%d,s=%d)", …) renders,
-// without formatting it once per expectation.
-func slotDesc(kind string, view, slot uint64) string {
-	var buf [64]byte // "PREPARE", two 20-digit numbers and the punctuation
-	b := strconv.AppendUint(append(append(buf[:0], kind...), "(v="...), view, 10)
-	b = strconv.AppendUint(append(b, ",s="...), slot, 10)
-	return string(append(b, ')'))
+	r.detector.Expect(Scope, leader, fd.Key{Type: wire.TypePrepare, A: view, B: slot})
 }
 
 // sendCommit broadcasts this replica's COMMIT (carrying the full

@@ -285,7 +285,11 @@ func TestChromeExportGolden(t *testing.T) {
 // dump and the Chrome export are all views of that same read.
 func TestOneStreamOneOrder(t *testing.T) {
 	fx, tr := newTraceFixture(t, sim.Options{Seed: 42})
-	for i := 1; i <= 3; i++ {
+	fx.replicas[1].Submit(req(9, 1, "set one stream"))
+	fx.net.Run(500 * time.Millisecond)
+	// A protocol event between two batches: the passive p4 stops.
+	fx.net.StopProcess(4)
+	for i := 2; i <= 3; i++ {
 		fx.replicas[1].Submit(req(9, uint64(i), "set one stream"))
 	}
 	fx.net.Run(time.Second)

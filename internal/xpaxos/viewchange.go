@@ -1,7 +1,6 @@
 package xpaxos
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -117,8 +116,7 @@ func (r *Replica) startViewChange(v uint64) {
 		r.recordViewChange(vc)
 	} else if r.InQuorum() {
 		// Expect the NEW-VIEW installation from the incoming leader.
-		r.detector.Expect(Scope, newLeader, fmt.Sprintf("NEW-VIEW(v=%d)", v),
-			fd.Key{Type: wire.TypeNewView, A: v})
+		r.detector.Expect(Scope, newLeader, fd.Key{Type: wire.TypeNewView, A: v})
 	}
 }
 

@@ -89,8 +89,8 @@ type (
 	// records, protocol events and commit-path spans in one order (see
 	// internal/obs). EventBus and Tracer are one type.
 	EventBus = obs.Bus
-	// Event is one record of the stream: a protocol event (EXPECT,
-	// SUSPECTED, ...) or, with type SPAN, a commit-path span.
+	// Event is one record of the stream: a protocol event (SUSPECTED,
+	// QUORUM_CHANGE, ...) or, with type SPAN, a commit-path span.
 	Event = obs.Event
 	// EventType classifies the stream's records.
 	EventType = obs.Type
