@@ -313,10 +313,10 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 		return
 	}
 	var rearm *Heartbeater
-	rearms, matchedOverdue := 0, false
+	matchedOverdue := false
 	for _, e := range list {
 		if e.rearm != nil {
-			rearm, rearms = e.rearm, rearms+1
+			rearm = e.rearm
 		}
 		matchedOverdue = matchedOverdue || e.overdue
 		d.retire(e)
@@ -349,7 +349,7 @@ func (d *Detector) match(from ids.ProcessID, m wire.Message) {
 	}
 	// A standing expectation is re-issued last, so its deadline counts
 	// a timeout the match just doubled.
-	for range rearms {
+	if rearm != nil {
 		rearm.expectFrom(from)
 	}
 	d.updatePendingGauge()
