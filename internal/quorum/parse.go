@@ -32,8 +32,8 @@ func ParseSpec(spec string) (System, error) {
 }
 
 // MaxSpecN bounds n in parsed specs: configurations arrive as strings
-// from flags and fuzzers, and a threshold spec with an absurd n would
-// otherwise allocate proportionally (graphs are n²-bit) long before any
+// from flags and fuzzers, and a threshold or slices spec with an absurd
+// n would otherwise allocate proportionally (graphs are n²-bit) long before any
 // cluster of that size could exist.
 const MaxSpecN = 128
 
@@ -222,6 +222,9 @@ func parseSlices(rest string) (System, error) {
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("quorum: slices spec names no processes")
+	}
+	if n > MaxSpecN {
+		return nil, fmt.Errorf("quorum: slices spec n=%d exceeds the parser bound %d", n, MaxSpecN)
 	}
 	spec := make([][][]ids.ProcessID, n)
 	for i := 1; i <= n; i++ {

@@ -49,7 +49,9 @@ func TestParseSpecRejections(t *testing.T) {
 		"threshold:n=4;q=0",     // q out of range
 		"threshold:n=4;q=5",     // q > n
 		"threshold:n=-2;f=1",
-		"threshold:n=129;f=1", // beyond MaxSpecN
+		"threshold:n=129;f=1",          // beyond MaxSpecN
+		"slices:n=0000010000000000000", // beyond MaxSpecN: no 10¹³-process allocation
+		"slices:1={1000000000000}",     // n taken from the largest member
 		"weighted:w=" + strings.Repeat("1,", 64) + "1;t=3", // 65 weights
 		"threshold:n=4;f=one",
 		"weighted:t=3",           // no weights
