@@ -847,12 +847,12 @@ func newReference(cfg ids.Config, opts Options, hb time.Duration) *detectorUnder
 	return u
 }
 
-// keyedTimerInvariant is what replaces timer-count equality with the
-// reference: the keyed detector has at most one timer armed (beside the
-// heartbeater's tick and first-arming timers), each sender's waiting
-// expectations are in deadline order, none is past due, and the timer
-// fires no later than the earliest of them — so every expectation
-// still expires when the reference's own timer would.
+// keyedTimerInvariant checks the keyed detector's timers, which cannot
+// equal the reference's in number: it has at most one armed (beside
+// the heartbeater's tick and first-arming timers), each sender's
+// waiting expectations are in deadline order, none is past due, and the
+// timer fires no later than the earliest of them — so every
+// expectation still expires when the reference's own timer would.
 func keyedTimerInvariant(env *fakeEnv, d *Detector, h *Heartbeater) error {
 	var armed []*fakeTimer
 	for _, t := range env.live() {

@@ -209,8 +209,7 @@ type Detector struct {
 	// the first still-standing suspicion of each process.
 	firstSuspectedAt map[ids.ProcessID]time.Duration
 
-	// timer runs expireDue at timerAt, the earliest deadline waiting
-	// when it was armed; nil when disarmed.
+	// timer runs expireDue at timerAt (see armBy); nil when disarmed.
 	timer   runtime.Timer
 	timerAt time.Duration
 
