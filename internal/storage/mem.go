@@ -210,7 +210,7 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	}
 	if need := len(f.data) + len(p); need > cap(f.data) {
 		// Double: append grows a large slice by ~1.25x, copying a 1 MiB
-		// segment about five times over as it fills.
+		// segment about four times over as it fills.
 		f.data = append(make([]byte, 0, max(2*cap(f.data), need)), f.data...)
 	}
 	f.data = append(f.data, p...)
