@@ -160,7 +160,7 @@ type Host struct {
 	quorumLog  []ids.Quorum
 	storage    *storage.Store // nil when Options.Storage is unset
 	rec        []byte         // appendTagged's record buffer, reused
-	syncTimer  runtime.Timer  // group commit for suspicion records (armSync)
+	syncTimer  runtime.Timer  // group commit for suspicion records (storePersister)
 }
 
 var (
