@@ -72,29 +72,3 @@ func EnumerateQuorums(n, q int) []Quorum {
 	walk(1)
 	return out
 }
-
-// QuorumIndex returns the position of q within the lexicographic
-// enumeration of all size-|q| quorums over n processes, or -1 if the
-// quorum is not a valid subset of Π. It runs in O(|q|·n) time without
-// materializing the enumeration.
-func QuorumIndex(n int, q Quorum) int {
-	k := len(q.Members)
-	if k == 0 || k > n {
-		return -1
-	}
-	idx := 0
-	prev := 0
-	for pos, p := range q.Members {
-		v := int(p)
-		if v <= prev || v > n {
-			return -1
-		}
-		// Count combinations that start with a smaller element at
-		// this position.
-		for c := prev + 1; c < v; c++ {
-			idx += Binomial(n-c, k-pos-1)
-		}
-		prev = v
-	}
-	return idx
-}

@@ -260,22 +260,6 @@ func TestEnumerateQuorumsCount(t *testing.T) {
 	}
 }
 
-func TestQuorumIndex(t *testing.T) {
-	n, q := 7, 5
-	all := EnumerateQuorums(n, q)
-	for i, qu := range all {
-		if got := QuorumIndex(n, qu); got != i {
-			t.Errorf("QuorumIndex(%s) = %d, want %d", qu, got, i)
-		}
-	}
-	if got := QuorumIndex(4, NewQuorum([]ProcessID{1, 9})); got != -1 {
-		t.Errorf("out-of-range quorum index = %d, want -1", got)
-	}
-	if got := QuorumIndex(4, Quorum{}); got != -1 {
-		t.Errorf("empty quorum index = %d, want -1", got)
-	}
-}
-
 func TestProcSetUnionCommutative(t *testing.T) {
 	f := func(a, b []uint8) bool {
 		sa, sb := NewProcSet(), NewProcSet()

@@ -7,10 +7,11 @@ import (
 	"quorumselect/internal/ids"
 )
 
-// maxThresholdEnum caps the C(n, q) enumeration MinQuorums materializes
-// for threshold systems. The checker never needs it (2q > n is decided
-// analytically) but tests and small deployments do.
-const maxThresholdEnum = 1 << 20
+// MaxThresholdQuorums caps the C(n, q) enumeration MinQuorums
+// materializes for threshold systems. The checker never needs it (2q > n
+// is decided analytically), but XPaxos maps its views onto it, so it
+// also caps the threshold systems XPaxos runs on.
+const MaxThresholdQuorums = 1 << 20
 
 // Threshold is the paper's uniform quorum system: every set of at least
 // q = n − f distinct processes is a quorum. It is the byte-compatible
@@ -53,9 +54,9 @@ func (t Threshold) ContainsQuorum(set ids.ProcSet) bool {
 }
 
 // MinQuorums enumerates all C(n, q) size-q subsets in lexicographic
-// order, or nil when the enumeration would exceed maxThresholdEnum.
+// order, or nil when the enumeration would exceed MaxThresholdQuorums.
 func (t Threshold) MinQuorums() [][]ids.ProcessID {
-	if ids.Binomial(t.n, t.q) > maxThresholdEnum {
+	if ids.Binomial(t.n, t.q) > MaxThresholdQuorums {
 		return nil
 	}
 	qs := ids.EnumerateQuorums(t.n, t.q)

@@ -112,3 +112,52 @@ func TestMatchingCommitRendersNoSigBytes(t *testing.T) {
 		t.Error("a matching COMMIT was taken for equivocation")
 	}
 }
+
+// slotAllocBudget is what one slot of TestSlotAllocationBudget's
+// cluster allocates, all four processes together, from Submit until the
+// passive replica has executed the slot too. A replica keeps a slot in
+// one record: a per-slot trace holder on each of the three active
+// replicas made it 124.
+const slotAllocBudget = 122
+
+// TestSlotAllocationBudget pins the allocations of one slot's whole
+// commit path on an untraced n=4 cluster without storage: p1 proposes
+// each request in its own slot, p2 and p3 accept and commit it, and p4
+// executes it from the commit certificate.
+func TestSlotAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation budgets assume sync.Pool keeps what it is given")
+	}
+	cfg := ids.MustConfig(4, 1)
+	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
+	replicas := make(map[ids.ProcessID]*Replica, cfg.N)
+	for _, p := range cfg.All() {
+		opts := core.DefaultNodeOptions()
+		opts.HeartbeatPeriod = 0
+		nodes[p], replicas[p] = NewQSNode(Options{BatchSize: 1}, opts)
+	}
+	net := sim.NewNetwork(cfg, nodes, sim.Options{})
+	t.Cleanup(func() { net.Close() })
+	var seq uint64
+	executed := func() bool {
+		for _, r := range replicas {
+			if r.LastExecuted() < seq {
+				return false
+			}
+		}
+		return true
+	}
+	slot := func() {
+		seq++
+		replicas[1].Submit(&wire.Request{Client: 7, Seq: seq, Op: []byte("set k v")})
+		if !net.RunUntil(executed, net.Now()+time.Second) {
+			t.Fatalf("slot %d did not execute everywhere", seq)
+		}
+	}
+	for range 50 {
+		slot()
+	}
+	if allocs := testing.AllocsPerRun(500, slot); allocs > slotAllocBudget {
+		t.Errorf("one slot allocates %.2f times, budget %d", allocs, slotAllocBudget)
+	}
+}

@@ -193,9 +193,7 @@ func (r *Replica) replayRecord(data []byte) error {
 		if !ok {
 			return fmt.Errorf("xpaxos: %T in prepare record", rec.msg)
 		}
-		if cur, have := r.accepted[p.Slot]; !have || p.View >= cur.View {
-			r.accepted[p.Slot] = p
-		}
+		r.slot(p.Slot).accept(p)
 		if rec.kind == recCommitted {
 			r.ledger.Commit(p.Slot, p.Requests())
 		}

@@ -21,8 +21,8 @@ func (r *Replica) Inflight() int { return r.inflight }
 // incrementally, and is kept as that count's oracle.
 func (r *Replica) InflightScan() int {
 	n := 0
-	for _, e := range r.entries {
-		if e.prep != nil && !e.committed {
+	for _, s := range r.slots {
+		if s.prep != nil && !s.committed {
 			n++
 		}
 	}
@@ -43,11 +43,23 @@ func (r *Replica) DurableSnapshot() []byte { return r.encodeDurable() }
 // CommitsHeld returns how many COMMITs the replica keeps for slot, or
 // -1 when it has no round state for the slot.
 func (r *Replica) CommitsHeld(slot uint64) int {
-	e, ok := r.entries[slot]
-	if !ok {
+	s, ok := r.slots[slot]
+	if !ok || s.prep == nil {
 		return -1
 	}
-	return len(e.commits)
+	return len(s.commits)
+}
+
+// LogSize reports the retained accepted prepares, for tests asserting
+// that checkpointing bounds memory.
+func (r *Replica) LogSize() int {
+	size := 0
+	for _, s := range r.slots {
+		if s.accepted != nil {
+			size++
+		}
+	}
+	return size
 }
 
 // VoteViews returns how many views the replica holds VIEW-CHANGE votes

@@ -61,20 +61,26 @@ type checkpoint struct {
 	Digest   []byte
 }
 
-// slotTrace is the per-slot tracing state of the commit path: the
-// context of this replica's propose/accept span (carried on its
-// outgoing COMMIT so peers can parent arrival instants on it) and the
-// open quorum-wait span that closes when the slot commits.
-type slotTrace struct {
-	prep   wire.TraceContext
-	quorum obs.Active
+// slot is everything the replica keeps about one slot. The accepted
+// prepare and the first-accept time outlive views; the embedded round
+// is the current view's and a view change drops it.
+type slot struct {
+	// accepted is the highest-view prepare of the slot across views: its
+	// entry in the VIEW-CHANGE log (closeRounds) and in LogSize.
+	accepted *wire.Prepare
+	// start is when a prepare for the slot was first accepted locally
+	// (started says it is set), feeding the commit-latency histogram.
+	start   time.Duration
+	started bool
+	round
 }
 
-// entry is the per-slot round state of the current view.
-type entry struct {
+// round is a slot's round state in the current view, with its
+// commit-path trace.
+type round struct {
 	// prep is the prepare accepted in the current view. Every COMMIT of
 	// the slot embeds a copy, compared with it field by field
-	// (wire.Prepare.SameSigned).
+	// (wire.Prepare.SameSigned). A round exists when prep is set.
 	prep    *wire.Prepare
 	adopted bool // prep was learned from a COMMIT (Fig 3)
 	// commits holds the slot's COMMITs by sender until it commits;
@@ -82,6 +88,12 @@ type entry struct {
 	commits    map[ids.ProcessID]*wire.Commit
 	commitSent bool
 	committed  bool
+	// tc is the context of this replica's propose/accept span (carried
+	// on its outgoing COMMIT so peers can parent arrival instants on
+	// it), or a commit certificate's; quorum is the quorum-wait span
+	// that closes when the slot commits, nil when untraced.
+	tc     wire.TraceContext
+	quorum *obs.Active
 }
 
 // reqKey identifies a client request: clients number their requests,
@@ -115,14 +127,11 @@ type Replica struct {
 	changing    bool
 
 	nextSlot uint64
-	entries  map[uint64]*entry
-	// inflight counts the entries that hold a prepare and have not
+	slots    map[uint64]*slot
+	// inflight counts the rounds that hold a prepare and have not
 	// committed: the pipeline depth the window bounds. setPrep and
-	// tryCommit move it; a view change resets it with the entries.
+	// tryCommit move it; a view change resets it with the rounds.
 	inflight int
-	// accepted holds the highest-view prepare per slot across views —
-	// the log reported in VIEW-CHANGE messages.
-	accepted map[uint64]*wire.Prepare
 	// ingress is the client-request mempool: requests accumulate there
 	// and flush into proposals (leader) or leader forwards (others).
 	ingress *host.Ingress
@@ -156,12 +165,6 @@ type Replica struct {
 	// reused from one record to the next.
 	rec []byte
 
-	// slotStart records when each slot's prepare was first accepted
-	// locally, feeding the commit-latency histogram.
-	slotStart map[uint64]time.Duration
-	// traces holds the open per-slot commit-path spans (see slotTrace);
-	// dropped wholesale on a view change, trimmed with the checkpoint.
-	traces map[uint64]*slotTrace
 	// vcTrace is the span covering an in-progress view change.
 	vcTrace obs.Active
 	// vcStart records when the in-progress view change began, feeding
@@ -190,13 +193,10 @@ func newReplica(opts Options, sys quorum.System) *Replica {
 	return &Replica{
 		opts:      opts,
 		sys:       sys,
-		entries:   make(map[uint64]*entry),
-		accepted:  make(map[uint64]*wire.Prepare),
+		slots:     make(map[uint64]*slot),
 		ledger:    NewLedger(opts.SM, opts.OnExecute),
 		vcVotes:   make(map[uint64]map[ids.ProcessID]*wire.ViewChange),
 		forwarded: make(map[reqKey]forwardedReq),
-		slotStart: make(map[uint64]time.Duration),
-		traces:    make(map[uint64]*slotTrace),
 	}
 }
 
@@ -281,42 +281,24 @@ func (r *Replica) quorumAt(v uint64) ids.Quorum {
 	return r.enumeration[int(v%uint64(len(r.enumeration)))]
 }
 
-// enumerationFor builds the view→quorum enumeration of a system: the
-// threshold fast path reuses ids.EnumerateQuorums (identical to the
-// original §V-B enumeration, byte for byte); generalized systems walk
-// their minimal quorums. A system too large to enumerate cannot drive
-// XPaxos views — that is a deployment-configuration error, caught at
-// Attach rather than silently mapping views to arbitrary quorums.
+// enumerationFor builds the view→quorum enumeration of a system: its
+// minimal quorums in lexicographic order, which for a threshold system
+// is the original §V-B enumeration of every size-q subset. A system too
+// large to enumerate cannot drive XPaxos views — that is a
+// deployment-configuration error, caught at Attach rather than silently
+// mapping views to arbitrary quorums.
 func enumerationFor(sys quorum.System) []ids.Quorum {
-	if t, ok := sys.(quorum.Threshold); ok {
-		return ids.EnumerateQuorums(t.N(), t.QuorumSize())
-	}
 	mq := sys.MinQuorums()
 	if len(mq) == 0 {
-		panic(fmt.Sprintf("xpaxos: quorum system %s has no enumerable quorums", sys))
+		panic(fmt.Sprintf("xpaxos: quorum system %s has no enumerable quorums "+
+			"(a threshold system enumerates at most %d, a generalized one at most n=%d)",
+			sys, quorum.MaxThresholdQuorums, quorum.MaxEnumerateN))
 	}
 	out := make([]ids.Quorum, len(mq))
 	for i, m := range mq {
 		out[i] = ids.NewQuorum(m)
 	}
 	return out
-}
-
-// quorumIndex maps an issued quorum back to its view-enumeration slot,
-// or -1 when the quorum is not one the system enumerates. Threshold
-// systems answer arithmetically (ids.QuorumIndex); generalized systems
-// scan their (bounded, pre-materialized) enumeration.
-func (r *Replica) quorumIndex(q ids.Quorum) int {
-	if _, ok := r.sys.(quorum.Threshold); ok {
-		return ids.QuorumIndex(r.cfg.N, ids.NewQuorum(q.Members))
-	}
-	want := ids.NewQuorum(q.Members)
-	for i, e := range r.enumeration {
-		if e.Equal(want) {
-			return i
-		}
-	}
-	return -1
 }
 
 // FirstViewLedBy returns the lowest view whose quorum is led by p, and
@@ -340,12 +322,12 @@ func (r *Replica) windowOpen() bool {
 }
 
 // setPrep installs p as the slot's prepare, counting the slot in
-// flight when it first gets one (a committed entry always has one).
-func (r *Replica) setPrep(e *entry, p *wire.Prepare) {
-	if e.prep == nil {
+// flight when it first gets one (a committed round always has one).
+func (r *Replica) setPrep(s *slot, p *wire.Prepare) {
+	if s.prep == nil {
 		r.inflight++
 	}
-	e.prep = p
+	s.prep = p
 }
 
 // Submit injects a client request at this replica (the harness's or
@@ -369,15 +351,6 @@ func (r *Replica) traceStart(name string, parent wire.TraceContext) obs.Active {
 		return obs.Active{}
 	}
 	return runtime.TraceStart(r.env, name, parent)
-}
-
-func (r *Replica) slotTraceFor(slot uint64) *slotTrace {
-	st, ok := r.traces[slot]
-	if !ok {
-		st = &slotTrace{}
-		r.traces[slot] = st
-	}
-	return st
 }
 
 // flushBatch receives ingress batches. The role check happens at flush
@@ -491,25 +464,25 @@ func (r *Replica) onPrepare(p *wire.Prepare) {
 		r.detector.Detected(p.Leader)
 		return
 	}
-	e := r.entry(p.Slot)
-	if e.prep != nil && !e.adopted {
+	s := r.slot(p.Slot)
+	if s.prep != nil && !s.adopted {
 		// A second direct PREPARE for the same (view, slot): detect
 		// equivocation if it differs.
-		if !e.prep.SameSigned(p) {
+		if !s.prep.SameSigned(p) {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(p.Leader)
 		}
 		return
 	}
-	if e.prep != nil && e.adopted {
+	if s.prep != nil && s.adopted {
 		// Fig 3: the prepare adopted from an early COMMIT must match
 		// the leader's direct PREPARE.
-		if !e.prep.SameSigned(p) {
+		if !s.prep.SameSigned(p) {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
 			r.detector.Detected(p.Leader)
 			return
 		}
-		e.adopted = false // direct prepare received; expectation matched
+		s.adopted = false // direct prepare received; expectation matched
 		return
 	}
 	stage := r.traceStart("accept", p.TC)
@@ -523,15 +496,14 @@ func (r *Replica) onPrepare(p *wire.Prepare) {
 // accept (follower) span covering this slot's local processing; it
 // closes once the COMMIT is out and the quorum wait begins.
 func (r *Replica) acceptPrepare(p *wire.Prepare, stage obs.Active) {
-	e := r.entry(p.Slot)
-	if _, ok := r.slotStart[p.Slot]; !ok {
-		r.slotStart[p.Slot] = r.env.Now()
+	s := r.slot(p.Slot)
+	if !s.started {
+		s.start, s.started = r.env.Now(), true
 	}
-	r.setPrep(e, p)
-	e.adopted = false
-	r.accepted[p.Slot] = p
-	st := r.slotTraceFor(p.Slot)
-	st.prep = stage.Context()
+	r.setPrep(s, p)
+	s.adopted = false
+	s.accepted = p
+	s.tc = stage.Context()
 	// Persist-before-act: the COMMIT below promises this prepare is in
 	// our log, so it must be on disk before the COMMIT leaves.
 	var ws obs.Active
@@ -544,17 +516,26 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage obs.Active) {
 	// First subtlety (§V-A): no expectation for processes whose COMMIT
 	// already arrived.
 	for _, k := range r.active.Members {
-		if _, have := e.commits[k]; k == r.env.ID() || have {
+		if _, have := s.commits[k]; k == r.env.ID() || have {
 			continue
 		}
 		r.expectCommit(k, p.View, p.Slot)
 	}
-	r.sendCommit(e, p)
+	r.sendCommit(s, p)
 	runtime.TraceEnd(r.env, stage)
-	st.quorum = r.traceStart("quorum", stage.Context())
-	st.quorum.SetSlot(p.Slot)
-	st.quorum.SetView(p.View)
-	r.tryCommit(p.Slot, e)
+	r.waitQuorum(s, stage.Context(), p.Slot, p.View)
+	r.tryCommit(p.Slot, s)
+}
+
+// waitQuorum opens the slot's quorum-wait span under parent, once its
+// COMMIT is out.
+func (r *Replica) waitQuorum(s *slot, parent wire.TraceContext, n, view uint64) {
+	s.quorum = nil
+	if q := r.traceStart("quorum", parent); q.Traced() {
+		q.SetSlot(n)
+		q.SetView(view)
+		s.quorum = &q
+	}
 }
 
 func (r *Replica) expectCommit(k ids.ProcessID, view, slot uint64) {
@@ -568,11 +549,11 @@ func (r *Replica) expectPrepare(leader ids.ProcessID, view, slot uint64) {
 // sendCommit broadcasts this replica's COMMIT (carrying the full
 // PREPARE, the paper's second protocol change) to the other quorum
 // members.
-func (r *Replica) sendCommit(e *entry, p *wire.Prepare) {
-	if e.commitSent {
+func (r *Replica) sendCommit(s *slot, p *wire.Prepare) {
+	if s.commitSent {
 		return
 	}
-	e.commitSent = true
+	s.commitSent = true
 	c := &wire.Commit{
 		Replica: r.env.ID(),
 		View:    p.View,
@@ -581,10 +562,8 @@ func (r *Replica) sendCommit(e *entry, p *wire.Prepare) {
 		Prep:    *p,
 	}
 	runtime.Sign(r.env, c)
-	if st, ok := r.traces[p.Slot]; ok {
-		c.TC = st.prep // receivers parent their arrival instant on our span
-	}
-	e.commits[r.env.ID()] = c
+	c.TC = s.tc // receivers parent their arrival instant on our span
+	s.addCommit(c)
 	r.m.commitSent.Inc()
 	for _, k := range r.active.Members {
 		if k != r.env.ID() {
@@ -613,8 +592,8 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	// the equivocation check below.
 	wellFormed := c.HasPrep && c.Prep.View == c.View && c.Prep.Slot == c.Slot && c.Prep.Leader == r.Leader()
 	var match *wire.Prepare // the slot's prepare, if the embedded one equals it
-	if e, ok := r.entries[c.Slot]; ok && e.prep != nil && e.prep.SameSigned(&c.Prep) {
-		match = e.prep
+	if s, ok := r.slots[c.Slot]; ok && s.prep != nil && s.prep.SameSigned(&c.Prep) {
+		match = s.prep
 	}
 	if !wellFormed || r.verifyEmbedded(c, match) != nil {
 		r.env.Metrics().Inc("xpaxos.detected.malformed", 1)
@@ -624,8 +603,8 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	if !c.TC.Zero() && !r.ledger.Recovering() {
 		runtime.TraceInstant(r.env, "commit.recv", c.TC)
 	}
-	e := r.entry(c.Slot)
-	if e.prep != nil {
+	s := r.slot(c.Slot)
+	if s.prep != nil {
 		// Equivocation: a valid PREPARE that differs from ours.
 		if match == nil {
 			r.env.Metrics().Inc("xpaxos.detected.equivocation", 1)
@@ -638,14 +617,13 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		// PREPARE from the leader. The embedded prepare kept its trace
 		// context, so the accept span still joins the leader's trace.
 		prep := c.Prep
-		r.setPrep(e, &prep)
-		e.adopted = true
-		r.accepted[c.Slot] = &prep
+		r.setPrep(s, &prep)
+		s.adopted = true
+		s.accepted = &prep
 		stage := r.traceStart("accept", prep.TC)
 		stage.SetSlot(c.Slot)
 		stage.SetView(c.View)
-		st := r.slotTraceFor(c.Slot)
-		st.prep = stage.Context()
+		s.tc = stage.Context()
 		// Adopted prepares carry the same promise as direct ones:
 		// persist before our COMMIT goes out.
 		var ws obs.Active
@@ -656,17 +634,15 @@ func (r *Replica) onCommit(c *wire.Commit) {
 		r.persistSync()
 		runtime.TraceEnd(r.env, ws)
 		r.expectPrepare(r.Leader(), c.View, c.Slot)
-		r.sendCommit(e, &prep)
+		r.sendCommit(s, &prep)
 		runtime.TraceEnd(r.env, stage)
-		st.quorum = r.traceStart("quorum", stage.Context())
-		st.quorum.SetSlot(c.Slot)
-		st.quorum.SetView(c.View)
+		r.waitQuorum(s, stage.Context(), c.Slot, c.View)
 	}
-	if e.committed {
+	if s.committed {
 		return // checked for equivocation above; the COMMIT set is spent
 	}
-	e.commits[c.Replica] = c
-	r.tryCommit(c.Slot, e)
+	s.addCommit(c)
+	r.tryCommit(c.Slot, s)
 }
 
 // verifyEmbedded checks a COMMIT's embedded prepare signature; match is
@@ -690,45 +666,43 @@ func (r *Replica) verifyEmbedded(c *wire.Commit, match *wire.Prepare) error {
 
 // tryCommit commits the slot once COMMITs from every other quorum
 // member arrived with matching prepares, then executes in slot order.
-func (r *Replica) tryCommit(slot uint64, e *entry) {
-	if e.committed || e.prep == nil || !e.commitSent {
+func (r *Replica) tryCommit(n uint64, s *slot) {
+	if s.committed || s.prep == nil || !s.commitSent {
 		return
 	}
 	for _, k := range r.active.Members {
-		if _, ok := e.commits[k]; !ok {
+		if _, ok := s.commits[k]; !ok {
 			return
 		}
 	}
-	e.committed = true
+	s.committed = true
 	r.inflight--
-	st := r.traces[slot]
-	if st != nil {
-		runtime.TraceEnd(r.env, st.quorum)
+	if s.quorum != nil {
+		runtime.TraceEnd(r.env, *s.quorum)
 	}
-	reqs := e.prep.Requests()
-	r.ledger.Commit(slot, reqs)
+	reqs := s.prep.Requests()
+	r.ledger.Commit(n, reqs)
 	// The slot is decided: persist the deciding prepare before
 	// executing it or shipping the certificate to passive replicas.
 	var ws obs.Active
-	if st != nil && st.quorum.Traced() && r.wal != nil {
-		ws = r.traceStart("wal.sync", st.quorum.Context())
+	if s.quorum != nil && r.wal != nil {
+		ws = r.traceStart("wal.sync", s.quorum.Context())
 	}
-	r.persistMessage(recCommitted, e.prep)
+	r.persistMessage(recCommitted, s.prep)
 	r.persistSync()
 	runtime.TraceEnd(r.env, ws)
 	r.m.committed.Add(int64(len(reqs)))
-	if start, ok := r.slotStart[slot]; ok {
-		r.m.commitLatency.Observe(
-			(r.env.Now() - start).Seconds())
-		delete(r.slotStart, slot)
+	if s.started {
+		r.m.commitLatency.Observe((r.env.Now() - s.start).Seconds())
+		s.started = false
 	}
 	// Lazy replication (XPaxos keeps passive replicas "lazily
 	// updated"): the leader ships the self-certifying commit
 	// certificate to the processes outside the active quorum.
 	if r.IsLeader() {
-		cert := &wire.CommitCert{Slot: slot}
+		cert := &wire.CommitCert{Slot: n}
 		for _, k := range r.active.Members {
-			cert.Commits = append(cert.Commits, *e.commits[k])
+			cert.Commits = append(cert.Commits, *s.commits[k])
 		}
 		for _, p := range r.cfg.All() {
 			if !r.active.Contains(p) {
@@ -739,7 +713,7 @@ func (r *Replica) tryCommit(slot uint64, e *entry) {
 	// The certificate has shipped, so the COMMIT set has served its
 	// purpose. A late COMMIT is still checked against e.prep for
 	// equivocation (onCommit), then ignored.
-	e.commits = nil
+	s.commits = nil
 	r.execute()
 	// A committed slot frees window capacity: drain batches the gate
 	// held back. Flush is reentrancy-guarded, so reaching here from a
@@ -799,14 +773,13 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 		return
 	}
 	r.ledger.Commit(cert.Slot, prep.Requests())
+	s := r.slot(cert.Slot)
 	if !prep.TC.Zero() && !r.ledger.Recovering() {
 		// Lazily replicated slots still join the original trace: the
 		// embedded prepare's context parents this replica's execute span.
-		r.slotTraceFor(cert.Slot).prep = prep.TC
+		s.tc = prep.TC
 	}
-	if cur, ok := r.accepted[cert.Slot]; !ok || prep.View >= cur.View {
-		r.accepted[cert.Slot] = prep
-	}
+	s.accept(prep)
 	r.persistMessage(recCommitted, prep)
 	r.persistSync()
 	r.m.certApplied.Inc()
@@ -817,25 +790,29 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 // under its execute span, taking periodic checkpoints.
 func (r *Replica) execute() {
 	for {
-		slot, reqs, ok := r.ledger.Next()
+		n, reqs, ok := r.ledger.Next()
 		if !ok {
 			return
 		}
+		// A slot executes under a span when it has a round in this
+		// view or a certificate's trace context; one accepted while
+		// spans were off roots a trace of its own.
 		var es obs.Active
-		if st := r.traces[slot]; st != nil {
-			parent := st.quorum.Context()
-			if parent.Zero() {
-				parent = st.prep // lazy replication: no quorum span
+		s := r.slots[n]
+		if s != nil && (s.prep != nil || !s.tc.Zero()) {
+			parent := s.tc // lazy replication: no quorum span
+			if s.quorum != nil {
+				parent = s.quorum.Context()
 			}
 			es = r.traceStart("execute", parent)
-			es.SetSlot(slot)
+			es.SetSlot(n)
 		}
 		if len(r.forwarded) > 0 {
 			for _, req := range reqs {
 				delete(r.forwarded, reqKey{req.Client, req.Seq})
 			}
 		}
-		ran := r.ledger.Execute(slot, reqs)
+		ran := r.ledger.Execute(n, reqs)
 		if ran > 0 {
 			r.m.executed.Add(int64(ran))
 		}
@@ -843,9 +820,11 @@ func (r *Replica) execute() {
 			r.env.Metrics().Inc("xpaxos.executed.duplicate", int64(dup))
 		}
 		runtime.TraceEnd(r.env, es)
-		delete(r.traces, slot)
-		r.m.checkpointLag.Set(float64(slot - r.ckpt.Slot))
-		if r.opts.CheckpointInterval > 0 && !r.ledger.Recovering() && slot%r.opts.CheckpointInterval == 0 {
+		if s != nil {
+			s.tc, s.quorum = wire.TraceContext{}, nil
+		}
+		r.m.checkpointLag.Set(float64(n - r.ckpt.Slot))
+		if r.opts.CheckpointInterval > 0 && !r.ledger.Recovering() && n%r.opts.CheckpointInterval == 0 {
 			r.takeCheckpoint()
 		}
 	}
@@ -888,42 +867,49 @@ func (r *Replica) restoreCheckpoint(slot uint64, data []byte) error {
 	return nil
 }
 
-// gcBelow drops per-slot state at or below the stable checkpoint.
-func (r *Replica) gcBelow(slot uint64) {
-	for s := range r.accepted {
-		if s <= slot {
-			delete(r.accepted, s)
+// gcBelow drops per-slot state at or below the stable checkpoint: the
+// accepted prepare, the start time and the trace. A round holding a
+// prepare that has not committed stays, so that inflight still falls
+// when the slot commits.
+func (r *Replica) gcBelow(ckpt uint64) {
+	for n, s := range r.slots {
+		if n > ckpt {
+			continue
 		}
-	}
-	for s, e := range r.entries {
-		if s <= slot && e.committed {
-			delete(r.entries, s)
+		if s.prep == nil || s.committed {
+			delete(r.slots, n)
+			continue
 		}
-	}
-	for s := range r.slotStart {
-		if s <= slot {
-			delete(r.slotStart, s)
-		}
-	}
-	for s := range r.traces {
-		if s <= slot {
-			delete(r.traces, s)
-		}
+		s.accepted, s.started = nil, false
+		s.tc, s.quorum = wire.TraceContext{}, nil
 	}
 }
-
-// LogSize reports the retained per-slot state (accepted prepares), for
-// tests asserting that checkpointing bounds memory.
-func (r *Replica) LogSize() int { return len(r.accepted) }
 
 // CheckpointSlot returns the latest stable checkpoint slot (0 if none).
 func (r *Replica) CheckpointSlot() uint64 { return r.ckpt.Slot }
 
-func (r *Replica) entry(slot uint64) *entry {
-	e, ok := r.entries[slot]
+// slot returns slot n's record, creating it empty.
+func (r *Replica) slot(n uint64) *slot {
+	s, ok := r.slots[n]
 	if !ok {
-		e = &entry{commits: make(map[ids.ProcessID]*wire.Commit)}
-		r.entries[slot] = e
+		s = &slot{}
+		r.slots[n] = s
 	}
-	return e
+	return s
+}
+
+// accept makes p the slot's accepted prepare unless it holds one from
+// a higher view.
+func (s *slot) accept(p *wire.Prepare) {
+	if s.accepted == nil || p.View >= s.accepted.View {
+		s.accepted = p
+	}
+}
+
+// addCommit holds c in the round's COMMIT set.
+func (s *slot) addCommit(c *wire.Commit) {
+	if s.commits == nil {
+		s.commits = make(map[ids.ProcessID]*wire.Commit)
+	}
+	s.commits[c.Replica] = c
 }

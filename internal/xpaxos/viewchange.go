@@ -2,6 +2,7 @@ package xpaxos
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"quorumselect/internal/crypto"
@@ -17,7 +18,7 @@ import (
 // ordered before Q (jumping straight to the first view whose quorum is
 // Q) and cancels its outstanding expectations.
 func (r *Replica) OnQuorum(q ids.Quorum) {
-	target := r.quorumIndex(q)
+	target := slices.IndexFunc(r.enumeration, ids.NewQuorum(q.Members).Equal)
 	if target < 0 {
 		r.env.Metrics().Inc("xpaxos.quorum.unenumerated", 1)
 		return
@@ -79,14 +80,10 @@ func (r *Replica) startViewChange(v uint64) {
 	runtime.Emit(r.env, obs.Event{Type: obs.TypeViewChangeStart, View: v,
 		Detail: r.active.String()})
 	r.detector.CancelScope(Scope)
-	// Reset per-view round state; the accepted log survives. Messages
-	// buffered for an older in-progress view are obsolete. Open
-	// commit-path spans die with the view (never recorded); surviving
-	// slots re-trace when the new leader re-proposes them.
-	r.entries = make(map[uint64]*entry)
+	log := r.closeRounds()
 	r.inflight = 0
+	// Messages buffered for an older in-progress view are obsolete.
 	r.buffered = nil
-	r.traces = make(map[uint64]*slotTrace)
 	// Persist-before-act: the adopted view must be on disk before the
 	// VIEW-CHANGE announces it — a replica that crashes after sending
 	// must not recover into the abandoned view and accept prepares
@@ -101,7 +98,7 @@ func (r *Replica) startViewChange(v uint64) {
 		CheckpointDig:  r.ckpt.Digest,
 		Snapshot:       r.ckpt.Snapshot,
 		Executed:       r.ledger.LastExecuted(),
-		Log:            r.acceptedLog(),
+		Log:            log,
 	}
 	runtime.Sign(r.env, vc)
 	vc.TC = r.vcTrace.Context()
@@ -131,17 +128,26 @@ func (r *Replica) dropStaleVotes() {
 	}
 }
 
-// acceptedLog serializes the highest-view accepted prepares, sorted by
-// slot.
-func (r *Replica) acceptedLog() []wire.LogSlot {
-	slots := make([]uint64, 0, len(r.accepted))
-	for s := range r.accepted {
-		slots = append(slots, s)
+// closeRounds drops every slot's round state — its COMMIT set, and its
+// open commit-path spans, which die unrecorded; surviving slots
+// re-trace when the new leader re-proposes them — and returns the
+// highest-view accepted prepares, sorted by slot, as the VIEW-CHANGE
+// log. A slot left without an accepted prepare held only a round
+// (gcBelow keeps those) and goes.
+func (r *Replica) closeRounds() []wire.LogSlot {
+	nums := make([]uint64, 0, len(r.slots))
+	for n, s := range r.slots {
+		s.round = round{}
+		if s.accepted == nil {
+			delete(r.slots, n)
+			continue
+		}
+		nums = append(nums, n)
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	out := make([]wire.LogSlot, 0, len(slots))
-	for _, s := range slots {
-		out = append(out, wire.LogSlot{Slot: s, Prep: *r.accepted[s]})
+	slices.Sort(nums)
+	out := make([]wire.LogSlot, len(nums))
+	for i, n := range nums {
+		out[i] = wire.LogSlot{Slot: n, Prep: *r.slots[n].accepted}
 	}
 	return out
 }
@@ -332,10 +338,7 @@ func (r *Replica) applyNewView(nv *wire.NewView, floor uint64) {
 	maxSlot := nv.CheckpointSlot
 	for _, ls := range nv.Log {
 		prep := ls.Prep
-		if cur, ok := r.accepted[ls.Slot]; !ok || prep.View >= cur.View {
-			p := prep
-			r.accepted[ls.Slot] = &p
-		}
+		r.slot(ls.Slot).accept(&prep)
 		if ls.Slot > maxSlot {
 			maxSlot = ls.Slot
 		}

@@ -6,6 +6,7 @@ import (
 
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
+	"quorumselect/internal/quorum"
 	"quorumselect/internal/wire"
 )
 
@@ -31,4 +32,27 @@ func TestStableCheckpointChecksSnapshotDigest(t *testing.T) {
 			t.Fatalf("stable checkpoint %d with snapshot %q, want 8 with %q", slot, snap, honest)
 		}
 	}
+}
+
+// TestThresholdEnumeration: a threshold system's views walk every
+// size-q subset in lexicographic order, and one with more than
+// quorum.MaxThresholdQuorums of them is refused at Attach.
+func TestThresholdEnumeration(t *testing.T) {
+	cfg := ids.MustConfig(7, 2)
+	got := enumerationFor(quorum.FromConfig(cfg))
+	want := ids.EnumerateQuorums(cfg.N, cfg.Q())
+	if len(got) != len(want) {
+		t.Fatalf("%d quorums enumerated, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("view %d maps to %s, want %s", i, got[i], want[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a threshold system of C(23, 13) quorums was enumerated")
+		}
+	}()
+	enumerationFor(quorum.FromConfig(ids.MustConfig(23, 10)))
 }
