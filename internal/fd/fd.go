@@ -178,6 +178,9 @@ type expectation struct {
 	// rearm is the heartbeater whose standing expectation this is: a
 	// match re-issues it.
 	rearm *Heartbeater
+	// first backs the expects list of a target that had none when this
+	// expectation was issued, so a fresh target costs one allocation.
+	first [1]*expectation
 }
 
 // Detector is the failure-detector module of one process.
@@ -383,7 +386,11 @@ func (d *Detector) expect(scope string, from ids.ProcessID, key Key, rearm *Hear
 	}
 	d.front(from)
 	d.queues[from-1] = append(d.queues[from-1], e)
-	d.expects[e.target] = append(d.expects[e.target], e)
+	list, ok := d.expects[e.target]
+	if !ok {
+		list = e.first[:0]
+	}
+	d.expects[e.target] = append(list, e)
 	d.pending++
 	d.m.issued.Inc()
 	d.armBy(e.deadline)
