@@ -22,7 +22,11 @@
 // wait with a timer of its own.
 package storage
 
-import "errors"
+import (
+	"errors"
+
+	"quorumselect/internal/metrics"
+)
 
 // Backend is the minimal filesystem surface the Store needs. Names are
 // flat (no directories). Create truncates; the Store never appends to
@@ -49,13 +53,6 @@ type File interface {
 	Close() error
 }
 
-// Metrics is the slice of the metrics registry the Store uses,
-// satisfied by *metrics.Registry.
-type Metrics interface {
-	Inc(name string, delta int64)
-	Observe(name string, v float64)
-}
-
 var (
 	// ErrClosed is returned by operations on a closed Store.
 	ErrClosed = errors.New("storage: store closed")
@@ -79,8 +76,9 @@ type Options struct {
 	// SyncEvery forces a synchronous fsync once this many appended
 	// records are pending. Default 32.
 	SyncEvery int
-	// Metrics receives storage.* counters and histograms. May be nil.
-	Metrics Metrics
+	// Metrics receives storage.* counters and histograms. Nil gives the
+	// Store a registry of its own, which nothing reads.
+	Metrics *metrics.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -89,6 +87,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 32
+	}
+	if o.Metrics == nil {
+		o.Metrics = metrics.NewRegistry()
 	}
 	return o
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"quorumselect/internal/metrics"
 )
 
 // Store is a recovered, writable durable log: the WAL plus its newest
@@ -32,6 +34,15 @@ type Store struct {
 
 	closed bool
 	buf    []byte // frame scratch, reused across appends
+
+	m storeMetrics
+}
+
+// storeMetrics are the series every Append and Sync writes, resolved at
+// Open; recovery, rotation and snapshots stay name-keyed.
+type storeMetrics struct {
+	appends, appendBytes, fsyncs *metrics.CounterHandle
+	batchSize, fsyncLatency      *metrics.HistHandle
 }
 
 // Open recovers durable state from the backend and returns a Store
@@ -42,6 +53,14 @@ type Store struct {
 // recovery sees a clean tail.
 func Open(b Backend, o Options) (*Store, error) {
 	s := &Store{b: b, o: o.withDefaults()}
+	reg := s.o.Metrics
+	s.m = storeMetrics{
+		appends:      reg.CounterHandle("storage.wal.appends"),
+		appendBytes:  reg.CounterHandle("storage.wal.append_bytes"),
+		fsyncs:       reg.CounterHandle("storage.fsyncs"),
+		batchSize:    reg.HistHandle("storage.fsync.batch_size"),
+		fsyncLatency: reg.HistHandle("storage.fsync.latency.seconds"),
+	}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -92,7 +111,7 @@ func (s *Store) recover() error {
 	// accumulate across crashes.
 	for _, name := range names {
 		if strings.HasSuffix(name, tmpSuffix) {
-			s.inc("storage.recover.tmp_removed", 1)
+			s.o.Metrics.Inc("storage.recover.tmp_removed", 1)
 			_ = s.b.Remove(name)
 		}
 	}
@@ -114,7 +133,7 @@ func (s *Store) recover() error {
 				break
 			}
 		}
-		s.inc("storage.recover.snapshot_fallbacks", 1)
+		s.o.Metrics.Inc("storage.recover.snapshot_fallbacks", 1)
 		_ = s.b.Remove(snapName(idx))
 	}
 
@@ -145,8 +164,8 @@ func (s *Store) recover() error {
 			expected++
 		}
 		if valid < len(data) {
-			s.inc("storage.recover.torn_frames", 1)
-			s.inc("storage.recover.truncated_bytes", int64(len(data)-valid))
+			s.o.Metrics.Inc("storage.recover.torn_frames", 1)
+			s.o.Metrics.Inc("storage.recover.truncated_bytes", int64(len(data)-valid))
 			if err := s.repairSegment(first, data[:valid]); err != nil {
 				return err
 			}
@@ -156,7 +175,7 @@ func (s *Store) recover() error {
 	}
 	if replayedAt >= 0 {
 		for _, first := range segs[replayedAt:] {
-			s.inc("storage.recover.dropped_segments", 1)
+			s.o.Metrics.Inc("storage.recover.dropped_segments", 1)
 			_ = s.b.Remove(segName(first))
 		}
 	}
@@ -172,13 +191,13 @@ func (s *Store) recover() error {
 	if len(records) > 0 {
 		firstKept := expected - uint64(len(records))
 		if firstKept > s.snapIndex {
-			s.inc("storage.recover.gap_dropped_records", int64(len(records)))
+			s.o.Metrics.Inc("storage.recover.gap_dropped_records", int64(len(records)))
 			records = nil
 			for _, first := range segs {
 				// Segments past a torn frame were already removed above;
 				// only count the ones this pass actually deletes.
 				if s.b.Remove(segName(first)) == nil {
-					s.inc("storage.recover.dropped_segments", 1)
+					s.o.Metrics.Inc("storage.recover.dropped_segments", 1)
 				}
 			}
 			expected = s.snapIndex
@@ -194,8 +213,8 @@ func (s *Store) recover() error {
 		out[i] = append([]byte(nil), rec...)
 	}
 	s.recRecords = out
-	s.inc("storage.recover.runs", 1)
-	s.inc("storage.recover.records", int64(len(out)))
+	s.o.Metrics.Inc("storage.recover.runs", 1)
+	s.o.Metrics.Inc("storage.recover.records", int64(len(out)))
 	return nil
 }
 
@@ -263,8 +282,8 @@ func (s *Store) Append(rec []byte) error {
 	s.curSize += len(s.buf)
 	s.nextIndex++
 	s.pending++
-	s.inc("storage.wal.appends", 1)
-	s.inc("storage.wal.append_bytes", int64(len(rec)))
+	s.m.appends.Inc()
+	s.m.appendBytes.Add(int64(len(rec)))
 	if s.pending >= s.o.SyncEvery {
 		return s.syncLocked()
 	}
@@ -291,9 +310,9 @@ func (s *Store) syncLocked() error {
 	batch := s.pending
 	start := time.Now()
 	err := s.cur.Sync()
-	s.inc("storage.fsyncs", 1)
-	s.observe("storage.fsync.batch_size", float64(batch))
-	s.observe("storage.fsync.latency.seconds", time.Since(start).Seconds())
+	s.m.fsyncs.Inc()
+	s.m.batchSize.Observe(float64(batch))
+	s.m.fsyncLatency.Observe(time.Since(start).Seconds())
 	s.pending = 0
 	if err != nil {
 		s.fail = err
@@ -313,7 +332,7 @@ func (s *Store) rotateLocked() error {
 		}
 		s.cur = nil
 		s.curSize = 0
-		s.inc("storage.wal.rotations", 1)
+		s.o.Metrics.Inc("storage.wal.rotations", 1)
 	}
 	f, err := s.b.Create(segName(s.nextIndex))
 	if err != nil {
@@ -380,8 +399,8 @@ func (s *Store) WriteSnapshot(payload []byte) error {
 	}
 	prevSnap := s.snapIndex
 	s.snapIndex = idx
-	s.inc("storage.snapshot.writes", 1)
-	s.inc("storage.snapshot.bytes", int64(len(payload)))
+	s.o.Metrics.Inc("storage.snapshot.writes", 1)
+	s.o.Metrics.Inc("storage.snapshot.bytes", int64(len(payload)))
 
 	// Cleanup is best-effort: leftovers are re-collected next time.
 	if names, lerr := s.b.List(); lerr == nil {
@@ -424,16 +443,4 @@ func (s *Store) Close() error {
 		return s.fail
 	}
 	return err
-}
-
-func (s *Store) inc(name string, delta int64) {
-	if s.o.Metrics != nil {
-		s.o.Metrics.Inc(name, delta)
-	}
-}
-
-func (s *Store) observe(name string, v float64) {
-	if s.o.Metrics != nil {
-		s.o.Metrics.Observe(name, v)
-	}
 }
