@@ -177,6 +177,9 @@ func parseSlices(rest string) (System, error) {
 			if err != nil {
 				return nil, err
 			}
+			if v < 0 {
+				return nil, fmt.Errorf("quorum: slices spec n=%d is negative", v)
+			}
 			n = v
 			continue
 		}

@@ -52,6 +52,7 @@ func TestParseSpecRejections(t *testing.T) {
 		"threshold:n=129;f=1",          // beyond MaxSpecN
 		"slices:n=0000010000000000000", // beyond MaxSpecN: no 10¹³-process allocation
 		"slices:1={1000000000000}",     // n taken from the largest member
+		"slices:n=-1",
 		"weighted:w=" + strings.Repeat("1,", 64) + "1;t=3", // 65 weights
 		"threshold:n=4;f=one",
 		"weighted:t=3",           // no weights
