@@ -528,13 +528,14 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage obs.Active) {
 }
 
 // waitQuorum opens the slot's quorum-wait span under parent, once its
-// COMMIT is out.
+// COMMIT is out. Only a traced span goes to the heap.
 func (r *Replica) waitQuorum(s *slot, parent wire.TraceContext, n, view uint64) {
 	s.quorum = nil
 	if q := r.traceStart("quorum", parent); q.Traced() {
-		q.SetSlot(n)
-		q.SetView(view)
-		s.quorum = &q
+		span := q
+		span.SetSlot(n)
+		span.SetView(view)
+		s.quorum = &span
 	}
 }
 
