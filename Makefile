@@ -149,6 +149,8 @@ quorum-check:
 # FuzzDurableRestore targets feed arbitrary bytes to every restore of
 # local durable bytes: XPaxos's checkpoint, durable snapshot, WAL
 # records and KV snapshot, and the host's suspicion section and records.
+# FuzzProcSet runs random set-operation sequences on ids.ProcSet against
+# the map-backed set it replaced.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuorumSpec$$' -fuzztime 20s ./internal/quorum/
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorMatch$$' -fuzztime 20s ./internal/fd/
@@ -157,6 +159,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderPrimitives$$' -fuzztime 20s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDurableRestore$$' -fuzztime 20s ./internal/xpaxos/
 	$(GO) test -run '^$$' -fuzz '^FuzzDurableRestore$$' -fuzztime 20s ./internal/host/
+	$(GO) test -run '^$$' -fuzz '^FuzzProcSet$$' -fuzztime 20s ./internal/ids/
 
 # cover runs the full suite with a coverage profile and prints the
 # total-coverage summary line.

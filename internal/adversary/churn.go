@@ -225,9 +225,6 @@ func RunFollowerChurn(net *sim.Network, nodes map[ids.ProcessID]*follower.Node, 
 	// Each faulty process accumulates its (false) suspicions: a real
 	// attacker keeps its published row maximal.
 	suspecting := make(map[ids.ProcessID]ids.ProcSet)
-	for _, p := range faulty.Sorted() {
-		suspecting[p] = ids.NewProcSet()
-	}
 
 	var res ChurnResult
 	settle := func() { net.Run(net.Now() + opts.SettleTime) }
@@ -239,7 +236,7 @@ func RunFollowerChurn(net *sim.Network, nodes map[ids.ProcessID]*follower.Node, 
 		// Pick a faulty process that has not yet suspected this leader
 		// in this epoch.
 		var attacker ids.ProcessID
-		for _, x := range faulty.Sorted() {
+		for x := faulty.Next(ids.None); x != ids.None; x = faulty.Next(x) {
 			if x == leader {
 				continue
 			}
@@ -252,8 +249,10 @@ func RunFollowerChurn(net *sim.Network, nodes map[ids.ProcessID]*follower.Node, 
 			break // no move changes anything
 		}
 		res.Injections++
-		suspecting[attacker].Add(leader)
-		nodes[attacker].Selector.OnSuspected(suspecting[attacker].Clone())
+		s := suspecting[attacker]
+		s.Add(leader)
+		suspecting[attacker] = s
+		nodes[attacker].Selector.OnSuspected(s)
 		settle()
 		// An injection that moved nothing (e.g. the attacker's star is
 		// saturated in the line subgraph) is not retried: the stamp

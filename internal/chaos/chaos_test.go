@@ -34,7 +34,7 @@ func TestScenarioRespectsFBound(t *testing.T) {
 	cfg := ids.MustConfig(7, 2)
 	for seed := int64(0); seed < 100; seed++ {
 		sc := GenerateScenario(cfg, seed, nil, false, 8e9)
-		if got := len(sc.Faulty.Sorted()); got > cfg.F {
+		if got := sc.Faulty.Len(); got > cfg.F {
 			t.Fatalf("seed %d: %d faulty processes exceeds f=%d", seed, got, cfg.F)
 		}
 	}

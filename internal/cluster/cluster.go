@@ -81,7 +81,7 @@ type Cluster struct {
 	build    Builder
 	members  map[ids.ProcessID][]Member
 	backends map[ids.ProcessID]*storage.MemBackend
-	down     map[ids.ProcessID]bool
+	down     ids.ProcSet
 }
 
 // New builds every member and boots the network. With shards > 1 each
@@ -93,7 +93,6 @@ func New(cfg ids.Config, shards int, build Builder, opts sim.Options) *Cluster {
 		build:    build,
 		members:  make(map[ids.ProcessID][]Member, cfg.N),
 		backends: make(map[ids.ProcessID]*storage.MemBackend, cfg.N),
-		down:     make(map[ids.ProcessID]bool),
 	}
 	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
 	for _, p := range cfg.All() {
@@ -145,7 +144,7 @@ func (c *Cluster) process(p ids.ProcessID) runtime.Node {
 		ms[s] = c.build(Site{Proc: p, Shard: s, Backend: c.backends[p]})
 		if ms[s].Node == nil {
 			ms[s].Node = silent{}
-			c.down[p] = true
+			c.down.Add(p)
 		}
 		return ms[s].Node
 	}
@@ -165,7 +164,7 @@ func (silent) Receive(ids.ProcessID, wire.Message) {}
 func (c *Cluster) Member(p ids.ProcessID, shard int) Member { return c.members[p][shard] }
 
 // Running reports whether p is up (built with a node and not crashed).
-func (c *Cluster) Running(p ids.ProcessID) bool { return !c.down[p] }
+func (c *Cluster) Running(p ids.ProcessID) bool { return !c.down.Contains(p) }
 
 // Crash takes p down through the host lifecycle. A hard crash models
 // power loss: the backend first drops every write that was not durably
@@ -175,7 +174,7 @@ func (c *Cluster) Crash(p ids.ProcessID, hard bool) {
 	if hard {
 		c.backends[p].Crash()
 	}
-	c.down[p] = true
+	c.down.Add(p)
 	c.Net.StopProcess(p)
 }
 
@@ -183,7 +182,7 @@ func (c *Cluster) Crash(p ids.ProcessID, hard bool) {
 // the only state that legitimately survives a crash. A composition that
 // ignores the backend comes back with total amnesia.
 func (c *Cluster) Restart(p ids.ProcessID) {
-	delete(c.down, p)
+	c.down.Remove(p)
 	c.Net.ReplaceProcess(p, c.process(p))
 }
 
@@ -197,7 +196,7 @@ func (c *Cluster) Submit(shard int, req *wire.Request, avoid ids.ProcSet) bool {
 	var entry *Member
 	for _, p := range c.cfg.All() {
 		m := &c.members[p][shard]
-		if c.down[p] || m.Submit == nil || avoid.Contains(p) {
+		if c.down.Contains(p) || m.Submit == nil || avoid.Contains(p) {
 			continue
 		}
 		if entry == nil {

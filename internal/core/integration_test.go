@@ -53,7 +53,7 @@ func runRandomScenario(t *testing.T, seed int64) {
 	var filters []sim.Filter
 	crashed := ids.NewProcSet()
 	classes := make(map[ids.ProcessID]string, f)
-	for _, p := range faulty.Sorted() {
+	for _, p := range faulty.Members() {
 		one := ids.NewProcSet(p)
 		switch mode := rng.Intn(4); mode {
 		case 0:
@@ -141,7 +141,7 @@ func runRandomScenario(t *testing.T, seed int64) {
 	}
 
 	// A permanently crashed process must have been excluded.
-	for _, p := range crashed.Sorted() {
+	for _, p := range crashed.Members() {
 		if want.Contains(p) {
 			t.Errorf("final quorum %s contains crashed %s", want, p)
 		}

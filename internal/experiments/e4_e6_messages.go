@@ -174,7 +174,7 @@ func runE5(n, f int, useQS bool) int {
 	net.RunUntil(func() bool {
 		for _, r := range replicas {
 			q := r.ActiveQuorum()
-			for _, c := range crashed.Sorted() {
+			for c := crashed.Next(ids.None); c != ids.None; c = crashed.Next(c) {
 				if q.Contains(c) {
 					return false
 				}

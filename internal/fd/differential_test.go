@@ -297,7 +297,7 @@ func (d *refDetector) cancelWhere(drop func(*refExpectation) bool) {
 			Detail: fmt.Sprintf("canceled=%d", dropped)})
 	}
 	if !d.Suspected().Equal(before) {
-		for _, p := range before.Sorted() {
+		for p := before.Next(ids.None); p != ids.None; p = before.Next(p) {
 			if !d.suspectedNow(p) {
 				d.canceled[p]++
 				delete(d.firstSuspectedAt, p)

@@ -200,7 +200,7 @@ type Detector struct {
 	overdue  []int
 	pending  int
 	issued   uint64
-	detected map[ids.ProcessID]bool
+	detected ids.ProcSet
 	timeout  map[ids.ProcessID]time.Duration
 
 	// raised/canceled counters, used to distinguish the paper's
@@ -246,7 +246,6 @@ func New(opts Options) *Detector {
 	return &Detector{
 		opts:             opts,
 		expects:          make(map[target][]*expectation),
-		detected:         make(map[ids.ProcessID]bool),
 		timeout:          make(map[ids.ProcessID]time.Duration),
 		raised:           make(map[ids.ProcessID]int),
 		canceled:         make(map[ids.ProcessID]int),
@@ -491,10 +490,10 @@ func (d *Detector) retire(e *expectation) {
 // Detected is the paper's ⟨DETECTED, i⟩: the application found a proof
 // of misbehavior; i is suspected forever.
 func (d *Detector) Detected(i ids.ProcessID) {
-	if d.detected[i] {
+	if d.detected.Contains(i) {
 		return
 	}
-	d.detected[i] = true
+	d.detected.Add(i)
 	d.raised[i]++
 	d.env.Metrics().Inc("fd.detected", 1)
 	// Suspected → detected span, when a timeout suspicion preceded the
@@ -549,7 +548,7 @@ func (d *Detector) cancelWhere(drop func(*expectation) bool) {
 			Detail: fmt.Sprintf("canceled=%d", dropped)})
 	}
 	if !d.Suspected().Equal(before) {
-		for _, p := range before.Sorted() {
+		for p := before.Next(ids.None); p != ids.None; p = before.Next(p) {
 			if !d.suspectedNow(p) {
 				d.canceled[p]++
 				delete(d.firstSuspectedAt, p)
@@ -587,10 +586,7 @@ func (d *Detector) Close() {
 // Suspected returns the current suspicion set S: every process with an
 // overdue expectation plus every detected process.
 func (d *Detector) Suspected() ids.ProcSet {
-	s := ids.NewProcSet()
-	for p := range d.detected {
-		s.Add(p)
-	}
+	s := d.detected
 	for i, n := range d.overdue {
 		if n > 0 {
 			s.Add(ids.ProcessID(i + 1))
@@ -603,7 +599,7 @@ func (d *Detector) Suspected() ids.ProcSet {
 func (d *Detector) IsSuspected(i ids.ProcessID) bool { return d.suspectedNow(i) }
 
 // IsDetected reports whether i has been permanently detected.
-func (d *Detector) IsDetected(i ids.ProcessID) bool { return d.detected[i] }
+func (d *Detector) IsDetected(i ids.ProcessID) bool { return d.detected.Contains(i) }
 
 // SuspicionsRaised returns how many times i has been newly suspected —
 // the experiment harness uses it to distinguish the paper's eventual
@@ -619,7 +615,7 @@ func (d *Detector) SuspicionsCanceled(i ids.ProcessID) int { return d.canceled[i
 func (d *Detector) PendingExpectations() int { return d.pending }
 
 func (d *Detector) suspectedNow(i ids.ProcessID) bool {
-	if d.detected[i] {
+	if d.detected.Contains(i) {
 		return true
 	}
 	return i >= 1 && int(i) <= len(d.overdue) && d.overdue[i-1] > 0

@@ -30,7 +30,7 @@ func (n *fdNode) Init(env runtime.Env) {
 	n.d = fd.New(n.opts)
 	n.d.Bind(env,
 		func(from ids.ProcessID, m wire.Message) { n.delivered = append(n.delivered, m) },
-		func(s ids.ProcSet) { n.snapshots = append(n.snapshots, s.Clone()) },
+		func(s ids.ProcSet) { n.snapshots = append(n.snapshots, s) },
 	)
 	if n.hbPeriod > 0 {
 		n.hb = fd.NewHeartbeater(n.d, n.hbPeriod)

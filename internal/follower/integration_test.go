@@ -44,7 +44,7 @@ func runRandomFollowerScenario(t *testing.T, seed int64) {
 	var filters []sim.Filter
 	crashed := ids.NewProcSet()
 	classes := make(map[ids.ProcessID]string, f)
-	for _, p := range faulty.Sorted() {
+	for _, p := range faulty.Members() {
 		one := ids.NewProcSet(p)
 		switch rng.Intn(3) {
 		case 0:

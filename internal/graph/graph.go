@@ -11,22 +11,24 @@
 // is the only way to guarantee the deterministic lexicographic choice
 // the algorithms rely on for agreement.
 //
-// Adjacency rows are multi-word bitsets (see bitset.go), so graphs
-// scale to MaxNodes = 1024 processes while the branch-and-bound inner
-// loops stay word-parallel and allocation-free.
+// Adjacency rows are multi-word bit vectors run on the ids word kernels
+// (bit i of row u is the edge to p_{i+1}), so graphs scale to MaxNodes
+// processes while the branch-and-bound inner loops stay word-parallel
+// and allocation-free.
 package graph
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"quorumselect/internal/ids"
 )
 
-// MaxNodes bounds graph sizes; adjacency rows are multi-word bitsets,
-// so the bound is a sanity limit rather than a representation limit.
-const MaxNodes = 1024
+// MaxNodes bounds graph sizes. It is ids.MaxN, the capacity of a
+// process set, so every set of graph nodes is an ids.ProcSet.
+const MaxNodes = ids.MaxN
 
 // Edge is an undirected edge between two processes. By convention the
 // stored form has U < V; Normalize enforces it.
@@ -50,8 +52,8 @@ func (e Edge) String() string { return fmt.Sprintf("(%s,%s)", e.U, e.V) }
 type Graph struct {
 	n     int
 	words int
-	adj   []bitset // adj[i] is the neighbor bitset of p_{i+1}
-	back  []uint64 // flat backing array for all rows (one allocation)
+	adj   [][]uint64 // adj[i] is the neighbor row of p_{i+1}
+	back  []uint64   // flat backing array for all rows (one allocation)
 }
 
 // New returns an empty graph on n nodes. It panics if n is outside
@@ -60,9 +62,9 @@ func New(n int) *Graph {
 	if n <= 0 || n > MaxNodes {
 		panic(fmt.Sprintf("graph: node count %d outside (0,%d]", n, MaxNodes))
 	}
-	words := wordsFor(n)
+	words := ids.WordsFor(n)
 	back := make([]uint64, n*words)
-	adj := make([]bitset, n)
+	adj := make([][]uint64, n)
 	for i := range adj {
 		adj[i] = back[i*words : (i+1)*words]
 	}
@@ -79,9 +81,9 @@ func (g *Graph) check(p ids.ProcessID) int {
 	return int(p) - 1
 }
 
-// row exposes the raw adjacency bitset of node index i to package
+// row exposes the raw adjacency row of node index i to package
 // siblings (line.go); callers must not mutate it.
-func (g *Graph) row(i int) bitset { return g.adj[i] }
+func (g *Graph) row(i int) []uint64 { return g.adj[i] }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops are ignored
 // (a process suspecting itself carries no information for selection).
@@ -90,8 +92,8 @@ func (g *Graph) AddEdge(u, v ids.ProcessID) {
 		return
 	}
 	ui, vi := g.check(u), g.check(v)
-	g.adj[ui].set(vi)
-	g.adj[vi].set(ui)
+	ids.SetBit(g.adj[ui], vi)
+	ids.SetBit(g.adj[vi], ui)
 }
 
 // RemoveEdge deletes the undirected edge {u, v} if present.
@@ -100,8 +102,8 @@ func (g *Graph) RemoveEdge(u, v ids.ProcessID) {
 		return
 	}
 	ui, vi := g.check(u), g.check(v)
-	g.adj[ui].clear(vi)
-	g.adj[vi].clear(ui)
+	ids.ClearBit(g.adj[ui], vi)
+	ids.ClearBit(g.adj[vi], ui)
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -110,19 +112,19 @@ func (g *Graph) HasEdge(u, v ids.ProcessID) bool {
 		return false
 	}
 	ui, vi := g.check(u), g.check(v)
-	return g.adj[ui].test(vi)
+	return ids.TestBit(g.adj[ui], vi)
 }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u ids.ProcessID) int {
-	return g.adj[g.check(u)].onesCount()
+	return ids.OnesCount(g.adj[g.check(u)])
 }
 
 // Neighbors returns the sorted neighbors of u.
 func (g *Graph) Neighbors(u ids.ProcessID) []ids.ProcessID {
 	row := g.adj[g.check(u)]
 	var out []ids.ProcessID
-	for i := row.nextSetBit(0, g.n); i < g.n; i = row.nextSetBit(i+1, g.n) {
+	for i := ids.NextSetBit(row, 0, g.n); i < g.n; i = ids.NextSetBit(row, i+1, g.n) {
 		out = append(out, ids.ProcessID(i+1))
 	}
 	return out
@@ -133,7 +135,7 @@ func (g *Graph) Edges() []Edge {
 	var out []Edge
 	for i := 0; i < g.n; i++ {
 		row := g.adj[i]
-		for j := row.nextSetBit(i+1, g.n); j < g.n; j = row.nextSetBit(j+1, g.n) {
+		for j := ids.NextSetBit(row, i+1, g.n); j < g.n; j = ids.NextSetBit(row, j+1, g.n) {
 			out = append(out, Edge{U: ids.ProcessID(i + 1), V: ids.ProcessID(j + 1)})
 		}
 	}
@@ -144,7 +146,7 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) EdgeCount() int {
 	total := 0
 	for _, row := range g.adj {
-		total += row.onesCount()
+		total += ids.OnesCount(row)
 	}
 	return total / 2
 }
@@ -183,12 +185,12 @@ func (g *Graph) String() string {
 func (g *Graph) IsIndependentSet(set []ids.ProcessID) bool {
 	scratch := getScratch(g.words)
 	defer putScratch(scratch)
-	mask := bitset(*scratch)
+	mask := *scratch
 	for _, p := range set {
-		mask.set(g.check(p))
+		ids.SetBit(mask, g.check(p))
 	}
 	for _, p := range set {
-		if g.adj[g.check(p)].intersects(mask) {
+		if ids.Intersects(g.adj[g.check(p)], mask) {
 			return false
 		}
 	}
@@ -200,17 +202,17 @@ func (g *Graph) IsIndependentSet(set []ids.ProcessID) bool {
 func (g *Graph) IsVertexCover(set []ids.ProcessID) bool {
 	scratch := getScratch(g.words)
 	defer putScratch(scratch)
-	mask := bitset(*scratch)
+	mask := *scratch
 	for _, p := range set {
-		mask.set(g.check(p))
+		ids.SetBit(mask, g.check(p))
 	}
 	for i := 0; i < g.n; i++ {
-		if mask.test(i) {
+		if ids.TestBit(mask, i) {
 			continue
 		}
 		// Node i is outside the cover: all its edges must be covered
 		// by the other endpoint.
-		if g.adj[i].anyAndNot(mask) {
+		if ids.AnyAndNot(g.adj[i], mask) {
 			return false
 		}
 	}
@@ -228,7 +230,7 @@ func (g *Graph) firstISet(q int, chosen []int) bool {
 	depth := 0
 	// conflict(d) is the set of nodes excluded at depth d: everything
 	// chosen so far plus all its neighbors.
-	conflict := func(d int) bitset { return buf[d*g.words : (d+1)*g.words] }
+	conflict := func(d int) []uint64 { return buf[d*g.words : (d+1)*g.words] }
 	var walk func(next int) bool
 	walk = func(next int) bool {
 		if depth == q {
@@ -236,12 +238,12 @@ func (g *Graph) firstISet(q int, chosen []int) bool {
 		}
 		c := conflict(depth)
 		// Prune: not enough candidates left.
-		for v := c.nextClearBit(next, g.n); v <= g.n-(q-depth); v = c.nextClearBit(v+1, g.n) {
+		for v := ids.NextClearBit(c, next, g.n); v <= g.n-(q-depth); v = ids.NextClearBit(c, v+1, g.n) {
 			chosen[depth] = v
 			nc := conflict(depth + 1)
-			nc.copyFrom(c)
-			nc.orWith(g.adj[v])
-			nc.set(v)
+			copy(nc, c)
+			ids.OrWords(nc, g.adj[v])
+			ids.SetBit(nc, v)
 			depth++
 			if walk(v + 1) {
 				return true
@@ -304,7 +306,7 @@ func (g *Graph) AllIndependentSets(q int) [][]ids.ProcessID {
 	buf := *scratch
 	chosen := make([]int, q)
 	depth := 0
-	conflict := func(d int) bitset { return buf[d*g.words : (d+1)*g.words] }
+	conflict := func(d int) []uint64 { return buf[d*g.words : (d+1)*g.words] }
 	var walk func(next int)
 	walk = func(next int) {
 		if depth == q {
@@ -316,12 +318,12 @@ func (g *Graph) AllIndependentSets(q int) [][]ids.ProcessID {
 			return
 		}
 		c := conflict(depth)
-		for v := c.nextClearBit(next, g.n); v <= g.n-(q-depth); v = c.nextClearBit(v+1, g.n) {
+		for v := ids.NextClearBit(c, next, g.n); v <= g.n-(q-depth); v = ids.NextClearBit(c, v+1, g.n) {
 			chosen[depth] = v
 			nc := conflict(depth + 1)
-			nc.copyFrom(c)
-			nc.orWith(g.adj[v])
-			nc.set(v)
+			copy(nc, c)
+			ids.OrWords(nc, g.adj[v])
+			ids.SetBit(nc, v)
 			depth++
 			walk(v + 1)
 			depth--
@@ -365,7 +367,7 @@ func (g *Graph) FirstWeightedIndependentSet(weights []int, target int) (set []id
 	defer putScratch(scratch)
 	buf := *scratch
 	chosen := make([]int, 0, g.n)
-	conflict := func(d int) bitset { return buf[d*g.words : (d+1)*g.words] }
+	conflict := func(d int) []uint64 { return buf[d*g.words : (d+1)*g.words] }
 	var walk func(next, sum int) bool
 	walk = func(next, sum int) bool {
 		if sum >= target {
@@ -377,7 +379,7 @@ func (g *Graph) FirstWeightedIndependentSet(weights []int, target int) (set []id
 			return true
 		}
 		c := conflict(len(chosen))
-		for v := c.nextClearBit(next, g.n); v < g.n; v = c.nextClearBit(v+1, g.n) {
+		for v := ids.NextClearBit(c, next, g.n); v < g.n; v = ids.NextClearBit(c, v+1, g.n) {
 			if weights[v] <= 0 {
 				continue
 			}
@@ -385,9 +387,9 @@ func (g *Graph) FirstWeightedIndependentSet(weights []int, target int) (set []id
 				return false // even taking everything from v on falls short
 			}
 			nc := conflict(len(chosen) + 1)
-			nc.copyFrom(c)
-			nc.orWith(g.adj[v])
-			nc.set(v)
+			copy(nc, c)
+			ids.OrWords(nc, g.adj[v])
+			ids.SetBit(nc, v)
 			chosen = append(chosen, v)
 			if walk(v+1, sum+weights[v]) {
 				return true
@@ -414,10 +416,10 @@ func (g *Graph) PruneEdges(keep func(u, v ids.ProcessID) bool) int {
 	removed := 0
 	for i := 0; i < g.n; i++ {
 		row := g.adj[i]
-		for j := row.nextSetBit(i+1, g.n); j < g.n; j = row.nextSetBit(j+1, g.n) {
+		for j := ids.NextSetBit(row, i+1, g.n); j < g.n; j = ids.NextSetBit(row, j+1, g.n) {
 			if !keep(ids.ProcessID(i+1), ids.ProcessID(j+1)) {
-				row.clear(j)
-				g.adj[j].clear(i)
+				ids.ClearBit(row, j)
+				ids.ClearBit(g.adj[j], i)
 				removed++
 			}
 		}
@@ -438,3 +440,28 @@ func SortEdges(es []Edge) {
 		return es[i].V < es[j].V
 	})
 }
+
+// scratchPool recycles the word buffers the subset searches use for
+// their per-depth conflict sets, keeping the exhaustive inner loops
+// allocation-free across calls.
+var scratchPool = sync.Pool{
+	New: func() any {
+		s := make([]uint64, 0, 256)
+		return &s
+	},
+}
+
+// getScratch returns a zeroed word buffer of at least size words.
+func getScratch(size int) *[]uint64 {
+	p := scratchPool.Get().(*[]uint64)
+	if cap(*p) < size {
+		*p = make([]uint64, size)
+	}
+	*p = (*p)[:size]
+	for i := range *p {
+		(*p)[i] = 0
+	}
+	return p
+}
+
+func putScratch(p *[]uint64) { scratchPool.Put(p) }

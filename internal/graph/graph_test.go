@@ -84,7 +84,7 @@ func TestIsIndependentSetAndVertexCover(t *testing.T) {
 	// Complement duality: set independent ⟺ complement is a vertex cover.
 	all := ids.MustConfig(5, 2).All()
 	for _, tt := range tests {
-		comp := ids.FromSlice(all).Minus(ids.FromSlice(tt.set)).Sorted()
+		comp := ids.FromSlice(all).Minus(ids.FromSlice(tt.set)).Members()
 		if got := g.IsVertexCover(comp); got != tt.indep {
 			t.Errorf("IsVertexCover(complement of %v) = %v, want %v", tt.set, got, tt.indep)
 		}

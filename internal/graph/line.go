@@ -254,7 +254,7 @@ func coverLinearForest(g *Graph, m int) (*LineSubgraph, bool) {
 		}
 		up := ids.ProcessID(u)
 		row := g.row(u - 1)
-		for vi := row.nextSetBit(0, n); vi < n; vi = row.nextSetBit(vi+1, n) {
+		for vi := ids.NextSetBit(row, 0, n); vi < n; vi = ids.NextSetBit(row, vi+1, n) {
 			v := ids.ProcessID(vi + 1)
 			if vi+1 == m {
 				continue // node m must keep degree 0

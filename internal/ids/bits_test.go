@@ -1,34 +1,34 @@
-package graph
+package ids
 
 import (
 	"testing"
 )
 
-func newBitsetN(n int) bitset { return make(bitset, wordsFor(n)) }
+func newBitsetN(n int) []uint64 { return make([]uint64, WordsFor(n)) }
 
 func TestBitsetBasics(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 1024} {
 		b := newBitsetN(n)
-		if b.onesCount() != 0 {
+		if OnesCount(b) != 0 {
 			t.Fatalf("n=%d: fresh bitset not empty", n)
 		}
 		for _, i := range []int{0, n / 2, n - 1} {
-			b.set(i)
-			if !b.test(i) {
+			SetBit(b, i)
+			if !TestBit(b, i) {
 				t.Fatalf("n=%d: bit %d not set", n, i)
 			}
 		}
 		want := map[int]bool{0: true, n / 2: true, n - 1: true}
-		if b.onesCount() != len(want) {
-			t.Fatalf("n=%d: onesCount %d want %d", n, b.onesCount(), len(want))
+		if OnesCount(b) != len(want) {
+			t.Fatalf("n=%d: onesCount %d want %d", n, OnesCount(b), len(want))
 		}
 		for i := 0; i < n; i++ {
-			if b.test(i) != want[i] {
-				t.Fatalf("n=%d: test(%d) = %v", n, i, b.test(i))
+			if TestBit(b, i) != want[i] {
+				t.Fatalf("n=%d: test(%d) = %v", n, i, TestBit(b, i))
 			}
 		}
-		b.clear(n / 2)
-		if n > 2 && b.test(n/2) {
+		ClearBit(b, n/2)
+		if n > 2 && TestBit(b, n/2) {
 			t.Fatalf("n=%d: clear failed", n)
 		}
 	}
@@ -38,11 +38,11 @@ func TestBitsetNextSetAndClear(t *testing.T) {
 	n := 200
 	b := newBitsetN(n)
 	for _, i := range []int{3, 63, 64, 100, 199} {
-		b.set(i)
+		SetBit(b, i)
 	}
 	wantSets := []int{3, 63, 64, 100, 199}
 	var got []int
-	for i := b.nextSetBit(0, n); i < n; i = b.nextSetBit(i+1, n) {
+	for i := NextSetBit(b, 0, n); i < n; i = NextSetBit(b, i+1, n) {
 		got = append(got, i)
 	}
 	if len(got) != len(wantSets) {
@@ -56,22 +56,22 @@ func TestBitsetNextSetAndClear(t *testing.T) {
 	// nextClearBit over a fully-set prefix.
 	full := newBitsetN(n)
 	for i := 0; i < 130; i++ {
-		full.set(i)
+		SetBit(full, i)
 	}
-	if got := full.nextClearBit(0, n); got != 130 {
+	if got := NextClearBit(full, 0, n); got != 130 {
 		t.Fatalf("nextClearBit(0) = %d, want 130", got)
 	}
-	if got := full.nextClearBit(130, n); got != 130 {
+	if got := NextClearBit(full, 130, n); got != 130 {
 		t.Fatalf("nextClearBit(130) = %d, want 130", got)
 	}
 	allSet := newBitsetN(n)
 	for i := 0; i < n; i++ {
-		allSet.set(i)
+		SetBit(allSet, i)
 	}
-	if got := allSet.nextClearBit(0, n); got != n {
+	if got := NextClearBit(allSet, 0, n); got != n {
 		t.Fatalf("nextClearBit on full set = %d, want %d", got, n)
 	}
-	if got := b.nextSetBit(n, n); got != n {
+	if got := NextSetBit(b, n, n); got != n {
 		t.Fatalf("nextSetBit(from=n) = %d, want %d", got, n)
 	}
 }
@@ -105,28 +105,28 @@ func FuzzBitsetKernels(f *testing.F) {
 				idx := (i*8 + j) % n
 				if by&(1<<uint(j)) != 0 {
 					if i%2 == 0 {
-						a.set(idx)
+						SetBit(a, idx)
 						am[idx] = true
 					} else {
-						b.set(idx)
+						SetBit(b, idx)
 						bm[idx] = true
 					}
 				}
 			}
 		}
-		check := func(name string, got bitset, model []bool) {
+		check := func(name string, got []uint64, model []bool) {
 			t.Helper()
 			count := 0
 			for i := 0; i < n; i++ {
-				if got.test(i) != model[i] {
-					t.Fatalf("%s: bit %d = %v, model %v (n=%d)", name, i, got.test(i), model[i], n)
+				if TestBit(got, i) != model[i] {
+					t.Fatalf("%s: bit %d = %v, model %v (n=%d)", name, i, TestBit(got, i), model[i], n)
 				}
 				if model[i] {
 					count++
 				}
 			}
-			if got.onesCount() != count {
-				t.Fatalf("%s: onesCount %d, model %d", name, got.onesCount(), count)
+			if OnesCount(got) != count {
+				t.Fatalf("%s: onesCount %d, model %d", name, OnesCount(got), count)
 			}
 		}
 		check("a", a, am)
@@ -134,14 +134,14 @@ func FuzzBitsetKernels(f *testing.F) {
 
 		// or / and / andNot against the model.
 		or := newBitsetN(n)
-		or.copyFrom(a)
-		or.orWith(b)
+		copy(or, a)
+		OrWords(or, b)
 		and := newBitsetN(n)
-		and.copyFrom(a)
-		and.andWith(b)
+		copy(and, a)
+		AndWords(and, b)
 		andNot := newBitsetN(n)
-		andNot.copyFrom(a)
-		andNot.andNotWith(b)
+		copy(andNot, a)
+		AndNotWords(andNot, b)
 		orM, andM, andNotM := make([]bool, n), make([]bool, n), make([]bool, n)
 		intersectsM, anyAndNotM := false, false
 		for i := 0; i < n; i++ {
@@ -154,14 +154,11 @@ func FuzzBitsetKernels(f *testing.F) {
 		check("or", or, orM)
 		check("and", and, andM)
 		check("andNot", andNot, andNotM)
-		if a.intersects(b) != intersectsM {
-			t.Fatalf("intersects = %v, model %v", a.intersects(b), intersectsM)
+		if Intersects(a, b) != intersectsM {
+			t.Fatalf("intersects = %v, model %v", Intersects(a, b), intersectsM)
 		}
-		if a.anyAndNot(b) != anyAndNotM {
-			t.Fatalf("anyAndNot = %v, model %v", a.anyAndNot(b), anyAndNotM)
-		}
-		if a.equal(b) != boolsEqual(am, bm) {
-			t.Fatalf("equal = %v, model %v", a.equal(b), boolsEqual(am, bm))
+		if AnyAndNot(a, b) != anyAndNotM {
+			t.Fatalf("anyAndNot = %v, model %v", AnyAndNot(a, b), anyAndNotM)
 		}
 
 		// Iterator kernels: walk both directions from every offset.
@@ -175,21 +172,12 @@ func FuzzBitsetKernels(f *testing.F) {
 					wantClear = i
 				}
 			}
-			if got := a.nextSetBit(from, n); got != wantSet {
+			if got := NextSetBit(a, from, n); got != wantSet {
 				t.Fatalf("nextSetBit(%d) = %d, model %d", from, got, wantSet)
 			}
-			if got := a.nextClearBit(from, n); got != wantClear {
+			if got := NextClearBit(a, from, n); got != wantClear {
 				t.Fatalf("nextClearBit(%d) = %d, model %d", from, got, wantClear)
 			}
 		}
 	})
-}
-
-func boolsEqual(a, b []bool) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -84,11 +84,17 @@ func MustConfig(n, f int) Config {
 	return c
 }
 
+// ErrTooManyProcesses is returned by Validate for a system larger than
+// MaxN, the capacity of a ProcSet.
+var ErrTooManyProcesses = fmt.Errorf("ids: at most %d processes", MaxN)
+
 // Validate checks the system-model assumptions.
 func (c Config) Validate() error {
 	switch {
 	case c.N < 1:
 		return fmt.Errorf("ids: need at least one process, got n=%d", c.N)
+	case c.N > MaxN:
+		return fmt.Errorf("%w: got n=%d", ErrTooManyProcesses, c.N)
 	case c.F < 0:
 		return fmt.Errorf("ids: failure threshold must be non-negative, got f=%d", c.F)
 	case c.N-c.F <= c.F:
@@ -114,133 +120,12 @@ func (c Config) All() []ProcessID {
 }
 
 // DefaultQuorum returns the paper's initial quorum {p_1, ..., p_q}.
-func (c Config) DefaultQuorum() ProcSet {
-	s := NewProcSet()
-	for i := 1; i <= c.Q(); i++ {
-		s.Add(ProcessID(i))
-	}
-	return s
-}
+func (c Config) DefaultQuorum() ProcSet { return FirstN(c.Q()) }
 
 // String renders the configuration compactly, e.g. "n=7 f=2 q=5".
 func (c Config) String() string {
 	return fmt.Sprintf("n=%d f=%d q=%d", c.N, c.F, c.Q())
 }
-
-// ProcSet is a set of process identifiers. The zero value is not ready
-// for use; construct with NewProcSet or FromSlice.
-type ProcSet struct {
-	m map[ProcessID]struct{}
-}
-
-// NewProcSet returns an empty set containing the given processes.
-func NewProcSet(ps ...ProcessID) ProcSet {
-	s := ProcSet{m: make(map[ProcessID]struct{}, len(ps))}
-	for _, p := range ps {
-		s.m[p] = struct{}{}
-	}
-	return s
-}
-
-// FromSlice builds a set from a slice of identifiers.
-func FromSlice(ps []ProcessID) ProcSet {
-	return NewProcSet(ps...)
-}
-
-// Add inserts p into the set.
-func (s ProcSet) Add(p ProcessID) { s.m[p] = struct{}{} }
-
-// Remove deletes p from the set.
-func (s ProcSet) Remove(p ProcessID) { delete(s.m, p) }
-
-// Contains reports whether p is in the set.
-func (s ProcSet) Contains(p ProcessID) bool {
-	_, ok := s.m[p]
-	return ok
-}
-
-// Len returns the number of processes in the set.
-func (s ProcSet) Len() int { return len(s.m) }
-
-// Empty reports whether the set has no members.
-func (s ProcSet) Empty() bool { return len(s.m) == 0 }
-
-// Sorted returns the members in increasing identifier order.
-func (s ProcSet) Sorted() []ProcessID {
-	out := make([]ProcessID, 0, len(s.m))
-	for p := range s.m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Clone returns an independent copy of the set.
-func (s ProcSet) Clone() ProcSet {
-	c := ProcSet{m: make(map[ProcessID]struct{}, len(s.m))}
-	for p := range s.m {
-		c.m[p] = struct{}{}
-	}
-	return c
-}
-
-// Equal reports whether two sets have exactly the same members.
-func (s ProcSet) Equal(o ProcSet) bool {
-	if len(s.m) != len(o.m) {
-		return false
-	}
-	for p := range s.m {
-		if !o.Contains(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// Union returns a new set with the members of both sets.
-func (s ProcSet) Union(o ProcSet) ProcSet {
-	u := s.Clone()
-	for p := range o.m {
-		u.m[p] = struct{}{}
-	}
-	return u
-}
-
-// Intersect returns a new set with the members common to both sets.
-func (s ProcSet) Intersect(o ProcSet) ProcSet {
-	u := NewProcSet()
-	for p := range s.m {
-		if o.Contains(p) {
-			u.m[p] = struct{}{}
-		}
-	}
-	return u
-}
-
-// Minus returns a new set with the members of s that are not in o.
-func (s ProcSet) Minus(o ProcSet) ProcSet {
-	u := NewProcSet()
-	for p := range s.m {
-		if !o.Contains(p) {
-			u.m[p] = struct{}{}
-		}
-	}
-	return u
-}
-
-// Min returns the smallest identifier in the set, or None if empty.
-func (s ProcSet) Min() ProcessID {
-	min := None
-	for p := range s.m {
-		if min == None || p < min {
-			min = p
-		}
-	}
-	return min
-}
-
-// String renders the set in sorted paper notation, e.g. "{p1,p3,p4}".
-func (s ProcSet) String() string { return string(appendMembers(nil, s.Sorted())) }
 
 // Quorum is an ordered, immutable-by-convention quorum as issued by the
 // selection modules: a sorted slice of q distinct processes, plus an

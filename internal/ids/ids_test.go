@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -36,6 +37,18 @@ func TestNewConfig(t *testing.T) {
 				t.Errorf("Q() = %d, want %d", got, tt.wantQ)
 			}
 		})
+	}
+}
+
+// TestConfigRejectsMoreThanMaxN: a ProcSet holds p_1..p_MaxN, so a
+// larger system is refused by name rather than failing in a set.
+func TestConfigRejectsMoreThanMaxN(t *testing.T) {
+	if _, err := NewConfig(MaxN, 0); err != nil {
+		t.Fatalf("NewConfig(MaxN, 0) = %v, want ok", err)
+	}
+	_, err := NewConfig(MaxN+1, 0)
+	if !errors.Is(err, ErrTooManyProcesses) {
+		t.Fatalf("NewConfig(MaxN+1, 0) = %v, want ErrTooManyProcesses", err)
 	}
 }
 
@@ -88,14 +101,14 @@ func TestProcSetBasics(t *testing.T) {
 	if s.Contains(2) {
 		t.Error("Remove(2) left 2 in set")
 	}
-	got := s.Sorted()
+	got := s.Members()
 	want := []ProcessID{1, 3}
 	if len(got) != len(want) {
-		t.Fatalf("Sorted = %v, want %v", got, want)
+		t.Fatalf("Members = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v, want %v", got, want)
+			t.Fatalf("Members = %v, want %v", got, want)
 		}
 	}
 	if s.Min() != 1 {
@@ -125,10 +138,10 @@ func TestProcSetAlgebra(t *testing.T) {
 	if a.Len() != 3 || b.Len() != 2 {
 		t.Error("set algebra mutated operands")
 	}
-	c := a.Clone()
+	c := a
 	c.Add(9)
 	if a.Contains(9) {
-		t.Error("Clone shares storage with original")
+		t.Error("a copy shares storage with the original")
 	}
 	if !a.Equal(NewProcSet(3, 2, 1)) {
 		t.Error("Equal failed for same members")

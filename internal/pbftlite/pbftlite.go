@@ -50,8 +50,8 @@ type Options struct {
 
 type slotState struct {
 	prePrepare  *wire.PrePrepare
-	prepares    map[ids.ProcessID]bool
-	commits     map[ids.ProcessID]bool
+	prepares    ids.ProcSet
+	commits     ids.ProcSet
 	prepared    bool
 	committed   bool
 	prepareSent bool
@@ -111,7 +111,7 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	if r.broadcastAll {
 		r.active = ids.NewQuorum(r.cfg.All())
 	} else {
-		r.active = ids.NewQuorum(r.cfg.DefaultQuorum().Sorted())
+		r.active = ids.NewQuorum(r.cfg.DefaultQuorum().Members())
 	}
 }
 
@@ -221,7 +221,7 @@ func (r *Replica) onPrePrepare(pp *wire.PrePrepare) {
 	digest := crypto.Digest(pp.SigBytes())
 	// Expect PREPARE votes from the other participants, then vote.
 	for _, k := range r.active.Members {
-		if k == r.env.ID() || st.prepares[k] {
+		if k == r.env.ID() || st.prepares.Contains(k) {
 			continue
 		}
 		r.expectPhase(k, wire.TypePBFTPrepare, pp.View, pp.Slot)
@@ -239,7 +239,7 @@ func (r *Replica) sendPrepare(st *slotState, view, slot uint64, digest []byte) {
 		return
 	}
 	st.prepareSent = true
-	st.prepares[r.env.ID()] = true
+	st.prepares.Add(r.env.ID())
 	vote := &wire.PBFTPrepare{}
 	vote.Replica = r.env.ID()
 	vote.View = view
@@ -259,7 +259,7 @@ func (r *Replica) onPrepare(v *wire.PBFTPrepare) {
 		return
 	}
 	st := r.slot(v.Slot)
-	st.prepares[v.Replica] = true
+	st.prepares.Add(v.Replica)
 	r.advance(v.Slot, st)
 }
 
@@ -268,7 +268,7 @@ func (r *Replica) onCommit(v *wire.PBFTCommit) {
 		return
 	}
 	st := r.slot(v.Slot)
-	st.commits[v.Replica] = true
+	st.commits.Add(v.Replica)
 	r.advance(v.Slot, st)
 }
 
@@ -278,17 +278,17 @@ func (r *Replica) advance(slot uint64, st *slotState) {
 		return
 	}
 	digest := crypto.Digest(st.prePrepare.SigBytes())
-	if !st.prepared && st.prepareSent && len(st.prepares) >= r.threshold() {
+	if !st.prepared && st.prepareSent && st.prepares.Len() >= r.threshold() {
 		st.prepared = true
 		// Expect COMMIT votes, then vote commit.
 		for _, k := range r.active.Members {
-			if k == r.env.ID() || st.commits[k] {
+			if k == r.env.ID() || st.commits.Contains(k) {
 				continue
 			}
 			r.expectPhase(k, wire.TypePBFTCommit, st.prePrepare.View, slot)
 		}
 		st.commitSent = true
-		st.commits[r.env.ID()] = true
+		st.commits.Add(r.env.ID())
 		vote := &wire.PBFTCommit{}
 		vote.Replica = r.env.ID()
 		vote.View = st.prePrepare.View
@@ -302,7 +302,7 @@ func (r *Replica) advance(slot uint64, st *slotState) {
 			}
 		}
 	}
-	if st.prepared && !st.committed && st.commitSent && len(st.commits) >= r.threshold() {
+	if st.prepared && !st.committed && st.commitSent && st.commits.Len() >= r.threshold() {
 		st.committed = true
 		runtime.TraceEnd(r.env, st.trace)
 		st.trace = obs.Active{}
@@ -322,10 +322,7 @@ func (r *Replica) slot(s uint64) *slotState {
 	}
 	st, ok := r.slots[s]
 	if !ok {
-		st = &slotState{
-			prepares: make(map[ids.ProcessID]bool),
-			commits:  make(map[ids.ProcessID]bool),
-		}
+		st = &slotState{}
 		r.slots[s] = st
 	}
 	return st

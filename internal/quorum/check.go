@@ -183,17 +183,13 @@ func checkExact(sys System, r *Report) {
 		// reach the target. Note 2T ≤ Σw alone is NOT sufficient —
 		// w={3,3,3}, T=4 has achievable weights {0,3,6,9} missing the
 		// window [4,5] — hence the exhaustive walk.
-		n := s.N()
-		full := uint32(1)<<uint(n) - 1
-		for set := uint32(1); set < full; set++ {
-			w := 0
-			for rest := set; rest != 0; rest &= rest - 1 {
-				w += s.weights[trailingIndex(rest)]
-			}
+		all := ids.FirstN(s.N())
+		for set := (ids.ProcSet{}); nextSubset(&set, s.N()) && set != all; {
+			w := s.weightOf(set)
 			if w >= s.target && s.total-w >= s.target {
 				r.Intersection = false
-				r.DisjointA = trimQuorum(sys, membersOfMask(set))
-				r.DisjointB = trimQuorum(sys, membersOfMask(full&^set))
+				r.DisjointA = trimQuorum(sys, set)
+				r.DisjointB = trimQuorum(sys, all.Minus(set))
 				break
 			}
 		}
@@ -241,7 +237,7 @@ func checkAvailabilityExact(sys System, r *Report) {
 		// Walk every size-f fault set in lexicographic order;
 		// EnumerateQuorums is exactly that combination walk.
 		if r.Faults == 0 {
-			if !Contains(sys, ids.FromSlice(allMembers(sys.N()))) {
+			if !Contains(sys, ids.FirstN(sys.N())) {
 				r.Available = false
 				r.FaultWitness = []ids.ProcessID{}
 			}
@@ -260,20 +256,24 @@ func checkAvailabilityExact(sys System, r *Report) {
 func checkSampled(sys System, r *Report) {
 	n := sys.N()
 	rng := splitmix64{state: r.Seed}
-	var maskHi, maskLo uint64
-	if n >= 64 {
-		maskLo = ^uint64(0)
-		maskHi = uint64(1)<<uint(n-64) - 1
-	} else {
-		maskLo = uint64(1)<<uint(n) - 1
-	}
+	all := ids.FirstN(n)
 	for i := 0; i < r.Samples && r.Intersection; i++ {
 		// Random bipartition S | Π∖S: if both sides contain a quorum,
-		// those quorums are disjoint.
-		lo := rng.next() & maskLo
-		hi := rng.next() & maskHi
-		side := bipartition(n, lo, hi)
-		rest := complementOf(n, side)
+		// those quorums are disjoint. Each sample draws two words, bit
+		// i of the pair deciding p_{i+1}; processes past p_128 always
+		// fall on the Π∖S side.
+		lo, hi := rng.next(), rng.next()
+		var side ids.ProcSet
+		for v := 1; v <= min(n, 128); v++ {
+			word := lo
+			if v > 64 {
+				word = hi
+			}
+			if word>>uint((v-1)&63)&1 != 0 {
+				side.Add(ids.ProcessID(v))
+			}
+		}
+		rest := all.Minus(side)
 		if Contains(sys, side) && Contains(sys, rest) {
 			a := minimalQuorumWithin(sys, side)
 			b := minimalQuorumWithin(sys, rest)
@@ -289,10 +289,10 @@ func checkSampled(sys System, r *Report) {
 			faults := randomSubset(&rng, n, r.Faults)
 			if !sys.Survives(faults) {
 				r.Available = false
-				r.FaultWitness = faults.Sorted()
+				r.FaultWitness = faults.Members()
 			}
 		}
-	} else if !Contains(sys, ids.FromSlice(allMembers(n))) {
+	} else if !Contains(sys, all) {
 		r.Available = false
 		r.FaultWitness = []ids.ProcessID{}
 	}
@@ -311,29 +311,28 @@ func minimalQuorumWithin(sys System, set ids.ProcSet) []ids.ProcessID {
 		}
 		return nil
 	}
-	if !sys.IsQuorum(set.Sorted()) {
+	if !sys.IsQuorum(set.Members()) {
 		return nil
 	}
-	return trimQuorum(sys, set.Sorted())
+	return trimQuorum(sys, set)
 }
 
 // trimQuorum greedily removes members in increasing id order while the
 // rest is still a quorum, yielding a deterministic minimal witness.
 // Valid for monotone systems (threshold, weighted).
-func trimQuorum(sys System, members []ids.ProcessID) []ids.ProcessID {
-	cur := ids.FromSlice(members)
+func trimQuorum(sys System, cur ids.ProcSet) []ids.ProcessID {
 	for {
 		removed := false
-		for _, p := range cur.Sorted() {
+		for p := cur.Next(ids.None); p != ids.None; p = cur.Next(p) {
 			cur.Remove(p)
-			if sys.IsQuorum(cur.Sorted()) {
+			if sys.IsQuorum(cur.Members()) {
 				removed = true
 				break
 			}
 			cur.Add(p)
 		}
 		if !removed {
-			return cur.Sorted()
+			return cur.Members()
 		}
 	}
 }
@@ -363,8 +362,7 @@ func heaviest(w Weighted, f int) []ids.ProcessID {
 		taken[best] = true
 		out = append(out, all[best].p)
 	}
-	s := ids.FromSlice(out)
-	return s.Sorted()
+	return ids.FromSlice(out).Members()
 }
 
 func rangeMembers(lo, hi int) []ids.ProcessID {
@@ -374,52 +372,6 @@ func rangeMembers(lo, hi int) []ids.ProcessID {
 	out := make([]ids.ProcessID, 0, hi-lo+1)
 	for v := lo; v <= hi; v++ {
 		out = append(out, ids.ProcessID(v))
-	}
-	return out
-}
-
-func allMembers(n int) []ids.ProcessID { return rangeMembers(1, n) }
-
-func membersOfMask(mask uint32) []ids.ProcessID {
-	var out []ids.ProcessID
-	for rest := mask; rest != 0; rest &= rest - 1 {
-		out = append(out, ids.ProcessID(trailingIndex(rest)+1))
-	}
-	return out
-}
-
-func trailingIndex(mask uint32) int {
-	i := 0
-	for mask&1 == 0 {
-		mask >>= 1
-		i++
-	}
-	return i
-}
-
-func bipartition(n int, lo, hi uint64) ids.ProcSet {
-	s := ids.NewProcSet()
-	for v := 1; v <= n; v++ {
-		bit := uint(v - 1)
-		var set bool
-		if bit < 64 {
-			set = lo&(1<<bit) != 0
-		} else {
-			set = hi&(1<<(bit-64)) != 0
-		}
-		if set {
-			s.Add(ids.ProcessID(v))
-		}
-	}
-	return s
-}
-
-func complementOf(n int, s ids.ProcSet) ids.ProcSet {
-	out := ids.NewProcSet()
-	for v := 1; v <= n; v++ {
-		if !s.Contains(ids.ProcessID(v)) {
-			out.Add(ids.ProcessID(v))
-		}
 	}
 	return out
 }

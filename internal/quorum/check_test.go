@@ -24,7 +24,7 @@ func bruteHasDisjointQuorums(t *testing.T, sys System) bool {
 	isQ := make([]bool, size)
 	containsQ := make([]bool, size)
 	for mask := 0; mask < size; mask++ {
-		isQ[mask] = sys.IsQuorum(maskToMembers(uint32(mask)))
+		isQ[mask] = sys.IsQuorum(maskToMembers(mask))
 		containsQ[mask] = isQ[mask]
 		for b := 0; b < n && !containsQ[mask]; b++ {
 			if mask&(1<<b) != 0 && containsQ[mask&^(1<<b)] {
@@ -39,6 +39,18 @@ func bruteHasDisjointQuorums(t *testing.T, sys System) bool {
 		}
 	}
 	return false
+}
+
+// maskToMembers lists the members of a bitmask over Π (bit i ↦
+// p_{i+1}): the tests' own subset enumeration, independent of ProcSet.
+func maskToMembers(mask int) []ids.ProcessID {
+	out := []ids.ProcessID{}
+	for i := 0; mask>>i != 0; i++ {
+		if mask>>i&1 != 0 {
+			out = append(out, ids.ProcessID(i+1))
+		}
+	}
+	return out
 }
 
 // checkWitnesses validates a failing intersection report: both

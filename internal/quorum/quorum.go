@@ -47,7 +47,8 @@ type System interface {
 	IsQuorum(members []ids.ProcessID) bool
 	// MinQuorums returns every inclusion-minimal quorum as a sorted
 	// member list, in lexicographic order — or nil when the system is
-	// too large to enumerate (see MaxEnumerateN).
+	// too large to enumerate (see MaxEnumerateN). Callers must not
+	// modify the result.
 	MinQuorums() [][]ids.ProcessID
 	// Survives reports whether the processes outside the fault set
 	// still contain a quorum (availability under that fault set).
@@ -131,7 +132,7 @@ func Contains(sys System, set ids.ProcSet) bool {
 		}
 		return false
 	}
-	return sys.IsQuorum(set.Sorted())
+	return sys.IsQuorum(set.Members())
 }
 
 func subsetOf(members []ids.ProcessID, set ids.ProcSet) bool {
@@ -146,7 +147,7 @@ func subsetOf(members []ids.ProcessID, set ids.ProcSet) bool {
 // dedupe returns the distinct members of the list that are valid in a
 // system of n processes, as a ProcSet.
 func dedupe(members []ids.ProcessID, n int) ids.ProcSet {
-	s := ids.NewProcSet()
+	var s ids.ProcSet
 	for _, p := range members {
 		if p.Valid(n) {
 			s.Add(p)

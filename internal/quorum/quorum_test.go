@@ -176,7 +176,7 @@ func TestWeightedZeroWeightMembers(t *testing.T) {
 func TestSlicesMatchesEquivalentThreshold(t *testing.T) {
 	sys := MustParseSpec("slices:n=4;1={2,3}|{2,4}|{3,4};2={1,3}|{1,4}|{3,4};3={1,2}|{1,4}|{2,4};4={1,2}|{1,3}|{2,3}")
 	th := MustParseSpec("threshold:n=4;q=3")
-	for mask := uint32(0); mask < 16; mask++ {
+	for mask := 0; mask < 16; mask++ {
 		members := maskToMembers(mask)
 		if got, want := sys.IsQuorum(members), th.IsQuorum(members); got != want {
 			t.Fatalf("IsQuorum(%v): slices=%v threshold=%v", members, got, want)
@@ -204,7 +204,7 @@ func TestDefaultQuorumMatchesConfig(t *testing.T) {
 		if !ok {
 			t.Fatalf("n=%d f=%d: no default quorum", tc.n, tc.f)
 		}
-		if want := cfg.DefaultQuorum().Sorted(); !reflect.DeepEqual(set, want) {
+		if want := cfg.DefaultQuorum().Members(); !reflect.DeepEqual(set, want) {
 			t.Fatalf("n=%d f=%d: Default=%v, want %v", tc.n, tc.f, set, want)
 		}
 	}

@@ -2,7 +2,6 @@ package quorum
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -24,13 +23,16 @@ const MaxSlicesN = MaxEnumerateN
 // ContainsQuorum).
 type Slices struct {
 	n int
-	// slices[i] holds p_{i+1}'s slices as bitmasks over Π (bit j ↦
-	// p_{j+1}); each mask includes the owner itself, the usual FBAS
-	// normalization.
-	slices [][]uint32
+	// slices[i] holds p_{i+1}'s slices; each includes the owner
+	// itself, the usual FBAS normalization.
+	slices [][]ids.ProcSet
 	// text keeps the per-process slice member lists (without the
 	// implicit owner) for String round-tripping.
 	text [][][]ids.ProcessID
+	// minimal is MinQuorums, enumerated once by NewSlices: the walk
+	// visits all 2^n subsets, and Select scans it on every new suspect
+	// graph.
+	minimal [][]ids.ProcessID
 }
 
 // NewSlices builds a slice system over n processes. spec[i] lists
@@ -47,14 +49,14 @@ func NewSlices(n int, spec [][][]ids.ProcessID) (*Slices, error) {
 	if len(spec) != n {
 		return nil, fmt.Errorf("quorum: slices needs one slice list per process, got %d lists for n=%d", len(spec), n)
 	}
-	s := &Slices{n: n, slices: make([][]uint32, n), text: make([][][]ids.ProcessID, n)}
+	s := &Slices{n: n, slices: make([][]ids.ProcSet, n), text: make([][][]ids.ProcessID, n)}
 	for i, list := range spec {
 		owner := ids.ProcessID(i + 1)
 		if len(list) == 0 {
 			return nil, fmt.Errorf("quorum: %s declares no slices", owner)
 		}
 		for _, slice := range list {
-			mask := uint32(1) << uint(i)
+			set := ids.NewProcSet(owner)
 			members := make([]ids.ProcessID, 0, len(slice))
 			for _, p := range slice {
 				if !p.Valid(n) {
@@ -63,47 +65,40 @@ func NewSlices(n int, spec [][][]ids.ProcessID) (*Slices, error) {
 				if p != owner {
 					members = append(members, p)
 				}
-				mask |= uint32(1) << uint(int(p)-1)
+				set.Add(p)
 			}
 			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-			s.slices[i] = append(s.slices[i], mask)
+			s.slices[i] = append(s.slices[i], set)
 			s.text[i] = append(s.text[i], members)
 		}
 	}
+	s.minimal = s.enumerateMinimal()
 	return s, nil
 }
 
 // N returns the number of processes.
 func (s *Slices) N() int { return s.n }
 
-// mask converts a member list to a bitmask, dropping duplicates and
-// invalid ids.
-func (s *Slices) mask(members []ids.ProcessID) uint32 {
-	var m uint32
-	for _, p := range members {
-		if p.Valid(s.n) {
-			m |= uint32(1) << uint(int(p)-1)
+// hasSliceIn reports whether some slice of p lies inside set.
+func (s *Slices) hasSliceIn(p ids.ProcessID, set ids.ProcSet) bool {
+	for _, sl := range s.slices[int(p)-1] {
+		if sl.SubsetOf(set) {
+			return true
 		}
 	}
-	return m
+	return false
 }
 
-// isQuorumMask reports the FBAS quorum predicate on a bitmask: the set
-// is non-empty and every member has some slice contained in it.
-func (s *Slices) isQuorumMask(set uint32) bool {
-	if set == 0 {
+// isQuorumSet reports the FBAS quorum predicate on a set of valid
+// processes: the set is non-empty and every member has some slice
+// contained in it.
+func (s *Slices) isQuorumSet(set ids.ProcSet) bool {
+	p := set.Next(ids.None)
+	if p == ids.None {
 		return false
 	}
-	for rest := set; rest != 0; rest &= rest - 1 {
-		i := bits.TrailingZeros32(rest)
-		ok := false
-		for _, sl := range s.slices[i] {
-			if sl&^set == 0 {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for ; p != ids.None; p = set.Next(p) {
+		if !s.hasSliceIn(p, set) {
 			return false
 		}
 	}
@@ -112,7 +107,7 @@ func (s *Slices) isQuorumMask(set uint32) bool {
 
 // IsQuorum reports whether the member set satisfies the slice predicate.
 func (s *Slices) IsQuorum(members []ids.ProcessID) bool {
-	return s.isQuorumMask(s.mask(members))
+	return s.isQuorumSet(dedupe(members, s.n))
 }
 
 // ContainsQuorum reports whether set contains some quorum, via the FBAS
@@ -120,53 +115,53 @@ func (s *Slices) IsQuorum(members []ids.ProcessID) bool {
 // inside the remainder; the set contains a quorum iff the fixpoint is
 // non-empty (it is then the greatest quorum inside set).
 func (s *Slices) ContainsQuorum(set ids.ProcSet) bool {
-	cur := s.mask(set.Sorted())
+	cur := set.Intersect(ids.FirstN(s.n))
 	for {
 		next := cur
-		for rest := cur; rest != 0; rest &= rest - 1 {
-			i := bits.TrailingZeros32(rest)
-			ok := false
-			for _, sl := range s.slices[i] {
-				if sl&^cur == 0 {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				next &^= uint32(1) << uint(i)
+		for p := cur.Next(ids.None); p != ids.None; p = cur.Next(p) {
+			if !s.hasSliceIn(p, cur) {
+				next.Remove(p)
 			}
 		}
 		if next == cur {
-			return cur != 0
+			return !cur.Empty()
 		}
 		cur = next
 	}
 }
 
-// MinQuorums enumerates every inclusion-minimal quorum in lexicographic
-// order by exhaustive subset walk (n ≤ MaxSlicesN keeps this 2^n ≤ 64K
-// predicate evaluations). Because the predicate is not monotone,
-// minimality is checked against ALL proper subsets that are quorums,
-// not just single-member removals.
-func (s *Slices) MinQuorums() [][]ids.ProcessID {
-	full := uint32(1)<<uint(s.n) - 1
-	var quorums []uint32
-	for set := uint32(1); set <= full; set++ {
-		if s.isQuorumMask(set) {
+// MinQuorums returns every inclusion-minimal quorum in lexicographic
+// order. The result is shared: callers must not modify it.
+func (s *Slices) MinQuorums() [][]ids.ProcessID { return s.minimal }
+
+// enumerateMinimal finds the minimal quorums by exhaustive subset walk
+// (n ≤ MaxSlicesN keeps this 2^n ≤ 64K predicate evaluations). Because
+// the predicate is not monotone, minimality is checked against ALL
+// proper subsets that are quorums, not just single-member removals.
+// Visiting quorums by size, a quorum is minimal iff it contains none
+// of the minimal quorums found before it: any smaller quorum inside it
+// would contain one of those.
+func (s *Slices) enumerateMinimal() [][]ids.ProcessID {
+	var quorums []ids.ProcSet
+	for set := (ids.ProcSet{}); nextSubset(&set, s.n); {
+		if s.isQuorumSet(set) {
 			quorums = append(quorums, set)
 		}
 	}
+	sort.SliceStable(quorums, func(a, b int) bool { return quorums[a].Len() < quorums[b].Len() })
+	var found []ids.ProcSet
 	var minimal [][]ids.ProcessID
 	for _, q := range quorums {
 		isMin := true
-		for _, other := range quorums {
-			if other != q && other&^q == 0 {
+		for _, m := range found {
+			if m.SubsetOf(q) {
 				isMin = false
 				break
 			}
 		}
 		if isMin {
-			minimal = append(minimal, maskToMembers(q))
+			found = append(found, q)
+			minimal = append(minimal, q.Members())
 		}
 	}
 	sort.Slice(minimal, func(a, b int) bool {
@@ -181,14 +176,7 @@ func (s *Slices) MinQuorums() [][]ids.ProcessID {
 // Survives reports whether the processes outside the fault set still
 // contain a quorum.
 func (s *Slices) Survives(faults ids.ProcSet) bool {
-	alive := ids.NewProcSet()
-	for v := 1; v <= s.n; v++ {
-		p := ids.ProcessID(v)
-		if !faults.Contains(p) {
-			alive.Add(p)
-		}
-	}
-	return s.ContainsQuorum(alive)
+	return s.ContainsQuorum(ids.FirstN(s.n).Minus(faults))
 }
 
 // String renders the spec in ParseSpec syntax, e.g.
@@ -215,10 +203,17 @@ func (s *Slices) String() string {
 	return b.String()
 }
 
-func maskToMembers(mask uint32) []ids.ProcessID {
-	var out []ids.ProcessID
-	for rest := mask; rest != 0; rest &= rest - 1 {
-		out = append(out, ids.ProcessID(bits.TrailingZeros32(rest)+1))
+// nextSubset advances set to the next subset of {p_1..p_n} in binary
+// counting order, p_1 being the lowest digit, and reports false once
+// it wraps back to the empty set. Started from the empty set it visits
+// every non-empty subset, Π last.
+func nextSubset(set *ids.ProcSet, n int) bool {
+	for p := ids.ProcessID(1); int(p) <= n; p++ {
+		if !set.Contains(p) {
+			set.Add(p)
+			return true
+		}
+		set.Remove(p)
 	}
-	return out
+	return false
 }

@@ -50,7 +50,7 @@ func (t Threshold) IsQuorum(members []ids.ProcessID) bool {
 
 // ContainsQuorum is IsQuorum: threshold systems are monotone.
 func (t Threshold) ContainsQuorum(set ids.ProcSet) bool {
-	return t.IsQuorum(set.Sorted())
+	return set.Intersect(ids.FirstN(t.n)).Len() >= t.q
 }
 
 // MinQuorums enumerates all C(n, q) size-q subsets in lexicographic
@@ -76,13 +76,7 @@ func (t Threshold) SelectQuorum(g *graph.Graph) ([]ids.ProcessID, bool) {
 // Survives reports whether at least q processes remain outside the
 // fault set.
 func (t Threshold) Survives(faults ids.ProcSet) bool {
-	alive := t.n
-	for _, p := range faults.Sorted() {
-		if p.Valid(t.n) {
-			alive--
-		}
-	}
-	return alive >= t.q
+	return t.n-faults.Intersect(ids.FirstN(t.n)).Len() >= t.q
 }
 
 // String renders the spec in ParseSpec syntax.

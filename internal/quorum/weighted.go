@@ -70,16 +70,22 @@ func (w Weighted) Weight(p ids.ProcessID) int {
 // IsQuorum reports whether the distinct valid members' weights sum to
 // at least the target.
 func (w Weighted) IsQuorum(members []ids.ProcessID) bool {
-	sum := 0
-	for _, p := range dedupe(members, len(w.weights)).Sorted() {
-		sum += w.Weight(p)
-	}
-	return sum >= w.target
+	return w.weightOf(dedupe(members, len(w.weights))) >= w.target
 }
 
 // ContainsQuorum is IsQuorum: weighted systems are monotone.
 func (w Weighted) ContainsQuorum(set ids.ProcSet) bool {
-	return w.IsQuorum(set.Sorted())
+	return w.weightOf(set) >= w.target
+}
+
+// weightOf sums the weights of the set's members; members outside Π
+// weigh nothing.
+func (w Weighted) weightOf(set ids.ProcSet) int {
+	sum := 0
+	for p := set.Next(ids.None); p != ids.None; p = set.Next(p) {
+		sum += w.Weight(p)
+	}
+	return sum
 }
 
 // SelectQuorum picks the lexicographically-first inclusion-minimal
@@ -145,11 +151,7 @@ func (w Weighted) MinQuorums() [][]ids.ProcessID {
 // Survives reports whether the weight remaining outside the fault set
 // still reaches the target.
 func (w Weighted) Survives(faults ids.ProcSet) bool {
-	alive := w.total
-	for _, p := range faults.Sorted() {
-		alive -= w.Weight(p)
-	}
-	return alive >= w.target
+	return w.total-w.weightOf(faults) >= w.target
 }
 
 // String renders the spec in ParseSpec syntax, e.g. "weighted:w=3,1,1,1;t=4".

@@ -95,7 +95,8 @@ func StopNode(n Node) bool {
 // when includeSelf is set (Algorithm 1 broadcasts updates "to all
 // including self").
 func Broadcast(env Env, m wire.Message, includeSelf bool) {
-	for _, p := range env.Config().All() {
+	n := env.Config().N
+	for p := ids.ProcessID(1); int(p) <= n; p++ {
 		if p == env.ID() && !includeSelf {
 			continue
 		}

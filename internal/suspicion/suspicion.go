@@ -123,13 +123,12 @@ func New(cfg ids.Config, opts Options) *Store {
 		m[i] = make([]uint64, cfg.N)
 	}
 	return &Store{
-		opts:       opts,
-		cfg:        cfg,
-		epoch:      1,
-		suspecting: ids.NewProcSet(),
-		matrix:     m,
-		cache:      graph.New(cfg.N),
-		version:    1,
+		opts:    opts,
+		cfg:     cfg,
+		epoch:   1,
+		matrix:  m,
+		cache:   graph.New(cfg.N),
+		version: 1,
 	}
 }
 
@@ -214,7 +213,7 @@ func (s *Store) Epoch() uint64 {
 
 // Suspecting returns the processes this process currently suspects (a
 // copy of the variable `suspecting` of Algorithm 1).
-func (s *Store) Suspecting() ids.ProcSet { return s.suspecting.Clone() }
+func (s *Store) Suspecting() ids.ProcSet { return s.suspecting }
 
 // Value returns matrix[l][k]: the last epoch in which l suspected k.
 func (s *Store) Value(l, k ids.ProcessID) uint64 {
@@ -310,11 +309,11 @@ func (s *Store) advanceEpochLocked(e uint64) {
 // stamping changed the matrix. (The self-broadcast is kept: it is
 // harmless and preserves the paper's message pattern.)
 func (s *Store) UpdateSuspicions(suspected ids.ProcSet) {
-	s.suspecting = suspected.Clone()
+	s.suspecting = suspected
 	self := s.idx(s.env.ID())
 	s.mu.Lock()
 	var cells []persistedCell
-	for _, p := range suspected.Sorted() {
+	for p := suspected.Next(ids.None); p != ids.None; p = suspected.Next(p) {
 		if k := s.idx(p); s.stampCell(self, k, s.epoch) {
 			cells = append(cells, persistedCell{self, k, s.epoch})
 		}

@@ -93,7 +93,7 @@ const (
 type roundState struct {
 	proposal     *wire.TMProposal
 	digest       []byte
-	prevotes     map[ids.ProcessID]bool
+	prevotes     ids.ProcSet
 	precommits   map[ids.ProcessID]*wire.TMPrecommit
 	step         step
 	prevoted     bool
@@ -170,7 +170,7 @@ func (r *Replica) Attach(env runtime.Env, detector *fd.Detector) {
 	r.env = env
 	r.detector = detector
 	r.cfg = env.Config()
-	r.active = ids.NewQuorum(r.cfg.DefaultQuorum().Sorted())
+	r.active = ids.NewQuorum(r.cfg.DefaultQuorum().Members())
 	r.height = 1
 	r.ingress = host.NewIngress(env, r.opts.BatchSize, r.flushGossip)
 	r.enterRound(0)
@@ -464,7 +464,7 @@ func (r *Replica) onProposal(p *wire.TMProposal) {
 	r.armRound()
 	// Expect prevotes from the other participants, then prevote.
 	for _, k := range r.active.Members {
-		if k == r.env.ID() || state.prevotes[k] {
+		if k == r.env.ID() || state.prevotes.Contains(k) {
 			continue
 		}
 		r.expectVote(k, wire.TypeTMPrevote, p.Height, p.Round)
@@ -487,7 +487,7 @@ func (r *Replica) sendPrevote(state *roundState, round uint64) {
 		return // locked on a different value: abstain
 	}
 	state.prevoted = true
-	state.prevotes[r.env.ID()] = true
+	state.prevotes.Add(r.env.ID())
 	vote := &wire.TMPrevote{}
 	vote.Replica = r.env.ID()
 	vote.Slot = r.height
@@ -513,7 +513,7 @@ func (r *Replica) onPrevote(v *wire.TMPrevote) {
 	if state.digest != nil && !bytes.Equal(v.Digest, state.digest) {
 		return // vote for a different proposal; ignored (not provable alone)
 	}
-	state.prevotes[v.Replica] = true
+	state.prevotes.Add(v.Replica)
 	r.advance(state, v.View)
 }
 
@@ -540,7 +540,7 @@ func (r *Replica) advance(state *roundState, round uint64) {
 		return
 	}
 	q := len(r.active.Members)
-	if state.step < stepPrecommit && state.prevoted && len(state.prevotes) >= q {
+	if state.step < stepPrecommit && state.prevoted && state.prevotes.Len() >= q {
 		state.step = stepPrecommit
 		// Lock the value (Tendermint's safety rule): from now on this
 		// replica prevotes only this request at this height.
@@ -655,7 +655,7 @@ func (r *Replica) applyDecision(cert *wire.TMDecided) {
 	// certificate to the passive replicas (one message per passive
 	// process per height; they verify it themselves).
 	if r.Participating() && r.Proposer(cert.Height, cert.Round) == r.env.ID() {
-		for _, p := range r.cfg.All() {
+		for p := ids.ProcessID(1); int(p) <= r.cfg.N; p++ {
 			if !r.active.Contains(p) {
 				r.env.Send(p, cert)
 			}
@@ -687,7 +687,6 @@ func (r *Replica) state(round uint64) *roundState {
 	st, ok := r.rounds[round]
 	if !ok {
 		st = &roundState{
-			prevotes:   make(map[ids.ProcessID]bool),
 			precommits: make(map[ids.ProcessID]*wire.TMPrecommit),
 			step:       stepPropose,
 		}

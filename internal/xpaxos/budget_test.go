@@ -117,8 +117,11 @@ func TestMatchingCommitRendersNoSigBytes(t *testing.T) {
 // cluster allocates, all four processes together, from Submit until the
 // passive replica has executed the slot too. It was 124 while each
 // active replica allocated a trace holder per slot and a list per
-// fresh failure-detector target.
-const slotAllocBudget = 116
+// fresh failure-detector target, and 116 while each active replica
+// kept its slot's COMMITs in a map, the leader grew the certificate
+// one COMMIT at a time and listed Π to ship it, and the passive
+// replica sorted the certificate's signers.
+const slotAllocBudget = 105
 
 // TestSlotAllocationBudget pins the allocations of one slot's whole
 // commit path on an untraced n=4 cluster without storage: p1 proposes

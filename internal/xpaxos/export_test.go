@@ -47,7 +47,7 @@ func (r *Replica) CommitsHeld(slot uint64) int {
 	if !ok || s.prep == nil {
 		return -1
 	}
-	return len(s.commits)
+	return s.committers.Len()
 }
 
 // LogSize reports the retained accepted prepares, for tests asserting

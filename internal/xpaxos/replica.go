@@ -83,9 +83,12 @@ type round struct {
 	// (wire.Prepare.SameSigned). A round exists when prep is set.
 	prep    *wire.Prepare
 	adopted bool // prep was learned from a COMMIT (Fig 3)
-	// commits holds the slot's COMMITs by sender until it commits;
-	// tryCommit releases it then.
-	commits    map[ids.ProcessID]*wire.Commit
+	// committers holds the senders of the slot's COMMITs. The leader
+	// also keeps the COMMITs themselves, at their senders' positions in
+	// the active quorum, until tryCommit ships them as the slot's
+	// certificate.
+	committers ids.ProcSet
+	commits    []wire.Commit
 	commitSent bool
 	committed  bool
 	// tc is the context of this replica's propose/accept span (carried
@@ -516,7 +519,7 @@ func (r *Replica) acceptPrepare(p *wire.Prepare, stage obs.Active) {
 	// First subtlety (§V-A): no expectation for processes whose COMMIT
 	// already arrived.
 	for _, k := range r.active.Members {
-		if _, have := s.commits[k]; k == r.env.ID() || have {
+		if k == r.env.ID() || s.committers.Contains(k) {
 			continue
 		}
 		r.expectCommit(k, p.View, p.Slot)
@@ -564,7 +567,7 @@ func (r *Replica) sendCommit(s *slot, p *wire.Prepare) {
 	}
 	runtime.Sign(r.env, c)
 	c.TC = s.tc // receivers parent their arrival instant on our span
-	s.addCommit(c)
+	r.addCommit(s, c)
 	r.m.commitSent.Inc()
 	for _, k := range r.active.Members {
 		if k != r.env.ID() {
@@ -642,7 +645,7 @@ func (r *Replica) onCommit(c *wire.Commit) {
 	if s.committed {
 		return // checked for equivocation above; the COMMIT set is spent
 	}
-	s.addCommit(c)
+	r.addCommit(s, c)
 	r.tryCommit(c.Slot, s)
 }
 
@@ -672,7 +675,7 @@ func (r *Replica) tryCommit(n uint64, s *slot) {
 		return
 	}
 	for _, k := range r.active.Members {
-		if _, ok := s.commits[k]; !ok {
+		if !s.committers.Contains(k) {
 			return
 		}
 	}
@@ -701,11 +704,8 @@ func (r *Replica) tryCommit(n uint64, s *slot) {
 	// updated"): the leader ships the self-certifying commit
 	// certificate to the processes outside the active quorum.
 	if r.IsLeader() {
-		cert := &wire.CommitCert{Slot: n}
-		for _, k := range r.active.Members {
-			cert.Commits = append(cert.Commits, *s.commits[k])
-		}
-		for _, p := range r.cfg.All() {
+		cert := &wire.CommitCert{Slot: n, Commits: s.commits}
+		for p := ids.ProcessID(1); int(p) <= r.cfg.N; p++ {
 			if !r.active.Contains(p) {
 				r.env.Send(p, cert)
 			}
@@ -714,7 +714,7 @@ func (r *Replica) tryCommit(n uint64, s *slot) {
 	// The certificate has shipped, so the COMMIT set has served its
 	// purpose. A late COMMIT is still checked against e.prep for
 	// equivocation (onCommit), then ignored.
-	s.commits = nil
+	s.committers, s.commits = ids.ProcSet{}, nil
 	r.execute()
 	// A committed slot frees window capacity: drain batches the gate
 	// held back. Flush is reentrancy-guarded, so reaching here from a
@@ -746,7 +746,7 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 	// embedded one verify. Copies of prep's signature are vouched for
 	// by verifyEmbedded, so a well-formed certificate of k commits
 	// costs k+1 checks, and any certificate at most 2n.
-	tried, signers := ids.NewProcSet(), ids.NewProcSet()
+	var tried, signers ids.ProcSet
 	var prep *wire.Prepare
 	for i := range cert.Commits {
 		c := &cert.Commits[i]
@@ -769,7 +769,7 @@ func (r *Replica) onCommitCert(cert *wire.CommitCert) {
 		}
 		signers.Add(c.Replica)
 	}
-	if prep == nil || !r.sys.IsQuorum(signers.Sorted()) {
+	if prep == nil || !r.sys.IsQuorum(signers.Members()) {
 		r.env.Metrics().Inc("xpaxos.cert.rejected", 1)
 		return
 	}
@@ -907,10 +907,19 @@ func (s *slot) accept(p *wire.Prepare) {
 	}
 }
 
-// addCommit holds c in the round's COMMIT set.
-func (s *slot) addCommit(c *wire.Commit) {
-	if s.commits == nil {
-		s.commits = make(map[ids.ProcessID]*wire.Commit)
+// addCommit adds c, from a member of the active quorum, to the round's
+// COMMIT set.
+func (r *Replica) addCommit(s *slot, c *wire.Commit) {
+	s.committers.Add(c.Replica)
+	if !r.IsLeader() {
+		return
 	}
-	s.commits[c.Replica] = c
+	if s.commits == nil {
+		s.commits = make([]wire.Commit, len(r.active.Members))
+	}
+	for i, k := range r.active.Members {
+		if k == c.Replica {
+			s.commits[i] = *c
+		}
+	}
 }
