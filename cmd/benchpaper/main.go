@@ -47,7 +47,6 @@ func main() {
 		{"E8", experiments.E8SuspectGraph},
 		{"E9", experiments.E9LineSubgraphs},
 		{"E10", experiments.E10Ablations},
-		{"E11", func() experiments.Table { return experiments.E11Tendermint(*requests) }},
 		{"E12", func() experiments.Table {
 			return experiments.E12Scalability([]int{4, 7, 10, 16, 22, 31, 64, 128, 256})
 		}},

@@ -40,7 +40,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 		seed:        fs.Int64("seed", -1, "replay this single seed and print its full dump"),
 		seeds:       fs.Int("seeds", 50, "how many consecutive seeds to run per protocol"),
 		first:       fs.Int64("first", 0, "first seed of the sweep"),
-		protocols:   fs.String("protocol", "all", "comma-separated protocols (qs,xpaxos,pbftlite,tendermint) or all"),
+		protocols:   fs.String("protocol", "all", "comma-separated protocols (qs,xpaxos,pbftlite) or all"),
 		faults:      fs.String("faults", "all", "comma-separated fault classes or all"),
 		n:           fs.Int("n", 4, "cluster size"),
 		f:           fs.Int("f", 1, "failure threshold"),

@@ -17,8 +17,7 @@
 //     protocols with n > 3f, needing only O(f) quorum changes
 //     (Theorem 9, Corollary 10).
 //   - An XPaxos state-machine-replication substrate with the paper's
-//     failure-detector integration (§V), a PBFT-style baseline, and a
-//     Tendermint-style consensus integration (§X).
+//     failure-detector integration (§V) and a PBFT-style baseline.
 //   - A deterministic discrete-event simulator, a real TCP transport
 //     (the same protocol code runs on both), an adversary toolkit, and
 //     an experiment harness regenerating every bound, figure and

@@ -330,69 +330,6 @@ func Example_followers() {
 	//   f=4 n=13: quorums=8 max/epoch=8 bounds: 3f+1=13 6f+2=26 final-leader=p9
 }
 
-// Example_consensus runs the Tendermint-style proposer-rotating BFT
-// engine on top of Quorum Selection — the paper's §X future-work
-// direction realized for the proposer-rotation family. Phase 1 decides
-// three heights fault-free while the proposer rotates. Phase 2 crashes
-// the next proposer: the round timer skips it, the failure detector's
-// PROPOSAL expectation suspects it, and Quorum Selection removes it
-// from the participant set for good.
-//
-//	go test -run Example_consensus -v .
-func Example_consensus() {
-	cfg := qs.MustConfig(4, 1)
-	nodeOpts := qs.DefaultNodeOptions()
-	nodeOpts.HeartbeatPeriod = 20 * time.Millisecond
-	replicas := make(map[qs.ProcessID]*qs.ConsensusReplica, cfg.N)
-	c := cluster.New(cfg, 1, func(at cluster.Site) cluster.Member {
-		node, r := qs.NewConsensusNode(qs.ConsensusOptions{}, nodeOpts)
-		replicas[at.Proc] = r
-		return cluster.Member{Node: node}
-	}, sim.Options{Latency: sim.ConstantLatency(2 * time.Millisecond)})
-
-	fmt.Println("phase 1: three heights, fault-free")
-	for i := 1; i <= 3; i++ {
-		replicas[1].Submit(&qs.Request{Client: 1, Seq: uint64(i), Op: []byte(fmt.Sprintf("set h%d decided", i))})
-	}
-	c.Net.RunUntil(func() bool { return replicas[1].LastExecuted() >= 3 }, 30*time.Second)
-	for _, d := range replicas[1].Executions() {
-		fmt.Printf("  height %d decided %q (proposer %s)\n", d.Slot, d.Op, replicas[1].Proposer(d.Slot, 0))
-	}
-
-	next := replicas[1].Proposer(replicas[1].Height(), 0)
-	fmt.Printf("phase 2: crash the next proposer, %s\n", next)
-	c.Crash(next, false)
-	replicas[1].Submit(&qs.Request{Client: 1, Seq: 4, Op: []byte("set h4 survived")})
-	var survivors []qs.ProcessID
-	for _, p := range cfg.All() {
-		if p != next {
-			survivors = append(survivors, p)
-		}
-	}
-	ok := c.Net.RunUntil(func() bool {
-		for _, p := range survivors {
-			if replicas[p].LastExecuted() < 4 || replicas[p].Active().Contains(next) {
-				return false
-			}
-		}
-		return true
-	}, 60*time.Second)
-	fmt.Println("  recovered:", ok)
-	for _, p := range survivors {
-		fmt.Printf("  %s: decided=%d active=%s\n", p, replicas[p].LastExecuted(), replicas[p].Active())
-	}
-	// Output:
-	// phase 1: three heights, fault-free
-	//   height 1 decided "set h1 decided" (proposer p2)
-	//   height 2 decided "set h2 decided" (proposer p3)
-	//   height 3 decided "set h3 decided" (proposer p1)
-	// phase 2: crash the next proposer, p2
-	//   recovered: true
-	//   p1: decided=4 active={p1,p3,p4}
-	//   p3: decided=4 active={p1,p3,p4}
-	//   p4: decided=4 active={p1,p3,p4}
-}
-
 // Example_cluster runs XPaxos on Quorum Selection over real TCP
 // loopback — the protocol code the simulator drives, on sockets
 // (internal/transport): four HMAC-authenticated hosts, live client

@@ -309,7 +309,7 @@ func (r *RunState) execute(sch *schedule) *Violation {
 		plan := plan
 		p := plan.Proc
 		cl.Net.At(plan.At, func() {
-			if plan.RestartAt > 0 && run.Protocol.durable() {
+			if plan.RestartAt > 0 && run.Protocol.smr() {
 				r.preCrash[p] = make([][]xpaxos.Execution, run.Shards)
 				for s := range r.preCrash[p] {
 					r.preCrash[p][s] = r.history(p, s)

@@ -44,10 +44,7 @@ func defaultCheckers(p Protocol) []Checker {
 		cs = append(cs, &agreementChecker{}, &convergenceChecker{}, &terminationChecker{})
 	}
 	if p.smr() {
-		cs = append(cs, &historyChecker{})
-	}
-	if p.durable() {
-		cs = append(cs, &recoveryChecker{})
+		cs = append(cs, &historyChecker{}, &recoveryChecker{})
 	}
 	if p.checksLiveness() {
 		cs = append(cs, &livenessChecker{})

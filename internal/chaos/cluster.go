@@ -11,7 +11,6 @@ import (
 	"quorumselect/internal/obs"
 	"quorumselect/internal/pbftlite"
 	"quorumselect/internal/sim"
-	"quorumselect/internal/tendermint"
 	"quorumselect/internal/xpaxos"
 )
 
@@ -21,9 +20,9 @@ type Protocol string
 // The compositions under test.
 const (
 	// ProtocolQS is the core-only quorum-selection stack (no
-	// application): Figure 1 without an SMR on top. The only cluster
-	// whose crash faults may restart, because Host.Init rebuilds all
-	// protocol state from scratch.
+	// application): Figure 1 without an SMR on top. Its crash faults
+	// restart stateless, because Host.Init rebuilds all protocol state
+	// from scratch.
 	ProtocolQS Protocol = "qs"
 	// ProtocolXPaxos is XPaxos composed with quorum selection.
 	ProtocolXPaxos Protocol = "xpaxos"
@@ -31,14 +30,11 @@ const (
 	// quorum selection. It has no view-change recovery for dropped
 	// slots, so the harness checks safety only.
 	ProtocolPBFT Protocol = "pbftlite"
-	// ProtocolTendermint is the tendermint-style replica composed with
-	// quorum selection.
-	ProtocolTendermint Protocol = "tendermint"
 )
 
 // AllProtocols returns every protocol, in stable order.
 func AllProtocols() []Protocol {
-	return []Protocol{ProtocolQS, ProtocolXPaxos, ProtocolPBFT, ProtocolTendermint}
+	return []Protocol{ProtocolQS, ProtocolXPaxos, ProtocolPBFT}
 }
 
 // ParseProtocols parses a comma-separated protocol list; "all" or ""
@@ -63,28 +59,17 @@ func ParseProtocols(s string) ([]Protocol, error) {
 	return out, nil
 }
 
-// restartable reports whether crash faults may restart processes of
-// this protocol. The core-only stack restarts stateless by design;
-// xpaxos and pbftlite restart by recovering their durable state from a
-// per-member storage backend (see durable). Tendermint has no durable
-// layer yet, so its crashes stay permanent.
-func (p Protocol) restartable() bool {
-	return p == ProtocolQS || p == ProtocolXPaxos || p == ProtocolPBFT
-}
-
-// durable reports whether the protocol's members are composed with a
-// storage backend, making crash-restart recovery meaningful.
-func (p Protocol) durable() bool { return p == ProtocolXPaxos || p == ProtocolPBFT }
-
-// smr reports whether the protocol carries a replicated history.
+// smr reports whether the protocol carries a replicated history. Every
+// such protocol (xpaxos, pbftlite) is composed with a per-member
+// storage backend and restarts by recovering its durable state from it,
+// so crash-restart recovery is checked too; the core-only stack
+// restarts stateless.
 func (p Protocol) smr() bool { return p != ProtocolQS }
 
 // checksLiveness reports whether the harness may demand post-fault
 // progress. pbftlite is excluded: without view changes, one dropped
 // PRE-PREPARE stalls in-order execution forever by design.
-func (p Protocol) checksLiveness() bool {
-	return p == ProtocolXPaxos || p == ProtocolTendermint
-}
+func (p Protocol) checksLiveness() bool { return p == ProtocolXPaxos }
 
 // settles reports whether the composition quiesces once faults stop,
 // which is what the quorum-selection Agreement and Termination checks
@@ -123,7 +108,7 @@ func (r *RunState) boot(sch *schedule) {
 func member(run Config, sch *schedule, at cluster.Site, fdOpts fd.Options) cluster.Member {
 	nodeOpts := core.DefaultNodeOptions()
 	nodeOpts.FD = fdOpts
-	if run.Protocol.durable() {
+	if run.Protocol.smr() {
 		at.Backend.SetSkipSync(run.TamperSkipSync)
 		nodeOpts.Storage = at.Backend
 		if run.Shards > 1 {
@@ -151,11 +136,6 @@ func member(run Config, sch *schedule, at cluster.Site, fdOpts fd.Options) clust
 		m.Node, m.Submit, m.History = n, rep.Submit, rep.Executions
 	case ProtocolPBFT:
 		n, rep := pbftlite.NewQSNode(pbftlite.Options{}, nodeOpts)
-		m.Node, m.Submit, m.History = n, rep.Submit, rep.Executions
-	case ProtocolTendermint:
-		n, rep := tendermint.NewQSNode(tendermint.Options{
-			BatchSize: run.BatchSize,
-		}, nodeOpts)
 		m.Node, m.Submit, m.History = n, rep.Submit, rep.Executions
 	default:
 		panic(fmt.Sprintf("chaos: unknown protocol %q", run.Protocol))

@@ -189,7 +189,7 @@ func (r *RunState) generated() *schedule {
 	const requests, faultEnd = 30, 8 * time.Second
 	run := r.Config
 	sch := &schedule{
-		Scenario: GenerateScenario(r.cfg, r.seed, run.Faults, run.Protocol.restartable(), faultEnd),
+		Scenario: GenerateScenario(r.cfg, r.seed, run.Faults, true, faultEnd),
 		settle:   18 * time.Second,
 		horizon:  28 * time.Second,
 		slice:    500 * time.Millisecond,

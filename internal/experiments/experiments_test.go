@@ -176,24 +176,6 @@ func TestE10Ablations(t *testing.T) {
 	}
 }
 
-func TestE11TendermintIntegration(t *testing.T) {
-	tbl := E11Tendermint(4)
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[1] != row[2] {
-			t.Errorf("%s: decided %v of %v", row[0], row[1], row[2])
-		}
-		if row[5] != "true" {
-			t.Errorf("%s: decision logs diverged", row[0])
-		}
-		if row[0] != "fault-free" && row[4] != "true" {
-			t.Errorf("%s: faulty process not excluded", row[0])
-		}
-	}
-}
-
 func TestE12Scalability(t *testing.T) {
 	// n=64 exceeds the former 64-bit adjacency limit; the multi-word
 	// graph makes the consortium sizes of §VI-C first-class.

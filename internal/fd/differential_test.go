@@ -555,22 +555,6 @@ func refPredicateFor(k ids.ProcessID, key Key) refPredicate {
 				return false
 			}
 		}
-	case wire.TypeTMProposal:
-		return func(m wire.Message) bool {
-			p, ok := m.(*wire.TMProposal)
-			return ok && p.Proposer == k && p.Height == a && p.Round == b
-		}
-	case wire.TypeTMPrevote, wire.TypeTMPrecommit:
-		return func(m wire.Message) bool {
-			switch v := m.(type) {
-			case *wire.TMPrevote:
-				return t == wire.TypeTMPrevote && v.Replica == k && v.Slot == a && v.View == b
-			case *wire.TMPrecommit:
-				return t == wire.TypeTMPrecommit && v.Replica == k && v.Slot == a && v.View == b
-			default:
-				return false
-			}
-		}
 	case wire.TypeHeartbeat:
 		return IsHeartbeat
 	}
@@ -582,7 +566,6 @@ func refPredicateFor(k ids.ProcessID, key Key) refPredicate {
 var keyTypes = []wire.Type{
 	wire.TypeHeartbeat, wire.TypeCommit, wire.TypePrepare, wire.TypeNewView,
 	wire.TypeFollowers, wire.TypePBFTPrepare, wire.TypePBFTCommit,
-	wire.TypeTMProposal, wire.TypeTMPrevote, wire.TypeTMPrecommit,
 }
 
 // keyFor builds a well-formed key of type t: a single-identifier type
@@ -619,16 +602,6 @@ func messageFor(t wire.Type, s ids.ProcessID, a, b uint64) wire.Message {
 	case wire.TypePBFTCommit:
 		m := &wire.PBFTCommit{}
 		m.Replica, m.View, m.Slot = s, a, b
-		return m
-	case wire.TypeTMProposal:
-		return &wire.TMProposal{Proposer: s, Height: a, Round: b}
-	case wire.TypeTMPrevote:
-		m := &wire.TMPrevote{}
-		m.Replica, m.Slot, m.View = s, a, b
-		return m
-	case wire.TypeTMPrecommit:
-		m := &wire.TMPrecommit{}
-		m.Replica, m.Slot, m.View = s, a, b
 		return m
 	case wire.TypeUpdate:
 		return &wire.Update{Owner: s}

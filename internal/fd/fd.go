@@ -58,8 +58,8 @@ import (
 )
 
 // Key is the paper's P: the message an expectation waits for, named by
-// its type and two identifiers the message carries — view and slot,
-// height and round, or an epoch or view alone (B zero). A heartbeat's
+// its type and two identifiers the message carries — view and slot, or
+// an epoch or view alone (B zero). A heartbeat's
 // key is its type alone: any heartbeat from the sender will do.
 type Key struct {
 	Type wire.Type
@@ -76,16 +76,14 @@ func (k Key) String() string {
 		return fmt.Sprintf("%s(v=%d)", k.Type, k.A)
 	case wire.TypeFollowers:
 		return fmt.Sprintf("%s(epoch=%d)", k.Type, k.A)
-	case wire.TypeTMProposal, wire.TypeTMPrevote, wire.TypeTMPrecommit:
-		return fmt.Sprintf("%s(h=%d,r=%d)", k.Type, k.A, k.B)
 	}
 	return fmt.Sprintf("%s(v=%d,s=%d)", k.Type, k.A, k.B)
 }
 
 // keyOf returns the key m satisfies, and false for a message no
 // expectation waits for. The sender needs no check of its own: every
-// keyed message but the heartbeat is signed, its signer is the replica,
-// leader or proposer field, and Receive attributes it to that signer.
+// keyed message but the heartbeat is signed, its signer is the replica
+// or leader field, and Receive attributes it to that signer.
 func keyOf(m wire.Message) (Key, bool) {
 	switch v := m.(type) {
 	case *wire.Heartbeat:
@@ -102,12 +100,6 @@ func keyOf(m wire.Message) (Key, bool) {
 		return Key{wire.TypePBFTPrepare, v.View, v.Slot}, true
 	case *wire.PBFTCommit:
 		return Key{wire.TypePBFTCommit, v.View, v.Slot}, true
-	case *wire.TMProposal:
-		return Key{wire.TypeTMProposal, v.Height, v.Round}, true
-	case *wire.TMPrevote:
-		return Key{wire.TypeTMPrevote, v.Slot, v.View}, true
-	case *wire.TMPrecommit:
-		return Key{wire.TypeTMPrecommit, v.Slot, v.View}, true
 	}
 	return Key{}, false
 }

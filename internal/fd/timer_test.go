@@ -22,15 +22,9 @@ func TestKeyStringMatchesFmt(t *testing.T) {
 		wire.TypePrepare:   func(a, b uint64) string { return fmt.Sprintf("PREPARE(v=%d,s=%d)", a, b) },
 		wire.TypeNewView:   func(a, b uint64) string { return fmt.Sprintf("NEW-VIEW(v=%d)", a) },
 		wire.TypeFollowers: func(a, b uint64) string { return fmt.Sprintf("FOLLOWERS(epoch=%d)", a) },
-		wire.TypeTMProposal: func(a, b uint64) string {
-			return fmt.Sprintf("TM-PROPOSAL(h=%d,r=%d)", a, b)
-		},
 	}
 	for _, typ := range []wire.Type{wire.TypePBFTPrepare, wire.TypePBFTCommit} {
 		render[typ] = func(a, b uint64) string { return fmt.Sprintf("%s(v=%d,s=%d)", typ, a, b) }
-	}
-	for _, typ := range []wire.Type{wire.TypeTMPrevote, wire.TypeTMPrecommit} {
-		render[typ] = func(a, b uint64) string { return fmt.Sprintf("%s(h=%d,r=%d)", typ, a, b) }
 	}
 	edges := []uint64{0, 1, 9, 10, 2658, math.MaxUint64}
 	for _, typ := range keyTypes {

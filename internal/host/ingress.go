@@ -23,14 +23,13 @@ var ErrStopped = errors.New("host: ingress stopped")
 // light load.
 const DefaultMaxBatchLatency = 5 * time.Millisecond
 
-// Ingress is the shared client-request mempool of the replica-host
-// kernel: protocols push deduplicated requests in and receive them back
-// in arrival order as batches, either when BatchSize requests have
+// Ingress is the client-request mempool of the replica-host kernel: a
+// protocol pushes deduplicated requests in and receives them back in
+// arrival order as batches, either when BatchSize requests have
 // accumulated or when the oldest buffered request has waited
 // DefaultMaxBatchLatency. Dedup and client-table bookkeeping stay in
 // the protocol (they are protocol state); Ingress owns only buffering
-// and flush policy, so XPaxos proposal batching and the tendermint
-// mempool run the same code.
+// and flush policy. XPaxos proposal batching runs on it.
 //
 // Like all protocol state it is single-threaded: Submit, Flush, and
 // Stop run on the node's event loop.

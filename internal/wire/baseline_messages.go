@@ -33,8 +33,8 @@ func (m *PrePrepare) Signer() ids.ProcessID { return m.Leader }
 func (m *PrePrepare) SigBytes() []byte { return sigBytes(m) }
 
 // phaseBody is the shared shape of the PBFT baseline's PREPARE and
-// COMMIT phase messages, and of Tendermint's prevote and precommit: a
-// vote on a (view, slot, digest) triple, signed under its kind's tag.
+// COMMIT phase messages: a vote on a (view, slot, digest) triple,
+// signed under its kind's tag.
 type phaseBody struct {
 	Replica ids.ProcessID
 	View    uint64

@@ -27,12 +27,11 @@ var (
 // variable-length field empty, untraced): what Codec.count multiplies an
 // element count by before anything is allocated.
 const (
-	minEdgeSize      = 4 + 4
-	minRequestSize   = 8 + 8 + 4
-	minPrepareSize   = 1 + 4 + 8 + 8 + minRequestSize + 4 + 4 + 2
-	minCommitSize    = 1 + 4 + 8 + 8 + 1 + 4 + 2
-	minLogSlotSize   = 8 + minPrepareSize
-	minPhaseBodySize = 1 + 4 + 8 + 8 + 4 + 4
+	minEdgeSize    = 4 + 4
+	minRequestSize = 8 + 8 + 4
+	minPrepareSize = 1 + 4 + 8 + 8 + minRequestSize + 4 + 4 + 2
+	minCommitSize  = 1 + 4 + 8 + 8 + 1 + 4 + 2
+	minLogSlotSize = 8 + minPrepareSize
 )
 
 // Heartbeat is the periodic liveness message every process sends (§II:
@@ -153,9 +152,9 @@ func (m *Request) Equal(o *Request) bool {
 
 // Batch is a frame of client requests moved together: the replica
 // host's ingress flushes one Batch instead of one frame per request
-// (non-leader → leader forwarding in XPaxos, mempool gossip in the
-// consensus engine). Requests are link-authenticated like individual
-// Request frames; receivers deduplicate per request.
+// (non-leader → leader forwarding in XPaxos). Requests are
+// link-authenticated like individual Request frames; receivers
+// deduplicate per request.
 type Batch struct {
 	Reqs []Request
 	// TC is the sending host's ingress-span context, so a forwarded

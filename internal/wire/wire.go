@@ -30,11 +30,9 @@
 //   - Followers: the FOLLOWERS message of Algorithm 2.
 //   - Request/Prepare/Commit/Reply/ViewChange/NewView: XPaxos (§V).
 //   - Batch: a frame of client requests moved together by the replica
-//     host's ingress (leader forwarding, mempool gossip).
+//     host's ingress (leader forwarding).
 //   - PrePrepare/PBFTPrepare/PBFTCommit: the PBFT-style broadcast-all
 //     baseline used for the §I message-reduction claim.
-//   - TMProposal/TMPrevote/TMPrecommit/TMDecided: the Tendermint-style
-//     consensus integration.
 //   - CommitCert/ShardEnvelope: XPaxos commit certificates and the
 //     fleet's per-shard routing frame.
 package wire
@@ -67,10 +65,10 @@ const (
 	TypePBFTCommit
 	_ // 13, 14: reserved — once the ChainForward/ChainAck frames of a
 	_ // removed bchain baseline; never reuse them.
-	TypeTMProposal
-	TypeTMPrevote
-	TypeTMPrecommit
-	TypeTMDecided
+	_ // 15–18: reserved — once the TM-PROPOSAL, TM-PREVOTE,
+	_ // TM-PRECOMMIT and TM-DECIDED frames of a removed
+	_ // Tendermint-style engine; never reuse them.
+	_
 	TypeCommitCert
 	TypeBatch
 	TypeShardEnvelope
@@ -98,10 +96,6 @@ var kinds = [NumTypes]struct {
 	TypePrePrepare:    {"PRE-PREPARE", func() Message { return new(PrePrepare) }},
 	TypePBFTPrepare:   {"PBFT-PREPARE", func() Message { return new(PBFTPrepare) }},
 	TypePBFTCommit:    {"PBFT-COMMIT", func() Message { return new(PBFTCommit) }},
-	TypeTMProposal:    {"TM-PROPOSAL", func() Message { return new(TMProposal) }},
-	TypeTMPrevote:     {"TM-PREVOTE", func() Message { return new(TMPrevote) }},
-	TypeTMPrecommit:   {"TM-PRECOMMIT", func() Message { return new(TMPrecommit) }},
-	TypeTMDecided:     {"TM-DECIDED", func() Message { return new(TMDecided) }},
 	TypeCommitCert:    {"COMMIT-CERT", func() Message { return new(CommitCert) }},
 	TypeBatch:         {"BATCH", func() Message { return new(Batch) }},
 	TypeShardEnvelope: {"SHARD-ENVELOPE", func() Message { return new(ShardEnvelope) }},

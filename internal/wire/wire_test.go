@@ -81,20 +81,11 @@ func sampleMessages() []Message {
 		&PBFTCommit{phaseBody{Replica: 3, View: 0, Slot: 1, Digest: []byte{0xd}, Sig: []byte{7}}},
 		&ShardEnvelope{Shard: 0, Inner: &Heartbeat{From: 2, Seq: 100}},
 		&ShardEnvelope{Shard: 3, Inner: &Prepare{Leader: 1, View: 3, Slot: 9, Req: req, Sig: []byte{1, 2, 3}}},
-		&TMProposal{Proposer: 2, Height: 5, Round: 1, Req: req, Sig: []byte{10}},
-		&TMPrevote{phaseBody{Replica: 3, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{11}}},
-		&TMPrecommit{phaseBody{Replica: 4, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{12}}},
 		&CommitCert{Slot: 9, Commits: []Commit{
 			{Replica: 2, View: 3, Slot: 9, HasPrep: true, Prep: prep, Sig: []byte{13}},
 			{Replica: 4, View: 3, Slot: 9, HasPrep: true, Prep: prep, Sig: []byte{5},
 				TC: TraceContext{Trace: 4<<40 | 1, Span: 4<<40 | 2}},
 		}},
-		&TMDecided{Height: 5, Round: 1,
-			Proposal: TMProposal{Proposer: 2, Height: 5, Round: 1, Req: req, Sig: []byte{10}},
-			Precommits: []TMPrecommit{
-				{phaseBody{Replica: 3, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{14}}},
-				{phaseBody{Replica: 4, View: 1, Slot: 5, Digest: []byte{0xe}, Sig: []byte{12}}},
-			}},
 	}
 }
 
@@ -157,12 +148,23 @@ func TestDecodeUnknownType(t *testing.T) {
 }
 
 // reservedTagFrames are well-formed frames under the retired Type values
-// 13 and 14, as a peer running the old codec would send them.
+// 13–18, as a peer running the old codec would send them: the bchain
+// baseline's CHAIN-FORWARD and CHAIN-ACK, then the Tendermint-style
+// engine's TM-PROPOSAL, TM-PREVOTE, TM-PRECOMMIT and TM-DECIDED.
 func reservedTagFrames() [][]byte {
 	return [][]byte{
 		mustHex("0d0d0000000100000000000000020000000000000007000000000000002a" +
 			"0000000773657420783d310000000200000001000000020000000108"),
 		mustHex("0e0e0000000500000000000000020000000109"),
+		mustHex("0f0f00000002000000000000000500000000000000010000000000000007" +
+			"000000000000002a0000000773657420783d31000000010a"),
+		mustHex("10100000000300000000000000010000000000000005000000010e000000010b"),
+		mustHex("11110000000400000000000000010000000000000005000000010e000000010c"),
+		mustHex("12000000000000000500000000000000010f000000020000000000000005" +
+			"00000000000000010000000000000007000000000000002a000000077365" +
+			"7420783d31000000010a00000002110000000300000000000000010000000000" +
+			"000005000000010e000000010e11000000040000000000000001000000000000" +
+			"0005000000010e000000010c"),
 	}
 }
 
@@ -249,7 +251,6 @@ func TestMinElementSizes(t *testing.T) {
 		{"request", size(&Request{}), minRequestSize},
 		{"prepare", size(&Prepare{}), minPrepareSize},
 		{"commit", size(&Commit{}), minCommitSize},
-		{"phase body", size(&TMPrecommit{}), minPhaseBodySize},
 		{"log slot", 8 + size(&Prepare{}), minLogSlotSize},
 	}
 	for _, c := range checks {
@@ -381,7 +382,7 @@ func TestDecodeRandomBytesNeverPanics(t *testing.T) {
 		// Bias the first byte toward valid type tags so the body
 		// decoders actually run.
 		if n > 0 && trial%2 == 0 {
-			data[0] = byte(rng.Intn(int(TypeTMPrecommit)) + 1)
+			data[0] = byte(rng.Intn(NumTypes-1) + 1)
 		}
 		msg, err := Decode(data)
 		if err == nil {

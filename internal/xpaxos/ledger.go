@@ -7,14 +7,13 @@ import (
 	"quorumselect/internal/wire"
 )
 
-// Ledger is the replicated log below consensus that XPaxos, pbftlite
-// and tendermint share: the committed slots not yet executed, the
-// execution cursor, the client table that makes execution exactly-once,
-// and the executed history. A protocol commits slots in any order with
-// Commit and executes them in slot order with Next and Execute (or
+// Ledger is the replicated log below consensus that XPaxos and
+// pbftlite share: the committed slots not yet executed, the execution
+// cursor, the client table that makes execution exactly-once, and the
+// executed history. A protocol commits slots in any order with Commit
+// and executes them in slot order with Next and Execute (or
 // ExecuteCommitted, when it does nothing around each slot); one that
-// decides strictly in order, like tendermint's heights, may Execute
-// directly. A ledger lives on its replica's event loop and is not safe
+// decides strictly in order may Execute directly. A ledger lives on its replica's event loop and is not safe
 // for concurrent use.
 type Ledger struct {
 	sm        StateMachine

@@ -17,7 +17,6 @@ import (
 	"quorumselect/internal/sim"
 	"quorumselect/internal/storage"
 	"quorumselect/internal/suspicion"
-	"quorumselect/internal/tendermint"
 	"quorumselect/internal/transport"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
@@ -221,21 +220,6 @@ func FirstViewLedBy(cfg Config, p ProcessID) (uint64, bool) {
 	return xpaxos.FirstViewLedBy(cfg, p)
 }
 
-// Tendermint-style consensus (the §X future-work integration).
-type (
-	// ConsensusReplica is the round-based, proposer-rotating BFT
-	// engine integrated with quorum selection.
-	ConsensusReplica = tendermint.Replica
-	// ConsensusOptions configures a ConsensusReplica.
-	ConsensusOptions = tendermint.Options
-)
-
-// NewConsensusNode composes a Tendermint-style consensus replica with
-// the full quorum-selection stack.
-func NewConsensusNode(opts ConsensusOptions, nodeOpts NodeOptions) (*Node, *ConsensusReplica) {
-	return tendermint.NewQSNode(opts, nodeOpts)
-}
-
 // ClusterOptions configures a simulated cluster.
 type ClusterOptions struct {
 	// Node configures every process of NewSimulatedCluster and
@@ -272,8 +256,8 @@ func (o ClusterOptions) simOptions() sim.Options {
 
 // Simulation is a deployment on the deterministic discrete-event
 // network. NewSimulatedClusterOf drives arbitrary protocol nodes with it
-// — for compositions the selector clusters do not cover (XPaxos or
-// consensus replicas, custom Byzantine nodes); Cluster and
+// — for compositions the selector clusters do not cover (XPaxos
+// replicas, custom Byzantine nodes); Cluster and
 // FollowerCluster embed it.
 type Simulation struct {
 	net *sim.Network
