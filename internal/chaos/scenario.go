@@ -26,14 +26,14 @@ type FaultClass string
 // failure classes.
 const (
 	// FaultCrash stops a process via the host lifecycle (crash failure);
-	// on a restart-capable cluster it may later come back, recovering
-	// whatever its durable storage holds.
+	// it may later come back, recovering whatever its durable storage
+	// holds.
 	FaultCrash FaultClass = "crash"
 	// FaultCrashRestart hard-crashes a process — its storage backend
 	// drops every write not yet durably synced, modeling power loss —
 	// and always restarts it, forcing a recovery from the surviving
-	// WAL + snapshot. On a non-restartable protocol it degrades to a
-	// permanent hard crash.
+	// WAL + snapshot. In a schedule generated without restarts it
+	// degrades to a permanent hard crash.
 	FaultCrashRestart FaultClass = "crash-restart"
 	// FaultOmission drops one in every k messages from a faulty process
 	// (repeated omission failure).
@@ -230,7 +230,8 @@ func (s *Scenario) CrashedForever(p ids.ProcessID) bool {
 	return false
 }
 
-// GenerateScenario derives the fault schedule for one seed. The same
+// GenerateScenario derives the fault schedule for one seed; with
+// restartable false every crash is permanent. The same
 // (cfg, seed, classes, restartable, faultEnd) always produces the same
 // scenario: all randomness flows from one source, and filters that need
 // randomness at run time get private sources derived from the seed.
